@@ -35,7 +35,7 @@
 //! ```text
 //! cargo run --release -p adgen-bench --bin chaoscamp              # full campaign
 //! cargo run --release -p adgen-bench --bin chaoscamp -- --smoke   # CI-sized
-//! chaoscamp --reactor threaded --serve-bin target/release/adgen-serve
+//! chaoscamp --serve-bin target/release/adgen-serve
 //! ```
 
 use std::fmt::Write as _;
@@ -113,7 +113,6 @@ struct ScenarioRow {
 
 /// Everything the JSON report carries.
 struct ChaosState {
-    reactor: String,
     smoke: bool,
     requests: usize,
     rows: Vec<ScenarioRow>,
@@ -121,20 +120,17 @@ struct ChaosState {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut reactor = "auto".to_string();
     let mut serve_bin: Option<PathBuf> = None;
     let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--reactor" => reactor = require(&mut args, &a),
             "--serve-bin" => serve_bin = Some(PathBuf::from(require::<String>(&mut args, &a))),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
-                    "usage: chaoscamp [--smoke] [--reactor auto|epoll|threaded] \
-                     [--serve-bin PATH] [--trace FILE] [--metrics]"
+                    "usage: chaoscamp [--smoke] [--serve-bin PATH] [--trace FILE] [--metrics]"
                 );
                 std::process::exit(2);
             }
@@ -195,10 +191,9 @@ fn main() -> ExitCode {
 
     let mix = workload(if smoke { 4 } else { 6 });
     println!(
-        "chaoscamp: {} scenario(s), {} request(s), reactor {}, server {}",
+        "chaoscamp: {} scenario(s), {} request(s), server {}",
         scenarios.len(),
         mix.len(),
-        reactor,
         serve_bin.display()
     );
 
@@ -206,7 +201,6 @@ fn main() -> ExitCode {
         "BENCH_chaos.json",
         obs_args,
         ChaosState {
-            reactor: reactor.clone(),
             smoke,
             requests: mix.len(),
             rows: Vec::new(),
@@ -217,7 +211,7 @@ fn main() -> ExitCode {
     // Baseline: pristine server, fresh directory — the byte-level
     // reference every post-crash response must match.
     let base_dir = scratch_dir("baseline");
-    let baseline = match record_baseline(&serve_bin, &reactor, &base_dir, &mix) {
+    let baseline = match record_baseline(&serve_bin, &base_dir, &mix) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("FAIL: baseline run: {e}");
@@ -229,7 +223,7 @@ fn main() -> ExitCode {
     let mut total_failures = 0usize;
     for (i, scenario) in scenarios.iter().enumerate() {
         let dir = scratch_dir(&format!("s{i}"));
-        let row = run_scenario(&serve_bin, &reactor, &dir, scenario, &mix, &baseline);
+        let row = run_scenario(&serve_bin, &dir, scenario, &mix, &baseline);
         let _ = std::fs::remove_dir_all(&dir);
         println!(
             "  {:<28} {:<9} corrupt {}, round1 {}h/{}m, round2 {}h{}",
@@ -278,7 +272,6 @@ fn workload(n: usize) -> Vec<Request> {
 /// Runs one scenario end to end and returns its report row.
 fn run_scenario(
     serve_bin: &Path,
-    reactor: &str,
     dir: &Path,
     scenario: &Scenario,
     mix: &[Request],
@@ -302,7 +295,7 @@ fn run_scenario(
     match scenario {
         Scenario::Kill { site } => {
             let faults = format!("kill@{site}#1");
-            let mut server = match ServerProc::spawn(serve_bin, reactor, dir, Some(&faults)) {
+            let mut server = match ServerProc::spawn(serve_bin, dir, Some(&faults)) {
                 Ok(s) => s,
                 Err(e) => {
                     row.failures.push(format!("faulted spawn: {e}"));
@@ -326,7 +319,7 @@ fn run_scenario(
         }
         Scenario::Corrupt { mutation } => {
             // Warm the cache cleanly, then damage it offline.
-            let mut server = match ServerProc::spawn(serve_bin, reactor, dir, None) {
+            let mut server = match ServerProc::spawn(serve_bin, dir, None) {
                 Ok(s) => s,
                 Err(e) => {
                     row.failures.push(format!("warmup spawn: {e}"));
@@ -347,7 +340,7 @@ fn run_scenario(
     }
 
     // Phase B: restart clean on the damaged directory and assert.
-    let mut server = match ServerProc::spawn(serve_bin, reactor, dir, None) {
+    let mut server = match ServerProc::spawn(serve_bin, dir, None) {
         Ok(s) => s,
         Err(e) => {
             row.failures.push(format!("restart: {e}"));
@@ -451,13 +444,8 @@ fn run_scenario(
 }
 
 /// Records the pristine-server reference payloads for `mix`.
-fn record_baseline(
-    serve_bin: &Path,
-    reactor: &str,
-    dir: &Path,
-    mix: &[Request],
-) -> Result<Vec<Vec<u8>>, String> {
-    let mut server = ServerProc::spawn(serve_bin, reactor, dir, None)?;
+fn record_baseline(serve_bin: &Path, dir: &Path, mix: &[Request]) -> Result<Vec<Vec<u8>>, String> {
+    let mut server = ServerProc::spawn(serve_bin, dir, None)?;
     let payloads = drive(&server.addr, mix, None)?;
     server.shutdown()?;
     Ok(payloads)
@@ -577,19 +565,12 @@ struct ServerProc {
 }
 
 impl ServerProc {
-    fn spawn(
-        serve_bin: &Path,
-        reactor: &str,
-        dir: &Path,
-        faults: Option<&str>,
-    ) -> Result<ServerProc, String> {
+    fn spawn(serve_bin: &Path, dir: &Path, faults: Option<&str>) -> Result<ServerProc, String> {
         let mut cmd = Command::new(serve_bin);
         cmd.arg("--cache-dir")
             .arg(dir)
             .arg("--disk-cap")
             .arg(DISK_CAP.to_string())
-            .arg("--reactor")
-            .arg(reactor)
             .stdout(Stdio::piped())
             .stdin(Stdio::null());
         if let Some(spec) = faults {
@@ -704,7 +685,6 @@ fn require<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: 
 fn render_chaos_json(state: &ChaosState, meta: &RunMeta) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"reactor\": \"{}\",", state.reactor);
     let _ = writeln!(s, "  \"smoke\": {},", state.smoke);
     let _ = writeln!(s, "  \"requests\": {},", state.requests);
     if meta.truncated {

@@ -29,8 +29,7 @@
 //! admission queue (`--queue-cap` bounds it when spawning) — and
 //! requires every response to be either a computed result or the
 //! typed queue-full rejection: a hang or a reset is a failure.
-//! `--reactor auto|epoll|threaded` picks the spawned server's I/O
-//! backend; `--disk-cap BYTES` bounds its disk cache tier.
+//! `--disk-cap BYTES` bounds the spawned server's disk cache tier.
 //!
 //! The generator is also a correctness harness: it remembers every
 //! cold-pass response payload and byte-compares the warm passes
@@ -49,7 +48,7 @@ use std::time::{Duration, Instant};
 use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
 use adgen_exec::Prng;
 use adgen_serve::{
-    serve, Client, Generator, ReactorKind, Request, Response, RetryPolicy, ServeConfig, ServeError,
+    serve, Client, Generator, Request, Response, RetryPolicy, ServeConfig, ServeError,
     ServerHandle, StatsSnapshot,
 };
 use adgen_synth::Encoding;
@@ -109,7 +108,6 @@ struct Options {
     cache_dir: Option<PathBuf>,
     disk_cap: u64,
     queue_cap: usize,
-    reactor: ReactorKind,
     overload: bool,
     smoke: bool,
     shutdown: bool,
@@ -127,7 +125,6 @@ fn main() {
         cache_dir: None,
         disk_cap: 0,
         queue_cap: 0,
-        reactor: ReactorKind::Auto,
         overload: false,
         smoke: false,
         shutdown: false,
@@ -144,13 +141,6 @@ fn main() {
             "--cache-dir" => opt.cache_dir = Some(PathBuf::from(expect(&a, it.next()))),
             "--disk-cap" => opt.disk_cap = parse(&a, it.next()),
             "--queue-cap" => opt.queue_cap = parse(&a, it.next()),
-            "--reactor" => {
-                let v = expect(&a, it.next());
-                opt.reactor = ReactorKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("error: --reactor must be auto, epoll or threaded");
-                    std::process::exit(2);
-                });
-            }
             "--overload" => opt.overload = true,
             "--smoke" => opt.smoke = true,
             "--shutdown" => opt.shutdown = true,
@@ -158,7 +148,7 @@ fn main() {
                 eprintln!(
                     "error: unknown argument `{other}` \
                      (known: --addr --requests --passes --seed --jobs --conns \
-                     --cache-dir --disk-cap --queue-cap --reactor --overload \
+                     --cache-dir --disk-cap --queue-cap --overload \
                      --smoke --shutdown --trace --metrics)"
                 );
                 std::process::exit(2);
@@ -197,7 +187,6 @@ fn main() {
                 jobs: opt.jobs,
                 cache_dir: opt.cache_dir.clone(),
                 disk_cap_bytes: opt.disk_cap,
-                reactor: opt.reactor,
                 observe: recording,
                 ..ServeConfig::default()
             };
@@ -211,7 +200,6 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            println!("loadgen: server reactor: {}", handle.resolved_reactor());
             (handle.local_addr().to_string(), Some(handle))
         }
     };

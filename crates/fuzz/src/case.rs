@@ -150,8 +150,6 @@ pub enum FuzzCase {
     /// stack: the reactor must answer with a typed error or close
     /// cleanly, keep serving well-behaved clients, and never panic.
     FrameFuzz {
-        /// Reactor backend under attack: 0 = epoll, 1 = threaded.
-        backend: u8,
         /// Attack shape: 0 = truncated frame then write-side close,
         /// 1 = oversized length prefix, 2 = garbage where the hello
         /// belongs, 3 = unsupported protocol version, 4 = undecodable
@@ -285,15 +283,7 @@ impl FuzzCase {
                 "{} {width}x{height} mb={mb} lanes={lanes} cycles={cycles} salt={salt:#x}",
                 kind.label()
             ),
-            FuzzCase::FrameFuzz {
-                backend,
-                attack,
-                garbage,
-            } => {
-                let backend = match backend {
-                    0 => "epoll",
-                    _ => "threaded",
-                };
+            FuzzCase::FrameFuzz { attack, garbage } => {
                 let attack = match attack % 7 {
                     0 => "truncated-frame",
                     1 => "oversized-len",
@@ -303,7 +293,7 @@ impl FuzzCase {
                     5 => "slowloris",
                     _ => "mid-frame-disconnect",
                 };
-                format!("{attack} at {backend}, {} garbage bytes", garbage.len())
+                format!("{attack}, {} garbage bytes", garbage.len())
             }
             FuzzCase::AffineVsReference { seq, lanes } => {
                 format!("sequence {seq:?} lanes={lanes}")

@@ -14,7 +14,7 @@
 //! | `fault-alarm` | hardened SRAG under an injected ring fault | one-period alarm deadline or bounded golden equivalence, levelized vs event-driven replay |
 //! | `affine-vs-reference` | `fit_sequence` + gate-level affine AGU (default-baked and chain-programmed) | closed-form `emitted_stream`, behavioural `AffineSimulator`, reconstruction invariant, lane-uniform sliced replay |
 //! | `bank-vs-reference` | `BankMap` split/join + per-lane `Decomposition` | bijective map round-trip, bit-exact `reconstruct()` per lane, whole-stream reassembly across all B banks, decompose determinism |
-//! | `frame-fuzz` | a live `adgen_serve` reactor fed adversarial framing | typed-error/clean-close contract, follow-up client liveness, `conn_malformed` / `conn_timed_out` counters |
+//! | `frame-fuzz` | a live `adgen_serve` epoll reactor fed adversarial framing | typed-error/clean-close contract, follow-up client liveness, `conn_malformed` / `conn_timed_out` counters |
 //!
 //! A check returns `Err(detail)` on the first divergence; the runner
 //! turns that into a shrunk counterexample and a reproduction line.
@@ -41,7 +41,7 @@ use adgen_seq::{
     workloads, AddressGenerator, AddressSequence, ArrayShape, Layout, ReplayGenerator,
 };
 use adgen_serve::protocol::{self as wire, Request as ServeRequest, Response as ServeResponse};
-use adgen_serve::{serve, Client, ReactorKind, ServeConfig, ServeError};
+use adgen_serve::{serve, Client, ServeConfig, ServeError};
 use adgen_synth::espresso::{is_correct, minimize};
 use adgen_synth::{Cover, Cube};
 
@@ -90,11 +90,7 @@ pub fn check_case(case: &FuzzCase, break_mode: BreakMode) -> CheckResult {
             cycles,
             salt,
         } => check_sliced_vs_scalar(*kind, *width, *height, *mb, *lanes, *cycles, *salt),
-        FuzzCase::FrameFuzz {
-            backend,
-            attack,
-            garbage,
-        } => check_frame_fuzz(*backend, *attack, garbage),
+        FuzzCase::FrameFuzz { attack, garbage } => check_frame_fuzz(*attack, garbage),
         FuzzCase::AffineVsReference { seq, lanes } => check_affine_vs_reference(seq, *lanes),
         FuzzCase::BankVsReference { stream, banks, map } => {
             check_bank_vs_reference(stream, *banks, *map)
@@ -764,23 +760,18 @@ fn check_sliced_vs_scalar(
 /// means the server genuinely failed to answer or close.
 const ATTACK_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// Boots a real server on the requested reactor backend, fires one
-/// adversarial wire exchange at it over a raw socket, and then proves
-/// the server survived: the attack socket must end in a typed error
-/// or a clean close (per attack shape), a fresh well-behaved client
-/// must still get `Pong`, the `conn_malformed` / `conn_timed_out`
-/// defense counters must have moved where the attack warrants it, and
-/// shutdown must join without a worker panic.
-fn check_frame_fuzz(backend: u8, attack: u8, garbage: &[u8]) -> CheckResult {
+/// Boots a real server, fires one adversarial wire exchange at it over
+/// a raw socket, and then proves the server survived: the attack
+/// socket must end in a typed error or a clean close (per attack
+/// shape), a fresh well-behaved client must still get `Pong`, the
+/// `conn_malformed` / `conn_timed_out` defense counters must have
+/// moved where the attack warrants it, and shutdown must join without
+/// a worker panic.
+fn check_frame_fuzz(attack: u8, garbage: &[u8]) -> CheckResult {
     let attack = attack % 7;
     let config = ServeConfig {
         jobs: 1,
         conn_idle_ms: 80,
-        reactor: if backend == 0 {
-            ReactorKind::Epoll
-        } else {
-            ReactorKind::Threaded
-        },
         ..ServeConfig::default()
     };
     let handle = serve(config).map_err(|e| format!("server start: {e}"))?;
@@ -1321,22 +1312,19 @@ impl OracleCube {
 mod tests {
     use super::*;
 
-    /// Every attack shape on both reactor backends: the wire contract
-    /// (typed error or clean close), follow-up liveness and the
-    /// defense counters must all hold, deterministically, not just on
-    /// whatever the seeded generator happens to draw.
+    /// Every attack shape: the wire contract (typed error or clean
+    /// close), follow-up liveness and the defense counters must all
+    /// hold, deterministically, not just on whatever the seeded
+    /// generator happens to draw.
     #[test]
-    fn frame_fuzz_survives_every_attack_on_both_backends() {
-        for backend in 0..2u8 {
-            for attack in 0..7u8 {
-                let case = FuzzCase::FrameFuzz {
-                    backend,
-                    attack,
-                    garbage: vec![0xa5; 9],
-                };
-                if let Err(e) = check_case(&case, BreakMode::None) {
-                    panic!("{}: {e}", case.describe());
-                }
+    fn frame_fuzz_survives_every_attack() {
+        for attack in 0..7u8 {
+            let case = FuzzCase::FrameFuzz {
+                attack,
+                garbage: vec![0xa5; 9],
+            };
+            if let Err(e) = check_case(&case, BreakMode::None) {
+                panic!("{}: {e}", case.describe());
             }
         }
     }

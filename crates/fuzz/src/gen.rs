@@ -258,19 +258,14 @@ fn affine_stream_sequence(rng: &mut Prng) -> Vec<u32> {
     spec.emitted_stream()
 }
 
-/// One adversarial wire exchange: a uniformly-drawn backend/attack
-/// pair plus a short random byte string the attack weaves into
-/// whatever it sends (bogus hello, partial frame body, payload tail).
+/// One adversarial wire exchange: a uniformly-drawn attack shape plus
+/// a short random byte string the attack weaves into whatever it
+/// sends (bogus hello, partial frame body, payload tail).
 fn gen_frame_fuzz(rng: &mut Prng) -> FuzzCase {
-    let backend = rng.next_range(2) as u8;
     let attack = rng.next_range(7) as u8;
     let len = rng.next_in(1, 33) as usize;
     let garbage = (0..len).map(|_| rng.next_range(256) as u8).collect();
-    FuzzCase::FrameFuzz {
-        backend,
-        attack,
-        garbage,
-    }
+    FuzzCase::FrameFuzz { attack, garbage }
 }
 
 fn gcd(a: usize, b: usize) -> usize {

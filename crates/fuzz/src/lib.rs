@@ -18,7 +18,7 @@
 //! | `fault-alarm`  | hardened SRAG + `adgen_fault` replay | one-period alarm deadline, bounded golden equivalence, event-sim agreement |
 //! | `affine-vs-reference` | `adgen_affine` mapper + gate-level AGU | closed-form stream, behavioural simulator, chain-programming replay, lane-uniform sliced replay |
 //! | `bank-vs-reference` | `adgen_bank` map split/join + decompose pass | bijective round-trip, bit-exact per-lane reconstruction, cross-bank reassembly |
-//! | `frame-fuzz`   | `adgen_serve` reactors under adversarial framing | typed-error/clean-close wire contract, follow-up client liveness, defense counters |
+//! | `frame-fuzz`   | the `adgen_serve` epoll reactor under adversarial framing | typed-error/clean-close wire contract, follow-up client liveness, defense counters |
 //!
 //! Runs are reproducible by construction: case `i` of master seed `S`
 //! is a pure function of `splitmix64`-derived `case_seed(S, i)`, and

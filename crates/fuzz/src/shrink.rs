@@ -333,20 +333,15 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
             }
             out
         }
-        FuzzCase::FrameFuzz {
-            backend,
-            attack,
-            garbage,
-        } => {
-            // Backend and attack shape are semantic — changing either
-            // changes which defense is on trial — so only the garbage
-            // bytes shrink: drop halves, then single bytes.
+        FuzzCase::FrameFuzz { attack, garbage } => {
+            // The attack shape is semantic — changing it changes which
+            // defense is on trial — so only the garbage bytes shrink:
+            // drop halves, then single bytes.
             let mut out = Vec::new();
             for &(lo, hi) in &halves(garbage.len()) {
                 let mut g = garbage.clone();
                 g.drain(lo..hi);
                 out.push(FuzzCase::FrameFuzz {
-                    backend: *backend,
                     attack: *attack,
                     garbage: g,
                 });
@@ -355,7 +350,6 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
                 let mut g = garbage.clone();
                 g.remove(i);
                 out.push(FuzzCase::FrameFuzz {
-                    backend: *backend,
                     attack: *attack,
                     garbage: g,
                 });

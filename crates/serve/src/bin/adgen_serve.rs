@@ -5,8 +5,7 @@
 //! adgen-serve [--addr HOST:PORT] [--jobs N] [--batch N]
 //!             [--queue-cap N] [--deadline-ms N]
 //!             [--cache-dir DIR] [--cache-entries N]
-//!             [--disk-cap BYTES] [--reactor auto|epoll|threaded]
-//!             [--io-shards N] [--conn-idle-ms N]
+//!             [--disk-cap BYTES] [--conn-idle-ms N]
 //!             [--faults SPEC] [--metrics] [--trace FILE]
 //! ```
 //!
@@ -27,14 +26,13 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use adgen_obs as obs;
-use adgen_serve::{serve, FaultPlan, ReactorKind, ServeConfig};
+use adgen_serve::{serve, FaultPlan, ServeConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: adgen-serve [--addr HOST:PORT] [--jobs N] [--batch N] \
          [--queue-cap N] [--deadline-ms N] [--cache-dir DIR] \
          [--cache-entries N] [--disk-cap BYTES] \
-         [--reactor auto|epoll|threaded] [--io-shards N] \
          [--conn-idle-ms N] [--faults SPEC] [--metrics] [--trace FILE]"
     );
     std::process::exit(2);
@@ -65,14 +63,6 @@ fn main() {
             }
             "--cache-entries" => config.cache_entries = parse("--cache-entries", it.next()),
             "--disk-cap" => config.disk_cap_bytes = parse("--disk-cap", it.next()),
-            "--reactor" => {
-                let v: String = parse("--reactor", it.next());
-                config.reactor = ReactorKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("error: --reactor must be auto, epoll or threaded");
-                    usage()
-                });
-            }
-            "--io-shards" => config.io_shards = parse("--io-shards", it.next()),
             "--conn-idle-ms" => config.conn_idle_ms = parse("--conn-idle-ms", it.next()),
             "--faults" => {
                 let spec: String = parse("--faults", it.next());
@@ -114,7 +104,6 @@ fn main() {
 
     // The readiness line scripts (ci.sh, loadgen --spawn) wait for.
     println!("adgen-serve listening on {}", handle.local_addr());
-    println!("adgen-serve reactor: {}", handle.resolved_reactor());
     let _ = std::io::stdout().flush();
 
     let (stats, recording) = match handle.join() {

@@ -3,8 +3,8 @@
 //! Turns the workspace's mapping, synthesis and exploration pipelines
 //! into a long-lived TCP service: clients submit address-generation
 //! problems over a versioned, length-prefixed binary protocol
-//! ([`protocol`]), a readiness-driven reactor ([`reactor`])
-//! multiplexes thousands of connections over a few event threads, an
+//! ([`protocol`]), an epoll reactor ([`reactor`]) multiplexes
+//! thousands of connections over one event thread, an
 //! admission queue with per-request deadlines feeds a batching
 //! dispatcher that coalesces identical misses (single-flight) and
 //! fans the distinct work across [`adgen_exec::par_map`], and a
@@ -27,6 +27,12 @@
 //! for the `chaoscamp` harness, idle or malformed connections are
 //! reaped with typed errors, and [`Client`] retries shed or failed
 //! calls with bounded, deterministically jittered backoff.
+//!
+//! The reactor is built directly on Linux `epoll`, so the crate builds
+//! only for Linux targets.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("adgen-serve needs Linux: its reactor is built directly on epoll");
 
 pub mod cache;
 pub mod client;
@@ -43,5 +49,4 @@ pub use faults::{FaultKind, FaultPlan};
 pub use protocol::{
     Generator, MapOutcome, Request, Response, StatsSnapshot, SynthReport, MAGIC, PROTOCOL_VERSION,
 };
-pub use reactor::{ReactorKind, ResolvedReactor};
 pub use server::{serve, ServeConfig, ServeStats, ServerHandle, MAX_SEQUENCE_LEN};

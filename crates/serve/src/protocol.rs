@@ -683,8 +683,8 @@ pub struct StatsSnapshot {
     pub coalesce_waiters: u64,
     /// Disk-tier entries evicted by the size bound.
     pub disk_evictions: u64,
-    /// Times the reactor event thread was woken by a completion
-    /// (epoll backend; the threaded backend wakes by unpark).
+    /// Times the reactor event thread was woken by a completion's
+    /// wake datagram.
     pub reactor_wakeups: u64,
     /// Disk-cache entries that failed verification and were
     /// quarantined (corrupt bytes detected, never served).

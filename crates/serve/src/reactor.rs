@@ -1,5 +1,5 @@
-//! Readiness-driven connection multiplexing: one (or a few) event
-//! threads in place of a thread per client.
+//! Readiness-driven connection multiplexing: one epoll event thread
+//! in place of a thread per client.
 //!
 //! ## Why a reactor
 //!
@@ -9,41 +9,31 @@
 //! connections" — the shape a compilation cache serves once results
 //! are warm — turns into thousands of threads doing nothing. The
 //! reactor inverts this: sockets are nonblocking, a readiness source
-//! says which of them have work, and a fixed number of event threads
-//! run a per-connection state machine ([`Conn`]) over exactly the
-//! ready ones.
+//! says which of them have work, and one event thread runs a
+//! per-connection state machine ([`Conn`]) over exactly the ready
+//! ones.
 //!
-//! ## Two backends, one state machine
+//! ## One backend
 //!
-//! [`ReactorKind`] selects the readiness source:
-//!
-//! * **`epoll`** (Linux) — a single event thread multiplexes the
-//!   listener, a UDP wake socket and every connection through a thin
-//!   raw-FFI shim over `epoll_create1`/`epoll_ctl`/`epoll_wait`
-//!   (declared directly against the libc symbols the std runtime
-//!   already links; no external crate).
-//! * **`threaded`** (any platform) — a small shard pool. The listener
-//!   is set nonblocking and cloned into every shard, so accepts are
-//!   *sharded*: whichever shard polls first takes the connection and
-//!   services it for life. Readiness is discovered by nonblocking
-//!   read attempts with a 1 ms park between idle sweeps.
-//!
-//! Both backends drive the same [`Conn`] state machine and the same
-//! admission/dispatch path in [`crate::server`], which is what makes
-//! the backend-equivalence e2e suite meaningful: payloads must be
-//! byte-identical whichever backend carried them.
+//! The readiness source is `epoll`: a single event thread multiplexes
+//! the listener, a UDP wake socket and every connection through a thin
+//! raw-FFI shim over `epoll_create1`/`epoll_ctl`/`epoll_wait`
+//! (declared directly against the libc symbols the std runtime already
+//! links; no external crate). The crate is therefore Linux-only: a
+//! portable polling backend measured several times slower on the warm
+//! path (EXPERIMENTS.md, "Overload run"), so none is kept.
 //!
 //! ## Replies without blocking
 //!
-//! A compute request admitted from an event thread cannot block on a
+//! A compute request admitted from the event thread cannot block on a
 //! channel waiting for the dispatcher (that would stall every other
 //! connection). Instead each admitted request takes a *ticket* in the
 //! connection's ordered slot queue and carries a [`Reply`] handle;
-//! the dispatcher completes the ticket through a [`CompletionQueue`],
-//! which wakes the owning event thread (UDP datagram for epoll,
-//! `unpark` for a shard). Slots are flushed strictly in order, so a
-//! connection that pipelines requests still receives responses in
-//! request order, exactly like the blocking implementation did.
+//! the dispatcher completes the ticket through the
+//! [`CompletionQueue`], which wakes the event thread with a UDP
+//! datagram. Slots are flushed strictly in order, so a connection that
+//! pipelines requests still receives responses in request order,
+//! exactly like the blocking implementation did.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -64,87 +54,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// backpressure against a client that pipelines without draining.
 const MAX_PIPELINED: usize = 128;
 
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorKind {
-    /// Pick the best backend for the platform: `epoll` where the
-    /// shim probes successfully (Linux), the threaded shard pool
-    /// everywhere else.
-    #[default]
-    Auto,
-    /// The single-threaded `epoll` event loop. Falls back to
-    /// `threaded` at startup on platforms without the syscall.
-    Epoll,
-    /// The sharded-accept nonblocking thread pool.
-    Threaded,
-}
-
-impl ReactorKind {
-    /// Parses a `--reactor` flag value.
-    pub fn parse(s: &str) -> Option<ReactorKind> {
-        match s {
-            "auto" => Some(ReactorKind::Auto),
-            "epoll" => Some(ReactorKind::Epoll),
-            "threaded" => Some(ReactorKind::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The backend this kind resolves to on the current platform.
-    pub fn resolve(self) -> ResolvedReactor {
-        match self {
-            ReactorKind::Threaded => ResolvedReactor::Threaded,
-            ReactorKind::Auto | ReactorKind::Epoll => {
-                if epoll_supported() {
-                    ResolvedReactor::Epoll
-                } else {
-                    ResolvedReactor::Threaded
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for ReactorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReactorKind::Auto => write!(f, "auto"),
-            ReactorKind::Epoll => write!(f, "epoll"),
-            ReactorKind::Threaded => write!(f, "threaded"),
-        }
-    }
-}
-
-/// The backend actually running, after [`ReactorKind::resolve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedReactor {
-    /// The epoll event loop.
-    Epoll,
-    /// The sharded thread pool.
-    Threaded,
-}
-
-impl std::fmt::Display for ResolvedReactor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolvedReactor::Epoll => write!(f, "epoll"),
-            ResolvedReactor::Threaded => write!(f, "threaded"),
-        }
-    }
-}
-
-/// Whether the epoll shim works here.
-fn epoll_supported() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        sys::Epoll::new().is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
-}
-
 // ---------------------------------------------------------------
 // Completions
 // ---------------------------------------------------------------
@@ -156,34 +65,27 @@ pub(crate) struct Completion {
     pub(crate) payload: Vec<u8>,
 }
 
-/// How a completion push wakes the event thread that owns the
-/// connection.
-enum Waker {
-    /// Send a 1-byte datagram to the epoll loop's wake socket.
-    Udp(UdpSocket),
-    /// Unpark a shard thread.
-    Thread(std::thread::Thread),
-}
-
-/// The mailbox between the dispatcher and one event thread.
+/// The mailbox between the dispatcher and the event thread. Every
+/// push sends a 1-byte datagram to the event loop's wake socket.
 pub(crate) struct CompletionQueue {
     pending: Mutex<Vec<Completion>>,
-    waker: Waker,
+    wake_tx: UdpSocket,
 }
 
 impl CompletionQueue {
-    fn with_udp_waker(tx: UdpSocket) -> CompletionQueue {
+    fn new(wake_tx: UdpSocket) -> CompletionQueue {
         CompletionQueue {
             pending: Mutex::new(Vec::new()),
-            waker: Waker::Udp(tx),
+            wake_tx,
         }
     }
 
-    pub(crate) fn for_current_thread() -> CompletionQueue {
-        CompletionQueue {
-            pending: Mutex::new(Vec::new()),
-            waker: Waker::Thread(std::thread::current()),
-        }
+    /// A queue wired to a fresh loopback wake socket, which is returned
+    /// alongside so the caller keeps the receiving end alive.
+    #[cfg(test)]
+    pub(crate) fn loopback() -> (Arc<CompletionQueue>, UdpSocket) {
+        let (wake_rx, wake_tx) = wake_pair().expect("loopback wake sockets");
+        (Arc::new(CompletionQueue::new(wake_tx)), wake_rx)
     }
 
     fn push(&self, completion: Completion) {
@@ -191,19 +93,23 @@ impl CompletionQueue {
             .lock()
             .expect("completion lock")
             .push(completion);
-        match &self.waker {
-            // A failed wake datagram is recovered by the loop's tick
-            // timeout; losing it costs latency, never correctness.
-            Waker::Udp(tx) => {
-                let _ = tx.send(&[1]);
-            }
-            Waker::Thread(t) => t.unpark(),
-        }
+        // A failed wake datagram is recovered by the loop's tick
+        // timeout; losing it costs latency, never correctness.
+        let _ = self.wake_tx.send(&[1]);
     }
 
     pub(crate) fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.pending.lock().expect("completion lock"))
     }
+}
+
+/// A nonblocking receive socket and a send socket connected to it.
+fn wake_pair() -> std::io::Result<(UdpSocket, UdpSocket)> {
+    let wake_rx = UdpSocket::bind("127.0.0.1:0")?;
+    wake_rx.set_nonblocking(true)?;
+    let wake_tx = UdpSocket::bind("127.0.0.1:0")?;
+    wake_tx.connect(wake_rx.local_addr()?)?;
+    Ok((wake_rx, wake_tx))
 }
 
 /// The dispatcher's handle for answering one admitted request.
@@ -302,12 +208,6 @@ impl Conn {
         !self.dead
     }
 
-    /// Unflushed output bytes are queued (epoll uses this to decide
-    /// whether to ask for write readiness).
-    fn wants_write(&self) -> bool {
-        self.outpos < self.outbuf.len()
-    }
-
     /// Reads everything currently available, parses complete frames,
     /// and flushes whatever became ready. Returns `true` when any
     /// byte moved in either direction.
@@ -336,8 +236,47 @@ impl Conn {
                 }
             }
         }
-        progress |= self.pump_out();
+        progress |= self.flush_and_parse(shared);
         progress
+    }
+
+    /// Flushes ready slots, then keeps parsing frames still buffered
+    /// in `inbuf` as slots free up. `parse_input` stops at
+    /// [`MAX_PIPELINED`] slots with later frames possibly already
+    /// read; once the socket is drained no readiness event will
+    /// arrive for them, so whoever frees slots must parse them.
+    /// Returns `true` when bytes were written.
+    fn flush_and_parse(&mut self, shared: &Shared) -> bool {
+        let mut wrote = self.pump_out();
+        while !self.dead
+            && !self.closing
+            && self.slots.len() < MAX_PIPELINED
+            && !self.inbuf.is_empty()
+        {
+            let buffered = self.inbuf.len();
+            self.parse_input(shared);
+            wrote |= self.pump_out();
+            if self.inbuf.len() == buffered {
+                break; // only a partial frame (or hello) is left
+            }
+        }
+        wrote
+    }
+
+    /// The epoll interest set for this connection's current state.
+    /// Read interest is dropped while every slot is taken: the socket
+    /// stays readable, and level-triggered epoll would otherwise
+    /// return it on every wait while [`service`](Conn::service)
+    /// refuses to read. A completion frees a slot and re-arms it.
+    fn interest(&self) -> u32 {
+        let mut interest = 0;
+        if self.slots.len() < MAX_PIPELINED {
+            interest |= sys::EPOLLIN | sys::EPOLLRDHUP;
+        }
+        if self.outpos < self.outbuf.len() {
+            interest |= sys::EPOLLOUT;
+        }
+        interest
     }
 
     /// Parses the handshake and every complete frame sitting in
@@ -556,7 +495,7 @@ impl Conn {
 
 /// Sweeps every connection through [`Conn::maybe_reap`]; no-op when
 /// the config disables reaping. Returns the ids that were reaped so
-/// the epoll backend can deregister them.
+/// the event loop can deregister them.
 fn reap_stale(conns: &mut HashMap<u64, Conn>, shared: &Shared) -> Vec<u64> {
     let idle_ms = shared.config.conn_idle_ms;
     if idle_ms == 0 || conns.is_empty() {
@@ -573,23 +512,27 @@ fn reap_stale(conns: &mut HashMap<u64, Conn>, shared: &Shared) -> Vec<u64> {
     reaped
 }
 
-/// Delivers a drained batch of completions into `conns` and flushes
-/// the touched connections. Completions for connections that died in
-/// the meantime are dropped.
-fn deliver_completions(conns: &mut HashMap<u64, Conn>, completions: Vec<Completion>) {
+/// Delivers a drained batch of completions into `conns`, flushes the
+/// touched connections and parses any frames they had buffered behind
+/// a full slot queue. Completions for connections that died in the
+/// meantime are dropped.
+fn deliver_completions(
+    conns: &mut HashMap<u64, Conn>,
+    completions: Vec<Completion>,
+    shared: &Shared,
+) {
     for completion in completions {
         if let Some(conn) = conns.get_mut(&completion.conn) {
             conn.deliver(completion.ticket, completion.payload);
-            conn.pump_out();
+            conn.flush_and_parse(shared);
         }
     }
 }
 
 // ---------------------------------------------------------------
-// The epoll backend (Linux)
+// The epoll event loop
 // ---------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! A minimal FFI shim over the three epoll syscalls, declared
     //! directly against the libc symbols the std runtime links — no
@@ -640,6 +583,7 @@ mod sys {
     impl Epoll {
         /// Creates the epoll instance (close-on-exec).
         pub fn new() -> std::io::Result<Epoll> {
+            // SAFETY: takes only an integer flag and touches no memory.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(std::io::Error::last_os_error());
@@ -652,6 +596,8 @@ mod sys {
                 events: interest,
                 data: token,
             };
+            // SAFETY: `event` is a live, correctly laid out
+            // `epoll_event` the kernel only reads during the call.
             let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut event) };
             if rc < 0 {
                 return Err(std::io::Error::last_os_error());
@@ -673,6 +619,7 @@ mod sys {
         /// Deregisters `fd`.
         pub fn del(&self, fd: RawFd) {
             let mut event = Event { events: 0, data: 0 };
+            // SAFETY: as in `ctl`; DEL ignores the event contents.
             let _ = unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut event) };
         }
 
@@ -680,6 +627,8 @@ mod sys {
         /// returning how many arrived. Retries on `EINTR`.
         pub fn wait(&self, events: &mut [Event], timeout_ms: i32) -> std::io::Result<usize> {
             loop {
+                // SAFETY: the kernel writes at most `events.len()`
+                // entries into the exclusively borrowed slice.
                 let n = unsafe {
                     epoll_wait(
                         self.fd,
@@ -701,6 +650,7 @@ mod sys {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: `fd` is owned by this value and closed once.
             let _ = unsafe { close(self.fd) };
         }
     }
@@ -709,7 +659,6 @@ mod sys {
 /// The single epoll event thread. Constructed in [`crate::serve`] so
 /// setup failures surface at bind time, then moved into the io
 /// thread.
-#[cfg(target_os = "linux")]
 pub(crate) struct EpollIo {
     ep: sys::Epoll,
     listener: TcpListener,
@@ -717,7 +666,6 @@ pub(crate) struct EpollIo {
     completions: Arc<CompletionQueue>,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollIo {
     const TOKEN_LISTENER: u64 = 0;
     const TOKEN_WAKER: u64 = 1;
@@ -729,10 +677,7 @@ impl EpollIo {
         use std::os::fd::AsRawFd;
 
         listener.set_nonblocking(true)?;
-        let wake_rx = UdpSocket::bind("127.0.0.1:0")?;
-        wake_rx.set_nonblocking(true)?;
-        let wake_tx = UdpSocket::bind("127.0.0.1:0")?;
-        wake_tx.connect(wake_rx.local_addr()?)?;
+        let (wake_rx, wake_tx) = wake_pair()?;
 
         let ep = sys::Epoll::new()?;
         ep.add(listener.as_raw_fd(), sys::EPOLLIN, Self::TOKEN_LISTENER)?;
@@ -742,7 +687,7 @@ impl EpollIo {
             ep,
             listener,
             wake_rx,
-            completions: Arc::new(CompletionQueue::with_udp_waker(wake_tx)),
+            completions: Arc::new(CompletionQueue::new(wake_tx)),
         })
     }
 
@@ -779,8 +724,8 @@ impl EpollIo {
                                     else {
                                         continue;
                                     };
-                                    let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-                                    if self.ep.add(conn.stream.as_raw_fd(), interest, id).is_ok() {
+                                    let fd = conn.stream.as_raw_fd();
+                                    if self.ep.add(fd, conn.interest(), id).is_ok() {
                                         conns.insert(id, conn);
                                     }
                                 }
@@ -815,7 +760,7 @@ impl EpollIo {
             // always drain.
             let completed = self.completions.drain();
             touched.extend(completed.iter().map(|c| c.conn));
-            deliver_completions(&mut conns, completed);
+            deliver_completions(&mut conns, completed, shared);
 
             // Reconcile interest and reap the dead, but only for
             // connections something happened to.
@@ -830,12 +775,7 @@ impl EpollIo {
                     conns.remove(&id);
                     continue;
                 }
-                let interest = if conn.wants_write() {
-                    sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLOUT
-                } else {
-                    sys::EPOLLIN | sys::EPOLLRDHUP
-                };
-                let _ = self.ep.modify(conn.stream.as_raw_fd(), interest, id);
+                let _ = self.ep.modify(conn.stream.as_raw_fd(), conn.interest(), id);
             }
 
             // Staleness sweep: the 50 ms tick guarantees this runs
@@ -859,83 +799,6 @@ impl EpollIo {
                     break;
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// The threaded fallback: sharded accept + nonblocking polling
-// ---------------------------------------------------------------
-
-/// Runs the sharded thread-pool backend until shutdown completes.
-/// Panics in any shard propagate out of the scope (and surface as
-/// [`ServeError::WorkerPanicked`] from `ServerHandle::join`).
-pub(crate) fn run_threaded(shared: &Shared, listener: TcpListener, shards: usize) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let shards = shards.max(1);
-    std::thread::scope(|scope| {
-        for shard in 0..shards {
-            let listener = match listener.try_clone() {
-                Ok(l) => l,
-                Err(_) => continue,
-            };
-            std::thread::Builder::new()
-                .name(format!("adgen-serve-shard-{shard}"))
-                .spawn_scoped(scope, move || shard_loop(shared, &listener))
-                .expect("spawn shard thread");
-        }
-    });
-}
-
-/// One shard: polls the shared nonblocking listener for new
-/// connections (sharded accept), then sweeps its own connections with
-/// nonblocking reads. Parks for 1 ms between idle sweeps; completion
-/// pushes unpark it.
-fn shard_loop(shared: &Shared, listener: &TcpListener) {
-    let completions = Arc::new(CompletionQueue::for_current_thread());
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
-
-    loop {
-        let mut progress = false;
-
-        if !shared.is_shutdown() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let id = next_id;
-                        next_id += 1;
-                        if let Ok(conn) = Conn::new(stream, id, Arc::clone(&completions)) {
-                            conns.insert(id, conn);
-                        }
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        }
-
-        let completed = completions.drain();
-        if !completed.is_empty() {
-            progress = true;
-            deliver_completions(&mut conns, completed);
-        }
-
-        for conn in conns.values_mut() {
-            progress |= conn.service(shared);
-        }
-        reap_stale(&mut conns, shared);
-        conns.retain(|_, conn| conn.alive());
-
-        if shared.is_shutdown() && conns.is_empty() {
-            break;
-        }
-        if !progress {
-            std::thread::park_timeout(Duration::from_millis(1));
         }
     }
 }

@@ -5,15 +5,14 @@
 //! ## Threading
 //!
 //! Connection I/O is handled by a readiness-driven reactor
-//! ([`crate::reactor`]): one epoll event thread on Linux, or a small
-//! pool of sharded-accept nonblocking threads elsewhere — never a
-//! thread per connection. Control requests (`Ping`, `Stats`,
+//! ([`crate::reactor`]): one epoll event thread, never a thread per
+//! connection. Control requests (`Ping`, `Stats`,
 //! `Shutdown`) are answered inline on the event thread; compute
 //! requests are admitted into a bounded queue ([`Shared::admit`]) and
 //! answered by the single *dispatcher* thread, which drains the queue
 //! in batches, answers what it can from the two-tier cache, coalesces
 //! identical misses and fans the distinct ones across `par_map`.
-//! Results travel back through per-event-thread completion queues
+//! Results travel back through the event thread's completion queue
 //! ([`crate::reactor::Reply`]); the reactor flushes them to sockets
 //! in request order.
 //!
@@ -68,7 +67,7 @@ use adgen_synth::{espresso::EffortBudget, Encoding, Fsm, OutputStyle};
 use crate::cache::{CacheKey, ResultCache, Tier};
 use crate::error::ServeError;
 use crate::protocol::{self, MapOutcome, Request, Response, StatsSnapshot, SynthReport};
-use crate::reactor::{ReactorKind, Reply, ResolvedReactor};
+use crate::reactor::{EpollIo, Reply};
 
 /// Longest admissible address sequence. Bounds both memory and the
 /// worst-case synthesis time of a single request.
@@ -101,11 +100,6 @@ pub struct ServeConfig {
     /// Oldest-generation entries are evicted once the payload bytes
     /// on disk would exceed the bound.
     pub disk_cap_bytes: u64,
-    /// Connection-multiplexing backend.
-    pub reactor: ReactorKind,
-    /// Event threads for the `threaded` reactor backend (`0` = a
-    /// small automatic default). The epoll backend always uses one.
-    pub io_shards: usize,
     /// Record an adgen-obs session on the dispatcher thread and
     /// return it from [`ServerHandle::join`].
     pub observe: bool,
@@ -130,8 +124,6 @@ impl Default for ServeConfig {
             cache_entries: 1024,
             cache_dir: None,
             disk_cap_bytes: 0,
-            reactor: ReactorKind::Auto,
-            io_shards: 0,
             observe: false,
             conn_idle_ms: 0,
             faults: None,
@@ -290,7 +282,6 @@ impl AdmissionQueue {
 /// [`join`](ServerHandle::join) after a client-initiated shutdown).
 pub struct ServerHandle {
     local_addr: SocketAddr,
-    resolved_reactor: ResolvedReactor,
     stats: Arc<ServeStats>,
     io: std::thread::JoinHandle<()>,
     dispatcher: std::thread::JoinHandle<Option<obs::Recording>>,
@@ -300,12 +291,6 @@ impl ServerHandle {
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The reactor backend actually running (after `Auto` resolution
-    /// and platform fallback).
-    pub fn resolved_reactor(&self) -> ResolvedReactor {
-        self.resolved_reactor
     }
 
     /// The live statistics.
@@ -340,7 +325,7 @@ impl ServerHandle {
     }
 }
 
-/// Shared server state, visible to the reactor backends.
+/// Shared server state, visible to the reactor.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) stats: Arc<ServeStats>,
@@ -425,13 +410,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         config.disk_cap_bytes,
         config.faults.clone(),
     )?;
-
-    let resolved = config.reactor.resolve();
-    let io_shards = if config.io_shards == 0 {
-        adgen_exec::available_jobs().clamp(1, 4)
-    } else {
-        config.io_shards
-    };
+    let io = EpollIo::new(listener)?;
 
     let stats = Arc::new(ServeStats::default());
     let shared = Arc::new(Shared {
@@ -451,28 +430,13 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
 
     let io = {
         let shared = Arc::clone(&shared);
-        let builder = std::thread::Builder::new().name("adgen-serve-io".to_string());
-        match resolved {
-            ResolvedReactor::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    let io = crate::reactor::EpollIo::new(listener)?;
-                    builder.spawn(move || io.run(&shared))?
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    unreachable!("epoll never resolves on this platform")
-                }
-            }
-            ResolvedReactor::Threaded => {
-                builder.spawn(move || crate::reactor::run_threaded(&shared, listener, io_shards))?
-            }
-        }
+        std::thread::Builder::new()
+            .name("adgen-serve-io".to_string())
+            .spawn(move || io.run(&shared))?
     };
 
     Ok(ServerHandle {
         local_addr,
-        resolved_reactor: resolved,
         stats,
         io,
         dispatcher,
@@ -845,9 +809,9 @@ fn validate(request: &Request) -> Result<(), ServeError> {
 }
 
 /// Flips the shutdown flag and closes the admission queue. Safe to
-/// call repeatedly; only the first call acts. The reactor backends
-/// notice the flag on their next tick and exit once every connection
-/// has drained.
+/// call repeatedly; only the first call acts. The reactor notices the
+/// flag on its next tick and exits once every connection has
+/// drained.
 pub(crate) fn initiate_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return; // already shutting down
@@ -876,7 +840,7 @@ mod tests {
 
     #[test]
     fn queue_rejects_pushes_beyond_capacity() {
-        let cq = Arc::new(CompletionQueue::for_current_thread());
+        let (cq, _wake_rx) = CompletionQueue::loopback();
         let q = AdmissionQueue::new(2);
         assert_eq!(q.push(dummy_job(&cq, 1)).unwrap(), 1);
         assert_eq!(q.push(dummy_job(&cq, 2)).unwrap(), 2);
@@ -892,7 +856,7 @@ mod tests {
 
     #[test]
     fn closed_queue_rejects_pushes_and_drains() {
-        let cq = Arc::new(CompletionQueue::for_current_thread());
+        let (cq, _wake_rx) = CompletionQueue::loopback();
         let q = AdmissionQueue::new(4);
         q.push(dummy_job(&cq, 1)).unwrap();
         q.close();
@@ -906,7 +870,7 @@ mod tests {
 
     #[test]
     fn pop_batch_respects_the_batch_cap() {
-        let cq = Arc::new(CompletionQueue::for_current_thread());
+        let (cq, _wake_rx) = CompletionQueue::loopback();
         let q = AdmissionQueue::new(8);
         for ticket in 0..5 {
             q.push(dummy_job(&cq, ticket)).unwrap();
@@ -974,7 +938,7 @@ mod tests {
             shutdown: AtomicBool::new(false),
             local_addr: "127.0.0.1:0".parse().unwrap(),
         };
-        let cq = Arc::new(CompletionQueue::for_current_thread());
+        let (cq, _wake_rx) = CompletionQueue::loopback();
         let identical = Request::Synthesize {
             sequence: vec![0, 1, 2, 3],
             encoding: Encoding::Gray,
@@ -1063,7 +1027,6 @@ mod tests {
         let dispatcher = std::thread::Builder::new().spawn(|| None).unwrap();
         let handle = ServerHandle {
             local_addr: "127.0.0.1:0".parse().unwrap(),
-            resolved_reactor: ResolvedReactor::Threaded,
             stats: Arc::new(ServeStats::default()),
             io,
             dispatcher,

@@ -1,41 +1,34 @@
 //! End-to-end tests: a real server on a loopback socket, driven
-//! through the public [`Client`].
+//! through the public [`Client`] (and, for pipelining, a raw socket).
 //!
-//! Every scenario runs against **both** reactor backends — the epoll
-//! event loop (where the platform has it) and the sharded-accept
-//! thread pool — because the acceptance bar for the reactor is
-//! behavioral equivalence: same typed responses, same cache
-//! semantics, byte-identical payloads. Covers version-mismatch
-//! rejection at the handshake, jobs-invariant response payloads,
-//! cache hits on repeats (including the effort-budget key separation
-//! observed over the wire), deadline expiration with the result still
-//! cached, single-flight coalescing of concurrent identical misses,
-//! typed shedding under overload, idle-connection reaping by the
-//! staleness tick, quarantine-and-recompute on a corrupted disk
-//! entry, and a clean client-initiated shutdown with accurate final
-//! statistics.
+//! Covers version-mismatch rejection at the handshake, jobs-invariant
+//! response payloads, in-order answers to a deep pipeline on one
+//! connection, cache hits on repeats (including the effort-budget key
+//! separation observed over the wire), deadline expiration with the
+//! result still cached, single-flight coalescing of concurrent
+//! identical misses, typed shedding under overload, idle-connection
+//! reaping by the staleness tick, quarantine-and-recompute on a
+//! corrupted disk entry, and a clean client-initiated shutdown with
+//! accurate final statistics.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use adgen_serve::protocol::{
+    encode_request_frame, read_frame, read_hello_reply, write_frame, write_hello, HANDSHAKE_OK,
+};
 use adgen_serve::{
-    serve, Client, ClientError, Generator, MapOutcome, ReactorKind, Request, Response, ServeConfig,
-    ServeError, StatsSnapshot, PROTOCOL_VERSION,
+    serve, Client, ClientError, Generator, MapOutcome, Request, Response, ServeConfig, ServeError,
+    StatsSnapshot, PROTOCOL_VERSION,
 };
 use adgen_synth::Encoding;
 
-/// Both backend selections. On platforms without epoll the first
-/// resolves to the threaded fallback, so the suite still runs (twice
-/// over the same backend) rather than skipping.
-fn backends() -> [ReactorKind; 2] {
-    [ReactorKind::Epoll, ReactorKind::Threaded]
-}
-
-fn test_config(reactor: ReactorKind) -> ServeConfig {
+fn test_config() -> ServeConfig {
     ServeConfig {
         jobs: 1,
-        reactor,
         ..ServeConfig::default()
     }
 }
@@ -92,188 +85,224 @@ fn mixed_requests() -> Vec<Request> {
 
 #[test]
 fn ping_stats_and_clean_shutdown() {
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        let mut client = Client::connect(&addr).expect("connect");
-        assert_eq!(client.call(&Request::Ping, 0).unwrap(), Response::Pong);
-        let s = stats_of(&mut client);
-        assert_eq!(s.req_map + s.req_synthesize + s.req_explore, 0);
-        assert!(s.req_control >= 1, "the ping itself is counted");
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert!(stats.req_control >= 3, "ping + stats + shutdown");
-    }
+    let (addr, handle) = start(test_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.call(&Request::Ping, 0).unwrap(), Response::Pong);
+    let s = stats_of(&mut client);
+    assert_eq!(s.req_map + s.req_synthesize + s.req_explore, 0);
+    assert!(s.req_control >= 1, "the ping itself is counted");
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert!(stats.req_control >= 3, "ping + stats + shutdown");
 }
 
 #[test]
 fn handshake_rejects_a_version_mismatch() {
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        match Client::connect_with_version(&addr, PROTOCOL_VERSION + 1) {
-            Err(ClientError::Rejected { server_version }) => {
-                assert_eq!(server_version, PROTOCOL_VERSION)
-            }
-            Err(other) => panic!("expected handshake rejection, got {other:?}"),
-            Ok(_) => panic!("expected handshake rejection, got a connection"),
+    let (addr, handle) = start(test_config());
+    match Client::connect_with_version(&addr, PROTOCOL_VERSION + 1) {
+        Err(ClientError::Rejected { server_version }) => {
+            assert_eq!(server_version, PROTOCOL_VERSION)
         }
-        // Older speakers are rejected too: v2 predates the typed
-        // MalformedFrame / IoTimeout errors and the four defense
-        // counters, so a v3 server must turn it away rather than
-        // answer with frames the peer cannot decode.
-        match Client::connect_with_version(&addr, 2) {
-            Err(ClientError::Rejected { server_version }) => {
-                assert_eq!(server_version, PROTOCOL_VERSION)
-            }
-            Err(other) => panic!("expected v2 rejection, got {other:?}"),
-            Ok(_) => panic!("expected v2 rejection, got a connection"),
-        }
-        // The mismatch did not wedge the server: a well-versioned
-        // client still gets service.
-        let mut ok = Client::connect(&addr).expect("correct version connects");
-        assert_eq!(ok.call(&Request::Ping, 0).unwrap(), Response::Pong);
-        drop(ok);
-        shut_down(&addr, handle);
+        Err(other) => panic!("expected handshake rejection, got {other:?}"),
+        Ok(_) => panic!("expected handshake rejection, got a connection"),
     }
+    // Older speakers are rejected too: v2 predates the typed
+    // MalformedFrame / IoTimeout errors and the four defense
+    // counters, so a v3 server must turn it away rather than
+    // answer with frames the peer cannot decode.
+    match Client::connect_with_version(&addr, 2) {
+        Err(ClientError::Rejected { server_version }) => {
+            assert_eq!(server_version, PROTOCOL_VERSION)
+        }
+        Err(other) => panic!("expected v2 rejection, got {other:?}"),
+        Ok(_) => panic!("expected v2 rejection, got a connection"),
+    }
+    // The mismatch did not wedge the server: a well-versioned
+    // client still gets service.
+    let mut ok = Client::connect(&addr).expect("correct version connects");
+    assert_eq!(ok.call(&Request::Ping, 0).unwrap(), Response::Pong);
+    drop(ok);
+    shut_down(&addr, handle);
 }
 
 #[test]
 fn compute_kinds_answer_with_their_typed_responses() {
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        let mut client = Client::connect(&addr).expect("connect");
+    let (addr, handle) = start(test_config());
+    let mut client = Client::connect(&addr).expect("connect");
 
-        match client.call(&mixed_requests()[0], 0).unwrap() {
-            Response::Mapped(MapOutcome::Mapped {
-                registers,
-                div_count,
-                pass_count,
-                num_lines,
-            }) => {
-                assert!(!registers.is_empty());
-                assert_eq!((div_count, pass_count, num_lines), (2, 8, 4));
-            }
-            other => panic!("expected a mapping, got {other:?}"),
+    match client.call(&mixed_requests()[0], 0).unwrap() {
+        Response::Mapped(MapOutcome::Mapped {
+            registers,
+            div_count,
+            pass_count,
+            num_lines,
+        }) => {
+            assert!(!registers.is_empty());
+            assert_eq!((div_count, pass_count, num_lines), (2, 8, 4));
         }
-        match client.call(&mixed_requests()[1], 0).unwrap() {
-            Response::Mapped(MapOutcome::Violation { reason }) => {
-                assert!(!reason.is_empty(), "violation carries its reason")
-            }
-            other => panic!("expected a violation, got {other:?}"),
-        }
-        match client.call(&mixed_requests()[2], 0).unwrap() {
-            Response::Synthesized(r) => {
-                assert!(r.area > 0.0 && r.delay_ps > 0.0 && r.flip_flops > 0);
-                assert!(!r.truncated, "default budget never truncates here");
-            }
-            other => panic!("expected a synthesis report, got {other:?}"),
-        }
-        match client.call(&mixed_requests()[3], 0).unwrap() {
-            Response::Explored { pareto, .. } => assert!(!pareto.is_empty()),
-            other => panic!("expected exploration results, got {other:?}"),
-        }
-        // Degenerate input is a typed BadRequest, not a dropped
-        // socket.
-        match client
-            .call(&Request::MapSequence { sequence: vec![] }, 0)
-            .unwrap()
-        {
-            Response::Error(ServeError::BadRequest(_)) => {}
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
-        drop(client);
-        shut_down(&addr, handle);
+        other => panic!("expected a mapping, got {other:?}"),
     }
+    match client.call(&mixed_requests()[1], 0).unwrap() {
+        Response::Mapped(MapOutcome::Violation { reason }) => {
+            assert!(!reason.is_empty(), "violation carries its reason")
+        }
+        other => panic!("expected a violation, got {other:?}"),
+    }
+    match client.call(&mixed_requests()[2], 0).unwrap() {
+        Response::Synthesized(r) => {
+            assert!(r.area > 0.0 && r.delay_ps > 0.0 && r.flip_flops > 0);
+            assert!(!r.truncated, "default budget never truncates here");
+        }
+        other => panic!("expected a synthesis report, got {other:?}"),
+    }
+    match client.call(&mixed_requests()[3], 0).unwrap() {
+        Response::Explored { pareto, .. } => assert!(!pareto.is_empty()),
+        other => panic!("expected exploration results, got {other:?}"),
+    }
+    // Degenerate input is a typed BadRequest, not a dropped
+    // socket.
+    match client
+        .call(&Request::MapSequence { sequence: vec![] }, 0)
+        .unwrap()
+    {
+        Response::Error(ServeError::BadRequest(_)) => {}
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    drop(client);
+    shut_down(&addr, handle);
 }
 
 #[test]
-fn response_payloads_are_invariant_under_worker_count_and_backend() {
+fn response_payloads_are_invariant_under_worker_count() {
     let requests = mixed_requests();
     let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
-    // Two worker counts × both backends: all four runs must agree
-    // byte-for-byte, which is both the jobs-invariance and the
-    // reactor-equivalence contract.
-    for reactor in backends() {
-        for jobs in [1usize, 4] {
-            let (addr, handle) = start(ServeConfig {
-                jobs,
-                reactor,
-                ..ServeConfig::default()
-            });
-            let mut client = Client::connect(&addr).expect("connect");
-            runs.push(
-                requests
-                    .iter()
-                    .map(|r| client.call_raw(r, 0).expect("call"))
-                    .collect(),
-            );
-            drop(client);
-            shut_down(&addr, handle);
-        }
+    for jobs in [1usize, 4] {
+        let (addr, handle) = start(ServeConfig {
+            jobs,
+            ..ServeConfig::default()
+        });
+        let mut client = Client::connect(&addr).expect("connect");
+        runs.push(
+            requests
+                .iter()
+                .map(|r| client.call_raw(r, 0).expect("call"))
+                .collect(),
+        );
+        drop(client);
+        shut_down(&addr, handle);
     }
     for run in &runs[1..] {
         assert_eq!(
             &runs[0], run,
-            "identical requests must produce byte-identical payloads at any --jobs on any backend"
+            "identical requests must produce byte-identical payloads at any --jobs"
         );
     }
 }
 
 #[test]
-fn repeats_hit_the_cache_and_effort_budgets_never_alias() {
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        let mut client = Client::connect(&addr).expect("connect");
-        let full = Request::Synthesize {
-            sequence: vec![0, 1, 2, 3, 4, 5],
-            encoding: Encoding::Binary,
-            num_lines: 6,
-            effort_steps: 0,
-            generator: Generator::Fsm,
-        };
-        // The same sequence under a starvation budget: must be
-        // computed (and cached) separately, never answered from the
-        // full-effort entry.
-        let truncated = Request::Synthesize {
-            sequence: vec![0, 1, 2, 3, 4, 5],
-            encoding: Encoding::Binary,
-            num_lines: 6,
-            effort_steps: 1,
-            generator: Generator::Fsm,
-        };
+fn a_deep_pipeline_on_one_connection_is_answered_in_order() {
+    // More frames than the per-connection slot limit (128), sent in a
+    // single write so they all sit in the server's input buffer at
+    // once. Regression: frames parked behind a full slot queue were
+    // never parsed once the socket was drained, so only the first 128
+    // answers ever arrived.
+    const N: u32 = 300;
+    let requests: Vec<Request> = (0..N)
+        .map(|i| Request::MapSequence {
+            sequence: vec![i, i, i + 1, i + 1],
+        })
+        .collect();
+    let (addr, handle) = start(test_config());
 
-        let cold_full = client.call_raw(&full, 0).unwrap();
-        let cold_truncated = client.call_raw(&truncated, 0).unwrap();
-        assert_ne!(
-            cold_full, cold_truncated,
-            "a starved espresso run yields a different (truncated) report"
-        );
-        match Response::decode(&cold_truncated).unwrap() {
-            Response::Synthesized(r) => assert!(r.truncated, "starvation budget truncates"),
-            other => panic!("expected a synthesis report, got {other:?}"),
-        }
-
-        let stats_before = stats_of(&mut client);
-        let warm_full = client.call_raw(&full, 0).unwrap();
-        let warm_truncated = client.call_raw(&truncated, 0).unwrap();
-        let stats_after = stats_of(&mut client);
-
-        assert_eq!(warm_full, cold_full, "warm hit is byte-identical");
-        assert_eq!(warm_truncated, cold_truncated);
-        assert_eq!(
-            stats_after.cache_hit_mem - stats_before.cache_hit_mem,
-            2,
-            "both repeats were memory hits"
-        );
-        assert_eq!(stats_after.cache_miss, 2, "only the two cold calls missed");
-        drop(client);
-        shut_down(&addr, handle);
+    let mut sock = TcpStream::connect(&addr).expect("connect raw socket");
+    sock.set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+    write_hello(&mut sock, PROTOCOL_VERSION).expect("hello");
+    assert_eq!(
+        read_hello_reply(&mut sock).expect("hello reply").0,
+        HANDSHAKE_OK
+    );
+    let mut burst = Vec::new();
+    for req in &requests {
+        write_frame(&mut burst, &encode_request_frame(req, 0)).expect("vec write");
     }
+    sock.write_all(&burst).expect("pipelined write");
+    let answers: Vec<Vec<u8>> = (0..N)
+        .map(|i| match read_frame(&mut sock) {
+            Ok(Some(payload)) => payload,
+            other => panic!("answer {i} of {N} never arrived: {other:?}"),
+        })
+        .collect();
+    drop(sock);
+
+    // Every answer is the exact payload a one-at-a-time client gets
+    // for the same request, so order and bytes are both pinned.
+    let mut client = Client::connect(&addr).expect("connect");
+    for (i, (req, answer)) in requests.iter().zip(&answers).enumerate() {
+        assert_eq!(
+            &client.call_raw(req, 0).expect("call"),
+            answer,
+            "pipelined answer {i} is out of order or differs"
+        );
+    }
+    drop(client);
+    shut_down(&addr, handle);
+}
+
+#[test]
+fn repeats_hit_the_cache_and_effort_budgets_never_alias() {
+    let (addr, handle) = start(test_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let full = Request::Synthesize {
+        sequence: vec![0, 1, 2, 3, 4, 5],
+        encoding: Encoding::Binary,
+        num_lines: 6,
+        effort_steps: 0,
+        generator: Generator::Fsm,
+    };
+    // The same sequence under a starvation budget: must be
+    // computed (and cached) separately, never answered from the
+    // full-effort entry.
+    let truncated = Request::Synthesize {
+        sequence: vec![0, 1, 2, 3, 4, 5],
+        encoding: Encoding::Binary,
+        num_lines: 6,
+        effort_steps: 1,
+        generator: Generator::Fsm,
+    };
+
+    let cold_full = client.call_raw(&full, 0).unwrap();
+    let cold_truncated = client.call_raw(&truncated, 0).unwrap();
+    assert_ne!(
+        cold_full, cold_truncated,
+        "a starved espresso run yields a different (truncated) report"
+    );
+    match Response::decode(&cold_truncated).unwrap() {
+        Response::Synthesized(r) => assert!(r.truncated, "starvation budget truncates"),
+        other => panic!("expected a synthesis report, got {other:?}"),
+    }
+
+    let stats_before = stats_of(&mut client);
+    let warm_full = client.call_raw(&full, 0).unwrap();
+    let warm_truncated = client.call_raw(&truncated, 0).unwrap();
+    let stats_after = stats_of(&mut client);
+
+    assert_eq!(warm_full, cold_full, "warm hit is byte-identical");
+    assert_eq!(warm_truncated, cold_truncated);
+    assert_eq!(
+        stats_after.cache_hit_mem - stats_before.cache_hit_mem,
+        2,
+        "both repeats were memory hits"
+    );
+    assert_eq!(stats_after.cache_miss, 2, "only the two cold calls missed");
+    drop(client);
+    shut_down(&addr, handle);
 }
 
 #[test]
 fn affine_synthesis_over_the_wire_never_aliases_the_fsm_pipeline() {
     // The v4 generator byte end-to-end: the same sequence synthesized
-    // through both pipelines on both backends. The reports must
+    // through both pipelines. The reports must
     // differ (the affine AGU carries its programming-register
     // premium), the cache must key them separately (two misses, then
     // two memory hits), and repeat payloads must be byte-identical.
@@ -284,171 +313,153 @@ fn affine_synthesis_over_the_wire_never_aliases_the_fsm_pipeline() {
         effort_steps: 0,
         generator,
     };
-    let mut per_backend: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        let mut client = Client::connect(&addr).expect("connect");
+    let (addr, handle) = start(test_config());
+    let mut client = Client::connect(&addr).expect("connect");
 
-        let cold_fsm = client.call_raw(&make(Generator::Fsm), 0).unwrap();
-        let cold_affine = client.call_raw(&make(Generator::Affine), 0).unwrap();
-        assert_ne!(
-            cold_fsm, cold_affine,
-            "the two pipelines report different implementations"
-        );
-        let affine_report = match Response::decode(&cold_affine).unwrap() {
-            Response::Synthesized(r) => r,
-            other => panic!("expected an affine synthesis report, got {other:?}"),
-        };
-        assert!(affine_report.area > 0.0 && affine_report.delay_ps > 0.0);
-        let fsm_report = match Response::decode(&cold_fsm).unwrap() {
-            Response::Synthesized(r) => r,
-            other => panic!("expected an FSM synthesis report, got {other:?}"),
-        };
-        // A 16-state ramp is cheap as a dedicated FSM; the
-        // programmable AGU pays its configuration chain in state.
-        assert!(affine_report.flip_flops > fsm_report.flip_flops);
-
-        let before = stats_of(&mut client);
-        let warm_fsm = client.call_raw(&make(Generator::Fsm), 0).unwrap();
-        let warm_affine = client.call_raw(&make(Generator::Affine), 0).unwrap();
-        let after = stats_of(&mut client);
-        assert_eq!(warm_fsm, cold_fsm);
-        assert_eq!(warm_affine, cold_affine);
-        assert_eq!(
-            after.cache_hit_mem - before.cache_hit_mem,
-            2,
-            "both generators cached under their own keys"
-        );
-        assert_eq!(after.cache_miss, 2, "one miss per generator, never shared");
-
-        drop(client);
-        shut_down(&addr, handle);
-        per_backend.push((cold_fsm, cold_affine));
-    }
-    assert_eq!(
-        per_backend[0], per_backend[1],
-        "backends agree byte-for-byte on both pipelines"
+    let cold_fsm = client.call_raw(&make(Generator::Fsm), 0).unwrap();
+    let cold_affine = client.call_raw(&make(Generator::Affine), 0).unwrap();
+    assert_ne!(
+        cold_fsm, cold_affine,
+        "the two pipelines report different implementations"
     );
+    let affine_report = match Response::decode(&cold_affine).unwrap() {
+        Response::Synthesized(r) => r,
+        other => panic!("expected an affine synthesis report, got {other:?}"),
+    };
+    assert!(affine_report.area > 0.0 && affine_report.delay_ps > 0.0);
+    let fsm_report = match Response::decode(&cold_fsm).unwrap() {
+        Response::Synthesized(r) => r,
+        other => panic!("expected an FSM synthesis report, got {other:?}"),
+    };
+    // A 16-state ramp is cheap as a dedicated FSM; the
+    // programmable AGU pays its configuration chain in state.
+    assert!(affine_report.flip_flops > fsm_report.flip_flops);
+
+    let before = stats_of(&mut client);
+    let warm_fsm = client.call_raw(&make(Generator::Fsm), 0).unwrap();
+    let warm_affine = client.call_raw(&make(Generator::Affine), 0).unwrap();
+    let after = stats_of(&mut client);
+    assert_eq!(warm_fsm, cold_fsm);
+    assert_eq!(warm_affine, cold_affine);
+    assert_eq!(
+        after.cache_hit_mem - before.cache_hit_mem,
+        2,
+        "both generators cached under their own keys"
+    );
+    assert_eq!(after.cache_miss, 2, "one miss per generator, never shared");
+
+    drop(client);
+    shut_down(&addr, handle);
 }
 
 #[test]
 fn disk_tier_survives_a_server_restart() {
-    for (i, reactor) in backends().into_iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("adgen-serve-e2e-disk-{}-{i}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = || ServeConfig {
-            jobs: 1,
-            reactor,
-            cache_dir: Some(PathBuf::from(&dir)),
-            ..ServeConfig::default()
-        };
-        let req = Request::MapSequence {
-            sequence: vec![0, 0, 1, 1, 2, 2],
-        };
+    let dir = std::env::temp_dir().join(format!("adgen-serve-e2e-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServeConfig {
+        jobs: 1,
+        cache_dir: Some(PathBuf::from(&dir)),
+        ..ServeConfig::default()
+    };
+    let req = Request::MapSequence {
+        sequence: vec![0, 0, 1, 1, 2, 2],
+    };
 
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let cold = client.call_raw(&req, 0).unwrap();
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert_eq!(stats.cache_miss, 1);
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let cold = client.call_raw(&req, 0).unwrap();
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.cache_miss, 1);
 
-        // A fresh server over the same directory answers from disk.
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let warm = client.call_raw(&req, 0).unwrap();
-        assert_eq!(warm, cold, "disk entry is the exact wire payload");
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert_eq!(stats.cache_hit_disk, 1, "answered by the disk tier");
-        assert_eq!(stats.cache_miss, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    // A fresh server over the same directory answers from disk.
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let warm = client.call_raw(&req, 0).unwrap();
+    assert_eq!(warm, cold, "disk entry is the exact wire payload");
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.cache_hit_disk, 1, "answered by the disk tier");
+    assert_eq!(stats.cache_miss, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_bounded_disk_tier_evicts_and_recomputes_instead_of_erroring() {
-    for (i, reactor) in backends().into_iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("adgen-serve-e2e-bound-{}-{i}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // A disk tier too small for two mapping payloads (34 + 30
-        // bytes), and an LRU of one entry so the memory tier cannot
-        // mask evictions.
-        let config = || ServeConfig {
-            jobs: 1,
-            reactor,
-            cache_entries: 1,
-            cache_dir: Some(PathBuf::from(&dir)),
-            disk_cap_bytes: 48,
-            ..ServeConfig::default()
-        };
-        let req_a = Request::MapSequence {
-            sequence: vec![0, 0, 1, 1, 2, 2],
-        };
-        let req_b = Request::MapSequence {
-            sequence: vec![0, 0, 0, 1, 1, 1],
-        };
+    let dir = std::env::temp_dir().join(format!("adgen-serve-e2e-bound-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A disk tier too small for two mapping payloads (34 + 30
+    // bytes), and an LRU of one entry so the memory tier cannot
+    // mask evictions.
+    let config = || ServeConfig {
+        jobs: 1,
+        cache_entries: 1,
+        cache_dir: Some(PathBuf::from(&dir)),
+        disk_cap_bytes: 48,
+        ..ServeConfig::default()
+    };
+    let req_a = Request::MapSequence {
+        sequence: vec![0, 0, 1, 1, 2, 2],
+    };
+    let req_b = Request::MapSequence {
+        sequence: vec![0, 0, 0, 1, 1, 1],
+    };
 
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let cold_a = client.call_raw(&req_a, 0).unwrap();
-        let _cold_b = client.call_raw(&req_b, 0).unwrap();
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert!(
-            stats.disk_evictions >= 1,
-            "the second payload pushed the first out of the 64-byte bound"
-        );
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let cold_a = client.call_raw(&req_a, 0).unwrap();
+    let _cold_b = client.call_raw(&req_b, 0).unwrap();
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert!(
+        stats.disk_evictions >= 1,
+        "the second payload pushed the first out of the 64-byte bound"
+    );
 
-        // A fresh server over the same directory: the evicted entry
-        // recomputes (a miss, not an error) and is byte-identical.
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let again_a = client.call_raw(&req_a, 0).unwrap();
-        assert_eq!(again_a, cold_a, "recomputed payload is byte-identical");
-        match Response::decode(&again_a).unwrap() {
-            Response::Mapped(_) => {}
-            other => panic!("expected a mapping after eviction, got {other:?}"),
-        }
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert_eq!(stats.cache_miss, 1, "the evicted entry recomputed");
-        let _ = std::fs::remove_dir_all(&dir);
+    // A fresh server over the same directory: the evicted entry
+    // recomputes (a miss, not an error) and is byte-identical.
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let again_a = client.call_raw(&req_a, 0).unwrap();
+    assert_eq!(again_a, cold_a, "recomputed payload is byte-identical");
+    match Response::decode(&again_a).unwrap() {
+        Response::Mapped(_) => {}
+        other => panic!("expected a mapping after eviction, got {other:?}"),
     }
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.cache_miss, 1, "the evicted entry recomputed");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn an_expired_deadline_is_a_typed_error_and_the_result_is_still_cached() {
-    for reactor in backends() {
-        let (addr, handle) = start(test_config(reactor));
-        let mut client = Client::connect(&addr).expect("connect");
-        // Full synthesis + STA of a 24-state FSM takes well over the
-        // 1 ms deadline, so the dispatcher finishes the work, caches
-        // it, and answers with the typed expiration.
-        let req = Request::Synthesize {
-            sequence: (0..24).collect(),
-            encoding: Encoding::Binary,
-            num_lines: 24,
-            effort_steps: 0,
-            generator: Generator::Fsm,
-        };
-        match client.call(&req, 1).unwrap() {
-            Response::Error(ServeError::Deadline { waited_ms: _ }) => {}
-            other => panic!("expected a deadline expiration, got {other:?}"),
-        }
-        // The retry is answered from the cache — same request,
-        // generous deadline, a real payload this time.
-        match client.call(&req, 60_000).unwrap() {
-            Response::Synthesized(r) => assert!(r.area > 0.0),
-            other => panic!("expected the cached synthesis report, got {other:?}"),
-        }
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert_eq!(stats.deadline_expired, 1);
-        assert_eq!(stats.cache_hit_mem, 1, "the retry hit");
+    let (addr, handle) = start(test_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    // Full synthesis + STA of a 24-state FSM takes well over the
+    // 1 ms deadline, so the dispatcher finishes the work, caches
+    // it, and answers with the typed expiration.
+    let req = Request::Synthesize {
+        sequence: (0..24).collect(),
+        encoding: Encoding::Binary,
+        num_lines: 24,
+        effort_steps: 0,
+        generator: Generator::Fsm,
+    };
+    match client.call(&req, 1).unwrap() {
+        Response::Error(ServeError::Deadline { waited_ms: _ }) => {}
+        other => panic!("expected a deadline expiration, got {other:?}"),
     }
+    // The retry is answered from the cache — same request,
+    // generous deadline, a real payload this time.
+    match client.call(&req, 60_000).unwrap() {
+        Response::Synthesized(r) => assert!(r.area > 0.0),
+        other => panic!("expected the cached synthesis report, got {other:?}"),
+    }
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.deadline_expired, 1);
+    assert_eq!(stats.cache_hit_mem, 1, "the retry hit");
 }
 
 /// A compute request slow enough (tens of milliseconds) to occupy
@@ -474,168 +485,153 @@ fn concurrent_identical_misses_coalesce_into_one_computation() {
     // deterministic and unit-tested in the server module — this test
     // is about the counters being observable over the wire from real
     // concurrent clients.
-    for reactor in backends() {
-        let mut coalesced = false;
-        for _attempt in 0..5 {
-            let (addr, handle) = start(test_config(reactor));
+    let mut coalesced = false;
+    for _attempt in 0..5 {
+        let (addr, handle) = start(test_config());
 
-            // Pre-connect every client so the only post-blocker work
-            // is the send itself.
-            let mut blocker_client = Client::connect(&addr).expect("connect blocker");
-            let clients: Vec<Client> = (0..K)
-                .map(|_| Client::connect(&addr).expect("connect worker"))
-                .collect();
+        // Pre-connect every client so the only post-blocker work
+        // is the send itself.
+        let mut blocker_client = Client::connect(&addr).expect("connect blocker");
+        let clients: Vec<Client> = (0..K)
+            .map(|_| Client::connect(&addr).expect("connect worker"))
+            .collect();
 
-            // Occupy the dispatcher with a slow unique request so the
-            // K identical ones below are all queued when it next
-            // drains — landing in one batch, where single-flight
-            // grouping happens.
-            let blocker =
-                std::thread::spawn(move || blocker_client.call_raw(&blocker_request(), 0));
-            std::thread::sleep(Duration::from_millis(10));
+        // Occupy the dispatcher with a slow unique request so the
+        // K identical ones below are all queued when it next
+        // drains — landing in one batch, where single-flight
+        // grouping happens.
+        let blocker = std::thread::spawn(move || blocker_client.call_raw(&blocker_request(), 0));
+        std::thread::sleep(Duration::from_millis(10));
 
-            let identical = Request::Synthesize {
-                sequence: vec![0, 3, 1, 2, 3, 0],
-                encoding: Encoding::Gray,
-                num_lines: 4,
-                effort_steps: 0,
-                generator: Generator::Fsm,
-            };
-            let workers: Vec<_> = clients
-                .into_iter()
-                .map(|mut c| {
-                    let req = identical.clone();
-                    std::thread::spawn(move || c.call_raw(&req, 0).expect("worker call"))
-                })
-                .collect();
+        let identical = Request::Synthesize {
+            sequence: vec![0, 3, 1, 2, 3, 0],
+            encoding: Encoding::Gray,
+            num_lines: 4,
+            effort_steps: 0,
+            generator: Generator::Fsm,
+        };
+        let workers: Vec<_> = clients
+            .into_iter()
+            .map(|mut c| {
+                let req = identical.clone();
+                std::thread::spawn(move || c.call_raw(&req, 0).expect("worker call"))
+            })
+            .collect();
 
-            let payloads: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-            blocker.join().unwrap().expect("blocker call");
-            for p in &payloads[1..] {
-                assert_eq!(
-                    &payloads[0], p,
-                    "every client gets the same exact bytes for the same request"
-                );
-            }
-            match Response::decode(&payloads[0]).unwrap() {
-                Response::Synthesized(_) => {}
-                other => panic!("expected a synthesis report, got {other:?}"),
-            }
-
-            let mut probe = Client::connect(&addr).expect("connect probe");
-            let stats = stats_of(&mut probe);
-            drop(probe);
-            shut_down(&addr, handle);
-
-            if stats.coalesce_leaders == 1
-                && stats.coalesce_waiters == K as u64 - 1
-                && stats.cache_miss == 2
-            {
-                // Exactly two computations — the blocker and ONE for
-                // the whole identical group — and the counters prove
-                // the other K-1 requests waited on the leader.
-                coalesced = true;
-                break;
-            }
+        let payloads: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        blocker.join().unwrap().expect("blocker call");
+        for p in &payloads[1..] {
+            assert_eq!(
+                &payloads[0], p,
+                "every client gets the same exact bytes for the same request"
+            );
         }
-        assert!(
-            coalesced,
-            "no attempt landed all {K} identical requests in one coalesced group on {reactor}"
-        );
+        match Response::decode(&payloads[0]).unwrap() {
+            Response::Synthesized(_) => {}
+            other => panic!("expected a synthesis report, got {other:?}"),
+        }
+
+        let mut probe = Client::connect(&addr).expect("connect probe");
+        let stats = stats_of(&mut probe);
+        drop(probe);
+        shut_down(&addr, handle);
+
+        if stats.coalesce_leaders == 1
+            && stats.coalesce_waiters == K as u64 - 1
+            && stats.cache_miss == 2
+        {
+            // Exactly two computations — the blocker and ONE for
+            // the whole identical group — and the counters prove
+            // the other K-1 requests waited on the leader.
+            coalesced = true;
+            break;
+        }
     }
+    assert!(
+        coalesced,
+        "no attempt landed all {K} identical requests in one coalesced group"
+    );
 }
 
 #[test]
 fn an_idle_connection_is_reaped_by_the_staleness_tick() {
-    for reactor in backends() {
-        let (addr, handle) = start(ServeConfig {
-            jobs: 1,
-            conn_idle_ms: 80,
-            reactor,
-            ..ServeConfig::default()
-        });
+    let (addr, handle) = start(ServeConfig {
+        jobs: 1,
+        conn_idle_ms: 80,
+        ..ServeConfig::default()
+    });
 
-        // The victim handshakes, then goes silent well past the
-        // 80 ms staleness deadline.
-        let mut idle = Client::connect(&addr).expect("connect idle victim");
-        std::thread::sleep(Duration::from_millis(400));
+    // The victim handshakes, then goes silent well past the
+    // 80 ms staleness deadline.
+    let mut idle = Client::connect(&addr).expect("connect idle victim");
+    std::thread::sleep(Duration::from_millis(400));
 
-        // The reap is observable two ways: the victim's socket is
-        // gone, and the counter moved. The probe itself is fresh and
-        // fast, so it is never at risk.
-        let mut probe = Client::connect(&addr).expect("connect probe");
-        let stats = stats_of(&mut probe);
-        assert!(
-            stats.conn_timed_out >= 1,
-            "the staleness tick counted the reap on {reactor}"
-        );
-        idle.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("read timeout");
-        assert!(
-            idle.call(&Request::Ping, 0).is_err(),
-            "the reaped connection no longer answers"
-        );
-        drop(idle);
-        drop(probe);
-        shut_down(&addr, handle);
-    }
+    // The reap is observable two ways: the victim's socket is
+    // gone, and the counter moved. The probe itself is fresh and
+    // fast, so it is never at risk.
+    let mut probe = Client::connect(&addr).expect("connect probe");
+    let stats = stats_of(&mut probe);
+    assert!(
+        stats.conn_timed_out >= 1,
+        "the staleness tick counted the reap"
+    );
+    idle.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    assert!(
+        idle.call(&Request::Ping, 0).is_err(),
+        "the reaped connection no longer answers"
+    );
+    drop(idle);
+    drop(probe);
+    shut_down(&addr, handle);
 }
 
 #[test]
 fn a_corrupted_disk_entry_is_quarantined_and_recomputed() {
-    for (i, reactor) in backends().into_iter().enumerate() {
-        let dir = std::env::temp_dir().join(format!(
-            "adgen-serve-e2e-corrupt-{}-{i}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = || ServeConfig {
-            jobs: 1,
-            reactor,
-            cache_dir: Some(PathBuf::from(&dir)),
-            ..ServeConfig::default()
-        };
-        let req = Request::MapSequence {
-            sequence: vec![0, 0, 1, 1, 2, 2],
-        };
+    let dir = std::env::temp_dir().join(format!("adgen-serve-e2e-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServeConfig {
+        jobs: 1,
+        cache_dir: Some(PathBuf::from(&dir)),
+        ..ServeConfig::default()
+    };
+    let req = Request::MapSequence {
+        sequence: vec![0, 0, 1, 1, 2, 2],
+    };
 
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let cold = client.call_raw(&req, 0).unwrap();
-        drop(client);
-        shut_down(&addr, handle);
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let cold = client.call_raw(&req, 0).unwrap();
+    drop(client);
+    shut_down(&addr, handle);
 
-        // Flip one payload byte of the (only) entry while the server
-        // is down — a crash-mid-write or bit-rot stand-in.
-        let entry = find_cache_entry(&dir).expect("one disk entry written");
-        let mut bytes = std::fs::read(&entry).unwrap();
-        assert!(bytes.len() > 32, "framed entry: header + payload");
-        bytes[34] ^= 0x40;
-        std::fs::write(&entry, &bytes).unwrap();
+    // Flip one payload byte of the (only) entry while the server
+    // is down — a crash-mid-write or bit-rot stand-in.
+    let entry = find_cache_entry(&dir).expect("one disk entry written");
+    let mut bytes = std::fs::read(&entry).unwrap();
+    assert!(bytes.len() > 32, "framed entry: header + payload");
+    bytes[34] ^= 0x40;
+    std::fs::write(&entry, &bytes).unwrap();
 
-        // The restarted server must detect the damage, quarantine the
-        // entry, and recompute — never serve the corrupted bytes.
-        let (addr, handle) = start(config());
-        let mut client = Client::connect(&addr).expect("connect");
-        let again = client.call_raw(&req, 0).unwrap();
-        assert_eq!(again, cold, "recomputed payload is byte-identical");
-        drop(client);
-        let stats = shut_down(&addr, handle);
-        assert!(
-            stats.cache_corrupt >= 1,
-            "the digest mismatch was counted on {reactor}"
-        );
-        assert_eq!(stats.cache_hit_disk, 0, "corrupt bytes are never a hit");
-        assert_eq!(stats.cache_miss, 1, "the entry recomputed");
-        let quarantined = std::fs::read_dir(dir.join("quarantine"))
-            .map(|entries| entries.count())
-            .unwrap_or(0);
-        assert!(
-            quarantined >= 1,
-            "the damaged file moved to quarantine/ for post-mortem"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    // The restarted server must detect the damage, quarantine the
+    // entry, and recompute — never serve the corrupted bytes.
+    let (addr, handle) = start(config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let again = client.call_raw(&req, 0).unwrap();
+    assert_eq!(again, cold, "recomputed payload is byte-identical");
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert!(stats.cache_corrupt >= 1, "the digest mismatch was counted");
+    assert_eq!(stats.cache_hit_disk, 0, "corrupt bytes are never a hit");
+    assert_eq!(stats.cache_miss, 1, "the entry recomputed");
+    let quarantined = std::fs::read_dir(dir.join("quarantine"))
+        .map(|entries| entries.count())
+        .unwrap_or(0);
+    assert!(
+        quarantined >= 1,
+        "the damaged file moved to quarantine/ for post-mortem"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The first regular file under `dir`'s shard directories (skipping
@@ -661,64 +657,61 @@ fn find_cache_entry(dir: &std::path::Path) -> Option<PathBuf> {
 #[test]
 fn overload_is_shed_with_typed_rejections_not_hangs() {
     const CONNS: usize = 8;
-    for reactor in backends() {
-        // A one-slot admission queue and a busy dispatcher: most of
-        // the burst below must be rejected, and every rejection must
-        // be the typed QueueFull — never a hang or a reset.
-        let (addr, handle) = start(ServeConfig {
-            jobs: 1,
-            queue_cap: 1,
-            reactor,
-            ..ServeConfig::default()
-        });
+    // A one-slot admission queue and a busy dispatcher: most of
+    // the burst below must be rejected, and every rejection must
+    // be the typed QueueFull — never a hang or a reset.
+    let (addr, handle) = start(ServeConfig {
+        jobs: 1,
+        queue_cap: 1,
+        ..ServeConfig::default()
+    });
 
-        let blocker_addr = addr.clone();
-        let blocker = std::thread::spawn(move || {
-            let mut c = Client::connect(&blocker_addr).expect("connect blocker");
-            c.call_raw(&blocker_request(), 0).expect("blocker call")
-        });
-        std::thread::sleep(Duration::from_millis(30));
+    let blocker_addr = addr.clone();
+    let blocker = std::thread::spawn(move || {
+        let mut c = Client::connect(&blocker_addr).expect("connect blocker");
+        c.call_raw(&blocker_request(), 0).expect("blocker call")
+    });
+    std::thread::sleep(Duration::from_millis(30));
 
-        let barrier = Arc::new(Barrier::new(CONNS));
-        let workers: Vec<_> = (0..CONNS)
-            .map(|i| {
-                let addr = addr.clone();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(&addr).expect("connect worker");
-                    c.set_read_timeout(Some(Duration::from_secs(60)))
-                        .expect("read timeout");
-                    // Unique per connection, so nothing coalesces or
-                    // hits cache — every admission takes a queue slot.
-                    let req = Request::MapSequence {
-                        sequence: vec![0, 0, 1, 1, 2, 2, i as u32 + 3, i as u32 + 3],
-                    };
-                    barrier.wait();
-                    c.call(&req, 0).expect("no hang, no reset")
-                })
+    let barrier = Arc::new(Barrier::new(CONNS));
+    let workers: Vec<_> = (0..CONNS)
+        .map(|i| {
+            let addr = addr.clone();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).expect("connect worker");
+                c.set_read_timeout(Some(Duration::from_secs(60)))
+                    .expect("read timeout");
+                // Unique per connection, so nothing coalesces or
+                // hits cache — every admission takes a queue slot.
+                let req = Request::MapSequence {
+                    sequence: vec![0, 0, 1, 1, 2, 2, i as u32 + 3, i as u32 + 3],
+                };
+                barrier.wait();
+                c.call(&req, 0).expect("no hang, no reset")
             })
-            .collect();
+        })
+        .collect();
 
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        for w in workers {
-            match w.join().unwrap() {
-                Response::Mapped(_) => served += 1,
-                Response::Error(ServeError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 1);
-                    shed += 1;
-                }
-                other => panic!("expected a mapping or a typed shed, got {other:?}"),
+    let mut served = 0u64;
+    let mut shed = 0u64;
+    for w in workers {
+        match w.join().unwrap() {
+            Response::Mapped(_) => served += 1,
+            Response::Error(ServeError::QueueFull { capacity }) => {
+                assert_eq!(capacity, 1);
+                shed += 1;
             }
+            other => panic!("expected a mapping or a typed shed, got {other:?}"),
         }
-        blocker.join().unwrap();
-        assert_eq!(served + shed, CONNS as u64, "every request was answered");
-        assert!(shed >= 1, "a one-slot queue under an 8-way burst sheds");
-
-        let mut probe = Client::connect(&addr).expect("connect probe");
-        let stats = stats_of(&mut probe);
-        drop(probe);
-        assert_eq!(stats.shed, shed, "the shed counter saw every rejection");
-        shut_down(&addr, handle);
     }
+    blocker.join().unwrap();
+    assert_eq!(served + shed, CONNS as u64, "every request was answered");
+    assert!(shed >= 1, "a one-slot queue under an 8-way burst sheds");
+
+    let mut probe = Client::connect(&addr).expect("connect probe");
+    let stats = stats_of(&mut probe);
+    drop(probe);
+    assert_eq!(stats.shed, shed, "the shed counter saw every rejection");
+    shut_down(&addr, handle);
 }

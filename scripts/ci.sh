@@ -22,17 +22,16 @@
 #                         loadgen --smoke against it: warm-cache hit
 #                         rate >= 90%, byte-identical warm responses,
 #                         clean client-initiated shutdown)
-#  11. overload smoke    (loadgen --overload against BOTH reactor
-#                         backends — epoll and threaded — with a
-#                         2-slot admission queue: every response must
-#                         be a result or a typed queue-full shed, and
-#                         the warm pass must still hit >= 90%; then a
-#                         schema check of the new BENCH_serve.json
-#                         fields)
-#  12. chaos smoke       (chaoscamp --smoke on both backends: servers
-#                         killed at disk-tier fault-plan kill points
-#                         and disk entries corrupted offline; every
-#                         restart must serve byte-identical payloads,
+#  11. overload smoke    (loadgen --overload against the epoll reactor
+#                         with a 2-slot admission queue: every
+#                         response must be a result or a typed
+#                         queue-full shed, and the warm pass must
+#                         still hit >= 90%; then a schema check of the
+#                         BENCH_serve.json overload fields)
+#  12. chaos smoke       (chaoscamp --smoke: servers killed at
+#                         disk-tier fault-plan kill points and disk
+#                         entries corrupted offline; every restart
+#                         must serve byte-identical payloads,
 #                         quarantine the damage, and re-warm to full
 #                         hit rate; then a BENCH_chaos.json schema
 #                         check)
@@ -149,25 +148,18 @@ grep -q "adgen-serve shut down:" "$serve_log" || {
 }
 rm -rf "$serve_cache" "$serve_log"
 
-echo "==> overload smoke (typed shedding on both reactor backends)"
-for backend in epoll threaded; do
-  echo "    --reactor $backend"
-  target/release/loadgen --smoke --conns 32 --queue-cap 2 --overload \
-    --reactor "$backend"
-done
+echo "==> overload smoke (typed shedding under a 2-slot admission queue)"
+target/release/loadgen --smoke --conns 32 --queue-cap 2 --overload
 # Schema check: the bench record carries the new latency/overload
 # fields consumers key on.
 check_schema BENCH_serve.json p999_ms shed overload conns
 
-echo "==> chaos smoke (kill-point crashes + offline corruption, both backends)"
+echo "==> chaos smoke (kill-point crashes + offline corruption)"
 # chaoscamp spawns its own adgen-serve per scenario, kills it at
 # fault-plan kill points, corrupts disk entries between runs, and
 # exits nonzero unless every restart serves byte-identical payloads,
 # re-enforces the disk bound, and quarantines every mutation.
-for backend in epoll threaded; do
-  echo "    --reactor $backend"
-  target/release/chaoscamp --smoke --reactor "$backend"
-done
+target/release/chaoscamp --smoke
 check_schema BENCH_chaos.json scenarios classification corrupt_quarantined recovered failures
 
 echo "==> affine: mapper property tests"
