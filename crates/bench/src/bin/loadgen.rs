@@ -37,7 +37,7 @@
 //! below 90% — the property the CI smoke stage relies on.
 //!
 //! Observability: `--trace FILE` / `--metrics` as in `repro`; the
-//! server's dispatcher recording (spans, serve counters) is spliced
+//! server's worker recording (spans, serve counters) is spliced
 //! into the generator's session so one trace shows both sides.
 
 use std::collections::HashMap;

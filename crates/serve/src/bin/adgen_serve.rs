@@ -2,7 +2,7 @@
 //! line.
 //!
 //! ```text
-//! adgen-serve [--addr HOST:PORT] [--jobs N] [--batch N]
+//! adgen-serve [--addr HOST:PORT] [--jobs N]
 //!             [--queue-cap N] [--deadline-ms N]
 //!             [--cache-dir DIR] [--cache-entries N]
 //!             [--disk-cap BYTES] [--conn-idle-ms N]
@@ -11,16 +11,18 @@
 //!
 //! Binds (default `127.0.0.1:0`, an ephemeral port), prints
 //! `adgen-serve listening on ADDR` once ready — the line scripts wait
-//! for — and runs until a client sends `Shutdown`. With `--metrics`
-//! the dispatcher records an adgen-obs session and the profile report
+//! for — and runs until a client sends `Shutdown`. `--jobs N` sets the
+//! worker threads that compute cache misses (0, the default, uses
+//! every core). With `--metrics` the workers record an adgen-obs
+//! session and the profile report
 //! plus the metrics JSON block are printed at shutdown; `--trace`
 //! additionally writes a Chrome trace-event file.
 //!
 //! `--conn-idle-ms N` reaps connections that make no protocol
 //! progress for `N` ms (0, the default, disables reaping). `--faults
 //! SPEC` (or the `ADGEN_SERVE_FAULTS` env var, flag wins) arms the
-//! deterministic disk-tier fault plan — `kind@site#occurrence`
-//! directives, comma-separated — used by the chaos harness.
+//! deterministic fault plan — `kind@site#occurrence` directives,
+//! comma-separated — used by the chaos harness and the tests.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -30,7 +32,7 @@ use adgen_serve::{serve, FaultPlan, ServeConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: adgen-serve [--addr HOST:PORT] [--jobs N] [--batch N] \
+        "usage: adgen-serve [--addr HOST:PORT] [--jobs N] \
          [--queue-cap N] [--deadline-ms N] [--cache-dir DIR] \
          [--cache-entries N] [--disk-cap BYTES] \
          [--conn-idle-ms N] [--faults SPEC] [--metrics] [--trace FILE]"
@@ -55,7 +57,6 @@ fn main() {
         match a.as_str() {
             "--addr" => config.addr = parse("--addr", it.next()),
             "--jobs" => config.jobs = parse("--jobs", it.next()),
-            "--batch" => config.batch_max = parse("--batch", it.next()),
             "--queue-cap" => config.queue_cap = parse("--queue-cap", it.next()),
             "--deadline-ms" => config.default_deadline_ms = parse("--deadline-ms", it.next()),
             "--cache-dir" => {

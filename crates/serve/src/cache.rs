@@ -51,7 +51,7 @@
 //! mismatch — bad magic, unknown version, wrong length, wrong digest,
 //! zero-byte or truncated file — the entry is *quarantined* (moved to
 //! `dir/quarantine/`, preserved for forensics), counted in
-//! [`DiskStore::corrupt`], and reported as a miss so the dispatcher
+//! [`DiskStore::corrupt`], and reported as a miss so a worker
 //! recomputes. Unverified bytes are never served. Pre-frame legacy
 //! entries fail the magic check and take the same path: quarantine
 //! plus recompute *is* the migration, because cache entries are
@@ -65,7 +65,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::faults::{self, FaultKind, FaultPlan};
 
@@ -705,9 +705,14 @@ impl DiskStore {
 
 /// The two tiers composed: LRU in front, disk behind, disk hits
 /// promoted.
+///
+/// The LRU sits behind its own lock so that a thread that must never
+/// wait on disk I/O can answer memory-tier hits directly through
+/// [`memory_tier`](ResultCache::memory_tier) while another thread
+/// owns the cache.
 #[derive(Debug)]
 pub struct ResultCache {
-    lru: LruCache,
+    lru: Arc<Mutex<LruCache>>,
     disk: Option<DiskStore>,
     reported_evictions: u64,
     reported_corrupt: u64,
@@ -744,7 +749,7 @@ impl ResultCache {
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<ResultCache> {
         Ok(ResultCache {
-            lru: LruCache::new(lru_entries),
+            lru: Arc::new(Mutex::new(LruCache::new(lru_entries))),
             disk: dir
                 .map(|d| DiskStore::open_with(d, disk_cap_bytes, KeySlice::full(), faults))
                 .transpose()?,
@@ -760,11 +765,11 @@ impl ResultCache {
     /// memory; a corrupt disk entry is quarantined and reported as a
     /// miss.
     pub fn get(&mut self, key: CacheKey) -> Option<(Vec<u8>, Tier)> {
-        if let Some(v) = self.lru.get(key) {
+        if let Some(v) = self.memory().get(key) {
             return Some((v, Tier::Memory));
         }
         let v = self.disk.as_mut()?.get(key)?;
-        self.lru.put(key, v.clone());
+        self.memory().put(key, v.clone());
         Some((v, Tier::Disk))
     }
 
@@ -785,12 +790,24 @@ impl ResultCache {
                 }
             }
         }
-        self.lru.put(key, value);
+        self.memory().put(key, value);
     }
 
     /// Entry count of the in-memory tier.
     pub fn lru_len(&self) -> usize {
-        self.lru.len()
+        self.memory().len()
+    }
+
+    /// A shared handle to the in-memory tier. Lookups through it see
+    /// every entry this cache stores or promotes.
+    pub fn memory_tier(&self) -> Arc<Mutex<LruCache>> {
+        Arc::clone(&self.lru)
+    }
+
+    fn memory(&self) -> std::sync::MutexGuard<'_, LruCache> {
+        self.lru
+            .lock()
+            .expect("no thread panics while holding the LRU lock")
     }
 
     /// Disk-tier evictions since the last call (for stats mirroring).

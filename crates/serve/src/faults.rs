@@ -1,7 +1,8 @@
-//! Deterministic fault injection for the serving disk tier.
+//! Deterministic fault injection for the serving disk tier and the
+//! compute workers.
 //!
 //! A [`FaultPlan`] is a small list of directives, each naming a fault
-//! kind, an injection *site* (a string the disk tier passes to
+//! kind, an injection *site* (a string the server passes to
 //! [`FaultPlan::fire`] at each instrumented point) and which arrival
 //! at that site should trigger. Directives are compiled once from a
 //! spec string — typically the `ADGEN_SERVE_FAULTS` environment
@@ -15,7 +16,7 @@
 //! ```text
 //! spec      := directive ("," directive)*
 //! directive := kind "@" site [ "#" occurrence ]
-//! kind      := "enospc" | "short" | "readerr" | "kill"
+//! kind      := "enospc" | "short" | "readerr" | "kill" | "stall" | "panic"
 //! ```
 //!
 //! `occurrence` is 1-based and defaults to 1: `enospc@disk.put.write#2`
@@ -23,7 +24,11 @@
 //! [`std::process::abort`] at the site — the crash harness
 //! (`chaoscamp`) uses it to stop the server at a precise point
 //! mid-write and then audit what the restarted server does with the
-//! wreckage.
+//! wreckage. `stall` sleeps for [`STALL`] at the site, so a test can
+//! hold a computation open for as long as it needs without depending
+//! on how fast the computation is. `panic` unwinds from the site: the
+//! compute site contains it and answers with a typed internal error;
+//! anywhere else it takes the thread down like any other bug.
 //!
 //! ## Instrumented sites
 //!
@@ -35,9 +40,14 @@
 //! | `disk.put.pre_rename`  | after sync, before the atomic rename       |
 //! | `disk.put.post_rename` | after the rename committed the entry       |
 //! | `disk.get.read`        | before reading an entry                    |
+//! | `serve.compute`        | before a worker computes a cache miss      |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long a triggered [`FaultKind::Stall`] holds its site.
+pub const STALL: Duration = Duration::from_millis(500);
 
 /// What to inject when a directive triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +60,10 @@ pub enum FaultKind {
     ReadErr,
     /// Abort the whole process at the site (simulated `kill -9`).
     Kill,
+    /// Sleep for [`STALL`] at the site, then carry on.
+    Stall,
+    /// Panic at the site.
+    Panic,
 }
 
 impl FaultKind {
@@ -59,6 +73,8 @@ impl FaultKind {
             "short" => Some(FaultKind::ShortWrite),
             "readerr" => Some(FaultKind::ReadErr),
             "kill" => Some(FaultKind::Kill),
+            "stall" => Some(FaultKind::Stall),
+            "panic" => Some(FaultKind::Panic),
             _ => None,
         }
     }
@@ -143,8 +159,9 @@ impl FaultPlan {
     }
 
     /// Records one arrival at `site` and returns the fault to inject,
-    /// if any directive triggers on this arrival. `Kill` directives
-    /// never return: they abort the process on the spot.
+    /// if any directive triggers on this arrival. `Kill`, `Stall` and
+    /// `Panic` act on the spot — abort, sleep, unwind — so only the
+    /// I/O kinds are ever returned for the caller to inject.
     pub fn fire(&self, site: &str) -> Option<FaultKind> {
         for d in &self.directives {
             if d.site != site {
@@ -154,14 +171,20 @@ impl FaultPlan {
             if arrival != d.occurrence {
                 continue;
             }
-            if d.kind == FaultKind::Kill {
-                // The whole point: die exactly here, mid-operation,
-                // like a power cut. abort() skips destructors and
-                // flushes nothing — closest stand-in for kill -9.
-                eprintln!("adgen-serve: fault plan kill at {site}");
-                std::process::abort();
+            match d.kind {
+                FaultKind::Kill => {
+                    // The whole point: die exactly here, mid-operation,
+                    // like a power cut. abort() skips destructors and
+                    // flushes nothing — closest stand-in for kill -9.
+                    eprintln!("adgen-serve: fault plan kill at {site}");
+                    std::process::abort();
+                }
+                // A stall injects nothing, so later directives still
+                // count this arrival.
+                FaultKind::Stall => std::thread::sleep(STALL),
+                FaultKind::Panic => panic!("injected fault: panic at {site}"),
+                kind => return Some(kind),
             }
-            return Some(d.kind);
         }
         None
     }
@@ -175,7 +198,9 @@ impl FaultPlan {
             FaultKind::ShortWrite => {
                 std::io::Error::new(std::io::ErrorKind::WriteZero, "injected fault: short write")
             }
-            FaultKind::Kill => unreachable!("kill aborts at the site"),
+            FaultKind::Kill | FaultKind::Stall | FaultKind::Panic => {
+                unreachable!("fire acts on {kind:?} at the site")
+            }
         }
     }
 }
@@ -223,6 +248,21 @@ mod tests {
         assert_eq!(plan.fire("site"), None);
         assert_eq!(plan.fire("site"), Some(FaultKind::Enospc));
         assert_eq!(plan.fire("site"), None, "one-shot");
+    }
+
+    #[test]
+    fn stall_holds_the_site_and_panic_unwinds_from_it() {
+        let plan = FaultPlan::parse("stall@serve.compute#2,panic@serve.compute#3").unwrap();
+        assert_eq!(plan.fire("serve.compute"), None);
+        let started = std::time::Instant::now();
+        assert_eq!(plan.fire("serve.compute"), None, "a stall injects nothing");
+        assert!(started.elapsed() >= STALL);
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // keep test output clean
+        let unwound = std::panic::catch_unwind(|| plan.fire("serve.compute"));
+        std::panic::set_hook(prev_hook);
+        assert!(unwound.is_err(), "the third arrival panics");
+        assert_eq!(plan.fire("serve.compute"), None, "one-shot");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! into a long-lived TCP service: clients submit address-generation
 //! problems over a versioned, length-prefixed binary protocol
 //! ([`protocol`]), an epoll reactor ([`reactor`]) multiplexes
-//! thousands of connections over one event thread, an
-//! admission queue with per-request deadlines feeds a batching
-//! dispatcher that coalesces identical misses (single-flight) and
-//! fans the distinct work across [`adgen_exec::par_map`], and a
+//! thousands of connections over one event thread and answers
+//! memory-tier cache hits on it, an admission queue with per-request
+//! deadlines feeds everything else to a pool of worker threads that
+//! coalesce identical in-flight misses (single-flight), and a
 //! two-tier content-addressed result cache ([`cache`]) — in-memory
 //! LRU in front of a bounded, digest-sharded on-disk store — answers
 //! repeats without recomputation. Cache keys bind the request's
@@ -23,8 +23,10 @@
 //! The serving tier is chaos-hardened: every disk-cache entry is
 //! framed and checksummed ([`cache`] — corrupt entries are
 //! quarantined and recomputed, never served), a deterministic fault
-//! plan ([`faults`]) injects crashes and I/O errors at named sites
-//! for the `chaoscamp` harness, idle or malformed connections are
+//! plan ([`faults`]) injects crashes, stalls, panics and I/O errors
+//! at named sites for the `chaoscamp` harness and the tests, a
+//! panicking computation is answered with a typed error instead of
+//! taking its worker down, idle or malformed connections are
 //! reaped with typed errors, and [`Client`] retries shed or failed
 //! calls with bounded, deterministically jittered backoff.
 //!

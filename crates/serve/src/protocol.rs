@@ -162,8 +162,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
         .ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload too large")
         })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    // One write, so a TCP_NODELAY socket sends prefix and payload in
+    // one segment instead of waking the peer for the prefix alone.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -671,7 +675,7 @@ pub struct StatsSnapshot {
     pub deadline_expired: u64,
     /// Admission-queue depth high-water mark.
     pub queue_high_water: u64,
-    /// Batches the dispatcher executed.
+    /// Jobs the workers took from the admission queue.
     pub batches: u64,
     /// Requests rejected at admission because the queue was full.
     pub shed: u64,

@@ -25,15 +25,17 @@
 //!
 //! ## Replies without blocking
 //!
-//! A compute request admitted from the event thread cannot block on a
-//! channel waiting for the dispatcher (that would stall every other
-//! connection). Instead each admitted request takes a *ticket* in the
-//! connection's ordered slot queue and carries a [`Reply`] handle;
-//! the dispatcher completes the ticket through the
-//! [`CompletionQueue`], which wakes the event thread with a UDP
-//! datagram. Slots are flushed strictly in order, so a connection that
-//! pipelines requests still receives responses in request order,
-//! exactly like the blocking implementation did.
+//! A compute request parsed on the event thread is first looked up in
+//! the result cache's memory tier ([`Shared::admit`]); a hit is
+//! answered on the spot, without a queue, a worker or a wake-up. A
+//! miss cannot block on a channel waiting for a worker (that would
+//! stall every other connection). Instead it takes a *ticket* in the
+//! connection's ordered slot queue and carries a [`Reply`] handle; the
+//! worker completes the ticket through the [`CompletionQueue`], which
+//! wakes the event thread with a UDP datagram. Slots are flushed
+//! strictly in order, so a connection that pipelines requests still
+//! receives responses in request order: a hit behind a miss is ready
+//! at once but leaves only after the miss's answer.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -65,8 +67,8 @@ pub(crate) struct Completion {
     pub(crate) payload: Vec<u8>,
 }
 
-/// The mailbox between the dispatcher and the event thread. Every
-/// push sends a 1-byte datagram to the event loop's wake socket.
+/// The mailbox between the workers and the event thread. Every push
+/// sends a 1-byte datagram to the event loop's wake socket.
 pub(crate) struct CompletionQueue {
     pending: Mutex<Vec<Completion>>,
     wake_tx: UdpSocket,
@@ -112,7 +114,7 @@ fn wake_pair() -> std::io::Result<(UdpSocket, UdpSocket)> {
     Ok((wake_rx, wake_tx))
 }
 
-/// The dispatcher's handle for answering one admitted request.
+/// A worker's handle for answering one admitted request.
 /// Consumed by [`send`](Reply::send); a reply whose connection has
 /// since died is silently dropped by the event thread.
 pub(crate) struct Reply {
@@ -150,7 +152,7 @@ impl Reply {
 enum Slot {
     /// Encoded response frame payload, ready to flush.
     Ready(Vec<u8>),
-    /// Waiting on the dispatcher to complete this ticket.
+    /// Waiting on a worker to complete this ticket.
     Pending(u64),
 }
 
@@ -358,8 +360,9 @@ impl Conn {
         }
     }
 
-    /// Dispatches one request frame: control kinds answered inline,
-    /// compute kinds admitted with a ticket.
+    /// Dispatches one request frame: control kinds and memory-tier
+    /// hits answered inline, other compute requests admitted with a
+    /// ticket.
     fn handle_frame(&mut self, shared: &Shared, payload: &[u8]) {
         let (request, deadline_ms) = match protocol::decode_request_frame(payload) {
             Ok(x) => x,
@@ -376,7 +379,8 @@ impl Conn {
             self.next_ticket += 1;
             let reply = Reply::new(Arc::clone(&self.completions), self.id, ticket);
             match shared.admit(request, deadline_ms, reply) {
-                Ok(()) => self.slots.push_back(Slot::Pending(ticket)),
+                Ok(Some(hit)) => self.slots.push_back(Slot::Ready(hit)),
+                Ok(None) => self.slots.push_back(Slot::Pending(ticket)),
                 Err(e) => self
                     .slots
                     .push_back(Slot::Ready(Response::Error(e).encode())),
@@ -457,7 +461,7 @@ impl Conn {
     /// Applies the per-connection staleness deadline. Returns `true`
     /// when the connection was reaped (it is dead afterwards).
     ///
-    /// Connections with a request in flight at the dispatcher are
+    /// Connections with a request in flight at a worker are
     /// never reaped — the stall is the server's, not the peer's. A
     /// reaped connection holding half a frame (a slowloris, or a
     /// stalled sender) is told why with a typed

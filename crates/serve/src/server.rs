@@ -1,55 +1,70 @@
-//! The batch compilation server: admission queue, batched dispatch
-//! over [`adgen_exec::par_map`], deadlines, single-flight coalescing
-//! and the result cache.
+//! The compilation server: admission with memory-tier hits answered
+//! inline, a worker pool for everything else, deadlines,
+//! single-flight coalescing and the result cache.
 //!
 //! ## Threading
 //!
 //! Connection I/O is handled by a readiness-driven reactor
 //! ([`crate::reactor`]): one epoll event thread, never a thread per
-//! connection. Control requests (`Ping`, `Stats`,
-//! `Shutdown`) are answered inline on the event thread; compute
-//! requests are admitted into a bounded queue ([`Shared::admit`]) and
-//! answered by the single *dispatcher* thread, which drains the queue
-//! in batches, answers what it can from the two-tier cache, coalesces
-//! identical misses and fans the distinct ones across `par_map`.
-//! Results travel back through the event thread's completion queue
+//! connection. Control requests (`Ping`, `Stats`, `Shutdown`) and
+//! memory-tier cache hits are answered inline on the event thread:
+//! [`Shared::admit`] looks the request up in the shared LRU right
+//! after validating it. Everything else — disk-tier lookups and
+//! misses — is admitted into a bounded queue and taken, one job at a
+//! time, by one of `jobs` long-lived worker threads. Results travel
+//! back through the event thread's completion queue
 //! ([`crate::reactor::Reply`]); the reactor flushes them to sockets
-//! in request order.
+//! in request order, so a hit pipelined behind a miss still waits for
+//! it on the wire. `Stats.batches` counts jobs taken by workers: a
+//! workload of pure memory hits takes none.
 //!
 //! ## Single-flight coalescing
 //!
-//! The dispatcher is the only thread that computes, so jobs in one
-//! drained batch that share a [`CacheKey`] *are* concurrent identical
-//! requests: they are grouped, the group leader's request is computed
-//! once, and every member receives the same byte-identical payload
-//! (duplicates in *later* batches are ordinary cache hits). A group
-//! counts one cache miss; the extra members count as coalesce
-//! waiters, not misses. A member whose deadline lapsed in the queue
-//! is answered with a typed error and excluded from the group — but
-//! the group still computes for its live members, so an expired
-//! leader's waiters (and its own retry) are served from cache.
+//! The workers share an in-flight table keyed by [`CacheKey`]. A
+//! worker that takes a job whose key is already being computed parks
+//! the job in the table as a waiter and moves on. Otherwise the job
+//! leads: the worker checks both cache tiers, computes on a miss,
+//! stores the result, takes the key out of the table, and answers the
+//! leader and every waiter with the same byte-identical payload. The
+//! result is stored before the key leaves the table, so a duplicate
+//! arriving at any moment either waits or hits. A leader counts one
+//! cache hit or miss; its waiters count as coalesce waiters, neither
+//! hit nor miss.
+//!
+//! Every computation is one serial `execute` call, which keeps each
+//! payload independent of `jobs`. A panic inside it is contained: the
+//! leader and its waiters receive a typed [`ServeError::Internal`],
+//! nothing is cached, and the worker carries on.
 //!
 //! ## Deadlines
 //!
 //! Each admitted job carries a deadline (from the request envelope,
-//! or the server default). It is checked twice: at dequeue (the job
-//! sat in the queue too long — the work is skipped entirely) and
-//! after computation (the work ran long — the result is *still
-//! cached*, so an immediate retry is cheap). Either way the client
-//! receives a typed [`ServeError::Deadline`], never a hung socket.
+//! or the server default). It is checked twice: when a worker takes
+//! the job (it sat in the queue too long — the work is skipped
+//! entirely) and when its result is ready (the work ran long, or the
+//! job waited on a leader that did — the result is *still cached*, so
+//! an immediate retry is cheap). Either way the client receives a
+//! typed [`ServeError::Deadline`], never a hung socket. Memory-tier
+//! hits are answered at admission, never wait in a queue, and so
+//! never expire.
 //!
 //! ## Observability
 //!
 //! Statistics are always-on process atomics ([`ServeStats`]), served
-//! to clients via `Stats`. When [`ServeConfig::observe`] is set the
-//! dispatcher additionally records an adgen-obs session (spans from
-//! the pipeline plus the serve counters) and returns the
-//! [`Recording`] from [`ServerHandle::join`]. The serve counters are
-//! mirrored from the atomics in one `add` each at dispatcher exit, so
-//! their totals are invariant under `--jobs` — including the queue
-//! high-water counter, whose *total* equals the high-water mark.
+//! to clients via `Stats`. When [`ServeConfig::observe`] is set, each
+//! job a worker takes runs under [`obs::capture`] inside a
+//! `serve.batch` span; the pool owner splices the recordings in
+//! admission order and returns the [`Recording`] from
+//! [`ServerHandle::join`]. The serve counters are mirrored from the
+//! atomics in one `add` each when the pool exits, so their totals are
+//! invariant under `--jobs` — including the queue high-water counter,
+//! whose *total* equals the high-water mark.
+//!
+//! [`Recording`]: obs::Recording
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -57,15 +72,16 @@ use std::time::{Duration, Instant};
 
 use adgen_affine::{fit_sequence, AffineAgNetlist};
 use adgen_core::mapper::map_sequence;
-use adgen_exec::par_map;
+use adgen_exec::resolve_jobs;
 use adgen_explorer::{evaluate, pareto_frontier, EvaluateOptions};
 use adgen_netlist::{AreaReport, Library, TimingAnalysis};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape};
 use adgen_synth::{espresso::EffortBudget, Encoding, Fsm, OutputStyle};
 
-use crate::cache::{CacheKey, ResultCache, Tier};
+use crate::cache::{CacheKey, LruCache, ResultCache, Tier};
 use crate::error::ServeError;
+use crate::faults;
 use crate::protocol::{self, MapOutcome, Request, Response, StatsSnapshot, SynthReport};
 use crate::reactor::{EpollIo, Reply};
 
@@ -82,10 +98,9 @@ const MAX_ONE_HOT_STATES: usize = 64;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads for batch execution (`0` = all cores).
+    /// Worker threads that look up and compute queued requests
+    /// (`0` = all cores).
     pub jobs: usize,
-    /// Most compute jobs drained into one dispatch batch.
-    pub batch_max: usize,
     /// Admission-queue capacity; pushes beyond it are rejected with
     /// [`ServeError::QueueFull`].
     pub queue_cap: usize,
@@ -100,8 +115,8 @@ pub struct ServeConfig {
     /// Oldest-generation entries are evicted once the payload bytes
     /// on disk would exceed the bound.
     pub disk_cap_bytes: u64,
-    /// Record an adgen-obs session on the dispatcher thread and
-    /// return it from [`ServerHandle::join`].
+    /// Record an adgen-obs session of the workers' jobs and return it
+    /// from [`ServerHandle::join`].
     pub observe: bool,
     /// Per-connection I/O deadline, milliseconds: a connection that
     /// makes no progress (no complete frame parsed, no completion
@@ -109,7 +124,8 @@ pub struct ServeConfig {
     /// typed [`ServeError::IoTimeout`] if it left a partial frame
     /// behind (slowloris), silently otherwise. `0` disables reaping.
     pub conn_idle_ms: u64,
-    /// Fault-injection plan for the disk tier; `None` in production.
+    /// Fault-injection plan for the disk tier and the compute site;
+    /// `None` in production.
     pub faults: Option<Arc<crate::faults::FaultPlan>>,
 }
 
@@ -118,7 +134,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             jobs: 0,
-            batch_max: 32,
             queue_cap: 256,
             default_deadline_ms: 0,
             cache_entries: 1024,
@@ -210,7 +225,7 @@ impl Job {
 }
 
 /// The bounded admission queue: a mutex-guarded deque plus a condvar
-/// the dispatcher sleeps on.
+/// idle workers sleep on.
 pub(crate) struct AdmissionQueue {
     state: Mutex<QueueState>,
     nonempty: Condvar,
@@ -253,14 +268,13 @@ impl AdmissionQueue {
         Ok(depth)
     }
 
-    /// Takes up to `max` jobs, blocking while the queue is empty.
+    /// Takes the oldest job, blocking while the queue is empty.
     /// `None` once the queue is closed *and* drained.
-    fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
+    fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
-            if !state.jobs.is_empty() {
-                let n = state.jobs.len().min(max.max(1));
-                return Some(state.jobs.drain(..n).collect());
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
             }
             if state.closed {
                 return None;
@@ -269,8 +283,8 @@ impl AdmissionQueue {
         }
     }
 
-    /// Closes the queue: future pushes fail, the dispatcher drains
-    /// what remains and exits.
+    /// Closes the queue: future pushes fail, the workers drain what
+    /// remains and exit.
     fn close(&self) {
         self.state.lock().expect("queue lock").closed = true;
         self.nonempty.notify_all();
@@ -284,7 +298,7 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     stats: Arc<ServeStats>,
     io: std::thread::JoinHandle<()>,
-    dispatcher: std::thread::JoinHandle<Option<obs::Recording>>,
+    pool: std::thread::JoinHandle<Option<obs::Recording>>,
 }
 
 impl ServerHandle {
@@ -299,7 +313,7 @@ impl ServerHandle {
     }
 
     /// Waits for shutdown, returning the final statistics and — when
-    /// the server was observing — the dispatcher's obs recording.
+    /// the server was observing — the workers' obs recording.
     ///
     /// # Errors
     ///
@@ -311,10 +325,10 @@ impl ServerHandle {
         if self.io.join().is_err() {
             panicked.push("io");
         }
-        let rec = match self.dispatcher.join() {
+        let rec = match self.pool.join() {
             Ok(rec) => rec,
             Err(_) => {
-                panicked.push("dispatcher");
+                panicked.push("pool");
                 None
             }
         };
@@ -329,6 +343,8 @@ impl ServerHandle {
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) stats: Arc<ServeStats>,
+    /// The result cache's memory tier, shared with the workers.
+    memory: Arc<Mutex<LruCache>>,
     queue: AdmissionQueue,
     shutdown: AtomicBool,
     local_addr: SocketAddr,
@@ -340,16 +356,18 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Validates and admits one compute request, minting the job that
-    /// will answer through `reply`. On `Err` the caller still owns
-    /// the response path (the reply handle is dropped unanswered —
-    /// encode the error into the connection's slot instead).
+    /// Validates one compute request, then answers it from the memory
+    /// tier — `Ok(Some(payload))`, and `reply` is dropped unused — or
+    /// admits it into the queue as a job that will answer through
+    /// `reply` (`Ok(None)`). On `Err` the reply handle is dropped
+    /// unanswered too: the caller encodes the error into the
+    /// connection's slot instead.
     pub(crate) fn admit(
         &self,
         request: Request,
         deadline_ms: u32,
         reply: Reply,
-    ) -> Result<(), ServeError> {
+    ) -> Result<Option<Vec<u8>>, ServeError> {
         validate(&request)?;
 
         let req_ctr = match &request {
@@ -358,6 +376,17 @@ impl Shared {
             Request::Explore { .. } => &self.stats.req_explore,
             _ => unreachable!("is_compute"),
         };
+        let key = CacheKey::for_request(&request.encode(), request.effort_steps());
+        let hit = self
+            .memory
+            .lock()
+            .expect("no thread panics while holding the LRU lock")
+            .get(key);
+        if let Some(payload) = hit {
+            req_ctr.fetch_add(1, Ordering::Relaxed);
+            self.stats.cache_hit_mem.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some(payload));
+        }
 
         let effective_ms = if deadline_ms > 0 {
             deadline_ms
@@ -369,8 +398,6 @@ impl Shared {
         } else {
             Duration::from_millis(u64::from(effective_ms))
         };
-
-        let key = CacheKey::for_request(&request.encode(), request.effort_steps());
         let job = Job {
             request,
             key,
@@ -382,7 +409,7 @@ impl Shared {
             Ok(depth) => {
                 req_ctr.fetch_add(1, Ordering::Relaxed);
                 self.stats.observe_queue_depth(depth as u64);
-                Ok(())
+                Ok(None)
             }
             Err(e) => {
                 if matches!(e, ServeError::QueueFull { .. }) {
@@ -394,7 +421,7 @@ impl Shared {
     }
 }
 
-/// Binds the listener and spawns the reactor and dispatcher threads.
+/// Binds the listener and spawns the reactor and worker-pool threads.
 ///
 /// # Errors
 ///
@@ -416,16 +443,17 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         queue: AdmissionQueue::new(config.queue_cap),
         stats: Arc::clone(&stats),
+        memory: cache.memory_tier(),
         shutdown: AtomicBool::new(false),
         local_addr,
         config,
     });
 
-    let dispatcher = {
+    let pool = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("adgen-serve-dispatch".to_string())
-            .spawn(move || run_dispatcher(&shared, cache))?
+            .name("adgen-serve-pool".to_string())
+            .spawn(move || run_pool(&shared, cache))?
     };
 
     let io = {
@@ -439,14 +467,14 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         local_addr,
         stats,
         io,
-        dispatcher,
+        pool,
     })
 }
 
 /// Mirrors the cache's take-delta counters into the shared atomics.
-/// Called at dispatcher start (entries quarantined by the open-time
-/// rescan must be visible to a `Stats` probe before any batch runs)
-/// and after every batch.
+/// Called at pool start (entries quarantined by the open-time rescan
+/// must be visible to a `Stats` probe before any job runs) and after
+/// every cache access.
 fn mirror_cache_deltas(shared: &Shared, cache: &mut ResultCache) {
     for (delta, ctr) in [
         (cache.take_disk_evictions(), &shared.stats.disk_evictions),
@@ -462,131 +490,221 @@ fn mirror_cache_deltas(shared: &Shared, cache: &mut ResultCache) {
     }
 }
 
-fn run_dispatcher(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
+/// What the workers share.
+struct Pool<'a> {
+    shared: &'a Shared,
+    library: Library,
+    /// Both cache tiers. Disk I/O happens under this lock, which the
+    /// event thread never takes: it reads the memory tier through
+    /// [`Shared::admit`] alone.
+    cache: Mutex<ResultCache>,
+    /// Keys being computed, each with the jobs waiting on it.
+    in_flight: Mutex<HashMap<CacheKey, Vec<Job>>>,
+    /// Each taken job's recording with its admission instant, when
+    /// observing.
+    recordings: Mutex<Vec<(Instant, obs::Recording)>>,
+}
+
+/// Runs `jobs` workers until the queue is closed and drained: this
+/// thread and `jobs - 1` more. Returns the spliced recording when
+/// observing.
+fn run_pool(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
     if shared.config.observe {
         obs::start();
     }
-    let library = Library::vcl018();
     mirror_cache_deltas(shared, &mut cache);
-
-    while let Some(batch) = shared.queue.pop_batch(shared.config.batch_max) {
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let _batch_span = obs::span_arg("serve.batch", batch.len() as u64);
-
-        // Partition: expired at dequeue, cache hits, misses. Misses
-        // sharing a cache key coalesce into one group (single-flight:
-        // the dispatcher is the only computing thread, so same-batch
-        // duplicates are exactly the concurrent identical requests).
-        let mut groups: Vec<(CacheKey, Vec<Job>)> = Vec::new();
-        let mut group_index: std::collections::HashMap<CacheKey, usize> =
-            std::collections::HashMap::new();
-        for job in batch {
-            if job.expired() {
-                shared
-                    .stats
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                let waited_ms = job.waited_ms();
-                job.fail(ServeError::Deadline { waited_ms });
-                continue;
-            }
-            if let Some(&idx) = group_index.get(&job.key) {
-                groups[idx].1.push(job);
-                continue;
-            }
-            match cache.get(job.key) {
-                Some((payload, tier)) => {
-                    let ctr = match tier {
-                        Tier::Memory => &shared.stats.cache_hit_mem,
-                        Tier::Disk => &shared.stats.cache_hit_disk,
-                    };
-                    ctr.fetch_add(1, Ordering::Relaxed);
-                    job.reply.send(payload);
-                }
-                None => {
-                    shared.stats.cache_miss.fetch_add(1, Ordering::Relaxed);
-                    group_index.insert(job.key, groups.len());
-                    groups.push((job.key, vec![job]));
-                }
+    let pool = Pool {
+        shared,
+        library: Library::vcl018(),
+        cache: Mutex::new(cache),
+        in_flight: Mutex::new(HashMap::new()),
+        recordings: Mutex::new(Vec::new()),
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..resolve_jobs(shared.config.jobs) {
+            let spawned = std::thread::Builder::new()
+                .name("adgen-serve-worker".to_string())
+                .spawn_scoped(scope, || pool.work());
+            if let Err(e) = spawned {
+                // Fewer workers is slower, not wrong.
+                eprintln!("adgen-serve: could not start a worker ({e}); continuing with fewer");
+                break;
             }
         }
-        if groups.is_empty() {
-            continue;
+        pool.work();
+    });
+
+    if !shared.config.observe {
+        return None;
+    }
+    let mut recordings = pool
+        .recordings
+        .into_inner()
+        .expect("no worker panics while holding the recordings lock");
+    recordings.sort_by_key(|(admitted, _)| *admitted);
+    for (_, rec) in recordings {
+        obs::splice(rec);
+    }
+    // Mirror the atomics into the typed obs counters — one `add` per
+    // counter, at exit, so totals are jobs-invariant. The high-water
+    // counter's total IS the high-water mark.
+    let s = shared.stats.snapshot();
+    for (ctr, v) in [
+        (obs::Ctr::ServeReqMap, s.req_map),
+        (obs::Ctr::ServeReqSynthesize, s.req_synthesize),
+        (obs::Ctr::ServeReqExplore, s.req_explore),
+        (obs::Ctr::ServeReqControl, s.req_control),
+        (obs::Ctr::ServeCacheHitMem, s.cache_hit_mem),
+        (obs::Ctr::ServeCacheHitDisk, s.cache_hit_disk),
+        (obs::Ctr::ServeCacheMiss, s.cache_miss),
+        (obs::Ctr::ServeQueueHighWater, s.queue_high_water),
+        (obs::Ctr::ServeDeadline, s.deadline_expired),
+        (obs::Ctr::ServeShed, s.shed),
+        (obs::Ctr::ServeCoalesceLeaders, s.coalesce_leaders),
+        (obs::Ctr::ServeCoalesceWaiters, s.coalesce_waiters),
+        (obs::Ctr::ServeDiskEvictions, s.disk_evictions),
+        (obs::Ctr::ServeReactorWakeups, s.reactor_wakeups),
+        (obs::Ctr::ServeCacheCorrupt, s.cache_corrupt),
+        (obs::Ctr::ServeDiskWriteErrors, s.disk_write_errors),
+        (obs::Ctr::ServeConnMalformed, s.conn_malformed),
+        (obs::Ctr::ServeConnTimedOut, s.conn_timed_out),
+    ] {
+        if v > 0 {
+            obs::add(ctr, v);
         }
-        for (_, members) in &groups {
-            if members.len() > 1 {
-                shared
-                    .stats
-                    .coalesce_leaders
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .coalesce_waiters
-                    .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
+    }
+    Some(obs::take())
+}
+
+impl Pool<'_> {
+    /// One worker: takes jobs one at a time until the queue closes.
+    fn work(&self) {
+        while let Some(job) = self.shared.queue.pop() {
+            self.shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+            let admitted = job.admitted;
+            let ((), rec) = obs::capture(|| {
+                let _span = obs::span("serve.batch");
+                self.take(job);
+            });
+            if self.shared.config.observe {
+                self.recordings
+                    .lock()
+                    .expect("no worker panics while holding the recordings lock")
+                    .push((admitted, rec));
             }
         }
-
-        // Fan the distinct misses across the worker pool. Each worker
-        // handles one request serially; group-level parallelism is
-        // the only parallelism, which keeps responses independent of
-        // `jobs`.
-        let responses = par_map(&groups, shared.config.jobs, |_, (_, members)| {
-            execute(&members[0].request, &library).encode()
-        });
-
-        for ((key, members), payload) in groups.into_iter().zip(responses) {
-            // A computed result is cached even when every member's
-            // deadline lapsed mid-computation: the client's retry
-            // (and any coalesced waiter's) then hits.
-            cache.put(key, payload.clone());
-            for job in members {
-                if job.expired() {
-                    shared
-                        .stats
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    let waited_ms = job.waited_ms();
-                    job.fail(ServeError::Deadline { waited_ms });
-                } else {
-                    job.reply.send(payload.clone());
-                }
-            }
-        }
-        mirror_cache_deltas(shared, &mut cache);
     }
 
-    if shared.config.observe {
-        // Mirror the atomics into the typed obs counters — one `add`
-        // per counter, at exit, so totals are jobs-invariant. The
-        // high-water counter's total IS the high-water mark.
-        let s = shared.stats.snapshot();
-        for (ctr, v) in [
-            (obs::Ctr::ServeReqMap, s.req_map),
-            (obs::Ctr::ServeReqSynthesize, s.req_synthesize),
-            (obs::Ctr::ServeReqExplore, s.req_explore),
-            (obs::Ctr::ServeReqControl, s.req_control),
-            (obs::Ctr::ServeCacheHitMem, s.cache_hit_mem),
-            (obs::Ctr::ServeCacheHitDisk, s.cache_hit_disk),
-            (obs::Ctr::ServeCacheMiss, s.cache_miss),
-            (obs::Ctr::ServeQueueHighWater, s.queue_high_water),
-            (obs::Ctr::ServeDeadline, s.deadline_expired),
-            (obs::Ctr::ServeShed, s.shed),
-            (obs::Ctr::ServeCoalesceLeaders, s.coalesce_leaders),
-            (obs::Ctr::ServeCoalesceWaiters, s.coalesce_waiters),
-            (obs::Ctr::ServeDiskEvictions, s.disk_evictions),
-            (obs::Ctr::ServeReactorWakeups, s.reactor_wakeups),
-            (obs::Ctr::ServeCacheCorrupt, s.cache_corrupt),
-            (obs::Ctr::ServeDiskWriteErrors, s.disk_write_errors),
-            (obs::Ctr::ServeConnMalformed, s.conn_malformed),
-            (obs::Ctr::ServeConnTimedOut, s.conn_timed_out),
-        ] {
-            if v > 0 {
-                obs::add(ctr, v);
+    /// Answers one job: expired at dequeue, parked behind the leader
+    /// of its key, or led to a payload shared with its waiters.
+    fn take(&self, job: Job) {
+        let stats = &self.shared.stats;
+        if job.expired() {
+            stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            let waited_ms = job.waited_ms();
+            job.fail(ServeError::Deadline { waited_ms });
+            return;
+        }
+        let key = job.key;
+        {
+            let mut in_flight = self.in_flight();
+            if let Some(waiters) = in_flight.get_mut(&key) {
+                stats.coalesce_waiters.fetch_add(1, Ordering::Relaxed);
+                waiters.push(job);
+                return;
+            }
+            in_flight.insert(key, Vec::new());
+        }
+        let (payload, computed) = self.lead(&job);
+        let waiters = self
+            .in_flight()
+            .remove(&key)
+            .expect("only the leader takes its key out of the table");
+        if !waiters.is_empty() {
+            stats.coalesce_leaders.fetch_add(1, Ordering::Relaxed);
+        }
+        for member in std::iter::once(job).chain(waiters) {
+            if member.expired() {
+                stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+                let waited_ms = member.waited_ms();
+                member.fail(ServeError::Deadline { waited_ms });
+            } else {
+                member.reply.send(payload.clone());
             }
         }
-        Some(obs::take())
-    } else {
-        None
+        if computed {
+            release_freed_memory();
+        }
+    }
+
+    /// The leader's payload — a hit from either tier, or a fresh
+    /// computation, cached before it is returned — and whether it was
+    /// computed. A computed result is cached even when every member's
+    /// deadline lapsed meanwhile, so the clients' retries hit. A
+    /// panicking computation is answered with a typed error and never
+    /// cached.
+    fn lead(&self, job: &Job) -> (Vec<u8>, bool) {
+        let stats = &self.shared.stats;
+        if let Some((payload, tier)) = self.with_cache(|cache| cache.get(job.key)) {
+            let ctr = match tier {
+                Tier::Memory => &stats.cache_hit_mem,
+                Tier::Disk => &stats.cache_hit_disk,
+            };
+            ctr.fetch_add(1, Ordering::Relaxed);
+            return (payload, false);
+        }
+        stats.cache_miss.fetch_add(1, Ordering::Relaxed);
+        let computed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // Only `stall` and `panic` mean anything at this site, and
+            // both act inside `fire`.
+            let _ = faults::fire(&self.shared.config.faults, "serve.compute");
+            execute(&job.request, &self.library).encode()
+        }));
+        let payload = match computed {
+            Ok(payload) => {
+                self.with_cache(|cache| cache.put(job.key, payload.clone()));
+                payload
+            }
+            Err(_) => {
+                Response::Error(ServeError::Internal("computation panicked".to_string())).encode()
+            }
+        };
+        (payload, true)
+    }
+
+    /// Runs `f` on the cache, then mirrors its disk-tier counters.
+    fn with_cache<R>(&self, f: impl FnOnce(&mut ResultCache) -> R) -> R {
+        let mut cache = self
+            .cache
+            .lock()
+            .expect("no worker panics while holding the cache lock");
+        let r = f(&mut cache);
+        mirror_cache_deltas(self.shared, &mut cache);
+        r
+    }
+
+    fn in_flight(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Vec<Job>>> {
+        self.in_flight
+            .lock()
+            .expect("no worker panics while holding the in-flight lock")
+    }
+}
+
+/// Returns the heap pages a computation freed to the OS. Each worker
+/// allocates from its own malloc arena, and an arena keeps what its
+/// largest computations freed, so without this the resident set
+/// creeps up with every miss computed, once per worker.
+fn release_freed_memory() {
+    #[cfg(target_env = "gnu")]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: takes only an integer; glibc walks its arenas under
+        // their own locks, so any thread may call it at any time.
+        unsafe {
+            malloc_trim(0);
+        }
     }
 }
 
@@ -666,9 +784,9 @@ fn execute(request: &Request, library: &Library) -> Response {
             if *fsm_state_limit > 0 {
                 options.fsm_state_limit = *fsm_state_limit as usize;
             }
-            // Serial evaluation: the dispatcher's `par_map` over the
-            // batch is the only parallelism, keeping every response
-            // payload independent of the worker count.
+            // Serial evaluation: one request per worker is the only
+            // parallelism, keeping every response payload independent
+            // of the worker count.
             let eval = evaluate(&seq, shape, library, &options);
             let pareto = pareto_frontier(&eval.candidates)
                 .into_iter()
@@ -684,9 +802,9 @@ fn execute(request: &Request, library: &Library) -> Response {
                 rejected: eval.rejected.len() as u32,
             }
         }
-        // Control kinds never reach the dispatcher.
+        // Control kinds never reach the workers.
         Request::Ping | Request::Stats | Request::Shutdown => Response::Error(
-            ServeError::Internal("control request routed to the dispatcher".to_string()),
+            ServeError::Internal("control request routed to a worker".to_string()),
         ),
     }
 }
@@ -848,10 +966,9 @@ mod tests {
             Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
             other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
         }
-        // Draining frees capacity again.
-        let batch = q.pop_batch(8).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(q.push(dummy_job(&cq, 4)).unwrap(), 1);
+        // Taking a job frees capacity again.
+        assert!(q.pop().is_some());
+        assert_eq!(q.push(dummy_job(&cq, 4)).unwrap(), 2);
     }
 
     #[test]
@@ -864,20 +981,23 @@ mod tests {
             q.push(dummy_job(&cq, 2)),
             Err(ServeError::Internal(_))
         ));
-        assert_eq!(q.pop_batch(8).unwrap().len(), 1, "drains remaining work");
-        assert!(q.pop_batch(8).is_none(), "then reports closed");
+        assert!(q.pop().is_some(), "drains remaining work");
+        assert!(q.pop().is_none(), "then reports closed");
     }
 
     #[test]
-    fn pop_batch_respects_the_batch_cap() {
+    fn pop_takes_jobs_in_admission_order() {
         let (cq, _wake_rx) = CompletionQueue::loopback();
         let q = AdmissionQueue::new(8);
-        for ticket in 0..5 {
+        for ticket in 0..3 {
             q.push(dummy_job(&cq, ticket)).unwrap();
         }
-        assert_eq!(q.pop_batch(2).unwrap().len(), 2);
-        assert_eq!(q.pop_batch(2).unwrap().len(), 2);
-        assert_eq!(q.pop_batch(2).unwrap().len(), 1);
+        q.close();
+        while let Some(job) = q.pop() {
+            job.reply.send(Vec::new());
+        }
+        let order: Vec<u64> = cq.drain().iter().map(|c| c.ticket).collect();
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
@@ -918,26 +1038,42 @@ mod tests {
         .is_ok());
     }
 
-    #[test]
-    fn a_batch_of_identical_misses_computes_once_and_coalesces() {
-        // Drives the dispatcher directly over a closed queue, so the
-        // batch composition — three identical misses plus one
-        // distinct — is exact, making the single-flight accounting
-        // deterministic (unlike the e2e variant, which depends on
-        // concurrent arrival timing).
-        let dir = std::env::temp_dir().join(format!("adgen-serve-coalesce-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Server state over a fresh cache, with no reactor attached.
+    fn unbound(config: ServeConfig) -> (Shared, ResultCache) {
+        let cache = ResultCache::new_with(
+            config.cache_entries,
+            config.cache_dir.as_deref(),
+            0,
+            config.faults.clone(),
+        )
+        .unwrap();
         let shared = Shared {
-            config: ServeConfig {
-                jobs: 1,
-                cache_dir: Some(dir.clone()),
-                ..ServeConfig::default()
-            },
             stats: Arc::new(ServeStats::default()),
+            memory: cache.memory_tier(),
             queue: AdmissionQueue::new(16),
             shutdown: AtomicBool::new(false),
             local_addr: "127.0.0.1:0".parse().unwrap(),
+            config,
         };
+        (shared, cache)
+    }
+
+    #[test]
+    fn identical_misses_wait_on_the_in_flight_leader() {
+        // Two workers over a closed queue of K identical misses. The
+        // leader's computation is stalled, so the other worker takes
+        // every duplicate while the key is still in flight: exactly
+        // one computation, whichever worker leads.
+        const K: u64 = 4;
+        let dir = std::env::temp_dir().join(format!("adgen-serve-coalesce-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = crate::faults::FaultPlan::parse("stall@serve.compute#1").unwrap();
+        let (shared, cache) = unbound(ServeConfig {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            faults: Some(Arc::new(plan)),
+            ..ServeConfig::default()
+        });
         let (cq, _wake_rx) = CompletionQueue::loopback();
         let identical = Request::Synthesize {
             sequence: vec![0, 1, 2, 3],
@@ -946,69 +1082,70 @@ mod tests {
             effort_steps: 0,
             generator: protocol::Generator::Fsm,
         };
-        for ticket in 0..3 {
-            shared
-                .admit(identical.clone(), 0, Reply::new(Arc::clone(&cq), 0, ticket))
-                .unwrap();
+        for ticket in 0..K {
+            let reply = Reply::new(Arc::clone(&cq), 0, ticket);
+            assert_eq!(shared.admit(identical.clone(), 0, reply).unwrap(), None);
         }
-        shared
-            .admit(
-                Request::MapSequence {
-                    sequence: vec![0, 0, 1, 1],
-                },
-                0,
-                Reply::new(Arc::clone(&cq), 0, 3),
-            )
-            .unwrap();
         shared.queue.close();
-        let cache = ResultCache::new(16, shared.config.cache_dir.as_deref(), 0).unwrap();
-        run_dispatcher(&shared, cache);
+        run_pool(&shared, cache);
 
-        let mut completions = cq.drain();
-        completions.sort_by_key(|c| c.ticket);
-        assert_eq!(completions.len(), 4, "every admitted job was answered");
-        assert_eq!(
-            completions[0].payload, completions[1].payload,
-            "waiters get the leader's exact bytes"
-        );
-        assert_eq!(completions[0].payload, completions[2].payload);
+        let completions = cq.drain();
+        assert_eq!(completions.len(), K as usize, "every job was answered");
+        for c in &completions[1..] {
+            assert_eq!(
+                c.payload, completions[0].payload,
+                "waiters get the leader's exact bytes"
+            );
+        }
         assert!(matches!(
             Response::decode(&completions[0].payload).unwrap(),
             Response::Synthesized(_)
         ));
-        assert!(matches!(
-            Response::decode(&completions[3].payload).unwrap(),
-            Response::Mapped(_)
-        ));
-
         let s = shared.stats.snapshot();
-        assert_eq!(s.cache_miss, 2, "one compute per DISTINCT request");
-        assert_eq!(s.coalesce_leaders, 1);
-        assert_eq!(s.coalesce_waiters, 2);
+        assert_eq!(s.cache_miss, 1, "one computation");
+        assert_eq!((s.coalesce_leaders, s.coalesce_waiters), (1, K - 1));
         assert_eq!(s.cache_hit_mem + s.cache_hit_disk, 0);
+        assert_eq!(s.batches, K, "every job was taken by a worker");
 
-        // The coalesced group's single computation populated the
-        // cache: a fresh dispatcher over the same disk tier answers
-        // the identical request without recomputing.
-        let shared2 = Shared {
-            config: shared.config.clone(),
-            stats: Arc::new(ServeStats::default()),
-            queue: AdmissionQueue::new(16),
-            shutdown: AtomicBool::new(false),
-            local_addr: "127.0.0.1:0".parse().unwrap(),
-        };
-        shared2
-            .admit(identical, 0, Reply::new(Arc::clone(&cq), 0, 10))
-            .unwrap();
+        // The single computation populated the disk tier: a fresh pool
+        // over it answers the same request without computing.
+        let (shared2, cache2) = unbound(ServeConfig {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let reply = Reply::new(Arc::clone(&cq), 0, 10);
+        assert_eq!(shared2.admit(identical, 0, reply).unwrap(), None);
         shared2.queue.close();
-        let cache2 = ResultCache::new(16, shared2.config.cache_dir.as_deref(), 0).unwrap();
-        run_dispatcher(&shared2, cache2);
+        run_pool(&shared2, cache2);
         let replay = cq.drain();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].payload, completions[0].payload);
         let s2 = shared2.stats.snapshot();
         assert_eq!((s2.cache_miss, s2.cache_hit_disk), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_hits_are_answered_at_admission() {
+        let (shared, cache) = unbound(ServeConfig::default());
+        let (cq, _wake_rx) = CompletionQueue::loopback();
+        let request = Request::MapSequence {
+            sequence: vec![0, 0, 1, 1],
+        };
+        let miss = Reply::new(Arc::clone(&cq), 0, 0);
+        assert_eq!(shared.admit(request.clone(), 0, miss).unwrap(), None);
+        shared.queue.close();
+        run_pool(&shared, cache);
+        let computed = cq.drain().remove(0).payload;
+
+        // The queue is closed, so only the memory tier can answer.
+        let hit = Reply::new(Arc::clone(&cq), 0, 1);
+        assert_eq!(shared.admit(request, 0, hit).unwrap(), Some(computed));
+        assert!(cq.drain().is_empty(), "a hit needs no completion");
+        let s = shared.stats.snapshot();
+        assert_eq!((s.req_map, s.cache_miss, s.cache_hit_mem), (2, 1, 1));
+        assert_eq!(s.batches, 1, "only the miss reached a worker");
     }
 
     #[test]
@@ -1024,12 +1161,12 @@ mod tests {
             std::thread::yield_now();
         }
         std::panic::set_hook(prev_hook);
-        let dispatcher = std::thread::Builder::new().spawn(|| None).unwrap();
+        let pool = std::thread::Builder::new().spawn(|| None).unwrap();
         let handle = ServerHandle {
             local_addr: "127.0.0.1:0".parse().unwrap(),
             stats: Arc::new(ServeStats::default()),
             io,
-            dispatcher,
+            pool,
         };
         match handle.join() {
             Err(ServeError::WorkerPanicked(which)) => assert!(which.contains("io")),

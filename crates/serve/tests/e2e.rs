@@ -3,13 +3,18 @@
 //!
 //! Covers version-mismatch rejection at the handshake, jobs-invariant
 //! response payloads, in-order answers to a deep pipeline on one
-//! connection, cache hits on repeats (including the effort-budget key
-//! separation observed over the wire), deadline expiration with the
-//! result still cached, single-flight coalescing of concurrent
-//! identical misses, typed shedding under overload, idle-connection
-//! reaping by the staleness tick, quarantine-and-recompute on a
-//! corrupted disk entry, and a clean client-initiated shutdown with
-//! accurate final statistics.
+//! connection (including a hit pipelined behind a miss), cache hits
+//! on repeats (including the effort-budget key separation observed
+//! over the wire), deadline expiration with the result still cached,
+//! single-flight coalescing of concurrent identical misses, a
+//! contained panic in a computation, typed shedding under overload,
+//! idle-connection reaping by the staleness tick,
+//! quarantine-and-recompute on a corrupted disk entry, and a clean
+//! client-initiated shutdown with accurate final statistics.
+//!
+//! Tests that need a computation to stay in flight hold it with the
+//! fault plan's `stall@serve.compute` directive, so they do not
+//! depend on how fast the computation is.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -21,14 +26,23 @@ use adgen_serve::protocol::{
     encode_request_frame, read_frame, read_hello_reply, write_frame, write_hello, HANDSHAKE_OK,
 };
 use adgen_serve::{
-    serve, Client, ClientError, Generator, MapOutcome, Request, Response, ServeConfig, ServeError,
-    StatsSnapshot, PROTOCOL_VERSION,
+    serve, Client, ClientError, FaultPlan, Generator, MapOutcome, Request, Response, ServeConfig,
+    ServeError, StatsSnapshot, PROTOCOL_VERSION,
 };
 use adgen_synth::Encoding;
 
 fn test_config() -> ServeConfig {
     ServeConfig {
         jobs: 1,
+        ..ServeConfig::default()
+    }
+}
+
+/// A server config with `jobs` workers and the fault plan `spec`.
+fn faulty_config(jobs: usize, spec: &str) -> ServeConfig {
+    ServeConfig {
+        jobs,
+        faults: Some(Arc::new(FaultPlan::parse(spec).expect("valid fault spec"))),
         ..ServeConfig::default()
     }
 }
@@ -55,6 +69,18 @@ fn stats_of(client: &mut Client) -> StatsSnapshot {
         Response::Stats(s) => s,
         other => panic!("expected stats, got {other:?}"),
     }
+}
+
+/// Polls the server's statistics until `done` holds for them.
+fn wait_for_stats(addr: &str, done: impl Fn(&StatsSnapshot) -> bool) {
+    let mut probe = Client::connect(addr).expect("connect probe");
+    for _ in 0..10_000 {
+        if done(&stats_of(&mut probe)) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("the server never reached the awaited statistics");
 }
 
 /// A small mixed workload touching every compute kind.
@@ -250,6 +276,53 @@ fn a_deep_pipeline_on_one_connection_is_answered_in_order() {
 }
 
 #[test]
+fn a_hit_pipelined_behind_a_miss_is_answered_after_it() {
+    // The first computation warms the hit; the second, the pipelined
+    // miss, is stalled. The hit is ready at once but must still leave
+    // after the miss's answer.
+    let hot = Request::MapSequence {
+        sequence: vec![0, 0, 1, 1],
+    };
+    let cold = Request::MapSequence {
+        sequence: vec![0, 0, 0, 1, 1, 1],
+    };
+    let (addr, handle) = start(faulty_config(1, "stall@serve.compute#2"));
+    let mut client = Client::connect(&addr).expect("connect");
+    let hot_payload = client.call_raw(&hot, 0).expect("warm the hit");
+
+    let mut sock = TcpStream::connect(&addr).expect("connect raw socket");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write_hello(&mut sock, PROTOCOL_VERSION).expect("hello");
+    assert_eq!(
+        read_hello_reply(&mut sock).expect("hello reply").0,
+        HANDSHAKE_OK
+    );
+    let mut burst = Vec::new();
+    for req in [&cold, &hot] {
+        write_frame(&mut burst, &encode_request_frame(req, 0)).expect("vec write");
+    }
+    sock.write_all(&burst).expect("pipelined write");
+    let first = read_frame(&mut sock).expect("first answer").expect("frame");
+    let second = read_frame(&mut sock)
+        .expect("second answer")
+        .expect("frame");
+    drop(sock);
+
+    assert_eq!(
+        first,
+        client.call_raw(&cold, 0).expect("cold repeat"),
+        "the miss is answered first"
+    );
+    assert_eq!(second, hot_payload, "the hit is answered second");
+    let stats = stats_of(&mut client);
+    assert_eq!(stats.cache_miss, 2, "warm-up and the pipelined miss");
+    assert_eq!(stats.cache_hit_mem, 2, "the pipelined hit and the repeat");
+    drop(client);
+    shut_down(&addr, handle);
+}
+
+#[test]
 fn repeats_hit_the_cache_and_effort_budgets_never_alias() {
     let (addr, handle) = start(test_config());
     let mut client = Client::connect(&addr).expect("connect");
@@ -434,11 +507,11 @@ fn a_bounded_disk_tier_evicts_and_recomputes_instead_of_erroring() {
 
 #[test]
 fn an_expired_deadline_is_a_typed_error_and_the_result_is_still_cached() {
-    let (addr, handle) = start(test_config());
+    // The stall holds the computation past the 100 ms deadline, so
+    // the worker finishes the work, caches it, and answers with the
+    // typed expiration.
+    let (addr, handle) = start(faulty_config(1, "stall@serve.compute#1"));
     let mut client = Client::connect(&addr).expect("connect");
-    // Full synthesis + STA of a 24-state FSM takes well over the
-    // 1 ms deadline, so the dispatcher finishes the work, caches
-    // it, and answers with the typed expiration.
     let req = Request::Synthesize {
         sequence: (0..24).collect(),
         encoding: Encoding::Binary,
@@ -446,8 +519,8 @@ fn an_expired_deadline_is_a_typed_error_and_the_result_is_still_cached() {
         effort_steps: 0,
         generator: Generator::Fsm,
     };
-    match client.call(&req, 1).unwrap() {
-        Response::Error(ServeError::Deadline { waited_ms: _ }) => {}
+    match client.call(&req, 100).unwrap() {
+        Response::Error(ServeError::Deadline { waited_ms }) => assert!(waited_ms >= 100),
         other => panic!("expected a deadline expiration, got {other:?}"),
     }
     // The retry is answered from the cache — same request,
@@ -462,95 +535,69 @@ fn an_expired_deadline_is_a_typed_error_and_the_result_is_still_cached() {
     assert_eq!(stats.cache_hit_mem, 1, "the retry hit");
 }
 
-/// A compute request slow enough (tens of milliseconds) to occupy
-/// the single dispatcher thread while other requests pile into the
-/// admission queue.
-fn blocker_request() -> Request {
-    Request::Explore {
-        sequence: (0..256).collect(),
-        width: 16,
-        height: 16,
-        fsm_state_limit: 0,
-    }
-}
-
 #[test]
 fn concurrent_identical_misses_coalesce_into_one_computation() {
     const K: usize = 4;
-    // Whether the K identical requests land in one dispatcher batch
-    // depends on the blocker still computing when they arrive, so
-    // the observation is retried on a fresh server; the correctness
-    // properties (byte-identical payloads, typed responses) are
-    // asserted on every attempt. The batch-grouping itself is
-    // deterministic and unit-tested in the server module — this test
-    // is about the counters being observable over the wire from real
-    // concurrent clients.
-    let mut coalesced = false;
-    for _attempt in 0..5 {
-        let (addr, handle) = start(test_config());
-
-        // Pre-connect every client so the only post-blocker work
-        // is the send itself.
-        let mut blocker_client = Client::connect(&addr).expect("connect blocker");
-        let clients: Vec<Client> = (0..K)
-            .map(|_| Client::connect(&addr).expect("connect worker"))
-            .collect();
-
-        // Occupy the dispatcher with a slow unique request so the
-        // K identical ones below are all queued when it next
-        // drains — landing in one batch, where single-flight
-        // grouping happens.
-        let blocker = std::thread::spawn(move || blocker_client.call_raw(&blocker_request(), 0));
-        std::thread::sleep(Duration::from_millis(10));
-
-        let identical = Request::Synthesize {
-            sequence: vec![0, 3, 1, 2, 3, 0],
-            encoding: Encoding::Gray,
-            num_lines: 4,
-            effort_steps: 0,
-            generator: Generator::Fsm,
-        };
-        let workers: Vec<_> = clients
-            .into_iter()
-            .map(|mut c| {
-                let req = identical.clone();
-                std::thread::spawn(move || c.call_raw(&req, 0).expect("worker call"))
+    // Two workers, and the leader's computation is stalled: every
+    // duplicate reaches the other worker while the key is in flight
+    // and waits on the leader instead of computing.
+    let (addr, handle) = start(faulty_config(2, "stall@serve.compute#1"));
+    let identical = Request::Synthesize {
+        sequence: vec![0, 3, 1, 2, 3, 0],
+        encoding: Encoding::Gray,
+        num_lines: 4,
+        effort_steps: 0,
+        generator: Generator::Fsm,
+    };
+    let barrier = Arc::new(Barrier::new(K));
+    let workers: Vec<_> = (0..K)
+        .map(|_| {
+            let mut c = Client::connect(&addr).expect("connect worker");
+            let (req, barrier) = (identical.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                c.call_raw(&req, 0).expect("worker call")
             })
-            .collect();
-
-        let payloads: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        blocker.join().unwrap().expect("blocker call");
-        for p in &payloads[1..] {
-            assert_eq!(
-                &payloads[0], p,
-                "every client gets the same exact bytes for the same request"
-            );
-        }
-        match Response::decode(&payloads[0]).unwrap() {
-            Response::Synthesized(_) => {}
-            other => panic!("expected a synthesis report, got {other:?}"),
-        }
-
-        let mut probe = Client::connect(&addr).expect("connect probe");
-        let stats = stats_of(&mut probe);
-        drop(probe);
-        shut_down(&addr, handle);
-
-        if stats.coalesce_leaders == 1
-            && stats.coalesce_waiters == K as u64 - 1
-            && stats.cache_miss == 2
-        {
-            // Exactly two computations — the blocker and ONE for
-            // the whole identical group — and the counters prove
-            // the other K-1 requests waited on the leader.
-            coalesced = true;
-            break;
-        }
+        })
+        .collect();
+    let payloads: Vec<Vec<u8>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    for p in &payloads[1..] {
+        assert_eq!(
+            &payloads[0], p,
+            "every client gets the same exact bytes for the same request"
+        );
     }
-    assert!(
-        coalesced,
-        "no attempt landed all {K} identical requests in one coalesced group"
-    );
+    match Response::decode(&payloads[0]).unwrap() {
+        Response::Synthesized(_) => {}
+        other => panic!("expected a synthesis report, got {other:?}"),
+    }
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.cache_miss, 1, "one computation for the whole group");
+    assert_eq!(stats.coalesce_leaders, 1);
+    assert_eq!(stats.coalesce_waiters, K as u64 - 1);
+}
+
+#[test]
+fn a_panicking_computation_is_a_typed_error_and_the_worker_survives() {
+    let (addr, handle) = start(faulty_config(1, "panic@serve.compute#1"));
+    let mut client = Client::connect(&addr).expect("connect");
+    let req = Request::MapSequence {
+        sequence: vec![0, 0, 1, 1, 2, 2],
+    };
+    match client.call(&req, 0).unwrap() {
+        Response::Error(ServeError::Internal(_)) => {}
+        other => panic!("expected a typed internal error, got {other:?}"),
+    }
+    // The failure was not cached, and the only worker still runs: the
+    // same request computes and succeeds.
+    match client.call(&req, 0).unwrap() {
+        Response::Mapped(MapOutcome::Mapped { .. }) => {}
+        other => panic!("expected a mapping, got {other:?}"),
+    }
+    drop(client);
+    let stats = shut_down(&addr, handle);
+    assert_eq!(stats.cache_miss, 2, "the retry recomputed");
+    assert_eq!(stats.cache_hit_mem, 0);
 }
 
 #[test]
@@ -657,29 +704,31 @@ fn find_cache_entry(dir: &std::path::Path) -> Option<PathBuf> {
 #[test]
 fn overload_is_shed_with_typed_rejections_not_hangs() {
     const CONNS: usize = 8;
-    // A one-slot admission queue and a busy dispatcher: most of
-    // the burst below must be rejected, and every rejection must
+    // A one-slot admission queue and a busy worker: most of the
+    // burst below must be rejected, and every rejection must
     // be the typed QueueFull — never a hang or a reset.
     let (addr, handle) = start(ServeConfig {
-        jobs: 1,
         queue_cap: 1,
-        ..ServeConfig::default()
+        ..faulty_config(1, "stall@serve.compute#1")
     });
 
-    let blocker_addr = addr.clone();
+    // The stalled blocker occupies the only worker; the burst is
+    // released once the worker has taken it.
+    let mut blocker_client = Client::connect(&addr).expect("connect blocker");
     let blocker = std::thread::spawn(move || {
-        let mut c = Client::connect(&blocker_addr).expect("connect blocker");
-        c.call_raw(&blocker_request(), 0).expect("blocker call")
+        let req = Request::MapSequence {
+            sequence: vec![0, 0, 1, 1],
+        };
+        blocker_client.call_raw(&req, 0).expect("blocker call")
     });
-    std::thread::sleep(Duration::from_millis(30));
+    wait_for_stats(&addr, |s| s.batches == 1);
 
     let barrier = Arc::new(Barrier::new(CONNS));
     let workers: Vec<_> = (0..CONNS)
         .map(|i| {
-            let addr = addr.clone();
+            let mut c = Client::connect(&addr).expect("connect worker");
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).expect("connect worker");
                 c.set_read_timeout(Some(Duration::from_secs(60)))
                     .expect("read timeout");
                 // Unique per connection, so nothing coalesces or

@@ -5,7 +5,11 @@
 #   1. formatting        (cargo fmt --check)
 #   2. lints             (clippy, warnings are errors)
 #   3. tier-1 build      (release, all targets)
-#   4. tier-1 tests      (full workspace)
+#   4. tier-1 tests      (full workspace, then the serve e2e suite
+#                         again under the release profile: its
+#                         tests hold computations with fault-plan
+#                         stalls, so they must not depend on how
+#                         fast compute is)
 #   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases)
 #   6. fault smoke       (fixed-seed fault campaign, 4x4 array,
 #                         full select-line stuck-at list)
@@ -87,6 +91,9 @@ cargo build --release --workspace --all-targets
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> serve e2e (release profile)"
+cargo test --release -q -p adgen-serve --test e2e
 
 echo "==> fuzz smoke (fixed seed, deterministic)"
 cargo run --release -p adgen-fuzz -- --iters 200 --seed 1
