@@ -17,16 +17,19 @@
 //! cargo run --release -p adgen-bench --bin simbench -- --seed 7 --iters 5
 //! ```
 //!
-//! Results land in `BENCH_sim.json`. The process exits nonzero if the
+//! A full-size run records its results in `BENCH_sim.json`; a `--smoke`
+//! run writes `target/bench-smoke/BENCH_sim.json` instead, so CI never
+//! overwrites the committed record. The process exits nonzero if the
 //! sliced and scalar classifications diverge (any mode), or if the
 //! full-size run fails its performance contract: at least an 8x
 //! speedup over the scalar engine on the 8x8 universe.
 //!
 //! Observability (see `DESIGN.md` §9): `--trace FILE` writes a Chrome
 //! trace-event JSON, `--metrics` prints the deterministic profile and
-//! appends a `"metrics"` block to `BENCH_sim.json`.
+//! appends a `"metrics"` block to the record.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -112,8 +115,17 @@ fn main() -> ExitCode {
         iters
     );
 
+    let record = if smoke {
+        let dir = Path::new("target/bench-smoke");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warning: could not create {}: {e}", dir.display());
+        }
+        dir.join("BENCH_sim.json")
+    } else {
+        PathBuf::from("BENCH_sim.json")
+    };
     let mut sink = ObsJsonSink::new(
-        "BENCH_sim.json",
+        record,
         obs_args,
         SimState {
             shape,

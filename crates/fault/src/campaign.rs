@@ -86,14 +86,18 @@ pub enum Classification {
     Benign,
 }
 
-fn stimulus(num_inputs: usize, cycle: u32) -> Vec<bool> {
-    let mut v = vec![false; num_inputs];
-    if cycle == 0 {
-        v[0] = true;
-    } else if num_inputs > 1 {
-        v[1] = true;
+/// The campaign drive as two input vectors, built once per replay or
+/// pass: the reset vector for cycle 0 (`reset` high) and the run
+/// vector for every later cycle (`next` high, if the design has it).
+fn stimulus(netlist: &Netlist) -> (Vec<bool>, Vec<bool>) {
+    let num_inputs = netlist.inputs().len();
+    let mut reset = vec![false; num_inputs];
+    reset[0] = true;
+    let mut run = vec![false; num_inputs];
+    if num_inputs > 1 {
+        run[1] = true;
     }
-    v
+    (reset, run)
 }
 
 /// The shared replay body: injects `fault` into any engine through
@@ -107,9 +111,8 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
     if let Some(Fault::StuckAt { net, value }) = fault {
         sim.force_net(net, if value { Logic::One } else { Logic::Zero });
     }
-    let num_inputs = spec.netlist.inputs().len();
-    sim.step_bools(&stimulus(num_inputs, 0))
-        .expect("reset step");
+    let (reset, run) = stimulus(spec.netlist);
+    sim.step_bools(&reset).expect("reset step");
     let mut outputs = Vec::with_capacity(spec.cycles as usize);
     for cycle in 1..=spec.cycles {
         if let Some(Fault::Seu { ff, cycle: c }) = fault {
@@ -117,7 +120,7 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
                 sim.upset_flip_flop(ff);
             }
         }
-        sim.step_bools(&stimulus(num_inputs, cycle)).expect("step");
+        sim.step_bools(&run).expect("step");
         outputs.push(sim.output_values());
     }
     Trace {
@@ -312,10 +315,9 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
     let mut pending = active & !1;
     let mut classes = vec![Classification::Benign; chunk.len()];
     let outs = spec.netlist.outputs();
-    let num_inputs = spec.netlist.inputs().len();
     let num_states = golden.final_states.len();
-    sim.step_bools(&stimulus(num_inputs, 0))
-        .expect("reset step");
+    let (reset, run) = stimulus(spec.netlist);
+    sim.step_bools(&reset).expect("reset step");
     for cycle in 1..=spec.cycles {
         for (k, fault) in chunk.iter().enumerate() {
             if let Fault::Seu { ff, cycle: c } = *fault {
@@ -324,7 +326,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
                 }
             }
         }
-        sim.step_bools(&stimulus(num_inputs, cycle)).expect("step");
+        sim.step_bools(&run).expect("step");
         let grow = &golden.outputs[cycle as usize - 1];
         // The alarm firing takes precedence over plain divergence,
         // exactly as in the scalar `classify`.

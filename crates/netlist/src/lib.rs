@@ -50,6 +50,7 @@ pub mod error;
 pub mod graph;
 pub mod liberty;
 pub mod power;
+mod program;
 pub mod sim;
 pub mod sim_event;
 pub mod sim_sliced;

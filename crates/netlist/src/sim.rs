@@ -13,6 +13,7 @@
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph::{InstId, NetId, Netlist};
+use crate::program::{Program, MAX_PINS};
 use adgen_obs as obs;
 
 /// Three-valued logic level.
@@ -189,10 +190,6 @@ impl ForceList {
             .map(|&(_, v)| v)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub(crate) fn entries(&self) -> &[(NetId, Logic)] {
         &self.entries
     }
@@ -233,8 +230,8 @@ pub(crate) fn upset_state_slot(netlist: &Netlist, inst: InstId, slot: &mut Logic
 }
 
 /// Collects the stored state of every sequential instance in instance
-/// order from a per-instance state vector (crate internal; the shared
-/// body of every engine's `flip_flop_states`).
+/// order from a per-instance state vector by walking the raw netlist
+/// (crate internal; the event-driven engine's `flip_flop_states`).
 pub(crate) fn collect_flip_flop_states(netlist: &Netlist, state: &[Logic]) -> Vec<Logic> {
     netlist
         .instances()
@@ -249,7 +246,7 @@ pub(crate) fn collect_flip_flop_states(netlist: &Netlist, state: &[Logic]) -> Ve
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    order: Vec<InstId>,
+    program: Program,
     values: Vec<Logic>,
     state: Vec<Logic>,
     /// Active net overrides (stuck-at faults); tiny in practice.
@@ -265,11 +262,9 @@ impl<'a> Simulator<'a> {
     ///
     /// Fails if the netlist does not [`validate`](Netlist::validate).
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        netlist.validate()?;
-        let order = netlist.comb_topo_order()?;
         Ok(Simulator {
             netlist,
-            order,
+            program: Program::compile(netlist)?,
             values: vec![Logic::X; netlist.nets().len()],
             state: vec![Logic::X; netlist.instances().len()],
             forced: ForceList::default(),
@@ -294,10 +289,6 @@ impl<'a> Simulator<'a> {
         self.forced.clear();
     }
 
-    fn forced_value(&self, net: NetId) -> Option<Logic> {
-        self.forced.get(net)
-    }
-
     /// Flips the stored state of flip-flop `inst` — a single-event
     /// upset. `0 ↔ 1`; an `X` state is left unchanged. Returns whether
     /// a flip happened. The corrupted value is presented on Q during
@@ -314,7 +305,11 @@ impl<'a> Simulator<'a> {
     /// the campaign engine compares these against a golden run to
     /// recognize latent (silent) corruption.
     pub fn flip_flop_states(&self) -> Vec<Logic> {
-        collect_flip_flop_states(self.netlist, &self.state)
+        self.program
+            .ffs
+            .iter()
+            .map(|ff| self.state[ff.inst as usize])
+            .collect()
     }
 
     /// Number of clock cycles simulated so far.
@@ -357,65 +352,7 @@ impl<'a> Simulator<'a> {
     /// Returns [`NetlistError::InputWidthMismatch`] if the slice length
     /// does not match the number of primary inputs.
     pub fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
-        let pis = self.netlist.inputs();
-        if inputs.len() != pis.len() {
-            return Err(NetlistError::InputWidthMismatch {
-                expected: pis.len(),
-                found: inputs.len(),
-            });
-        }
-        for (&net, &v) in pis.iter().zip(inputs) {
-            self.values[net.index()] = v;
-        }
-        // Present flip-flop state on Q pins.
-        for (idx, inst) in self.netlist.instances().iter().enumerate() {
-            if inst.kind().is_sequential() {
-                for &q in inst.outputs() {
-                    self.values[q.index()] = self.state[idx];
-                }
-            }
-        }
-        for &(net, v) in self.forced.entries() {
-            self.values[net.index()] = v;
-        }
-        // Settle combinational logic.
-        if self.forced.is_empty() {
-            for &id in &self.order {
-                let inst = self.netlist.instance(id);
-                let v = self.eval(inst.kind(), inst.inputs());
-                for &o in inst.outputs() {
-                    self.values[o.index()] = v;
-                }
-            }
-        } else {
-            for &id in &self.order {
-                let inst = self.netlist.instance(id);
-                let v = self.eval(inst.kind(), inst.inputs());
-                for &o in inst.outputs() {
-                    self.values[o.index()] = self.forced_value(o).unwrap_or(v);
-                }
-            }
-        }
-        self.evaluations += self.order.len() as u64;
-        if obs::enabled() {
-            obs::add(obs::Ctr::SimEvaluations, self.order.len() as u64);
-        }
-        // Capture next state.
-        let mut next = self.state.clone();
-        for (idx, inst) in self.netlist.instances().iter().enumerate() {
-            if !inst.kind().is_sequential() {
-                continue;
-            }
-            let pins: Vec<Logic> = inst
-                .inputs()
-                .iter()
-                .map(|&i| self.values[i.index()])
-                .collect();
-            next[idx] = ff_next_state(inst.kind(), self.state[idx], &pins);
-        }
-        self.state = next;
-        self.cycle += 1;
-        Ok(())
+        self.step_from(inputs.iter().copied())
     }
 
     /// Convenience wrapper over [`step`](Self::step) taking `bool`s.
@@ -424,13 +361,50 @@ impl<'a> Simulator<'a> {
     ///
     /// Same as [`step`](Self::step).
     pub fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        let v: Vec<Logic> = inputs.iter().map(|&b| Logic::from_bool(b)).collect();
-        self.step(&v)
+        self.step_from(inputs.iter().map(|&b| Logic::from_bool(b)))
     }
 
-    fn eval(&self, kind: CellKind, inputs: &[NetId]) -> Logic {
-        let pins: Vec<Logic> = inputs.iter().map(|&i| self.values[i.index()]).collect();
-        eval_gate(kind, &pins)
+    /// The shared step body: drive inputs, present state on Q, apply
+    /// forces, settle the gates in program order, capture next state.
+    fn step_from(
+        &mut self,
+        inputs: impl ExactSizeIterator<Item = Logic>,
+    ) -> Result<(), NetlistError> {
+        let pis = self.netlist.inputs();
+        if inputs.len() != pis.len() {
+            return Err(NetlistError::InputWidthMismatch {
+                expected: pis.len(),
+                found: inputs.len(),
+            });
+        }
+        let values = &mut self.values;
+        for (&net, v) in pis.iter().zip(inputs) {
+            values[net.index()] = v;
+        }
+        for ff in &self.program.ffs {
+            values[ff.q as usize] = self.state[ff.inst as usize];
+        }
+        for &(net, v) in self.forced.entries() {
+            values[net.index()] = v;
+        }
+        let pins = |values: &[Logic], ins: &[u32; MAX_PINS]| ins.map(|i| values[i as usize]);
+        for g in &self.program.gates {
+            let v = eval_gate(g.kind, &pins(values, &g.ins));
+            values[g.out as usize] = self.forced.get(NetId(g.out)).unwrap_or(v);
+        }
+        let gates = self.program.gates.len() as u64;
+        self.evaluations += gates;
+        if obs::enabled() {
+            obs::add(obs::Ctr::SimEvaluations, gates);
+        }
+        // Capture next state in place: pins read settled nets, never
+        // another flip-flop's stored state.
+        for ff in &self.program.ffs {
+            let slot = &mut self.state[ff.inst as usize];
+            *slot = ff_next_state(ff.kind, *slot, &pins(values, &ff.ins));
+        }
+        self.cycle += 1;
+        Ok(())
     }
 }
 
@@ -469,6 +443,10 @@ impl SimControl for Simulator<'_> {
 
     fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
         Simulator::step(self, inputs)
+    }
+
+    fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
+        Simulator::step_bools(self, inputs)
     }
 }
 
@@ -783,6 +761,55 @@ mod tests {
         let ff = n.inst_id_from_index(0);
         let mut sim = Simulator::new(&n).unwrap();
         assert!(!sim.upset_flip_flop(ff), "power-up X cannot flip");
+    }
+
+    /// Every combinational cell, alone in a netlist with one primary
+    /// input per pin, under every `0/1/X` pin combination: the
+    /// compiled program must agree with the event-driven engine, which
+    /// walks the raw netlist. A pin-order slip in the compiler shows
+    /// up here as an asymmetric gate (mux, AOI/OAI) disagreeing.
+    #[test]
+    fn compiled_gates_match_the_raw_netlist_walk_on_every_input() {
+        const LEVELS: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
+        for kind in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
+            let mut n = Netlist::new(kind.name());
+            let pins: Vec<NetId> = (0..kind.num_inputs())
+                .map(|i| n.add_input(format!("p{i}")))
+                .collect();
+            let y = n.gate(kind, &pins).unwrap();
+            n.add_output(y);
+            let mut compiled = Simulator::new(&n).unwrap();
+            let mut raw = crate::EventSimulator::new(&n).unwrap();
+            for combo in 0..3usize.pow(pins.len() as u32) {
+                let mut inputs = vec![Logic::Zero];
+                inputs.extend((0..pins.len()).map(|i| LEVELS[combo / 3usize.pow(i as u32) % 3]));
+                compiled.step(&inputs).unwrap();
+                raw.step(&inputs).unwrap();
+                assert_eq!(compiled.value(y), raw.value(y), "{kind:?} on {inputs:?}");
+            }
+        }
+    }
+
+    /// The exact `sim.evaluations` accounting holds with a force
+    /// active: every gate counts once per cycle, forced or not.
+    #[test]
+    fn evaluations_are_cycles_times_gates_with_a_force_active() {
+        let mut n = Netlist::new("acct");
+        let a = n.add_input("a");
+        let x = n.gate(CellKind::Inv, &[a]).unwrap();
+        let y = n.gate(CellKind::Nand2, &[a, x]).unwrap();
+        let rst = n.reset();
+        let q = n.add_net("q");
+        n.add_instance("ff", CellKind::Dffr, &[y, rst], &[q])
+            .unwrap();
+        n.add_output(q);
+        let mut sim = Simulator::new(&n).unwrap();
+        sim.force_net(x, Logic::One);
+        for cycle in 0..5 {
+            sim.step_bools(&[cycle == 0, cycle % 2 == 1]).unwrap();
+        }
+        assert_eq!(sim.evaluations(), 5 * 2);
+        assert_eq!(sim.value(x), Logic::One, "the force held");
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph::{InstId, NetId, Netlist};
+use crate::program::Program;
 use crate::sim::{Logic, SimControl};
 use adgen_obs as obs;
 
@@ -142,8 +143,9 @@ fn pk_mux(d0: Pk, d1: Pk, s: Pk) -> Pk {
 }
 
 /// Word-parallel combinational evaluation, lane-for-lane identical to
-/// the scalar `eval_gate`.
-fn eval_gate_pk(kind: CellKind, v: &dyn Fn(usize) -> Pk) -> Pk {
+/// the scalar `eval_gate`; `v(i)` reads input pin `i`.
+#[inline(always)]
+fn eval_gate_pk(kind: CellKind, v: impl Fn(usize) -> Pk) -> Pk {
     match kind {
         CellKind::Inv => pk_not(v(0)),
         CellKind::Buf => v(0),
@@ -174,7 +176,8 @@ fn eval_gate_pk(kind: CellKind, v: &dyn Fn(usize) -> Pk) -> Pk {
 /// scalar `ff_next_state`. Control pins reduce to [`pk_mux`]: an X
 /// enable merges data with the held state, an X reset/set merges the
 /// forced constant with the data path — exactly the scalar X rules.
-fn ff_next_pk(kind: CellKind, cur: Pk, pin: &dyn Fn(usize) -> Pk) -> Pk {
+#[inline(always)]
+fn ff_next_pk(kind: CellKind, cur: Pk, pin: impl Fn(usize) -> Pk) -> Pk {
     match kind {
         CellKind::Dff => pin(0),
         CellKind::Dffe => pk_mux(cur, pin(0), pin(1)),
@@ -265,12 +268,23 @@ fn tail_mask(lanes: usize, w: usize) -> u64 {
 }
 
 /// A stuck-at override on a subset of lanes: outside `mask` the net
-/// follows its driver, inside it is pinned to the stored planes.
+/// follows its driver, inside it is pinned to `pinned`.
 #[derive(Debug, Clone)]
 struct ForceRow {
-    ones: Vec<u64>,
-    xs: Vec<u64>,
+    pinned: Vec<Pk>,
     mask: Vec<u64>,
+}
+
+impl ForceRow {
+    /// Blends the pinned lanes of word `w` into `v`.
+    #[inline]
+    fn apply(&self, w: usize, v: Pk) -> Pk {
+        let (p, m) = (self.pinned[w], self.mask[w]);
+        Pk {
+            ones: (v.ones & !m) | (p.ones & m),
+            xs: (v.xs & !m) | (p.xs & m),
+        }
+    }
 }
 
 /// Sentinel for "no force on this net" in the dense index map.
@@ -283,16 +297,16 @@ const NO_FORCE: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct SlicedSimulator<'a> {
     netlist: &'a Netlist,
-    order: Vec<InstId>,
+    program: Program,
     lanes: usize,
     words: usize,
-    /// `ones` plane per net, net-major: `net.index() * words + w`.
-    val_ones: Vec<u64>,
-    /// `xs` plane per net, same layout.
-    val_xs: Vec<u64>,
-    /// Flip-flop state planes per instance, instance-major.
-    st_ones: Vec<u64>,
-    st_xs: Vec<u64>,
+    /// Net values, net-major: `net.index() * words + w`.
+    vals: Vec<Pk>,
+    /// Flip-flop state per instance, instance-major, same stride.
+    state: Vec<Pk>,
+    /// Primary-input words of the step being taken, input-major
+    /// (`k * words + w`); reused every step.
+    rows: Vec<Pk>,
     /// Dense net-index → force-row map (`NO_FORCE` = unforced).
     force_idx: Vec<u32>,
     forces: Vec<(NetId, ForceRow)>,
@@ -316,8 +330,7 @@ impl<'a> SlicedSimulator<'a> {
                 found: 0,
             });
         }
-        netlist.validate()?;
-        let order = netlist.comb_topo_order()?;
+        let program = Program::compile(netlist)?;
         let words = lanes.div_ceil(64);
         if obs::enabled() {
             obs::add(obs::Ctr::SimSlicedPasses, 1);
@@ -325,13 +338,12 @@ impl<'a> SlicedSimulator<'a> {
         }
         Ok(SlicedSimulator {
             netlist,
-            order,
+            program,
             lanes,
             words,
-            val_ones: vec![0; netlist.nets().len() * words],
-            val_xs: vec![!0; netlist.nets().len() * words],
-            st_ones: vec![0; netlist.instances().len() * words],
-            st_xs: vec![!0; netlist.instances().len() * words],
+            vals: vec![PK_X; netlist.nets().len() * words],
+            state: vec![PK_X; netlist.instances().len() * words],
+            rows: vec![PK_ZERO; netlist.inputs().len() * words],
             force_idx: vec![NO_FORCE; netlist.nets().len()],
             forces: Vec::new(),
             cycle: 0,
@@ -368,22 +380,6 @@ impl<'a> SlicedSimulator<'a> {
         self.word_ops
     }
 
-    #[inline]
-    fn read(&self, net: NetId, w: usize) -> Pk {
-        let at = net.index() * self.words + w;
-        Pk {
-            ones: self.val_ones[at],
-            xs: self.val_xs[at],
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, net: NetId, w: usize, v: Pk) {
-        let at = net.index() * self.words + w;
-        self.val_ones[at] = v.ones;
-        self.val_xs[at] = v.xs;
-    }
-
     /// Value of `net` in `lane` (as of the last step).
     ///
     /// # Panics
@@ -391,7 +387,7 @@ impl<'a> SlicedSimulator<'a> {
     /// Panics if `lane >= lanes`.
     pub fn value_lane(&self, net: NetId, lane: usize) -> Logic {
         assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
-        self.read(net, lane / 64).lane((lane % 64) as u32)
+        self.vals[net.index() * self.words + lane / 64].lane((lane % 64) as u32)
     }
 
     /// Primary-output values of `lane`, in declaration order.
@@ -416,18 +412,10 @@ impl<'a> SlicedSimulator<'a> {
     pub fn flip_flop_states_lane(&self, lane: usize) -> Vec<Logic> {
         assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
         let (w, bit) = (lane / 64, (lane % 64) as u32);
-        self.netlist
-            .instances()
+        self.program
+            .ffs
             .iter()
-            .enumerate()
-            .filter(|(_, inst)| inst.kind().is_sequential())
-            .map(|(idx, _)| {
-                Pk {
-                    ones: self.st_ones[idx * self.words + w],
-                    xs: self.st_xs[idx * self.words + w],
-                }
-                .lane(bit)
-            })
+            .map(|ff| self.state[ff.inst as usize * self.words + w].lane(bit))
             .collect()
     }
 
@@ -441,7 +429,7 @@ impl<'a> SlicedSimulator<'a> {
     pub fn packed_value(&self, net: NetId, w: usize) -> (u64, u64) {
         assert!(w < self.words, "word {w} out of {}", self.words);
         let active = tail_mask(self.lanes, w);
-        let v = self.read(net, w);
+        let v = self.vals[net.index() * self.words + w];
         (v.ones & active, v.xs & active)
     }
 
@@ -465,8 +453,7 @@ impl<'a> SlicedSimulator<'a> {
             self.forces.push((
                 net,
                 ForceRow {
-                    ones: vec![0; self.words],
-                    xs: vec![0; self.words],
+                    pinned: vec![PK_ZERO; self.words],
                     mask: vec![0; self.words],
                 },
             ));
@@ -477,8 +464,9 @@ impl<'a> SlicedSimulator<'a> {
         for w in 0..self.words {
             let m = mask.word(w) & tail_mask(self.lanes, w);
             row.mask[w] |= m;
-            row.ones[w] = (row.ones[w] & !m) | (pv.ones & m);
-            row.xs[w] = (row.xs[w] & !m) | (pv.xs & m);
+            let p = &mut row.pinned[w];
+            p.ones = (p.ones & !m) | (pv.ones & m);
+            p.xs = (p.xs & !m) | (pv.xs & m);
         }
     }
 
@@ -512,9 +500,9 @@ impl<'a> SlicedSimulator<'a> {
         );
         let mut flipped = LaneMask::none(self.lanes);
         for w in 0..self.words {
-            let at = inst.index() * self.words + w;
-            let hit = mask.word(w) & !self.st_xs[at] & tail_mask(self.lanes, w);
-            self.st_ones[at] ^= hit;
+            let st = &mut self.state[inst.index() * self.words + w];
+            let hit = mask.word(w) & !st.xs & tail_mask(self.lanes, w);
+            st.ones ^= hit;
             flipped.words[w] = hit;
         }
         flipped
@@ -527,16 +515,7 @@ impl<'a> SlicedSimulator<'a> {
     /// Returns [`NetlistError::InputWidthMismatch`] on a wrong-width
     /// stimulus.
     pub fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
-        let pis = self.netlist.inputs();
-        if inputs.len() != pis.len() {
-            return Err(NetlistError::InputWidthMismatch {
-                expected: pis.len(),
-                found: inputs.len(),
-            });
-        }
-        let rows: Vec<Pk> = inputs.iter().map(|&v| Pk::broadcast(v)).collect();
-        self.step_rows(&rows);
-        Ok(())
+        self.step_broadcast(inputs.iter().copied())
     }
 
     /// Convenience wrapper over [`step`](Self::step) taking `bool`s.
@@ -545,8 +524,7 @@ impl<'a> SlicedSimulator<'a> {
     ///
     /// Same as [`step`](Self::step).
     pub fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        let v: Vec<Logic> = inputs.iter().map(|&b| Logic::from_bool(b)).collect();
-        self.step(&v)
+        self.step_broadcast(inputs.iter().map(|&b| Logic::from_bool(b)))
     }
 
     /// Advances one clock cycle with an independent stimulus per
@@ -573,11 +551,11 @@ impl<'a> SlicedSimulator<'a> {
             });
         }
         // Transpose the per-lane stimulus into per-input plane words.
-        let mut rows = vec![PK_ZERO; pis.len() * self.words];
+        self.rows.fill(PK_ZERO);
         for (lane, inputs) in per_lane.iter().enumerate() {
             let (w, bit) = (lane / 64, lane % 64);
             for (k, &v) in inputs.iter().enumerate() {
-                let row = &mut rows[k * self.words + w];
+                let row = &mut self.rows[k * self.words + w];
                 match v {
                     Logic::Zero => {}
                     Logic::One => row.ones |= 1u64 << bit,
@@ -585,121 +563,104 @@ impl<'a> SlicedSimulator<'a> {
                 }
             }
         }
-        self.step_rows_strided(&rows);
+        self.step_rows();
         Ok(())
     }
 
-    /// The shared step body for a broadcast stimulus (one row per
-    /// primary input, applied to every word).
-    fn step_rows(&mut self, rows: &[Pk]) {
-        let words = self.words;
-        let expanded: Vec<Pk> = rows
-            .iter()
-            .flat_map(|&r| std::iter::repeat_n(r, words))
-            .collect();
-        self.step_rows_strided(&expanded);
+    /// Fills every word of each input's row with its broadcast value,
+    /// then steps.
+    fn step_broadcast(
+        &mut self,
+        inputs: impl ExactSizeIterator<Item = Logic>,
+    ) -> Result<(), NetlistError> {
+        let expected = self.netlist.inputs().len();
+        if inputs.len() != expected {
+            return Err(NetlistError::InputWidthMismatch {
+                expected,
+                found: inputs.len(),
+            });
+        }
+        for (row, v) in self.rows.chunks_exact_mut(self.words).zip(inputs) {
+            row.fill(Pk::broadcast(v));
+        }
+        self.step_rows();
+        Ok(())
     }
 
-    /// One cycle from pre-packed input planes (`rows[k * words + w]`
-    /// is input `k`, word `w`): drive inputs, present state on Q,
-    /// apply forces, settle in topological order, capture next state.
-    fn step_rows_strided(&mut self, rows: &[Pk]) {
+    /// One cycle from the input words in `rows`: drive inputs, present
+    /// state on Q, apply forces, settle the gates in program order,
+    /// capture next state. A one-word simulator (`lanes <= 64`) runs
+    /// its own copy of the kernel with the word stride folded to 1.
+    fn step_rows(&mut self) {
         let words = self.words;
-        let mut step_word_ops = 0u64;
-        let mut step_evals = 0u64;
-        // Drive primary inputs.
-        for (k, &net) in self.netlist.inputs().iter().enumerate() {
-            for w in 0..words {
-                self.write(net, w, rows[k * words + w]);
-            }
+        if words == 1 {
+            step_kernel(self, 1);
+        } else {
+            step_kernel(self, words);
         }
-        // Present flip-flop state on Q pins.
-        for (idx, inst) in self.netlist.instances().iter().enumerate() {
-            if inst.kind().is_sequential() {
-                for &q in inst.outputs() {
-                    for w in 0..words {
-                        let at = idx * words + w;
-                        self.write(
-                            q,
-                            w,
-                            Pk {
-                                ones: self.st_ones[at],
-                                xs: self.st_xs[at],
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        // Pin forced lanes before settling so flip-flop sampling and
-        // fanout both see the overrides, as in the scalar engines.
-        for fi in 0..self.forces.len() {
-            let net = self.forces[fi].0;
-            for w in 0..words {
-                let v = self.apply_force(fi, w, self.read(net, w));
-                self.write(net, w, v);
-            }
-        }
-        // Settle combinational logic in topological order.
-        for oi in 0..self.order.len() {
-            let id = self.order[oi];
-            let inst = self.netlist.instance(id);
-            let kind = inst.kind();
-            let num_outputs = inst.outputs().len();
-            for w in 0..words {
-                let v = {
-                    let inputs = inst.inputs();
-                    eval_gate_pk(kind, &|i| self.read(inputs[i], w))
-                };
-                step_evals += 1;
-                for o in 0..num_outputs {
-                    let net = self.netlist.instance(id).outputs()[o];
-                    let v = match self.force_idx[net.index()] {
-                        NO_FORCE => v,
-                        fi => self.apply_force(fi as usize, w, v),
-                    };
-                    self.write(net, w, v);
-                }
-            }
-        }
-        // Capture next state. In-place is safe: pins read settled net
-        // values, never another flip-flop's stored state.
-        for (idx, inst) in self.netlist.instances().iter().enumerate() {
-            if !inst.kind().is_sequential() {
-                continue;
-            }
-            for w in 0..words {
-                let at = idx * words + w;
-                let cur = Pk {
-                    ones: self.st_ones[at],
-                    xs: self.st_xs[at],
-                };
-                let next = {
-                    let inputs = inst.inputs();
-                    ff_next_pk(inst.kind(), cur, &|i| self.read(inputs[i], w))
-                };
-                self.st_ones[at] = next.ones;
-                self.st_xs[at] = next.xs;
-                step_word_ops += 1;
-            }
-        }
-        step_word_ops += step_evals;
-        self.evaluations += step_evals;
-        self.word_ops += step_word_ops;
+        let gate_words = self.program.gates.len() as u64 * words as u64;
+        let ff_words = self.program.ffs.len() as u64 * words as u64;
+        self.evaluations += gate_words;
+        self.word_ops += gate_words + ff_words;
         self.cycle += 1;
         if obs::enabled() {
-            obs::add(obs::Ctr::SimEvaluations, step_evals);
-            obs::add(obs::Ctr::SimSlicedWordOps, step_word_ops);
+            obs::add(obs::Ctr::SimEvaluations, gate_words);
+            obs::add(obs::Ctr::SimSlicedWordOps, gate_words + ff_words);
         }
     }
+}
 
-    /// Blends force row `fi`'s pinned lanes into `v` for word `w`.
-    fn apply_force(&self, fi: usize, w: usize, v: Pk) -> Pk {
-        let row = &self.forces[fi].1;
-        let m = row.mask[w];
-        Pk {
-            ones: (v.ones & !m) | (row.ones[w] & m),
-            xs: (v.xs & !m) | (row.xs[w] & m),
+/// The sliced step body over a `words`-word stride. Always inlined,
+/// so a call with a literal stride compiles to a loop nest with the
+/// stride folded in.
+#[inline(always)]
+fn step_kernel(sim: &mut SlicedSimulator<'_>, words: usize) {
+    let SlicedSimulator {
+        netlist,
+        program,
+        vals,
+        state,
+        rows,
+        force_idx,
+        forces,
+        ..
+    } = sim;
+    for (row, &net) in rows.chunks_exact(words).zip(netlist.inputs()) {
+        let at = net.index() * words;
+        vals[at..at + words].copy_from_slice(row);
+    }
+    for ff in &program.ffs {
+        let (q, s) = (ff.q as usize * words, ff.inst as usize * words);
+        vals[q..q + words].copy_from_slice(&state[s..s + words]);
+    }
+    // Pin forced lanes before settling so flip-flop sampling and
+    // fanout both see the overrides, as in the scalar engines.
+    for (net, row) in forces.iter() {
+        for w in 0..words {
+            let at = net.index() * words + w;
+            vals[at] = row.apply(w, vals[at]);
+        }
+    }
+    for g in &program.gates {
+        let out = g.out as usize;
+        let force = match force_idx[out] {
+            NO_FORCE => None,
+            fi => Some(&forces[fi as usize].1),
+        };
+        for w in 0..words {
+            let v = eval_gate_pk(g.kind, |i| vals[g.ins[i] as usize * words + w]);
+            vals[out * words + w] = match force {
+                None => v,
+                Some(row) => row.apply(w, v),
+            };
+        }
+    }
+    // Capture next state in place: pins read settled nets, never
+    // another flip-flop's stored state.
+    for ff in &program.ffs {
+        for w in 0..words {
+            let at = ff.inst as usize * words + w;
+            state[at] = ff_next_pk(ff.kind, state[at], |i| vals[ff.ins[i] as usize * words + w]);
         }
     }
 }
@@ -744,6 +705,10 @@ impl SimControl for SlicedSimulator<'_> {
 
     fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
         SlicedSimulator::step(self, inputs)
+    }
+
+    fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
+        SlicedSimulator::step_bools(self, inputs)
     }
 }
 
@@ -928,6 +893,68 @@ mod tests {
     fn zero_lanes_is_rejected() {
         let (n, _, _) = ring_netlist();
         assert!(SlicedSimulator::new(&n, 0).is_err());
+    }
+
+    /// The one-word kernel (64 lanes) against the multi-word one (65
+    /// lanes): the same lane-masked stuck-ats and SEUs, including the
+    /// top lanes 62 and 63 of the first word, must leave lanes 0..63
+    /// identical on every net and flip-flop, every cycle.
+    #[test]
+    fn one_word_and_two_word_kernels_agree_lane_for_lane() {
+        let (n, q, ffs) = ring_netlist();
+        let mut one = SlicedSimulator::new(&n, 64).unwrap();
+        let mut two = SlicedSimulator::new(&n, 65).unwrap();
+        let forces = [
+            (q[2], Logic::One, [3, 62]),
+            (q[0], Logic::Zero, [17, 63]),
+            (n.inputs()[1], Logic::X, [40, 62]),
+        ];
+        for (net, value, lanes) in forces {
+            for sim in [&mut one, &mut two] {
+                let mut mask = LaneMask::none(sim.lanes());
+                lanes.iter().for_each(|&l| mask.set(l));
+                sim.force_net_lanes(net, value, &mask);
+            }
+        }
+        let upsets = [
+            (3, ffs[1], [62, 5]),
+            (6, ffs[3], [63, 0]),
+            (9, ffs[0], [62, 63]),
+        ];
+        let mut lcg = 0xface_u64;
+        for cycle in 0..24 {
+            for &(at, ff, lanes) in &upsets {
+                if at == cycle {
+                    for sim in [&mut one, &mut two] {
+                        let mut mask = LaneMask::none(sim.lanes());
+                        lanes.iter().for_each(|&l| mask.set(l));
+                        sim.upset_flip_flop_lanes(ff, &mask);
+                    }
+                }
+            }
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let r = lcg >> 33;
+            let inputs = [cycle == 0 || r.is_multiple_of(9), r & 2 != 0, r & 4 != 0];
+            one.step_bools(&inputs).unwrap();
+            two.step_bools(&inputs).unwrap();
+            for lane in 0..64 {
+                for i in 0..n.nets().len() {
+                    let id = n.net_id_from_index(i);
+                    assert_eq!(
+                        one.value_lane(id, lane),
+                        two.value_lane(id, lane),
+                        "cycle {cycle} lane {lane} net {}",
+                        n.net(id).name()
+                    );
+                }
+                assert_eq!(
+                    one.flip_flop_states_lane(lane),
+                    two.flip_flop_states_lane(lane),
+                    "cycle {cycle} lane {lane} states"
+                );
+            }
+        }
+        assert_eq!(one.evaluations() * 2, two.evaluations(), "word accounting");
     }
 
     /// Per-lane stimulus: every lane runs a different input stream

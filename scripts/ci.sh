@@ -17,7 +17,9 @@
 #                         by default now that replays are bit-sliced)
 #   8. simbench smoke    (bit-sliced vs scalar fault replay on the
 #                         4x4 universe; fails if the two engines
-#                         classify any fault differently)
+#                         classify any fault differently; writes its
+#                         record under target/bench-smoke/, leaving
+#                         the committed full-size BENCH_sim.json alone)
 #   9. obs stage         (exporter goldens + jobs-invariance tests,
 #                         then an overhead guard: the instrumented
 #                         fuzz smoke must stay within 5% + 1s of the
