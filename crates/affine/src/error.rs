@@ -44,6 +44,29 @@ impl std::fmt::Display for AffineError {
 
 impl std::error::Error for AffineError {}
 
+/// Why [`crate::price::price_affine`] could not price a fit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AffinePriceError {
+    /// The programmable AGU could not be elaborated.
+    Elaborate(AffineError),
+    /// The residual FSM could not be synthesized.
+    Residual(SynthError),
+    /// Timing analysis of the AGU or the residual FSM failed.
+    Timing(NetlistError),
+}
+
+impl std::fmt::Display for AffinePriceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AffinePriceError::Elaborate(e) => e.fmt(f),
+            AffinePriceError::Residual(e) => write!(f, "residual FSM: {e}"),
+            AffinePriceError::Timing(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for AffinePriceError {}
+
 impl From<NetlistError> for AffineError {
     fn from(e: NetlistError) -> Self {
         AffineError::Netlist(e)

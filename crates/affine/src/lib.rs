@@ -26,6 +26,8 @@
 //!   reset to a baked-in default program (XOR-default storage), so
 //!   the same circuit works both freshly reset inside a fault
 //!   campaign and reprogrammed over the chain.
+//! * [`price`] — [`price_affine`]: the family's one delay/area price,
+//!   the AGU beside a binary FSM for any residual.
 //!
 //! The three simulation engines (levelized, event-driven, bit-sliced)
 //! and the STA/area reports all drive the emitted netlist unchanged.
@@ -33,9 +35,11 @@
 pub mod error;
 pub mod mapper;
 pub mod netlist;
+pub mod price;
 pub mod spec;
 
-pub use error::AffineError;
+pub use error::{AffineError, AffinePriceError};
 pub use mapper::{fit_sequence, AffineFit, MAX_MAP_LEN};
 pub use netlist::{AffineAgNetlist, AffineOutputs};
+pub use price::{price_affine, PricedAffine};
 pub use spec::{AffineLevel, AffineSimulator, AffineSpec, MAX_ADDR_WIDTH, MAX_CNT_WIDTH};

@@ -19,8 +19,8 @@
 //! requested step.
 
 use adgen_exec::par_map;
-use adgen_netlist::{AreaReport, Library, TimingAnalysis};
-use adgen_synth::{Encoding, Fsm, OutputStyle};
+use adgen_netlist::{Library, Price};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle};
 
 use crate::error::BankError;
 use crate::netlist::FoldAgNetlist;
@@ -256,17 +256,6 @@ fn solve_bit(stream: &[u32], j: u32, cnt_bits: u32) -> Option<(Vec<u32>, bool)> 
     Some((terms, invert))
 }
 
-/// Synthesis-backed price of one generator implementation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenPrice {
-    /// Cell area from [`AreaReport`], library units.
-    pub area: f64,
-    /// Critical path in picoseconds.
-    pub delay_ps: f64,
-    /// Sequential cost (flip-flop count).
-    pub flip_flops: usize,
-}
-
 /// Which implementation a priced bank settled on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratorChoice {
@@ -288,9 +277,9 @@ pub struct PricedBank {
     /// Distinct residue FSM states (0 when fully linear).
     pub residue_states: usize,
     /// Price of the decomposed generator.
-    pub decomposed: GenPrice,
+    pub decomposed: Price,
     /// Price of the monolithic FSM over the same stream.
-    pub monolithic: GenPrice,
+    pub monolithic: Price,
     /// The cheaper (by area) implementation.
     pub choice: GeneratorChoice,
 }
@@ -319,43 +308,24 @@ impl BankPlan {
 }
 
 /// Prices the decomposed generator: the fold netlist (mod-`len`
-/// counter + XOR trees) for the linear bits, plus a binary-encoded
-/// FSM replaying the packed residue. Area/flip-flops add; delay is
-/// the max of the two clock domains' critical paths.
+/// counter + XOR trees) for the linear bits, beside a binary-encoded
+/// FSM replaying the packed residue.
 ///
 /// # Errors
 ///
 /// Netlist construction, timing analysis or residue synthesis
 /// failures.
-pub fn price_decomposed(d: &Decomposition, library: &Library) -> Result<GenPrice, BankError> {
-    let mut area = 0.0;
-    let mut delay_ps = 0.0f64;
-    let mut flip_flops = 0;
+pub fn price_decomposed(d: &Decomposition, library: &Library) -> Result<Price, BankError> {
+    let mut price = Price::default();
     if d.linear_bits() > 0 {
         let fold = FoldAgNetlist::elaborate(d)?;
-        let t = TimingAnalysis::run(&fold.netlist, library)?;
-        area += AreaReport::of(&fold.netlist, library).total();
-        delay_ps = delay_ps.max(t.critical_path_ps());
-        flip_flops += fold.netlist.num_flip_flops();
+        price = price.beside(Price::of(&fold.netlist, library)?);
     }
     if !d.is_fully_linear() {
-        let fsm = Fsm::cyclic_sequence(&d.residue)?;
-        let syn = fsm.synthesize(
-            Encoding::Binary,
-            OutputStyle::BinaryAddress {
-                bits: d.residue_bits() as usize,
-            },
-        )?;
-        let t = TimingAnalysis::run(&syn.netlist, library)?;
-        area += AreaReport::of(&syn.netlist, library).total();
-        delay_ps = delay_ps.max(t.critical_path_ps());
-        flip_flops += syn.netlist.num_flip_flops();
+        let bits = d.residue_bits() as usize;
+        price = price.beside(price_binary_fsm(&d.residue, bits, library)?);
     }
-    Ok(GenPrice {
-        area,
-        delay_ps,
-        flip_flops,
-    })
+    Ok(price)
 }
 
 /// Prices the monolithic alternative: one binary-encoded FSM whose
@@ -364,17 +334,18 @@ pub fn price_decomposed(d: &Decomposition, library: &Library) -> Result<GenPrice
 /// # Errors
 ///
 /// Synthesis or timing failures.
-pub fn price_monolithic(stream: &[u32], library: &Library) -> Result<GenPrice, BankError> {
+pub fn price_monolithic(stream: &[u32], library: &Library) -> Result<Price, BankError> {
     let max = stream.iter().copied().max().unwrap_or(0);
     let bits = ((32 - max.leading_zeros()).max(1)) as usize;
-    let fsm = Fsm::cyclic_sequence(stream)?;
-    let syn = fsm.synthesize(Encoding::Binary, OutputStyle::BinaryAddress { bits })?;
-    let t = TimingAnalysis::run(&syn.netlist, library)?;
-    Ok(GenPrice {
-        area: AreaReport::of(&syn.netlist, library).total(),
-        delay_ps: t.critical_path_ps(),
-        flip_flops: syn.netlist.num_flip_flops(),
-    })
+    price_binary_fsm(stream, bits, library)
+}
+
+/// The binary-encoded cyclic FSM over `stream`, `bits` wide, at the
+/// default synthesis effort.
+fn price_binary_fsm(stream: &[u32], bits: usize, library: &Library) -> Result<Price, BankError> {
+    let style = OutputStyle::BinaryAddress { bits };
+    let budget = EffortBudget::synthesis_default();
+    Ok(price_cyclic(stream, Encoding::Binary, style, budget, library)?.price)
 }
 
 /// Decomposes and prices every bank's local stream (one worker per

@@ -128,6 +128,15 @@ impl From<adgen_synth::SynthError> for BankError {
     }
 }
 
+impl From<adgen_synth::PriceError> for BankError {
+    fn from(e: adgen_synth::PriceError) -> Self {
+        match e {
+            adgen_synth::PriceError::Synth(e) => e.into(),
+            adgen_synth::PriceError::Timing(e) => e.into(),
+        }
+    }
+}
+
 impl From<adgen_affine::AffineError> for BankError {
     fn from(e: adgen_affine::AffineError) -> Self {
         BankError::Affine(e.to_string())

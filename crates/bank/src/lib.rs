@@ -36,7 +36,7 @@ pub mod schedule;
 pub mod workloads;
 
 pub use decompose::{
-    plan_banks, price_decomposed, price_monolithic, BankPlan, BitPlan, Decomposition, GenPrice,
+    plan_banks, price_decomposed, price_monolithic, BankPlan, BitPlan, Decomposition,
     GeneratorChoice, PricedBank, MAX_DECOMPOSE_LEN,
 };
 pub use error::BankError;

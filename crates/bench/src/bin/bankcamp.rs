@@ -21,14 +21,15 @@
 //! cargo run --release -p adgen-bench --bin bankcamp -- --jobs 4 --seed 7
 //! ```
 //!
-//! Campaign runs write `BENCH_bank.json`. Observability: `--trace
-//! FILE` and `--metrics` behave as in the other campaign bins
-//! (`DESIGN.md` §9).
+//! Full-size runs write `BENCH_bank.json`; `--smoke` runs write
+//! `target/bench-smoke/BENCH_bank.json` and leave the committed record
+//! alone. Observability: `--trace FILE` and `--metrics` behave as in
+//! the other campaign bins (`DESIGN.md` §9).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
 
 use adgen_bank::{BankMap, GeneratorChoice, Interleaver};
 use adgen_explorer::{compare_banked, BankedComparison};
@@ -86,7 +87,7 @@ fn main() -> ExitCode {
     println!("bankcamp: n={n}, {banks} banks x window {window}, high-bits map, seed {seed}");
 
     let mut sink = ObsJsonSink::new(
-        "BENCH_bank.json",
+        record_path("BENCH_bank.json", smoke),
         obs_args,
         BankState {
             n,

@@ -16,14 +16,16 @@
 //! cargo run --release -p adgen-bench --bin explore4 -- --jobs 4 --seed 7
 //! ```
 //!
-//! Campaign runs write `BENCH_explore.json` with one block per
-//! workload. Observability: `--trace FILE` and `--metrics` behave as
-//! in the other campaign bins (`DESIGN.md` §9).
+//! Full-size runs write `BENCH_explore.json` with one block per
+//! workload; `--smoke` runs write
+//! `target/bench-smoke/BENCH_explore.json` and leave the committed
+//! record alone. Observability: `--trace FILE` and `--metrics` behave
+//! as in the other campaign bins (`DESIGN.md` §9).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
 use adgen_bench::Fig7Recipe;
 
 use adgen_explorer::{compare_four_way, verify_affine_bit_exact, FourWayComparison};
@@ -83,7 +85,7 @@ fn main() -> ExitCode {
     );
 
     let mut sink = ObsJsonSink::new(
-        "BENCH_explore.json",
+        record_path("BENCH_explore.json", smoke),
         obs_args,
         ExploreState {
             shape,

@@ -29,11 +29,10 @@
 //! appends a `"metrics"` block to the record.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
 use adgen_bench::Fig7Recipe;
 
 use adgen_core::composite::Srag2d;
@@ -115,17 +114,8 @@ fn main() -> ExitCode {
         iters
     );
 
-    let record = if smoke {
-        let dir = Path::new("target/bench-smoke");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-        }
-        dir.join("BENCH_sim.json")
-    } else {
-        PathBuf::from("BENCH_sim.json")
-    };
     let mut sink = ObsJsonSink::new(
-        record,
+        record_path("BENCH_sim.json", smoke),
         obs_args,
         SimState {
             shape,

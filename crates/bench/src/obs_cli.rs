@@ -17,9 +17,24 @@
 //! the panic) is still written. Previously an aborted run lost all of
 //! both.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use adgen_obs as obs;
+
+/// Where a bench binary writes its `name` record (`BENCH_*.json`):
+/// the committed file in the current directory for a full-size run,
+/// `target/bench-smoke/` for a `--smoke` run, so CI smokes never
+/// overwrite the committed records.
+pub fn record_path(name: &str, smoke: bool) -> PathBuf {
+    if !smoke {
+        return PathBuf::from(name);
+    }
+    let dir = Path::new("target/bench-smoke");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warning: could not create {}: {e}", dir.display());
+    }
+    dir.join(name)
+}
 
 /// The parsed observability flags of a bench binary.
 #[derive(Debug, Default, Clone)]

@@ -1,6 +1,6 @@
 //! Candidate enumeration and evaluation for one address sequence.
 
-use adgen_affine::{fit_sequence, AffineAgNetlist};
+use adgen_affine::{fit_sequence, price_affine};
 use adgen_bank::{price_decomposed, Decomposition};
 use adgen_cntag::netlist::decoder_delay_ps;
 use adgen_cntag::{
@@ -8,10 +8,13 @@ use adgen_cntag::{
 };
 use adgen_core::composite::Srag2d;
 use adgen_core::multi_counter::{map_sequence_relaxed, MultiCounterSragNetlist};
-use adgen_netlist::{AreaReport, Library, TimingAnalysis};
+use adgen_core::SragError;
+use adgen_netlist::{AreaReport, Library, Netlist, Price};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
-use adgen_synth::{Encoding, Fsm, OutputStyle};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, SynthError};
+
+use crate::four_way::FamilyError;
 
 /// An address-generator architecture family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,15 +164,20 @@ pub fn evaluate_jobs(
     let results = adgen_exec::par_map(&families, jobs, |i, &arch| {
         let _candidate_span = obs::span_arg("explorer.candidate", i as u64);
         obs::add(obs::Ctr::ExplorerCandidates, 1);
-        evaluate_family(arch, sequence, shape, library, options)
+        price_family(arch, sequence, shape, library, options)
     });
 
     let mut candidates = Vec::new();
     let mut rejected = Vec::new();
-    for (arch, result) in families.into_iter().zip(results) {
+    for (architecture, result) in families.into_iter().zip(results) {
         match result {
-            Ok(c) => candidates.push(c),
-            Err(e) => rejected.push((arch, e)),
+            Ok(price) => candidates.push(Candidate {
+                architecture,
+                delay_ps: price.delay_ps,
+                area: price.area,
+                flip_flops: price.flip_flops,
+            }),
+            Err(e) => rejected.push((architecture, e.to_string())),
         }
     }
     Evaluation {
@@ -178,142 +186,96 @@ pub fn evaluate_jobs(
     }
 }
 
-/// Evaluates one architecture family; `Err` carries the rejection
-/// reason.
-fn evaluate_family(
+/// Why a family cannot implement a sequence; displayed as the
+/// rejection reason.
+type Rejection = Box<dyn std::error::Error + Send + Sync>;
+
+/// Prices one architecture family.
+fn price_family(
     arch: Architecture,
     sequence: &AddressSequence,
     shape: ArrayShape,
     library: &Library,
     options: &EvaluateOptions,
-) -> Result<Candidate, String> {
+) -> Result<Price, Rejection> {
+    // Rejects a machine of `states` states, described by `what`, that
+    // exceeds the FSM synthesis limit.
+    let fsm_limit = |states: usize, what: String| -> Result<(), Rejection> {
+        if states > options.fsm_state_limit {
+            let limit = options.fsm_state_limit;
+            return Err(format!("{what} exceeds FSM synthesis limit {limit}").into());
+        }
+        Ok(())
+    };
     match arch {
-        // SRAG.
-        Architecture::Srag => Srag2d::map(sequence, shape, Layout::RowMajor)
-            .and_then(|m| m.elaborate())
-            .map_err(|e| e.to_string())
-            .and_then(|design| {
-                let t = TimingAnalysis::run(&design.netlist, library).map_err(|e| e.to_string())?;
-                Ok(Candidate {
-                    architecture: Architecture::Srag,
-                    delay_ps: t.critical_path_ps(),
-                    area: AreaReport::of(&design.netlist, library).total(),
-                    flip_flops: design.netlist.num_flip_flops(),
-                })
-            }),
+        Architecture::Srag => {
+            let design = Srag2d::map(sequence, shape, Layout::RowMajor)?.elaborate()?;
+            Ok(Price::of(&design.netlist, library)?)
+        }
 
         // Multi-counter SRAG: evaluated on the two decomposed streams.
-        Architecture::MultiCounterSrag => sequence
-            .decompose(shape, Layout::RowMajor)
-            .map_err(adgen_core::SragError::from)
-            .and_then(|(rows, cols)| {
-                let r = map_sequence_relaxed(&rows)?;
-                let c = map_sequence_relaxed(&cols)?;
-                let rn = MultiCounterSragNetlist::elaborate(&r)?;
-                let cn = MultiCounterSragNetlist::elaborate(&c)?;
-                let rt = TimingAnalysis::run(&rn.netlist, library)?;
-                let ct = TimingAnalysis::run(&cn.netlist, library)?;
-                Ok(Candidate {
-                    architecture: Architecture::MultiCounterSrag,
-                    delay_ps: rt.critical_path_ps().max(ct.critical_path_ps()),
-                    area: AreaReport::of(&rn.netlist, library).total()
-                        + AreaReport::of(&cn.netlist, library).total(),
-                    flip_flops: rn.netlist.num_flip_flops() + cn.netlist.num_flip_flops(),
-                })
-            })
-            .map_err(|e| e.to_string()),
+        Architecture::MultiCounterSrag => {
+            let (rows, cols) = sequence
+                .decompose(shape, Layout::RowMajor)
+                .map_err(SragError::from)?;
+            let r = map_sequence_relaxed(&rows)?;
+            let c = map_sequence_relaxed(&cols)?;
+            let rn = MultiCounterSragNetlist::elaborate(&r)?;
+            let cn = MultiCounterSragNetlist::elaborate(&c)?;
+            let price = |n: &Netlist| Price::of(n, library).map_err(SragError::from);
+            Ok(price(&rn.netlist)?.beside(price(&cn.netlist)?))
+        }
 
         // CntAG baseline, when a counter program exists.
-        Architecture::CntAg => match &options.cntag_program {
-            Some(program) => CntAgNetlist::elaborate(program)
-                .and_then(|design| {
-                    let comps = component_delays(program, library)?;
-                    Ok(Candidate {
-                        architecture: Architecture::CntAg,
-                        delay_ps: comps.total_ps(),
-                        area: AreaReport::of(&design.netlist, library).total(),
-                        flip_flops: design.netlist.num_flip_flops(),
-                    })
-                })
-                .map_err(|e| e.to_string()),
-            None => Err("no counter-cascade program known for this sequence".to_string()),
-        },
+        Architecture::CntAg => {
+            let program = options
+                .cntag_program
+                .as_ref()
+                .ok_or("no counter-cascade program known for this sequence")?;
+            let design = CntAgNetlist::elaborate(program)?;
+            let delay = component_delays(program, library)?.total_ps();
+            Ok(serial_price(delay, &design.netlist, library))
+        }
 
         // Arithmetic generator: applicable whenever the delta stream
         // has a short period and the shape is power-of-two.
         Architecture::ArithAg => {
-            if !(shape.width().is_power_of_two() && shape.height().is_power_of_two()) {
-                return Err("array dimensions are not powers of two".to_string());
-            }
-            ArithAgSpec::from_sequence(sequence, shape)
-                .and_then(|spec| ArithAgNetlist::elaborate(&spec))
-                .map_err(|e| e.to_string())
-                .and_then(|design| {
-                    let delay = design.serial_delay_ps(library).map_err(|e| e.to_string())?;
-                    Ok(Candidate {
-                        architecture: Architecture::ArithAg,
-                        delay_ps: delay,
-                        area: AreaReport::of(&design.netlist, library).total(),
-                        flip_flops: design.netlist.num_flip_flops(),
-                    })
-                })
+            require_power_of_two(shape)?;
+            let design = ArithAgNetlist::elaborate(&ArithAgSpec::from_sequence(sequence, shape)?)?;
+            let delay = design.serial_delay_ps(library)?;
+            Ok(serial_price(delay, &design.netlist, library))
         }
 
         // Table-lookup generator: the universal fallback.
         Architecture::RomAg => {
-            if !(shape.width().is_power_of_two() && shape.height().is_power_of_two()) {
-                return Err("array dimensions are not powers of two".to_string());
-            }
-            RomAgSpec::from_sequence(sequence, shape)
-                .and_then(|spec| RomAgNetlist::elaborate(&spec))
-                .map_err(|e| e.to_string())
-                .and_then(|design| {
-                    let delay = design.serial_delay_ps(library).map_err(|e| e.to_string())?;
-                    Ok(Candidate {
-                        architecture: Architecture::RomAg,
-                        delay_ps: delay,
-                        area: AreaReport::of(&design.netlist, library).total(),
-                        flip_flops: design.netlist.num_flip_flops(),
-                    })
-                })
+            require_power_of_two(shape)?;
+            let design = RomAgNetlist::elaborate(&RomAgSpec::from_sequence(sequence, shape)?)?;
+            let delay = design.serial_delay_ps(library)?;
+            Ok(serial_price(delay, &design.netlist, library))
         }
 
         // Symbolic FSMs on the decomposed streams (one machine per
         // dimension, as in the ADDM model).
         Architecture::SymbolicFsm(encoding) => {
-            if sequence.len() > options.fsm_state_limit {
-                return Err(format!(
-                    "sequence length {} exceeds FSM synthesis limit {}",
-                    sequence.len(),
-                    options.fsm_state_limit
-                ));
-            }
-            sequence
-                .decompose(shape, Layout::RowMajor)
-                .map_err(|e| e.to_string())
-                .and_then(|(rows, cols)| {
-                    let synth_dim = |s: &AddressSequence, lines: usize| {
-                        Fsm::cyclic_sequence(s.as_slice())
-                            .and_then(|f| {
-                                f.synthesize(
-                                    encoding,
-                                    OutputStyle::SelectLines { num_lines: lines },
-                                )
-                            })
-                            .map_err(|e| e.to_string())
-                    };
-                    let r = synth_dim(&rows, shape.height() as usize)?;
-                    let c = synth_dim(&cols, shape.width() as usize)?;
-                    let rt = TimingAnalysis::run(&r.netlist, library).map_err(|e| e.to_string())?;
-                    let ct = TimingAnalysis::run(&c.netlist, library).map_err(|e| e.to_string())?;
-                    Ok(Candidate {
-                        architecture: arch,
-                        delay_ps: rt.critical_path_ps().max(ct.critical_path_ps()),
-                        area: AreaReport::of(&r.netlist, library).total()
-                            + AreaReport::of(&c.netlist, library).total(),
-                        flip_flops: r.netlist.num_flip_flops() + c.netlist.num_flip_flops(),
-                    })
-                })
+            fsm_limit(
+                sequence.len(),
+                format!("sequence length {}", sequence.len()),
+            )?;
+            let (rows, cols) = sequence.decompose(shape, Layout::RowMajor)?;
+            let price_dim = |s: &AddressSequence, num_lines: u32| {
+                let style = OutputStyle::SelectLines {
+                    num_lines: num_lines as usize,
+                };
+                price_cyclic(
+                    s.as_slice(),
+                    encoding,
+                    style,
+                    EffortBudget::synthesis_default(),
+                    library,
+                )
+                .map(|p| p.price)
+            };
+            Ok(price_dim(&rows, shape.height())?.beside(price_dim(&cols, shape.width())?))
         }
 
         // Programmable affine AGU plus an FSM for any residual; its
@@ -321,78 +283,73 @@ fn evaluate_family(
         // shape must split on powers of two like the other
         // decoder-based families.
         Architecture::Affine => {
-            if !(shape.width().is_power_of_two() && shape.height().is_power_of_two()) {
-                return Err("array dimensions are not powers of two".to_string());
-            }
-            let fit = fit_sequence(sequence.as_slice()).map_err(|e| e.to_string())?;
-            if fit.residual.len() > options.fsm_state_limit {
-                return Err(format!(
-                    "affine residual of {} addresses exceeds FSM synthesis limit {}",
-                    fit.residual.len(),
-                    options.fsm_state_limit
-                ));
-            }
-            let design = AffineAgNetlist::elaborate(&fit.spec).map_err(|e| e.to_string())?;
-            let t = TimingAnalysis::run(&design.netlist, library).map_err(|e| e.to_string())?;
-            let row_bits = shape.height().trailing_zeros() as usize;
-            let col_bits = shape.width().trailing_zeros() as usize;
-            let row_dec = decoder_delay_ps(row_bits, shape.height() as usize, library)
-                .map_err(|e| e.to_string())?;
-            let col_dec = decoder_delay_ps(col_bits, shape.width() as usize, library)
-                .map_err(|e| e.to_string())?;
-            let mut delay_ps = t.critical_path_ps() + row_dec.max(col_dec);
-            let mut area = AreaReport::of(&design.netlist, library).total();
-            let mut flip_flops = design.netlist.num_flip_flops();
-            if !fit.residual.is_empty() {
-                let bits = fit.spec.addr_width as usize;
-                let residual = Fsm::cyclic_sequence(&fit.residual)
-                    .and_then(|f| {
-                        f.synthesize(Encoding::Binary, OutputStyle::BinaryAddress { bits })
-                    })
-                    .map_err(|e| format!("residual FSM: {e}"))?;
-                let rt =
-                    TimingAnalysis::run(&residual.netlist, library).map_err(|e| e.to_string())?;
-                delay_ps = delay_ps.max(rt.critical_path_ps() + row_dec.max(col_dec));
-                area += AreaReport::of(&residual.netlist, library).total();
-                flip_flops += residual.netlist.num_flip_flops();
-            }
-            Ok(Candidate {
-                architecture: Architecture::Affine,
-                delay_ps,
-                area,
-                flip_flops,
-            })
+            require_power_of_two(shape)?;
+            let fit = fit_sequence(sequence.as_slice())?;
+            let states = fit.residual.len();
+            fsm_limit(states, format!("affine residual of {states} addresses"))?;
+            let priced = price_affine(&fit, library, EffortBudget::synthesis_default())?;
+            Ok(behind_decoders(
+                priced.price,
+                binary_decoder_ps(shape, library)?,
+            ))
         }
 
         // Decomposed generator (bank-layer factorization): like the
         // affine AGU it presents a binary address, so it pays the
         // same standalone row/column decoders.
         Architecture::Decomposed => {
-            if !(shape.width().is_power_of_two() && shape.height().is_power_of_two()) {
-                return Err("array dimensions are not powers of two".to_string());
-            }
-            let d = Decomposition::of(sequence.as_slice()).map_err(|e| e.to_string())?;
-            if d.residue_states() > options.fsm_state_limit {
-                return Err(format!(
-                    "decompose residue of {} states exceeds FSM synthesis limit {}",
-                    d.residue_states(),
-                    options.fsm_state_limit
-                ));
-            }
-            let price = price_decomposed(&d, library).map_err(|e| e.to_string())?;
-            let row_bits = shape.height().trailing_zeros() as usize;
-            let col_bits = shape.width().trailing_zeros() as usize;
-            let row_dec = decoder_delay_ps(row_bits, shape.height() as usize, library)
-                .map_err(|e| e.to_string())?;
-            let col_dec = decoder_delay_ps(col_bits, shape.width() as usize, library)
-                .map_err(|e| e.to_string())?;
-            Ok(Candidate {
-                architecture: Architecture::Decomposed,
-                delay_ps: price.delay_ps + row_dec.max(col_dec),
-                area: price.area,
-                flip_flops: price.flip_flops,
-            })
+            require_power_of_two(shape)?;
+            let d = Decomposition::of(sequence.as_slice())?;
+            let states = d.residue_states();
+            fsm_limit(states, format!("decompose residue of {states} states"))?;
+            let price = price_decomposed(&d, library)?;
+            Ok(behind_decoders(price, binary_decoder_ps(shape, library)?))
         }
+    }
+}
+
+/// Area and flip-flops of `netlist` with a delay from the family's own
+/// serial accounting (CntAG, ArithAG, RomAG), not from a timing run.
+pub(crate) fn serial_price(delay_ps: f64, netlist: &Netlist, library: &Library) -> Price {
+    Price {
+        delay_ps,
+        area: AreaReport::of(netlist, library).total(),
+        flip_flops: netlist.num_flip_flops(),
+    }
+}
+
+/// A binary address needs row/column decoders in front of the array,
+/// which exist only for power-of-two-sided shapes.
+///
+/// # Errors
+///
+/// [`FamilyError::ShapeNotPowerOfTwo`] otherwise.
+pub(crate) fn require_power_of_two(shape: ArrayShape) -> Result<(), FamilyError> {
+    if shape.width().is_power_of_two() && shape.height().is_power_of_two() {
+        Ok(())
+    } else {
+        Err(FamilyError::ShapeNotPowerOfTwo)
+    }
+}
+
+/// Delay of the slower of the standalone row and column decoders a
+/// binary-address generator drives on a power-of-two `shape`.
+///
+/// # Errors
+///
+/// Decoder construction or timing failures.
+pub(crate) fn binary_decoder_ps(shape: ArrayShape, library: &Library) -> Result<f64, SynthError> {
+    let decoder =
+        |lines: u32| decoder_delay_ps(lines.trailing_zeros() as usize, lines as usize, library);
+    Ok(decoder(shape.height())?.max(decoder(shape.width())?))
+}
+
+/// `price` with `decoders_ps` on its critical path: a binary address
+/// reaches the select lines through the row/column decoders.
+pub(crate) fn behind_decoders(price: Price, decoders_ps: f64) -> Price {
+    Price {
+        delay_ps: price.delay_ps + decoders_ps,
+        ..price
     }
 }
 

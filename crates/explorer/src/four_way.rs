@@ -11,19 +11,22 @@
 //! affine row actually reproduces the input — affine part replayed at
 //! gate level on all three simulation engines, residual appended.
 
-use adgen_affine::{fit_sequence, AffineAgNetlist, AffineFit};
-use adgen_cntag::netlist::decoder_delay_ps;
+use adgen_affine::{
+    fit_sequence, price_affine, AffineAgNetlist, AffineError, AffineFit, AffinePriceError,
+};
 use adgen_cntag::{component_delays, CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
+use adgen_core::SragError;
 use adgen_fault::{flip_flop_ids, run_campaign, sample_seus, CampaignSpec, Fault};
 use adgen_netlist::{
-    AreaReport, EventSimulator, Library, Netlist, SimControl, Simulator, SlicedSimulator,
-    TimingAnalysis,
+    EventSimulator, Library, Netlist, NetlistError, Price, SimControl, Simulator, SlicedSimulator,
 };
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
-use adgen_synth::{Encoding, Fsm, OutputStyle};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError, SynthError};
 
-use crate::candidates::Architecture;
+use crate::candidates::{
+    behind_decoders, binary_decoder_ps, require_power_of_two, serial_price, Architecture,
+};
 
 /// One architecture's measurements in the shoot-out.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,12 +122,52 @@ fn campaign_figures(
     (report.coverage_pct(), report.silent(), faults.len())
 }
 
+/// Why [`compare_four_way`] could not build one of its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FamilyError {
+    /// The array is not power-of-two-sided, so a binary address has
+    /// no row/column decoders to drive.
+    ShapeNotPowerOfTwo,
+    /// The binary-address FSM could not be synthesized.
+    Fsm(SynthError),
+    /// The sequence violates the SRAG mapping restrictions.
+    Srag(SragError),
+    /// The counter-cascade program could not be elaborated.
+    CntAg(SynthError),
+    /// The affine fit or the AGU elaboration failed.
+    Affine(AffineError),
+    /// The affine residual FSM could not be synthesized.
+    AffineResidual(SynthError),
+    /// A decoder or CntAG component could not be built or timed.
+    Component(SynthError),
+    /// Timing analysis of a row's netlist failed.
+    Timing(NetlistError),
+}
+
+impl std::fmt::Display for FamilyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FamilyError::ShapeNotPowerOfTwo => write!(f, "array dimensions are not powers of two"),
+            FamilyError::Fsm(e) => write!(f, "FSM: {e}"),
+            FamilyError::Srag(e) => write!(f, "SRAG: {e}"),
+            FamilyError::CntAg(e) => write!(f, "CntAG: {e}"),
+            FamilyError::Affine(e) => write!(f, "affine: {e}"),
+            FamilyError::AffineResidual(e) => write!(f, "affine residual FSM: {e}"),
+            FamilyError::Component(e) => e.fmt(f),
+            FamilyError::Timing(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FamilyError {}
+
 /// Runs the shoot-out for one sequence over a power-of-two `shape`:
-/// builds all four implementations, measures delay/area/flip-flops
-/// with the same accounting as [`crate::evaluate`], and runs the
-/// identical fault-universe recipe on each netlist (`cycles`
-/// observation window, `seu_samples` SEUs from `seed`, replays
-/// fanned over `jobs` workers — results are jobs-invariant).
+/// builds all four implementations, prices them with the same
+/// accounting as [`crate::evaluate`] (the binary-address FSM and the
+/// affine AGU behind the standalone decoders), and runs the identical
+/// fault-universe recipe on each netlist (`cycles` observation window,
+/// `seu_samples` SEUs from `seed`, replays fanned over `jobs` workers
+/// — results are jobs-invariant).
 ///
 /// The affine row's campaign runs on the programmable AGU itself
 /// (the architecture under comparison); its residual FSM, when one
@@ -132,9 +175,10 @@ fn campaign_figures(
 ///
 /// # Errors
 ///
-/// Returns a message if the shape is not power-of-two-sided, or any
-/// family fails to implement the sequence (the four-way comparison is
-/// only meaningful when all four rows exist).
+/// [`FamilyError::ShapeNotPowerOfTwo`] if the shape is not
+/// power-of-two-sided, or the first family (in row order) that fails
+/// to implement the sequence (the four-way comparison is only
+/// meaningful when all four rows exist).
 #[allow(clippy::too_many_arguments)]
 pub fn compare_four_way(
     sequence: &AddressSequence,
@@ -145,115 +189,85 @@ pub fn compare_four_way(
     seu_samples: usize,
     seed: u64,
     jobs: usize,
-) -> Result<FourWayComparison, String> {
-    if !(shape.width().is_power_of_two() && shape.height().is_power_of_two()) {
-        return Err("array dimensions are not powers of two".to_string());
-    }
-    let row_bits = shape.height().trailing_zeros() as usize;
-    let col_bits = shape.width().trailing_zeros() as usize;
-    let addr_bits = row_bits + col_bits;
-    let row_dec =
-        decoder_delay_ps(row_bits, shape.height() as usize, library).map_err(|e| e.to_string())?;
-    let col_dec =
-        decoder_delay_ps(col_bits, shape.width() as usize, library).map_err(|e| e.to_string())?;
-    let dec_ps = row_dec.max(col_dec);
+) -> Result<FourWayComparison, FamilyError> {
+    require_power_of_two(shape)?;
+    let decoders_ps = binary_decoder_ps(shape, library).map_err(FamilyError::Component)?;
+    let budget = EffortBudget::synthesis_default();
+    let mut affine_fit = None;
     let mut rows = Vec::with_capacity(4);
-
-    // Symbolic FSM: one machine emitting the full binary address,
-    // feeding the same standalone decoders as the other
-    // binary-address families.
-    let fsm = Fsm::cyclic_sequence(sequence.as_slice())
-        .and_then(|f| {
-            f.synthesize(
-                Encoding::Binary,
-                OutputStyle::BinaryAddress { bits: addr_bits },
-            )
-        })
-        .map_err(|e| format!("FSM: {e}"))?;
-    let fsm_t = TimingAnalysis::run(&fsm.netlist, library).map_err(|e| e.to_string())?;
-    let (cov, silent, faults) = campaign_figures(&fsm.netlist, cycles, seu_samples, seed, jobs);
-    rows.push(FourWayRow {
-        architecture: Architecture::SymbolicFsm(Encoding::Binary),
-        delay_ps: fsm_t.critical_path_ps() + dec_ps,
-        area: AreaReport::of(&fsm.netlist, library).total(),
-        flip_flops: fsm.netlist.num_flip_flops(),
-        program_flip_flops: 0,
-        fault_coverage_pct: cov,
-        silent_faults: silent,
-        faults,
-    });
-
-    // SRAG: the two-hot pair, select lines flip-flop-direct.
-    let srag = Srag2d::map(sequence, shape, Layout::RowMajor)
-        .and_then(|m| m.elaborate())
-        .map_err(|e| format!("SRAG: {e}"))?;
-    let srag_t = TimingAnalysis::run(&srag.netlist, library).map_err(|e| e.to_string())?;
-    let (cov, silent, faults) = campaign_figures(&srag.netlist, cycles, seu_samples, seed, jobs);
-    rows.push(FourWayRow {
-        architecture: Architecture::Srag,
-        delay_ps: srag_t.critical_path_ps(),
-        area: AreaReport::of(&srag.netlist, library).total(),
-        flip_flops: srag.netlist.num_flip_flops(),
-        program_flip_flops: 0,
-        fault_coverage_pct: cov,
-        silent_faults: silent,
-        faults,
-    });
-
-    // CntAG: counter cascade + decoders, the paper's serial delay
-    // accounting.
-    let cntag = CntAgNetlist::elaborate(cntag_program).map_err(|e| format!("CntAG: {e}"))?;
-    let comps = component_delays(cntag_program, library).map_err(|e| e.to_string())?;
-    let (cov, silent, faults) = campaign_figures(&cntag.netlist, cycles, seu_samples, seed, jobs);
-    rows.push(FourWayRow {
-        architecture: Architecture::CntAg,
-        delay_ps: comps.total_ps(),
-        area: AreaReport::of(&cntag.netlist, library).total(),
-        flip_flops: cntag.netlist.num_flip_flops(),
-        program_flip_flops: 0,
-        fault_coverage_pct: cov,
-        silent_faults: silent,
-        faults,
-    });
-
-    // Affine: the programmable AGU plus an FSM for the residual.
-    let fit = fit_sequence(sequence.as_slice()).map_err(|e| format!("affine: {e}"))?;
-    let affine = AffineAgNetlist::elaborate(&fit.spec).map_err(|e| format!("affine: {e}"))?;
-    let affine_t = TimingAnalysis::run(&affine.netlist, library).map_err(|e| e.to_string())?;
-    let mut delay_ps = affine_t.critical_path_ps() + dec_ps;
-    let mut area = AreaReport::of(&affine.netlist, library).total();
-    let mut flip_flops = affine.netlist.num_flip_flops();
-    if !fit.residual.is_empty() {
-        let residual = Fsm::cyclic_sequence(&fit.residual)
-            .and_then(|f| {
-                f.synthesize(
-                    Encoding::Binary,
-                    OutputStyle::BinaryAddress {
-                        bits: fit.spec.addr_width as usize,
-                    },
+    for architecture in [
+        Architecture::SymbolicFsm(Encoding::Binary),
+        Architecture::Srag,
+        Architecture::CntAg,
+        Architecture::Affine,
+    ] {
+        let (netlist, price, program_flip_flops) = match architecture {
+            // One machine emitting the full binary address, feeding the
+            // same standalone decoders as the other binary-address
+            // families.
+            Architecture::SymbolicFsm(encoding) => {
+                let bits =
+                    (shape.width().trailing_zeros() + shape.height().trailing_zeros()) as usize;
+                let style = OutputStyle::BinaryAddress { bits };
+                let fsm = price_cyclic(sequence.as_slice(), encoding, style, budget, library)
+                    .map_err(|e| match e {
+                        PriceError::Synth(e) => FamilyError::Fsm(e),
+                        PriceError::Timing(e) => FamilyError::Timing(e),
+                    })?;
+                (fsm.fsm.netlist, behind_decoders(fsm.price, decoders_ps), 0)
+            }
+            // The two-hot pair, select lines flip-flop-direct.
+            Architecture::Srag => {
+                let srag = Srag2d::map(sequence, shape, Layout::RowMajor)
+                    .and_then(|m| m.elaborate())
+                    .map_err(FamilyError::Srag)?;
+                let price = Price::of(&srag.netlist, library).map_err(FamilyError::Timing)?;
+                (srag.netlist, price, 0)
+            }
+            // Counter cascade + decoders, the paper's serial delay
+            // accounting.
+            Architecture::CntAg => {
+                let cntag = CntAgNetlist::elaborate(cntag_program).map_err(FamilyError::CntAg)?;
+                let delay_ps = component_delays(cntag_program, library)
+                    .map_err(FamilyError::Component)?
+                    .total_ps();
+                let price = serial_price(delay_ps, &cntag.netlist, library);
+                (cntag.netlist, price, 0)
+            }
+            // The programmable AGU plus an FSM for the residual.
+            Architecture::Affine => {
+                let fit = fit_sequence(sequence.as_slice()).map_err(FamilyError::Affine)?;
+                let affine = price_affine(&fit, library, budget).map_err(|e| match e {
+                    AffinePriceError::Elaborate(e) => FamilyError::Affine(e),
+                    AffinePriceError::Residual(e) => FamilyError::AffineResidual(e),
+                    AffinePriceError::Timing(e) => FamilyError::Timing(e),
+                })?;
+                affine_fit = Some(fit);
+                let config_bits = affine.agu.config_bits();
+                (
+                    affine.agu.netlist,
+                    behind_decoders(affine.price, decoders_ps),
+                    config_bits,
                 )
-            })
-            .map_err(|e| format!("affine residual FSM: {e}"))?;
-        let rt = TimingAnalysis::run(&residual.netlist, library).map_err(|e| e.to_string())?;
-        delay_ps = delay_ps.max(rt.critical_path_ps() + dec_ps);
-        area += AreaReport::of(&residual.netlist, library).total();
-        flip_flops += residual.netlist.num_flip_flops();
+            }
+            other => unreachable!("{other} is not a four-way row"),
+        };
+        let (fault_coverage_pct, silent_faults, faults) =
+            campaign_figures(&netlist, cycles, seu_samples, seed, jobs);
+        rows.push(FourWayRow {
+            architecture,
+            delay_ps: price.delay_ps,
+            area: price.area,
+            flip_flops: price.flip_flops,
+            program_flip_flops,
+            fault_coverage_pct,
+            silent_faults,
+            faults,
+        });
     }
-    let (cov, silent, faults) = campaign_figures(&affine.netlist, cycles, seu_samples, seed, jobs);
-    rows.push(FourWayRow {
-        architecture: Architecture::Affine,
-        delay_ps,
-        area,
-        flip_flops,
-        program_flip_flops: affine.config_bits(),
-        fault_coverage_pct: cov,
-        silent_faults: silent,
-        faults,
-    });
-
     Ok(FourWayComparison {
         rows,
-        affine_fit: fit,
+        affine_fit: affine_fit.expect("the affine row always runs"),
     })
 }
 
@@ -358,6 +372,7 @@ mod tests {
         let seq = workloads::raster(shape);
         let program = CntAgSpec::raster(ArrayShape::new(8, 8));
         let err = compare_four_way(&seq, shape, &program, &lib, 8, 2, 1, 1).unwrap_err();
-        assert!(err.contains("powers of two"));
+        assert_eq!(err, FamilyError::ShapeNotPowerOfTwo);
+        assert_eq!(err.to_string(), "array dimensions are not powers of two");
     }
 }

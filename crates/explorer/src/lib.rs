@@ -31,7 +31,8 @@ pub use compare::{
     ComparisonRow, PowerComparisonRow,
 };
 pub use four_way::{
-    agu_fault_universe, compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow,
+    agu_fault_universe, compare_four_way, verify_affine_bit_exact, FamilyError, FourWayComparison,
+    FourWayRow,
 };
 pub use pareto::{pareto_frontier, select, Constraint};
 pub use report::render_evaluation;

@@ -69,6 +69,6 @@ pub use sim::{Logic, SimControl, Simulator};
 pub use sim_event::EventSimulator;
 pub use sim_sliced::{LaneMask, SlicedSimulator};
 pub use sta::{TimingAnalysis, TimingContext};
-pub use stats::AreaReport;
+pub use stats::{AreaReport, Price};
 pub use vcd::VcdTrace;
 pub use verilog::to_verilog;

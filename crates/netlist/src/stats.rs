@@ -1,4 +1,5 @@
-//! Area accounting and cell-usage statistics.
+//! Area accounting, cell-usage statistics and the delay/area/flip-flop
+//! [`Price`] every generator family is compared on.
 //!
 //! Area is reported in the library's *cell units*, the same unit the
 //! paper's area figures use.
@@ -7,7 +8,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::cell::{CellKind, Library};
+use crate::error::NetlistError;
 use crate::graph::Netlist;
+use crate::sta::TimingAnalysis;
 
 /// Area and composition summary of a netlist.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,10 +93,92 @@ impl fmt::Display for AreaReport {
     }
 }
 
+/// What one generator implementation costs: the three axes of the
+/// paper's delay/area comparison.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Price {
+    /// Critical-path delay in picoseconds.
+    pub delay_ps: f64,
+    /// Total area in cell units.
+    pub area: f64,
+    /// Number of flip-flops.
+    pub flip_flops: usize,
+}
+
+impl Price {
+    /// Prices `netlist`: one timing run with no external load on the
+    /// outputs, [`AreaReport::total`] and [`Netlist::num_flip_flops`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates timing-analysis failures.
+    pub fn of(netlist: &Netlist, library: &Library) -> Result<Price, NetlistError> {
+        let timing = TimingAnalysis::run(netlist, library)?;
+        Ok(Price {
+            delay_ps: timing.critical_path_ps(),
+            area: AreaReport::of(netlist, library).total(),
+            flip_flops: netlist.num_flip_flops(),
+        })
+    }
+
+    /// `self` and `other` clocked side by side as one generator: the
+    /// slower critical path, the summed area and flip-flops.
+    #[must_use]
+    pub fn beside(self, other: Price) -> Price {
+        Price {
+            delay_ps: self.delay_ps.max(other.delay_ps),
+            area: self.area + other.area,
+            flip_flops: self.flip_flops + other.flip_flops,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Netlist;
+
+    #[test]
+    fn beside_takes_the_slower_path_and_sums_the_rest() {
+        let a = Price {
+            delay_ps: 300.0,
+            area: 10.5,
+            flip_flops: 3,
+        };
+        let b = Price {
+            delay_ps: 450.0,
+            area: 2.0,
+            flip_flops: 4,
+        };
+        let expect = Price {
+            delay_ps: 450.0,
+            area: 12.5,
+            flip_flops: 7,
+        };
+        assert_eq!(a.beside(b), expect);
+        assert_eq!(b.beside(a), expect);
+        assert_eq!(Price::default().beside(a), a);
+    }
+
+    #[test]
+    fn price_of_is_one_timing_run_plus_area_and_flip_flops() {
+        let lib = Library::vcl018();
+        let mut n = Netlist::new("t");
+        let rst = n.reset();
+        let q = n.add_net("q");
+        let qn = n.gate(CellKind::Inv, &[q]).unwrap();
+        n.add_instance("ff", CellKind::Dffr, &[qn, rst], &[q])
+            .unwrap();
+        n.add_output(q);
+        let expect = Price {
+            delay_ps: TimingAnalysis::run(&n, &lib).unwrap().critical_path_ps(),
+            area: AreaReport::of(&n, &lib).total(),
+            flip_flops: n.num_flip_flops(),
+        };
+        assert_eq!(Price::of(&n, &lib).unwrap(), expect);
+        assert_eq!(expect.flip_flops, 1);
+        assert!(expect.delay_ps > 0.0);
+    }
 
     #[test]
     fn empty_netlist_is_zero_area() {

@@ -70,14 +70,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use adgen_affine::{fit_sequence, AffineAgNetlist};
+use adgen_affine::{fit_sequence, price_affine, AffinePriceError};
 use adgen_core::mapper::map_sequence;
 use adgen_exec::resolve_jobs;
 use adgen_explorer::{evaluate, pareto_frontier, EvaluateOptions};
-use adgen_netlist::{AreaReport, Library, TimingAnalysis};
+use adgen_netlist::{Library, Price};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape};
-use adgen_synth::{espresso::EffortBudget, Encoding, Fsm, OutputStyle};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError};
 
 use crate::cache::{CacheKey, LruCache, ResultCache, Tier};
 use crate::error::ServeError;
@@ -748,28 +748,37 @@ fn execute(request: &Request, library: &Library) -> Response {
             let style = OutputStyle::SelectLines {
                 num_lines: *num_lines as usize,
             };
-            let synth = Fsm::cyclic_sequence(sequence)
-                .and_then(|f| f.synthesize_budgeted(*encoding, style, budget));
-            match synth {
-                Ok(s) => match TimingAnalysis::run(&s.netlist, library) {
-                    Ok(t) => Response::Synthesized(SynthReport {
-                        area: AreaReport::of(&s.netlist, library).total(),
-                        delay_ps: t.critical_path_ps(),
-                        flip_flops: s.netlist.num_flip_flops() as u32,
-                        truncated: s.truncated,
-                    }),
-                    Err(e) => Response::Error(ServeError::Internal(e.to_string())),
-                },
-                Err(e) => Response::Error(ServeError::BadRequest(e.to_string())),
+            match price_cyclic(sequence, *encoding, style, budget, library) {
+                Ok(p) => synthesized(p.price, p.fsm.truncated),
+                Err(PriceError::Synth(e)) => Response::Error(ServeError::BadRequest(e.to_string())),
+                Err(PriceError::Timing(e)) => Response::Error(ServeError::Internal(e.to_string())),
             }
         }
+        // The affine AGU beside a residual FSM. No array shape travels
+        // with the request, so unlike the explorer's affine candidate
+        // the price carries no row/column decoder delay. The residual
+        // FSM always runs at the default effort.
         Request::Synthesize {
             sequence,
             generator: protocol::Generator::Affine,
             ..
         } => {
             let _span = obs::span_arg("serve.exec.synthesize.affine", sequence.len() as u64);
-            execute_affine_synthesize(sequence, library)
+            let priced = fit_sequence(sequence)
+                .map_err(|e| ServeError::BadRequest(e.to_string()))
+                .and_then(|fit| {
+                    price_affine(&fit, library, EffortBudget::synthesis_default()).map_err(|e| {
+                        match e {
+                            AffinePriceError::Residual(e) => ServeError::BadRequest(e.to_string()),
+                            AffinePriceError::Elaborate(e) => ServeError::Internal(e.to_string()),
+                            AffinePriceError::Timing(e) => ServeError::Internal(e.to_string()),
+                        }
+                    })
+                });
+            match priced {
+                Ok(p) => synthesized(p.price, p.truncated),
+                Err(e) => Response::Error(e),
+            }
         }
         Request::Explore {
             sequence,
@@ -809,51 +818,14 @@ fn execute(request: &Request, library: &Library) -> Response {
     }
 }
 
-/// The affine arm of `Synthesize`: fits the sequence, elaborates the
-/// programmable AGU, and prices any residual as a side FSM — the same
-/// accounting the explorer's affine candidate uses. `truncated`
-/// propagates from the residual FSM's espresso run (always `false`
-/// for an exact fit).
-fn execute_affine_synthesize(sequence: &[u32], library: &Library) -> Response {
-    let fit = match fit_sequence(sequence) {
-        Ok(fit) => fit,
-        Err(e) => return Response::Error(ServeError::BadRequest(e.to_string())),
-    };
-    let design = match AffineAgNetlist::elaborate(&fit.spec) {
-        Ok(d) => d,
-        Err(e) => return Response::Error(ServeError::Internal(e.to_string())),
-    };
-    let timing = match TimingAnalysis::run(&design.netlist, library) {
-        Ok(t) => t,
-        Err(e) => return Response::Error(ServeError::Internal(e.to_string())),
-    };
-    let mut report = SynthReport {
-        area: AreaReport::of(&design.netlist, library).total(),
-        delay_ps: timing.critical_path_ps(),
-        flip_flops: design.netlist.num_flip_flops() as u32,
-        truncated: false,
-    };
-    if !fit.residual.is_empty() {
-        let style = OutputStyle::BinaryAddress {
-            bits: fit.spec.addr_width as usize,
-        };
-        let synth = Fsm::cyclic_sequence(&fit.residual).and_then(|f| {
-            f.synthesize_budgeted(Encoding::Binary, style, EffortBudget::synthesis_default())
-        });
-        let s = match synth {
-            Ok(s) => s,
-            Err(e) => return Response::Error(ServeError::BadRequest(e.to_string())),
-        };
-        let rt = match TimingAnalysis::run(&s.netlist, library) {
-            Ok(t) => t,
-            Err(e) => return Response::Error(ServeError::Internal(e.to_string())),
-        };
-        report.area += AreaReport::of(&s.netlist, library).total();
-        report.delay_ps = report.delay_ps.max(rt.critical_path_ps());
-        report.flip_flops += s.netlist.num_flip_flops() as u32;
-        report.truncated = s.truncated;
-    }
-    Response::Synthesized(report)
+/// The `Synthesize` answer for `price`.
+fn synthesized(price: Price, truncated: bool) -> Response {
+    Response::Synthesized(SynthReport {
+        area: price.area,
+        delay_ps: price.delay_ps,
+        flip_flops: price.flip_flops as u32,
+        truncated,
+    })
 }
 
 /// Validates a compute request before admission.

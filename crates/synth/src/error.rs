@@ -86,6 +86,26 @@ impl From<NetlistError> for SynthError {
     }
 }
 
+/// Why [`crate::fsm::price_cyclic`] could not price a sequence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PriceError {
+    /// Synthesis rejected the sequence.
+    Synth(SynthError),
+    /// Timing analysis of the synthesized netlist failed.
+    Timing(NetlistError),
+}
+
+impl fmt::Display for PriceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PriceError::Synth(e) => e.fmt(f),
+            PriceError::Timing(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for PriceError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

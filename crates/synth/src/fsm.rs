@@ -14,12 +14,12 @@
 
 use std::time::{Duration, Instant};
 
-use adgen_netlist::{CellKind, NetId, Netlist};
+use adgen_netlist::{CellKind, Library, NetId, Netlist, Price};
 use adgen_obs as obs;
 
 use crate::cover::Cover;
 use crate::encoding::Encoding;
-use crate::error::SynthError;
+use crate::error::{PriceError, SynthError};
 use crate::espresso;
 use crate::techmap::{insert_fanout_buffers, literal_rails, map_sop, or_tree};
 
@@ -475,6 +475,37 @@ impl SynthesizedFsm {
             }
         }
     }
+}
+
+/// A cyclic address FSM synthesized to gates and priced.
+#[derive(Debug, Clone)]
+pub struct PricedFsm {
+    /// The synthesized machine.
+    pub fsm: SynthesizedFsm,
+    /// [`Price::of`] its netlist.
+    pub price: Price,
+}
+
+/// Synthesizes the cyclic FSM replaying `addresses` under `encoding`,
+/// `style` and `budget`, then prices the netlist with [`Price::of`].
+///
+/// # Errors
+///
+/// [`PriceError::Synth`] when synthesis rejects the sequence (empty,
+/// or an address `style` cannot represent); [`PriceError::Timing`]
+/// when timing analysis of the synthesized netlist fails.
+pub fn price_cyclic(
+    addresses: &[u32],
+    encoding: Encoding,
+    style: OutputStyle,
+    budget: espresso::EffortBudget,
+    library: &Library,
+) -> Result<PricedFsm, PriceError> {
+    let fsm = Fsm::cyclic_sequence(addresses)
+        .and_then(|f| f.synthesize_budgeted(encoding, style, budget))
+        .map_err(PriceError::Synth)?;
+    let price = Price::of(&fsm.netlist, library).map_err(PriceError::Timing)?;
+    Ok(PricedFsm { fsm, price })
 }
 
 /// Convenience: synthesize the cyclic FSM for `addresses` and verify

@@ -51,6 +51,6 @@ pub mod techmap;
 pub use cover::Cover;
 pub use cube::{Cube, Tri};
 pub use encoding::Encoding;
-pub use error::SynthError;
+pub use error::{PriceError, SynthError};
 pub use espresso::{EffortBudget, MinimizeOutcome};
-pub use fsm::{Fsm, OutputStyle, SynthesizedFsm};
+pub use fsm::{price_cyclic, Fsm, OutputStyle, PricedFsm, SynthesizedFsm};

@@ -46,15 +46,16 @@
 #                         and explore4 --smoke: the four-way
 #                         FSM/SRAG/CntAG/affine comparison whose
 #                         bit-exactness gate must pass on every
-#                         workload; then a BENCH_explore.json schema
-#                         check)
+#                         workload; then a schema check of its record
+#                         under target/bench-smoke/)
 #  14. bank stage        (adgen-bank unit tests, a bank-vs-reference
 #                         differential fuzz smoke, and bankcamp
 #                         --smoke: the QPP interleaver must schedule
 #                         conflict-free across 4 banks with the
 #                         decompose-picked generators strictly
 #                         cheaper than monolithic per-bank FSMs; then
-#                         a BENCH_bank.json schema check)
+#                         a schema check of its record under
+#                         target/bench-smoke/)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -181,7 +182,7 @@ cargo run --release -p adgen-fuzz -- --iters 400 --seed 11
 
 echo "==> affine: four-way comparison smoke (bit-exactness gate)"
 target/release/explore4 --smoke --seed 2026
-check_schema BENCH_explore.json affine_fit bit_exact_three_engines program_flip_flops \
+check_schema target/bench-smoke/BENCH_explore.json affine_fit bit_exact_three_engines program_flip_flops \
   fault_coverage_pct
 
 echo "==> bank: multi-bank ADDM + decompose unit tests"
@@ -195,7 +196,7 @@ cargo run --release -p adgen-fuzz -- --iters 400 --seed 17
 
 echo "==> bank: banked interleaver campaign smoke (conflict-free + decompose-win gates)"
 target/release/bankcamp --smoke --seed 2026
-check_schema BENCH_bank.json banks window conflict_free conflict_rate stall_cycles \
+check_schema target/bench-smoke/BENCH_bank.json banks window conflict_free conflict_rate stall_cycles \
   decomposed_area monolithic_area decompose_win_pct choice
 
 if [[ "${CI_SLOW:-0}" == "1" ]]; then

@@ -30,6 +30,7 @@ fn error_types_are_well_behaved() {
     assert_error::<MemError>();
     assert_error::<adgen::synth::SynthError>();
     assert_error::<adgen::seq::SeqError>();
+    assert_error::<adgen::explorer::FamilyError>();
 }
 
 #[test]
@@ -50,6 +51,10 @@ fn error_display_is_lowercase_without_trailing_punctuation() {
         Box::new(MemError::NoSelect),
         Box::new(adgen::seq::SeqError::EmptyGeometry { what: "w" }),
         Box::new(adgen::synth::SynthError::EmptyStateSpace),
+        Box::new(adgen::explorer::FamilyError::ShapeNotPowerOfTwo),
+        Box::new(adgen::explorer::FamilyError::Timing(
+            NetlistError::UndrivenNet { net: "x".into() },
+        )),
     ];
     for e in errors {
         let msg = e.to_string();
