@@ -764,20 +764,21 @@ fn execute(request: &Request, library: &Library) -> Response {
             ..
         } => {
             let _span = obs::span_arg("serve.exec.synthesize.affine", sequence.len() as u64);
-            let priced = fit_sequence(sequence)
-                .map_err(|e| ServeError::BadRequest(e.to_string()))
-                .and_then(|fit| {
-                    price_affine(&fit, library, EffortBudget::synthesis_default()).map_err(|e| {
-                        match e {
-                            AffinePriceError::Residual(e) => ServeError::BadRequest(e.to_string()),
-                            AffinePriceError::Elaborate(e) => ServeError::Internal(e.to_string()),
-                            AffinePriceError::Timing(e) => ServeError::Internal(e.to_string()),
-                        }
-                    })
-                });
-            match priced {
+            let fit = match fit_sequence(sequence) {
+                Ok(fit) => fit,
+                Err(e) => return Response::Error(ServeError::BadRequest(e.to_string())),
+            };
+            match price_affine(&fit, library, EffortBudget::synthesis_default()) {
                 Ok(p) => synthesized(p.price, p.truncated),
-                Err(e) => Response::Error(e),
+                Err(AffinePriceError::Residual(e)) => {
+                    Response::Error(ServeError::BadRequest(e.to_string()))
+                }
+                Err(AffinePriceError::Elaborate(e)) => {
+                    Response::Error(ServeError::Internal(e.to_string()))
+                }
+                Err(AffinePriceError::Timing(e)) => {
+                    Response::Error(ServeError::Internal(e.to_string()))
+                }
             }
         }
         Request::Explore {
