@@ -193,67 +193,11 @@ pub fn compare_four_way(
     require_power_of_two(shape)?;
     let decoders_ps = binary_decoder_ps(shape, library).map_err(FamilyError::Component)?;
     let budget = EffortBudget::synthesis_default();
-    let mut affine_fit = None;
     let mut rows = Vec::with_capacity(4);
-    for architecture in [
-        Architecture::SymbolicFsm(Encoding::Binary),
-        Architecture::Srag,
-        Architecture::CntAg,
-        Architecture::Affine,
-    ] {
-        let (netlist, price, program_flip_flops) = match architecture {
-            // One machine emitting the full binary address, feeding the
-            // same standalone decoders as the other binary-address
-            // families.
-            Architecture::SymbolicFsm(encoding) => {
-                let bits =
-                    (shape.width().trailing_zeros() + shape.height().trailing_zeros()) as usize;
-                let style = OutputStyle::BinaryAddress { bits };
-                let fsm = price_cyclic(sequence.as_slice(), encoding, style, budget, library)
-                    .map_err(|e| match e {
-                        PriceError::Synth(e) => FamilyError::Fsm(e),
-                        PriceError::Timing(e) => FamilyError::Timing(e),
-                    })?;
-                (fsm.fsm.netlist, behind_decoders(fsm.price, decoders_ps), 0)
-            }
-            // The two-hot pair, select lines flip-flop-direct.
-            Architecture::Srag => {
-                let srag = Srag2d::map(sequence, shape, Layout::RowMajor)
-                    .and_then(|m| m.elaborate())
-                    .map_err(FamilyError::Srag)?;
-                let price = Price::of(&srag.netlist, library).map_err(FamilyError::Timing)?;
-                (srag.netlist, price, 0)
-            }
-            // Counter cascade + decoders, the paper's serial delay
-            // accounting.
-            Architecture::CntAg => {
-                let cntag = CntAgNetlist::elaborate(cntag_program).map_err(FamilyError::CntAg)?;
-                let delay_ps = component_delays(cntag_program, library)
-                    .map_err(FamilyError::Component)?
-                    .total_ps();
-                let price = serial_price(delay_ps, &cntag.netlist, library);
-                (cntag.netlist, price, 0)
-            }
-            // The programmable AGU plus an FSM for the residual.
-            Architecture::Affine => {
-                let fit = fit_sequence(sequence.as_slice()).map_err(FamilyError::Affine)?;
-                let affine = price_affine(&fit, library, budget).map_err(|e| match e {
-                    AffinePriceError::Elaborate(e) => FamilyError::Affine(e),
-                    AffinePriceError::Residual(e) => FamilyError::AffineResidual(e),
-                    AffinePriceError::Timing(e) => FamilyError::Timing(e),
-                })?;
-                affine_fit = Some(fit);
-                let config_bits = affine.agu.config_bits();
-                (
-                    affine.agu.netlist,
-                    behind_decoders(affine.price, decoders_ps),
-                    config_bits,
-                )
-            }
-            other => unreachable!("{other} is not a four-way row"),
-        };
+    // Every row runs the same campaign recipe on its own netlist.
+    let mut row = |architecture, netlist: &Netlist, price: Price, program_flip_flops| {
         let (fault_coverage_pct, silent_faults, faults) =
-            campaign_figures(&netlist, cycles, seu_samples, seed, jobs);
+            campaign_figures(netlist, cycles, seu_samples, seed, jobs);
         rows.push(FourWayRow {
             architecture,
             delay_ps: price.delay_ps,
@@ -264,10 +208,66 @@ pub fn compare_four_way(
             silent_faults,
             faults,
         });
-    }
+    };
+
+    // Symbolic FSM: one machine emitting the full binary address,
+    // feeding the same standalone decoders as the other
+    // binary-address families.
+    let bits = (shape.width().trailing_zeros() + shape.height().trailing_zeros()) as usize;
+    let style = OutputStyle::BinaryAddress { bits };
+    let fsm = price_cyclic(
+        sequence.as_slice(),
+        Encoding::Binary,
+        style,
+        budget,
+        library,
+    )
+    .map_err(|e| match e {
+        PriceError::Synth(e) => FamilyError::Fsm(e),
+        PriceError::Timing(e) => FamilyError::Timing(e),
+    })?;
+    let fsm_price = behind_decoders(fsm.price, decoders_ps);
+    row(
+        Architecture::SymbolicFsm(Encoding::Binary),
+        &fsm.fsm.netlist,
+        fsm_price,
+        0,
+    );
+
+    // SRAG: the two-hot pair, select lines flip-flop-direct.
+    let srag = Srag2d::map(sequence, shape, Layout::RowMajor)
+        .and_then(|m| m.elaborate())
+        .map_err(FamilyError::Srag)?;
+    let srag_price = Price::of(&srag.netlist, library).map_err(FamilyError::Timing)?;
+    row(Architecture::Srag, &srag.netlist, srag_price, 0);
+
+    // CntAG: counter cascade + decoders, the paper's serial delay
+    // accounting.
+    let cntag = CntAgNetlist::elaborate(cntag_program).map_err(FamilyError::CntAg)?;
+    let cntag_delay = component_delays(cntag_program, library)
+        .map_err(FamilyError::Component)?
+        .total_ps();
+    let cntag_price = serial_price(cntag_delay, &cntag.netlist, library);
+    row(Architecture::CntAg, &cntag.netlist, cntag_price, 0);
+
+    // Affine: the programmable AGU plus an FSM for the residual.
+    let fit = fit_sequence(sequence.as_slice()).map_err(FamilyError::Affine)?;
+    let affine = price_affine(&fit, library, budget).map_err(|e| match e {
+        AffinePriceError::Elaborate(e) => FamilyError::Affine(e),
+        AffinePriceError::Residual(e) => FamilyError::AffineResidual(e),
+        AffinePriceError::Timing(e) => FamilyError::Timing(e),
+    })?;
+    let affine_price = behind_decoders(affine.price, decoders_ps);
+    row(
+        Architecture::Affine,
+        &affine.agu.netlist,
+        affine_price,
+        affine.agu.config_bits(),
+    );
+
     Ok(FourWayComparison {
         rows,
-        affine_fit: affine_fit.expect("the affine row always runs"),
+        affine_fit: fit,
     })
 }
 
