@@ -24,14 +24,14 @@ pub struct PricedAffine {
     pub agu: AffineAgNetlist,
     /// The AGU beside the residual FSM, if any ([`Price::beside`]).
     pub price: Price,
-    /// Whether the residual FSM's logic minimization ran out of
-    /// `budget`; always `false` for an exact fit.
+    /// Whether the residual FSM's logic minimization ran out of its
+    /// effort budget; always `false` for an exact fit.
     pub truncated: bool,
 }
 
 /// Elaborates the AGU for `fit` and prices it; a non-empty residual is
-/// synthesized as a binary-encoded FSM under `budget` and priced
-/// beside it.
+/// synthesized as a binary-encoded FSM at the default synthesis effort
+/// and priced beside it.
 ///
 /// # Errors
 ///
@@ -39,11 +39,7 @@ pub struct PricedAffine {
 /// [`AffinePriceError::Residual`] if the residual FSM cannot be
 /// synthesized, and [`AffinePriceError::Timing`] if timing analysis of
 /// either netlist fails.
-pub fn price_affine(
-    fit: &AffineFit,
-    library: &Library,
-    budget: EffortBudget,
-) -> Result<PricedAffine, AffinePriceError> {
+pub fn price_affine(fit: &AffineFit, library: &Library) -> Result<PricedAffine, AffinePriceError> {
     let agu = AffineAgNetlist::elaborate(&fit.spec).map_err(AffinePriceError::Elaborate)?;
     let mut price = Price::of(&agu.netlist, library).map_err(AffinePriceError::Timing)?;
     let mut truncated = false;
@@ -51,6 +47,7 @@ pub fn price_affine(
         let style = OutputStyle::BinaryAddress {
             bits: fit.spec.addr_width as usize,
         };
+        let budget = EffortBudget::synthesis_default();
         let residual = price_cyclic(&fit.residual, Encoding::Binary, style, budget, library)
             .map_err(|e| match e {
                 PriceError::Synth(e) => AffinePriceError::Residual(e),
@@ -75,7 +72,7 @@ mod tests {
     fn exact_fit_prices_the_agu_alone() {
         let lib = Library::vcl018();
         let fit = fit_sequence(&(0..16).collect::<Vec<_>>()).unwrap();
-        let priced = price_affine(&fit, &lib, EffortBudget::synthesis_default()).unwrap();
+        let priced = price_affine(&fit, &lib).unwrap();
         assert_eq!(priced.price, Price::of(&priced.agu.netlist, &lib).unwrap());
         assert!(!priced.truncated);
     }
@@ -85,7 +82,7 @@ mod tests {
         let lib = Library::vcl018();
         let fit = fit_sequence(&[0, 3, 1, 2, 3, 0, 2, 2]).unwrap();
         assert!(!fit.residual.is_empty());
-        let priced = price_affine(&fit, &lib, EffortBudget::synthesis_default()).unwrap();
+        let priced = price_affine(&fit, &lib).unwrap();
         let agu = Price::of(&priced.agu.netlist, &lib).unwrap();
         assert!(priced.price.area > agu.area);
         assert!(priced.price.flip_flops > agu.flip_flops);

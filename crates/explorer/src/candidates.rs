@@ -1,6 +1,6 @@
 //! Candidate enumeration and evaluation for one address sequence.
 
-use adgen_affine::{fit_sequence, price_affine};
+use adgen_affine::{fit_sequence, price_affine, AffineError};
 use adgen_bank::{price_decomposed, Decomposition};
 use adgen_cntag::netlist::decoder_delay_ps;
 use adgen_cntag::{
@@ -9,12 +9,10 @@ use adgen_cntag::{
 use adgen_core::composite::Srag2d;
 use adgen_core::multi_counter::{map_sequence_relaxed, MultiCounterSragNetlist};
 use adgen_core::SragError;
-use adgen_netlist::{AreaReport, Library, Netlist, Price};
+use adgen_netlist::{AreaReport, Library, Netlist, NetlistError, Price};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
 use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, SynthError};
-
-use crate::four_way::FamilyError;
 
 /// An address-generator architecture family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -287,7 +285,7 @@ fn price_family(
             let fit = fit_sequence(sequence.as_slice())?;
             let states = fit.residual.len();
             fsm_limit(states, format!("affine residual of {states} addresses"))?;
-            let priced = price_affine(&fit, library, EffortBudget::synthesis_default())?;
+            let priced = price_affine(&fit, library)?;
             Ok(behind_decoders(
                 priced.price,
                 binary_decoder_ps(shape, library)?,
@@ -352,6 +350,40 @@ pub(crate) fn behind_decoders(price: Price, decoders_ps: f64) -> Price {
         ..price
     }
 }
+
+/// Why a family could not be built on a shape: the power-of-two check
+/// here and every row of [`crate::compare_four_way`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum FamilyError {
+    /// The array is not power-of-two-sided, so a binary address has
+    /// no row/column decoders to drive.
+    ShapeNotPowerOfTwo,
+    /// A netlist could not be synthesized or elaborated. The message
+    /// leads with the failing part: `"FSM: "`, `"CntAG: "`,
+    /// `"affine residual FSM: "`, or `""` for a decoder or CntAG
+    /// component.
+    Synth(&'static str, SynthError),
+    /// The sequence violates the SRAG mapping restrictions.
+    Srag(SragError),
+    /// The affine fit or the AGU elaboration failed.
+    Affine(AffineError),
+    /// Timing analysis of a netlist failed.
+    Timing(NetlistError),
+}
+
+impl std::fmt::Display for FamilyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FamilyError::ShapeNotPowerOfTwo => write!(f, "array dimensions are not powers of two"),
+            FamilyError::Synth(part, e) => write!(f, "{part}{e}"),
+            FamilyError::Srag(e) => write!(f, "SRAG: {e}"),
+            FamilyError::Affine(e) => write!(f, "affine: {e}"),
+            FamilyError::Timing(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FamilyError {}
 
 #[cfg(test)]
 mod tests {

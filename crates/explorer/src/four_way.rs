@@ -11,21 +11,19 @@
 //! affine row actually reproduces the input — affine part replayed at
 //! gate level on all three simulation engines, residual appended.
 
-use adgen_affine::{
-    fit_sequence, price_affine, AffineAgNetlist, AffineError, AffineFit, AffinePriceError,
-};
+use adgen_affine::{fit_sequence, price_affine, AffineAgNetlist, AffineFit, AffinePriceError};
 use adgen_cntag::{component_delays, CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
-use adgen_core::SragError;
 use adgen_fault::{flip_flop_ids, run_campaign, sample_seus, CampaignSpec, Fault};
 use adgen_netlist::{
-    EventSimulator, Library, Netlist, NetlistError, Price, SimControl, Simulator, SlicedSimulator,
+    EventSimulator, Library, Netlist, Price, SimControl, Simulator, SlicedSimulator,
 };
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
-use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError, SynthError};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError};
 
 use crate::candidates::{
     behind_decoders, binary_decoder_ps, require_power_of_two, serial_price, Architecture,
+    FamilyError,
 };
 
 /// One architecture's measurements in the shoot-out.
@@ -122,45 +120,6 @@ fn campaign_figures(
     (report.coverage_pct(), report.silent(), faults.len())
 }
 
-/// Why [`compare_four_way`] could not build one of its rows.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FamilyError {
-    /// The array is not power-of-two-sided, so a binary address has
-    /// no row/column decoders to drive.
-    ShapeNotPowerOfTwo,
-    /// The binary-address FSM could not be synthesized.
-    Fsm(SynthError),
-    /// The sequence violates the SRAG mapping restrictions.
-    Srag(SragError),
-    /// The counter-cascade program could not be elaborated.
-    CntAg(SynthError),
-    /// The affine fit or the AGU elaboration failed.
-    Affine(AffineError),
-    /// The affine residual FSM could not be synthesized.
-    AffineResidual(SynthError),
-    /// A decoder or CntAG component could not be built or timed.
-    Component(SynthError),
-    /// Timing analysis of a row's netlist failed.
-    Timing(NetlistError),
-}
-
-impl std::fmt::Display for FamilyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FamilyError::ShapeNotPowerOfTwo => write!(f, "array dimensions are not powers of two"),
-            FamilyError::Fsm(e) => write!(f, "FSM: {e}"),
-            FamilyError::Srag(e) => write!(f, "SRAG: {e}"),
-            FamilyError::CntAg(e) => write!(f, "CntAG: {e}"),
-            FamilyError::Affine(e) => write!(f, "affine: {e}"),
-            FamilyError::AffineResidual(e) => write!(f, "affine residual FSM: {e}"),
-            FamilyError::Component(e) => e.fmt(f),
-            FamilyError::Timing(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for FamilyError {}
-
 /// Runs the shoot-out for one sequence over a power-of-two `shape`:
 /// builds all four implementations, prices them with the same
 /// accounting as [`crate::evaluate`] (the binary-address FSM and the
@@ -191,8 +150,7 @@ pub fn compare_four_way(
     jobs: usize,
 ) -> Result<FourWayComparison, FamilyError> {
     require_power_of_two(shape)?;
-    let decoders_ps = binary_decoder_ps(shape, library).map_err(FamilyError::Component)?;
-    let budget = EffortBudget::synthesis_default();
+    let decoders_ps = binary_decoder_ps(shape, library).map_err(|e| FamilyError::Synth("", e))?;
     let mut rows = Vec::with_capacity(4);
     // Every row runs the same campaign recipe on its own netlist.
     let mut row = |architecture, netlist: &Netlist, price: Price, program_flip_flops| {
@@ -215,6 +173,7 @@ pub fn compare_four_way(
     // binary-address families.
     let bits = (shape.width().trailing_zeros() + shape.height().trailing_zeros()) as usize;
     let style = OutputStyle::BinaryAddress { bits };
+    let budget = EffortBudget::synthesis_default();
     let fsm = price_cyclic(
         sequence.as_slice(),
         Encoding::Binary,
@@ -223,7 +182,7 @@ pub fn compare_four_way(
         library,
     )
     .map_err(|e| match e {
-        PriceError::Synth(e) => FamilyError::Fsm(e),
+        PriceError::Synth(e) => FamilyError::Synth("FSM: ", e),
         PriceError::Timing(e) => FamilyError::Timing(e),
     })?;
     let fsm_price = behind_decoders(fsm.price, decoders_ps);
@@ -243,18 +202,19 @@ pub fn compare_four_way(
 
     // CntAG: counter cascade + decoders, the paper's serial delay
     // accounting.
-    let cntag = CntAgNetlist::elaborate(cntag_program).map_err(FamilyError::CntAg)?;
+    let cntag =
+        CntAgNetlist::elaborate(cntag_program).map_err(|e| FamilyError::Synth("CntAG: ", e))?;
     let cntag_delay = component_delays(cntag_program, library)
-        .map_err(FamilyError::Component)?
+        .map_err(|e| FamilyError::Synth("", e))?
         .total_ps();
     let cntag_price = serial_price(cntag_delay, &cntag.netlist, library);
     row(Architecture::CntAg, &cntag.netlist, cntag_price, 0);
 
     // Affine: the programmable AGU plus an FSM for the residual.
     let fit = fit_sequence(sequence.as_slice()).map_err(FamilyError::Affine)?;
-    let affine = price_affine(&fit, library, budget).map_err(|e| match e {
+    let affine = price_affine(&fit, library).map_err(|e| match e {
         AffinePriceError::Elaborate(e) => FamilyError::Affine(e),
-        AffinePriceError::Residual(e) => FamilyError::AffineResidual(e),
+        AffinePriceError::Residual(e) => FamilyError::Synth("affine residual FSM: ", e),
         AffinePriceError::Timing(e) => FamilyError::Timing(e),
     })?;
     let affine_price = behind_decoders(affine.price, decoders_ps);

@@ -24,15 +24,14 @@ pub mod resilience;
 
 pub use banked::{compare_banked, BankedComparison};
 pub use candidates::{
-    evaluate, evaluate_jobs, Architecture, Candidate, EvaluateOptions, Evaluation,
+    evaluate, evaluate_jobs, Architecture, Candidate, EvaluateOptions, Evaluation, FamilyError,
 };
 pub use compare::{
     compare_power, compare_srag_cntag, compare_srag_cntag_load_sweep, compare_srag_cntag_with_load,
     ComparisonRow, PowerComparisonRow,
 };
 pub use four_way::{
-    agu_fault_universe, compare_four_way, verify_affine_bit_exact, FamilyError, FourWayComparison,
-    FourWayRow,
+    agu_fault_universe, compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow,
 };
 pub use pareto::{pareto_frontier, select, Constraint};
 pub use report::render_evaluation;

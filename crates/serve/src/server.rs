@@ -768,17 +768,13 @@ fn execute(request: &Request, library: &Library) -> Response {
                 Ok(fit) => fit,
                 Err(e) => return Response::Error(ServeError::BadRequest(e.to_string())),
             };
-            match price_affine(&fit, library, EffortBudget::synthesis_default()) {
+            match price_affine(&fit, library) {
                 Ok(p) => synthesized(p.price, p.truncated),
                 Err(AffinePriceError::Residual(e)) => {
                     Response::Error(ServeError::BadRequest(e.to_string()))
                 }
-                Err(AffinePriceError::Elaborate(e)) => {
-                    Response::Error(ServeError::Internal(e.to_string()))
-                }
-                Err(AffinePriceError::Timing(e)) => {
-                    Response::Error(ServeError::Internal(e.to_string()))
-                }
+                // Elaboration or timing: the message is the inner error's.
+                Err(e) => Response::Error(ServeError::Internal(e.to_string())),
             }
         }
         Request::Explore {

@@ -52,6 +52,10 @@ fn error_display_is_lowercase_without_trailing_punctuation() {
         Box::new(adgen::seq::SeqError::EmptyGeometry { what: "w" }),
         Box::new(adgen::synth::SynthError::EmptyStateSpace),
         Box::new(adgen::explorer::FamilyError::ShapeNotPowerOfTwo),
+        Box::new(adgen::explorer::FamilyError::Synth(
+            "",
+            adgen::synth::SynthError::EmptyStateSpace,
+        )),
         Box::new(adgen::explorer::FamilyError::Timing(
             NetlistError::UndrivenNet { net: "x".into() },
         )),
