@@ -5,20 +5,30 @@ use adgen_bench::stopwatch::bench;
 use adgen_core::composite::Srag2d;
 use adgen_core::mapper::map_sequence;
 use adgen_netlist::{EventSimulator, Simulator};
-use adgen_seq::{workloads, ArrayShape, Layout};
+use adgen_seq::{workloads, AddressSequence, ArrayShape, Layout};
 
 fn main() {
+    // The row stream collapses to at most n reduced elements; the
+    // column stream (the fast dimension) keeps all n² of them over n
+    // lines, and the all-distinct stream has as many lines as
+    // elements, so mapping cost shows its dependence on both.
     for n in [16u32, 64, 256] {
         let shape = ArrayShape::new(n, n);
         let mb = (n / 8).max(2);
         let seq = workloads::motion_est_read(shape, mb, mb, 0);
-        let (rows, _) = seq.decompose(shape, Layout::RowMajor).expect("in range");
-        bench(
-            &format!("mapper/map_sequence/{n} ({} addrs)", rows.len()),
-            10,
-            || map_sequence(&rows).expect("maps").spec.num_flip_flops(),
-        );
+        let (rows, cols) = seq.decompose(shape, Layout::RowMajor).expect("in range");
+        for (dim, stream) in [("rows", &rows), ("cols", &cols)] {
+            bench(
+                &format!("mapper/map_sequence/{dim}/{n} ({} addrs)", stream.len()),
+                10,
+                || map_sequence(stream).expect("maps").spec.num_flip_flops(),
+            );
+        }
     }
+    let distinct: AddressSequence = (0..65_536).collect();
+    bench("mapper/map_sequence/distinct (65536 addrs)", 10, || {
+        map_sequence(&distinct).expect("maps").spec.num_flip_flops()
+    });
 
     let shape = ArrayShape::new(32, 32);
     let seq = workloads::motion_est_read(shape, 4, 4, 0);

@@ -15,6 +15,7 @@
 //! and finally *verifies* the grouped machine against the input
 //! (initial grouping may fail, e.g. for `1,2,3,4,3,2,1,4`; paper §5).
 
+use adgen_seq::sequence::UniqueEntry;
 use adgen_seq::{AddressGenerator, AddressSequence};
 
 use crate::arch::{ShiftRegisterSpec, SragSpec};
@@ -43,6 +44,11 @@ pub struct Mapping {
 
 /// Maps an address sequence onto an SRAG, or explains precisely which
 /// architectural restriction the sequence violates.
+///
+/// Expected O(len) time whatever the address values: one run-length
+/// pass, one hashed pass that ranks the addresses of `R` (see
+/// [`AddressSequence::rank_in_order`]) and the O(len) verification
+/// simulation.
 ///
 /// # Errors
 ///
@@ -93,35 +99,22 @@ pub fn map_sequence(sequence: &AddressSequence) -> Result<Mapping, SragError> {
     }
     let division_counts: Vec<usize> = runs.iter().map(|&(_, l)| l).collect();
 
-    // Step 2: reduced sequence R.
-    let reduced = sequence.collapse_runs();
-
-    // Step 3: unique sequence U with occurrences O and first positions Z.
-    let entries = reduced.unique_in_order();
+    // Steps 2–5: R, U/O/Z, the initial grouping and the register
+    // segments behind P.
+    let Grouping {
+        reduced,
+        unique: entries,
+        groups,
+        segments,
+        num_lines,
+        ..
+    } = group_runs(&runs);
     let unique: Vec<u32> = entries.iter().map(|e| e.address).collect();
     let occurrences: Vec<usize> = entries.iter().map(|e| e.occurrences).collect();
     let first_positions: Vec<usize> = entries.iter().map(|e| e.first_position).collect();
 
-    // Step 4: initial grouping. Consecutive unique addresses uₖ,uₖ₊₁
-    // join the same register iff they occur equally often and first
-    // appear at consecutive positions of R.
-    let mut groups: Vec<Vec<u32>> = vec![vec![unique[0]]];
-    for k in 1..unique.len() {
-        let joinable = occurrences[k] == occurrences[k - 1]
-            && first_positions[k] == first_positions[k - 1] + 1;
-        if joinable {
-            groups.last_mut().expect("nonempty groups").push(unique[k]);
-        } else {
-            groups.push(vec![unique[k]]);
-        }
-    }
-
-    // Step 5: pass counts P — "the length of R that is produced by
-    // each of the shift registers" (per token visit): run-length
-    // encode R at the granularity of register membership. Every
-    // segment must have the same length for a single PassCnt to
-    // exist.
-    let segments = register_segments(&reduced, &groups);
+    // Every segment must have the same length for a single PassCnt
+    // to exist.
     let pass_count = segments[0].1;
     if let Some(&(register, found)) = segments.iter().find(|&&(_, len)| len != pass_count) {
         return Err(SragError::PassCntViolation {
@@ -146,7 +139,6 @@ pub fn map_sequence(sequence: &AddressSequence) -> Result<Mapping, SragError> {
         }
     }
 
-    let num_lines = sequence.max_address().expect("nonempty") as usize + 1;
     let spec = SragSpec::new(
         groups.into_iter().map(ShiftRegisterSpec::new).collect(),
         div_count,
@@ -183,30 +175,76 @@ pub fn map_sequence(sequence: &AddressSequence) -> Result<Mapping, SragError> {
     })
 }
 
-/// Run-length encodes `reduced` at register granularity: one
-/// `(register, length)` entry per maximal run of consecutive elements
-/// belonging to the same group. Used to derive the paper's `P` set —
-/// the reduced-sequence length each register produces per token
-/// visit.
-pub(crate) fn register_segments(
-    reduced: &AddressSequence,
-    groups: &[Vec<u32>],
-) -> Vec<(usize, usize)> {
-    let group_of = |a: u32| -> usize {
-        groups
-            .iter()
-            .position(|g| g.contains(&a))
-            .expect("every reduced element is in some group")
-    };
+/// Steps 2–5 of §5, which both mappers share, derived from the runs
+/// of `I`.
+pub(crate) struct Grouping {
+    /// `R`: the reduced sequence.
+    pub(crate) reduced: AddressSequence,
+    /// `U`, `O` and `Z`, in first-appearance order; an entry's index is
+    /// its address's rank.
+    pub(crate) unique: Vec<UniqueEntry>,
+    /// The rank of each element of `R`.
+    pub(crate) ranks: Vec<usize>,
+    /// The register (index into `groups`) of each rank.
+    pub(crate) group_of: Vec<usize>,
+    /// `S`: the initial grouping of lines onto shift registers.
+    pub(crate) groups: Vec<Vec<u32>>,
+    /// `R` run-length encoded at register granularity: one
+    /// `(register, length)` entry per maximal run of consecutive
+    /// elements of one group. The lengths are the paper's `P` — the
+    /// reduced-sequence length a register produces per token visit.
+    pub(crate) segments: Vec<(usize, usize)>,
+    /// Select lines needed: the largest address plus one.
+    pub(crate) num_lines: usize,
+}
+
+/// Derives [`Grouping`] from `runs` (nonempty, as returned by
+/// [`AddressSequence::run_length_encode`]) in one hashed pass that
+/// ranks each address of `R` by first appearance; everything after it
+/// indexes dense tables by rank, so the cost is O(len R) expected
+/// whatever the address values.
+pub(crate) fn group_runs(runs: &[(u32, usize)]) -> Grouping {
+    let reduced: AddressSequence = runs.iter().map(|&(a, _)| a).collect();
+    let (unique, ranks) = reduced.rank_in_order();
+
+    // Step 4: initial grouping. Consecutive unique addresses uₖ,uₖ₊₁
+    // join the same register iff they occur equally often and first
+    // appear at consecutive positions of R.
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    let mut group_of = Vec::with_capacity(unique.len());
+    for (k, e) in unique.iter().enumerate() {
+        let joinable = k > 0
+            && e.occurrences == unique[k - 1].occurrences
+            && e.first_position == unique[k - 1].first_position + 1;
+        match groups.last_mut() {
+            Some(g) if joinable => g.push(e.address),
+            _ => groups.push(vec![e.address]),
+        }
+        group_of.push(groups.len() - 1);
+    }
+
+    // Step 5: register segments, whose lengths give P.
     let mut segments: Vec<(usize, usize)> = Vec::new();
-    for &a in reduced.iter() {
-        let g = group_of(a);
+    for &rank in &ranks {
+        let g = group_of[rank];
         match segments.last_mut() {
             Some((last, len)) if *last == g => *len += 1,
             _ => segments.push((g, 1)),
         }
     }
-    segments
+
+    let num_lines = unique
+        .iter()
+        .fold(0, |lines, e| lines.max(e.address as usize + 1));
+    Grouping {
+        reduced,
+        unique,
+        ranks,
+        group_of,
+        groups,
+        segments,
+        num_lines,
+    }
 }
 
 #[cfg(test)]
@@ -363,6 +401,42 @@ mod tests {
         // Column stream maps too (each column held H cycles).
         let mc = map_sequence(&cols).unwrap();
         assert_eq!(mc.spec.div_count, 8);
+    }
+
+    #[test]
+    fn sparse_labels_map_like_dense_ones() {
+        use adgen_seq::{workloads, ArrayShape, Layout};
+        // Only rank matters to the mapper: relabelling the rotate-90
+        // streams of a 4×4 array into labels spread over the whole u32
+        // range, u32::MAX included, keeps dC, pC and every register's
+        // shape, with the registers holding the relabelled lines.
+        let labels = [0, 7, 1 << 31, u32::MAX];
+        let lines = |registers: &[ShiftRegisterSpec]| -> Vec<Vec<u32>> {
+            registers.iter().map(|r| r.lines().to_vec()).collect()
+        };
+        let shape = ArrayShape::new(4, 4);
+        let (rows, cols) = workloads::rotate90(shape)
+            .decompose(shape, Layout::RowMajor)
+            .unwrap();
+        for dense in [rows, cols] {
+            let sparse: AddressSequence = dense.iter().map(|&a| labels[a as usize]).collect();
+            let d = map_sequence(&dense).unwrap();
+            let s = map_sequence(&sparse).unwrap();
+            assert_eq!(s.spec.div_count, d.spec.div_count);
+            assert_eq!(s.spec.pass_count, d.spec.pass_count);
+            assert_eq!(s.spec.num_lines, u32::MAX as usize + 1);
+            let relabelled: Vec<Vec<u32>> = lines(&d.spec.registers)
+                .into_iter()
+                .map(|r| r.into_iter().map(|a| labels[a as usize]).collect())
+                .collect();
+            assert_eq!(lines(&s.spec.registers), relabelled);
+            assert_eq!(s.occurrences, d.occurrences);
+            assert_eq!(s.first_positions, d.first_positions);
+            let relaxed = crate::multi_counter::map_sequence_relaxed(&sparse).unwrap();
+            assert_eq!(lines(&relaxed.registers), relabelled);
+            let mut sim = SragSimulator::new(s.spec);
+            assert_eq!(sim.collect_sequence(sparse.len()), sparse);
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! sequence for PassCnt) become mappable.
 
 use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
+use adgen_seq::sequence::UniqueEntry;
 use adgen_seq::{AddressGenerator, AddressSequence};
 use adgen_synth::fsm::MAX_FANOUT;
 use adgen_synth::mapgen::build_mod_counter;
@@ -23,6 +24,7 @@ use adgen_synth::techmap::{and_tree, insert_fanout_buffers, or_tree};
 
 use crate::arch::ShiftRegisterSpec;
 use crate::error::SragError;
+use crate::mapper::{group_runs, Grouping};
 use crate::netlist::observed_one_hot;
 
 /// Architecture of a multi-counter SRAG.
@@ -173,53 +175,44 @@ pub fn map_sequence_relaxed(sequence: &AddressSequence) -> Result<MultiCounterSr
         return Err(SragError::EmptySequence);
     }
     let runs = sequence.run_length_encode();
-    // Per-address division counts must be self-consistent.
-    let mut per_address: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    let Grouping {
+        unique,
+        ranks,
+        group_of,
+        groups,
+        segments,
+        num_lines,
+        ..
+    } = group_runs(&runs);
+    // Per-address division counts must be self-consistent: each run
+    // of an address is as long as its first one, run `Z` of its rank.
+    let hold = |e: &UniqueEntry| runs[e.first_position].1;
     {
         let mut position = 0usize;
-        for &(address, len) in &runs {
-            match per_address.get(&address) {
-                Some(&d) if d != len => {
-                    return Err(SragError::DivCntViolation {
-                        expected: d,
-                        found: len,
-                        address,
-                        position,
-                    });
-                }
-                _ => {
-                    per_address.insert(address, len);
-                }
+        for (&(address, len), &rank) in runs.iter().zip(&ranks) {
+            let expected = hold(&unique[rank]);
+            if len != expected {
+                return Err(SragError::DivCntViolation {
+                    expected,
+                    found: len,
+                    address,
+                    position,
+                });
             }
             position += len;
         }
     }
-    let reduced = sequence.collapse_runs();
-    let entries = reduced.unique_in_order();
-    let unique: Vec<u32> = entries.iter().map(|e| e.address).collect();
-    let occurrences: Vec<usize> = entries.iter().map(|e| e.occurrences).collect();
-    let first_positions: Vec<usize> = entries.iter().map(|e| e.first_position).collect();
 
-    // Initial grouping, as in the base mapper.
-    let mut groups: Vec<Vec<u32>> = vec![vec![unique[0]]];
-    for k in 1..unique.len() {
-        let joinable = occurrences[k] == occurrences[k - 1]
-            && first_positions[k] == first_positions[k - 1] + 1;
-        if joinable {
-            groups.last_mut().expect("nonempty").push(unique[k]);
-        } else {
-            groups.push(vec![unique[k]]);
-        }
-    }
     // Per-register pass counts: every token visit of a register must
     // produce the same number of reduced elements, but different
-    // registers may differ — that is the relaxation.
-    let segments = crate::mapper::register_segments(&reduced, &groups);
-    let mut pass_counts: Vec<Option<usize>> = vec![None; groups.len()];
+    // registers may differ — that is the relaxation. Registers first
+    // appear in R in index order, so a register's first segment is
+    // the next one to record.
+    let mut pass_counts: Vec<usize> = Vec::with_capacity(groups.len());
     for &(register, len) in &segments {
-        match pass_counts[register] {
-            None => pass_counts[register] = Some(len),
-            Some(expected) if expected != len => {
+        match pass_counts.get(register) {
+            None => pass_counts.push(len),
+            Some(&expected) if expected != len => {
                 return Err(SragError::PassCntViolation {
                     expected,
                     found: len,
@@ -229,10 +222,6 @@ pub fn map_sequence_relaxed(sequence: &AddressSequence) -> Result<MultiCounterSr
             Some(_) => {}
         }
     }
-    let pass_counts: Vec<usize> = pass_counts
-        .into_iter()
-        .map(|p| p.expect("every group appears in R"))
-        .collect();
     for (register, (g, &p)) in groups.iter().zip(&pass_counts).enumerate() {
         if p % g.len() != 0 {
             return Err(SragError::PassCntViolation {
@@ -242,11 +231,10 @@ pub fn map_sequence_relaxed(sequence: &AddressSequence) -> Result<MultiCounterSr
             });
         }
     }
-    let num_lines = sequence.max_address().expect("nonempty") as usize + 1;
-    let div_counts: Vec<Vec<usize>> = groups
-        .iter()
-        .map(|g| g.iter().map(|a| per_address[a]).collect())
-        .collect();
+    let mut div_counts: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+    for (e, &g) in unique.iter().zip(&group_of) {
+        div_counts[g].push(hold(e));
+    }
     let spec = MultiCounterSragSpec::new(
         groups.into_iter().map(ShiftRegisterSpec::new).collect(),
         div_counts,

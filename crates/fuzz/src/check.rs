@@ -3,7 +3,7 @@
 //!
 //! | case | left side | right side |
 //! |---|---|---|
-//! | `mapper` | `map_sequence` (production) | naive §5 rederivation + `SragSimulator` round-trip |
+//! | `mapper` | `map_sequence` (production) | naive §5 rederivation + `SragSimulator` round-trip + the same case relabelled into the full `u32` range |
 //! | `srag-vs-cntag` | behavioural SRAG pair | counter-cascade CntAG + reference trace |
 //! | `gate-level` | behavioural pair | levelized & event-driven gate simulation, style/chaining equivalence |
 //! | `cube` | bit-packed `Cube` | unpacked `Vec<Tri>` oracle |
@@ -19,12 +19,14 @@
 //! A check returns `Err(detail)` on the first divergence; the runner
 //! turns that into a shrunk counterexample and a reproduction line.
 
+use std::collections::{HashMap, HashSet};
+
 use adgen_affine::{fit_sequence, AffineAgNetlist, AffineSimulator, AffineSpec, MAX_MAP_LEN};
 use adgen_bank::{BankMap, Decomposition};
 use adgen_cntag::{CntAgSimulator, CntAgSpec};
 use adgen_core::arch::{ControlStyle, ShiftRegisterSpec, SragSpec};
 use adgen_core::composite::{GateLevelGenerator, Srag2d};
-use adgen_core::mapper::map_sequence;
+use adgen_core::mapper::{map_sequence, Mapping};
 use adgen_core::sim::SragSimulator;
 use adgen_core::{HardenedSragNetlist, SragError};
 use adgen_exec::{splitmix64, Prng};
@@ -110,6 +112,7 @@ pub fn check_case(case: &FuzzCase, break_mode: BreakMode) -> CheckResult {
 fn check_mapper(seq: &[u32], break_mode: BreakMode) -> CheckResult {
     let input = AddressSequence::from_vec(seq.to_vec());
     let mapped = map_sequence(&input);
+    check_mapper_relabelled(seq, &mapped)?;
     let naive = naive_verdict(seq, break_mode);
     match (&mapped, &naive) {
         (
@@ -172,6 +175,79 @@ fn check_mapper(seq: &[u32], break_mode: BreakMode) -> CheckResult {
             naive
         )),
     }
+}
+
+/// The mapper sees an address only through its first-appearance rank,
+/// so relabelling the case through an injective map into the full
+/// `u32` range must relabel its mapping (or its error) and change
+/// nothing else. The first address becomes `u32::MAX`; the rest draw
+/// from a PRNG seeded by the case, so a shrunk case replays its own
+/// relabelling.
+fn check_mapper_relabelled(seq: &[u32], mapped: &Result<Mapping, SragError>) -> CheckResult {
+    let mut rng = Prng::new(seq.iter().fold(0, |h, &a| splitmix64(h ^ u64::from(a))));
+    let mut labels: HashMap<u32, u32> = HashMap::new();
+    let mut used: HashSet<u32> = HashSet::new();
+    for &a in seq {
+        labels.entry(a).or_insert_with(|| {
+            let mut label = u32::MAX;
+            while !used.insert(label) {
+                label = rng.next_u32();
+            }
+            label
+        });
+    }
+    let relabel = |a: u32| labels[&a];
+    let relabelled: AddressSequence = seq.iter().map(|&a| relabel(a)).collect();
+    let expected = match mapped {
+        Ok(m) => Ok(Mapping {
+            spec: SragSpec::new(
+                m.spec
+                    .registers
+                    .iter()
+                    .map(|r| {
+                        ShiftRegisterSpec::new(r.lines().iter().map(|&a| relabel(a)).collect())
+                    })
+                    .collect(),
+                m.spec.div_count,
+                m.spec.pass_count,
+                relabelled.iter().fold(0, |n, &a| n.max(a as usize + 1)),
+            ),
+            division_counts: m.division_counts.clone(),
+            reduced: m.reduced.iter().map(|&a| relabel(a)).collect(),
+            unique: m.unique.iter().map(|&a| relabel(a)).collect(),
+            occurrences: m.occurrences.clone(),
+            first_positions: m.first_positions.clone(),
+            pass_counts: m.pass_counts.clone(),
+        }),
+        Err(SragError::DivCntViolation {
+            expected,
+            found,
+            address,
+            position,
+        }) => Err(SragError::DivCntViolation {
+            expected: *expected,
+            found: *found,
+            address: relabel(*address),
+            position: *position,
+        }),
+        Err(SragError::GroupingFailure {
+            position,
+            expected,
+            generated,
+        }) => Err(SragError::GroupingFailure {
+            position: *position,
+            expected: relabel(*expected),
+            generated: relabel(*generated),
+        }),
+        Err(e) => Err(e.clone()),
+    };
+    let got = map_sequence(&relabelled);
+    if got != expected {
+        return Err(format!(
+            "relabelling changed the mapping: {relabelled} gave {got:?}, expected {expected:?}"
+        ));
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------- workloads

@@ -1,5 +1,6 @@
 //! The [`AddressSequence`] type: an ordered stream of 1-D addresses.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::SeqError;
@@ -93,20 +94,35 @@ impl AddressSequence {
     /// Distinct addresses in order of first appearance (the paper's
     /// unique sequence `U`), with their occurrence counts (`O`) and the
     /// index of their first appearance (`Z`).
+    ///
+    /// One hashed pass over the sequence: expected O(len) time and
+    /// O(|U|) extra space, whatever the address values.
     pub fn unique_in_order(&self) -> Vec<UniqueEntry> {
-        let mut out: Vec<UniqueEntry> = Vec::new();
+        self.rank_in_order().0
+    }
+
+    /// [`unique_in_order`](Self::unique_in_order) together with the
+    /// first-appearance rank of every element: `ranks[i]` indexes the
+    /// entry of `self[i]`'s address. Dense tables indexed by rank then
+    /// stand in for lookups by address. Same cost as
+    /// `unique_in_order`.
+    pub fn rank_in_order(&self) -> (Vec<UniqueEntry>, Vec<usize>) {
+        let mut rank_of: HashMap<u32, usize> = HashMap::new();
+        let mut unique: Vec<UniqueEntry> = Vec::new();
+        let mut ranks = Vec::with_capacity(self.values.len());
         for (pos, &v) in self.values.iter().enumerate() {
-            if let Some(e) = out.iter_mut().find(|e| e.address == v) {
-                e.occurrences += 1;
-            } else {
-                out.push(UniqueEntry {
+            let rank = *rank_of.entry(v).or_insert_with(|| {
+                unique.push(UniqueEntry {
                     address: v,
-                    occurrences: 1,
+                    occurrences: 0,
                     first_position: pos,
                 });
-            }
+                unique.len() - 1
+            });
+            unique[rank].occurrences += 1;
+            ranks.push(rank);
         }
-        out
+        (unique, ranks)
     }
 
     /// Splits a linear sequence into `(row, column)` sequences for an
@@ -302,6 +318,53 @@ mod tests {
             u.iter().map(|e| e.first_position).collect::<Vec<_>>(),
             vec![0, 1, 4, 5]
         );
+    }
+
+    #[test]
+    fn unique_in_order_matches_linear_scan_reference() {
+        // The per-element linear scan the hashed pass replaced.
+        fn reference(values: &[u32]) -> Vec<UniqueEntry> {
+            let mut out: Vec<UniqueEntry> = Vec::new();
+            for (pos, &v) in values.iter().enumerate() {
+                if let Some(e) = out.iter_mut().find(|e| e.address == v) {
+                    e.occurrences += 1;
+                } else {
+                    out.push(UniqueEntry {
+                        address: v,
+                        occurrences: 1,
+                        first_position: pos,
+                    });
+                }
+            }
+            out
+        }
+        let mut state = 2026u64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 32) % u64::from(bound)) as u32
+        };
+        for _ in 0..300 {
+            // A small alphabet of sparse labels, so addresses repeat.
+            let mut alphabet = vec![0, 7, 1 << 31, u32::MAX];
+            for _ in 0..next(8) {
+                alphabet.push(next(u32::MAX));
+            }
+            let len = next(80);
+            let values: Vec<u32> = (0..len)
+                .map(|_| alphabet[next(alphabet.len() as u32) as usize])
+                .collect();
+            let s = AddressSequence::from_vec(values);
+            let unique = s.unique_in_order();
+            assert_eq!(unique, reference(s.as_slice()), "sequence {s}");
+            let (ranked, ranks) = s.rank_in_order();
+            assert_eq!(ranked, unique);
+            assert_eq!(ranks.len(), s.len());
+            for (&v, &rank) in s.iter().zip(&ranks) {
+                assert_eq!(unique[rank].address, v);
+            }
+        }
     }
 
     #[test]
