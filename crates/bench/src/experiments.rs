@@ -18,13 +18,14 @@ use std::time::Instant;
 use adgen_exec::par_map;
 use adgen_obs as obs;
 
-use adgen_cntag::{component_delays, CntAgNetlist, CntAgSpec};
+use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
+use adgen_cntag::{CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
 use adgen_core::{SragNetlist, SragSpec};
-use adgen_explorer::{compare_srag_cntag, ComparisonRow};
-use adgen_netlist::{AreaReport, Library, TimingAnalysis};
+use adgen_explorer::{compare_srag_cntag, compare_with_components, ComparisonRow};
+use adgen_netlist::{AreaReport, Library, Price};
 use adgen_seq::{workloads, AddressSequence, ArrayShape, Layout};
-use adgen_synth::{Encoding, Fsm, OutputStyle};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, Fsm, OutputStyle};
 
 /// The array sizes of paper Figs. 8–10.
 pub const PAPER_ARRAY_SIZES: [u32; 5] = [16, 32, 64, 128, 256];
@@ -65,28 +66,27 @@ pub fn fig3_4(lengths: &[u32], jobs: usize) -> Vec<Fig34Row> {
     let library = Library::vcl018();
     par_map(lengths, jobs, |_, &n| {
         let ring = SragNetlist::elaborate(&SragSpec::ring(n)).expect("ring elaborates");
-        let ring_t = TimingAnalysis::run(&ring.netlist, &library).expect("ring times");
-        let ring_a = AreaReport::of(&ring.netlist, &library);
+        let ring = Price::of(&ring.netlist, &library).expect("ring times");
 
         let seq: Vec<u32> = (0..n).collect();
-        let fsm = Fsm::cyclic_sequence(&seq)
-            .expect("nonempty")
-            .synthesize(
-                Encoding::Binary,
-                OutputStyle::SelectLines {
-                    num_lines: n as usize,
-                },
-            )
-            .expect("FSM synthesizes");
-        let fsm_t = TimingAnalysis::run(&fsm.netlist, &library).expect("FSM times");
-        let fsm_a = AreaReport::of(&fsm.netlist, &library);
+        let fsm = price_cyclic(
+            &seq,
+            Encoding::Binary,
+            OutputStyle::SelectLines {
+                num_lines: n as usize,
+            },
+            EffortBudget::synthesis_default(),
+            &library,
+        )
+        .expect("FSM synthesizes and times")
+        .price;
 
         Fig34Row {
             n,
-            shift_register_delay_ns: ring_t.critical_path_ns(),
-            fsm_delay_ns: fsm_t.critical_path_ns(),
-            shift_register_area: ring_a.total(),
-            fsm_area: fsm_a.total(),
+            shift_register_delay_ns: ring.delay_ps / 1000.0,
+            fsm_delay_ns: fsm.delay_ps / 1000.0,
+            shift_register_area: ring.area,
+            fsm_area: fsm.area,
         }
     })
 }
@@ -171,8 +171,9 @@ pub struct Fig8910Row {
     pub col_decoder_delay_ns: f64,
 }
 
-/// Computes Figs. 8–10 for the given array sizes, one worker per
-/// size.
+/// Computes Figs. 8–10 for the given array sizes, one work item per
+/// (size, write or read generator pair). The Fig. 9 component delays
+/// are the ones the read comparison timed its CntAG with.
 ///
 /// # Panics
 ///
@@ -181,34 +182,46 @@ pub struct Fig8910Row {
 pub fn fig8_9_10(sizes: &[u32], jobs: usize) -> Vec<Fig8910Row> {
     let _span = obs::span("bench.fig8_9_10");
     let library = Library::vcl018();
-    par_map(sizes, jobs, |_, &n| {
+    let items: Vec<(u32, bool)> = sizes
+        .iter()
+        .flat_map(|&n| [(n, false), (n, true)])
+        .collect();
+    let comparisons = par_map(&items, jobs, |_, &(n, read)| {
         let shape = ArrayShape::new(n, n);
         let mb = macroblock_for(n);
-
-        let write_seq = workloads::motion_est_write(shape);
-        let read_seq = workloads::motion_est_read(shape, mb, mb, 0);
-        let write_cmp = compare_srag_cntag(&write_seq, shape, &CntAgSpec::raster(shape), &library)
-            .expect("write generators");
-        let read_program = CntAgSpec::motion_est(shape, mb, mb, 0);
-        let read_cmp =
-            compare_srag_cntag(&read_seq, shape, &read_program, &library).expect("read generators");
-        let comps = component_delays(&read_program, &library).expect("components");
-
-        Fig8910Row {
-            n,
-            srag_write_delay_ns: write_cmp.srag_delay_ps / 1000.0,
-            cntag_write_delay_ns: write_cmp.cntag_delay_ps / 1000.0,
-            srag_read_delay_ns: read_cmp.srag_delay_ps / 1000.0,
-            cntag_read_delay_ns: read_cmp.cntag_delay_ps / 1000.0,
-            srag_write_area: write_cmp.srag_area,
-            cntag_write_area: write_cmp.cntag_area,
-            srag_read_area: read_cmp.srag_area,
-            cntag_read_area: read_cmp.cntag_area,
-            counter_delay_ns: comps.counter_ps / 1000.0,
-            row_decoder_delay_ns: comps.row_decoder_ps / 1000.0,
-            col_decoder_delay_ns: comps.col_decoder_ps / 1000.0,
-        }
-    })
+        let (seq, program) = if read {
+            (
+                workloads::motion_est_read(shape, mb, mb, 0),
+                CntAgSpec::motion_est(shape, mb, mb, 0),
+            )
+        } else {
+            (workloads::motion_est_write(shape), CntAgSpec::raster(shape))
+        };
+        compare_with_components(&seq, shape, &program, &library, SELECT_LINE_LOAD_FF)
+            .expect("motion-estimation generators")
+    });
+    sizes
+        .iter()
+        .zip(comparisons.chunks_exact(2))
+        .map(|(&n, pair)| {
+            let (write_cmp, _) = &pair[0];
+            let (read_cmp, comps) = &pair[1];
+            Fig8910Row {
+                n,
+                srag_write_delay_ns: write_cmp.srag_delay_ps / 1000.0,
+                cntag_write_delay_ns: write_cmp.cntag_delay_ps / 1000.0,
+                srag_read_delay_ns: read_cmp.srag_delay_ps / 1000.0,
+                cntag_read_delay_ns: read_cmp.cntag_delay_ps / 1000.0,
+                srag_write_area: write_cmp.srag_area,
+                cntag_write_area: write_cmp.cntag_area,
+                srag_read_area: read_cmp.srag_area,
+                cntag_read_area: read_cmp.cntag_area,
+                counter_delay_ns: comps.counter_ps / 1000.0,
+                row_decoder_delay_ns: comps.row_decoder_ps / 1000.0,
+                col_decoder_delay_ns: comps.col_decoder_ps / 1000.0,
+            }
+        })
+        .collect()
 }
 
 /// One row of paper Table 3: average delay-reduction and
@@ -408,9 +421,8 @@ pub fn ablation(sizes: &[u32], jobs: usize) -> Vec<AblationRow> {
         let pair = Srag2d::map(&seq, shape, Layout::RowMajor)
             .unwrap_or_else(|e| panic!("{example}@{n}: {e}"));
         let measure = |netlist: &adgen_netlist::Netlist| {
-            let t = TimingAnalysis::run(netlist, &library).expect("times");
-            let a = AreaReport::of(netlist, &library);
-            (t.critical_path_ns(), a.total())
+            let price = Price::of(netlist, &library).expect("times");
+            (price.delay_ps / 1000.0, price.area)
         };
         let binary = pair
             .elaborate_with_style(ControlStyle::BinaryCounters)
@@ -465,6 +477,10 @@ impl SharingRow {
 /// DCT-scan read stream over the same buffer share one set of shift
 /// registers per dimension.
 ///
+/// Two fan-outs: one work item per (size, 1-D stream) maps that stream
+/// and prices its generator alone, then one per (size, dimension)
+/// prices the time-shared write/read pair.
+///
 /// # Panics
 ///
 /// Panics if mapping or elaboration fails (both streams are rings in
@@ -474,35 +490,48 @@ pub fn sharing(sizes: &[u32], jobs: usize) -> Vec<SharingRow> {
     use adgen_core::mapper::map_sequence;
     use adgen_core::shared::TimeSharedSragNetlist;
     let library = Library::vcl018();
-    par_map(sizes, jobs, |_, &n| {
+    // Per size, in summation order: write rows, write cols, read rows,
+    // read cols.
+    let streams: Vec<(u32, bool, bool)> = sizes
+        .iter()
+        .flat_map(|&n| {
+            [(false, false), (false, true), (true, false), (true, true)]
+                .map(|(read, cols)| (n, read, cols))
+        })
+        .collect();
+    let separate = par_map(&streams, jobs, |_, &(n, read, cols)| {
         let shape = ArrayShape::new(n, n);
-        let dims = |seq: &AddressSequence| {
-            let (rows, cols) = seq.decompose(shape, Layout::RowMajor).expect("in range");
-            (
-                map_sequence(&rows).expect("rows map").spec,
-                map_sequence(&cols).expect("cols map").spec,
-            )
+        let seq = if read {
+            workloads::transpose_scan(shape)
+        } else {
+            workloads::fifo(shape)
         };
-        let (wr, wc) = dims(&workloads::fifo(shape));
-        let (rr, rc) = dims(&workloads::transpose_scan(shape));
-        let area = |spec: &adgen_core::SragSpec| {
-            let d = SragNetlist::elaborate(spec).expect("elaborates");
-            AreaReport::of(&d.netlist, &library).total()
-        };
-        let separate_area = area(&wr) + area(&wc) + area(&rr) + area(&rc);
-        let shared = |a: &adgen_core::SragSpec, b: &adgen_core::SragSpec| {
-            let d = TimeSharedSragNetlist::elaborate(a, b)
-                .expect("elaborates")
-                .expect("share-compatible");
-            AreaReport::of(&d.netlist, &library).total()
-        };
-        let shared_area = shared(&wr, &rr) + shared(&wc, &rc);
-        SharingRow {
+        let (rows, columns) = seq.decompose(shape, Layout::RowMajor).expect("in range");
+        let spec = map_sequence(if cols { &columns } else { &rows })
+            .expect("1-D stream maps")
+            .spec;
+        let d = SragNetlist::elaborate(&spec).expect("elaborates");
+        (spec, AreaReport::of(&d.netlist, &library).total())
+    });
+    // Per size: the row pair, then the column pair.
+    let dims: Vec<(usize, usize)> = (0..sizes.len())
+        .flat_map(|s| [(4 * s, 4 * s + 2), (4 * s + 1, 4 * s + 3)])
+        .collect();
+    let shared = par_map(&dims, jobs, |_, &(write, read)| {
+        let d = TimeSharedSragNetlist::elaborate(&separate[write].0, &separate[read].0)
+            .expect("elaborates")
+            .expect("share-compatible");
+        AreaReport::of(&d.netlist, &library).total()
+    });
+    sizes
+        .iter()
+        .zip(separate.chunks_exact(4).zip(shared.chunks_exact(2)))
+        .map(|(&n, (sep, sh))| SharingRow {
             n,
-            separate_area,
-            shared_area,
-        }
-    })
+            separate_area: sep[0].1 + sep[1].1 + sep[2].1 + sep[3].1,
+            shared_area: sh[0] + sh[1],
+        })
+        .collect()
 }
 
 /// One point of the §7 interconnect-sensitivity study.
@@ -603,6 +632,37 @@ mod tests {
             assert!(
                 r.srag_read_area > r.cntag_read_area,
                 "area trade-off @{}",
+                r.n
+            );
+        }
+    }
+
+    #[test]
+    fn fig9_columns_are_the_components_at_the_select_line_load() {
+        let library = Library::vcl018();
+        for r in fig8_9_10(&[16, 32], 2) {
+            let shape = ArrayShape::new(r.n, r.n);
+            let mb = macroblock_for(r.n);
+            let comps =
+                adgen_cntag::component_delays(&CntAgSpec::motion_est(shape, mb, mb, 0), &library)
+                    .unwrap();
+            assert_eq!(r.counter_delay_ns, comps.counter_ps / 1000.0, "n={}", r.n);
+            assert_eq!(
+                r.row_decoder_delay_ns,
+                comps.row_decoder_ps / 1000.0,
+                "n={}",
+                r.n
+            );
+            assert_eq!(
+                r.col_decoder_delay_ns,
+                comps.col_decoder_ps / 1000.0,
+                "n={}",
+                r.n
+            );
+            assert_eq!(
+                r.cntag_read_delay_ns,
+                comps.total_ps() / 1000.0,
+                "n={}",
                 r.n
             );
         }

@@ -32,7 +32,9 @@ fn table3_rows_are_jobs_invariant() {
 #[test]
 fn power_rows_are_jobs_invariant() {
     let serial = power_study(&[16], 1);
-    assert_eq!(power_study(&[16], 3), serial);
+    for jobs in [3, 5] {
+        assert_eq!(power_study(&[16], jobs), serial, "jobs = {jobs}");
+    }
 }
 
 #[test]
@@ -44,7 +46,9 @@ fn ablation_rows_are_jobs_invariant() {
 #[test]
 fn sharing_rows_are_jobs_invariant() {
     let serial = sharing(&[16, 32], 1);
-    assert_eq!(sharing(&[16, 32], 2), serial);
+    for jobs in [2, 5] {
+        assert_eq!(sharing(&[16, 32], jobs), serial, "jobs = {jobs}");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! behind paper Figures 8, 10 and Table 3.
 
 use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
-use adgen_cntag::{CntAgNetlist, CntAgSpec, ComponentNetlists};
+use adgen_cntag::{CntAgNetlist, CntAgSpec, ComponentDelays, ComponentNetlists};
 use adgen_core::composite::Srag2d;
 use adgen_core::SragError;
 use adgen_netlist::{AreaReport, Library, TimingAnalysis, TimingContext};
@@ -74,6 +74,24 @@ pub fn compare_srag_cntag_with_load(
     library: &Library,
     select_line_load_ff: f64,
 ) -> Result<ComparisonRow, SragError> {
+    compare_with_components(sequence, shape, cntag_program, library, select_line_load_ff)
+        .map(|(row, _)| row)
+}
+
+/// [`compare_srag_cntag_with_load`] that also returns the CntAG
+/// component delays behind the row's `cntag_delay_ps` (paper Fig. 9),
+/// so a caller that needs both does not time the components twice.
+///
+/// # Errors
+///
+/// As for [`compare_srag_cntag`].
+pub fn compare_with_components(
+    sequence: &AddressSequence,
+    shape: ArrayShape,
+    cntag_program: &CntAgSpec,
+    library: &Library,
+    select_line_load_ff: f64,
+) -> Result<(ComparisonRow, ComponentDelays), SragError> {
     let _span = obs::span_arg(
         "explorer.compare",
         u64::from(shape.width()) * u64::from(shape.height()),
@@ -91,14 +109,15 @@ pub fn compare_srag_cntag_with_load(
     )?;
     let cntag_area = AreaReport::of(&cntag.netlist, library);
 
-    Ok(ComparisonRow {
+    let row = ComparisonRow {
         srag_delay_ps: srag_timing.critical_path_ps(),
         cntag_delay_ps: cntag_components.total_ps(),
         srag_area: srag_area.total(),
         cntag_area: cntag_area.total(),
         srag_flip_flops: srag.netlist.num_flip_flops(),
         cntag_flip_flops: cntag.netlist.num_flip_flops(),
-    })
+    };
+    Ok((row, cntag_components))
 }
 
 /// [`compare_srag_cntag_with_load`] swept over many select-line
@@ -192,20 +211,24 @@ pub fn compare_power(
     frequency_mhz: f64,
     cycles: u64,
 ) -> Result<PowerComparisonRow, SragError> {
-    use adgen_netlist::power::{measure_power_with_clock, ClockModel};
+    use adgen_netlist::power::{measure_power_by_clock, ClockModel};
     use adgen_netlist::Logic;
     let srag = Srag2d::map(sequence, shape, Layout::RowMajor)?.elaborate()?;
     let cntag = CntAgNetlist::elaborate(cntag_program)?;
     let streaming = |_cycle: u64| vec![Logic::Zero, Logic::One];
-    let run = |n: &adgen_netlist::Netlist, model: ClockModel| {
-        measure_power_with_clock(n, library, frequency_mhz, cycles, model, streaming)
+    // One simulation per design yields both clock models' reports.
+    let run = |n: &adgen_netlist::Netlist| {
+        let models = [ClockModel::FreeRunning, ClockModel::Gated];
+        measure_power_by_clock(n, library, frequency_mhz, cycles, models, streaming)
             .map_err(SragError::from)
     };
+    let [srag, srag_gated] = run(&srag.netlist)?;
+    let [cntag, cntag_gated] = run(&cntag.netlist)?;
     Ok(PowerComparisonRow {
-        srag: run(&srag.netlist, ClockModel::FreeRunning)?,
-        cntag: run(&cntag.netlist, ClockModel::FreeRunning)?,
-        srag_gated: run(&srag.netlist, ClockModel::Gated)?,
-        cntag_gated: run(&cntag.netlist, ClockModel::Gated)?,
+        srag,
+        cntag,
+        srag_gated,
+        cntag_gated,
     })
 }
 
@@ -294,6 +317,48 @@ mod tests {
             row.power_reduction_factor(),
             row.gated_power_reduction_factor()
         );
+    }
+
+    #[test]
+    fn one_power_simulation_serves_both_clock_models() {
+        use adgen_netlist::power::{measure_power_by_clock, measure_power_with_clock, ClockModel};
+        use adgen_netlist::Logic;
+        let lib = Library::vcl018();
+        let shape = ArrayShape::new(16, 16);
+        let seq = workloads::motion_est_read(shape, 2, 2, 0);
+        let program = CntAgSpec::motion_est(shape, 2, 2, 0);
+        let srag = Srag2d::map(&seq, shape, Layout::RowMajor)
+            .unwrap()
+            .elaborate()
+            .unwrap();
+        let cntag = CntAgNetlist::elaborate(&program).unwrap();
+        let designs = [&srag.netlist, &cntag.netlist];
+        let models = [ClockModel::FreeRunning, ClockModel::Gated];
+        let streaming = |_cycle: u64| vec![Logic::Zero, Logic::One];
+
+        let shared = designs
+            .map(|n| measure_power_by_clock(n, &lib, 100.0, 128, models, streaming).unwrap());
+        // One simulation per (design, model): what `compare_power`
+        // used to run.
+        obs::start();
+        let separate = designs.map(|n| {
+            models.map(|m| measure_power_with_clock(n, &lib, 100.0, 128, m, streaming).unwrap())
+        });
+        let per_model_evaluations = obs::take().counter(obs::Ctr::SimEvaluations);
+        assert_eq!(shared, separate);
+        // Gating matters on the SRAG: its enabled shift flip-flops
+        // idle on most cycles.
+        assert!(separate[0][1].clock_uw < separate[0][0].clock_uw);
+
+        obs::start();
+        let row = compare_power(&seq, shape, &program, &lib, 100.0, 128).unwrap();
+        let evaluations = obs::take().counter(obs::Ctr::SimEvaluations);
+        assert_eq!(
+            [[row.srag, row.srag_gated], [row.cntag, row.cntag_gated]],
+            separate
+        );
+        assert!(evaluations > 0);
+        assert_eq!(2 * evaluations, per_model_evaluations);
     }
 
     #[test]

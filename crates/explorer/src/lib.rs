@@ -28,7 +28,7 @@ pub use candidates::{
 };
 pub use compare::{
     compare_power, compare_srag_cntag, compare_srag_cntag_load_sweep, compare_srag_cntag_with_load,
-    ComparisonRow, PowerComparisonRow,
+    compare_with_components, ComparisonRow, PowerComparisonRow,
 };
 pub use four_way::{
     agu_fault_universe, compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow,

@@ -109,8 +109,40 @@ pub fn measure_power_with_clock<F>(
     frequency_mhz: f64,
     cycles: u64,
     clock_model: ClockModel,
-    mut stimulus: F,
+    stimulus: F,
 ) -> Result<PowerReport, NetlistError>
+where
+    F: FnMut(u64) -> Vec<Logic>,
+{
+    let [report] = measure_power_by_clock(
+        netlist,
+        library,
+        frequency_mhz,
+        cycles,
+        [clock_model],
+        stimulus,
+    )?;
+    Ok(report)
+}
+
+/// [`measure_power`] under every model in `clock_models` from **one**
+/// simulation: the signal trajectory does not depend on how the clock
+/// pins are driven, so the toggle counts are shared and only the
+/// clocked flip-flop cycles are counted per model. Returns one
+/// report per model, in `clock_models` order, each equal to the
+/// [`measure_power_with_clock`] report for that model.
+///
+/// # Errors
+///
+/// As for [`measure_power`].
+pub fn measure_power_by_clock<F, const N: usize>(
+    netlist: &Netlist,
+    library: &Library,
+    frequency_mhz: f64,
+    cycles: u64,
+    clock_models: [ClockModel; N],
+    mut stimulus: F,
+) -> Result<[PowerReport; N], NetlistError>
 where
     F: FnMut(u64) -> Vec<Logic>,
 {
@@ -138,25 +170,23 @@ where
         })
         .collect();
 
-    // Which flip-flops can be clock-gated off their enable pin, and
-    // where that pin is.
+    // The enable pins of the flip-flops that can be clock-gated.
     use crate::cell::CellKind;
-    let gated_ffs: Vec<(usize, crate::graph::NetId)> = netlist
+    let gate_enables: Vec<crate::graph::NetId> = netlist
         .instances()
         .iter()
-        .enumerate()
-        .filter_map(|(i, inst)| match inst.kind() {
-            CellKind::Dffe | CellKind::Dffre | CellKind::Dffse => Some((i, inst.inputs()[1])),
+        .filter_map(|inst| match inst.kind() {
+            CellKind::Dffe | CellKind::Dffre | CellKind::Dffse => Some(inst.inputs()[1]),
             _ => None,
         })
         .collect();
-    let always_clocked = netlist.num_flip_flops() - gated_ffs.len();
+    let always_clocked = netlist.num_flip_flops() - gate_enables.len();
 
     let mut prev: Vec<Logic> = (0..netlist.nets().len())
         .map(|i| sim.value(netlist.net_id_from_index(i)))
         .collect();
     let mut toggles = vec![0u64; netlist.nets().len()];
-    let mut clocked_ff_cycles = 0u64;
+    let mut clocked_ff_cycles = [0u64; N];
     for cycle in 0..cycles {
         let inputs = stimulus(cycle);
         sim.step(&inputs)?;
@@ -171,18 +201,18 @@ where
             }
             prev[i] = now;
         }
-        clocked_ff_cycles += always_clocked as u64;
-        match clock_model {
-            ClockModel::FreeRunning => clocked_ff_cycles += gated_ffs.len() as u64,
-            ClockModel::Gated => {
-                for &(_, en) in &gated_ffs {
-                    // X counts as clocked: the gate cannot be assumed
-                    // closed on an undefined enable.
-                    if sim.value(en) != Logic::Zero {
-                        clocked_ff_cycles += 1;
-                    }
-                }
-            }
+        // X counts as clocked: the gate cannot be assumed closed on an
+        // undefined enable.
+        let enabled = gate_enables
+            .iter()
+            .filter(|&&en| sim.value(en) != Logic::Zero)
+            .count();
+        for (clocked, model) in clocked_ff_cycles.iter_mut().zip(&clock_models) {
+            let gated_clocked = match model {
+                ClockModel::FreeRunning => gate_enables.len(),
+                ClockModel::Gated => enabled,
+            };
+            *clocked += (always_clocked + gated_clocked) as u64;
         }
     }
 
@@ -198,17 +228,17 @@ where
     // result in µW carries a 1e-3 factor.
     let to_uw = |cap_ff: f64| 0.5 * cap_ff * VDD * VDD * frequency_mhz * 1.0e-3;
     let dynamic_uw = to_uw(switched_cap_ff);
-    let clock_cap = (clocked_ff_cycles as f64 / cycles_f) * CLOCK_PIN_CAP_FF * 2.0;
-    let clock_uw = to_uw(clock_cap);
-
-    Ok(PowerReport {
-        dynamic_uw,
-        clock_uw,
-        toggles_per_cycle,
-        switched_cap_ff,
-        cycles,
-        frequency_mhz,
-    })
+    Ok(clocked_ff_cycles.map(|clocked| {
+        let clock_cap = (clocked as f64 / cycles_f) * CLOCK_PIN_CAP_FF * 2.0;
+        PowerReport {
+            dynamic_uw,
+            clock_uw: to_uw(clock_cap),
+            toggles_per_cycle,
+            switched_cap_ff,
+            cycles,
+            frequency_mhz,
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -725,6 +725,7 @@ fn execute(request: &Request, library: &Library) -> Response {
                         .collect(),
                     div_count: m.spec.div_count as u32,
                     pass_count: m.spec.pass_count as u32,
+                    // `validate` keeps every address below `u32::MAX`.
                     num_lines: m.spec.num_lines as u32,
                 }),
                 Err(e) => Response::Mapped(MapOutcome::Violation {
@@ -837,6 +838,14 @@ fn validate(request: &Request) -> Result<(), ServeError> {
                 return bad(format!(
                     "sequence length {} exceeds the admissible maximum {MAX_SEQUENCE_LEN}",
                     sequence.len()
+                ));
+            }
+            // The reply's `num_lines` is the largest address plus one,
+            // a `u32` on the wire.
+            if sequence.contains(&u32::MAX) {
+                return bad(format!(
+                    "address {} leaves no room for num_lines (largest address + 1) in a u32",
+                    u32::MAX
                 ));
             }
         }
@@ -1005,6 +1014,32 @@ mod tests {
             sequence: vec![0, 0, 1, 1],
         })
         .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_map_requests_whose_line_count_overflows_u32() {
+        match validate(&Request::MapSequence {
+            sequence: vec![0, u32::MAX, 1],
+        }) {
+            Err(ServeError::BadRequest(msg)) => assert!(msg.contains("num_lines"), "{msg}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        // One below still fits: num_lines = u32::MAX.
+        assert!(validate(&Request::MapSequence {
+            sequence: vec![0, u32::MAX - 1],
+        })
+        .is_ok());
+        match execute(
+            &Request::MapSequence {
+                sequence: vec![u32::MAX - 1, u32::MAX - 1],
+            },
+            &Library::vcl018(),
+        ) {
+            Response::Mapped(MapOutcome::Mapped { num_lines, .. }) => {
+                assert_eq!(num_lines, u32::MAX);
+            }
+            other => panic!("expected a mapping, got {other:?}"),
+        }
     }
 
     /// Server state over a fresh cache, with no reactor attached.

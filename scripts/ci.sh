@@ -56,6 +56,13 @@
 #                         cheaper than monolithic per-bank FSMs; then
 #                         a schema check of its record under
 #                         target/bench-smoke/)
+#  15. benchmark stage   (the benchmark package's unit tests and its
+#                         end-to-end smoke run: every workload at
+#                         smoke size, timed and traced, which
+#                         byte-compares the sweep-paper and
+#                         fault-replay output digests and the figure
+#                         CSVs against results/, then a self-compare;
+#                         writes only under benchmark/target/)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -198,6 +205,9 @@ echo "==> bank: banked interleaver campaign smoke (conflict-free + decompose-win
 target/release/bankcamp --smoke --seed 2026
 check_schema target/bench-smoke/BENCH_bank.json banks window conflict_free conflict_rate stall_cycles \
   decomposed_area monolithic_area decompose_win_pct choice
+
+echo "==> benchmark: unit tests + smoke run (output digests, figure CSVs, self-compare)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "${CI_SLOW:-0}" == "1" ]]; then
   echo "==> slow tier: ignored scale tests"
