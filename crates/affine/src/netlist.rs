@@ -510,9 +510,7 @@ fn less_than(n: &mut Netlist, a: &[NetId], b: &[NetId]) -> Result<NetId, AffineE
 mod tests {
     use super::*;
     use crate::spec::{AffineLevel, AffineSimulator};
-    use adgen_netlist::{
-        AreaReport, EventSimulator, Library, Simulator, SlicedSimulator, TimingAnalysis,
-    };
+    use adgen_netlist::{AreaReport, EventSimulator, Library, Simulator, TimingAnalysis};
     use adgen_seq::AddressGenerator;
 
     fn demo_spec() -> AffineSpec {
@@ -559,11 +557,13 @@ mod tests {
         let mut reference = AffineSimulator::new(spec).unwrap();
         let expected = reference.collect_sequence(spec.emitted_len() + 3);
 
-        let mut lev = Simulator::new(&design.netlist).unwrap();
+        // 65 lanes spill into a second word, so the multi-word stride
+        // runs too.
+        let mut one = Simulator::new(&design.netlist).unwrap();
         let mut evt = EventSimulator::new(&design.netlist).unwrap();
-        let mut sliced = SlicedSimulator::new(&design.netlist, 64).unwrap();
+        let mut sliced = Simulator::with_lanes(&design.netlist, 65).unwrap();
         for sim in [
-            &mut lev as &mut dyn SimControl,
+            &mut one as &mut dyn SimControl,
             &mut evt as &mut dyn SimControl,
             &mut sliced as &mut dyn SimControl,
         ] {

@@ -1,15 +1,18 @@
-//! `simbench` — throughput benchmark of the bit-sliced fault-replay
-//! kernel against the scalar levelized engine, on the paper's Fig. 7
-//! motion-estimation workload.
+//! `simbench` — throughput benchmark of bit-sliced fault replay
+//! against one-machine replay on the same compiled engine, on the
+//! paper's Fig. 7 motion-estimation workload.
 //!
-//! Both engines run the identical select-ring fault universe (the one
+//! Both runs take the identical select-ring fault universe (the one
 //! `compare_resilience` and `faultcamp` use) over the plain and
-//! hardened SRAG pairs. The scalar engine replays one fault per full
-//! simulation; the sliced engine packs 63 faults plus one golden lane
-//! into each 64-lane pass. The benchmark reports wall-clock for both,
-//! the stimulus-throughput speedup, and the lane utilization of the
-//! packed passes — and verifies the two engines classify every fault
-//! identically before trusting any timing.
+//! hardened SRAG pairs. The baseline replays one fault per one-lane
+//! simulation and classifies it against the golden trace (`replay`
+//! plus `classify`); the sliced campaign packs 63 faults plus one
+//! golden lane into each 64-lane pass. The benchmark reports
+//! wall-clock for both, the stimulus-throughput speedup, and the lane
+//! utilization of the packed passes. Untimed, it checks that both
+//! runs classify every fault exactly as the event-driven oracle
+//! (`run_campaign_scalar`) does before trusting any timing. The
+//! record's `scalar_ms` field holds the one-lane baseline.
 //!
 //! ```text
 //! cargo run --release -p adgen-bench --bin simbench              # 8x8 array
@@ -19,10 +22,10 @@
 //!
 //! A full-size run records its results in `BENCH_sim.json`; a `--smoke`
 //! run writes `target/bench-smoke/BENCH_sim.json` instead, so CI never
-//! overwrites the committed record. The process exits nonzero if the
-//! sliced and scalar classifications diverge (any mode), or if the
+//! overwrites the committed record. The process exits nonzero if any
+//! classification diverges from the oracle (any mode), or if the
 //! full-size run fails its performance contract: at least an 8x
-//! speedup over the scalar engine on the 8x8 universe.
+//! speedup over one-lane replay on the 8x8 universe.
 //!
 //! Observability (see `DESIGN.md` §9): `--trace FILE` writes a Chrome
 //! trace-event JSON, `--metrics` prints the deterministic profile and
@@ -38,7 +41,8 @@ use adgen_bench::Fig7Recipe;
 use adgen_core::composite::Srag2d;
 use adgen_explorer::ring_fault_universe;
 use adgen_fault::{
-    run_campaign, run_campaign_scalar, CampaignReport, CampaignSpec, SLICED_FAULT_LANES,
+    classify, replay, run_campaign, run_campaign_scalar, CampaignReport, CampaignSpec, Fault,
+    FaultOutcome, SLICED_FAULT_LANES,
 };
 use adgen_netlist::NetId;
 use adgen_seq::{ArrayShape, Layout};
@@ -192,7 +196,7 @@ fn main() -> ExitCode {
             v.name, v.faults, v.passes, v.lane_utilization_pct
         );
         println!(
-            "  {:<14} scalar {:>9.3} ms, sliced {:>9.3} ms, speedup {:.1}x{}",
+            "  {:<14} one-lane {:>9.3} ms, sliced {:>9.3} ms, speedup {:.1}x{}",
             "",
             v.scalar_s * 1e3,
             v.sliced_s * 1e3,
@@ -212,10 +216,10 @@ fn main() -> ExitCode {
     sink.finish();
 
     if diverged {
-        eprintln!("FAIL: sliced and scalar campaigns classify faults differently");
+        eprintln!("FAIL: a campaign classifies faults differently from the event-driven oracle");
         return ExitCode::FAILURE;
     }
-    println!("  classifications: byte-identical across engines");
+    println!("  classifications: byte-identical to the event-driven oracle");
     if !smoke && min_speedup < 8.0 {
         eprintln!("FAIL: sliced speedup {min_speedup:.1}x below the 8x contract");
         return ExitCode::FAILURE;
@@ -223,13 +227,31 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Times both engines on one (spec, universe) pair, best-of-`iters`,
-/// and cross-checks that every classification matches. The scalar
-/// engine is timed first so cache warm-up, if anything, favours it.
+/// The timed baseline: the golden trace and one one-lane replay per
+/// fault, each classified against the golden trace.
+fn replay_one_by_one(spec: &CampaignSpec, faults: &[Fault]) -> CampaignReport {
+    let golden = replay(spec, None);
+    let outcomes = faults
+        .iter()
+        .map(|&fault| FaultOutcome {
+            fault,
+            class: classify(&golden, &replay(spec, Some(fault)), spec.alarm_output),
+        })
+        .collect();
+    CampaignReport {
+        cycles: spec.cycles,
+        outcomes,
+    }
+}
+
+/// Times one-lane and sliced replay on one (spec, universe) pair,
+/// best-of-`iters`, then checks both against the event-driven oracle,
+/// untimed. The baseline is timed first so cache warm-up, if
+/// anything, favours it.
 fn measure_variant(
     name: &'static str,
     spec: &CampaignSpec,
-    faults: &[adgen_fault::Fault],
+    faults: &[Fault],
     iters: u32,
 ) -> VariantResult {
     let mut scalar_s = f64::INFINITY;
@@ -238,7 +260,7 @@ fn measure_variant(
     let mut sliced_report = None;
     for _ in 0..iters {
         let started = Instant::now();
-        let r = run_campaign_scalar(spec, faults, 1);
+        let r = replay_one_by_one(spec, faults);
         scalar_s = scalar_s.min(started.elapsed().as_secs_f64());
         scalar_report = Some(r);
 
@@ -249,7 +271,8 @@ fn measure_variant(
     }
     let scalar_report = scalar_report.expect("at least one iteration");
     let sliced_report = sliced_report.expect("at least one iteration");
-    let diverged = scalar_report != sliced_report;
+    let oracle = run_campaign_scalar(spec, faults, 1);
+    let diverged = scalar_report != oracle || sliced_report != oracle;
 
     // Each packed pass carries one chunk of up to 63 faults plus the
     // golden lane; utilization is occupied lanes over 64 per pass.

@@ -9,15 +9,13 @@
 //! premium, and this module prices that trade explicitly. It also
 //! hosts [`verify_affine_bit_exact`], the acceptance gate that the
 //! affine row actually reproduces the input — affine part replayed at
-//! gate level on all three simulation engines, residual appended.
+//! gate level on both simulation engines, residual appended.
 
 use adgen_affine::{fit_sequence, price_affine, AffineAgNetlist, AffineFit, AffinePriceError};
 use adgen_cntag::{component_delays, CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
 use adgen_fault::{flip_flop_ids, run_campaign, sample_seus, CampaignSpec, Fault};
-use adgen_netlist::{
-    EventSimulator, Library, Netlist, Price, SimControl, Simulator, SlicedSimulator,
-};
+use adgen_netlist::{EventSimulator, Library, Netlist, Price, SimControl, Simulator};
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
 use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError};
 
@@ -234,8 +232,8 @@ pub fn compare_four_way(
 /// Proves the affine row reproduces `sequence` bit-exactly: fits the
 /// sequence, checks the behavioural reconstruction (affine part plus
 /// residual), elaborates the AGU, and replays the affine part at gate
-/// level on all three simulation engines — levelized, event-driven
-/// and 64-lane bit-sliced. Returns the verified fit.
+/// level on both simulation engines — compiled and event-driven.
+/// Returns the verified fit.
 ///
 /// # Errors
 ///
@@ -260,12 +258,10 @@ pub fn verify_affine_bit_exact(sequence: &AddressSequence) -> Result<AffineFit, 
         }
         Ok(())
     };
-    let mut lev = Simulator::new(&design.netlist).map_err(|e| e.to_string())?;
-    run(&mut lev, "levelized")?;
+    let mut compiled = Simulator::new(&design.netlist).map_err(|e| e.to_string())?;
+    run(&mut compiled, "compiled")?;
     let mut evt = EventSimulator::new(&design.netlist).map_err(|e| e.to_string())?;
     run(&mut evt, "event-driven")?;
-    let mut sliced = SlicedSimulator::new(&design.netlist, 64).map_err(|e| e.to_string())?;
-    run(&mut sliced, "bit-sliced")?;
     Ok(fit)
 }
 
@@ -313,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn affine_is_bit_exact_on_all_three_engines() {
+    fn affine_is_bit_exact_on_both_engines() {
         let shape = ArrayShape::new(8, 8);
         for seq in [
             workloads::motion_est_read(shape, 2, 2, 0),

@@ -15,23 +15,25 @@
 //! * [`Classification::Benign`] — the faulty run is
 //!   indistinguishable from the golden run, outputs and state.
 //!
-//! Replays run on the bit-sliced simulator, packed
+//! Replays run on the compiled simulator with many lanes, packed
 //! [`SLICED_FAULT_LANES`] faults plus one shared golden lane per
 //! pass: lane 0 re-runs the fault-free machine (cross-checked against
-//! the scalar golden trace every cycle) while lanes `1..` each carry
+//! the one-lane golden trace every cycle) while lanes `1..` each carry
 //! one injected fault, so one netlist walk classifies a whole batch.
 //! Chunks fan out over [`adgen_exec::par_map`], whose output order
 //! equals fault-list order regardless of the job count, so a
 //! campaign report is byte-identical across `--jobs` settings. Each
 //! fault is pure data ([`Fault::id`]), so any single outcome can be
 //! reproduced from the `FAULT=` token in its repro line — single-
-//! fault reproduction uses the scalar [`replay`], the same engine
-//! [`run_campaign_scalar`] keeps available as a differential oracle.
+//! fault reproduction uses the one-lane [`replay`].
+//!
+//! [`run_campaign_scalar`] is the campaign-level oracle: it replays
+//! the golden trace and every fault, one at a time, on the
+//! event-driven engine ([`replay_event`]), which never goes through
+//! the gate compiler the compiled engine steps.
 
 use adgen_exec::par_map;
-use adgen_netlist::{
-    EventSimulator, LaneMask, Logic, Netlist, SimControl, Simulator, SlicedSimulator,
-};
+use adgen_netlist::{EventSimulator, LaneMask, Logic, Netlist, SimControl, Simulator};
 use adgen_obs as obs;
 
 use crate::model::Fault;
@@ -129,8 +131,8 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
     }
 }
 
-/// Runs the campaign stimulus on the levelized simulator with an
-/// optional injected fault; `None` produces the golden trace.
+/// Runs the campaign stimulus on the compiled one-lane simulator with
+/// an optional injected fault; `None` produces the golden trace.
 ///
 /// # Panics
 ///
@@ -143,10 +145,10 @@ pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     replay_on(&mut sim, spec, fault)
 }
 
-/// [`replay`] on the event-driven simulator — same trace by
-/// construction; campaigns use the bit-sliced engine (63 faults per
-/// pass), the differential tests and fuzzer use this to cross-check
-/// the injection hooks themselves.
+/// [`replay`] on the event-driven simulator — the same trace, from an
+/// engine that walks the raw netlist. [`run_campaign_scalar`], the
+/// differential tests and the fuzzer use it to cross-check the
+/// compiled engine and its injection hooks.
 ///
 /// # Panics
 ///
@@ -290,20 +292,20 @@ fn count_classification(class: Classification) {
 /// Replays and classifies up to [`SLICED_FAULT_LANES`] faults in one
 /// bit-sliced pass: lane 0 is the shared golden lane, lane `k + 1`
 /// carries `chunk[k]`. The golden lane is cross-checked against the
-/// scalar `golden` trace every observed cycle, so a sliced-kernel
-/// defect cannot silently misclassify a batch.
+/// one-lane `golden` trace every observed cycle, so a word-seam or
+/// lane-mask defect cannot silently misclassify a batch.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`], or on any
-/// golden-lane divergence from the scalar trace.
+/// golden-lane divergence from the one-lane trace.
 fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> Vec<Classification> {
     assert!(chunk.len() <= SLICED_FAULT_LANES, "chunk exceeds one word");
     let _span = obs::span_arg("fault.replay.sliced", chunk.len() as u64);
     obs::add(obs::Ctr::FaultReplays, chunk.len() as u64);
     let lanes = chunk.len() + 1;
     let mut sim =
-        SlicedSimulator::new(spec.netlist, lanes).expect("campaign netlist must be simulable");
+        Simulator::with_lanes(spec.netlist, lanes).expect("campaign netlist must be simulable");
     for (k, fault) in chunk.iter().enumerate() {
         if let Fault::StuckAt { net, value } = *fault {
             let v = if value { Logic::One } else { Logic::Zero };
@@ -329,7 +331,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
         sim.step_bools(&run).expect("step");
         let grow = &golden.outputs[cycle as usize - 1];
         // The alarm firing takes precedence over plain divergence,
-        // exactly as in the scalar `classify`.
+        // exactly as in the per-trace `classify`.
         if let Some(a) = spec.alarm_output {
             let (ones, _) = sim.packed_value(outs[a], 0);
             let fired = ones & pending;
@@ -370,7 +372,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
             Classification::Silent
         };
     }
-    // The golden lane's latent state must match the scalar trace too
+    // The golden lane's latent state must match the one-lane trace too
     // (only checked when the loop ran the full window — an early
     // break means every lane was classified by then).
     if pending != 0 || spec.cycles == 0 {
@@ -401,10 +403,11 @@ fn mark_detected(
     *pending &= !hits;
 }
 
-/// Replays and classifies every fault in `faults` on the bit-sliced
+/// Replays and classifies every fault in `faults` on the compiled
 /// engine, [`SLICED_FAULT_LANES`] faults plus one golden lane per
-/// pass, fanning the passes out over `jobs` worker threads. Output
-/// order equals `faults` order — and classifications are identical to
+/// pass, fanning the passes out over `jobs` worker threads. The
+/// golden trace comes from one-lane [`replay`]. Output order equals
+/// `faults` order — and classifications are identical to
 /// [`run_campaign_scalar`] — for any job count.
 pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> CampaignReport {
     let _span = obs::span_arg("fault.campaign", faults.len() as u64);
@@ -430,19 +433,19 @@ pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> C
     }
 }
 
-/// The scalar campaign engine: one levelized replay per fault. Kept
-/// as the differential oracle for [`run_campaign`] (CI asserts the
-/// two classify identically) and as the baseline `simbench` measures
-/// the sliced speedup against.
+/// The campaign-level oracle: the golden trace and one replay per
+/// fault, all on the event-driven engine ([`replay_event`]), which
+/// never goes through the gate compiler. CI asserts that it and
+/// [`run_campaign`] classify every fault identically.
 pub fn run_campaign_scalar(
     spec: &CampaignSpec<'_>,
     faults: &[Fault],
     jobs: usize,
 ) -> CampaignReport {
     let _span = obs::span_arg("fault.campaign", faults.len() as u64);
-    let golden = replay(spec, None);
+    let golden = replay_event(spec, None);
     let outcomes = par_map(faults, jobs, |_, &fault| {
-        let faulty = replay(spec, Some(fault));
+        let faulty = replay_event(spec, Some(fault));
         let class = classify(&golden, &faulty, spec.alarm_output);
         if obs::enabled() {
             count_classification(class);

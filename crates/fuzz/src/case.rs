@@ -68,7 +68,7 @@ pub enum FuzzCase {
         m: u32,
     },
     /// Workload → behavioural SRAG pair vs. gate-level elaboration
-    /// (levelized and event-driven simulators, plus netlist-level
+    /// (compiled and event-driven simulators, plus netlist-level
     /// equivalence between control styles / chaining).
     GateLevel {
         /// Workload kernel.
@@ -127,8 +127,7 @@ pub enum FuzzCase {
     },
     /// Workload → gate-level elaboration driven through the bit-sliced
     /// simulator with an independent stimulus and fault plan per lane,
-    /// cross-checked lane-by-lane against scalar `Simulator` twins
-    /// (and the event-driven simulator on lane 0).
+    /// cross-checked lane-by-lane against `EventSimulator` twins.
     SlicedVsScalar {
         /// Workload kernel.
         kind: WorkloadKind,

@@ -5,13 +5,13 @@
 //! |---|---|---|
 //! | `mapper` | `map_sequence` (production) | naive §5 rederivation + `SragSimulator` round-trip + the same case relabelled into the full `u32` range |
 //! | `srag-vs-cntag` | behavioural SRAG pair | counter-cascade CntAG + reference trace |
-//! | `gate-level` | behavioural pair | levelized & event-driven gate simulation, style/chaining equivalence |
+//! | `gate-level` | behavioural pair | compiled & event-driven gate simulation, style/chaining equivalence |
 //! | `cube` | bit-packed `Cube` | unpacked `Vec<Tri>` oracle |
 //! | `espresso` | minimized cover | exhaustive truth-table semantics |
 //! | `wide-cover` | packed `Cover` ops (spill words) | naive cover evaluation |
 //! | `cosim` | ADDM + RAM co-simulation | replay-generator reference run |
-//! | `sliced-vs-scalar` | bit-sliced simulator (per-lane stimulus, forces, SEUs) | one scalar `Simulator` twin per lane + event-driven sim on the golden lane |
-//! | `fault-alarm` | hardened SRAG under an injected ring fault | one-period alarm deadline or bounded golden equivalence, levelized vs event-driven replay |
+//! | `sliced-vs-scalar` | multi-lane compiled simulator (per-lane stimulus, forces, SEUs) | one `EventSimulator` twin per lane |
+//! | `fault-alarm` | hardened SRAG under an injected ring fault | one-period alarm deadline or bounded golden equivalence, compiled vs event-driven replay |
 //! | `affine-vs-reference` | `fit_sequence` + gate-level affine AGU (default-baked and chain-programmed) | closed-form `emitted_stream`, behavioural `AffineSimulator`, reconstruction invariant, lane-uniform sliced replay |
 //! | `bank-vs-reference` | `BankMap` split/join + per-lane `Decomposition` | bijective map round-trip, bit-exact `reconstruct()` per lane, whole-stream reassembly across all B banks, decompose determinism |
 //! | `frame-fuzz` | a live `adgen_serve` epoll reactor fed adversarial framing | typed-error/clean-close contract, follow-up client liveness, `conn_malformed` / `conn_timed_out` counters |
@@ -36,8 +36,7 @@ use adgen_fault::{
 };
 use adgen_memory::cosim::{run_addm, run_ram};
 use adgen_netlist::{
-    check_equivalence_random, EventSimulator, InstId, LaneMask, Logic, NetId, Netlist, SimControl,
-    Simulator, SlicedSimulator,
+    check_equivalence_random, EventSimulator, InstId, LaneMask, Logic, NetId, Netlist, Simulator,
 };
 use adgen_seq::{
     workloads, AddressGenerator, AddressSequence, ArrayShape, Layout, ReplayGenerator,
@@ -346,9 +345,9 @@ fn check_gate_level(
         ));
     }
 
-    // Levelized vs event-driven simulation of the same netlist under
+    // Compiled vs event-driven simulation of the same netlist under
     // stimulus with stalls and a mid-stream reset.
-    let mut lev = Simulator::new(&design.netlist).map_err(|e| format!("levelized sim: {e}"))?;
+    let mut lev = Simulator::new(&design.netlist).map_err(|e| format!("compiled sim: {e}"))?;
     let mut evt = EventSimulator::new(&design.netlist).map_err(|e| format!("event sim: {e}"))?;
     let cycles = (period + 16).min(512);
     let mut stim = splitmix64(0x9a7e ^ (u64::from(width) << 8) ^ u64::from(height));
@@ -357,13 +356,13 @@ fn check_gate_level(
         let reset = cycle == 0 || stim.is_multiple_of(97);
         let next = !stim.is_multiple_of(5); // occasional stall
         lev.step_bools(&[reset, next])
-            .map_err(|e| format!("levelized step: {e}"))?;
+            .map_err(|e| format!("compiled step: {e}"))?;
         evt.step_bools(&[reset, next])
             .map_err(|e| format!("event step: {e}"))?;
         for (k, &net) in design.netlist.outputs().iter().enumerate() {
             if lev.value(net) != evt.value(net) {
                 return Err(format!(
-                    "event-driven sim diverges from levelized at cycle {cycle}, output {k}: \
+                    "event-driven sim diverges from compiled at cycle {cycle}, output {k}: \
                      {:?} vs {:?}",
                     evt.value(net),
                     lev.value(net)
@@ -719,13 +718,12 @@ fn lane_plan(salt: u64, lane: usize, cycles: u32, netlist: &Netlist, ffs: &[Inst
     }
 }
 
-/// The tentpole differential: a sliced simulation carrying `lanes`
+/// The tentpole differential: a compiled simulation carrying `lanes`
 /// independently-stimulated, independently-faulted machines must
-/// agree lane-for-lane with one scalar [`Simulator`] per lane — on
+/// agree lane-for-lane with one [`EventSimulator`] per lane — on
 /// every output every cycle, on the per-lane effect of every SEU
-/// hook, and on the final flip-flop state. Lane 0 (always clean) is
-/// additionally mirrored by an [`EventSimulator`], tying the sliced
-/// engine into the existing scalar-vs-event oracle chain.
+/// hook, and on the final flip-flop state. The event-driven twins
+/// walk the raw netlist, so they check the gate compiler too.
 fn check_sliced_vs_scalar(
     kind: WorkloadKind,
     width: u32,
@@ -751,12 +749,11 @@ fn check_sliced_vs_scalar(
         .collect();
 
     let mut sliced =
-        SlicedSimulator::new(netlist, lanes).map_err(|e| format!("sliced sim: {e}"))?;
+        Simulator::with_lanes(netlist, lanes).map_err(|e| format!("sliced sim: {e}"))?;
     let mut twins = Vec::with_capacity(lanes);
     for _ in 0..lanes {
-        twins.push(Simulator::new(netlist).map_err(|e| format!("scalar twin: {e}"))?);
+        twins.push(EventSimulator::new(netlist).map_err(|e| format!("event twin: {e}"))?);
     }
-    let mut evt = EventSimulator::new(netlist).map_err(|e| format!("event sim: {e}"))?;
 
     for (lane, plan) in plans.iter().enumerate() {
         for &(net, value) in &plan.forces {
@@ -774,7 +771,7 @@ fn check_sliced_vs_scalar(
                     if flipped.get(lane) != twin_flipped {
                         return Err(format!(
                             "SEU effect disagrees at cycle {cycle}, lane {lane}: sliced \
-                             flipped={}, scalar flipped={twin_flipped}",
+                             flipped={}, event twin flipped={twin_flipped}",
                             flipped.get(lane)
                         ));
                     }
@@ -791,10 +788,8 @@ fn check_sliced_vs_scalar(
         for (lane, plan) in plans.iter().enumerate() {
             twins[lane]
                 .step(&plan.stim[cycle as usize])
-                .map_err(|e| format!("scalar step: {e}"))?;
+                .map_err(|e| format!("event step: {e}"))?;
         }
-        evt.step(&plans[0].stim[cycle as usize])
-            .map_err(|e| format!("event step: {e}"))?;
 
         for (lane, twin) in twins.iter().enumerate() {
             let got = sliced.output_values_lane(lane);
@@ -802,29 +797,20 @@ fn check_sliced_vs_scalar(
             if got != want {
                 let at = got.iter().zip(&want).position(|(a, b)| a != b).unwrap_or(0);
                 return Err(format!(
-                    "sliced lane {lane} diverges from its scalar twin at cycle {cycle}, \
+                    "sliced lane {lane} diverges from its event twin at cycle {cycle}, \
                      output {at}: {:?} vs {:?}",
                     got[at], want[at]
                 ));
             }
-        }
-        let evt_out = SimControl::output_values(&evt);
-        if evt_out != twins[0].output_values() {
-            return Err(format!(
-                "event sim diverges from the golden lane at cycle {cycle}"
-            ));
         }
     }
 
     for (lane, twin) in twins.iter().enumerate() {
         if sliced.flip_flop_states_lane(lane) != twin.flip_flop_states() {
             return Err(format!(
-                "final flip-flop state of lane {lane} disagrees with its scalar twin"
+                "final flip-flop state of lane {lane} disagrees with its event twin"
             ));
         }
-    }
-    if SimControl::flip_flop_states(&evt) != twins[0].flip_flop_states() {
-        return Err("event sim final state disagrees with the golden lane".into());
     }
     Ok(())
 }
@@ -1092,20 +1078,20 @@ fn check_affine_vs_reference(seq: &[u32], lanes: u32) -> CheckResult {
     }
 
     // Layer 3: gate level, fitted program baked in as the reset
-    // default, on the levelized and event-driven engines.
+    // default, on the compiled and event-driven engines.
     let agu = AffineAgNetlist::elaborate(&fit.spec)
         .map_err(|e| format!("affine elaboration failed: {e}"))?;
     let max_ticks = 2 * fit.spec.program_ticks() + 8;
     let want = &seq[..fit.covered];
-    let mut scalar = Simulator::new(&agu.netlist).map_err(|e| format!("scalar sim: {e}"))?;
-    agu.reset_sim(&mut scalar)
-        .map_err(|e| format!("scalar reset: {e}"))?;
+    let mut compiled = Simulator::new(&agu.netlist).map_err(|e| format!("compiled sim: {e}"))?;
+    agu.reset_sim(&mut compiled)
+        .map_err(|e| format!("compiled reset: {e}"))?;
     let got = agu
-        .collect_emitted(&mut scalar, fit.covered, max_ticks)
-        .map_err(|e| format!("scalar replay: {e}"))?;
+        .collect_emitted(&mut compiled, fit.covered, max_ticks)
+        .map_err(|e| format!("compiled replay: {e}"))?;
     if got != want {
         return Err(format!(
-            "levelized gate replay diverges from the covered prefix: {got:?} vs {want:?}"
+            "compiled gate replay diverges from the covered prefix: {got:?} vs {want:?}"
         ));
     }
     let mut evt = EventSimulator::new(&agu.netlist).map_err(|e| format!("event sim: {e}"))?;
@@ -1149,7 +1135,7 @@ fn check_affine_vs_reference(seq: &[u32], lanes: u32) -> CheckResult {
     // word-seam masking bug in the simulator itself.
     let lanes = lanes as usize;
     let mut sliced =
-        SlicedSimulator::new(&agu.netlist, lanes).map_err(|e| format!("sliced sim: {e}"))?;
+        Simulator::with_lanes(&agu.netlist, lanes).map_err(|e| format!("sliced sim: {e}"))?;
     agu.reset_sim(&mut sliced)
         .map_err(|e| format!("sliced reset: {e}"))?;
     let mut got = Vec::with_capacity(fit.covered);
@@ -1288,7 +1274,7 @@ fn check_bank_vs_reference(stream: &[u32], banks: u32, map_code: u8) -> CheckRes
 /// injected stuck-at on a select line or SEU on a ring flip-flop must
 /// raise `alarm` within one ring period of activating — or be proven
 /// benign by bounded equivalence (the faulty trace, outputs and final
-/// state, equals the golden run over the whole window). The levelized
+/// state, equals the golden run over the whole window). The compiled
 /// and event-driven replays must also agree on the faulty trace,
 /// cross-checking the injection hooks themselves.
 fn check_fault_alarm(n: u32, dc: u32, fault_kind: u8, target: u32, cycle: u32) -> CheckResult {
@@ -1336,7 +1322,7 @@ fn check_fault_alarm(n: u32, dc: u32, fault_kind: u8, target: u32, cycle: u32) -
     let faulty = replay(&camp, Some(fault));
     let faulty_evt = replay_event(&camp, Some(fault));
     if faulty != faulty_evt {
-        return Err("levelized and event-driven faulty replays disagree".into());
+        return Err("compiled and event-driven faulty replays disagree".into());
     }
 
     match classify(&golden, &faulty, camp.alarm_output) {

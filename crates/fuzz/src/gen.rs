@@ -426,8 +426,8 @@ const LANE_SEAMS: [u32; 8] = [1, 2, 63, 64, 65, 96, 127, 128];
 
 /// A small workload netlist driven through the bit-sliced simulator
 /// with independent per-lane stimulus and fault plans, checked
-/// against one scalar simulator per lane. Shapes stay small because
-/// the oracle cost is `lanes` scalar simulations.
+/// against one event-driven simulator per lane. Shapes stay small
+/// because the oracle cost is `lanes` scalar simulations.
 fn gen_sliced_vs_scalar(rng: &mut Prng) -> FuzzCase {
     let kind = workload_kind(rng);
     let width = pow2(rng, 1, 3);

@@ -9,12 +9,12 @@
 //! |----------------|-------------------------------------|--------|
 //! | `mapper`       | `adgen_core::mapper::map_sequence`  | from-scratch §5 checker with analytic reconstruction |
 //! | `srag-vs-cntag`| `SragSimulator` / `Srag2dSimulator` | `CntAgSimulator` and the reference workload sequence |
-//! | `gate-level`   | elaborated netlists, event sim      | behavioural simulators, levelized sim, random equivalence |
+//! | `gate-level`   | elaborated netlists, event sim      | behavioural simulators, compiled sim, random equivalence |
 //! | `cube`         | bit-packed `adgen_synth::Cube`      | `Vec<Tri>` re-implementation |
 //! | `espresso`     | `adgen_synth::espresso::minimize`   | exhaustive truth-table evaluation |
 //! | `wide-cover`   | multi-word (spilled) covers         | naive disjunction over literal vectors |
 //! | `cosim`        | `adgen_memory::cosim` ADDM/RAM      | cross-model report comparison |
-//! | `sliced-vs-scalar` | bit-sliced `SlicedSimulator`    | one scalar simulator per lane, event-driven sim on the golden lane |
+//! | `sliced-vs-scalar` | multi-lane compiled `Simulator` | one event-driven simulator per lane |
 //! | `fault-alarm`  | hardened SRAG + `adgen_fault` replay | one-period alarm deadline, bounded golden equivalence, event-sim agreement |
 //! | `affine-vs-reference` | `adgen_affine` mapper + gate-level AGU | closed-form stream, behavioural simulator, chain-programming replay, lane-uniform sliced replay |
 //! | `bank-vs-reference` | `adgen_bank` map split/join + decompose pass | bijective round-trip, bit-exact per-lane reconstruction, cross-bank reassembly |

@@ -12,7 +12,8 @@
 
 use crate::error::NetlistError;
 use crate::graph::Netlist;
-use crate::sim::{Logic, Simulator};
+use crate::sim::Logic;
+use crate::sim_sliced::Simulator;
 
 /// A witness of divergence between two netlists.
 #[derive(Debug, Clone, PartialEq, Eq)]

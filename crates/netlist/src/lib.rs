@@ -15,9 +15,11 @@
 //!   (`delay = intrinsic + R_drive × ΣC_load`),
 //! * an area model ([`stats`]) that rolls up cell-unit area and
 //!   per-cell-kind histograms, and
-//! * a levelized cycle-accurate logic simulator ([`sim`]) with
-//!   three-valued (`0/1/X`) semantics used to verify that elaborated
-//!   netlists behave identically to their behavioural models.
+//! * a compiled, bit-sliced cycle-accurate logic simulator
+//!   ([`Simulator`]) with three-valued (`0/1/X`) semantics used to
+//!   verify that elaborated netlists behave identically to their
+//!   behavioural models, checked in turn against an uncompiled
+//!   event-driven oracle ([`EventSimulator`]).
 //!
 //! # Example
 //!
@@ -65,9 +67,9 @@ pub use error::NetlistError;
 pub use graph::{Driver, InstId, Instance, Net, NetId, Netlist};
 pub use liberty::to_liberty;
 pub use power::{measure_power, PowerReport};
-pub use sim::{Logic, SimControl, Simulator};
+pub use sim::{Logic, SimControl};
 pub use sim_event::EventSimulator;
-pub use sim_sliced::{LaneMask, SlicedSimulator};
+pub use sim_sliced::{LaneMask, Simulator};
 pub use sta::{TimingAnalysis, TimingContext};
 pub use stats::{AreaReport, Price};
 pub use vcd::VcdTrace;

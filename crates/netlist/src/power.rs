@@ -19,7 +19,8 @@
 use crate::cell::Library;
 use crate::error::NetlistError;
 use crate::graph::Netlist;
-use crate::sim::{Logic, Simulator};
+use crate::sim::Logic;
+use crate::sim_sliced::Simulator;
 
 /// Supply voltage of the `vcl018` process, volts.
 pub const VDD: f64 = 1.8;

@@ -1,14 +1,13 @@
-//! The compiled gate program both cycle simulators step from (crate
-//! internal).
+//! The compiled gate program the [`Simulator`](crate::Simulator)
+//! steps from (crate internal).
 //!
 //! [`Netlist`] is built for construction and analysis: instances own
 //! heap-allocated pin lists and are reached through
 //! [`InstId`](crate::InstId)s. A
 //! simulator that walks it pays a pointer chase per gate and a slice
 //! per pin on every cycle. [`Program::compile`] flattens the netlist
-//! once — when a [`Simulator`](crate::Simulator) or
-//! [`SlicedSimulator`](crate::SlicedSimulator) is constructed — into
-//! two arrays of fixed-width records:
+//! once — when a [`Simulator`](crate::Simulator) is constructed, on
+//! one lane or many — into two arrays of fixed-width records:
 //!
 //! * [`Gate`]s: the combinational instances in topological order,
 //!   `{kind, out, ins}`;
@@ -24,8 +23,9 @@
 //! read the first `num_inputs` of them.
 //!
 //! The event-driven engine deliberately keeps walking the raw
-//! [`Netlist`], so the three-engine differential checks always hold
-//! one oracle that does not go through this compiler.
+//! [`Netlist`], so every differential check of the compiled engine
+//! compares it against an oracle that does not go through this
+//! compiler.
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;

@@ -1,20 +1,23 @@
-//! Levelized cycle-accurate logic simulation with `0/1/X` semantics.
+//! Cycle-accurate logic simulation with `0/1/X` semantics: the
+//! three-valued [`Logic`] level and the [`SimControl`] surface both
+//! engines share.
 //!
-//! The simulator evaluates the combinational network once per clock
-//! cycle in topological order, then updates every flip-flop from its
-//! sampled data/control pins. Flip-flops power up as [`Logic::X`];
-//! designs are expected to assert the global reset for at least one
-//! cycle to reach a defined state — exactly the discipline the paper's
-//! generators (which all have a `Reset` input) follow.
+//! Each clock cycle settles the combinational network, then updates
+//! every flip-flop from its sampled data/control pins. Flip-flops
+//! power up as [`Logic::X`]; designs are expected to assert the global
+//! reset for at least one cycle to reach a defined state — exactly the
+//! discipline the paper's generators (which all have a `Reset` input)
+//! follow.
 //!
-//! Simulation is used throughout the workspace as the ground-truth
-//! check that an elaborated netlist implements its behavioural model.
+//! There are two engines. The compiled [`Simulator`](crate::Simulator)
+//! steps a flattened gate program on one machine or on many bit-sliced
+//! lanes; it is the ground-truth check, used throughout the workspace,
+//! that an elaborated netlist implements its behavioural model. The
+//! [`EventSimulator`](crate::EventSimulator) walks the raw netlist and
+//! is the oracle that checks the compiled engine.
 
-use crate::cell::CellKind;
 use crate::error::NetlistError;
-use crate::graph::{InstId, NetId, Netlist};
-use crate::program::{Program, MAX_PINS};
-use adgen_obs as obs;
+use crate::graph::{InstId, NetId};
 
 /// Three-valued logic level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -94,16 +97,17 @@ impl From<bool> for Logic {
     }
 }
 
-/// The control surface every simulation engine exposes: stimulus,
+/// The control surface both simulation engines expose: stimulus,
 /// fault injection (stuck-ats and single-event upsets), and state
 /// readback. Fault-campaign and fuzz harnesses are written against
-/// this trait so the levelized, event-driven and bit-sliced engines
-/// are interchangeable.
+/// this trait so the compiled [`Simulator`](crate::Simulator) and the
+/// event-driven [`EventSimulator`](crate::EventSimulator) are
+/// interchangeable.
 ///
-/// For the bit-sliced engine the trait is the *scalar view*: forces
-/// and upsets broadcast to every lane and reads come from lane 0; the
-/// lane-masked batch hooks live on
-/// [`SlicedSimulator`](crate::sim_sliced::SlicedSimulator) itself.
+/// For a multi-lane [`Simulator`](crate::Simulator) the trait is the
+/// *scalar view*: forces and upsets broadcast to every lane and reads
+/// come from lane 0; the lane-masked batch hooks live on the
+/// simulator itself.
 pub trait SimControl {
     /// Pins `net` at `value` for every subsequent cycle — the
     /// stuck-at fault model. The override replaces whatever the net's
@@ -132,10 +136,10 @@ pub trait SimControl {
     fn cycle(&self) -> u64;
 
     /// Cumulative combinational evaluation count. What one
-    /// "evaluation" means is engine-specific — gates × cycles for the
-    /// levelized engine, actual re-evaluations for the event-driven
-    /// one, gate-words for the sliced one; see DESIGN.md §11 for the
-    /// exact accounting semantics of each engine.
+    /// "evaluation" means is engine-specific — one gate on one 64-lane
+    /// word for the compiled engine (so gates × cycles on one lane),
+    /// an actual re-evaluation for the event-driven one; see DESIGN.md
+    /// §11 for the exact accounting semantics of each engine.
     fn evaluations(&self) -> u64;
 
     /// Current value of `net` (as of the last [`step`](Self::step)).
@@ -165,389 +169,10 @@ pub trait SimControl {
     }
 }
 
-/// Active stuck-at overrides, shared by the scalar engines (crate
-/// internal). An association list: fault campaigns force a handful of
-/// nets at most, so linear scans beat a map.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ForceList {
-    entries: Vec<(NetId, Logic)>,
-}
-
-impl ForceList {
-    /// Adds or replaces the override on `net`.
-    pub(crate) fn set(&mut self, net: NetId, value: Logic) {
-        match self.entries.iter_mut().find(|(n, _)| *n == net) {
-            Some(slot) => slot.1 = value,
-            None => self.entries.push((net, value)),
-        }
-    }
-
-    /// The override on `net`, if any.
-    pub(crate) fn get(&self, net: NetId) -> Option<Logic> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == net)
-            .map(|&(_, v)| v)
-    }
-
-    pub(crate) fn entries(&self) -> &[(NetId, Logic)] {
-        &self.entries
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Clears the list and hands back the overrides that were active
-    /// (the event-driven engine re-wakes their drivers).
-    pub(crate) fn take(&mut self) -> Vec<(NetId, Logic)> {
-        std::mem::take(&mut self.entries)
-    }
-}
-
-/// Applies a single-event upset to one stored state slot (crate
-/// internal; the shared body of every engine's `upset_flip_flop`).
-///
-/// # Panics
-///
-/// Panics if `inst` is not a sequential instance.
-pub(crate) fn upset_state_slot(netlist: &Netlist, inst: InstId, slot: &mut Logic) -> bool {
-    assert!(
-        netlist.instance(inst).kind().is_sequential(),
-        "single-event upsets only apply to flip-flops"
-    );
-    match *slot {
-        Logic::Zero => {
-            *slot = Logic::One;
-            true
-        }
-        Logic::One => {
-            *slot = Logic::Zero;
-            true
-        }
-        Logic::X => false,
-    }
-}
-
-/// Collects the stored state of every sequential instance in instance
-/// order from a per-instance state vector by walking the raw netlist
-/// (crate internal; the event-driven engine's `flip_flop_states`).
-pub(crate) fn collect_flip_flop_states(netlist: &Netlist, state: &[Logic]) -> Vec<Logic> {
-    netlist
-        .instances()
-        .iter()
-        .enumerate()
-        .filter(|(_, inst)| inst.kind().is_sequential())
-        .map(|(idx, _)| state[idx])
-        .collect()
-}
-
-/// Cycle-accurate simulator over a validated [`Netlist`].
-#[derive(Debug, Clone)]
-pub struct Simulator<'a> {
-    netlist: &'a Netlist,
-    program: Program,
-    values: Vec<Logic>,
-    state: Vec<Logic>,
-    /// Active net overrides (stuck-at faults); tiny in practice.
-    forced: ForceList,
-    cycle: u64,
-    evaluations: u64,
-}
-
-impl<'a> Simulator<'a> {
-    /// Prepares a simulator for `netlist`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the netlist does not [`validate`](Netlist::validate).
-    pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        Ok(Simulator {
-            netlist,
-            program: Program::compile(netlist)?,
-            values: vec![Logic::X; netlist.nets().len()],
-            state: vec![Logic::X; netlist.instances().len()],
-            forced: ForceList::default(),
-            cycle: 0,
-            evaluations: 0,
-        })
-    }
-
-    /// Pins `net` at `value` for every subsequent cycle — the
-    /// stuck-at fault model. The override replaces whatever the net's
-    /// driver (primary input, gate, tie cell or flip-flop Q) produces,
-    /// as seen both by combinational fanout and by flip-flop pin
-    /// sampling. Forcing an already-forced net replaces its value.
-    pub fn force_net(&mut self, net: NetId, value: Logic) {
-        self.forced.set(net, value);
-    }
-
-    /// Removes every active [`force_net`](Self::force_net) override;
-    /// the nets resume following their drivers on the next
-    /// [`step`](Self::step).
-    pub fn clear_forces(&mut self) {
-        self.forced.clear();
-    }
-
-    /// Flips the stored state of flip-flop `inst` — a single-event
-    /// upset. `0 ↔ 1`; an `X` state is left unchanged. Returns whether
-    /// a flip happened. The corrupted value is presented on Q during
-    /// the next [`step`](Self::step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst` is not a sequential instance.
-    pub fn upset_flip_flop(&mut self, inst: InstId) -> bool {
-        upset_state_slot(self.netlist, inst, &mut self.state[inst.index()])
-    }
-
-    /// Stored state of every sequential instance, in instance order —
-    /// the campaign engine compares these against a golden run to
-    /// recognize latent (silent) corruption.
-    pub fn flip_flop_states(&self) -> Vec<Logic> {
-        self.program
-            .ffs
-            .iter()
-            .map(|ff| self.state[ff.inst as usize])
-            .collect()
-    }
-
-    /// Number of clock cycles simulated so far.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Combinational gate evaluations performed. The levelized engine
-    /// settles every gate every cycle, so this is exactly
-    /// `cycles × comb_gates` — the dense baseline the event-driven
-    /// and bit-sliced engines are measured against.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Current value of `net` (as of the last [`step`](Self::step)).
-    pub fn value(&self, net: NetId) -> Logic {
-        self.values[net.index()]
-    }
-
-    /// Values of the primary outputs, in declaration order.
-    pub fn output_values(&self) -> Vec<Logic> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()])
-            .collect()
-    }
-
-    /// Advances one clock cycle.
-    ///
-    /// `inputs` supplies one value per primary input in declaration
-    /// order (index 0 is the global reset). The combinational network
-    /// settles, the post-settle net values become observable through
-    /// [`value`](Self::value), and every flip-flop captures its next
-    /// state at the end of the call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InputWidthMismatch`] if the slice length
-    /// does not match the number of primary inputs.
-    pub fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
-        self.step_from(inputs.iter().copied())
-    }
-
-    /// Convenience wrapper over [`step`](Self::step) taking `bool`s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](Self::step).
-    pub fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        self.step_from(inputs.iter().map(|&b| Logic::from_bool(b)))
-    }
-
-    /// The shared step body: drive inputs, present state on Q, apply
-    /// forces, settle the gates in program order, capture next state.
-    fn step_from(
-        &mut self,
-        inputs: impl ExactSizeIterator<Item = Logic>,
-    ) -> Result<(), NetlistError> {
-        let pis = self.netlist.inputs();
-        if inputs.len() != pis.len() {
-            return Err(NetlistError::InputWidthMismatch {
-                expected: pis.len(),
-                found: inputs.len(),
-            });
-        }
-        let values = &mut self.values;
-        for (&net, v) in pis.iter().zip(inputs) {
-            values[net.index()] = v;
-        }
-        for ff in &self.program.ffs {
-            values[ff.q as usize] = self.state[ff.inst as usize];
-        }
-        for &(net, v) in self.forced.entries() {
-            values[net.index()] = v;
-        }
-        let pins = |values: &[Logic], ins: &[u32; MAX_PINS]| ins.map(|i| values[i as usize]);
-        for g in &self.program.gates {
-            let v = eval_gate(g.kind, &pins(values, &g.ins));
-            values[g.out as usize] = self.forced.get(NetId(g.out)).unwrap_or(v);
-        }
-        let gates = self.program.gates.len() as u64;
-        self.evaluations += gates;
-        if obs::enabled() {
-            obs::add(obs::Ctr::SimEvaluations, gates);
-        }
-        // Capture next state in place: pins read settled nets, never
-        // another flip-flop's stored state.
-        for ff in &self.program.ffs {
-            let slot = &mut self.state[ff.inst as usize];
-            *slot = ff_next_state(ff.kind, *slot, &pins(values, &ff.ins));
-        }
-        self.cycle += 1;
-        Ok(())
-    }
-}
-
-impl SimControl for Simulator<'_> {
-    fn force_net(&mut self, net: NetId, value: Logic) {
-        Simulator::force_net(self, net, value);
-    }
-
-    fn clear_forces(&mut self) {
-        Simulator::clear_forces(self);
-    }
-
-    fn upset_flip_flop(&mut self, inst: InstId) -> bool {
-        Simulator::upset_flip_flop(self, inst)
-    }
-
-    fn flip_flop_states(&self) -> Vec<Logic> {
-        Simulator::flip_flop_states(self)
-    }
-
-    fn cycle(&self) -> u64 {
-        Simulator::cycle(self)
-    }
-
-    fn evaluations(&self) -> u64 {
-        Simulator::evaluations(self)
-    }
-
-    fn value(&self, net: NetId) -> Logic {
-        Simulator::value(self, net)
-    }
-
-    fn output_values(&self) -> Vec<Logic> {
-        Simulator::output_values(self)
-    }
-
-    fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
-        Simulator::step(self, inputs)
-    }
-
-    fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        Simulator::step_bools(self, inputs)
-    }
-}
-
-/// Evaluates a combinational cell on the given pin values (crate
-/// internal; shared by the levelized and event-driven simulators).
-///
-/// # Panics
-///
-/// Panics (via `unreachable!`) on sequential kinds.
-pub(crate) fn eval_gate(kind: CellKind, pins: &[Logic]) -> Logic {
-    {
-        let v = |i: usize| pins[i];
-        match kind {
-            CellKind::Inv => v(0).not(),
-            CellKind::Buf => v(0),
-            CellKind::Nand2 => v(0).and(v(1)).not(),
-            CellKind::Nand3 => v(0).and(v(1)).and(v(2)).not(),
-            CellKind::Nand4 => v(0).and(v(1)).and(v(2)).and(v(3)).not(),
-            CellKind::Nor2 => v(0).or(v(1)).not(),
-            CellKind::Nor3 => v(0).or(v(1)).or(v(2)).not(),
-            CellKind::Nor4 => v(0).or(v(1)).or(v(2)).or(v(3)).not(),
-            CellKind::And2 => v(0).and(v(1)),
-            CellKind::And3 => v(0).and(v(1)).and(v(2)),
-            CellKind::And4 => v(0).and(v(1)).and(v(2)).and(v(3)),
-            CellKind::Or2 => v(0).or(v(1)),
-            CellKind::Or3 => v(0).or(v(1)).or(v(2)),
-            CellKind::Or4 => v(0).or(v(1)).or(v(2)).or(v(3)),
-            CellKind::Xor2 => v(0).xor(v(1)),
-            CellKind::Xnor2 => v(0).xor(v(1)).not(),
-            CellKind::Aoi21 => v(0).and(v(1)).or(v(2)).not(),
-            CellKind::Oai21 => v(0).or(v(1)).and(v(2)).not(),
-            CellKind::Mux2 => match v(2) {
-                Logic::Zero => v(0),
-                Logic::One => v(1),
-                Logic::X => v(0).merge(v(1)),
-            },
-            CellKind::TieHi => Logic::One,
-            CellKind::TieLo => Logic::Zero,
-            // Sequential outputs are presented from state, not eval'd.
-            _ => unreachable!("sequential cell in combinational order"),
-        }
-    }
-}
-
-/// Computes a flip-flop's next state from its current state and
-/// sampled pin values (crate internal; shared by both simulators).
-///
-/// # Panics
-///
-/// Panics (via `unreachable!`) on combinational kinds.
-pub(crate) fn ff_next_state(kind: CellKind, cur: Logic, pins: &[Logic]) -> Logic {
-    {
-        match kind {
-            CellKind::Dff => pins[0],
-            CellKind::Dffe => match pins[1] {
-                Logic::One => pins[0],
-                Logic::Zero => cur,
-                Logic::X => pins[0].merge(cur),
-            },
-            CellKind::Dffr => match pins[1] {
-                Logic::One => Logic::Zero,
-                Logic::Zero => pins[0],
-                Logic::X => Logic::Zero.merge(pins[0]),
-            },
-            CellKind::Dffs => match pins[1] {
-                Logic::One => Logic::One,
-                Logic::Zero => pins[0],
-                Logic::X => Logic::One.merge(pins[0]),
-            },
-            CellKind::Dffre => {
-                let no_rst = match pins[1] {
-                    Logic::One => pins[0],
-                    Logic::Zero => cur,
-                    Logic::X => pins[0].merge(cur),
-                };
-                match pins[2] {
-                    Logic::One => Logic::Zero,
-                    Logic::Zero => no_rst,
-                    Logic::X => Logic::Zero.merge(no_rst),
-                }
-            }
-            CellKind::Dffse => {
-                let no_set = match pins[1] {
-                    Logic::One => pins[0],
-                    Logic::Zero => cur,
-                    Logic::X => pins[0].merge(cur),
-                };
-                match pins[2] {
-                    Logic::One => Logic::One,
-                    Logic::Zero => no_set,
-                    Logic::X => Logic::One.merge(no_set),
-                }
-            }
-            _ => unreachable!("combinational cell treated as flip-flop"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CellKind, EventSimulator, Netlist, Simulator};
 
     #[test]
     fn logic_tables() {
@@ -763,29 +388,63 @@ mod tests {
         assert!(!sim.upset_flip_flop(ff), "power-up X cannot flip");
     }
 
-    /// Every combinational cell, alone in a netlist with one primary
-    /// input per pin, under every `0/1/X` pin combination: the
-    /// compiled program must agree with the event-driven engine, which
-    /// walks the raw netlist. A pin-order slip in the compiler shows
-    /// up here as an asymmetric gate (mux, AOI/OAI) disagreeing.
+    /// Every cell, alone in a netlist with one primary input per pin,
+    /// under every `0/1/X` pin combination: the compiled program must
+    /// agree with the event-driven engine, which walks the raw
+    /// netlist. A pin-order slip in the compiler shows up here as an
+    /// asymmetric gate (mux, AOI/OAI) disagreeing. Each flip-flop kind
+    /// drives Q as an output and sees every combination from each
+    /// stored state (`0`, `1` and `X`), loaded by a cycle that enables
+    /// the flip-flop and holds its reset or set low; Q and the stored
+    /// state must agree every cycle.
     #[test]
     fn compiled_gates_match_the_raw_netlist_walk_on_every_input() {
         const LEVELS: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
-        for kind in CellKind::ALL.into_iter().filter(|k| !k.is_sequential()) {
+        for kind in CellKind::ALL {
             let mut n = Netlist::new(kind.name());
             let pins: Vec<NetId> = (0..kind.num_inputs())
                 .map(|i| n.add_input(format!("p{i}")))
                 .collect();
-            let y = n.gate(kind, &pins).unwrap();
+            let y = if kind.is_sequential() {
+                let q = n.add_net("q");
+                n.add_instance("ff", kind, &pins, &[q]).unwrap();
+                q
+            } else {
+                n.gate(kind, &pins).unwrap()
+            };
             n.add_output(y);
             let mut compiled = Simulator::new(&n).unwrap();
-            let mut raw = crate::EventSimulator::new(&n).unwrap();
-            for combo in 0..3usize.pow(pins.len() as u32) {
-                let mut inputs = vec![Logic::Zero];
-                inputs.extend((0..pins.len()).map(|i| LEVELS[combo / 3usize.pow(i as u32) % 3]));
-                compiled.step(&inputs).unwrap();
-                raw.step(&inputs).unwrap();
+            let mut raw = EventSimulator::new(&n).unwrap();
+            let mut step = |inputs: &[Logic]| {
+                compiled.step(inputs).unwrap();
+                raw.step(inputs).unwrap();
                 assert_eq!(compiled.value(y), raw.value(y), "{kind:?} on {inputs:?}");
+                let states = compiled.flip_flop_states();
+                assert_eq!(states, raw.flip_flop_states(), "{kind:?} on {inputs:?}");
+                states
+            };
+            let stored: &[Logic] = if kind.is_sequential() {
+                &LEVELS
+            } else {
+                &[Logic::X]
+            };
+            for &state in stored {
+                for combo in 0..3usize.pow(pins.len() as u32) {
+                    if kind.is_sequential() {
+                        // Pin 0 is D; pin 1 is the enable of the
+                        // enabled kinds and the reset or set of the
+                        // others; pin 2 is always a reset or set.
+                        let enabled =
+                            matches!(kind, CellKind::Dffe | CellKind::Dffre | CellKind::Dffse);
+                        let mut load = vec![Logic::Zero, state];
+                        load.extend((1..pins.len()).map(|i| Logic::from_bool(i == 1 && enabled)));
+                        assert_eq!(step(&load), [state], "{kind:?} loads {state:?}");
+                    }
+                    let mut inputs = vec![Logic::Zero];
+                    inputs
+                        .extend((0..pins.len()).map(|i| LEVELS[combo / 3usize.pow(i as u32) % 3]));
+                    step(&inputs);
+                }
             }
         }
     }

@@ -1,26 +1,27 @@
 //! Event-driven cycle simulation: only gates whose inputs changed
 //! are re-evaluated.
 //!
-//! The levelized [`Simulator`](crate::Simulator) evaluates every gate
-//! every cycle; for the netlists in this workspace that is wasteful —
-//! an SRAG moves a single token per shift, so the vast majority of
-//! nets are quiescent. [`EventSimulator`] keeps the same cycle
-//! semantics and external API but propagates only *changes*,
-//! processing affected gates in topological-rank order so every gate
-//! is evaluated at most once per cycle.
+//! The compiled [`Simulator`](crate::Simulator) evaluates every gate
+//! every cycle; an SRAG moves a single token per shift, so the vast
+//! majority of its nets are quiescent. [`EventSimulator`] keeps the
+//! same cycle semantics and external API but propagates only
+//! *changes*, processing affected gates in topological-rank order so
+//! every gate is evaluated at most once per cycle.
 //!
-//! Both simulators are cross-checked for exact equivalence in the
-//! test suite; the Criterion benches quantify the speedup.
+//! It is the oracle of the compiled engine. It walks the raw
+//! [`Netlist`] and evaluates with its own scalar truth tables
+//! (`eval_gate`, `ff_next_state`), so a bug in the gate compiler
+//! or the packed kernel cannot hit both engines at once. The two are
+//! cross-checked for exact equivalence throughout the test suite and
+//! by the `sliced-vs-scalar`, `gate-level` and `fault-alarm` fuzz
+//! families.
 
 use std::collections::BinaryHeap;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph::{Driver, InstId, NetId, Netlist};
-use crate::sim::{
-    collect_flip_flop_states, eval_gate, ff_next_state, upset_state_slot, ForceList, Logic,
-    SimControl,
-};
+use crate::sim::{Logic, SimControl};
 use adgen_obs as obs;
 
 /// Event-driven cycle-accurate simulator with the same semantics as
@@ -96,17 +97,26 @@ impl<'a> EventSimulator<'a> {
     ///
     /// Panics if `inst` is not a sequential instance.
     pub fn upset_flip_flop(&mut self, inst: InstId) -> bool {
+        assert!(
+            self.netlist.instance(inst).kind().is_sequential(),
+            "single-event upsets only apply to flip-flops"
+        );
         let idx = inst.index();
-        let flipped = upset_state_slot(self.netlist, inst, &mut self.state[idx]);
-        if flipped {
-            self.dirty_ffs[idx] = true;
-        }
+        let flipped = self.state[idx] != Logic::X;
+        self.state[idx] = self.state[idx].not();
+        self.dirty_ffs[idx] |= flipped;
         flipped
     }
 
     /// Stored state of every sequential instance, in instance order.
     pub fn flip_flop_states(&self) -> Vec<Logic> {
-        collect_flip_flop_states(self.netlist, &self.state)
+        self.netlist
+            .instances()
+            .iter()
+            .zip(&self.state)
+            .filter(|(inst, _)| inst.kind().is_sequential())
+            .map(|(_, &v)| v)
+            .collect()
     }
 
     /// Number of clock cycles simulated so far.
@@ -404,10 +414,137 @@ impl SimControl for EventSimulator<'_> {
     }
 }
 
+/// Active stuck-at overrides. An association list: fault campaigns
+/// force a handful of nets at most, so linear scans beat a map.
+#[derive(Debug, Clone, Default)]
+struct ForceList {
+    entries: Vec<(NetId, Logic)>,
+}
+
+impl ForceList {
+    /// Adds or replaces the override on `net`.
+    fn set(&mut self, net: NetId, value: Logic) {
+        match self.entries.iter_mut().find(|(n, _)| *n == net) {
+            Some(slot) => slot.1 = value,
+            None => self.entries.push((net, value)),
+        }
+    }
+
+    /// The override on `net`, if any.
+    fn get(&self, net: NetId) -> Option<Logic> {
+        self.entries
+            .iter()
+            .find(|(n, _)| *n == net)
+            .map(|&(_, v)| v)
+    }
+
+    fn entries(&self) -> &[(NetId, Logic)] {
+        &self.entries
+    }
+
+    /// Clears the list and hands back the overrides that were active
+    /// (the event-driven engine re-wakes their drivers).
+    fn take(&mut self) -> Vec<(NetId, Logic)> {
+        std::mem::take(&mut self.entries)
+    }
+}
+
+/// Evaluates a combinational cell on the given pin values — the scalar
+/// truth tables the compiled engine's packed evaluator is checked
+/// against.
+///
+/// # Panics
+///
+/// Panics (via `unreachable!`) on sequential kinds.
+fn eval_gate(kind: CellKind, pins: &[Logic]) -> Logic {
+    let v = |i: usize| pins[i];
+    match kind {
+        CellKind::Inv => v(0).not(),
+        CellKind::Buf => v(0),
+        CellKind::Nand2 => v(0).and(v(1)).not(),
+        CellKind::Nand3 => v(0).and(v(1)).and(v(2)).not(),
+        CellKind::Nand4 => v(0).and(v(1)).and(v(2)).and(v(3)).not(),
+        CellKind::Nor2 => v(0).or(v(1)).not(),
+        CellKind::Nor3 => v(0).or(v(1)).or(v(2)).not(),
+        CellKind::Nor4 => v(0).or(v(1)).or(v(2)).or(v(3)).not(),
+        CellKind::And2 => v(0).and(v(1)),
+        CellKind::And3 => v(0).and(v(1)).and(v(2)),
+        CellKind::And4 => v(0).and(v(1)).and(v(2)).and(v(3)),
+        CellKind::Or2 => v(0).or(v(1)),
+        CellKind::Or3 => v(0).or(v(1)).or(v(2)),
+        CellKind::Or4 => v(0).or(v(1)).or(v(2)).or(v(3)),
+        CellKind::Xor2 => v(0).xor(v(1)),
+        CellKind::Xnor2 => v(0).xor(v(1)).not(),
+        CellKind::Aoi21 => v(0).and(v(1)).or(v(2)).not(),
+        CellKind::Oai21 => v(0).or(v(1)).and(v(2)).not(),
+        CellKind::Mux2 => match v(2) {
+            Logic::Zero => v(0),
+            Logic::One => v(1),
+            Logic::X => v(0).merge(v(1)),
+        },
+        CellKind::TieHi => Logic::One,
+        CellKind::TieLo => Logic::Zero,
+        // Sequential outputs are presented from state, not eval'd.
+        _ => unreachable!("sequential cell in combinational order"),
+    }
+}
+
+/// Computes a flip-flop's next state from its current state and
+/// sampled pin values.
+///
+/// # Panics
+///
+/// Panics (via `unreachable!`) on combinational kinds.
+fn ff_next_state(kind: CellKind, cur: Logic, pins: &[Logic]) -> Logic {
+    match kind {
+        CellKind::Dff => pins[0],
+        CellKind::Dffe => match pins[1] {
+            Logic::One => pins[0],
+            Logic::Zero => cur,
+            Logic::X => pins[0].merge(cur),
+        },
+        CellKind::Dffr => match pins[1] {
+            Logic::One => Logic::Zero,
+            Logic::Zero => pins[0],
+            Logic::X => Logic::Zero.merge(pins[0]),
+        },
+        CellKind::Dffs => match pins[1] {
+            Logic::One => Logic::One,
+            Logic::Zero => pins[0],
+            Logic::X => Logic::One.merge(pins[0]),
+        },
+        CellKind::Dffre => {
+            let no_rst = match pins[1] {
+                Logic::One => pins[0],
+                Logic::Zero => cur,
+                Logic::X => pins[0].merge(cur),
+            };
+            match pins[2] {
+                Logic::One => Logic::Zero,
+                Logic::Zero => no_rst,
+                Logic::X => Logic::Zero.merge(no_rst),
+            }
+        }
+        CellKind::Dffse => {
+            let no_set = match pins[1] {
+                Logic::One => pins[0],
+                Logic::Zero => cur,
+                Logic::X => pins[0].merge(cur),
+            };
+            match pins[2] {
+                Logic::One => Logic::One,
+                Logic::Zero => no_set,
+                Logic::X => Logic::One.merge(no_set),
+            }
+        }
+        _ => unreachable!("combinational cell treated as flip-flop"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::Simulator;
 
     /// Both simulators must agree on every net, every cycle, for a
     /// stimulus with stalls and mid-stream resets.

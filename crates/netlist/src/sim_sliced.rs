@@ -1,16 +1,18 @@
-//! Bit-sliced (word-parallel) cycle simulation: 64 independent
-//! machines advance per gate operation.
+//! The compiled cycle simulator: one engine for one machine or many,
+//! 64 independent machines per gate operation.
 //!
-//! The levelized [`Simulator`](crate::Simulator) and the event-driven
-//! [`EventSimulator`](crate::EventSimulator) both advance **one**
-//! stimulus per call; a fault campaign replaying hundreds of faulty
-//! machines, or a fuzzer driving dozens of generated cases, pays the
-//! whole netlist walk once per machine. [`SlicedSimulator`] applies
-//! the same word-parallel trick as the packed positional-cube kernel
-//! in `adgen-synth`: each net holds one `u64` *word* per 64 lanes, so
-//! a single pass over the gates steps up to 64 independent machines —
-//! same netlist, different stimulus and different injected faults per
-//! lane.
+//! [`Simulator`] steps the gate [`Program`] the netlist compiles to.
+//! [`Simulator::new`] builds one machine, the engine behind every
+//! equivalence proof, power estimate and VCD trace in the workspace.
+//! [`Simulator::with_lanes`] builds `lanes` of them over one netlist:
+//! a fault campaign replaying hundreds of faulty machines, or a
+//! fuzzer driving dozens of generated cases, would otherwise pay the
+//! whole netlist walk once per machine. It applies the same
+//! word-parallel trick as the packed positional-cube kernel in
+//! `adgen-synth`: each net holds one `u64` *word* per 64 lanes, so a
+//! single pass over the gates steps up to 64 machines — same
+//! netlist, different stimulus and different injected faults per
+//! lane. A one-lane machine is the same kernel on a one-word stride.
 //!
 //! ## Slicing layout
 //!
@@ -27,16 +29,24 @@
 //!
 //! ## Lane-mask fault hooks and the golden-lane convention
 //!
-//! [`force_net_lanes`](SlicedSimulator::force_net_lanes) and
-//! [`upset_flip_flop_lanes`](SlicedSimulator::upset_flip_flop_lanes)
-//! take a [`LaneMask`], so one pass carries a whole batch of faulty
-//! machines next to an unfaulted reference: the campaign engine packs
-//! 63 faults into lanes `1..` and keeps lane 0 as the shared *golden*
-//! lane, cross-checked against the scalar golden trace every cycle.
+//! [`force_net_lanes`](Simulator::force_net_lanes) and
+//! [`upset_flip_flop_lanes`](Simulator::upset_flip_flop_lanes) take a
+//! [`LaneMask`], so one pass carries a whole batch of faulty machines
+//! next to an unfaulted reference: the campaign engine packs 63
+//! faults into lanes `1..` and keeps lane 0 as the shared *golden*
+//! lane, cross-checked against the one-lane golden trace every cycle.
+//! The scalar hooks ([`force_net`](Simulator::force_net),
+//! [`upset_flip_flop`](Simulator::upset_flip_flop)) broadcast to
+//! every lane, and the scalar reads come from lane 0.
 //!
-//! Every lane is bit-exact with the scalar engines by construction;
-//! the fuzz family `sliced-vs-scalar` and the word-seam tests below
-//! pin that equivalence.
+//! ## The oracle
+//!
+//! A compiler bug would hit every lane count alike, so comparing
+//! lane counts proves little. The uncompiled
+//! [`EventSimulator`](crate::EventSimulator) walks the raw netlist
+//! with its own scalar evaluators; the fuzz family `sliced-vs-scalar`,
+//! the word-seam tests below and the exhaustive per-cell test in
+//! `sim.rs` pin this engine to it.
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
@@ -143,7 +153,8 @@ fn pk_mux(d0: Pk, d1: Pk, s: Pk) -> Pk {
 }
 
 /// Word-parallel combinational evaluation, lane-for-lane identical to
-/// the scalar `eval_gate`; `v(i)` reads input pin `i`.
+/// the event-driven engine's scalar `eval_gate`; `v(i)` reads input
+/// pin `i`.
 #[inline(always)]
 fn eval_gate_pk(kind: CellKind, v: impl Fn(usize) -> Pk) -> Pk {
     match kind {
@@ -173,7 +184,7 @@ fn eval_gate_pk(kind: CellKind, v: impl Fn(usize) -> Pk) -> Pk {
 }
 
 /// Word-parallel flip-flop next state, lane-for-lane identical to the
-/// scalar `ff_next_state`. Control pins reduce to [`pk_mux`]: an X
+/// event-driven engine's scalar `ff_next_state`. Control pins reduce to [`pk_mux`]: an X
 /// enable merges data with the held state, an X reset/set merges the
 /// forced constant with the data path — exactly the scalar X rules.
 #[inline(always)]
@@ -189,7 +200,7 @@ fn ff_next_pk(kind: CellKind, cur: Pk, pin: impl Fn(usize) -> Pk) -> Pk {
     }
 }
 
-/// A per-lane bit mask over the lanes of one [`SlicedSimulator`] —
+/// A per-lane bit mask over the lanes of one [`Simulator`] —
 /// the batch-selection argument of the lane-masked fault hooks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneMask {
@@ -290,12 +301,13 @@ impl ForceRow {
 /// Sentinel for "no force on this net" in the dense index map.
 const NO_FORCE: u32 = u32::MAX;
 
-/// Bit-sliced cycle-accurate simulator: `lanes` independent machines
-/// over one shared [`Netlist`], each lane bit-exact with
-/// [`Simulator`](crate::Simulator) under the same per-lane stimulus
-/// and faults.
+/// The compiled cycle-accurate simulator: `lanes` independent
+/// machines over one shared [`Netlist`], one by default. Flip-flops
+/// power up as [`Logic::X`]; designs assert the global reset for at
+/// least one cycle to reach a defined state — exactly the discipline
+/// the paper's generators (which all have a `Reset` input) follow.
 #[derive(Debug, Clone)]
-pub struct SlicedSimulator<'a> {
+pub struct Simulator<'a> {
     netlist: &'a Netlist,
     program: Program,
     lanes: usize,
@@ -313,30 +325,47 @@ pub struct SlicedSimulator<'a> {
     cycle: u64,
     evaluations: u64,
     word_ops: u64,
+    /// Built by [`with_lanes`](Self::with_lanes): only such machines
+    /// count the `sim.sliced.*` observability counters.
+    sliced: bool,
 }
 
-impl<'a> SlicedSimulator<'a> {
+impl<'a> Simulator<'a> {
+    /// Prepares a one-machine simulator for `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the netlist does not [`validate`](Netlist::validate).
+    pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
+        Self::build(netlist, 1, false)
+    }
+
     /// Prepares a simulator with `lanes` machines for `netlist`. Every
-    /// lane powers up all-X, exactly like the scalar engines.
+    /// lane powers up all-X, exactly like a one-machine simulator.
     ///
     /// # Errors
     ///
     /// Fails if the netlist does not [`validate`](Netlist::validate)
     /// or `lanes` is zero (reported as a width mismatch).
-    pub fn new(netlist: &'a Netlist, lanes: usize) -> Result<Self, NetlistError> {
+    pub fn with_lanes(netlist: &'a Netlist, lanes: usize) -> Result<Self, NetlistError> {
         if lanes == 0 {
             return Err(NetlistError::InputWidthMismatch {
                 expected: 1,
                 found: 0,
             });
         }
-        let program = Program::compile(netlist)?;
-        let words = lanes.div_ceil(64);
+        let sim = Self::build(netlist, lanes, true)?;
         if obs::enabled() {
             obs::add(obs::Ctr::SimSlicedPasses, 1);
             obs::add(obs::Ctr::SimSlicedLanes, lanes as u64);
         }
-        Ok(SlicedSimulator {
+        Ok(sim)
+    }
+
+    fn build(netlist: &'a Netlist, lanes: usize, sliced: bool) -> Result<Self, NetlistError> {
+        let program = Program::compile(netlist)?;
+        let words = lanes.div_ceil(64);
+        Ok(Simulator {
             netlist,
             program,
             lanes,
@@ -349,6 +378,7 @@ impl<'a> SlicedSimulator<'a> {
             cycle: 0,
             evaluations: 0,
             word_ops: 0,
+            sliced,
         })
     }
 
@@ -368,8 +398,10 @@ impl<'a> SlicedSimulator<'a> {
     }
 
     /// Combinational gate evaluations performed, counted per 64-lane
-    /// *word*: one evaluation advances up to 64 machines, which is
-    /// exactly where the engine's speedup comes from.
+    /// *word*: every gate once per word per step, forced or not. On
+    /// one lane that is exactly `cycles × comb_gates`; on more, one
+    /// evaluation advances up to 64 machines, which is exactly where
+    /// the multi-lane speedup comes from.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
     }
@@ -378,6 +410,28 @@ impl<'a> SlicedSimulator<'a> {
     /// captures, per word) — the sliced analogue of `cube.word_ops`.
     pub fn word_ops(&self) -> u64 {
         self.word_ops
+    }
+
+    /// Current value of `net` on lane 0 (as of the last
+    /// [`step`](Self::step)).
+    pub fn value(&self, net: NetId) -> Logic {
+        self.vals[net.index() * self.words].lane(0)
+    }
+
+    /// Values of the primary outputs on lane 0, in declaration order.
+    pub fn output_values(&self) -> Vec<Logic> {
+        self.netlist
+            .outputs()
+            .iter()
+            .map(|&o| self.value(o))
+            .collect()
+    }
+
+    /// Stored state of every sequential instance on lane 0, in
+    /// instance order — the campaign engine compares these against a
+    /// golden run to recognize latent (silent) corruption.
+    pub fn flip_flop_states(&self) -> Vec<Logic> {
+        self.flip_flop_states_lane(0)
     }
 
     /// Value of `net` in `lane` (as of the last step).
@@ -403,8 +457,7 @@ impl<'a> SlicedSimulator<'a> {
             .collect()
     }
 
-    /// Stored flip-flop states of `lane`, in instance order — the
-    /// same view as the scalar `flip_flop_states`.
+    /// Stored flip-flop states of `lane`, in instance order.
     ///
     /// # Panics
     ///
@@ -433,6 +486,16 @@ impl<'a> SlicedSimulator<'a> {
         (v.ones & active, v.xs & active)
     }
 
+    /// Pins `net` at `value` on every lane for every subsequent cycle
+    /// — the stuck-at fault model. The override replaces whatever the
+    /// net's driver (primary input, gate, tie cell or flip-flop Q)
+    /// produces, as seen both by combinational fanout and by
+    /// flip-flop pin sampling. Forcing an already-forced net replaces
+    /// its value.
+    pub fn force_net(&mut self, net: NetId, value: Logic) {
+        self.force_net_lanes(net, value, &LaneMask::all(self.lanes));
+    }
+
     /// Pins `net` at `value` on every lane in `mask` — the stuck-at
     /// model, batched. Lanes outside `mask` keep following the net's
     /// driver; re-forcing a masked lane replaces its value.
@@ -447,20 +510,20 @@ impl<'a> SlicedSimulator<'a> {
             "lane mask built for a different simulator"
         );
         let pv = Pk::broadcast(value);
-        let slot = self.force_idx[net.index()];
-        let row = if slot == NO_FORCE {
-            self.force_idx[net.index()] = self.forces.len() as u32;
-            self.forces.push((
-                net,
-                ForceRow {
+        let slot = match self.force_idx[net.index()] {
+            NO_FORCE => {
+                let slot = self.forces.len();
+                self.force_idx[net.index()] = slot as u32;
+                let row = ForceRow {
                     pinned: vec![PK_ZERO; self.words],
                     mask: vec![0; self.words],
-                },
-            ));
-            &mut self.forces.last_mut().expect("just pushed").1
-        } else {
-            &mut self.forces[slot as usize].1
+                };
+                self.forces.push((net, row));
+                slot
+            }
+            slot => slot as usize,
         };
+        let row = &mut self.forces[slot].1;
         for w in 0..self.words {
             let m = mask.word(w) & tail_mask(self.lanes, w);
             row.mask[w] |= m;
@@ -470,13 +533,25 @@ impl<'a> SlicedSimulator<'a> {
         }
     }
 
-    /// Removes every active [`force_net_lanes`](Self::force_net_lanes)
-    /// override on every lane; nets resume following their drivers on
-    /// the next step.
+    /// Removes every active override on every lane; nets resume
+    /// following their drivers on the next step.
     pub fn clear_forces(&mut self) {
         for (net, _) in self.forces.drain(..) {
             self.force_idx[net.index()] = NO_FORCE;
         }
+    }
+
+    /// Flips the stored state of flip-flop `inst` on every lane — a
+    /// single-event upset. `0 ↔ 1`; an `X` state is left unchanged.
+    /// Returns whether lane 0 flipped. The corrupted value is
+    /// presented on Q during the next [`step`](Self::step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inst` is not a sequential instance.
+    pub fn upset_flip_flop(&mut self, inst: InstId) -> bool {
+        self.upset_flip_flop_lanes(inst, &LaneMask::all(self.lanes))
+            .get(0)
     }
 
     /// Flips the stored state of flip-flop `inst` on every lane in
@@ -510,10 +585,16 @@ impl<'a> SlicedSimulator<'a> {
 
     /// Advances one clock cycle with the same stimulus on every lane.
     ///
+    /// `inputs` supplies one value per primary input in declaration
+    /// order (index 0 is the global reset). The combinational network
+    /// settles, the post-settle net values become observable through
+    /// [`value`](Self::value), and every flip-flop captures its next
+    /// state at the end of the call.
+    ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::InputWidthMismatch`] on a wrong-width
-    /// stimulus.
+    /// Returns [`NetlistError::InputWidthMismatch`] if the slice length
+    /// does not match the number of primary inputs.
     pub fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
         self.step_broadcast(inputs.iter().copied())
     }
@@ -605,17 +686,19 @@ impl<'a> SlicedSimulator<'a> {
         self.cycle += 1;
         if obs::enabled() {
             obs::add(obs::Ctr::SimEvaluations, gate_words);
-            obs::add(obs::Ctr::SimSlicedWordOps, gate_words + ff_words);
+            if self.sliced {
+                obs::add(obs::Ctr::SimSlicedWordOps, gate_words + ff_words);
+            }
         }
     }
 }
 
-/// The sliced step body over a `words`-word stride. Always inlined,
-/// so a call with a literal stride compiles to a loop nest with the
-/// stride folded in.
+/// The step body over a `words`-word stride. Always inlined, so a
+/// call with a literal stride compiles to a loop nest with the stride
+/// folded in.
 #[inline(always)]
-fn step_kernel(sim: &mut SlicedSimulator<'_>, words: usize) {
-    let SlicedSimulator {
+fn step_kernel(sim: &mut Simulator<'_>, words: usize) {
+    let Simulator {
         netlist,
         program,
         vals,
@@ -634,7 +717,7 @@ fn step_kernel(sim: &mut SlicedSimulator<'_>, words: usize) {
         vals[q..q + words].copy_from_slice(&state[s..s + words]);
     }
     // Pin forced lanes before settling so flip-flop sampling and
-    // fanout both see the overrides, as in the scalar engines.
+    // fanout both see the overrides.
     for (net, row) in forces.iter() {
         for w in 0..words {
             let at = net.index() * words + w;
@@ -665,57 +748,54 @@ fn step_kernel(sim: &mut SlicedSimulator<'_>, words: usize) {
     }
 }
 
-/// The scalar view of a sliced simulator: stimulus and faults
-/// broadcast to every lane, reads come from lane 0. With this a
-/// `SlicedSimulator` drops into any harness written against the
-/// shared control surface.
-impl SimControl for SlicedSimulator<'_> {
+/// The scalar view: stimulus and faults broadcast to every lane,
+/// reads come from lane 0.
+impl SimControl for Simulator<'_> {
     fn force_net(&mut self, net: NetId, value: Logic) {
-        self.force_net_lanes(net, value, &LaneMask::all(self.lanes));
+        Simulator::force_net(self, net, value);
     }
 
     fn clear_forces(&mut self) {
-        SlicedSimulator::clear_forces(self);
+        Simulator::clear_forces(self);
     }
 
     fn upset_flip_flop(&mut self, inst: InstId) -> bool {
-        self.upset_flip_flop_lanes(inst, &LaneMask::all(self.lanes))
-            .get(0)
+        Simulator::upset_flip_flop(self, inst)
     }
 
     fn flip_flop_states(&self) -> Vec<Logic> {
-        self.flip_flop_states_lane(0)
+        Simulator::flip_flop_states(self)
     }
 
     fn cycle(&self) -> u64 {
-        SlicedSimulator::cycle(self)
+        Simulator::cycle(self)
     }
 
     fn evaluations(&self) -> u64 {
-        SlicedSimulator::evaluations(self)
+        Simulator::evaluations(self)
     }
 
     fn value(&self, net: NetId) -> Logic {
-        self.value_lane(net, 0)
+        Simulator::value(self, net)
     }
 
     fn output_values(&self) -> Vec<Logic> {
-        self.output_values_lane(0)
+        Simulator::output_values(self)
     }
 
     fn step(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
-        SlicedSimulator::step(self, inputs)
+        Simulator::step(self, inputs)
     }
 
     fn step_bools(&mut self, inputs: &[bool]) -> Result<(), NetlistError> {
-        SlicedSimulator::step_bools(self, inputs)
+        Simulator::step_bools(self, inputs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::EventSimulator;
 
     const ALL_LOGIC: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
 
@@ -837,11 +917,11 @@ mod tests {
         (n, q, ffs)
     }
 
-    /// Broadcast-steps a sliced simulator against one scalar
-    /// reference, comparing every net on every lane each cycle.
+    /// Broadcast-steps a multi-lane simulator against the event-driven
+    /// oracle, comparing every net on every lane each cycle.
     fn cross_check_broadcast(netlist: &Netlist, lanes: usize, cycles: usize) {
-        let mut reference = Simulator::new(netlist).unwrap();
-        let mut sliced = SlicedSimulator::new(netlist, lanes).unwrap();
+        let mut reference = EventSimulator::new(netlist).unwrap();
+        let mut sliced = Simulator::with_lanes(netlist, lanes).unwrap();
         let num_inputs = netlist.inputs().len();
         let mut lcg = 0x5eed ^ lanes as u64;
         for cycle in 0..cycles {
@@ -892,7 +972,7 @@ mod tests {
     #[test]
     fn zero_lanes_is_rejected() {
         let (n, _, _) = ring_netlist();
-        assert!(SlicedSimulator::new(&n, 0).is_err());
+        assert!(Simulator::with_lanes(&n, 0).is_err());
     }
 
     /// The one-word kernel (64 lanes) against the multi-word one (65
@@ -902,8 +982,8 @@ mod tests {
     #[test]
     fn one_word_and_two_word_kernels_agree_lane_for_lane() {
         let (n, q, ffs) = ring_netlist();
-        let mut one = SlicedSimulator::new(&n, 64).unwrap();
-        let mut two = SlicedSimulator::new(&n, 65).unwrap();
+        let mut one = Simulator::with_lanes(&n, 64).unwrap();
+        let mut two = Simulator::with_lanes(&n, 65).unwrap();
         let forces = [
             (q[2], Logic::One, [3, 62]),
             (q[0], Logic::Zero, [17, 63]),
@@ -958,13 +1038,16 @@ mod tests {
     }
 
     /// Per-lane stimulus: every lane runs a different input stream
-    /// and must match its own scalar twin (65 lanes spills a word).
+    /// and must match its own event-driven twin (65 lanes spills a
+    /// word).
     #[test]
     fn per_lane_stimulus_matches_scalar_twins() {
         let (n, _, _) = ring_netlist();
         let lanes = 65;
-        let mut sliced = SlicedSimulator::new(&n, lanes).unwrap();
-        let mut twins: Vec<Simulator> = (0..lanes).map(|_| Simulator::new(&n).unwrap()).collect();
+        let mut sliced = Simulator::with_lanes(&n, lanes).unwrap();
+        let mut twins: Vec<EventSimulator> = (0..lanes)
+            .map(|_| EventSimulator::new(&n).unwrap())
+            .collect();
         let mut lcg = 99u64;
         for cycle in 0..30 {
             let per_lane: Vec<Vec<Logic>> = (0..lanes)
@@ -999,14 +1082,14 @@ mod tests {
     }
 
     /// Lane-masked stuck-ats: only the masked lanes deviate; the
-    /// others keep tracking the fault-free reference.
+    /// others keep tracking the fault-free event-driven reference.
     #[test]
     fn lane_masked_force_isolates_lanes() {
         let (n, q, _) = ring_netlist();
         let lanes = 70; // partial last word
-        let mut sliced = SlicedSimulator::new(&n, lanes).unwrap();
-        let mut clean = Simulator::new(&n).unwrap();
-        let mut faulty = Simulator::new(&n).unwrap();
+        let mut sliced = Simulator::with_lanes(&n, lanes).unwrap();
+        let mut clean = EventSimulator::new(&n).unwrap();
+        let mut faulty = EventSimulator::new(&n).unwrap();
         let mut mask = LaneMask::none(lanes);
         mask.set(3);
         mask.set(63);
@@ -1042,14 +1125,14 @@ mod tests {
     }
 
     /// All-lanes-forced across the word seam: with every lane masked
-    /// the sliced engine must equal a scalar run with the same force,
+    /// the engine must equal an event-driven run with the same force,
     /// on every lane including the trailing partial word.
     #[test]
     fn all_lanes_forced_matches_scalar() {
         let (n, q, _) = ring_netlist();
         let lanes = 65;
-        let mut sliced = SlicedSimulator::new(&n, lanes).unwrap();
-        let mut scalar = Simulator::new(&n).unwrap();
+        let mut sliced = Simulator::with_lanes(&n, lanes).unwrap();
+        let mut scalar = EventSimulator::new(&n).unwrap();
         sliced.force_net_lanes(q[1], Logic::X, &LaneMask::all(lanes));
         scalar.force_net(q[1], Logic::X);
         for (c, inputs) in [
@@ -1082,13 +1165,13 @@ mod tests {
         assert_eq!(sliced.value_lane(q[1], 64), scalar.value(q[1]));
     }
 
-    /// Re-forcing a lane replaces its pinned value, as in the scalar
-    /// engines.
+    /// Re-forcing a lane replaces its pinned value, as in the
+    /// event-driven engine.
     #[test]
     fn reforcing_a_lane_replaces_its_value() {
         let (n, q, _) = ring_netlist();
         let lanes = 2;
-        let mut sliced = SlicedSimulator::new(&n, lanes).unwrap();
+        let mut sliced = Simulator::with_lanes(&n, lanes).unwrap();
         sliced.force_net_lanes(q[0], Logic::Zero, &LaneMask::all(lanes));
         sliced.force_net_lanes(q[0], Logic::One, &LaneMask::single(1, lanes));
         sliced.step_bools(&[true, true, false]).unwrap();
@@ -1102,9 +1185,9 @@ mod tests {
     fn lane_masked_upset_flips_only_defined_masked_lanes() {
         let (n, _, ffs) = ring_netlist();
         let lanes = 66;
-        let mut sliced = SlicedSimulator::new(&n, lanes).unwrap();
-        let mut twin = Simulator::new(&n).unwrap(); // never upset
-                                                    // Before reset every state is X: nothing can flip.
+        let mut sliced = Simulator::with_lanes(&n, lanes).unwrap();
+        let mut twin = EventSimulator::new(&n).unwrap(); // never upset
+                                                         // Before reset every state is X: nothing can flip.
         let none = sliced.upset_flip_flop_lanes(ffs[1], &LaneMask::all(lanes));
         assert_eq!(none.count(), 0, "power-up X cannot flip");
         for inputs in [[true, true, false], [false, true, false]] {
@@ -1129,8 +1212,8 @@ mod tests {
         }
     }
 
-    /// The shared control surface drives all three engines through
-    /// one generic harness.
+    /// The shared control surface drives both engines, on one lane and
+    /// on many, through one generic harness.
     #[test]
     fn sim_control_trait_is_engine_generic() {
         fn drive<S: SimControl>(mut sim: S, q: NetId, ff: InstId) -> (Vec<Logic>, bool, u64) {
@@ -1147,13 +1230,11 @@ mod tests {
             (states, flipped, sim.cycle())
         }
         let (n, q, ffs) = ring_netlist();
-        let lev = drive(Simulator::new(&n).unwrap(), q[2], ffs[0]);
-        let evt = drive(crate::EventSimulator::new(&n).unwrap(), q[2], ffs[0]);
-        let sl1 = drive(SlicedSimulator::new(&n, 1).unwrap(), q[2], ffs[0]);
-        let sl65 = drive(SlicedSimulator::new(&n, 65).unwrap(), q[2], ffs[0]);
-        assert_eq!(lev, evt);
-        assert_eq!(lev, sl1);
-        assert_eq!(lev, sl65);
+        let one = drive(Simulator::new(&n).unwrap(), q[2], ffs[0]);
+        let evt = drive(EventSimulator::new(&n).unwrap(), q[2], ffs[0]);
+        let many = drive(Simulator::with_lanes(&n, 65).unwrap(), q[2], ffs[0]);
+        assert_eq!(one, evt);
+        assert_eq!(many, evt);
     }
 
     /// Word-granular evaluation accounting: per step, each gate costs
@@ -1168,7 +1249,7 @@ mod tests {
             .count() as u64;
         let ffs = n.num_flip_flops() as u64;
         for (lanes, words) in [(1usize, 1u64), (64, 1), (65, 2), (128, 2)] {
-            let mut sim = SlicedSimulator::new(&n, lanes).unwrap();
+            let mut sim = Simulator::with_lanes(&n, lanes).unwrap();
             sim.step_bools(&[true, true, false]).unwrap();
             sim.step_bools(&[false, true, false]).unwrap();
             assert_eq!(sim.evaluations(), 2 * comb_gates * words, "lanes={lanes}");
@@ -1186,7 +1267,7 @@ mod tests {
         let hi = n.gate(CellKind::TieHi, &[]).unwrap();
         n.add_output(hi);
         let lanes = 70;
-        let mut sim = SlicedSimulator::new(&n, lanes).unwrap();
+        let mut sim = Simulator::with_lanes(&n, lanes).unwrap();
         sim.step_bools(&[false]).unwrap();
         let (ones0, xs0) = sim.packed_value(hi, 0);
         let (ones1, xs1) = sim.packed_value(hi, 1);

@@ -5,7 +5,8 @@
 use std::fmt::Write as _;
 
 use crate::graph::Netlist;
-use crate::sim::{Logic, Simulator};
+use crate::sim::Logic;
+use crate::sim_sliced::Simulator;
 
 /// Records the values of every net across a simulation session and
 /// renders a VCD file. One [`sample`](VcdTrace::sample) call per

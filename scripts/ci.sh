@@ -15,11 +15,13 @@
 #                         full select-line stuck-at list)
 #   7. fault sweep       (exhaustive 8x8 fault campaign — affordable
 #                         by default now that replays are bit-sliced)
-#   8. simbench smoke    (bit-sliced vs scalar fault replay on the
-#                         4x4 universe; fails if the two engines
-#                         classify any fault differently; writes its
-#                         record under target/bench-smoke/, leaving
-#                         the committed full-size BENCH_sim.json alone)
+#   8. simbench smoke    (bit-sliced fault replay on the 4x4
+#                         universe, timed against one-machine
+#                         compiled replay; fails if either run
+#                         classifies any fault differently from the
+#                         event-driven oracle; writes its record
+#                         under target/bench-smoke/, leaving the
+#                         committed full-size BENCH_sim.json alone)
 #   9. obs stage         (exporter goldens + jobs-invariance tests,
 #                         then an overhead guard: the instrumented
 #                         fuzz smoke must stay within 5% + 1s of the
@@ -114,7 +116,7 @@ cargo run --release -p adgen-bench --bin faultcamp -- --smoke --seed 2026
 echo "==> exhaustive 8x8 fault campaign (bit-sliced replay)"
 cargo run --release -p adgen-bench --bin faultcamp -- --seed 2026
 
-echo "==> simbench smoke (sliced vs scalar classification agreement)"
+echo "==> simbench smoke (classifications vs the event-driven oracle; timed vs one-machine compiled replay)"
 cargo run --release -p adgen-bench --bin simbench -- --smoke --seed 2026
 
 echo "==> obs: exporter goldens + jobs-invariance + trace schema"
