@@ -11,13 +11,11 @@
 
 use adgen_netlist::{NetId, Netlist, Simulator};
 use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
-use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::techmap::insert_fanout_buffers;
 
 use crate::arch::ControlStyle;
 use crate::error::SragError;
 use crate::mapper::{map_sequence, Mapping};
-use crate::netlist::{build_into, build_into_parts, observed_one_hot};
+use crate::netlist::{build_into, elaborate, observed_one_hot, BuildOptions, Elaborated};
 use crate::sim::SragSimulator;
 
 /// A mapped row-and-column SRAG pair for one linear address sequence
@@ -90,31 +88,9 @@ impl Srag2d {
     ///
     /// Propagates construction failures.
     pub fn elaborate(&self) -> Result<Srag2dNetlist, SragError> {
-        let mut n = Netlist::new(format!(
-            "srag2d_{}x{}",
-            self.shape.width(),
-            self.shape.height()
-        ));
-        let next = n.add_input("next");
-        let row_lines = build_into(&mut n, &self.row.spec, next, "row_")?;
-        let col_lines = build_into(&mut n, &self.col.spec, next, "col_")?;
-        for &l in row_lines.iter().chain(&col_lines) {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
-        Ok(Srag2dNetlist {
-            netlist: n,
-            row_lines,
-            col_lines,
-            next_input: next,
-            shape: self.shape,
-            layout: self.layout,
-        })
+        self.elaborate_plain("", BuildOptions::default(), false)
     }
-}
 
-impl Srag2d {
     /// Whether the row divider can be *chained off* the column SRAG's
     /// full-cycle wrap instead of having its own `DivCnt` — the §7
     /// control-reuse optimization. True when the column generator
@@ -138,41 +114,8 @@ impl Srag2d {
         if !self.chainable() {
             return Ok(None);
         }
-        let mut n = Netlist::new(format!(
-            "srag2d_chained_{}x{}",
-            self.shape.width(),
-            self.shape.height()
-        ));
-        let next = n.add_input("next");
-        let col = build_into_parts(
-            &mut n,
-            &self.col.spec,
-            next,
-            "col_",
-            ControlStyle::BinaryCounters,
-            None,
-        )?;
-        let row = build_into_parts(
-            &mut n,
-            &self.row.spec,
-            next,
-            "row_",
-            ControlStyle::BinaryCounters,
-            Some(col.cycle_wrap),
-        )?;
-        for &l in row.select_lines.iter().chain(&col.select_lines) {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
-        Ok(Some(Srag2dNetlist {
-            netlist: n,
-            row_lines: row.select_lines,
-            col_lines: col.select_lines,
-            next_input: next,
-            shape: self.shape,
-            layout: self.layout,
-        }))
+        self.elaborate_plain("chained_", BuildOptions::default(), true)
+            .map(Some)
     }
 
     /// Elaborates both SRAGs with the chosen control style (the §4
@@ -182,22 +125,49 @@ impl Srag2d {
     ///
     /// Propagates construction failures.
     pub fn elaborate_with_style(&self, style: ControlStyle) -> Result<Srag2dNetlist, SragError> {
-        let mut n = Netlist::new(format!(
-            "srag2d_{:?}_{}x{}",
+        let opts = BuildOptions {
             style,
-            self.shape.width(),
-            self.shape.height()
-        ));
-        let next = n.add_input("next");
-        let row = build_into_parts(&mut n, &self.row.spec, next, "row_", style, None)?;
-        let col = build_into_parts(&mut n, &self.col.spec, next, "col_", style, None)?;
-        for &l in row.select_lines.iter().chain(&col.select_lines) {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+            ..BuildOptions::default()
+        };
+        self.elaborate_plain(&format!("{style:?}_"), opts, false)
+    }
+
+    /// Builds the row SRAG (prefix `row_`) and the column SRAG
+    /// (`col_`) into one scaffolded netlist `srag2d_{kind}{W}x{H}`,
+    /// row lines first. With `chained` the column side is built first
+    /// and the row divider is its `cycle_wrap`.
+    pub(crate) fn elaborate_pair(
+        &self,
+        kind: &str,
+        opts: BuildOptions,
+        chained: bool,
+    ) -> Result<Elaborated<2>, SragError> {
+        let (w, h) = (self.shape.width(), self.shape.height());
+        elaborate(format!("srag2d_{kind}{w}x{h}"), |n, next| {
+            if !chained {
+                let row = build_into(n, &self.row.spec, next, "row_", &opts)?;
+                return Ok([row, build_into(n, &self.col.spec, next, "col_", &opts)?]);
+            }
+            let col = build_into(n, &self.col.spec, next, "col_", &opts)?;
+            let row_opts = BuildOptions {
+                external_enable: Some(col.cycle_wrap),
+                ..opts
+            };
+            Ok([build_into(n, &self.row.spec, next, "row_", &row_opts)?, col])
+        })
+    }
+
+    /// [`elaborate_pair`](Self::elaborate_pair) as a plain
+    /// [`Srag2dNetlist`].
+    fn elaborate_plain(
+        &self,
+        kind: &str,
+        opts: BuildOptions,
+        chained: bool,
+    ) -> Result<Srag2dNetlist, SragError> {
+        let (netlist, next, [row, col], _) = self.elaborate_pair(kind, opts, chained)?;
         Ok(Srag2dNetlist {
-            netlist: n,
+            netlist,
             row_lines: row.select_lines,
             col_lines: col.select_lines,
             next_input: next,

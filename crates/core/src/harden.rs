@@ -6,7 +6,7 @@
 //! single stuck-at or particle strike silently corrupts every
 //! subsequent memory access because no decoder exists to mask or trap
 //! it. The hardened variants close that gap with two circuits,
-//! elaborated by [`build_into_parts_with`] when
+//! elaborated by [`build_into`](crate::netlist::build_into) when
 //! [`BuildOptions::harden`] is set:
 //!
 //! * **Two-hot checker** — a chained exactly-one-hot detector over
@@ -23,6 +23,10 @@
 //!   first line rather than staying corrupt forever; the one-cycle
 //!   alarm pulse tells the system the stream was resynchronized.
 //!
+//! Both hardened netlists here are the plain elaborations with that
+//! flag set: the shared scaffold in [`crate::netlist`] ORs the
+//! rings' alarms into one and exports it as the last primary output.
+//!
 //! The control counters (`DivCnt`/`PassCnt`) are deliberately *not*
 //! covered: a corrupted counter perturbs timing but never violates
 //! the one-hot select discipline, so it cannot silently write the
@@ -30,15 +34,30 @@
 //! The fault-injection campaigns in `adgen-fault` quantify exactly
 //! that split.
 
-use adgen_netlist::{CellKind, Logic, NetId, Netlist, Simulator};
+use adgen_netlist::{Logic, NetId, Netlist, NetlistError, Simulator};
 use adgen_seq::{ArrayShape, Layout};
-use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::techmap::insert_fanout_buffers;
 
-use crate::arch::SragSpec;
+use crate::arch::{ControlStyle, SragSpec};
 use crate::composite::Srag2d;
 use crate::error::SragError;
-use crate::netlist::{build_into_parts_with, observed_one_hot, BuildOptions};
+use crate::netlist::{elaborate_one, observed_one_hot, BuildOptions};
+
+/// Options of every hardened build: binary counters, own `DivCnt`.
+const HARDENED: BuildOptions = BuildOptions {
+    style: ControlStyle::BinaryCounters,
+    external_enable: None,
+    harden: true,
+};
+
+/// The alarm a [`HARDENED`] elaboration exports, or a typed error
+/// naming the missing net should the scaffold ever return none.
+fn checked(alarm: Option<NetId>) -> Result<NetId, SragError> {
+    alarm.ok_or_else(|| {
+        SragError::Netlist(NetlistError::UndrivenNet {
+            net: "alarm".to_string(),
+        })
+    })
+}
 
 /// A gate-level self-checking SRAG: the plain generator plus the
 /// one-hot checker and watchdog resync path.
@@ -68,35 +87,13 @@ impl HardenedSragNetlist {
     ///
     /// Propagates construction failures.
     pub fn elaborate(spec: &SragSpec) -> Result<Self, SragError> {
-        let mut n = Netlist::new(format!(
-            "srag_hard_{}r_{}ff",
-            spec.num_registers(),
-            spec.num_flip_flops()
-        ));
-        let next = n.add_input("next");
-        let parts = build_into_parts_with(
-            &mut n,
-            spec,
-            next,
-            "",
-            &BuildOptions {
-                harden: true,
-                ..BuildOptions::default()
-            },
-        )?;
-        for &l in &parts.select_lines {
-            n.add_output(l);
-        }
-        let alarm = parts.alarm.expect("hardened build produces an alarm");
-        n.add_output(alarm);
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+        let (netlist, next, [parts], alarm) = elaborate_one(spec, "hard_", &HARDENED)?;
         Ok(HardenedSragNetlist {
-            netlist: n,
+            netlist,
             select_lines: parts.select_lines,
             ring_ffs: parts.ring_ffs,
             next_input: next,
-            alarm,
+            alarm: checked(alarm)?,
             spec: spec.clone(),
         })
     }
@@ -171,41 +168,15 @@ impl Srag2d {
     ///
     /// Propagates construction failures.
     pub fn elaborate_hardened(&self) -> Result<HardenedSrag2dNetlist, SragError> {
-        let mut n = Netlist::new(format!(
-            "srag2d_hard_{}x{}",
-            self.shape().width(),
-            self.shape().height()
-        ));
-        let next = n.add_input("next");
-        let opts = BuildOptions {
-            harden: true,
-            ..BuildOptions::default()
-        };
-        let row = build_into_parts_with(&mut n, &self.row().spec, next, "row_", &opts)?;
-        let col = build_into_parts_with(&mut n, &self.col().spec, next, "col_", &opts)?;
-        for &l in row.select_lines.iter().chain(&col.select_lines) {
-            n.add_output(l);
-        }
-        let alarm = n
-            .gate(
-                CellKind::Or2,
-                &[
-                    row.alarm.expect("hardened row alarm"),
-                    col.alarm.expect("hardened col alarm"),
-                ],
-            )
-            .map_err(SragError::from)?;
-        n.add_output(alarm);
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+        let (netlist, next, [row, col], alarm) = self.elaborate_pair("hard_", HARDENED, false)?;
         Ok(HardenedSrag2dNetlist {
-            netlist: n,
+            netlist,
             row_lines: row.select_lines,
             col_lines: col.select_lines,
             row_ring_ffs: row.ring_ffs,
             col_ring_ffs: col.ring_ffs,
             next_input: next,
-            alarm,
+            alarm: checked(alarm)?,
             shape: self.shape(),
             layout: self.layout(),
         })

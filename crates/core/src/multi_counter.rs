@@ -18,14 +18,13 @@
 use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
 use adgen_seq::sequence::UniqueEntry;
 use adgen_seq::{AddressGenerator, AddressSequence};
-use adgen_synth::fsm::MAX_FANOUT;
 use adgen_synth::mapgen::build_mod_counter;
-use adgen_synth::techmap::{and_tree, insert_fanout_buffers, or_tree};
+use adgen_synth::techmap::{and_tree, or_tree};
 
 use crate::arch::ShiftRegisterSpec;
 use crate::error::SragError;
 use crate::mapper::{group_runs, Grouping};
-use crate::netlist::observed_one_hot;
+use crate::netlist::{finish, observed_one_hot, Ring};
 
 /// Architecture of a multi-counter SRAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -284,26 +283,12 @@ impl MultiCounterSragNetlist {
         let rst = n.reset();
         let num_regs = spec.registers.len();
 
-        // Flip-flop output nets first.
-        let q: Vec<Vec<NetId>> = spec
-            .registers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (0..r.len())
-                    .map(|j| n.add_net(format!("s{i}_{j}")))
-                    .collect()
-            })
-            .collect();
+        // Flip-flop output nets first: the control logic reads them.
+        let ring = Ring::new(&mut n, &spec.registers, "");
+        let q = &ring.q;
 
         // --- Division side: one counter, steered terminal count. ---
-        let max_hold = spec
-            .div_counts
-            .iter()
-            .flatten()
-            .copied()
-            .max()
-            .expect("nonempty spec");
+        let max_hold = spec.div_counts.iter().flatten().copied().max().unwrap_or(1);
         let enable = if max_hold == 1 {
             next
         } else {
@@ -311,141 +296,82 @@ impl MultiCounterSragNetlist {
             let divq: Vec<NetId> = (0..width).map(|b| n.add_net(format!("divq{b}"))).collect();
             // Steered terminal value: bit b = OR of active lines whose
             // (hold-1) has bit b set.
-            let mut target = Vec::with_capacity(width);
-            for b in 0..width {
-                let mut contributors = Vec::new();
-                for (i, r) in spec.registers.iter().enumerate() {
-                    for (j, &line_q) in q[i].iter().enumerate().take(r.len()) {
-                        let t = spec.div_counts[i][j] - 1;
-                        if (t >> b) & 1 == 1 {
-                            contributors.push(line_q);
-                        }
-                    }
-                }
-                target.push(or_tree(&mut n, &contributors).map_err(SragError::from)?);
-            }
+            let target = (0..width)
+                .map(|b| {
+                    let contributors: Vec<NetId> = q
+                        .iter()
+                        .flatten()
+                        .zip(spec.div_counts.iter().flatten())
+                        .filter(|&(_, &hold)| ((hold - 1) >> b) & 1 == 1)
+                        .map(|(&line_q, _)| line_q)
+                        .collect();
+                    or_tree(&mut n, &contributors)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             // enable = next & (divq == target).
-            let mut eq_bits = Vec::with_capacity(width);
-            for b in 0..width {
-                eq_bits.push(
-                    n.gate(CellKind::Xnor2, &[divq[b], target[b]])
-                        .map_err(SragError::from)?,
-                );
-            }
-            let eq = and_tree(&mut n, &eq_bits).map_err(SragError::from)?;
-            let enable = n
-                .gate(CellKind::And2, &[next, eq])
-                .map_err(SragError::from)?;
+            let eq_bits = (0..width)
+                .map(|b| n.gate(CellKind::Xnor2, &[divq[b], target[b]]))
+                .collect::<Result<Vec<_>, _>>()?;
+            let eq = and_tree(&mut n, &eq_bits)?;
+            let enable = n.gate(CellKind::And2, &[next, eq])?;
             // Counter: increments on next, clears on enable.
-            let not_enable = n.gate(CellKind::Inv, &[enable]).map_err(SragError::from)?;
+            let not_enable = n.gate(CellKind::Inv, &[enable])?;
             let mut p: Vec<NetId> = divq.clone();
             let mut stride = 1;
             while stride < width {
                 for i in (stride..width).rev() {
-                    p[i] = n
-                        .gate(CellKind::And2, &[p[i], p[i - stride]])
-                        .map_err(SragError::from)?;
+                    p[i] = n.gate(CellKind::And2, &[p[i], p[i - stride]])?;
                 }
                 stride *= 2;
             }
-            let mut c = Vec::with_capacity(width);
-            c.push(next);
-            for i in 1..width {
-                c.push(
-                    n.gate(CellKind::And2, &[next, p[i - 1]])
-                        .map_err(SragError::from)?,
-                );
+            let mut c = vec![next];
+            for &pi in &p[..width - 1] {
+                c.push(n.gate(CellKind::And2, &[next, pi])?);
             }
             for b in 0..width {
-                let inc = n
-                    .gate(CellKind::Xor2, &[divq[b], c[b]])
-                    .map_err(SragError::from)?;
-                let d = n
-                    .gate(CellKind::And2, &[not_enable, inc])
-                    .map_err(SragError::from)?;
+                let inc = n.gate(CellKind::Xor2, &[divq[b], c[b]])?;
+                let d = n.gate(CellKind::And2, &[not_enable, inc])?;
                 n.add_instance(format!("div_ff{b}"), CellKind::Dffr, &[d, rst], &[divq[b]])?;
             }
             enable
         };
 
         // --- Pass side: one counter per register, gated by token
-        // residency. ---
-        let mut pass: Vec<NetId> = Vec::with_capacity(num_regs);
-        if num_regs == 1 {
-            // Never passes to another register; recirculation only.
-            let lo = n.gate(CellKind::TieLo, &[]).map_err(SragError::from)?;
-            pass.push(lo);
+        // residency. A single register never passes (recirculation
+        // only). ---
+        let pass = if num_regs == 1 {
+            vec![n.gate(CellKind::TieLo, &[])?]
         } else {
-            for (i, r) in spec.registers.iter().enumerate() {
-                let token_here = or_tree(&mut n, &q[i][..r.len()]).map_err(SragError::from)?;
-                let count_en = n
-                    .gate(CellKind::And2, &[enable, token_here])
-                    .map_err(SragError::from)?;
-                let pc = build_mod_counter(
-                    &mut n,
-                    spec.pass_counts[i] as u64,
-                    count_en,
-                    &format!("pass{i}"),
-                )?;
-                pass.push(pc.wrap);
+            let mut pass = Vec::with_capacity(num_regs);
+            for (i, qi) in q.iter().enumerate() {
+                let token_here = or_tree(&mut n, qi)?;
+                let count_en = n.gate(CellKind::And2, &[enable, token_here])?;
+                let name = format!("pass{i}");
+                pass.push(
+                    build_mod_counter(&mut n, spec.pass_counts[i] as u64, count_en, &name)?.wrap,
+                );
             }
-        }
+            pass
+        };
 
         // --- Shift registers with per-register pass steering. ---
-        for (i, r) in spec.registers.iter().enumerate() {
-            for j in 0..r.len() {
-                let d = if j > 0 {
-                    q[i][j - 1]
-                } else if num_regs == 1 {
-                    q[i][r.len() - 1]
-                } else {
-                    // Head flip-flop: recirculate own tail unless the
-                    // token is leaving this register (own pass), and
-                    // accept the previous register's tail when its
-                    // pass fires. With per-register pass signals a
-                    // plain mux would duplicate the token on
-                    // departure, so the head uses gated OR steering.
-                    let prev = (i + num_regs - 1) % num_regs;
-                    let tail = q[prev][spec.registers[prev].len() - 1];
-                    let recirc = q[i][r.len() - 1];
-                    let stay = n.gate(CellKind::Inv, &[pass[i]]).map_err(SragError::from)?;
-                    let kept = n
-                        .gate(CellKind::And2, &[recirc, stay])
-                        .map_err(SragError::from)?;
-                    let incoming = n
-                        .gate(CellKind::And2, &[tail, pass[prev]])
-                        .map_err(SragError::from)?;
-                    n.gate(CellKind::Or2, &[kept, incoming])
-                        .map_err(SragError::from)?
-                };
-                let kind = if i == 0 && j == 0 {
-                    CellKind::Dffse
-                } else {
-                    CellKind::Dffre
-                };
-                n.add_instance(format!("sr{i}_ff{j}"), kind, &[d, enable, rst], &[q[i][j]])?;
+        // Head flip-flop: recirculate own tail unless the token is
+        // leaving this register (own pass), and accept the previous
+        // register's tail when its pass fires. With per-register pass
+        // signals a plain mux would duplicate the token on departure,
+        // so the head uses gated OR steering.
+        let head = |n: &mut Netlist, i: usize, recirc: NetId, tail: NetId| {
+            if num_regs == 1 {
+                return Ok(recirc);
             }
-        }
-
-        // Select lines.
-        let mut select = vec![None; spec.num_lines];
-        for (i, r) in spec.registers.iter().enumerate() {
-            for (j, &line) in r.lines().iter().enumerate() {
-                select[line as usize] = Some(q[i][j]);
-            }
-        }
-        let select_lines: Vec<NetId> = select
-            .into_iter()
-            .map(|s| match s {
-                Some(net) => Ok(net),
-                None => n.gate(CellKind::TieLo, &[]).map_err(SragError::from),
-            })
-            .collect::<Result<_, _>>()?;
-        for &l in &select_lines {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+            let prev = (i + num_regs - 1) % num_regs;
+            let stay = n.gate(CellKind::Inv, &[pass[i]])?;
+            let kept = n.gate(CellKind::And2, &[recirc, stay])?;
+            let incoming = n.gate(CellKind::And2, &[tail, pass[prev]])?;
+            Ok(n.gate(CellKind::Or2, &[kept, incoming])?)
+        };
+        let select_lines = ring.close(&mut n, spec.num_lines, enable, rst, head)?;
+        finish(&mut n, select_lines.iter().copied())?;
         Ok(MultiCounterSragNetlist {
             netlist: n,
             select_lines,

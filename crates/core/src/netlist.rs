@@ -17,6 +17,15 @@
 //!
 //! Select lines are the flip-flop `Q` outputs directly — no decoding
 //! logic exists, which is the entire point of the architecture.
+//!
+//! [`build_into`] is the one builder; [`BuildOptions`] picks the
+//! control style, an external divider (§7 chaining) and the
+//! self-checking ring ([`crate::harden`]). The ring itself is built
+//! by one private piece of code whose only variation point is each
+//! register's head input, so the time-shared ([`crate::shared`]) and
+//! multi-counter ([`crate::multi_counter`]) SRAGs reuse it under
+//! their own control. Every `build_into`-based elaboration, 1-D or
+//! 2-D, goes through one private scaffold.
 
 use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
 use adgen_synth::fsm::MAX_FANOUT;
@@ -24,7 +33,7 @@ use adgen_synth::mapgen::{build_mod_counter, build_ring_counter};
 use adgen_synth::techmap::{insert_fanout_buffers, or_tree};
 use adgen_synth::{Encoding, Fsm, OutputStyle};
 
-use crate::arch::{ControlStyle, SragSpec};
+use crate::arch::{ControlStyle, ShiftRegisterSpec, SragSpec};
 use crate::error::SragError;
 
 /// A gate-level SRAG: the netlist plus its interface nets.
@@ -61,20 +70,13 @@ impl SragNetlist {
     ///
     /// Propagates construction failures.
     pub fn elaborate_with_style(spec: &SragSpec, style: ControlStyle) -> Result<Self, SragError> {
-        let mut n = Netlist::new(format!(
-            "srag_{}r_{}ff",
-            spec.num_registers(),
-            spec.num_flip_flops()
-        ));
-        let next = n.add_input("next");
-        let parts = build_into_parts(&mut n, spec, next, "", style, None)?;
-        for &l in &parts.select_lines {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+        let opts = BuildOptions {
+            style,
+            ..BuildOptions::default()
+        };
+        let (netlist, next, [parts], _) = elaborate_one(spec, "", &opts)?;
         Ok(SragNetlist {
-            netlist: n,
+            netlist,
             select_lines: parts.select_lines,
             next_input: next,
             spec: spec.clone(),
@@ -124,7 +126,7 @@ pub struct SragParts {
     pub alarm: Option<NetId>,
 }
 
-/// Construction options for [`build_into_parts_with`].
+/// Construction options for [`build_into`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildOptions {
     /// Control-circuit style for `DivCnt`/`PassCnt`.
@@ -143,7 +145,9 @@ pub struct BuildOptions {
 /// Builds an SRAG for `spec` into an existing netlist, driven by the
 /// given `next` net, with `prefix` applied to all instance names so
 /// that several SRAGs (e.g. a row and a column generator) can share
-/// one netlist. Returns the select-line nets in line order; the
+/// one netlist. `opts` selects the control style, optionally replaces
+/// the internal `DivCnt` with an external pre-divided enable, and
+/// optionally hardens the ring. Returns the interface nets; the
 /// caller decides which nets become primary outputs and runs fanout
 /// buffering.
 ///
@@ -155,128 +159,24 @@ pub fn build_into(
     spec: &SragSpec,
     next: NetId,
     prefix: &str,
-) -> Result<Vec<NetId>, SragError> {
-    build_into_parts(n, spec, next, prefix, ControlStyle::BinaryCounters, None)
-        .map(|p| p.select_lines)
-}
-
-/// Full-control variant of [`build_into`]: selects the control style
-/// and optionally replaces the internal `DivCnt` with an external
-/// pre-divided enable (`external_enable`), in which case `next` is
-/// ignored for enable generation.
-///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn build_into_parts(
-    n: &mut Netlist,
-    spec: &SragSpec,
-    next: NetId,
-    prefix: &str,
-    style: ControlStyle,
-    external_enable: Option<NetId>,
-) -> Result<SragParts, SragError> {
-    build_into_parts_with(
-        n,
-        spec,
-        next,
-        prefix,
-        &BuildOptions {
-            style,
-            external_enable,
-            harden: false,
-        },
-    )
-}
-
-/// Option-struct variant of [`build_into_parts`]; the only way to
-/// request the hardened (self-checking) ring.
-///
-/// # Errors
-///
-/// Propagates construction failures.
-pub fn build_into_parts_with(
-    n: &mut Netlist,
-    spec: &SragSpec,
-    next: NetId,
-    prefix: &str,
     opts: &BuildOptions,
 ) -> Result<SragParts, SragError> {
-    let style = opts.style;
-    let external_enable = opts.external_enable;
-    let rst = n.reset();
-
-    // A modulo-`count` divider of `stimulus` in the chosen control
-    // style; returns the wrap signal (high when the divider is at its
-    // terminal count and the stimulus is asserted).
-    let divider = |n: &mut Netlist,
-                   count: usize,
-                   stimulus: NetId,
-                   name: String|
-     -> Result<NetId, SragError> {
-        Ok(match style {
-            ControlStyle::BinaryCounters => {
-                build_mod_counter(n, count as u64, stimulus, &name)?.wrap
-            }
-            ControlStyle::RingCounters => {
-                build_ring_counter(n, count as u64, stimulus, &name)?.wrap
-            }
-            ControlStyle::InteractingFsms => {
-                if count == 1 {
-                    stimulus
-                } else {
-                    // A cyclic FSM whose single output bit flags the
-                    // terminal state; espresso-minimized and binary
-                    // encoded, advancing on the stimulus.
-                    let fsm = Fsm::new(
-                        (0..count).map(|s| (s + 1) % count).collect(),
-                        (0..count).map(|s| u64::from(s == count - 1)).collect(),
-                    )?;
-                    let flag = fsm.build_into(
-                        n,
-                        stimulus,
-                        Encoding::Binary,
-                        OutputStyle::BinaryAddress { bits: 1 },
-                        &format!("{name}_"),
-                    )?[0];
-                    n.gate(CellKind::And2, &[stimulus, flag])
-                        .map_err(SragError::from)?
-                }
-            }
-        })
+    // DivCnt divides `next` by dC (unless the caller supplies the
+    // enable); PassCnt counts enables up to pC, needed only with more
+    // than one register.
+    let div = |n: &mut Netlist, count, stimulus, what: &str| {
+        divider(n, opts.style, count, stimulus, &format!("{prefix}{what}"))
     };
-
-    // DivCnt: divide `next` by dC (or adopt the caller's divider).
-    let enable = match external_enable {
+    let enable = match opts.external_enable {
         Some(e) => e,
-        None => divider(n, spec.div_count, next, format!("{prefix}divcnt"))?,
+        None => div(n, spec.div_count, next, "divcnt")?,
     };
+    let pass = (spec.num_registers() > 1)
+        .then(|| div(n, spec.pass_count, enable, "passcnt"))
+        .transpose()?;
 
-    // PassCnt: count enables up to pC (only needed with >1 register).
-    let pass = if spec.num_registers() > 1 {
-        Some(divider(
-            n,
-            spec.pass_count,
-            enable,
-            format!("{prefix}passcnt"),
-        )?)
-    } else {
-        None
-    };
-
-    // Shift-register flip-flops. Create all Q nets first so the
-    // inter-register wiring can refer to them.
-    let q: Vec<Vec<NetId>> = spec
-        .registers
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            (0..r.len())
-                .map(|j| n.add_net(format!("{prefix}s{i}_{j}")))
-                .collect()
-        })
-        .collect();
-    let flat_q: Vec<NetId> = q.iter().flatten().copied().collect();
+    let ring = Ring::new(n, &spec.registers, prefix);
+    let ring_ffs = ring.flat();
 
     // Hardening: a chained exactly-one-hot checker over the ring Q
     // nets. `p1` = at least one hot so far, `p2` = at least two;
@@ -286,95 +186,39 @@ pub fn build_into_parts_with(
     // pattern — detection and resync in one mechanism. The loop
     // Q → checker → reset pin is broken by the flip-flops, so the
     // combinational network stays acyclic.
+    let rst = n.reset();
     let (ring_rst, alarm) = if opts.harden {
-        let mut p1 = flat_q[0];
-        let mut p2: Option<NetId> = None;
-        for &l in &flat_q[1..] {
-            let both = n.gate(CellKind::And2, &[p1, l]).map_err(SragError::from)?;
+        let (mut p1, mut p2) = (ring_ffs[0], None);
+        for &l in &ring_ffs[1..] {
+            let both = n.gate(CellKind::And2, &[p1, l])?;
             p2 = Some(match p2 {
                 None => both,
-                Some(prev) => n
-                    .gate(CellKind::Or2, &[prev, both])
-                    .map_err(SragError::from)?,
+                Some(prev) => n.gate(CellKind::Or2, &[prev, both])?,
             });
-            p1 = n.gate(CellKind::Or2, &[p1, l]).map_err(SragError::from)?;
+            p1 = n.gate(CellKind::Or2, &[p1, l])?;
         }
-        let none_hot = n.gate(CellKind::Inv, &[p1]).map_err(SragError::from)?;
+        let none_hot = n.gate(CellKind::Inv, &[p1])?;
         let alarm = match p2 {
-            Some(p2) => n
-                .gate(CellKind::Or2, &[none_hot, p2])
-                .map_err(SragError::from)?,
+            Some(p2) => n.gate(CellKind::Or2, &[none_hot, p2])?,
             None => none_hot,
         };
-        let resync = n
-            .gate(CellKind::Or2, &[rst, alarm])
-            .map_err(SragError::from)?;
-        (resync, Some(alarm))
+        (n.gate(CellKind::Or2, &[rst, alarm])?, Some(alarm))
     } else {
         (rst, None)
     };
 
-    let num_regs = spec.num_registers();
-    for (i, r) in spec.registers.iter().enumerate() {
-        for j in 0..r.len() {
-            let d = if j > 0 {
-                q[i][j - 1]
-            } else {
-                let recirc = q[i][r.len() - 1];
-                match pass {
-                    Some(p) => {
-                        let prev = (i + num_regs - 1) % num_regs;
-                        let tail = q[prev][spec.registers[prev].len() - 1];
-                        n.gate(CellKind::Mux2, &[recirc, tail, p])
-                            .map_err(SragError::from)?
-                    }
-                    None => recirc,
-                }
-            };
-            let kind = if i == 0 && j == 0 {
-                CellKind::Dffse
-            } else {
-                CellKind::Dffre
-            };
-            n.add_instance(
-                format!("{prefix}sr{i}_ff{j}"),
-                kind,
-                &[d, enable, ring_rst],
-                &[q[i][j]],
-            )?;
-        }
-    }
-
-    // Map flip-flop outputs onto select lines; unused lines tie low.
-    let mut select_lines = vec![None; spec.num_lines];
-    for (i, r) in spec.registers.iter().enumerate() {
-        for (j, &line) in r.lines().iter().enumerate() {
-            select_lines[line as usize] = Some(q[i][j]);
-        }
-    }
-    let select_lines: Vec<NetId> = select_lines
-        .into_iter()
-        .map(|s| match s {
-            Some(net) => Ok(net),
-            None => n.gate(CellKind::TieLo, &[]).map_err(SragError::from),
-        })
-        .collect::<Result<_, _>>()?;
+    let select_lines = ring.close(n, spec.num_lines, enable, ring_rst, mux_head(pass))?;
 
     // Full-cycle wrap: the token leaves the *last* register's tail
     // back to s₀,₀. With one register that is simply the wrap of its
     // recirculation; with several, the pass firing while the token
     // sits in the last register.
-    let last = spec.num_registers() - 1;
-    let tail = q[last][spec.registers[last].len() - 1];
+    let last = &ring.q[spec.num_registers() - 1];
     let cycle_wrap = match pass {
-        None => n
-            .gate(CellKind::And2, &[enable, tail])
-            .map_err(SragError::from)?,
+        None => n.gate(CellKind::And2, &[enable, last[last.len() - 1]])?,
         Some(p) => {
-            let token_in_last = or_tree(n, &q[last]).map_err(SragError::from)?;
-
-            n.gate(CellKind::And2, &[p, token_in_last])
-                .map_err(SragError::from)?
+            let token_in_last = or_tree(n, last)?;
+            n.gate(CellKind::And2, &[p, token_in_last])?
         }
     };
 
@@ -382,9 +226,197 @@ pub fn build_into_parts_with(
         select_lines,
         enable,
         cycle_wrap,
-        ring_ffs: flat_q,
+        ring_ffs,
         alarm,
     })
+}
+
+/// A modulo-`count` divider of `stimulus` in the chosen control
+/// style; returns the wrap signal (high when the divider is at its
+/// terminal count and the stimulus is asserted).
+fn divider(
+    n: &mut Netlist,
+    style: ControlStyle,
+    count: usize,
+    stimulus: NetId,
+    name: &str,
+) -> Result<NetId, SragError> {
+    Ok(match style {
+        ControlStyle::BinaryCounters => build_mod_counter(n, count as u64, stimulus, name)?.wrap,
+        ControlStyle::RingCounters => build_ring_counter(n, count as u64, stimulus, name)?.wrap,
+        ControlStyle::InteractingFsms if count == 1 => stimulus,
+        ControlStyle::InteractingFsms => {
+            // A cyclic FSM whose single output bit flags the terminal
+            // state; espresso-minimized and binary encoded, advancing
+            // on the stimulus.
+            let fsm = Fsm::new(
+                (0..count).map(|s| (s + 1) % count).collect(),
+                (0..count).map(|s| u64::from(s == count - 1)).collect(),
+            )?;
+            let flag = fsm.build_into(
+                n,
+                stimulus,
+                Encoding::Binary,
+                OutputStyle::BinaryAddress { bits: 1 },
+                &format!("{name}_"),
+            )?[0];
+            n.gate(CellKind::And2, &[stimulus, flag])?
+        }
+    })
+}
+
+/// The circularly linked shift registers of paper Fig. 5, shared by
+/// every SRAG variant: only the control around the ring differs.
+pub(crate) struct Ring<'a> {
+    registers: &'a [ShiftRegisterSpec],
+    prefix: &'a str,
+    /// Q nets, register by register, in token order.
+    pub(crate) q: Vec<Vec<NetId>>,
+}
+
+impl<'a> Ring<'a> {
+    /// Creates the Q nets `{prefix}s{i}_{j}` up front, so control
+    /// logic and head inputs can refer to them before the flip-flops
+    /// exist.
+    pub(crate) fn new(
+        n: &mut Netlist,
+        registers: &'a [ShiftRegisterSpec],
+        prefix: &'a str,
+    ) -> Self {
+        let q = registers
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                (0..r.len())
+                    .map(|j| n.add_net(format!("{prefix}s{i}_{j}")))
+                    .collect()
+            })
+            .collect();
+        Ring {
+            registers,
+            prefix,
+            q,
+        }
+    }
+
+    /// The Q nets in token order.
+    pub(crate) fn flat(&self) -> Vec<NetId> {
+        self.q.iter().flatten().copied().collect()
+    }
+
+    /// Instantiates the flip-flops — `s₀,₀` set-type, the rest
+    /// reset-type, all shifting on `enable` and reloaded by `rst` —
+    /// and returns the select lines in line order, unused lines tied
+    /// low. `head(n, i, recirc, tail)` builds the D input of register
+    /// `i`'s first flip-flop from its own tail `recirc` and the
+    /// previous register's `tail`.
+    pub(crate) fn close(
+        &self,
+        n: &mut Netlist,
+        num_lines: usize,
+        enable: NetId,
+        rst: NetId,
+        mut head: impl FnMut(&mut Netlist, usize, NetId, NetId) -> Result<NetId, SragError>,
+    ) -> Result<Vec<NetId>, SragError> {
+        let q = &self.q;
+        let prefix = self.prefix;
+        for (i, qi) in q.iter().enumerate() {
+            let prev = &q[(i + q.len() - 1) % q.len()];
+            for j in 0..qi.len() {
+                let d = match j {
+                    0 => head(n, i, qi[qi.len() - 1], prev[prev.len() - 1])?,
+                    _ => qi[j - 1],
+                };
+                let kind = if i == 0 && j == 0 {
+                    CellKind::Dffse
+                } else {
+                    CellKind::Dffre
+                };
+                n.add_instance(
+                    format!("{prefix}sr{i}_ff{j}"),
+                    kind,
+                    &[d, enable, rst],
+                    &[qi[j]],
+                )?;
+            }
+        }
+        let mut select_lines = vec![None; num_lines];
+        for (r, qi) in self.registers.iter().zip(q) {
+            for (&line, &net) in r.lines().iter().zip(qi) {
+                select_lines[line as usize] = Some(net);
+            }
+        }
+        let tie_lo = |s: Option<NetId>| s.map_or_else(|| n.gate(CellKind::TieLo, &[]), Ok);
+        Ok(select_lines
+            .into_iter()
+            .map(tie_lo)
+            .collect::<Result<_, _>>()?)
+    }
+}
+
+/// Fig. 5's head input: a `pass`-steered 2-to-1 mux between the
+/// register's own tail and the previous register's; plain
+/// recirculation without `pass` (a single register).
+pub(crate) fn mux_head(
+    pass: Option<NetId>,
+) -> impl FnMut(&mut Netlist, usize, NetId, NetId) -> Result<NetId, SragError> {
+    move |n, _, recirc, tail| match pass {
+        Some(p) => Ok(n.gate(CellKind::Mux2, &[recirc, tail, p])?),
+        None => Ok(recirc),
+    }
+}
+
+/// What [`elaborate`] returns: the netlist, its `next` input, the
+/// built SRAGs in output order, and their checker alarms ORed into
+/// one (`None` unless some part is hardened).
+pub(crate) type Elaborated<const D: usize> = (Netlist, NetId, [SragParts; D], Option<NetId>);
+
+/// The scaffold every `build_into`-based elaboration shares: a
+/// netlist called `name` with a `next` input, the SRAGs `build` adds
+/// to it, and [`finish`] with their select lines in part order and
+/// the ORed checker alarm last.
+pub(crate) fn elaborate<const D: usize>(
+    name: String,
+    build: impl FnOnce(&mut Netlist, NetId) -> Result<[SragParts; D], SragError>,
+) -> Result<Elaborated<D>, SragError> {
+    let mut n = Netlist::new(name);
+    let next = n.add_input("next");
+    let parts = build(&mut n, next)?;
+    let mut alarm = None;
+    for a in parts.iter().filter_map(|p| p.alarm) {
+        alarm = Some(match alarm {
+            None => a,
+            Some(prev) => n.gate(CellKind::Or2, &[prev, a])?,
+        });
+    }
+    let lines = parts.iter().flat_map(|p| p.select_lines.iter().copied());
+    finish(&mut n, lines.chain(alarm))?;
+    Ok((n, next, parts, alarm))
+}
+
+/// [`elaborate`] for a single SRAG, named `srag_{kind}{R}r_{F}ff`.
+pub(crate) fn elaborate_one(
+    spec: &SragSpec,
+    kind: &str,
+    opts: &BuildOptions,
+) -> Result<Elaborated<1>, SragError> {
+    let (r, f) = (spec.num_registers(), spec.num_flip_flops());
+    elaborate(format!("srag_{kind}{r}r_{f}ff"), |n, next| {
+        Ok([build_into(n, spec, next, "", opts)?])
+    })
+}
+
+/// The tail of every elaboration in this crate: `outputs` become the
+/// primary outputs in order, then fanout buffering and validation.
+pub(crate) fn finish(
+    n: &mut Netlist,
+    outputs: impl IntoIterator<Item = NetId>,
+) -> Result<(), SragError> {
+    for l in outputs {
+        n.add_output(l);
+    }
+    insert_fanout_buffers(n, MAX_FANOUT)?;
+    Ok(n.validate()?)
 }
 
 #[cfg(test)]
@@ -601,8 +633,7 @@ mod tests {
         let spec = SragSpec::ring(4);
         let mut n = Netlist::new("wrap");
         let next = n.add_input("next");
-        let parts =
-            build_into_parts(&mut n, &spec, next, "", ControlStyle::BinaryCounters, None).unwrap();
+        let parts = build_into(&mut n, &spec, next, "", &BuildOptions::default()).unwrap();
         n.add_output(parts.cycle_wrap);
         insert_fanout_buffers(&mut n, MAX_FANOUT).unwrap();
         let mut sim = Simulator::new(&n).unwrap();
@@ -626,15 +657,11 @@ mod tests {
         let mut n = Netlist::new("ext");
         let next = n.add_input("next");
         let div = adgen_synth::mapgen::build_mod_counter(&mut n, 4, next, "extdiv").unwrap();
-        let parts = build_into_parts(
-            &mut n,
-            &spec,
-            next,
-            "",
-            ControlStyle::BinaryCounters,
-            Some(div.wrap),
-        )
-        .unwrap();
+        let opts = BuildOptions {
+            external_enable: Some(div.wrap),
+            ..BuildOptions::default()
+        };
+        let parts = build_into(&mut n, &spec, next, "", &opts).unwrap();
         for &l in &parts.select_lines {
             n.add_output(l);
         }

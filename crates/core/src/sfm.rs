@@ -10,12 +10,10 @@
 //! the workspace can demonstrate that the SRAG subsumes the SFM: an
 //! SFM pointer is exactly a one-register SRAG ring.
 
-use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
-use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::techmap::insert_fanout_buffers;
-
 use crate::arch::SragSpec;
 use crate::error::SragError;
+use crate::netlist::{finish, observed_one_hot};
+use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
 
 /// Behavioural model of an SFM's pointer pair over `depth` cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,11 +100,7 @@ impl SfmNetlist {
         let next_read = n.add_input("next_read");
         let write_lines = Self::pointer_ring(&mut n, depth, next_write, "tail")?;
         let read_lines = Self::pointer_ring(&mut n, depth, next_read, "head")?;
-        for &l in write_lines.iter().chain(&read_lines) {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+        finish(&mut n, write_lines.iter().chain(&read_lines).copied())?;
         Ok(SfmNetlist {
             netlist: n,
             write_lines,
@@ -138,12 +132,12 @@ impl SfmNetlist {
 
     /// Decodes the tail pointer from a running simulator.
     pub fn observed_write_cell(&self, sim: &Simulator<'_>) -> Option<u32> {
-        crate::netlist::observed_one_hot(sim, &self.write_lines)
+        observed_one_hot(sim, &self.write_lines)
     }
 
     /// Decodes the head pointer from a running simulator.
     pub fn observed_read_cell(&self, sim: &Simulator<'_>) -> Option<u32> {
-        crate::netlist::observed_one_hot(sim, &self.read_lines)
+        observed_one_hot(sim, &self.read_lines)
     }
 }
 

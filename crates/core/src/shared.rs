@@ -12,20 +12,19 @@
 //! the row length, the other undivided.
 //!
 //! The shared implementation keeps a single set of shift flip-flops
-//! (the dominant area term) and instantiates both control-counter
-//! sets, steered by a `mode` input: `mode = 0` gives sequence A's
+//! (the dominant area term) — the same ring and head muxes
+//! [`build_into`](crate::netlist::build_into) builds — and
+//! instantiates both control-counter sets, steered by a `mode` input: `mode = 0` gives sequence A's
 //! timing, `mode = 1` sequence B's. The design must be reset when
 //! switching modes, exactly as a phase change between producing and
 //! consuming a frame buffer would.
 
 use adgen_netlist::{CellKind, NetId, Netlist, Simulator};
-use adgen_synth::fsm::MAX_FANOUT;
 use adgen_synth::mapgen::build_mod_counter;
-use adgen_synth::techmap::insert_fanout_buffers;
 
 use crate::arch::SragSpec;
 use crate::error::SragError;
-use crate::netlist::observed_one_hot;
+use crate::netlist::{finish, mux_head, observed_one_hot, Ring};
 
 /// Whether two specifications can share their shift registers: same
 /// register partition (same lines in the same token order) and the
@@ -85,59 +84,14 @@ impl TimeSharedSragNetlist {
 
         // One shared set of shift registers (the partitions are
         // identical by construction).
-        let q: Vec<Vec<NetId>> = a
-            .registers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (0..r.len())
-                    .map(|j| n.add_net(format!("s{i}_{j}")))
-                    .collect()
-            })
-            .collect();
-        let num_regs = a.num_registers();
-        for (i, r) in a.registers.iter().enumerate() {
-            for j in 0..r.len() {
-                let d = if j > 0 {
-                    q[i][j - 1]
-                } else {
-                    let recirc = q[i][r.len() - 1];
-                    match pass {
-                        Some(p) => {
-                            let prev = (i + num_regs - 1) % num_regs;
-                            let tail = q[prev][a.registers[prev].len() - 1];
-                            n.gate(CellKind::Mux2, &[recirc, tail, p])?
-                        }
-                        None => recirc,
-                    }
-                };
-                let kind = if i == 0 && j == 0 {
-                    CellKind::Dffse
-                } else {
-                    CellKind::Dffre
-                };
-                n.add_instance(format!("sr{i}_ff{j}"), kind, &[d, enable, rst], &[q[i][j]])?;
-            }
-        }
-
-        let mut select = vec![None; a.num_lines];
-        for (i, r) in a.registers.iter().enumerate() {
-            for (j, &line) in r.lines().iter().enumerate() {
-                select[line as usize] = Some(q[i][j]);
-            }
-        }
-        let select_lines: Vec<NetId> = select
-            .into_iter()
-            .map(|s| match s {
-                Some(net) => Ok(net),
-                None => n.gate(CellKind::TieLo, &[]).map_err(SragError::from),
-            })
-            .collect::<Result<_, _>>()?;
-        for &l in &select_lines {
-            n.add_output(l);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate().map_err(SragError::from)?;
+        let select_lines = Ring::new(&mut n, &a.registers, "").close(
+            &mut n,
+            a.num_lines,
+            enable,
+            rst,
+            mux_head(pass),
+        )?;
+        finish(&mut n, select_lines.iter().copied())?;
         Ok(Some(TimeSharedSragNetlist {
             netlist: n,
             select_lines,
