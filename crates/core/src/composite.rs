@@ -8,6 +8,10 @@
 //! the full linear address sequence with *two-hot* encoding at a
 //! fraction of the one-hot flip-flop count (`H + W` instead of
 //! `H × W` select lines).
+//!
+//! Every form of the pair (plain, per control style, chained,
+//! hardened) is two [`build_into`] calls in the one netlist scaffold;
+//! the forms differ only in name, `BuildOptions` and chaining.
 
 use adgen_netlist::{NetId, Netlist, Simulator};
 use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};

@@ -52,11 +52,8 @@ const HARDENED: BuildOptions = BuildOptions {
 /// The alarm a [`HARDENED`] elaboration exports, or a typed error
 /// naming the missing net should the scaffold ever return none.
 fn checked(alarm: Option<NetId>) -> Result<NetId, SragError> {
-    alarm.ok_or_else(|| {
-        SragError::Netlist(NetlistError::UndrivenNet {
-            net: "alarm".to_string(),
-        })
-    })
+    let net = "alarm".to_string();
+    alarm.ok_or(SragError::Netlist(NetlistError::UndrivenNet { net }))
 }
 
 /// A gate-level self-checking SRAG: the plain generator plus the

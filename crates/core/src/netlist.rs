@@ -176,7 +176,7 @@ pub fn build_into(
         .transpose()?;
 
     let ring = Ring::new(n, &spec.registers, prefix);
-    let ring_ffs = ring.flat();
+    let ring_ffs: Vec<NetId> = ring.q.iter().flatten().copied().collect();
 
     // Hardening: a chained exactly-one-hot checker over the ring Q
     // nets. `p1` = at least one hot so far, `p2` = at least two;
@@ -299,11 +299,6 @@ impl<'a> Ring<'a> {
         }
     }
 
-    /// The Q nets in token order.
-    pub(crate) fn flat(&self) -> Vec<NetId> {
-        self.q.iter().flatten().copied().collect()
-    }
-
     /// Instantiates the flip-flops — `s₀,₀` set-type, the rest
     /// reset-type, all shifting on `enable` and reloaded by `rst` —
     /// and returns the select lines in line order, unused lines tied
@@ -318,8 +313,7 @@ impl<'a> Ring<'a> {
         rst: NetId,
         mut head: impl FnMut(&mut Netlist, usize, NetId, NetId) -> Result<NetId, SragError>,
     ) -> Result<Vec<NetId>, SragError> {
-        let q = &self.q;
-        let prefix = self.prefix;
+        let (q, prefix) = (&self.q, self.prefix);
         for (i, qi) in q.iter().enumerate() {
             let prev = &q[(i + q.len() - 1) % q.len()];
             for j in 0..qi.len() {

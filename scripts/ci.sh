@@ -65,6 +65,9 @@
 #                         fault-replay output digests and the figure
 #                         CSVs against results/, then a self-compare;
 #                         writes only under benchmark/target/)
+#  16. line counts      (scripts/loc.sh: non-test lines per crate and
+#                         for the workspace; informational, never
+#                         fails the run)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -210,6 +213,9 @@ check_schema target/bench-smoke/BENCH_bank.json banks window conflict_free confl
 
 echo "==> benchmark: unit tests + smoke run (output digests, figure CSVs, self-compare)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> line counts (informational)"
+scripts/loc.sh || echo "    (loc.sh failed; informational only)"
 
 if [[ "${CI_SLOW:-0}" == "1" ]]; then
   echo "==> slow tier: ignored scale tests"
