@@ -340,11 +340,13 @@ impl<'a> Ring<'a> {
                 select_lines[line as usize] = Some(net);
             }
         }
-        let tie_lo = |s: Option<NetId>| s.map_or_else(|| n.gate(CellKind::TieLo, &[]), Ok);
-        Ok(select_lines
+        select_lines
             .into_iter()
-            .map(tie_lo)
-            .collect::<Result<_, _>>()?)
+            .map(|s| match s {
+                Some(net) => Ok(net),
+                None => Ok(n.gate(CellKind::TieLo, &[])?),
+            })
+            .collect()
     }
 }
 
