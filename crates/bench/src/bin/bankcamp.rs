@@ -26,10 +26,9 @@
 //! alone. Observability: `--trace FILE` and `--metrics` behave as in
 //! the other campaign bins (`DESIGN.md` §9).
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 
 use adgen_bank::{BankMap, GeneratorChoice, Interleaver};
 use adgen_explorer::{compare_banked, BankedComparison};
@@ -64,8 +63,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--jobs" | "-j" => jobs = parse_or_die(&mut args, &a),
-            "--seed" => seed = parse_or_die(&mut args, &a),
+            "--jobs" | "-j" => jobs = flag_value(&mut args, &a),
+            "--seed" => seed = flag_value(&mut args, &a),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
@@ -87,7 +86,8 @@ fn main() -> ExitCode {
     println!("bankcamp: n={n}, {banks} banks x window {window}, high-bits map, seed {seed}");
 
     let mut sink = ObsJsonSink::new(
-        record_path("BENCH_bank.json", smoke),
+        "BENCH_bank.json",
+        smoke,
         obs_args,
         BankState {
             n,
@@ -208,17 +208,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_or_die<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {flag} value `{v}`");
-        std::process::exit(2);
-    })
-}
-
 fn choice_str(c: GeneratorChoice) -> &'static str {
     match c {
         GeneratorChoice::Decomposed => "decomposed",
@@ -226,91 +215,70 @@ fn choice_str(c: GeneratorChoice) -> &'static str {
     }
 }
 
-/// Hand-rolled machine-readable record mirroring the other
-/// `BENCH_*.json` conventions (drop-guard flush, `"truncated"`
-/// marker, optional `"metrics"` tail).
-fn render_bank_json(state: &BankState, meta: &RunMeta) -> String {
-    let BankState {
-        n,
-        banks,
-        window,
-        seed,
-        contexts,
-        qpp,
-    } = state;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"n\": {n},");
-    let _ = writeln!(s, "  \"banks\": {banks},");
-    let _ = writeln!(s, "  \"window\": {window},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"interleavers\": [");
-    for (i, c) in contexts.iter().enumerate() {
-        let comma = if i + 1 < contexts.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"conflict_free\": {}, \"conflict_cycles\": {}, \
-             \"stall_cycles\": {}, \"conflict_rate\": {:.4}, \"verified\": {}}}{comma}",
+/// The record's fields: per-interleaver schedule context, then the
+/// gated QPP configuration's schedule and per-bank pricing.
+fn render_bank_json(state: &BankState) -> Vec<Field> {
+    let interleavers = state.contexts.iter().map(|c| {
+        format!(
+            "{{\"name\": \"{}\", \"conflict_free\": {}, \"conflict_cycles\": {}, \
+             \"stall_cycles\": {}, \"conflict_rate\": {:.4}, \"verified\": {}}}",
             c.name, c.conflict_free, c.conflict_cycles, c.stall_cycles, c.conflict_rate, c.verified
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    match qpp {
-        None => {
-            let _ = writeln!(s, "  \"conflict_free\": false,");
-            let _ = writeln!(s, "  \"conflict_rate\": null,");
-            let _ = writeln!(s, "  \"stall_cycles\": null,");
-            let _ = write!(s, "  \"decompose_win_pct\": null");
-        }
-        Some(cmp) => {
-            let _ = writeln!(s, "  \"conflict_free\": {},", cmp.conflict_free());
-            let _ = writeln!(
-                s,
-                "  \"conflict_rate\": {:.4},",
-                cmp.schedule.conflict_rate()
-            );
-            let _ = writeln!(s, "  \"stall_cycles\": {},", cmp.schedule.stall_cycles);
-            match &cmp.plan {
-                None => {
-                    let _ = writeln!(s, "  \"bank_rows\": [],");
-                    let _ = write!(s, "  \"decompose_win_pct\": null");
-                }
-                Some(plan) => {
-                    let _ = writeln!(s, "  \"bank_rows\": [");
-                    for (i, b) in plan.banks.iter().enumerate() {
-                        let comma = if i + 1 < plan.banks.len() { "," } else { "" };
-                        let _ = writeln!(
-                            s,
-                            "    {{\"bank\": {}, \"linear_bits\": {}, \"residue_bits\": {}, \
-                             \"residue_states\": {}, \"decomposed_area\": {:.2}, \
-                             \"monolithic_area\": {:.2}, \"delay_ps\": {:.2}, \
-                             \"flip_flops\": {}, \"choice\": \"{}\"}}{comma}",
-                            b.bank,
-                            b.linear_bits,
-                            b.residue_bits,
-                            b.residue_states,
-                            b.decomposed.area,
-                            b.monolithic.area,
-                            b.decomposed.delay_ps,
-                            b.decomposed.flip_flops,
-                            choice_str(b.choice)
-                        );
-                    }
-                    let _ = writeln!(s, "  ],");
-                    let _ = writeln!(s, "  \"decomposed_area\": {:.2},", plan.decomposed_area);
-                    let _ = writeln!(s, "  \"monolithic_area\": {:.2},", plan.monolithic_area);
-                    let _ = write!(s, "  \"decompose_win_pct\": {:.2}", plan.win_pct());
-                }
-            }
-        }
-    }
-    let _ = writeln!(s, "{}", if meta.metrics.is_some() { "," } else { "" });
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    }
-    let _ = writeln!(s, "}}");
-    s
+        )
+    });
+    let mut fields = vec![
+        ("n", state.n.to_string()),
+        ("banks", state.banks.to_string()),
+        ("window", state.window.to_string()),
+        ("seed", state.seed.to_string()),
+        ("interleavers", array("  ", interleavers)),
+    ];
+    let null = || "null".to_string();
+    let Some(cmp) = &state.qpp else {
+        fields.extend([
+            ("conflict_free", "false".to_string()),
+            ("conflict_rate", null()),
+            ("stall_cycles", null()),
+            ("decompose_win_pct", null()),
+        ]);
+        return fields;
+    };
+    fields.extend([
+        ("conflict_free", cmp.conflict_free().to_string()),
+        (
+            "conflict_rate",
+            format!("{:.4}", cmp.schedule.conflict_rate()),
+        ),
+        ("stall_cycles", cmp.schedule.stall_cycles.to_string()),
+    ]);
+    let Some(plan) = &cmp.plan else {
+        fields.extend([
+            ("bank_rows", "[]".to_string()),
+            ("decompose_win_pct", null()),
+        ]);
+        return fields;
+    };
+    let bank_rows = plan.banks.iter().map(|b| {
+        format!(
+            "{{\"bank\": {}, \"linear_bits\": {}, \"residue_bits\": {}, \
+             \"residue_states\": {}, \"decomposed_area\": {:.2}, \
+             \"monolithic_area\": {:.2}, \"delay_ps\": {:.2}, \
+             \"flip_flops\": {}, \"choice\": \"{}\"}}",
+            b.bank,
+            b.linear_bits,
+            b.residue_bits,
+            b.residue_states,
+            b.decomposed.area,
+            b.monolithic.area,
+            b.decomposed.delay_ps,
+            b.decomposed.flip_flops,
+            choice_str(b.choice)
+        )
+    });
+    fields.extend([
+        ("bank_rows", array("  ", bank_rows)),
+        ("decomposed_area", format!("{:.2}", plan.decomposed_area)),
+        ("monolithic_area", format!("{:.2}", plan.monolithic_area)),
+        ("decompose_win_pct", format!("{:.2}", plan.win_pct())),
+    ]);
+    fields
 }

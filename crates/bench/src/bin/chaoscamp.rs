@@ -28,9 +28,10 @@
 //! being written when the failure hit: `detected` (the damaged entry
 //! was quarantined — `serve.cache.corrupt` advanced), `degraded` (the
 //! entry was lost and transparently recomputed) or `benign` (the
-//! entry was already durable and served as a hit). The campaign
-//! writes `BENCH_chaos.json` and exits nonzero if any invariant
-//! fails.
+//! entry was already durable and served as a hit). The full campaign
+//! writes `BENCH_chaos.json` (a `--smoke` run writes
+//! `target/bench-smoke/BENCH_chaos.json` instead) and exits nonzero if
+//! any invariant fails.
 //!
 //! ```text
 //! cargo run --release -p adgen-bench --bin chaoscamp              # full campaign
@@ -38,13 +39,12 @@
 //! chaoscamp --serve-bin target/release/adgen-serve
 //! ```
 
-use std::fmt::Write as _;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
 use std::time::Duration;
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_serve::{Client, Generator, Request, Response, StatsSnapshot};
 use adgen_synth::Encoding;
 
@@ -126,7 +126,7 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--serve-bin" => serve_bin = Some(PathBuf::from(require::<String>(&mut args, &a))),
+            "--serve-bin" => serve_bin = Some(flag_value(&mut args, &a)),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
@@ -199,6 +199,7 @@ fn main() -> ExitCode {
 
     let mut sink = ObsJsonSink::new(
         "BENCH_chaos.json",
+        smoke,
         obs_args,
         ChaosState {
             smoke,
@@ -669,37 +670,15 @@ fn default_serve_bin() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("adgen-serve"))
 }
 
-fn require<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {flag} value `{v}`");
-        std::process::exit(2);
-    })
-}
-
-/// Hand-rolled machine-readable record, mirroring the other
-/// `BENCH_*.json` documents.
-fn render_chaos_json(state: &ChaosState, meta: &RunMeta) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"smoke\": {},", state.smoke);
-    let _ = writeln!(s, "  \"requests\": {},", state.requests);
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"scenarios\": [");
-    for (i, r) in state.rows.iter().enumerate() {
-        let comma = if i + 1 < state.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"classification\": \"{}\", \
+/// The record's fields, one row per scenario.
+fn render_chaos_json(state: &ChaosState) -> Vec<Field> {
+    let scenarios = state.rows.iter().map(|r| {
+        format!(
+            "{{\"name\": \"{}\", \"classification\": \"{}\", \
              \"corrupt_quarantined\": {}, \"disk_write_errors\": {}, \
              \"round1_hits\": {}, \"round1_misses\": {}, \"round2_hits\": {}, \
              \"bytes_ok\": {}, \"cap_ok\": {}, \"recovered\": {}, \
-             \"failures\": {}}}{comma}",
+             \"failures\": {}}}",
             r.name,
             r.classification,
             r.corrupt_quarantined,
@@ -711,18 +690,13 @@ fn render_chaos_json(state: &ChaosState, meta: &RunMeta) -> String {
             r.cap_ok,
             r.recovered,
             r.failures.len()
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let total: usize = state.rows.iter().map(|r| r.failures.len()).sum();
-    let _ = writeln!(
-        s,
-        "  \"failures\": {total}{}",
-        if meta.metrics.is_some() { "," } else { "" }
-    );
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    }
-    let _ = writeln!(s, "}}");
-    s
+        )
+    });
+    let failures: usize = state.rows.iter().map(|r| r.failures.len()).sum();
+    vec![
+        ("smoke", state.smoke.to_string()),
+        ("requests", state.requests.to_string()),
+        ("scenarios", array("  ", scenarios)),
+        ("failures", failures.to_string()),
+    ]
 }

@@ -24,10 +24,9 @@
 //! record alone. Observability: `--trace FILE` and `--metrics` behave
 //! as in the other campaign bins (`DESIGN.md` §9).
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, object, take_obs_args, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_explorer::{compare_four_way, verify_affine_bit_exact, FourWayComparison};
@@ -57,8 +56,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--jobs" | "-j" => jobs = parse_or_die(&mut args, &a),
-            "--seed" => seed = parse_or_die(&mut args, &a),
+            "--jobs" | "-j" => jobs = flag_value(&mut args, &a),
+            "--seed" => seed = flag_value(&mut args, &a),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
@@ -87,7 +86,8 @@ fn main() -> ExitCode {
     );
 
     let mut sink = ObsJsonSink::new(
-        record_path("BENCH_explore.json", smoke),
+        "BENCH_explore.json",
+        smoke,
         obs_args,
         ExploreState {
             shape,
@@ -151,59 +151,15 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_or_die<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {flag} value `{v}`");
-        std::process::exit(2);
-    })
-}
-
-/// Hand-rolled machine-readable record, one block per workload,
-/// mirroring `BENCH_fault.json`'s conventions (drop-guard flush,
-/// `"truncated"` marker, optional `"metrics"` tail).
-fn render_explore_json(state: &ExploreState, meta: &RunMeta) -> String {
-    let ExploreState {
-        shape,
-        seed,
-        seu_samples,
-        workloads,
-    } = state;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"shape\": \"{}x{}\",", shape.width(), shape.height());
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"seu_samples\": {seu_samples},");
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"workloads\": [");
-    for (i, w) in workloads.iter().enumerate() {
-        let comma = if i + 1 < workloads.len() { "," } else { "" };
+/// The record's fields, one block per workload.
+fn render_explore_json(state: &ExploreState) -> Vec<Field> {
+    let workloads = state.workloads.iter().map(|w| {
         let fit = &w.comparison.affine_fit;
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", w.name);
-        let _ = writeln!(
-            s,
-            "      \"affine_fit\": {{\"covered\": {}, \"residual\": {}, \"exact\": {}, \
-             \"bit_exact_three_engines\": {}}},",
-            fit.covered,
-            fit.residual.len(),
-            fit.is_exact(),
-            w.bit_exact
-        );
-        let _ = writeln!(s, "      \"rows\": [");
-        let rows = &w.comparison.rows;
-        for (j, r) in rows.iter().enumerate() {
-            let rcomma = if j + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{\"architecture\": \"{}\", \"delay_ps\": {:.2}, \"area\": {:.2}, \
+        let rows = w.comparison.rows.iter().map(|r| {
+            format!(
+                "{{\"architecture\": \"{}\", \"delay_ps\": {:.2}, \"area\": {:.2}, \
                  \"flip_flops\": {}, \"program_flip_flops\": {}, \"fault_coverage_pct\": {:.2}, \
-                 \"silent_faults\": {}, \"faults\": {}}}{rcomma}",
+                 \"silent_faults\": {}, \"faults\": {}}}",
                 r.architecture,
                 r.delay_ps,
                 r.area,
@@ -212,15 +168,34 @@ fn render_explore_json(state: &ExploreState, meta: &RunMeta) -> String {
                 r.fault_coverage_pct,
                 r.silent_faults,
                 r.faults
-            );
-        }
-        let _ = writeln!(s, "      ]");
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ]{}", if meta.metrics.is_some() { "," } else { "" });
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    }
-    let _ = writeln!(s, "}}");
-    s
+            )
+        });
+        object(
+            "    ",
+            [
+                ("name", format!("\"{}\"", w.name)),
+                (
+                    "affine_fit",
+                    format!(
+                        "{{\"covered\": {}, \"residual\": {}, \"exact\": {}, \
+                         \"bit_exact_three_engines\": {}}}",
+                        fit.covered,
+                        fit.residual.len(),
+                        fit.is_exact(),
+                        w.bit_exact
+                    ),
+                ),
+                ("rows", array("      ", rows)),
+            ],
+        )
+    });
+    vec![
+        (
+            "shape",
+            format!("\"{}x{}\"", state.shape.width(), state.shape.height()),
+        ),
+        ("seed", state.seed.to_string()),
+        ("seu_samples", state.seu_samples.to_string()),
+        ("workloads", array("  ", workloads)),
+    ]
 }

@@ -26,21 +26,22 @@
 //! and prints its classification plus the reproduction line — the
 //! fuzz-style `SEED=… FAULT=…` repro loop.
 //!
-//! Campaign runs write `BENCH_fault.json` with per-variant coverage
-//! and the area/delay price of hardening. The process exits nonzero
-//! if the hardened pair fails to self-detect every effective fault in
-//! the universe (its design contract).
+//! Full-size campaign runs write `BENCH_fault.json` with per-variant
+//! coverage and the area/delay price of hardening; `--smoke` runs
+//! write `target/bench-smoke/BENCH_fault.json` and leave the committed
+//! record alone. The process exits nonzero if the hardened pair fails
+//! to self-detect every effective fault in the universe (its design
+//! contract).
 //!
 //! Observability (see `DESIGN.md` §9): `--trace FILE` writes a Chrome
 //! trace-event JSON, `--metrics` prints the deterministic profile and
-//! appends a `"metrics"` block to `BENCH_fault.json`. The JSON goes
-//! through a drop guard, so a campaign that panics mid-run still
-//! flushes the variants that completed, marked `"truncated": true`.
+//! appends a `"metrics"` block to the record. The JSON goes through a
+//! drop guard, so a campaign that panics mid-run still flushes the
+//! variants that completed, marked `"truncated": true`.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_affine::{fit_sequence, AffineAgNetlist};
@@ -102,8 +103,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--jobs" | "-j" => jobs = parse_or_die(&mut args, &a),
-            "--seed" => seed = parse_or_die(&mut args, &a),
+            "--jobs" | "-j" => jobs = flag_value(&mut args, &a),
+            "--seed" => seed = flag_value(&mut args, &a),
             "--fault" => {
                 fault_token = Some(args.next().unwrap_or_else(|| {
                     eprintln!("error: --fault needs a token (e.g. sa0@n12, seu@i3#c9)");
@@ -148,6 +149,7 @@ fn main() -> ExitCode {
     // flushes BENCH_fault.json on finish or panic.
     let mut sink = ObsJsonSink::new(
         "BENCH_fault.json",
+        smoke,
         obs_args,
         FaultState {
             shape,
@@ -445,54 +447,16 @@ fn replay_single(
     ExitCode::SUCCESS
 }
 
-fn parse_or_die<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {flag} value `{v}`");
-        std::process::exit(2);
-    })
-}
-
-/// Hand-rolled machine-readable record, mirroring `BENCH_repro.json`.
-/// With `--metrics` a jobs-invariant counter block is appended; a
-/// panic mid-run flushes the completed variants with
-/// `"truncated": true`.
-fn render_fault_json(state: &FaultState, meta: &RunMeta) -> String {
-    let FaultState {
-        shape,
-        cycles,
-        seed,
-        seu_samples,
-        variants,
-        row,
-        banked,
-    } = state;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"motion_est {}x{} mb=2 m=0\",",
-        shape.width(),
-        shape.height()
-    );
-    let _ = writeln!(s, "  \"cycles\": {cycles},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"seu_samples\": {seu_samples},");
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"variants\": [");
-    for (i, v) in variants.iter().enumerate() {
-        let comma = if i + 1 < variants.len() { "," } else { "" };
+/// The record's fields. With `--metrics` the sink appends a
+/// jobs-invariant counter block; a panic mid-run flushes the
+/// completed variants with `"truncated": true`.
+fn render_fault_json(state: &FaultState) -> Vec<Field> {
+    let variants = state.variants.iter().map(|v| {
         let r = &v.report;
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"faults\": {}, \"detected\": {}, \"alarmed\": {}, \
+        format!(
+            "{{\"name\": \"{}\", \"faults\": {}, \"detected\": {}, \"alarmed\": {}, \
              \"silent\": {}, \"benign\": {}, \"coverage_pct\": {:.2}, \
-             \"alarm_coverage_pct\": {:.2}, \"area\": {:.2}, \"delay_ps\": {:.2}}}{comma}",
+             \"alarm_coverage_pct\": {:.2}, \"area\": {:.2}, \"delay_ps\": {:.2}}}",
             v.name,
             r.outcomes.len(),
             r.detected(),
@@ -503,45 +467,38 @@ fn render_fault_json(state: &FaultState, meta: &RunMeta) -> String {
             r.alarm_coverage_pct(),
             v.area,
             v.delay_ps
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    match banked {
-        Some(b) => {
-            let _ = writeln!(
-                s,
-                "  \"banked\": {{\"n\": {}, \"banks\": {}, \"window\": {}, \"trials\": {}, \
-                 \"disturbed\": {}, \"contained\": {}, \"breached\": {}}},",
-                b.n, b.banks, b.window, b.trials, b.disturbed, b.contained, b.breached
-            );
-        }
-        // Truncated before the banked campaign finished.
-        None => {
-            let _ = writeln!(s, "  \"banked\": null,");
-        }
-    }
-    match row {
-        Some(row) => {
-            let _ = writeln!(
-                s,
-                "  \"hardening_overhead\": {{\"area_factor\": {:.4}, \"delay_factor\": {:.4}}}{}",
-                row.area_overhead_factor(),
-                row.delay_overhead_factor(),
-                if meta.metrics.is_some() { "," } else { "" }
-            );
-        }
-        // Truncated before the SRAG pair finished.
-        None => {
-            let _ = writeln!(
-                s,
-                "  \"hardening_overhead\": null{}",
-                if meta.metrics.is_some() { "," } else { "" }
-            );
-        }
-    }
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    }
-    let _ = writeln!(s, "}}");
-    s
+        )
+    });
+    // `null` when truncated before the banked campaign finished.
+    let banked = state.banked.as_ref().map_or("null".to_string(), |b| {
+        format!(
+            "{{\"n\": {}, \"banks\": {}, \"window\": {}, \"trials\": {}, \
+             \"disturbed\": {}, \"contained\": {}, \"breached\": {}}}",
+            b.n, b.banks, b.window, b.trials, b.disturbed, b.contained, b.breached
+        )
+    });
+    // `null` when truncated before the SRAG pair finished.
+    let overhead = state.row.as_ref().map_or("null".to_string(), |row| {
+        format!(
+            "{{\"area_factor\": {:.4}, \"delay_factor\": {:.4}}}",
+            row.area_overhead_factor(),
+            row.delay_overhead_factor()
+        )
+    });
+    vec![
+        (
+            "workload",
+            format!(
+                "\"motion_est {}x{} mb=2 m=0\"",
+                state.shape.width(),
+                state.shape.height()
+            ),
+        ),
+        ("cycles", state.cycles.to_string()),
+        ("seed", state.seed.to_string()),
+        ("seu_samples", state.seu_samples.to_string()),
+        ("variants", array("  ", variants)),
+        ("banked", banked),
+        ("hardening_overhead", overhead),
+    ]
 }

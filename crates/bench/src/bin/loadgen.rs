@@ -12,7 +12,8 @@
 //! request mix for `--passes` passes (same requests every pass, so
 //! pass 2 onward measures the warm cache), and writes
 //! `BENCH_serve.json` with per-pass throughput, latency percentiles
-//! and cache hit rates. With `--addr` it drives an external server
+//! and cache hit rates (`target/bench-smoke/BENCH_serve.json` under
+//! `--smoke`). With `--addr` it drives an external server
 //! instead, metering hit rates via `Stats` snapshot deltas;
 //! `--shutdown` then also sends `Shutdown` when done (the CI smoke
 //! stage uses this for its clean-exit assertion).
@@ -45,7 +46,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_exec::Prng;
 use adgen_serve::{
     serve, Client, Generator, Request, Response, RetryPolicy, ServeConfig, ServeError,
@@ -132,15 +133,15 @@ fn main() {
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => opt.addr = Some(expect(&a, it.next())),
-            "--requests" => opt.requests = parse(&a, it.next()),
-            "--passes" => opt.passes = parse(&a, it.next()),
-            "--seed" => opt.seed = parse(&a, it.next()),
-            "--jobs" | "-j" => opt.jobs = parse(&a, it.next()),
-            "--conns" => opt.conns = parse(&a, it.next()),
-            "--cache-dir" => opt.cache_dir = Some(PathBuf::from(expect(&a, it.next()))),
-            "--disk-cap" => opt.disk_cap = parse(&a, it.next()),
-            "--queue-cap" => opt.queue_cap = parse(&a, it.next()),
+            "--addr" => opt.addr = Some(flag_value(&mut it, &a)),
+            "--requests" => opt.requests = flag_value(&mut it, &a),
+            "--passes" => opt.passes = flag_value(&mut it, &a),
+            "--seed" => opt.seed = flag_value(&mut it, &a),
+            "--jobs" | "-j" => opt.jobs = flag_value(&mut it, &a),
+            "--conns" => opt.conns = flag_value(&mut it, &a),
+            "--cache-dir" => opt.cache_dir = Some(flag_value(&mut it, &a)),
+            "--disk-cap" => opt.disk_cap = flag_value(&mut it, &a),
+            "--queue-cap" => opt.queue_cap = flag_value(&mut it, &a),
             "--overload" => opt.overload = true,
             "--smoke" => opt.smoke = true,
             "--shutdown" => opt.shutdown = true,
@@ -168,6 +169,7 @@ fn main() {
     let recording = obs_args.recording();
     let mut sink = ObsJsonSink::new(
         "BENCH_serve.json",
+        opt.smoke,
         obs_args,
         LoadgenState {
             jobs: adgen_exec::resolve_jobs(opt.jobs),
@@ -647,30 +649,12 @@ fn shutdown(addr: &str, handle: ServerHandle, recording: bool) {
     }
 }
 
-fn expect(flag: &str, value: Option<String>) -> String {
-    value.unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    expect(flag, value).parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} needs a valid value");
-        std::process::exit(2);
-    })
-}
-
-/// Renders `BENCH_serve.json` (hand-rolled, like the other bench
-/// records — the workspace is zero-dependency).
-fn render_serve_json(state: &LoadgenState, meta: &RunMeta) -> String {
-    let mut passes = String::new();
-    for (i, p) in state.passes.iter().enumerate() {
-        if i > 0 {
-            passes.push_str(",\n");
-        }
-        passes.push_str(&format!(
-            "    {{\"pass\": {}, \"requests\": {}, \"wall_s\": {:.6}, \
+/// The record's fields: per-pass throughput, latency and cache
+/// rows, then the overload phase when it ran.
+fn render_serve_json(state: &LoadgenState) -> Vec<Field> {
+    let passes = state.passes.iter().map(|p| {
+        format!(
+            "{{\"pass\": {}, \"requests\": {}, \"wall_s\": {:.6}, \
              \"throughput_rps\": {:.3}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
              \"p99_ms\": {:.4}, \"p999_ms\": {:.4}, \"shed\": {}, \
              \"cache\": {{\"hit_mem\": {}, \"hit_disk\": {}, \
@@ -688,14 +672,20 @@ fn render_serve_json(state: &LoadgenState, meta: &RunMeta) -> String {
             p.hit_disk,
             p.miss,
             p.hit_rate
-        ));
-    }
-    let overload = state
-        .overload
-        .as_ref()
-        .map(|o| {
+        )
+    });
+    let mut fields = vec![
+        ("benchmark", "\"serve\"".to_string()),
+        ("jobs", state.jobs.to_string()),
+        ("seed", state.seed.to_string()),
+        ("conns", state.conns.to_string()),
+        ("passes", array("  ", passes)),
+    ];
+    if let Some(o) = &state.overload {
+        fields.push((
+            "overload",
             format!(
-                ",\n  \"overload\": {{\"conns\": {}, \"requests\": {}, \"ok\": {}, \
+                "{{\"conns\": {}, \"requests\": {}, \"ok\": {}, \
                  \"shed\": {}, \"failures\": {}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
                  \"p99_ms\": {:.4}, \"p999_ms\": {:.4}}}",
                 o.conns,
@@ -707,17 +697,8 @@ fn render_serve_json(state: &LoadgenState, meta: &RunMeta) -> String {
                 o.p95_ms,
                 o.p99_ms,
                 o.p999_ms
-            )
-        })
-        .unwrap_or_default();
-    let metrics = meta
-        .metrics
-        .clone()
-        .map(|m| format!(",\n  \"metrics\": {m}"))
-        .unwrap_or_default();
-    format!(
-        "{{\n  \"benchmark\": \"serve\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
-         \"conns\": {},\n  \"truncated\": {},\n  \"passes\": [\n{passes}\n  ]{overload}{metrics}\n}}\n",
-        state.jobs, state.seed, state.conns, meta.truncated
-    )
+            ),
+        ));
+    }
+    fields
 }

@@ -18,7 +18,6 @@
 //! so a panicking experiment still leaves a valid record of the rows
 //! that completed, marked `"truncated": true`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -26,7 +25,7 @@ use adgen_bench::experiments::{
     ablation, fig3_4, fig8_9_10, interconnect, power_study, sharing, synth_time, table3,
     SynthTimeRow, PAPER_ARRAY_SIZES, PAPER_SEQUENCE_LENGTHS,
 };
-use adgen_bench::obs_cli::{take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_bench::report;
 use adgen_core::mapper::map_sequence;
 use adgen_seq::{workloads, ArrayShape, Layout};
@@ -64,13 +63,9 @@ fn main() {
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         if a == "--jobs" || a == "-j" {
-            let v = args.next().unwrap_or_else(|| {
-                eprintln!("error: {a} needs a value");
-                std::process::exit(2);
-            });
-            jobs = parse_jobs(&v);
+            jobs = flag_value(&mut args, &a);
         } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = parse_jobs(v);
+            jobs = flag_value(&mut std::iter::once(v.to_string()), "--jobs");
         } else {
             what.push(a);
         }
@@ -98,6 +93,7 @@ fn main() {
     // panic.
     let mut sink = ObsJsonSink::new(
         "BENCH_repro.json",
+        false,
         obs_args,
         ReproState {
             jobs: effective_jobs,
@@ -198,56 +194,28 @@ fn main() {
     sink.finish();
 }
 
-fn parse_jobs(v: &str) -> usize {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid --jobs value `{v}`");
-        std::process::exit(2);
-    })
-}
-
-/// Renders the machine-readable benchmark record: worker count,
+/// The machine-readable benchmark record: worker count,
 /// per-experiment wall-clock, and (when the synthtime artefact ran)
 /// the per-N synthesis times that carry the packed-kernel speedup.
-/// With `--metrics` a jobs-invariant counter block is appended; a
-/// panic mid-run flushes the completed rows with `"truncated": true`.
-fn render_repro_json(state: &ReproState, meta: &RunMeta) -> String {
-    let ReproState {
-        jobs,
-        timings,
-        synthtime,
-    } = state;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"jobs\": {jobs},");
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"experiments\": [");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{name}\", \"wall_clock_s\": {secs:.6}}}{comma}"
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"synthtime\": [");
-    for (i, r) in synthtime.iter().enumerate() {
-        let comma = if i + 1 < synthtime.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"n\": {}, \"fsm_s\": {:.6}, \"shift_register_s\": {:.6}}}{comma}",
+/// With `--metrics` the sink appends a jobs-invariant counter block;
+/// a panic mid-run flushes the completed rows with
+/// `"truncated": true`.
+fn render_repro_json(state: &ReproState) -> Vec<Field> {
+    let experiments = state
+        .timings
+        .iter()
+        .map(|(name, secs)| format!("{{\"name\": \"{name}\", \"wall_clock_s\": {secs:.6}}}"));
+    let synthtime = state.synthtime.iter().map(|r| {
+        format!(
+            "{{\"n\": {}, \"fsm_s\": {:.6}, \"shift_register_s\": {:.6}}}",
             r.n, r.fsm_seconds, r.shift_register_seconds
-        );
-    }
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    } else {
-        let _ = writeln!(s, "  ]");
-    }
-    let _ = writeln!(s, "}}");
-    s
+        )
+    });
+    vec![
+        ("jobs", state.jobs.to_string()),
+        ("experiments", array("  ", experiments)),
+        ("synthtime", array("  ", synthtime)),
+    ]
 }
 
 fn print_table1() {

@@ -31,11 +31,10 @@
 //! trace-event JSON, `--metrics` prints the deterministic profile and
 //! appends a `"metrics"` block to the record.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use adgen_bench::obs_cli::{record_path, take_obs_args, ObsJsonSink, RunMeta};
+use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_core::composite::Srag2d;
@@ -84,8 +83,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--seed" => seed = parse_or_die(&mut args, &a),
-            "--iters" => iters = parse_or_die(&mut args, &a),
+            "--seed" => seed = flag_value(&mut args, &a),
+            "--iters" => iters = flag_value(&mut args, &a),
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!(
@@ -119,7 +118,8 @@ fn main() -> ExitCode {
     );
 
     let mut sink = ObsJsonSink::new(
-        record_path("BENCH_sim.json", smoke),
+        "BENCH_sim.json",
+        smoke,
         obs_args,
         SimState {
             shape,
@@ -294,53 +294,15 @@ fn measure_variant(
     }
 }
 
-fn parse_or_die<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let v = args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid {flag} value `{v}`");
-        std::process::exit(2);
-    })
-}
-
-/// Hand-rolled machine-readable record, mirroring `BENCH_fault.json`.
-fn render_sim_json(state: &SimState, meta: &RunMeta) -> String {
-    let SimState {
-        shape,
-        cycles,
-        seed,
-        seu_samples,
-        iters,
-        variants,
-    } = state;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(
-        s,
-        "  \"workload\": \"motion_est {}x{} mb=2 m=0\",",
-        shape.width(),
-        shape.height()
-    );
-    let _ = writeln!(s, "  \"cycles\": {cycles},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"seu_samples\": {seu_samples},");
-    let _ = writeln!(s, "  \"iters\": {iters},");
-    let _ = writeln!(s, "  \"fault_lanes_per_pass\": {SLICED_FAULT_LANES},");
-    if meta.truncated {
-        let _ = writeln!(s, "  \"truncated\": true,");
-    }
-    let _ = writeln!(s, "  \"variants\": [");
-    for (i, v) in variants.iter().enumerate() {
-        let comma = if i + 1 < variants.len() { "," } else { "" };
+/// The record's fields, one row per variant.
+fn render_sim_json(state: &SimState) -> Vec<Field> {
+    let variants = state.variants.iter().map(|v| {
         let r = &v.report;
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"faults\": {}, \"passes\": {}, \
+        format!(
+            "{{\"name\": \"{}\", \"faults\": {}, \"passes\": {}, \
              \"lane_utilization_pct\": {:.2}, \"scalar_ms\": {:.3}, \"sliced_ms\": {:.3}, \
              \"speedup\": {:.2}, \"identical\": {}, \"detected\": {}, \"alarmed\": {}, \
-             \"silent\": {}, \"benign\": {}}}{comma}",
+             \"silent\": {}, \"benign\": {}}}",
             v.name,
             v.faults,
             v.passes,
@@ -353,12 +315,22 @@ fn render_sim_json(state: &SimState, meta: &RunMeta) -> String {
             r.alarmed(),
             r.silent(),
             r.benign(),
-        );
-    }
-    let _ = writeln!(s, "  ]{}", if meta.metrics.is_some() { "," } else { "" });
-    if let Some(metrics) = &meta.metrics {
-        let _ = writeln!(s, "  \"metrics\": {metrics}");
-    }
-    let _ = writeln!(s, "}}");
-    s
+        )
+    });
+    vec![
+        (
+            "workload",
+            format!(
+                "\"motion_est {}x{} mb=2 m=0\"",
+                state.shape.width(),
+                state.shape.height()
+            ),
+        ),
+        ("cycles", state.cycles.to_string()),
+        ("seed", state.seed.to_string()),
+        ("seu_samples", state.seu_samples.to_string()),
+        ("iters", state.iters.to_string()),
+        ("fault_lanes_per_pass", SLICED_FAULT_LANES.to_string()),
+        ("variants", array("  ", variants)),
+    ]
 }

@@ -1,31 +1,70 @@
-//! Shared `--trace` / `--metrics` plumbing for the bench binaries.
+//! Shared record writing and `--trace` / `--metrics` plumbing for
+//! the seven bench binaries.
 //!
-//! Both `repro` and `faultcamp` end their run by writing a
-//! machine-readable `BENCH_*.json`. [`ObsJsonSink`] owns that write
-//! *and* the observability session behind the two flags:
+//! `repro`, `faultcamp`, `simbench`, `explore4`, `bankcamp`,
+//! `chaoscamp` and `loadgen` each end their run by writing one
+//! machine-readable `BENCH_*.json`, and all seven write it through
+//! [`ObsJsonSink`]. The sink owns the record's path, its layout and
+//! its tail; a binary only renders its own `(key, value)` fields with
+//! [`object`] and [`array`]:
+//!
+//! * **path** — the committed file in the current directory for a
+//!   full-size run, `target/bench-smoke/` for a `--smoke` run, so a
+//!   smoke can never overwrite a committed record;
+//! * **layout** — one field per line inside the braces, separators
+//!   written by the sink;
+//! * **tail** — `"truncated": true` on a panic flush, then the
+//!   `"metrics"` block under `--metrics`.
+//!
+//! The sink also owns the observability session behind the two
+//! flags:
 //!
 //! * `--trace FILE` — record spans/counters and export a Chrome
 //!   trace-event JSON (loadable in Perfetto / `chrome://tracing`).
 //! * `--metrics` — record, print the deterministic self/total profile
 //!   to stdout, and append a `"metrics"` block (typed counter totals,
-//!   jobs-invariant) to the bench JSON.
+//!   jobs-invariant) to the record.
 //!
-//! The sink is also the panic-safety fix for partial results: it is a
-//! drop guard, so when an experiment panics mid-run the rows that
-//! already completed are still flushed as valid JSON with
+//! The sink is a drop guard, so when a run panics mid-way the rows
+//! that already completed are still flushed as valid JSON with
 //! `"truncated": true`, and the trace file (everything recorded up to
-//! the panic) is still written. Previously an aborted run lost all of
-//! both.
+//! the panic) is still written.
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use adgen_obs as obs;
 
+/// One `"key": value` field of a bench record; the value is already
+/// rendered JSON.
+pub type Field = (&'static str, String);
+
+/// Renders `fields` as a JSON object with one field per line, the
+/// fields one level deeper than `indent` and the closing brace at
+/// `indent`.
+pub fn object(indent: &str, fields: impl IntoIterator<Item = Field>) -> String {
+    let body: Vec<String> = fields
+        .into_iter()
+        .map(|(key, value)| format!("\n{indent}  \"{key}\": {value}"))
+        .collect();
+    format!("{{{}\n{indent}}}", body.join(","))
+}
+
+/// Renders already-rendered JSON `rows` as a JSON array with one row
+/// per line, the rows one level deeper than `indent` and the closing
+/// bracket at `indent`.
+pub fn array(indent: &str, rows: impl IntoIterator<Item = String>) -> String {
+    let body: Vec<String> = rows
+        .into_iter()
+        .map(|row| format!("\n{indent}  {row}"))
+        .collect();
+    format!("[{}\n{indent}]", body.join(","))
+}
+
 /// Where a bench binary writes its `name` record (`BENCH_*.json`):
 /// the committed file in the current directory for a full-size run,
-/// `target/bench-smoke/` for a `--smoke` run, so CI smokes never
-/// overwrite the committed records.
-pub fn record_path(name: &str, smoke: bool) -> PathBuf {
+/// `target/bench-smoke/` for a `--smoke` run.
+fn record_path(name: &str, smoke: bool) -> PathBuf {
     if !smoke {
         return PathBuf::from(name);
     }
@@ -34,6 +73,20 @@ pub fn record_path(name: &str, smoke: bool) -> PathBuf {
         eprintln!("warning: could not create {}: {e}", dir.display());
     }
     dir.join(name)
+}
+
+/// The value after `flag`, parsed as `T`. A missing or unparsable
+/// value is a usage error: the message names the flag and the
+/// process exits with status 2.
+pub fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = args.next().unwrap_or_else(|| {
+        eprintln!("error: {flag} needs a value");
+        std::process::exit(2);
+    });
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("error: invalid {flag} value `{v}`");
+        std::process::exit(2);
+    })
 }
 
 /// The parsed observability flags of a bench binary.
@@ -53,15 +106,7 @@ impl ObsArgs {
     }
 }
 
-/// What a bench JSON renderer needs to know beyond its own rows.
-pub struct RunMeta {
-    /// True when the run panicked and this is a partial flush.
-    pub truncated: bool,
-    /// Pre-rendered `"metrics"` JSON block (present with `--metrics`).
-    pub metrics: Option<String>,
-}
-
-/// Drop guard owning a bench run's obs session and JSON output.
+/// Drop guard owning a bench run's obs session and JSON record.
 ///
 /// Build it before the experiments start, mutate the row state
 /// through [`state`](Self::state) as results come in, and call
@@ -74,26 +119,28 @@ pub struct ObsJsonSink<S> {
 struct SinkInner<S> {
     json_path: PathBuf,
     state: S,
-    render: fn(&S, &RunMeta) -> String,
+    render: fn(&S) -> Vec<Field>,
     args: ObsArgs,
 }
 
 impl<S> ObsJsonSink<S> {
     /// Starts the sink (and the obs session, if either flag asks for
-    /// one). `render` turns the accumulated state into the bench JSON
-    /// document.
+    /// one) for the record `name`, written under `target/bench-smoke/`
+    /// when `smoke` is set. `render` turns the accumulated state into
+    /// the record's own fields; the sink adds the tail.
     pub fn new(
-        json_path: impl Into<PathBuf>,
+        name: &str,
+        smoke: bool,
         args: ObsArgs,
         state: S,
-        render: fn(&S, &RunMeta) -> String,
+        render: fn(&S) -> Vec<Field>,
     ) -> Self {
         if args.recording() {
             obs::start();
         }
         ObsJsonSink {
             inner: Some(SinkInner {
-                json_path: json_path.into(),
+                json_path: record_path(name, smoke),
                 state,
                 render,
                 args,
@@ -125,33 +172,24 @@ impl<S> Drop for ObsJsonSink<S> {
 }
 
 fn flush<S>(inner: SinkInner<S>, truncated: bool) {
-    let rec = inner.args.recording().then(obs::take);
-    let redact = obs::redact_from_env();
-    if let (Some(trace_path), Some(rec)) = (&inner.args.trace, &rec) {
-        let text = obs::chrome_trace(rec, redact);
-        match std::fs::write(trace_path, text) {
-            Ok(()) => println!("(trace written to {})", trace_path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", trace_path.display()),
+    let mut fields = (inner.render)(&inner.state);
+    if truncated {
+        fields.push(("truncated", "true".to_string()));
+    }
+    if inner.args.recording() {
+        let rec = obs::take();
+        let redact = obs::redact_from_env();
+        obs::export_session(
+            &rec,
+            inner.args.trace.as_deref(),
+            inner.args.metrics,
+            redact,
+        );
+        if inner.args.metrics {
+            fields.push(("metrics", obs::metrics_json_block(&rec, "  ", redact)));
         }
     }
-    let metrics = match &rec {
-        Some(rec) if inner.args.metrics => {
-            print!("{}", obs::profile_report(rec, redact));
-            if let Some(w) = obs::worker_imbalance(rec).filter(|_| !redact) {
-                println!(
-                    "# worker imbalance: {} worker(s), busy {} / {} ns (max/min = {:.2})",
-                    w.workers,
-                    w.max_busy_ns,
-                    w.min_busy_ns,
-                    w.ratio()
-                );
-            }
-            Some(obs::metrics_json_block(rec, "  ", redact))
-        }
-        _ => None,
-    };
-    let meta = RunMeta { truncated, metrics };
-    let json = (inner.render)(&inner.state, &meta);
+    let json = object("", fields) + "\n";
     match std::fs::write(&inner.json_path, json) {
         Ok(()) => println!(
             "({}bench record written to {})",
@@ -220,64 +258,96 @@ mod tests {
         assert!(!args.recording());
     }
 
+    /// Test renderer: one non-empty and one empty array.
+    #[allow(clippy::ptr_arg)] // the render signature is `fn(&S)`
+    fn render(rows: &Vec<u32>) -> Vec<Field> {
+        vec![
+            ("rows", array("  ", rows.iter().map(u32::to_string))),
+            ("none", array("  ", Vec::new())),
+        ]
+    }
+
+    fn temp_record(tag: &str) -> (PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("obs_sink_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let name = path.to_str().unwrap().to_string();
+        (dir, name)
+    }
+
+    #[test]
+    fn sink_writes_every_truncated_metrics_state() {
+        for (truncated, metrics) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (dir, name) = temp_record(&format!("{truncated}_{metrics}"));
+            let args = ObsArgs {
+                trace: None,
+                metrics,
+            };
+            let mut sink = ObsJsonSink::new(&name, false, args, Vec::<u32>::new(), render);
+            adgen_obs::add(adgen_obs::Ctr::FuzzCases, 3);
+            sink.state().extend([4, 5]);
+            if truncated {
+                drop(sink);
+            } else {
+                sink.finish();
+            }
+            let text = std::fs::read_to_string(&name).unwrap();
+            let json = adgen_obs::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            let obj = json.as_obj().unwrap();
+            assert_eq!(obj["rows"].as_arr().unwrap().len(), 2, "{text}");
+            assert!(obj["none"].as_arr().unwrap().is_empty(), "{text}");
+            assert_eq!(obj.contains_key("truncated"), truncated, "{text}");
+            assert_eq!(obj.contains_key("metrics"), metrics, "{text}");
+            assert!(!text.contains("\"truncated\": false"), "{text}");
+            if metrics {
+                assert!(text.contains("\"fuzz.cases\": 3"), "{text}");
+                // The tail is truncated-then-metrics, metrics last.
+                let tail = text.rfind("\"metrics\"").unwrap();
+                assert!(text.find("\"none\"").unwrap() < tail, "{text}");
+                if truncated {
+                    assert!(text.find("\"truncated\"").unwrap() < tail, "{text}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn panic_flush_writes_truncated_json() {
-        let dir = std::env::temp_dir().join(format!("obs_sink_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("panic_flush.json");
-        // The sink's render signature is `fn(&S, &RunMeta)`; with
-        // `S = Vec<u32>` the parameter has to be `&Vec`.
-        #[allow(clippy::ptr_arg)]
-        fn render(rows: &Vec<u32>, meta: &RunMeta) -> String {
-            format!(
-                "{{\"rows\": {}, \"truncated\": {}}}\n",
-                rows.len(),
-                meta.truncated
-            )
-        }
-        let path_clone = path.clone();
+        let (dir, name) = temp_record("panic");
+        let path = name.clone();
         let result = std::panic::catch_unwind(move || {
             let mut sink =
-                ObsJsonSink::new(&path_clone, ObsArgs::default(), Vec::<u32>::new(), render);
+                ObsJsonSink::new(&path, false, ObsArgs::default(), Vec::<u32>::new(), render);
             sink.state().push(1);
             sink.state().push(2);
             panic!("mid-run abort");
         });
         assert!(result.is_err());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"rows\": 2, \"truncated\": true}\n");
+        let text = std::fs::read_to_string(&name).unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"rows\": [\n    1,\n    2\n  ],\n  \"none\": [\n  ],\n  \"truncated\": true\n}\n"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn finish_writes_final_json_once() {
-        let dir = std::env::temp_dir().join(format!("obs_sink_fin_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("finish.json");
-        #[allow(clippy::ptr_arg)]
-        fn render(rows: &Vec<u32>, meta: &RunMeta) -> String {
-            format!(
-                "{{\"rows\": {}, \"truncated\": {}, \"metrics\": {}}}\n",
-                rows.len(),
-                meta.truncated,
-                meta.metrics.clone().unwrap_or_else(|| "null".to_string())
-            )
-        }
-        let mut sink = ObsJsonSink::new(
-            &path,
-            ObsArgs {
-                trace: None,
-                metrics: true,
-            },
-            Vec::<u32>::new(),
-            render,
-        );
+        let (dir, name) = temp_record("finish");
+        let args = ObsArgs {
+            trace: None,
+            metrics: true,
+        };
+        let mut sink = ObsJsonSink::new(&name, false, args, Vec::<u32>::new(), render);
         adgen_obs::add(adgen_obs::Ctr::FuzzCases, 5);
         sink.state().push(7);
         sink.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"rows\": 1"), "{text}");
-        assert!(text.contains("\"truncated\": false"), "{text}");
+        let text = std::fs::read_to_string(&name).unwrap();
+        assert!(text.contains("\"rows\": [\n    7\n  ]"), "{text}");
+        // `finish` consumed the sink: no truncated flush from `Drop`
+        // overwrote the final record.
+        assert!(!text.contains("\"truncated\""), "{text}");
         assert!(text.contains("\"fuzz.cases\": 5"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }

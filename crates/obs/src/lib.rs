@@ -55,5 +55,7 @@ pub use record::{
     add, capture, enabled, redact_from_env, span, span_arg, splice, start, take, timing, Ctr,
     Recording, SpanGuard, SpanRecord, NUM_CTRS,
 };
-pub use report::{metrics_json_block, profile_report, worker_imbalance, WorkerImbalance};
+pub use report::{
+    export_session, metrics_json_block, profile_report, worker_imbalance, WorkerImbalance,
+};
 pub use trace::chrome_trace;

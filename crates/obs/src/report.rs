@@ -13,8 +13,10 @@
 //! totals only.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use crate::record::Recording;
+use crate::trace::chrome_trace;
 
 #[derive(Debug)]
 struct Node {
@@ -186,8 +188,35 @@ pub fn worker_imbalance(rec: &Recording) -> Option<WorkerImbalance> {
     })
 }
 
-/// Renders the `metrics` block appended to `BENCH_repro.json` /
-/// `BENCH_fault.json` / `BENCH_serve.json`: the typed counter totals
+/// Exports a finished session the way every `--trace` / `--metrics`
+/// CLI does: writes the Chrome trace to `trace` (when given), then,
+/// with `metrics`, prints the profile report and — unless `redact` —
+/// the worker-imbalance line to stdout. A trace that cannot be
+/// written is a warning, not a failure: the run's results stand.
+pub fn export_session(rec: &Recording, trace: Option<&Path>, metrics: bool, redact: bool) {
+    if let Some(path) = trace {
+        match std::fs::write(path, chrome_trace(rec, redact)) {
+            Ok(()) => println!("(trace written to {})", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+    }
+    if !metrics {
+        return;
+    }
+    print!("{}", profile_report(rec, redact));
+    if let Some(w) = worker_imbalance(rec).filter(|_| !redact) {
+        println!(
+            "# worker imbalance: {} worker(s), busy {} / {} ns (max/min = {:.2})",
+            w.workers,
+            w.max_busy_ns,
+            w.min_busy_ns,
+            w.ratio()
+        );
+    }
+}
+
+/// Renders the `metrics` block appended to a bench binary's
+/// `BENCH_*.json` record under `--metrics`: the typed counter totals
 /// plus the span count, and — unless `redact` — the worker-imbalance
 /// summary of the run's `par_map` fan-outs. Counters and spans are
 /// jobs-invariant, so under redaction the block is byte-identical for

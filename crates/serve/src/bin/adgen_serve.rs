@@ -141,23 +141,8 @@ fn main() {
 
     if let Some(rec) = recording {
         let redact = obs::redact_from_env();
-        if let Some(path) = &trace {
-            match std::fs::write(path, obs::chrome_trace(&rec, redact)) {
-                Ok(()) => println!("(trace written to {})", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
-        }
+        obs::export_session(&rec, trace.as_deref(), metrics, redact);
         if metrics {
-            print!("{}", obs::profile_report(&rec, redact));
-            if let Some(w) = obs::worker_imbalance(&rec).filter(|_| !redact) {
-                println!(
-                    "# worker imbalance: {} worker(s), busy {} / {} ns (max/min = {:.2})",
-                    w.workers,
-                    w.max_busy_ns,
-                    w.min_busy_ns,
-                    w.ratio()
-                );
-            }
             println!("{}", obs::metrics_json_block(&rec, "", redact));
         }
     }
