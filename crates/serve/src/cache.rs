@@ -12,15 +12,11 @@
 //! disk format identical to the protocol and makes warm responses
 //! byte-for-byte equal to cold ones.
 //!
-//! ## Disk layout, bound and slicing
+//! ## Disk layout and bound
 //!
 //! The disk tier shards entries by digest prefix —
 //! `dir/ab/cd/<32-hex-digest>` where `ab`/`cd` are the first two key
-//! bytes in hex — keeping directories small at millions of entries
-//! and giving N cooperating server processes a natural way to split
-//! one keyspace: a [`KeySlice`] restricts a store to the keys whose
-//! leading byte it owns, so each process serves its slice and never
-//! writes a neighbour's.
+//! bytes in hex — keeping directories small at millions of entries.
 //!
 //! The tier is bounded by *payload bytes*. Each entry belongs to a
 //! generation (its insertion order); when a put would exceed the
@@ -298,39 +294,6 @@ impl LruCache {
     }
 }
 
-/// A slice of the cache keyspace: this store owns the keys whose
-/// leading digest byte maps to `index` (mod `of`). `of = 1` owns
-/// everything. N server processes over one cache root, each with a
-/// distinct slice, partition the keyspace without coordination — the
-/// digest-prefix directory layout means they also touch disjoint
-/// shard directories for the first-level split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeySlice {
-    /// Which slice this store owns, `0..of`.
-    pub index: u32,
-    /// Total number of slices the keyspace is split into.
-    pub of: u32,
-}
-
-impl KeySlice {
-    /// The trivial slice that owns the whole keyspace.
-    pub fn full() -> KeySlice {
-        KeySlice { index: 0, of: 1 }
-    }
-
-    /// Whether `key` belongs to this slice.
-    pub fn covers(self, key: CacheKey) -> bool {
-        let of = self.of.max(1);
-        u32::from(key.0[0]) % of == self.index % of
-    }
-}
-
-impl Default for KeySlice {
-    fn default() -> Self {
-        KeySlice::full()
-    }
-}
-
 /// One entry in the disk index, in generation order. `gen` is a
 /// monotonically increasing sequence number; an overwrite mints a new
 /// generation, leaving the old record stale (detected by comparing
@@ -351,7 +314,6 @@ struct DiskEntry {
 pub struct DiskStore {
     dir: PathBuf,
     cap_bytes: u64,
-    slice: KeySlice,
     /// Live entries: payload bytes and current generation number.
     sizes: HashMap<CacheKey, (u64, u64)>,
     /// Generation order, oldest first. Records whose generation no
@@ -369,45 +331,25 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) an unbounded full-keyspace store
-    /// rooted at `dir`.
+    /// Opens (creating if needed) the store rooted at `dir` with a
+    /// byte bound (`0` = unbounded) and an optional fault plan
+    /// installed at the instrumented sites (see [`crate::faults`];
+    /// `None` in production). The generation index is rebuilt from
+    /// the files already on disk (ordered by mtime, ties broken by
+    /// name, so the eviction order survives a restart).
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and scan failures.
-    pub fn open(dir: &Path) -> std::io::Result<DiskStore> {
-        DiskStore::open_bounded(dir, 0, KeySlice::full())
-    }
-
-    /// Opens a store with a byte bound (`0` = unbounded) over one
-    /// keyspace slice, rebuilding the generation index from the files
-    /// already on disk (ordered by mtime, ties broken by name, so the
-    /// eviction order survives a restart).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and scan failures.
-    pub fn open_bounded(dir: &Path, cap_bytes: u64, slice: KeySlice) -> std::io::Result<DiskStore> {
-        DiskStore::open_with(dir, cap_bytes, slice, None)
-    }
-
-    /// [`open_bounded`](DiskStore::open_bounded) with a fault plan
-    /// installed at the instrumented sites (see [`crate::faults`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and scan failures.
-    pub fn open_with(
+    pub fn open(
         dir: &Path,
         cap_bytes: u64,
-        slice: KeySlice,
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<DiskStore> {
         std::fs::create_dir_all(dir)?;
         let mut store = DiskStore {
             dir: dir.to_path_buf(),
             cap_bytes,
-            slice,
             sizes: HashMap::new(),
             generations: VecDeque::new(),
             next_generation: 0,
@@ -462,9 +404,6 @@ impl DiskStore {
                     let Some(key) = CacheKey::from_hex(&name) else {
                         continue; // strangers are not ours to judge
                     };
-                    if !self.slice.covers(key) {
-                        continue;
-                    }
                     let Ok(meta) = file.metadata() else { continue };
                     match read_entry_header(&path).and_then(|h| check_entry_header(&h, meta.len()))
                     {
@@ -556,14 +495,10 @@ impl DiskStore {
     }
 
     /// Reads and *verifies* the payload stored under `key`, if
-    /// present and owned by this store's slice. An entry that fails
-    /// verification — torn write, bit flip, wrong key, legacy format
-    /// — is quarantined and reported as a miss; unverified bytes are
-    /// never returned.
+    /// present. An entry that fails verification — torn write, bit
+    /// flip, wrong key, legacy format — is quarantined and reported as
+    /// a miss; unverified bytes are never returned.
     pub fn get(&mut self, key: CacheKey) -> Option<Vec<u8>> {
-        if !self.slice.covers(key) {
-            return None;
-        }
         let path = self.path_for(key);
         if let Some(kind) = faults::fire(&self.faults, "disk.get.read") {
             if kind == FaultKind::ReadErr {
@@ -582,8 +517,7 @@ impl DiskStore {
 
     /// Stores `value` under `key` atomically (framed — see the module
     /// docs), then evicts oldest generations as needed to honour the
-    /// byte bound. A key outside this store's slice is silently
-    /// skipped — it belongs to a sibling process.
+    /// byte bound.
     ///
     /// # Errors
     ///
@@ -591,9 +525,6 @@ impl DiskStore {
     /// counts toward [`write_errors`](DiskStore::write_errors), and
     /// leaves no committed partial entry behind.
     pub fn put(&mut self, key: CacheKey, value: &[u8]) -> std::io::Result<()> {
-        if !self.slice.covers(key) {
-            return Ok(());
-        }
         let path = self.path_for(key);
         let shard = path.parent().expect("sharded path has a parent");
         let tmp = shard.join(format!("{}.tmp", key.hex()));
@@ -751,7 +682,7 @@ impl ResultCache {
         Ok(ResultCache {
             lru: Arc::new(Mutex::new(LruCache::new(lru_entries))),
             disk: dir
-                .map(|d| DiskStore::open_with(d, disk_cap_bytes, KeySlice::full(), faults))
+                .map(|d| DiskStore::open(d, disk_cap_bytes, faults))
                 .transpose()?,
             reported_evictions: 0,
             reported_corrupt: 0,
@@ -915,7 +846,7 @@ mod tests {
     #[test]
     fn disk_store_round_trips_in_sharded_layout() {
         let dir = temp_dir("cache-test");
-        let mut store = DiskStore::open(&dir).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None).unwrap();
         assert!(store.is_empty());
         let k = CacheKey::for_request(b"payload", 0);
         assert_eq!(store.get(k), None);
@@ -941,7 +872,7 @@ mod tests {
         let dir = temp_dir("cache-bound");
         // Three 4-byte entries fit a 12-byte bound; the fourth evicts
         // the oldest.
-        let mut store = DiskStore::open_bounded(&dir, 12, KeySlice::full()).unwrap();
+        let mut store = DiskStore::open(&dir, 12, None).unwrap();
         for n in 1..=3u8 {
             store.put(key(n), &[n; 4]).unwrap();
         }
@@ -970,12 +901,12 @@ mod tests {
     fn disk_index_survives_reopen() {
         let dir = temp_dir("cache-reopen");
         {
-            let mut store = DiskStore::open_bounded(&dir, 0, KeySlice::full()).unwrap();
+            let mut store = DiskStore::open(&dir, 0, None).unwrap();
             for n in 1..=3u8 {
                 store.put(key(n), &[n; 4]).unwrap();
             }
         }
-        let mut reopened = DiskStore::open_bounded(&dir, 12, KeySlice::full()).unwrap();
+        let mut reopened = DiskStore::open(&dir, 12, None).unwrap();
         assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.total_bytes(), 12);
         for n in 1..=3u8 {
@@ -984,38 +915,9 @@ mod tests {
 
         // Reopening under a tighter bound evicts down to it, oldest
         // generation (== oldest mtime) first.
-        let shrunk = DiskStore::open_bounded(&dir, 8, KeySlice::full()).unwrap();
+        let shrunk = DiskStore::open(&dir, 8, None).unwrap();
         assert!(shrunk.total_bytes() <= 8);
         assert_eq!(shrunk.len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn key_slices_partition_the_keyspace() {
-        let of = 4;
-        let keys: Vec<CacheKey> = (0..=255u8).map(key).collect();
-        let mut owned = 0;
-        for index in 0..of {
-            let slice = KeySlice { index, of };
-            owned += keys.iter().filter(|k| slice.covers(**k)).count();
-        }
-        assert_eq!(owned, keys.len(), "every key has exactly one owner");
-
-        // A sliced store ignores foreign keys entirely.
-        let dir = temp_dir("cache-slice");
-        let slice = KeySlice { index: 1, of: 2 };
-        let mut store = DiskStore::open_bounded(&dir, 0, slice).unwrap();
-        let mine = key(1); // 1 % 2 == 1
-        let foreign = key(2); // 2 % 2 == 0
-        store.put(mine, b"mine").unwrap();
-        store.put(foreign, b"foreign").unwrap();
-        assert_eq!(store.get(mine), Some(b"mine".to_vec()));
-        assert_eq!(store.get(foreign), None);
-        assert_eq!(store.len(), 1);
-
-        // And a rescan only indexes its own slice.
-        let full = DiskStore::open(&dir).unwrap();
-        assert_eq!(full.len(), 1, "only the owned key was ever written");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1066,7 +968,7 @@ mod tests {
     #[test]
     fn entries_are_framed_on_disk() {
         let dir = temp_dir("frame");
-        let mut store = DiskStore::open(&dir).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None).unwrap();
         let k = key(7);
         store.put(k, b"payload").unwrap();
         let raw = std::fs::read(entry_path(&dir, k)).unwrap();
@@ -1082,7 +984,7 @@ mod tests {
     #[test]
     fn corrupt_entry_is_quarantined_not_served() {
         let dir = temp_dir("corrupt");
-        let mut store = DiskStore::open(&dir).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None).unwrap();
         let k = key(3);
         store.put(k, b"precious bytes").unwrap();
 
@@ -1111,7 +1013,7 @@ mod tests {
     #[test]
     fn entry_filed_under_wrong_key_fails_verification() {
         let dir = temp_dir("wrong-key");
-        let mut store = DiskStore::open(&dir).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None).unwrap();
         store.put(key(1), b"aaaa").unwrap();
         // Replay a valid entry under a different name, as a confused
         // operator (or an attacker with filesystem access) might.
@@ -1120,7 +1022,7 @@ mod tests {
         std::fs::create_dir_all(target.parent().unwrap()).unwrap();
         std::fs::write(&target, &stolen).unwrap();
 
-        let mut reopened = DiskStore::open(&dir).unwrap();
+        let mut reopened = DiskStore::open(&dir, 0, None).unwrap();
         assert_eq!(
             reopened.get(key(2)),
             None,
@@ -1134,7 +1036,7 @@ mod tests {
     fn rescan_quarantines_invalid_and_removes_tmp_files() {
         let dir = temp_dir("rescan-junk");
         {
-            let mut store = DiskStore::open(&dir).unwrap();
+            let mut store = DiskStore::open(&dir, 0, None).unwrap();
             store.put(key(1), b"good").unwrap();
         }
         // A zero-byte final file (torn crash), a legacy unframed
@@ -1158,7 +1060,7 @@ mod tests {
         std::fs::create_dir_all(foreign.parent().unwrap()).unwrap();
         std::fs::write(&foreign, b"not ours").unwrap();
 
-        let mut reopened = DiskStore::open_bounded(&dir, 4, KeySlice::full()).unwrap();
+        let mut reopened = DiskStore::open(&dir, 4, None).unwrap();
         assert_eq!(reopened.len(), 1, "only the good entry is indexed");
         assert_eq!(
             reopened.total_bytes(),
@@ -1177,7 +1079,7 @@ mod tests {
         }
         // And the quarantine directory itself is not rescanned as a
         // shard: a further reopen sees a clean store.
-        let again = DiskStore::open(&dir).unwrap();
+        let again = DiskStore::open(&dir, 0, None).unwrap();
         assert_eq!(again.len(), 1);
         assert_eq!(again.corrupt(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1187,7 +1089,7 @@ mod tests {
     fn enospc_injection_counts_and_leaves_no_debris() {
         let dir = temp_dir("enospc");
         let plan = Arc::new(FaultPlan::parse("enospc@disk.put.write#2").unwrap());
-        let mut store = DiskStore::open_with(&dir, 0, KeySlice::full(), Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
         store.put(key(1), b"fits").unwrap();
         let err = store.put(key(2), b"no room").unwrap_err();
         assert!(err.to_string().contains("no space left"));
@@ -1205,7 +1107,7 @@ mod tests {
     fn short_write_injection_cleans_its_torn_tmp() {
         let dir = temp_dir("short");
         let plan = Arc::new(FaultPlan::parse("short@disk.put.write").unwrap());
-        let mut store = DiskStore::open_with(&dir, 0, KeySlice::full(), Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
         assert!(store.put(key(1), b"will tear").is_err());
         assert_eq!(store.write_errors(), 1);
         assert!(!entry_path(&dir, key(1)).with_extension("tmp").exists());
@@ -1217,7 +1119,7 @@ mod tests {
     fn read_error_injection_is_a_plain_miss() {
         let dir = temp_dir("readerr");
         let plan = Arc::new(FaultPlan::parse("readerr@disk.get.read").unwrap());
-        let mut store = DiskStore::open_with(&dir, 0, KeySlice::full(), Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
         store.put(key(1), b"present").unwrap();
         assert_eq!(store.get(key(1)), None, "injected read error is a miss");
         assert_eq!(store.corrupt(), 0, "a transient error is not corruption");

@@ -44,7 +44,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod server;
 
-pub use cache::{CacheKey, DiskStore, KeySlice, LruCache, ResultCache, Tier};
+pub use cache::{CacheKey, DiskStore, LruCache, ResultCache, Tier};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use error::ServeError;
 pub use faults::{FaultKind, FaultPlan};
