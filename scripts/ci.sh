@@ -12,9 +12,11 @@
 #                         fast compute is)
 #   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases)
 #   6. fault smoke       (fixed-seed fault campaign, 4x4 array,
-#                         full select-line stuck-at list)
+#                         full select-line stuck-at list; writes its
+#                         record under target/bench-smoke/)
 #   7. fault sweep       (exhaustive 8x8 fault campaign — affordable
-#                         by default now that replays are bit-sliced)
+#                         by default now that replays are bit-sliced;
+#                         rewrites BENCH_fault.json byte for byte)
 #   8. simbench smoke    (bit-sliced fault replay on the 4x4
 #                         universe, timed against one-machine
 #                         compiled replay; fails if either run
@@ -35,14 +37,15 @@
 #                         response must be a result or a typed
 #                         queue-full shed, and the warm pass must
 #                         still hit >= 90%; then a schema check of the
-#                         BENCH_serve.json overload fields)
+#                         overload fields of the smoke record under
+#                         target/bench-smoke/BENCH_serve.json)
 #  12. chaos smoke       (chaoscamp --smoke: servers killed at
 #                         disk-tier fault-plan kill points and disk
 #                         entries corrupted offline; every restart
 #                         must serve byte-identical payloads,
 #                         quarantine the damage, and re-warm to full
-#                         hit rate; then a BENCH_chaos.json schema
-#                         check)
+#                         hit rate; then a schema check of the smoke
+#                         record under target/bench-smoke/)
 #  13. affine stage      (adgen-affine unit/property tests, an
 #                         affine-vs-reference differential fuzz smoke,
 #                         and explore4 --smoke: the four-way
@@ -68,6 +71,11 @@
 #  16. line counts      (scripts/loc.sh: non-test lines per crate and
 #                         for the workspace; informational, never
 #                         fails the run)
+#  17. BENCH guard       (every committed BENCH_*.json is hashed
+#                         before stage 1 and must be unchanged here:
+#                         smoke runs write under target/bench-smoke/,
+#                         and the only full-size run, stage 7,
+#                         reproduces its record byte for byte)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -94,6 +102,9 @@ check_schema() {
     }
   done
 }
+
+# The committed records, as they were before any stage ran.
+bench_sums="$(sha256sum BENCH_*.json)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -172,9 +183,9 @@ rm -rf "$serve_cache" "$serve_log"
 
 echo "==> overload smoke (typed shedding under a 2-slot admission queue)"
 target/release/loadgen --smoke --conns 32 --queue-cap 2 --overload
-# Schema check: the bench record carries the new latency/overload
-# fields consumers key on.
-check_schema BENCH_serve.json p999_ms shed overload conns
+# Schema check: the smoke record carries the latency/overload fields
+# consumers key on.
+check_schema target/bench-smoke/BENCH_serve.json p999_ms shed overload conns
 
 echo "==> chaos smoke (kill-point crashes + offline corruption)"
 # chaoscamp spawns its own adgen-serve per scenario, kills it at
@@ -182,7 +193,8 @@ echo "==> chaos smoke (kill-point crashes + offline corruption)"
 # exits nonzero unless every restart serves byte-identical payloads,
 # re-enforces the disk bound, and quarantines every mutation.
 target/release/chaoscamp --smoke
-check_schema BENCH_chaos.json scenarios classification corrupt_quarantined recovered failures
+check_schema target/bench-smoke/BENCH_chaos.json scenarios classification corrupt_quarantined \
+  recovered failures
 
 echo "==> affine: mapper property tests"
 cargo test --release -q -p adgen-affine
@@ -216,6 +228,13 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> line counts (informational)"
 scripts/loc.sh || echo "    (loc.sh failed; informational only)"
+
+# Before the slow tier: it writes full-size records on purpose.
+echo "==> committed BENCH_*.json records unchanged"
+sha256sum --check --quiet <<< "$bench_sums" || {
+  echo "FAIL: a stage rewrote a committed BENCH_*.json record" >&2
+  exit 1
+}
 
 if [[ "${CI_SLOW:-0}" == "1" ]]; then
   echo "==> slow tier: ignored scale tests"
