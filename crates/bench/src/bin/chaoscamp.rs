@@ -45,15 +45,12 @@ use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
 use std::time::Duration;
 
 use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_serve::cache::{ENTRY_HEADER_LEN, QUARANTINE_DIR};
 use adgen_serve::{Client, Generator, Request, Response, StatsSnapshot};
 use adgen_synth::Encoding;
 
 /// Disk-cache byte bound every spawned server runs under.
 const DISK_CAP: u64 = 1 << 20;
-
-/// Bytes the entry frame header occupies on disk (kept in sync with
-/// the serve crate's framing; only used for the cap accounting here).
-const ENTRY_HEADER_LEN: u64 = 32;
 
 /// Per-call read timeout: turns a hung server into a visible failure.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -500,7 +497,7 @@ fn mutate_one_entry(dir: &Path, mutation: Mutation) -> Result<(), String> {
     match mutation {
         Mutation::BitFlip => {
             let mut damaged = bytes;
-            let idx = ENTRY_HEADER_LEN as usize + 2;
+            let idx = ENTRY_HEADER_LEN + 2;
             if damaged.len() <= idx {
                 return Err("entry too short to bit-flip".to_string());
             }
@@ -526,7 +523,7 @@ fn live_payload_bytes(dir: &Path) -> Result<u64, String> {
     let mut total = 0u64;
     for path in entries {
         let len = std::fs::metadata(&path).map_err(|e| e.to_string())?.len();
-        total += len.saturating_sub(ENTRY_HEADER_LEN);
+        total += len.saturating_sub(ENTRY_HEADER_LEN as u64);
     }
     Ok(total)
 }
@@ -539,7 +536,7 @@ fn collect_entries(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     }
     for shard1 in std::fs::read_dir(dir)? {
         let shard1 = shard1?.path();
-        if !shard1.is_dir() || shard1.file_name().is_some_and(|n| n == "quarantine") {
+        if !shard1.is_dir() || shard1.file_name().is_some_and(|n| n == QUARANTINE_DIR) {
             continue;
         }
         for shard2 in std::fs::read_dir(&shard1)? {

@@ -9,7 +9,9 @@
 //! Artefacts: `table1 table2 fig3 fig4 synthtime fig8 fig9 fig10 power ablation sharing interconnect
 //! table3`. Results are printed and, for the sweeps, also written as
 //! CSV under `results/`. Each run also emits `BENCH_repro.json` with
-//! the worker count and per-experiment wall-clock seconds.
+//! the worker count and per-experiment wall-clock seconds: a full run
+//! (`all`, the default) rewrites the committed record in the current
+//! directory, any subset writes `target/bench-smoke/BENCH_repro.json`.
 //!
 //! Observability (see `DESIGN.md` §9): `--trace FILE` writes a Chrome
 //! trace-event JSON of the whole run, `--metrics` prints the
@@ -91,9 +93,10 @@ fn main() {
     // Accumulates (experiment, wall-clock seconds) in execution order
     // and owns the obs session; flushes BENCH_repro.json on finish or
     // panic.
+    let subset = !what.iter().any(|a| a == "all");
     let mut sink = ObsJsonSink::new(
         "BENCH_repro.json",
-        false,
+        subset,
         obs_args,
         ReproState {
             jobs: effective_jobs,

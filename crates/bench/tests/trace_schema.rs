@@ -11,8 +11,8 @@ use std::process::{Command, Output};
 use adgen_obs::json::validate_chrome_trace;
 
 /// A scratch directory for the spawned binary's artefacts
-/// (`BENCH_repro.json`, `results/`), so test runs leave the checkout
-/// clean.
+/// (`target/bench-smoke/BENCH_repro.json`, `results/`), so test runs
+/// leave the checkout clean.
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("adgen-trace-schema-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -61,8 +61,15 @@ fn repro_trace_file_passes_schema_check() {
         );
     }
     // The bench record rides along, with the metrics block absent
-    // (no --metrics flag) but the file still valid.
-    let bench = std::fs::read_to_string(dir.join("BENCH_repro.json")).expect("bench record");
+    // (no --metrics flag) but the file still valid. A subset run
+    // writes it under target/bench-smoke/, never over the committed
+    // record.
+    assert!(
+        !dir.join("BENCH_repro.json").exists(),
+        "a subset run wrote the committed record's path"
+    );
+    let bench = std::fs::read_to_string(dir.join("target/bench-smoke/BENCH_repro.json"))
+        .expect("bench record");
     adgen_obs::json::parse(&bench).expect("BENCH_repro.json parses");
 }
 

@@ -18,14 +18,20 @@
 //! Replays run on the compiled simulator with many lanes, packed
 //! [`SLICED_FAULT_LANES`] faults plus one shared golden lane per
 //! pass: lane 0 re-runs the fault-free machine (cross-checked against
-//! the one-lane golden trace every cycle) while lanes `1..` each carry
-//! one injected fault, so one netlist walk classifies a whole batch.
-//! Chunks fan out over [`adgen_exec::par_map`], whose output order
-//! equals fault-list order regardless of the job count, so a
-//! campaign report is byte-identical across `--jobs` settings. Each
-//! fault is pure data ([`Fault::id`]), so any single outcome can be
-//! reproduced from the `FAULT=` token in its repro line — single-
-//! fault reproduction uses the one-lane [`replay`].
+//! the one-lane golden trace every cycle it runs) while lanes `1..`
+//! each carry one injected fault, so one netlist walk classifies a
+//! whole batch. The golden run also keeps the flip-flop states after
+//! every cycle. Passes take the faults stuck-ats first, then upsets
+//! by strike cycle; an upset cannot diverge before it strikes, so a
+//! pass of upsets loads the golden checkpoint just before its
+//! earliest strike instead of replaying from reset. Chunks fan out
+//! over [`adgen_exec::par_map`], whose output order is its input
+//! order regardless of the job count, and are scattered back to
+//! fault-list order, so a campaign report is byte-identical across
+//! `--jobs` settings. Each fault is pure data ([`Fault::id`]), so any
+//! single outcome can be reproduced from the `FAULT=` token in its
+//! repro line — single-fault reproduction uses the one-lane
+//! [`replay`].
 //!
 //! [`run_campaign_scalar`] is the campaign-level oracle: it replays
 //! the golden trace and every fault, one at a time, on the
@@ -103,18 +109,28 @@ fn stimulus(netlist: &Netlist) -> (Vec<bool>, Vec<bool>) {
 }
 
 /// The shared replay body: injects `fault` into any engine through
-/// the [`SimControl`] surface and records the observable trace.
+/// the [`SimControl`] surface and records the observable trace. With
+/// `checkpoints`, it also appends the flip-flop states after every
+/// step, the reset step first.
 ///
 /// # Panics
 ///
 /// Panics on a stepping failure — campaign inputs are validated
 /// netlists, so this indicates a bug.
-fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
+fn replay_on<S: SimControl>(
+    sim: &mut S,
+    spec: &CampaignSpec<'_>,
+    fault: Option<Fault>,
+    mut checkpoints: Option<&mut Vec<Logic>>,
+) -> Trace {
     if let Some(Fault::StuckAt { net, value }) = fault {
         sim.force_net(net, if value { Logic::One } else { Logic::Zero });
     }
     let (reset, run) = stimulus(spec.netlist);
     sim.step_bools(&reset).expect("reset step");
+    if let Some(states) = checkpoints.as_deref_mut() {
+        states.extend(sim.flip_flop_states());
+    }
     let mut outputs = Vec::with_capacity(spec.cycles as usize);
     for cycle in 1..=spec.cycles {
         if let Some(Fault::Seu { ff, cycle: c }) = fault {
@@ -124,11 +140,28 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
         }
         sim.step_bools(&run).expect("step");
         outputs.push(sim.output_values());
+        if let Some(states) = checkpoints.as_deref_mut() {
+            states.extend(sim.flip_flop_states());
+        }
     }
     Trace {
         outputs,
         final_states: sim.flip_flop_states(),
     }
+}
+
+/// [`replay`], also handing back the compiled simulator it ran on and
+/// appending the per-step states to `checkpoints` if asked.
+fn replay_compiled<'a>(
+    spec: &CampaignSpec<'a>,
+    fault: Option<Fault>,
+    checkpoints: Option<&mut Vec<Logic>>,
+) -> (Simulator<'a>, Trace) {
+    let _span = obs::span_arg("fault.replay", u64::from(spec.cycles));
+    obs::add(obs::Ctr::FaultReplays, 1);
+    let mut sim = Simulator::new(spec.netlist).expect("campaign netlist must be simulable");
+    let trace = replay_on(&mut sim, spec, fault, checkpoints);
+    (sim, trace)
 }
 
 /// Runs the campaign stimulus on the compiled one-lane simulator with
@@ -139,10 +172,7 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
 /// Panics if the netlist fails simulator construction or stepping —
 /// campaign inputs are validated netlists, so this indicates a bug.
 pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
-    let _span = obs::span_arg("fault.replay", u64::from(spec.cycles));
-    obs::add(obs::Ctr::FaultReplays, 1);
-    let mut sim = Simulator::new(spec.netlist).expect("campaign netlist must be simulable");
-    replay_on(&mut sim, spec, fault)
+    replay_compiled(spec, fault, None).1
 }
 
 /// [`replay`] on the event-driven simulator — the same trace, from an
@@ -155,7 +185,7 @@ pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
 /// As [`replay`].
 pub fn replay_event(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     let mut sim = EventSimulator::new(spec.netlist).expect("campaign netlist must be simulable");
-    replay_on(&mut sim, spec, fault)
+    replay_on(&mut sim, spec, fault, None)
 }
 
 /// Compares a faulty trace against the golden one.
@@ -289,23 +319,67 @@ fn count_classification(class: Classification) {
     }
 }
 
+/// The fault-free run every pass is classified against.
+struct Golden<'a> {
+    /// The one-lane trace the golden lane is cross-checked against.
+    trace: Trace,
+    /// Flip-flop states after every step, one row of
+    /// `trace.final_states.len()` values per step: row 0 after reset,
+    /// row `c` after cycle `c`.
+    checkpoints: Vec<Logic>,
+    /// The one-lane machine that ran it; every pass builds its lanes
+    /// from this machine's compiled program.
+    sim: Simulator<'a>,
+}
+
+impl Golden<'_> {
+    /// The golden flip-flop states after cycle `cycle`.
+    fn checkpoint(&self, cycle: u32) -> &[Logic] {
+        let width = self.trace.final_states.len();
+        &self.checkpoints[cycle as usize * width..][..width]
+    }
+}
+
+/// The cycle an upset strikes; `None` for a stuck-at, which acts from
+/// reset. Sorting by it puts the stuck-ats first, then the upsets in
+/// strike order.
+fn strike(fault: &Fault) -> Option<u32> {
+    match *fault {
+        Fault::StuckAt { .. } => None,
+        Fault::Seu { cycle, .. } => Some(cycle),
+    }
+}
+
 /// Replays and classifies up to [`SLICED_FAULT_LANES`] faults in one
 /// bit-sliced pass: lane 0 is the shared golden lane, lane `k + 1`
 /// carries `chunk[k]`. The golden lane is cross-checked against the
-/// one-lane `golden` trace every observed cycle, so a word-seam or
+/// one-lane golden trace every cycle the pass runs, so a word-seam or
 /// lane-mask defect cannot silently misclassify a batch.
+///
+/// `chunk` is sorted by [`strike`]. A pass of upsets only starts at
+/// its earliest strike `s`: no lane can leave the golden machine
+/// before it, so for `s > 1` every lane loads the golden checkpoint
+/// after cycle `s - 1` and the pass steps from cycle `s` (a strike
+/// past the window loads the final states and steps nothing). A pass
+/// with a stuck-at runs from reset.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`], or on any
 /// golden-lane divergence from the one-lane trace.
-fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> Vec<Classification> {
+fn classify_chunk(
+    spec: &CampaignSpec<'_>,
+    golden: &Golden<'_>,
+    chunk: &[Fault],
+) -> Vec<Classification> {
     assert!(chunk.len() <= SLICED_FAULT_LANES, "chunk exceeds one word");
     let _span = obs::span_arg("fault.replay.sliced", chunk.len() as u64);
     obs::add(obs::Ctr::FaultReplays, chunk.len() as u64);
     let lanes = chunk.len() + 1;
-    let mut sim =
-        Simulator::with_lanes(spec.netlist, lanes).expect("campaign netlist must be simulable");
+    let mut sim = golden
+        .sim
+        .fresh_with_lanes(lanes)
+        .expect("a pass has at least the golden lane");
     for (k, fault) in chunk.iter().enumerate() {
         if let Fault::StuckAt { net, value } = *fault {
             let v = if value { Logic::One } else { Logic::Zero };
@@ -317,10 +391,19 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
     let mut pending = active & !1;
     let mut classes = vec![Classification::Benign; chunk.len()];
     let outs = spec.netlist.outputs();
-    let num_states = golden.final_states.len();
+    let num_states = golden.trace.final_states.len();
     let (reset, run) = stimulus(spec.netlist);
-    sim.step_bools(&reset).expect("reset step");
-    for cycle in 1..=spec.cycles {
+    let start = match chunk.first().and_then(strike) {
+        Some(s) => s.clamp(1, spec.cycles.saturating_add(1)),
+        None => 1,
+    };
+    if start > 1 {
+        sim.load_flip_flop_states(golden.checkpoint(start - 1))
+            .expect("checkpoint rows are one state per flip-flop");
+    } else {
+        sim.step_bools(&reset).expect("reset step");
+    }
+    for cycle in start..=spec.cycles {
         for (k, fault) in chunk.iter().enumerate() {
             if let Fault::Seu { ff, cycle: c } = *fault {
                 if c == cycle {
@@ -329,7 +412,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
             }
         }
         sim.step_bools(&run).expect("step");
-        let grow = &golden.outputs[cycle as usize - 1];
+        let grow = &golden.trace.outputs[cycle as usize - 1];
         // The alarm firing takes precedence over plain divergence,
         // exactly as in the per-trace `classify`.
         if let Some(a) = spec.alarm_output {
@@ -366,7 +449,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
         }
         let states = sim.flip_flop_states_lane(lane);
         assert_eq!(states.len(), num_states, "state vector width");
-        *class = if states == golden.final_states {
+        *class = if states == golden.trace.final_states {
             Classification::Benign
         } else {
             Classification::Silent
@@ -378,7 +461,7 @@ fn classify_chunk(spec: &CampaignSpec<'_>, golden: &Trace, chunk: &[Fault]) -> V
     if pending != 0 || spec.cycles == 0 {
         assert_eq!(
             sim.flip_flop_states_lane(0),
-            golden.final_states,
+            golden.trace.final_states,
             "golden lane final state diverged"
         );
     }
@@ -406,13 +489,26 @@ fn mark_detected(
 /// Replays and classifies every fault in `faults` on the compiled
 /// engine, [`SLICED_FAULT_LANES`] faults plus one golden lane per
 /// pass, fanning the passes out over `jobs` worker threads. The
-/// golden trace comes from one-lane [`replay`]. Output order equals
-/// `faults` order — and classifications are identical to
-/// [`run_campaign_scalar`] — for any job count.
+/// golden trace and its per-cycle checkpoints come from one one-lane
+/// run, whose compiled program every pass reuses. Passes take the
+/// faults stuck-ats first, then upsets by strike cycle, so each pass
+/// of upsets starts at its earliest strike; the results are scattered
+/// back, so output order equals `faults` order — and classifications
+/// are identical to [`run_campaign_scalar`] — for any job count.
 pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> CampaignReport {
     let _span = obs::span_arg("fault.campaign", faults.len() as u64);
-    let golden = replay(spec, None);
-    let chunks: Vec<&[Fault]> = faults.chunks(SLICED_FAULT_LANES).collect();
+    let steps = spec.cycles as usize + 1;
+    let mut checkpoints = Vec::with_capacity(steps * spec.netlist.num_flip_flops());
+    let (sim, trace) = replay_compiled(spec, None, Some(&mut checkpoints));
+    let golden = Golden {
+        trace,
+        checkpoints,
+        sim,
+    };
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&i| strike(&faults[i]));
+    let sorted: Vec<Fault> = order.iter().map(|&i| faults[i]).collect();
+    let chunks: Vec<&[Fault]> = sorted.chunks(SLICED_FAULT_LANES).collect();
     let per_chunk = par_map(&chunks, jobs, |_, &chunk| {
         let classes = classify_chunk(spec, &golden, chunk);
         if obs::enabled() {
@@ -422,9 +518,13 @@ pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> C
         }
         classes
     });
+    let mut classes = vec![Classification::Benign; faults.len()];
+    for (&i, class) in order.iter().zip(per_chunk.into_iter().flatten()) {
+        classes[i] = class;
+    }
     let outcomes = faults
         .iter()
-        .zip(per_chunk.into_iter().flatten())
+        .zip(classes)
         .map(|(&fault, class)| FaultOutcome { fault, class })
         .collect();
     CampaignReport {

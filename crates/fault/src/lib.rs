@@ -15,7 +15,9 @@
 //!   tokens,
 //! * [`campaign`] — the deterministic campaign engine: golden run,
 //!   bit-sliced fault replay (63 faults + 1 golden lane per packed
-//!   pass, with the scalar engine kept as a differential oracle),
+//!   pass, each pass of upsets started from the golden checkpoint
+//!   before its earliest strike, with the event-driven engine kept as
+//!   a from-reset differential oracle),
 //!   detected / silent / benign classification, jobs-invariant
 //!   parallel fan-out, and fuzz-style reproduction lines.
 //!

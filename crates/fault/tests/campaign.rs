@@ -5,12 +5,19 @@
 //! byte-identical across worker counts. Mirrors
 //! `crates/fuzz/tests/determinism.rs` for the fault engine.
 
+use std::collections::{HashMap, HashSet};
+
+use adgen_affine::{fit_sequence, AffineAgNetlist};
+use adgen_cntag::{CntAgNetlist, CntAgSpec};
 use adgen_core::{HardenedSragNetlist, SragNetlist, SragSpec};
+use adgen_exec::Prng;
 use adgen_fault::{
-    classify, driving_flip_flops, enumerate_stuck_at, replay, replay_event, run_campaign,
-    run_campaign_scalar, sample_seus, CampaignSpec, Classification, Fault, SLICED_FAULT_LANES,
+    classify, driving_flip_flops, enumerate_stuck_at, flip_flop_ids, replay, replay_event,
+    run_campaign, run_campaign_scalar, sample_seus, CampaignSpec, Classification, Fault,
+    SLICED_FAULT_LANES,
 };
-use adgen_netlist::{Logic, Simulator};
+use adgen_netlist::{Logic, Netlist, Simulator};
+use adgen_seq::{workloads, ArrayShape};
 
 fn ring_spec(n: u32) -> SragSpec {
     SragSpec::ring(n)
@@ -229,4 +236,149 @@ fn forced_alarm_value_is_logic_stable() {
     for row in &golden.outputs {
         assert_eq!(row[hard.alarm_output_index()], Logic::Zero);
     }
+}
+
+/// A design under a campaign window.
+struct Design {
+    name: &'static str,
+    netlist: Netlist,
+    alarm_output: Option<usize>,
+    cycles: u32,
+}
+
+impl Design {
+    fn spec(&self) -> CampaignSpec<'_> {
+        CampaignSpec {
+            netlist: &self.netlist,
+            cycles: self.cycles,
+            alarm_output: self.alarm_output,
+        }
+    }
+}
+
+/// The four families the campaigns run on: plain and hardened SRAG
+/// rings, a CntAG and an affine AGU, the last two on a 4x4
+/// motion-estimation stream.
+fn designs() -> Vec<Design> {
+    let shape = ArrayShape::new(4, 4);
+    let plain = SragNetlist::elaborate(&ring_spec(5)).unwrap();
+    let hard = HardenedSragNetlist::elaborate(&ring_spec(4)).unwrap();
+    let cntag = CntAgNetlist::elaborate(&CntAgSpec::motion_est(shape, 2, 2, 0)).unwrap();
+    let stream = workloads::motion_est_read(shape, 2, 2, 0);
+    let fit = fit_sequence(stream.as_slice()).unwrap();
+    let affine = AffineAgNetlist::elaborate(&fit.spec).unwrap();
+    vec![
+        Design {
+            name: "srag-plain",
+            netlist: plain.netlist,
+            alarm_output: None,
+            cycles: 13,
+        },
+        Design {
+            name: "srag-hardened",
+            alarm_output: Some(hard.alarm_output_index()),
+            netlist: hard.netlist,
+            cycles: 11,
+        },
+        Design {
+            name: "cntag",
+            netlist: cntag.netlist,
+            alarm_output: None,
+            cycles: 16,
+        },
+        Design {
+            name: "affine",
+            netlist: affine.netlist,
+            alarm_output: None,
+            cycles: stream.len() as u32,
+        },
+    ]
+}
+
+/// A seeded random universe: a stuck-at on every net, an upset on
+/// every flip-flop at cycle 0, 1, the last cycle and past the window,
+/// sampled upsets, and repeats of random picks, shuffled. With
+/// `stuck_at` false it holds the upsets only.
+fn random_universe(design: &Design, seed: u64, stuck_at: bool) -> Vec<Fault> {
+    let mut faults = if stuck_at {
+        enumerate_stuck_at(&design.netlist)
+    } else {
+        Vec::new()
+    };
+    let ffs = flip_flop_ids(&design.netlist);
+    let last = design.cycles;
+    for &ff in &ffs {
+        for cycle in [0, 1, last, last + 1, last + 9] {
+            faults.push(Fault::Seu { ff, cycle });
+        }
+    }
+    faults.extend(sample_seus(&ffs, last, 128, seed));
+    let mut rng = Prng::for_stream(seed, 0xd0b1e);
+    for _ in 0..faults.len() / 8 {
+        let pick = faults[rng.next_range(faults.len() as u64) as usize];
+        faults.push(pick);
+    }
+    rng.shuffle(&mut faults);
+    faults
+}
+
+/// The event-driven oracle's class of every fault in `faults`,
+/// replaying only the faults not yet in `oracle`.
+fn oracle_classes(
+    spec: &CampaignSpec<'_>,
+    faults: &[Fault],
+    oracle: &mut HashMap<Fault, Classification>,
+) {
+    let missing: HashSet<Fault> = faults
+        .iter()
+        .copied()
+        .filter(|f| !oracle.contains_key(f))
+        .collect();
+    let missing: Vec<Fault> = missing.into_iter().collect();
+    for outcome in run_campaign_scalar(spec, &missing, 2).outcomes {
+        oracle.insert(outcome.fault, outcome.class);
+    }
+}
+
+#[test]
+fn checkpointed_campaign_matches_from_reset_oracle() {
+    // Passes of upsets start at their earliest strike from a golden
+    // checkpoint; the event-driven oracle replays every fault from
+    // reset. On random universes of every family the two must
+    // classify every fault alike, at one job and at two, over the
+    // word-sized prefixes and the whole universe.
+    let (mut silent, mut benign) = (0, 0);
+    for design in designs() {
+        let spec = design.spec();
+        let mut oracle = HashMap::new();
+        for seed in [1u64, 2, 3] {
+            for stuck_at in [true, false] {
+                let universe = random_universe(&design, seed, stuck_at);
+                assert!(universe.len() > 127, "{} universe too small", design.name);
+                oracle_classes(&spec, &universe, &mut oracle);
+                for take in [1, SLICED_FAULT_LANES, 64, 127, universe.len()] {
+                    let faults = &universe[..take];
+                    let report = run_campaign(&spec, faults, 1);
+                    assert_eq!(report.cycles, design.cycles);
+                    for (outcome, fault) in report.outcomes.iter().zip(faults) {
+                        assert_eq!(outcome.fault, *fault, "outcomes keep fault-list order");
+                        assert_eq!(
+                            outcome.class,
+                            oracle[fault],
+                            "{} seed {seed}, {take} faults: {}",
+                            design.name,
+                            fault.id()
+                        );
+                    }
+                    assert_eq!(report, run_campaign(&spec, faults, 2), "--jobs 1 vs 2");
+                }
+            }
+        }
+        for class in oracle.values() {
+            silent += usize::from(*class == Classification::Silent);
+            benign += usize::from(*class == Classification::Benign);
+        }
+    }
+    assert!(silent > 0, "the universes hold no Silent fault");
+    assert!(benign > 0, "the universes hold no Benign fault");
 }

@@ -51,6 +51,14 @@ pub enum NetlistError {
         /// Number supplied.
         found: usize,
     },
+    /// A simulator was loaded with the wrong number of flip-flop
+    /// states.
+    StateWidthMismatch {
+        /// Number of flip-flops in the netlist.
+        expected: usize,
+        /// Number of states supplied.
+        found: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -79,6 +87,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::InputWidthMismatch { expected, found } => {
                 write!(f, "expected {expected} primary input values, found {found}")
+            }
+            NetlistError::StateWidthMismatch { expected, found } => {
+                write!(f, "expected {expected} flip-flop states, found {found}")
             }
         }
     }

@@ -39,6 +39,13 @@
 //! [`upset_flip_flop`](Simulator::upset_flip_flop)) broadcast to
 //! every lane, and the scalar reads come from lane 0.
 //!
+//! [`load_flip_flop_states`](Simulator::load_flip_flop_states)
+//! broadcasts one machine's flip-flop states to every lane, so a
+//! batch of upsets that all strike late starts from a golden
+//! checkpoint instead of from reset, and
+//! [`fresh_with_lanes`](Simulator::fresh_with_lanes) builds each
+//! batch's machine from one compiled program.
+//!
 //! ## The oracle
 //!
 //! A compiler bug would hit every lane count alike, so comparing
@@ -325,8 +332,9 @@ pub struct Simulator<'a> {
     cycle: u64,
     evaluations: u64,
     word_ops: u64,
-    /// Built by [`with_lanes`](Self::with_lanes): only such machines
-    /// count the `sim.sliced.*` observability counters.
+    /// Built by [`with_lanes`](Self::with_lanes) or
+    /// [`fresh_with_lanes`](Self::fresh_with_lanes): only such
+    /// machines count the `sim.sliced.*` observability counters.
     sliced: bool,
 }
 
@@ -337,7 +345,12 @@ impl<'a> Simulator<'a> {
     ///
     /// Fails if the netlist does not [`validate`](Netlist::validate).
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        Self::build(netlist, 1, false)
+        Ok(Self::from_program(
+            netlist,
+            Program::compile(netlist)?,
+            1,
+            false,
+        ))
     }
 
     /// Prepares a simulator with `lanes` machines for `netlist`. Every
@@ -348,24 +361,39 @@ impl<'a> Simulator<'a> {
     /// Fails if the netlist does not [`validate`](Netlist::validate)
     /// or `lanes` is zero (reported as a width mismatch).
     pub fn with_lanes(netlist: &'a Netlist, lanes: usize) -> Result<Self, NetlistError> {
+        Self::sliced(netlist, Program::compile(netlist)?, lanes)
+    }
+
+    /// A powered-up (all-X) simulator with `lanes` machines over this
+    /// one's netlist, reusing its compiled program instead of
+    /// compiling the netlist again: a campaign compiles once and
+    /// builds one machine per batch. Otherwise exactly
+    /// [`with_lanes`](Self::with_lanes).
+    ///
+    /// # Errors
+    ///
+    /// Fails if `lanes` is zero (reported as a width mismatch).
+    pub fn fresh_with_lanes(&self, lanes: usize) -> Result<Self, NetlistError> {
+        Self::sliced(self.netlist, self.program.clone(), lanes)
+    }
+
+    fn sliced(netlist: &'a Netlist, program: Program, lanes: usize) -> Result<Self, NetlistError> {
         if lanes == 0 {
             return Err(NetlistError::InputWidthMismatch {
                 expected: 1,
                 found: 0,
             });
         }
-        let sim = Self::build(netlist, lanes, true)?;
         if obs::enabled() {
             obs::add(obs::Ctr::SimSlicedPasses, 1);
             obs::add(obs::Ctr::SimSlicedLanes, lanes as u64);
         }
-        Ok(sim)
+        Ok(Self::from_program(netlist, program, lanes, true))
     }
 
-    fn build(netlist: &'a Netlist, lanes: usize, sliced: bool) -> Result<Self, NetlistError> {
-        let program = Program::compile(netlist)?;
+    fn from_program(netlist: &'a Netlist, program: Program, lanes: usize, sliced: bool) -> Self {
         let words = lanes.div_ceil(64);
-        Ok(Simulator {
+        Simulator {
             netlist,
             program,
             lanes,
@@ -379,7 +407,7 @@ impl<'a> Simulator<'a> {
             evaluations: 0,
             word_ops: 0,
             sliced,
-        })
+        }
     }
 
     /// Number of lanes (independent machines).
@@ -470,6 +498,34 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|ff| self.state[ff.inst as usize * self.words + w].lane(bit))
             .collect()
+    }
+
+    /// Loads one machine's flip-flop states, in instance order (the
+    /// form [`flip_flop_states`](Self::flip_flop_states) returns),
+    /// into every lane. A step recomputes every net from the inputs
+    /// and the stored state, so after the load the next
+    /// [`step`](Self::step) continues exactly as the machine the
+    /// states came from would: a fault campaign starts a batch of
+    /// late upsets from a golden checkpoint instead of from reset.
+    /// Net values read before that step are stale; forces are kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::StateWidthMismatch`] unless `states`
+    /// holds one value per flip-flop; nothing is loaded then.
+    pub fn load_flip_flop_states(&mut self, states: &[Logic]) -> Result<(), NetlistError> {
+        if states.len() != self.program.ffs.len() {
+            return Err(NetlistError::StateWidthMismatch {
+                expected: self.program.ffs.len(),
+                found: states.len(),
+            });
+        }
+        let words = self.words;
+        for (ff, &v) in self.program.ffs.iter().zip(states) {
+            let at = ff.inst as usize * words;
+            self.state[at..at + words].fill(Pk::broadcast(v));
+        }
+        Ok(())
     }
 
     /// Raw `(ones, xs)` planes of `net` for word `w`, trimmed to the
@@ -973,6 +1029,90 @@ mod tests {
     fn zero_lanes_is_rejected() {
         let (n, _, _) = ring_netlist();
         assert!(Simulator::with_lanes(&n, 0).is_err());
+        let one = Simulator::new(&n).unwrap();
+        assert!(one.fresh_with_lanes(0).is_err());
+    }
+
+    /// Loads one machine's states after cycle `at` into 1, 64 and 65
+    /// lanes (65 crosses a word seam), then steps on: every lane must
+    /// continue exactly as the one-lane machine does, and as the
+    /// event-driven oracle run from power-up, X states included.
+    #[test]
+    fn loaded_states_continue_the_source_machine_on_every_lane() {
+        let (n, _, _) = ring_netlist();
+        // Reset at cycle 0 and now and then; X on `en` or `sel` now
+        // and then, which leaves X in the ring.
+        let stim = |cycle: u64| {
+            let r = (cycle + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            let pick = |bits: u64| match bits & 3 {
+                0 => Logic::X,
+                1 => Logic::Zero,
+                _ => Logic::One,
+            };
+            [
+                Logic::from_bool(cycle == 0 || r.is_multiple_of(17)),
+                pick(r),
+                pick(r >> 2),
+            ]
+        };
+        let mut x_after_reset = false;
+        for at in [0u64, 1, 5, 12] {
+            let mut src = Simulator::new(&n).unwrap();
+            for c in 0..at {
+                src.step(&stim(c)).unwrap();
+            }
+            let states = src.flip_flop_states();
+            x_after_reset |= at > 0 && states.contains(&Logic::X);
+            for lanes in [1, 64, 65] {
+                let mut sim = src.fresh_with_lanes(lanes).unwrap();
+                sim.load_flip_flop_states(&states).unwrap();
+                let mut cont = src.clone();
+                let mut oracle = EventSimulator::new(&n).unwrap();
+                for c in 0..at {
+                    oracle.step(&stim(c)).unwrap();
+                }
+                for c in at..at + 10 {
+                    sim.step(&stim(c)).unwrap();
+                    cont.step(&stim(c)).unwrap();
+                    oracle.step(&stim(c)).unwrap();
+                    assert_eq!(cont.output_values(), oracle.output_values());
+                    assert_eq!(cont.flip_flop_states(), oracle.flip_flop_states());
+                    for lane in 0..lanes {
+                        let at_lane =
+                            format!("load after {at}, {lanes} lanes, cycle {c}, lane {lane}");
+                        assert_eq!(
+                            sim.output_values_lane(lane),
+                            cont.output_values(),
+                            "{at_lane}"
+                        );
+                        assert_eq!(
+                            sim.flip_flop_states_lane(lane),
+                            cont.flip_flop_states(),
+                            "{at_lane}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(x_after_reset, "no checkpoint after reset held an X state");
+    }
+
+    #[test]
+    fn wrong_width_state_load_is_a_typed_error() {
+        let (n, _, _) = ring_netlist();
+        let mut sim = Simulator::with_lanes(&n, 65).unwrap();
+        sim.step_bools(&[true, true, false]).unwrap();
+        let before = sim.flip_flop_states_lane(64);
+        for width in [0, 3, 5] {
+            assert_eq!(
+                sim.load_flip_flop_states(&vec![Logic::One; width]),
+                Err(NetlistError::StateWidthMismatch {
+                    expected: 4,
+                    found: width
+                })
+            );
+        }
+        assert_eq!(sim.flip_flop_states_lane(64), before, "nothing was loaded");
     }
 
     /// The one-word kernel (64 lanes) against the multi-word one (65

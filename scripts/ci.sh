@@ -71,11 +71,16 @@
 #  16. line counts      (scripts/loc.sh: non-test lines per crate and
 #                         for the workspace; informational, never
 #                         fails the run)
-#  17. BENCH guard       (every committed BENCH_*.json is hashed
+#  17. repro subset      (repro table1 from the repo root: a subset
+#                         run writes target/bench-smoke/BENCH_repro.json,
+#                         so the guard below proves it left the
+#                         committed record alone)
+#  18. BENCH guard       (every committed BENCH_*.json is hashed
 #                         before stage 1 and must be unchanged here:
-#                         smoke runs write under target/bench-smoke/,
-#                         and the only full-size run, stage 7,
-#                         reproduces its record byte for byte)
+#                         smoke and subset runs write under
+#                         target/bench-smoke/, and the only full-size
+#                         run, stage 7, reproduces its record byte for
+#                         byte)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -228,6 +233,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> line counts (informational)"
 scripts/loc.sh || echo "    (loc.sh failed; informational only)"
+
+echo "==> repro subset (writes under target/bench-smoke/)"
+target/release/repro table1 > /dev/null
 
 # Before the slow tier: it writes full-size records on purpose.
 echo "==> committed BENCH_*.json records unchanged"
