@@ -102,7 +102,7 @@ fn serialize(spec: &AffineSpec) -> Vec<bool> {
 }
 
 /// Length of the programming chain for the given register widths.
-pub fn chain_len(addr_width: u32, cnt_width: u32) -> usize {
+fn chain_len(addr_width: u32, cnt_width: u32) -> usize {
     (2 * (3 * addr_width + 3 * cnt_width)) as usize
 }
 

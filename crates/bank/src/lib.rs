@@ -16,8 +16,7 @@
 //!   only released when the schedule is conflict-free (the gate the
 //!   explorer and `bankcamp` enforce).
 //! * [`BankedAddm`] / [`run_interleaved`] — cycle-level cosim over
-//!   per-bank [`adgen_memory::Addm`] arrays, strict or degraded
-//!   (per-bank [`adgen_memory::SelectAlarm`] containment).
+//!   per-bank [`adgen_memory::Addm`] arrays.
 //! * [`Decomposition`] — factors an arbitrary 1-D address stream into
 //!   constants, counter bits, XOR folds and an FSM residue, exactly
 //!   (`reconstruct() == input` by construction); [`FoldAgNetlist`]

@@ -1,14 +1,10 @@
 //! The B-bank ADDM model: per-bank [`Addm`] arrays behind a
-//! [`BankMap`], with cycle-level conflict/stall accounting and the
-//! same strict/degraded split as the single-bank array.
+//! [`BankMap`], with cycle-level conflict/stall accounting.
 //!
-//! Strict cycle accesses serialize conflicting lanes (and charge the
-//! stalls) but fail hard on select-discipline violations; degraded
-//! per-bank accesses skip the offending access and record a
-//! [`SelectAlarm`] in that bank only — a single misbehaving generator
-//! degrades its own bank, not the system.
+//! Cycle accesses serialize conflicting lanes (and charge the stalls)
+//! but fail hard on select-discipline violations.
 
-use adgen_memory::{Addm, SelectAlarm};
+use adgen_memory::Addm;
 use adgen_seq::ArrayShape;
 
 use crate::error::BankError;
@@ -129,78 +125,9 @@ impl BankedAddm {
         Ok(values)
     }
 
-    /// Strict single-bank write at a local address (setup paths that
-    /// bypass the lane accounting).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range bank/local or a select-discipline violation.
-    pub fn write_at(&mut self, bank: u32, local: u32, value: u64) -> Result<(), BankError> {
-        self.check_bank(bank)?;
-        let (rows, cols) = self.selects(local);
-        Ok(self.banks[bank as usize].write(&rows, &cols, value)?)
-    }
-
-    /// Strict single-bank read at a local address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write_at`](Self::write_at), plus uninitialized reads.
-    pub fn read_at(&self, bank: u32, local: u32) -> Result<u64, BankError> {
-        self.check_bank(bank)?;
-        let (rows, cols) = self.selects(local);
-        Ok(self.banks[bank as usize].read(&rows, &cols)?)
-    }
-
-    /// Degraded single-bank write: an out-of-window local address
-    /// decodes to dead selects, so the bank records a [`SelectAlarm`]
-    /// and keeps its cells intact. Returns whether the write landed.
-    ///
-    /// # Errors
-    ///
-    /// Only an out-of-range *bank* index errors — there is no bank to
-    /// charge the alarm to.
-    pub fn write_degraded_at(
-        &mut self,
-        bank: u32,
-        local: u32,
-        value: u64,
-    ) -> Result<bool, BankError> {
-        self.check_bank(bank)?;
-        let (rows, cols) = self.selects(local);
-        Ok(self.banks[bank as usize].write_degraded(&rows, &cols, value))
-    }
-
-    /// Degraded single-bank read: wrong-but-in-window locals return
-    /// the wrong cell (caught by payload checks); out-of-window locals
-    /// and uninitialized cells return `None` with a recorded alarm.
-    ///
-    /// # Errors
-    ///
-    /// Only an out-of-range bank index errors.
-    pub fn read_degraded_at(&mut self, bank: u32, local: u32) -> Result<Option<u64>, BankError> {
-        self.check_bank(bank)?;
-        let (rows, cols) = self.selects(local);
-        Ok(self.banks[bank as usize].read_degraded(&rows, &cols))
-    }
-
-    /// Alarms recorded by one bank's degraded accesses.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range bank index.
-    pub fn alarms(&self, bank: u32) -> Result<&[SelectAlarm], BankError> {
-        self.check_bank(bank)?;
-        Ok(self.banks[bank as usize].alarms())
-    }
-
-    /// Per-bank alarm counts, bank order.
-    pub fn alarm_counts(&self) -> Vec<usize> {
-        self.banks.iter().map(|b| b.alarms().len()).collect()
-    }
-
-    /// Direct cell inspection of one bank (test harnesses).
-    pub fn peek(&self, bank: u32, local: u32) -> Option<u64> {
+    /// Direct cell inspection of one bank.
+    #[cfg(test)]
+    fn peek(&self, bank: u32, local: u32) -> Option<u64> {
         if bank >= self.banks() || local >= self.map.window() {
             return None;
         }
@@ -237,31 +164,18 @@ impl BankedAddm {
         Ok(split)
     }
 
-    fn check_bank(&self, bank: u32) -> Result<(), BankError> {
-        if bank >= self.banks() {
-            return Err(BankError::AddressOutOfRange {
-                addr: bank,
-                capacity: self.banks(),
-            });
-        }
-        Ok(())
-    }
-
     fn local_rc(&self, local: u32) -> (u32, u32) {
         (local / self.shape.width(), local % self.shape.width())
     }
 
-    /// One-hot row/column selects for a local address; out-of-window
-    /// locals yield dead (all-false) selects, the degraded-mode path
-    /// to a recorded `NoSelect` alarm.
+    /// One-hot row/column selects for a local address (`local` is in
+    /// the window: [`BankMap::split`] guarantees it).
     fn selects(&self, local: u32) -> (Vec<bool>, Vec<bool>) {
         let mut rows = vec![false; self.shape.height() as usize];
         let mut cols = vec![false; self.shape.width() as usize];
-        if local < self.map.window() {
-            let (r, c) = self.local_rc(local);
-            rows[r as usize] = true;
-            cols[c as usize] = true;
-        }
+        let (r, c) = self.local_rc(local);
+        rows[r as usize] = true;
+        cols[c as usize] = true;
         (rows, cols)
     }
 }
@@ -414,25 +328,6 @@ mod tests {
                 found: 1
             })
         ));
-    }
-
-    #[test]
-    fn degraded_out_of_window_local_alarms_its_bank_only() {
-        let map = BankMap::HighBits {
-            banks: 4,
-            window: 8,
-        };
-        let mut m = BankedAddm::new(map, 4).unwrap();
-        m.write_at(2, 3, 7).unwrap();
-        // Out-of-window local decodes to dead selects: skipped+alarmed.
-        assert!(!m.write_degraded_at(2, 99, 1).unwrap());
-        assert_eq!(m.read_degraded_at(2, 3).unwrap(), Some(7));
-        assert_eq!(m.alarm_counts(), vec![0, 0, 1, 0]);
-        assert!(m.alarms(2).unwrap()[0].write);
-        // The other banks never saw a degraded access.
-        assert!(m.alarms(0).unwrap().is_empty());
-        assert!(m.read_degraded_at(1, 0).unwrap().is_none()); // uninit
-        assert_eq!(m.alarm_counts(), vec![0, 1, 1, 0]);
     }
 
     #[test]

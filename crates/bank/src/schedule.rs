@@ -50,12 +50,6 @@ impl Schedule {
         }
     }
 
-    /// Cycles the run takes on real serializing hardware:
-    /// `window + stall_cycles`.
-    pub fn serialized_cycles(&self) -> usize {
-        self.window + self.stall_cycles
-    }
-
     /// The per-bank streams, or the conflict gate error.
     ///
     /// # Errors
@@ -208,7 +202,6 @@ mod tests {
                 stall_cycles: 48
             })
         ));
-        assert_eq!(s.serialized_cycles(), 64);
     }
 
     #[test]

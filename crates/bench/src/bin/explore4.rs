@@ -3,10 +3,11 @@
 //! affine AGU, priced under one cell library and one fault-universe
 //! recipe.
 //!
-//! For each workload the run produces one [`FourWayRow`] per
-//! architecture (delay, area, flip-flops, programming premium, fault
-//! coverage) and then gates on the affine family's correctness
-//! contract: [`verify_affine_bit_exact`] must reproduce the input
+//! For each workload the run produces one
+//! [`FourWayRow`](adgen_explorer::FourWayRow) per architecture (delay,
+//! area, flip-flops, programming premium, fault coverage) and then
+//! gates on the affine family's correctness contract:
+//! [`verify_affine_bit_exact`] must reproduce the input
 //! stream bit-exactly — affine prefix plus residual — on both
 //! simulation engines, compiled and event-driven. A workload that
 //! fails the gate fails the run. The record keeps the field name

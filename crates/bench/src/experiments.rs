@@ -19,7 +19,7 @@ use adgen_exec::par_map;
 use adgen_obs as obs;
 
 use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
-use adgen_cntag::{CntAgNetlist, CntAgSpec};
+use adgen_cntag::CntAgSpec;
 use adgen_core::composite::Srag2d;
 use adgen_core::{SragNetlist, SragSpec};
 use adgen_explorer::{compare_srag_cntag, compare_with_components, ComparisonRow};
@@ -579,27 +579,10 @@ pub fn interconnect(loads_ff: &[f64], jobs: usize) -> Vec<InterconnectRow> {
         .collect()
 }
 
-/// Sanity accessor used by benches and tests: builds and verifies a
-/// small CntAG so the bench harness has a cheap correctness canary.
-///
-/// # Panics
-///
-/// Panics if the canary fails.
-pub fn canary() {
-    let _span = obs::span("bench.canary");
-    let shape = ArrayShape::new(4, 4);
-    let seq = workloads::motion_est_read(shape, 2, 2, 0);
-    let pair = Srag2d::map(&seq, shape, Layout::RowMajor).expect("canary maps");
-    let design = pair.elaborate().expect("canary elaborates");
-    let cnt =
-        CntAgNetlist::elaborate(&CntAgSpec::motion_est(shape, 2, 2, 0)).expect("canary baseline");
-    assert!(design.netlist.num_flip_flops() > 0);
-    assert!(cnt.netlist.num_flip_flops() > 0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adgen_cntag::CntAgNetlist;
 
     #[test]
     fn fig3_4_shift_register_is_faster() {
@@ -699,7 +682,15 @@ mod tests {
 
     #[test]
     fn canary_passes() {
-        canary();
+        // A small SRAG pair and its CntAG baseline both build.
+        let shape = ArrayShape::new(4, 4);
+        let seq = workloads::motion_est_read(shape, 2, 2, 0);
+        let pair = Srag2d::map(&seq, shape, Layout::RowMajor).expect("canary maps");
+        let design = pair.elaborate().expect("canary elaborates");
+        let cnt = CntAgNetlist::elaborate(&CntAgSpec::motion_est(shape, 2, 2, 0))
+            .expect("canary baseline");
+        assert!(design.netlist.num_flip_flops() > 0);
+        assert!(cnt.netlist.num_flip_flops() > 0);
     }
 
     #[test]

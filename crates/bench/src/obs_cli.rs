@@ -6,7 +6,7 @@
 //! machine-readable `BENCH_*.json`, and all seven write it through
 //! [`ObsJsonSink`]. The sink owns the record's path, its layout and
 //! its tail; a binary only renders its own `(key, value)` fields with
-//! [`object`] and [`array`]:
+//! [`object`] and [`array`](fn@array):
 //!
 //! * **path** — the committed file in the current directory for a
 //!   full-size run, `target/bench-smoke/` for a `--smoke` run, so a

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline, so the benches cannot use an external
 //! harness; each bench is a plain `harness = false` binary that calls
-//! [`bench`] for every case and prints one line per case.
+//! [`bench`](fn@bench) for every case and prints one line per case.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -309,22 +309,8 @@ pub fn decoder_delay_ps(
     lines_kept: usize,
     library: &Library,
 ) -> Result<f64, SynthError> {
-    decoder_delay_with_load_ps(address_bits, lines_kept, library, SELECT_LINE_LOAD_FF)
-}
-
-/// [`decoder_delay_ps`] with an explicit select-line load.
-///
-/// # Errors
-///
-/// Propagates construction/timing failures.
-pub fn decoder_delay_with_load_ps(
-    address_bits: usize,
-    lines_kept: usize,
-    library: &Library,
-    select_line_load_ff: f64,
-) -> Result<f64, SynthError> {
     let n = standalone_decoder(address_bits, lines_kept)?;
-    Ok(TimingAnalysis::run_with_output_load(&n, library, select_line_load_ff)?.critical_path_ps())
+    Ok(TimingAnalysis::run_with_output_load(&n, library, SELECT_LINE_LOAD_FF)?.critical_path_ps())
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! The fault-injection campaigns in `adgen-fault` quantify exactly
 //! that split.
 
-use adgen_netlist::{Logic, NetId, Netlist, NetlistError, Simulator};
+use adgen_netlist::{NetId, Netlist, NetlistError, Simulator};
 use adgen_seq::{ArrayShape, Layout};
 
 use crate::arch::{ControlStyle, SragSpec};
@@ -106,8 +106,9 @@ impl HardenedSragNetlist {
     }
 
     /// Whether the checker flags the current cycle.
-    pub fn alarm_raised(&self, sim: &Simulator<'_>) -> bool {
-        sim.value(self.alarm) == Logic::One
+    #[cfg(test)]
+    fn alarm_raised(&self, sim: &Simulator<'_>) -> bool {
+        sim.value(self.alarm) == adgen_netlist::Logic::One
     }
 }
 
@@ -151,8 +152,9 @@ impl HardenedSrag2dNetlist {
     }
 
     /// Whether the combined checker flags the current cycle.
-    pub fn alarm_raised(&self, sim: &Simulator<'_>) -> bool {
-        sim.value(self.alarm) == Logic::One
+    #[cfg(test)]
+    fn alarm_raised(&self, sim: &Simulator<'_>) -> bool {
+        sim.value(self.alarm) == adgen_netlist::Logic::One
     }
 }
 
@@ -185,7 +187,7 @@ mod tests {
     use super::*;
     use crate::arch::{ShiftRegisterSpec, SragSpec};
     use crate::netlist::SragNetlist;
-    use adgen_netlist::{AreaReport, Library};
+    use adgen_netlist::{AreaReport, Library, Logic};
     use adgen_seq::workloads;
 
     fn ring_ff_inst(design: &HardenedSragNetlist, name: &str) -> adgen_netlist::InstId {

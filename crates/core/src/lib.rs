@@ -30,8 +30,6 @@
 //!   `vcl018` library,
 //! * [`composite`] — the full two-hot row × column SRAG for 2-D
 //!   arrays,
-//! * [`sfm`] — Aloqeely's Sequential FIFO Memory pointer generator,
-//!   the prior art SRAG improves on (paper Fig. 6),
 //! * [`multi_counter`] — the paper's §4 relaxation: per-register pass
 //!   counts and per-address division counts via multiple/steered
 //!   counters, widening the space of mappable sequences,
@@ -66,7 +64,6 @@ pub mod harden;
 pub mod mapper;
 pub mod multi_counter;
 pub mod netlist;
-pub mod sfm;
 pub mod shared;
 pub mod sim;
 

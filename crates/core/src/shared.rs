@@ -29,7 +29,7 @@ use crate::netlist::{finish, mux_head, observed_one_hot, Ring};
 /// Whether two specifications can share their shift registers: same
 /// register partition (same lines in the same token order) and the
 /// same select-line count.
-pub fn share_compatible(a: &SragSpec, b: &SragSpec) -> bool {
+fn share_compatible(a: &SragSpec, b: &SragSpec) -> bool {
     a.registers == b.registers && a.num_lines == b.num_lines
 }
 
@@ -50,7 +50,8 @@ pub struct TimeSharedSragNetlist {
 
 impl TimeSharedSragNetlist {
     /// Elaborates the shared design. Returns `None` when the two
-    /// specifications are not [`share_compatible`].
+    /// specifications cannot share their shift registers (different
+    /// register partitions or select-line counts).
     ///
     /// # Errors
     ///

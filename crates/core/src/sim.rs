@@ -39,26 +39,6 @@ impl SragSimulator {
         &self.spec
     }
 
-    /// Index of the register currently holding the token.
-    pub fn token_register(&self) -> usize {
-        self.register
-    }
-
-    /// Flip-flop position of the token within its register.
-    pub fn token_position(&self) -> usize {
-        self.position
-    }
-
-    /// Current `DivCnt` value.
-    pub fn div_counter(&self) -> usize {
-        self.div_count
-    }
-
-    /// Current `PassCnt` value.
-    pub fn pass_counter(&self) -> usize {
-        self.pass_count
-    }
-
     /// The select-line vector at this cycle: exactly one line is hot.
     pub fn select_lines(&self) -> Vec<bool> {
         let mut v = vec![false; self.spec.num_lines];
@@ -209,29 +189,6 @@ mod tests {
         assert_eq!(sim.current(), 2);
         sim.reset();
         assert_eq!(sim.current(), 0);
-        assert_eq!(sim.div_counter(), 0);
-        assert_eq!(sim.pass_counter(), 0);
-    }
-
-    #[test]
-    fn token_introspection() {
-        let spec = SragSpec::new(
-            vec![
-                ShiftRegisterSpec::new(vec![9, 8]),
-                ShiftRegisterSpec::new(vec![7, 6]),
-            ],
-            1,
-            2,
-            10,
-        );
-        let mut sim = SragSimulator::new(spec);
-        assert_eq!((sim.token_register(), sim.token_position()), (0, 0));
-        sim.advance();
-        assert_eq!((sim.token_register(), sim.token_position()), (0, 1));
-        sim.advance();
-        assert_eq!((sim.token_register(), sim.token_position()), (1, 0));
-        sim.advance();
-        sim.advance();
-        assert_eq!((sim.token_register(), sim.token_position()), (0, 0));
+        assert_eq!(sim, SragSimulator::new(SragSpec::ring(4)));
     }
 }

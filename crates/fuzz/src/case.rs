@@ -325,7 +325,7 @@ impl FuzzCase {
 
 /// PLA-style rendering of a literal-code vector (most significant
 /// variable first, matching `Cube`'s `Display`).
-pub fn lits_to_string(lits: &[LitCode]) -> String {
+fn lits_to_string(lits: &[LitCode]) -> String {
     lits.iter()
         .rev()
         .map(|&l| match l {

@@ -1357,7 +1357,7 @@ fn check_fault_alarm(n: u32, dc: u32, fault_kind: u8, target: u32, cycle: u32) -
 
 impl OracleCube {
     /// Debug rendering for failure messages (PLA order).
-    pub fn to_debug(&self) -> String {
+    fn to_debug(&self) -> String {
         self.lits()
             .iter()
             .rev()

@@ -101,11 +101,6 @@ impl FuzzReport {
         self.outcomes.iter().filter(|o| !o.passed())
     }
 
-    /// Number of diverging cases.
-    pub fn num_failures(&self) -> usize {
-        self.failures().count()
-    }
-
     /// `(kind, executed, failed)` per case family, sorted by kind.
     pub fn kind_summary(&self) -> Vec<(&'static str, usize, usize)> {
         let mut rows: Vec<(&'static str, usize, usize)> = Vec::new();

@@ -137,11 +137,6 @@ impl Addm {
         &self.alarms
     }
 
-    /// Drains the recorded alarms (the access counter keeps running).
-    pub fn take_alarms(&mut self) -> Vec<SelectAlarm> {
-        std::mem::take(&mut self.alarms)
-    }
-
     /// Direct cell inspection for test harnesses (row-major index).
     pub fn peek(&self, row: u32, col: u32) -> Option<u64> {
         if row >= self.shape.height() || col >= self.shape.width() {
@@ -282,7 +277,7 @@ mod tests {
         assert_eq!(m.read_degraded(&one_hot(2, 1), &one_hot(2, 1)), None);
         assert!(m.write_degraded(&one_hot(2, 1), &one_hot(2, 1), 3));
         assert_eq!(m.read_degraded(&one_hot(2, 1), &one_hot(2, 1)), Some(3));
-        let alarms = m.take_alarms();
+        let alarms = m.alarms();
         assert_eq!(alarms.len(), 2);
         assert_eq!(alarms[0].cause, MemError::NoSelect);
         assert!(!alarms[0].write);
@@ -291,7 +286,6 @@ mod tests {
             MemError::UninitializedRead { row: 1, col: 1 }
         );
         assert_eq!(alarms[1].access, 1);
-        assert!(m.alarms().is_empty());
     }
 
     #[test]

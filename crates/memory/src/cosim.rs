@@ -149,88 +149,6 @@ fn one_hot(n: u32, i: u32) -> Vec<bool> {
     v
 }
 
-/// Gate-level co-simulation: the *elaborated* row×column SRAG
-/// netlists drive the [`Addm`] through their actual select-line nets,
-/// with the memory checking the two-hot discipline on every access —
-/// the closest software equivalent of taping the generator to the
-/// array.
-///
-/// `data` is written through `writer`'s select lines in its sequence
-/// order; `read_len` accesses are then read back through `reader` and
-/// compared to what was written at each linear address.
-///
-/// # Errors
-///
-/// Select-discipline and data errors as for [`run_addm`], plus
-/// [`MemError::UndefinedSelect`] when a select net is X at access
-/// time and [`MemError::Netlist`] when a generator netlist fails to
-/// build a simulator or step (e.g. a malformed or mis-sized input
-/// vector) — simulation failures are environment errors, not
-/// panics, so campaign and fuzz harnesses can observe them.
-///
-/// # Panics
-///
-/// Panics on data corruption (generator bug).
-pub fn run_addm_gate_level(
-    writer: &adgen_core::composite::Srag2dNetlist,
-    reader: &adgen_core::composite::Srag2dNetlist,
-    data: &[u64],
-    read_len: usize,
-) -> Result<CosimReport, MemError> {
-    use adgen_netlist::Simulator;
-    let shape = writer.shape;
-    let mut mem = Addm::new(shape);
-    let mut reference = vec![None; shape.capacity() as usize];
-
-    let lines_to_bools = |sim: &Simulator<'_>,
-                          lines: &[adgen_netlist::NetId],
-                          dimension: &'static str|
-     -> Result<Vec<bool>, MemError> {
-        lines
-            .iter()
-            .map(|&l| {
-                sim.value(l)
-                    .to_bool()
-                    .ok_or(MemError::UndefinedSelect { dimension })
-            })
-            .collect()
-    };
-
-    let mut wsim = Simulator::new(&writer.netlist)?;
-    wsim.step_bools(&[true, false])?;
-    for &value in data {
-        wsim.step_bools(&[false, true])?;
-        let rs = lines_to_bools(&wsim, &writer.row_lines, "row")?;
-        let cs = lines_to_bools(&wsim, &writer.col_lines, "column")?;
-        let row = rs.iter().position(|&b| b).unwrap_or(0) as u32;
-        let col = cs.iter().position(|&b| b).unwrap_or(0) as u32;
-        mem.write(&rs, &cs, value)?;
-        let linear = row * shape.width() + col;
-        reference[linear as usize] = Some(value);
-    }
-
-    let mut rsim = Simulator::new(&reader.netlist)?;
-    rsim.step_bools(&[true, false])?;
-    let mut reads = 0;
-    for step in 0..read_len {
-        rsim.step_bools(&[false, true])?;
-        let rs = lines_to_bools(&rsim, &reader.row_lines, "row")?;
-        let cs = lines_to_bools(&rsim, &reader.col_lines, "column")?;
-        let got = mem.read(&rs, &cs)?;
-        let row = rs.iter().position(|&b| b).unwrap_or(0) as u32;
-        let col = cs.iter().position(|&b| b).unwrap_or(0) as u32;
-        let linear = row * shape.width() + col;
-        let expected =
-            reference[linear as usize].ok_or(MemError::UninitializedRead { row, col })?;
-        assert_eq!(got, expected, "gate-level corruption at read {step}");
-        reads += 1;
-    }
-    Ok(CosimReport {
-        writes: data.len(),
-        reads,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,25 +220,6 @@ mod tests {
         let data = [5, 6, 7, 8];
         let report = run_addm(&mut writer, &mut reader, shape, &data, 4).unwrap();
         assert_eq!(report.reads, 4);
-    }
-
-    #[test]
-    fn gate_level_netlists_drive_the_array_end_to_end() {
-        let shape = ArrayShape::new(8, 8);
-        let write_seq = workloads::motion_est_write(shape);
-        let read_seq = workloads::motion_est_read(shape, 2, 2, 0);
-        let writer = Srag2d::map(&write_seq, shape, Layout::RowMajor)
-            .unwrap()
-            .elaborate()
-            .unwrap();
-        let reader = Srag2d::map(&read_seq, shape, Layout::RowMajor)
-            .unwrap()
-            .elaborate()
-            .unwrap();
-        let data: Vec<u64> = (0..64).map(|i| i * 3 + 11).collect();
-        let report = run_addm_gate_level(&writer, &reader, &data, 64).unwrap();
-        assert_eq!(report.writes, 64);
-        assert_eq!(report.reads, 64);
     }
 
     #[test]

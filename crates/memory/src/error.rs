@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use adgen_netlist::NetlistError;
-
 /// Errors from memory-array accesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemError {
@@ -45,20 +43,6 @@ pub enum MemError {
         /// Column of the cell.
         col: u32,
     },
-    /// A gate-level select line carried an undefined (X) level when
-    /// the array was accessed.
-    UndefinedSelect {
-        /// `"row"` or `"column"`.
-        dimension: &'static str,
-    },
-    /// The gate-level generator driving the array failed to simulate.
-    Netlist(NetlistError),
-}
-
-impl From<NetlistError> for MemError {
-    fn from(e: NetlistError) -> Self {
-        MemError::Netlist(e)
-    }
 }
 
 impl fmt::Display for MemError {
@@ -87,24 +71,11 @@ impl fmt::Display for MemError {
             MemError::UninitializedRead { row, col } => {
                 write!(f, "read of uninitialized cell (row {row}, col {col})")
             }
-            MemError::UndefinedSelect { dimension } => {
-                write!(f, "{dimension} select line is undefined (X) during access")
-            }
-            MemError::Netlist(e) => {
-                write!(f, "gate-level generator failed to simulate: {e}")
-            }
         }
     }
 }
 
-impl Error for MemError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            MemError::Netlist(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl Error for MemError {}
 
 #[cfg(test)]
 mod tests {

@@ -159,16 +159,8 @@ impl CellKind {
         )
     }
 
-    /// Whether the flip-flop initializes (via its reset/set pin) to `1`.
-    ///
-    /// Only meaningful for sequential kinds; combinational kinds return
-    /// `false`.
-    pub fn resets_high(self) -> bool {
-        matches!(self, CellKind::Dffs | CellKind::Dffse)
-    }
-
-    /// Library cell name, lowercase, as it would appear in a liberty
-    /// file (e.g. `"nand2"`).
+    /// Library cell name, lowercase, as written in the
+    /// Verilog and report outputs (e.g. `"nand2"`).
     pub fn name(self) -> &'static str {
         match self {
             CellKind::Inv => "inv",
@@ -349,9 +341,6 @@ mod tests {
         assert!(CellKind::Dff.is_sequential());
         assert!(CellKind::Dffse.is_sequential());
         assert!(!CellKind::Mux2.is_sequential());
-        assert!(CellKind::Dffs.resets_high());
-        assert!(!CellKind::Dffr.resets_high());
-        assert!(!CellKind::Nand2.resets_high());
     }
 
     #[test]

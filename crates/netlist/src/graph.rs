@@ -178,7 +178,7 @@ impl Netlist {
     }
 
     /// Adds a net with an auto-generated unique name using `prefix`.
-    pub fn fresh_net(&mut self, prefix: &str) -> NetId {
+    fn fresh_net(&mut self, prefix: &str) -> NetId {
         self.fresh += 1;
         let name = format!("{prefix}_{}", self.fresh);
         self.add_net(name)

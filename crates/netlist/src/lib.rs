@@ -50,7 +50,6 @@ pub mod dot;
 pub mod equiv;
 pub mod error;
 pub mod graph;
-pub mod liberty;
 pub mod power;
 mod program;
 pub mod sim;
@@ -65,7 +64,6 @@ pub use cell::{CellKind, CellSpec, Library};
 pub use equiv::{check_equivalence_exhaustive, check_equivalence_random, CounterExample};
 pub use error::NetlistError;
 pub use graph::{Driver, InstId, Instance, Net, NetId, Netlist};
-pub use liberty::to_liberty;
 pub use power::{measure_power, PowerReport};
 pub use sim::{Logic, SimControl};
 pub use sim_event::EventSimulator;

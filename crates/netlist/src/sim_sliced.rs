@@ -1,7 +1,7 @@
 //! The compiled cycle simulator: one engine for one machine or many,
 //! 64 independent machines per gate operation.
 //!
-//! [`Simulator`] steps the gate [`Program`] the netlist compiles to.
+//! [`Simulator`] steps the gate `Program` the netlist compiles to.
 //! [`Simulator::new`] builds one machine, the engine behind every
 //! equivalence proof, power estimate and VCD trace in the workspace.
 //! [`Simulator::with_lanes`] builds `lanes` of them over one netlist:

@@ -53,7 +53,6 @@ pub struct TimingAnalysis {
     critical_ps: f64,
     endpoint: Endpoint,
     path: Vec<PathStep>,
-    endpoints: Vec<(Endpoint, f64)>,
 }
 
 impl TimingAnalysis {
@@ -118,32 +117,6 @@ impl TimingAnalysis {
     pub fn path(&self) -> &[PathStep] {
         &self.path
     }
-
-    /// The `k` worst capture points with their arrival times, sorted
-    /// most critical first — one entry per register (its worst pin)
-    /// and per primary output.
-    pub fn worst_endpoints(&self, k: usize) -> &[(Endpoint, f64)] {
-        &self.endpoints[..k.min(self.endpoints.len())]
-    }
-
-    /// Maximum clock frequency in megahertz implied by the critical
-    /// path (∞ is never returned; an empty netlist reports 0 delay and
-    /// this method returns `f64::INFINITY` in that degenerate case).
-    pub fn fmax_mhz(&self) -> f64 {
-        1.0e6 / self.critical_ps
-    }
-
-    /// Per-instance delay of a specific instance's output stage, in
-    /// picoseconds, useful for reporting. Returns `None` for unknown
-    /// instances.
-    pub fn slack_against(&self, period_ps: f64) -> f64 {
-        period_ps - self.critical_ps
-    }
-
-    /// True if the circuit meets the given clock period (ps).
-    pub fn meets(&self, period_ps: f64) -> bool {
-        self.slack_against(period_ps) >= 0.0
-    }
 }
 
 /// Reusable timing state for repeated analyses of one netlist.
@@ -153,7 +126,8 @@ impl TimingAnalysis {
 /// (intrinsic delay, drive resistance, setup), records the sequential
 /// and tie-cell instance indices, and precomputes each net's base
 /// capacitive load from its fanout (a CSR-free flattening of the
-/// per-net load walk). Each [`run_with_output_load`] call is then a
+/// per-net load walk). Each
+/// [`run_with_output_load`](Self::run_with_output_load) call is then a
 /// pure array sweep — no name lookups, no per-instance kind scans, no
 /// re-validation — which matters when a sweep times the same elaborated
 /// netlist at many output loads (e.g. the per-array-size delay
@@ -313,23 +287,10 @@ impl<'a> TimingContext<'a> {
             net: String::from("<none>"),
         };
         let mut end_net: Option<NetId> = None;
-        let mut endpoints: Vec<(Endpoint, f64)> = Vec::new();
         for &id in &self.seq {
             let idx = id.index();
             let inst = &netlist.instances()[idx];
             let setup = self.setup_ps[idx];
-            // Report the worst pin of each register as one endpoint.
-            let t = inst
-                .inputs()
-                .iter()
-                .map(|&d| arrival[d.index()] + setup)
-                .fold(f64::NEG_INFINITY, f64::max);
-            endpoints.push((
-                Endpoint::Register {
-                    instance: inst.name().to_string(),
-                },
-                t,
-            ));
             for &d in inst.inputs() {
                 let t = arrival[d.index()] + setup;
                 if t > critical {
@@ -343,12 +304,6 @@ impl<'a> TimingContext<'a> {
         }
         for &o in netlist.outputs() {
             let t = arrival[o.index()];
-            endpoints.push((
-                Endpoint::Output {
-                    net: netlist.net(o).name().to_string(),
-                },
-                t,
-            ));
             if t > critical {
                 critical = t;
                 endpoint = Endpoint::Output {
@@ -357,8 +312,6 @@ impl<'a> TimingContext<'a> {
                 end_net = Some(o);
             }
         }
-        endpoints.sort_by(|a, b| b.1.total_cmp(&a.1));
-
         // Reconstruct the critical path by walking predecessors.
         let mut path = Vec::new();
         let mut cur = end_net;
@@ -381,7 +334,6 @@ impl<'a> TimingContext<'a> {
             critical_ps: critical,
             endpoint,
             path,
-            endpoints,
         }
     }
 }
@@ -508,32 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn worst_endpoints_are_sorted_and_complete() {
-        let mut n = Netlist::new("multi");
-        let a = n.add_input("a");
-        let short = n.gate(CellKind::Inv, &[a]).unwrap();
-        let mid = n.gate(CellKind::Inv, &[short]).unwrap();
-        let long = n.gate(CellKind::Inv, &[mid]).unwrap();
-        n.add_output(short);
-        n.add_output(long);
-        let rst = n.reset();
-        let q = n.add_net("q");
-        n.add_instance("ff", CellKind::Dffr, &[mid, rst], &[q])
-            .unwrap();
-        n.add_output(q);
-        let t = TimingAnalysis::run(&n, &lib()).unwrap();
-        let eps = t.worst_endpoints(10);
-        // 3 primary outputs + 1 register = 4 endpoints.
-        assert_eq!(eps.len(), 4);
-        for w in eps.windows(2) {
-            assert!(w[0].1 >= w[1].1, "sorted descending");
-        }
-        assert_eq!(eps[0].1, t.critical_path_ps());
-        // Truncation works.
-        assert_eq!(t.worst_endpoints(2).len(), 2);
-    }
-
-    #[test]
     fn invalid_netlist_rejected() {
         let mut n = Netlist::new("bad");
         n.add_net("floating");
@@ -560,7 +486,6 @@ mod tests {
             assert_eq!(reused.critical_path_ps(), fresh.critical_path_ps());
             assert_eq!(reused.endpoint(), fresh.endpoint());
             assert_eq!(reused.path(), fresh.path());
-            assert_eq!(reused.worst_endpoints(8), fresh.worst_endpoints(8));
         }
     }
 }

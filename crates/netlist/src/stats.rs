@@ -68,7 +68,8 @@ impl AreaReport {
     }
 
     /// `(count, area)` for `kind`, `(0, 0.0)` if unused.
-    pub fn by_kind(&self, kind: CellKind) -> (usize, f64) {
+    #[cfg(test)]
+    fn by_kind(&self, kind: CellKind) -> (usize, f64) {
         self.by_kind.get(&kind).copied().unwrap_or((0, 0.0))
     }
 

@@ -1,4 +1,4 @@
-//! Plain-text address-trace import/export.
+//! Plain-text address-trace import.
 //!
 //! The interchange format is deliberately minimal: one address per
 //! line (decimal, or hex with an `0x` prefix), `#` comments,
@@ -48,17 +48,6 @@ pub fn parse_trace(text: &str) -> Result<AddressSequence, SeqError> {
     Ok(out)
 }
 
-/// Renders a sequence as a text trace, one address per line, with a
-/// header comment.
-pub fn write_trace(sequence: &AddressSequence) -> String {
-    let mut s = format!("# adgen address trace, {} accesses\n", sequence.len());
-    for &a in sequence.iter() {
-        s.push_str(&a.to_string());
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,14 +62,6 @@ mod tests {
 ";
         let s = parse_trace(text).unwrap();
         assert_eq!(s.as_slice(), &[0, 1, 2, 16, 31, 7]);
-    }
-
-    #[test]
-    fn round_trip() {
-        let s = AddressSequence::from_vec(vec![5, 5, 1, 1, 4, 4, 0, 0]);
-        let text = write_trace(&s);
-        assert_eq!(parse_trace(&text).unwrap(), s);
-        assert!(text.starts_with("# adgen address trace, 8 accesses"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   block-matching motion-estimation kernel (paper Fig. 7),
 //! * [`fifo`] — the incremental production (write) order the paper
 //!   assumes for `new_img`,
-//! * [`dct_scan`] — the column-order access of a separable DCT's
-//!   second pass,
+//! * [`transpose_scan`] — the column-order access of a separable
+//!   DCT's second pass,
 //! * [`zoom_by_two`] — pixel-doubling read stream of an image zoom.
 
 use crate::sequence::AddressSequence;
@@ -87,25 +87,9 @@ pub fn motion_est_write(shape: ArrayShape) -> AddressSequence {
     fifo(shape)
 }
 
-/// Column-order scan of an `n × n` block — the access sequence of the
-/// second (column) pass of a separable DCT over row-major data.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn dct_scan(n: u32) -> AddressSequence {
-    assert!(n > 0, "block size must be nonzero");
-    let mut out = AddressSequence::new();
-    for c in 0..n {
-        for r in 0..n {
-            out.push(r * n + c);
-        }
-    }
-    out
-}
-
-/// Transpose (column-major) scan of an arbitrary array; [`dct_scan`]
-/// restricted to squares.
+/// Transpose (column-major) scan of an arbitrary array — on a square
+/// block, the access sequence of the second (column) pass of a
+/// separable DCT over row-major data.
 pub fn transpose_scan(shape: ArrayShape) -> AddressSequence {
     let mut out = AddressSequence::new();
     for c in 0..shape.width() {
@@ -191,11 +175,6 @@ pub fn strided(stride: u32, count: u32, modulus: u32) -> AddressSequence {
         .collect()
 }
 
-/// Raster scan repeated `times` times — models multi-pass kernels.
-pub fn repeated_raster(shape: ArrayShape, times: usize) -> AddressSequence {
-    raster(shape).repeated(times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,18 +227,10 @@ mod tests {
 
     #[test]
     fn dct_is_column_order() {
-        let s = dct_scan(3);
+        let s = transpose_scan(ArrayShape::square(3));
         assert_eq!(s.as_slice(), &[0, 3, 6, 1, 4, 7, 2, 5, 8]);
         // Every address visited exactly once.
         assert_eq!(s.num_distinct(), 9);
-    }
-
-    #[test]
-    fn transpose_matches_dct_on_squares() {
-        assert_eq!(
-            transpose_scan(ArrayShape::square(4)).as_slice(),
-            dct_scan(4).as_slice()
-        );
     }
 
     #[test]
@@ -329,12 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_raster_tiles() {
-        let s = repeated_raster(ArrayShape::new(2, 1), 2);
-        assert_eq!(s.as_slice(), &[0, 1, 0, 1]);
-    }
-
-    #[test]
     #[should_panic(expected = "must divide")]
     fn bad_macroblock_panics() {
         let _ = motion_est_read(ArrayShape::new(4, 4), 3, 2, 0);
@@ -348,7 +313,6 @@ mod tests {
             fifo(shape),
             zoom_by_two(shape),
             transpose_scan(shape),
-            dct_scan(8),
         ] {
             assert!(s.max_address().unwrap() < shape.capacity());
         }

@@ -122,7 +122,7 @@ impl CacheKey {
 
     /// Parses the [`hex`](CacheKey::hex) form back into a key (used
     /// when rebuilding the disk index from file names).
-    pub fn from_hex(s: &str) -> Option<CacheKey> {
+    fn from_hex(s: &str) -> Option<CacheKey> {
         if s.len() != 32 {
             return None;
         }
@@ -288,8 +288,9 @@ impl LruCache {
         None
     }
 
-    /// Keys from least to most recently used (test/diagnostic view).
-    pub fn keys_by_recency(&self) -> Vec<CacheKey> {
+    /// Keys from least to most recently used.
+    #[cfg(test)]
+    fn keys_by_recency(&self) -> Vec<CacheKey> {
         self.order.iter().copied().collect()
     }
 }
@@ -605,7 +606,8 @@ impl DiskStore {
     }
 
     /// Payload bytes currently held.
-    pub fn total_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
 
@@ -624,8 +626,9 @@ impl DiskStore {
         self.write_errors
     }
 
-    /// Keys oldest generation first (test/diagnostic view).
-    pub fn keys_by_generation(&self) -> Vec<CacheKey> {
+    /// Keys oldest generation first.
+    #[cfg(test)]
+    fn keys_by_generation(&self) -> Vec<CacheKey> {
         self.generations
             .iter()
             .filter(|e| self.sizes.get(&e.key) == Some(&(e.bytes, e.generation)))
@@ -722,11 +725,6 @@ impl ResultCache {
             }
         }
         self.memory().put(key, value);
-    }
-
-    /// Entry count of the in-memory tier.
-    pub fn lru_len(&self) -> usize {
-        self.memory().len()
     }
 
     /// A shared handle to the in-memory tier. Lookups through it see

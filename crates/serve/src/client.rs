@@ -2,7 +2,7 @@
 //! generator, the CI smoke stage and the end-to-end tests speak.
 //!
 //! Beyond the raw one-frame-out-one-frame-back calls, [`Client`]
-//! offers [`call_retry`](Client::call_retry): bounded
+//! offers [`call_raw_retry`](Client::call_raw_retry): bounded
 //! exponential-backoff retry with *deterministic* jitter (seeded, so
 //! a load-generation run is reproducible) that re-sends on typed
 //! [`QueueFull`](crate::ServeError::QueueFull) sheds and reconnects
@@ -121,7 +121,7 @@ impl RetryPolicy {
 
 /// One authenticated-by-handshake connection. Requests are
 /// synchronous: one frame out, one frame back. The client remembers
-/// its address, so [`call_retry`](Client::call_retry) can reconnect
+/// its address, so [`call_raw_retry`](Client::call_raw_retry) can reconnect
 /// after a transport failure.
 pub struct Client {
     addr: String,
@@ -172,7 +172,7 @@ impl Client {
     /// # Errors
     ///
     /// As for [`connect`](Client::connect).
-    pub fn reconnect(&mut self) -> Result<(), ClientError> {
+    fn reconnect(&mut self) -> Result<(), ClientError> {
         self.stream = Client::open_stream(&self.addr, self.version)?;
         Ok(())
     }
@@ -280,22 +280,6 @@ impl Client {
                 "retries exhausted on queue-full sheds".to_string(),
             ))
         }))
-    }
-
-    /// [`call_raw_retry`](Client::call_raw_retry), decoded.
-    ///
-    /// # Errors
-    ///
-    /// As for [`call_raw_retry`](Client::call_raw_retry), plus decode
-    /// failures.
-    pub fn call_retry(
-        &mut self,
-        request: &Request,
-        deadline_ms: u32,
-        policy: &RetryPolicy,
-    ) -> Result<Response, ClientError> {
-        let payload = self.call_raw_retry(request, deadline_ms, policy)?;
-        Ok(Response::decode(&payload)?)
     }
 }
 

@@ -207,7 +207,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 
 /// Little-endian byte-string builder for payload encoding.
 #[derive(Debug, Default)]
-pub struct Enc {
+struct Enc {
     buf: Vec<u8>,
 }
 
@@ -265,7 +265,7 @@ impl Enc {
 /// Cursor over an encoded payload; every getter advances and checks
 /// bounds.
 #[derive(Debug)]
-pub struct Dec<'a> {
+struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
 }

@@ -10,7 +10,7 @@
 //! are warm — turns into thousands of threads doing nothing. The
 //! reactor inverts this: sockets are nonblocking, a readiness source
 //! says which of them have work, and one event thread runs a
-//! per-connection state machine ([`Conn`]) over exactly the ready
+//! per-connection state machine (`Conn`) over exactly the ready
 //! ones.
 //!
 //! ## One backend
@@ -26,12 +26,12 @@
 //! ## Replies without blocking
 //!
 //! A compute request parsed on the event thread is first looked up in
-//! the result cache's memory tier ([`Shared::admit`]); a hit is
+//! the result cache's memory tier (`Shared::admit`); a hit is
 //! answered on the spot, without a queue, a worker or a wake-up. A
 //! miss cannot block on a channel waiting for a worker (that would
 //! stall every other connection). Instead it takes a *ticket* in the
-//! connection's ordered slot queue and carries a [`Reply`] handle; the
-//! worker completes the ticket through the [`CompletionQueue`], which
+//! connection's ordered slot queue and carries a `Reply` handle; the
+//! worker completes the ticket through the `CompletionQueue`, which
 //! wakes the event thread with a UDP datagram. Slots are flushed
 //! strictly in order, so a connection that pipelines requests still
 //! receives responses in request order: a hit behind a miss is ready

@@ -8,12 +8,12 @@
 //! ([`crate::reactor`]): one epoll event thread, never a thread per
 //! connection. Control requests (`Ping`, `Stats`, `Shutdown`) and
 //! memory-tier cache hits are answered inline on the event thread:
-//! [`Shared::admit`] looks the request up in the shared LRU right
+//! `Shared::admit` looks the request up in the shared LRU right
 //! after validating it. Everything else — disk-tier lookups and
 //! misses — is admitted into a bounded queue and taken, one job at a
 //! time, by one of `jobs` long-lived worker threads. Results travel
 //! back through the event thread's completion queue
-//! ([`crate::reactor::Reply`]); the reactor flushes them to sockets
+//! (`reactor::Reply`); the reactor flushes them to sockets
 //! in request order, so a hit pipelined behind a miss still waits for
 //! it on the wire. `Stats.batches` counts jobs taken by workers: a
 //! workload of pure memory hits takes none.

@@ -141,7 +141,8 @@ impl Cover {
 
     /// Whether the cover is a tautology (constant 1), decided by unate
     /// recursion with a vanishing-size pruner.
-    pub fn is_tautology(&self) -> bool {
+    #[cfg(test)]
+    fn is_tautology(&self) -> bool {
         tautology(self.num_inputs, &self.cubes)
     }
 
@@ -290,9 +291,9 @@ impl Cover {
     }
 }
 
-/// Unate-recursive tautology over a cube list (shared by
-/// [`Cover::is_tautology`] and [`Cover::covers_cube`], which builds
-/// its cofactored cube list directly without an intermediate cover).
+/// Unate-recursive tautology over a cube list ([`Cover::covers_cube`]
+/// builds its cofactored cube list directly, without an intermediate
+/// cover).
 pub(crate) fn tautology(n: usize, cubes: &[Cube]) -> bool {
     // Fast exits.
     if cubes.iter().any(|c| c.num_literals() == 0) {
@@ -338,7 +339,7 @@ pub(crate) fn tautology(n: usize, cubes: &[Cube]) -> bool {
 /// most cubes, or `None` if the cover is unate. Literal positions are
 /// harvested from the packed masks, so the scan costs O(literals)
 /// rather than O(cubes × n).
-pub(crate) fn most_binate_var(n: usize, cubes: &[Cube]) -> Option<usize> {
+fn most_binate_var(n: usize, cubes: &[Cube]) -> Option<usize> {
     let mut pos = vec![0usize; n];
     let mut neg = vec![0usize; n];
     for c in cubes {

@@ -313,12 +313,9 @@ impl Cube {
         Some(out)
     }
 
-    /// Positions of this cube's uncomplemented (`fold` = false) or
-    /// complemented (`fold` = true)… see [`Self::literal_masks`].
-    ///
-    /// Returns, per word, a bit mask on the even positions marking
-    /// fields equal to `One` (`.0`) and `Zero` (`.1`).
-    pub(crate) fn literal_masks(&self, w: usize) -> (u64, u64) {
+    /// Word `w`'s literal positions: bit masks on the even positions
+    /// marking fields equal to `One` (`.0`) and `Zero` (`.1`).
+    fn literal_masks(&self, w: usize) -> (u64, u64) {
         let v = self.word(w);
         let hi = (v >> 1) & LO;
         let lo = v & LO;

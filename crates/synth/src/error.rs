@@ -35,13 +35,6 @@ pub enum SynthError {
         /// Supported maximum.
         max: u32,
     },
-    /// A PLA file could not be parsed.
-    ParsePla {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SynthError {
@@ -63,9 +56,6 @@ impl fmt::Display for SynthError {
             }
             SynthError::WidthTooLarge { width, max } => {
                 write!(f, "bit width {width} exceeds supported maximum {max}")
-            }
-            SynthError::ParsePla { line, reason } => {
-                write!(f, "PLA parse error at line {line}: {reason}")
             }
         }
     }

@@ -20,8 +20,8 @@
 //!   lists directly with word-parallel [`Cube::cofactor_cube`] instead
 //!   of materializing intermediate covers.
 //! * Callers that already know the off-set (FSM and ROM synthesis
-//!   enumerate it for free) use [`minimize_with_off`] and skip the
-//!   Shannon complement entirely.
+//!   enumerate it for free) use [`minimize_with_off_budgeted`] and
+//!   skip the Shannon complement entirely.
 
 use adgen_obs as obs;
 
@@ -150,7 +150,8 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 }
 
 /// Minimizes `on` under don't-care set `dc`, with the off-set supplied
-/// by the caller instead of computed by complementation.
+/// by the caller instead of computed by complementation, under an
+/// [`EffortBudget`].
 ///
 /// `off` must cover exactly the minterms in neither `on` nor `dc`
 /// (a cover of the complement — it need not be minimal or disjoint).
@@ -159,17 +160,10 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 /// skipping the Shannon complement is the single largest saving in
 /// the synthesis hot path.
 ///
-/// # Panics
-///
-/// Panics on arity mismatch between the three covers.
-pub fn minimize_with_off(on: Cover, dc: Cover, off: Cover) -> Cover {
-    minimize_with_off_budgeted(on, dc, off, EffortBudget::UNLIMITED).cover
-}
-
-/// [`minimize_with_off`] under an [`EffortBudget`]: each EXPAND,
-/// IRREDUNDANT and REDUCE phase is pre-charged with its cube-count
-/// cost and skipped — returning the last completed (and therefore
-/// correct) cover with `truncated` set — once the budget is spent.
+/// Each EXPAND, IRREDUNDANT and REDUCE phase is pre-charged with its
+/// cube-count cost and skipped — returning the last completed (and
+/// therefore correct) cover with `truncated` set — once the budget is
+/// spent.
 ///
 /// # Panics
 ///
@@ -535,7 +529,7 @@ mod tests {
 
     #[test]
     fn explicit_off_set_matches_complement_route() {
-        // minimize_with_off must agree (in function, and — since both
+        // minimize_with_off_budgeted must agree (in function, and — since both
         // run the identical deterministic loop — in exact cover) with
         // minimize when handed the true off-set.
         let mut rng = Prng::new(0x0FF5E7);
@@ -556,7 +550,9 @@ mod tests {
             let dc = Cover::from_minterms(n, &dc_minterms);
             let off = Cover::from_minterms(n, &off_minterms);
             let via_complement = minimize(on.clone(), dc.clone());
-            let via_off = minimize_with_off(on.clone(), dc.clone(), off);
+            let via_off =
+                minimize_with_off_budgeted(on.clone(), dc.clone(), off, EffortBudget::UNLIMITED)
+                    .cover;
             assert!(is_correct(&via_off, &on, &dc), "trial {trial}");
             for m in 0..space {
                 if dc_minterms.contains(&m) {

@@ -86,16 +86,6 @@ impl Fsm {
         self.next_state.len()
     }
 
-    /// Transition table.
-    pub fn next_state(&self) -> &[usize] {
-        &self.next_state
-    }
-
-    /// Output table.
-    pub fn output(&self) -> &[u64] {
-        &self.output
-    }
-
     /// Behavioural reference: the output stream over `steps` advances
     /// starting from state 0 (the first element is state 0's output).
     pub fn simulate(&self, steps: usize) -> Vec<u64> {

@@ -18,7 +18,6 @@
 //! * [`techmap`] — technology mapping of covers onto the `vcl018`
 //!   cell library (fan-in-bounded AND/OR trees) and fanout-buffer
 //!   insertion,
-//! * [`pla`] — Berkeley PLA import/export for two-level covers,
 //! * [`mapgen`] — structural generators for the regular blocks every
 //!   generator needs: binary and modulo counters with
 //!   logarithmic-depth carry networks, `n → 2ⁿ` decoders with shared
@@ -45,7 +44,6 @@ pub mod error;
 pub mod espresso;
 pub mod fsm;
 pub mod mapgen;
-pub mod pla;
 pub mod techmap;
 
 pub use cover::Cover;

@@ -263,7 +263,7 @@ pub fn build_ring_counter(
 /// # Panics
 ///
 /// Panics if `value` does not fit in `q.len()` bits.
-pub fn build_equality_const(n: &mut Netlist, q: &[NetId], value: u64) -> Result<NetId, SynthError> {
+fn build_equality_const(n: &mut Netlist, q: &[NetId], value: u64) -> Result<NetId, SynthError> {
     assert!(
         q.len() >= 64 || value < (1u64 << q.len()),
         "constant does not fit the word"

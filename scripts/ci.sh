@@ -3,7 +3,9 @@
 #
 # Runs the same checks the PR driver enforces:
 #   1. formatting        (cargo fmt --check)
-#   2. lints             (clippy, warnings are errors)
+#   2. lints             (clippy, warnings are errors; then rustdoc
+#                         with warnings as errors, so no intra-doc
+#                         link may dangle or point at a private item)
 #   3. tier-1 build      (release, all targets)
 #   4. tier-1 tests      (full workspace, then the serve e2e suite
 #                         again under the release profile: its
@@ -116,6 +118,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets

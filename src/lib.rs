@@ -46,8 +46,8 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`affine`] | `adgen-affine` | runtime-programmable 2-deep affine AGU: spec + behavioural model, sequence-to-parameter mapper with FSM residuals, structural elaboration |
-//! | [`netlist`] | `adgen-netlist` | netlist IR, `vcl018` library (+Liberty), STA, levelized & event-driven simulators, equivalence, power, VCD/Verilog/DOT |
-//! | [`synth`] | `adgen-synth` | espresso (+PLA), FSM synthesis, counters/rings/decoders/adders/ROMs |
+//! | [`netlist`] | `adgen-netlist` | netlist IR, `vcl018` library, STA, levelized & event-driven simulators, equivalence, power, VCD/Verilog/DOT |
+//! | [`synth`] | `adgen-synth` | espresso, FSM synthesis, counters/rings/decoders/adders/ROMs |
 //! | [`seq`] | `adgen-seq` | sequences, regularity analysis, workloads, loop nests, trace I/O |
 //! | [`core`] | `adgen-core` | SRAG: mapper, simulator, elaboration, control styles, chaining, time-sharing |
 //! | [`cntag`] | `adgen-cntag` | counter/arithmetic/ROM baselines, loop-nest compiler |
