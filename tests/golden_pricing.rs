@@ -99,6 +99,20 @@ fn motion_est_with_residual(shape: ArrayShape) -> (&'static str, AddressSequence
     ("motion_est_m1", seq, CntAgSpec::motion_est(shape, 2, 2, 1))
 }
 
+/// An LCG-drawn address stream with no counter structure, so the
+/// ArithAG delta ROM and the RomAG address ROM minimize real
+/// functions instead of single literals.
+fn scrambled(shape: ArrayShape) -> AddressSequence {
+    let size = shape.width() * shape.height();
+    let mut lcg = 2026u64;
+    (0..size)
+        .map(|_| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((lcg >> 33) % u64::from(size)) as u32
+        })
+        .collect()
+}
+
 fn render_evaluation(
     out: &mut String,
     label: &str,
@@ -144,6 +158,13 @@ fn explorer_section(out: &mut String, library: &Library) {
     render_evaluation(out, "raster", &workloads::raster(six), six, None, library);
     let violating = AddressSequence::from_vec(vec![0, 4, 5, 1, 0, 2]);
     render_evaluation(out, "srag_violating", &violating, four, None, library);
+    // A 256-deep ROM, and a shape whose row and column decoders differ.
+    for shape in [ArrayShape::new(16, 16), ArrayShape::new(16, 8)] {
+        for (name, seq, program) in paper_workloads(shape) {
+            render_evaluation(out, name, &seq, shape, Some(program), library);
+        }
+        render_evaluation(out, "scrambled", &scrambled(shape), shape, None, library);
+    }
 }
 
 fn four_way_section(out: &mut String, library: &Library) {
