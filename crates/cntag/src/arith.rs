@@ -22,6 +22,8 @@ use adgen_synth::mapgen::{build_adder, build_decoder, build_mod_counter, build_r
 use adgen_synth::techmap::insert_fanout_buffers;
 use adgen_synth::SynthError;
 
+use crate::netlist::{address_core, decoders_delay_ps};
+
 /// Largest supported delta-ROM period (two-level ROM synthesis cost
 /// grows steeply beyond this).
 pub const MAX_DELTA_PERIOD: usize = 256;
@@ -172,6 +174,10 @@ pub struct ArithAgNetlist {
     pub addr: Vec<NetId>,
     /// The program this netlist implements.
     pub spec: ArithAgSpec,
+    /// Index counter, delta ROM, adder and accumulator alone, with
+    /// `addr` as outputs: the address loop [`Self::serial_delay_ps`]
+    /// times.
+    core: Netlist,
 }
 
 impl ArithAgNetlist {
@@ -207,6 +213,7 @@ impl ArithAgNetlist {
             };
             n.add_instance(format!("acc_ff{i}"), kind, &[sum[i], next, rst], &[addr[i]])?;
         }
+        let core = address_core(&n, &addr)?;
 
         // Decode, as the conventional RAM would.
         let col_bits = spec.shape.col_bits() as usize;
@@ -234,6 +241,7 @@ impl ArithAgNetlist {
             col_lines,
             addr,
             spec: spec.clone(),
+            core,
         })
     }
 
@@ -242,40 +250,22 @@ impl ArithAgNetlist {
     /// plus the worst standalone decoder, in picoseconds — the same
     /// methodology as
     /// [`component_delays`](crate::netlist::component_delays) for the
-    /// counter-based design.
+    /// counter-based design. The loop is the one [`Self::elaborate`]
+    /// built, so its delta ROM is not minimized again.
     ///
     /// # Errors
     ///
-    /// Propagates construction/timing failures.
+    /// Propagates timing failures.
     pub fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
         let spec = &self.spec;
-        // Core-only netlist: everything up to the registered address.
-        let mut n = Netlist::new("arith_core");
-        let next = n.add_input("next");
-        let rst = n.reset();
-        let w = spec.width as usize;
-        let addr: Vec<NetId> = (0..w).map(|i| n.add_net(format!("acc{i}"))).collect();
-        let idx = build_mod_counter(&mut n, spec.deltas.len() as u64, next, "idx")?;
-        let delta = build_rom(&mut n, &idx.q, &spec.deltas, spec.width)?;
-        let sum = build_adder(&mut n, &addr, &delta)?;
-        for i in 0..w {
-            let kind = if (spec.initial >> i) & 1 == 1 {
-                CellKind::Dffse
-            } else {
-                CellKind::Dffre
-            };
-            n.add_instance(format!("acc_ff{i}"), kind, &[sum[i], next, rst], &[addr[i]])?;
-        }
-        for &a in &addr {
-            n.add_output(a);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        let core = TimingAnalysis::run(&n, library)?.critical_path_ps();
+        let core = TimingAnalysis::run(&self.core, library)?.critical_path_ps();
         let col_bits = spec.shape.col_bits() as usize;
-        let row =
-            crate::netlist::decoder_delay_ps(w - col_bits, spec.shape.height() as usize, library)?;
-        let col = crate::netlist::decoder_delay_ps(col_bits, spec.shape.width() as usize, library)?;
-        Ok(core + row.max(col))
+        let decoders = decoders_delay_ps(
+            (spec.width as usize - col_bits, spec.shape.height() as usize),
+            (col_bits, spec.shape.width() as usize),
+            library,
+        )?;
+        Ok(core + decoders)
     }
 
     /// Decodes the presented linear address from a running simulator

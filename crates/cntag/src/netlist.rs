@@ -313,6 +313,41 @@ pub fn decoder_delay_ps(
     Ok(TimingAnalysis::run_with_output_load(&n, library, SELECT_LINE_LOAD_FF)?.critical_path_ps())
 }
 
+/// The slower of a binary address's standalone row and column
+/// decoders, each given as `(address_bits, lines_kept)` to
+/// [`decoder_delay_ps`]. When the two pairs match (every square
+/// shape) the decoder is built and timed once.
+///
+/// # Errors
+///
+/// Propagates construction/timing failures.
+pub fn decoders_delay_ps(
+    row: (usize, usize),
+    col: (usize, usize),
+    library: &Library,
+) -> Result<f64, SynthError> {
+    let row_ps = decoder_delay_ps(row.0, row.1, library)?;
+    let col_ps = if col == row {
+        row_ps
+    } else {
+        decoder_delay_ps(col.0, col.1, library)?
+    };
+    Ok(row_ps.max(col_ps))
+}
+
+/// A copy of the partly built `netlist`, with `addr` as its outputs
+/// and fanout buffers inserted: the address loop of a decoder-based
+/// generator, taken before its decoders are appended, so the serial
+/// delay accounting times exactly the gates the full design holds.
+pub(crate) fn address_core(netlist: &Netlist, addr: &[NetId]) -> Result<Netlist, SynthError> {
+    let mut core = netlist.clone();
+    for &a in addr {
+        core.add_output(a);
+    }
+    insert_fanout_buffers(&mut core, MAX_FANOUT)?;
+    Ok(core)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

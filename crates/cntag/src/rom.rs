@@ -19,6 +19,8 @@ use adgen_synth::mapgen::{build_decoder, build_mod_counter, build_rom};
 use adgen_synth::techmap::insert_fanout_buffers;
 use adgen_synth::SynthError;
 
+use crate::netlist::{address_core, decoders_delay_ps};
+
 /// Largest supported sequence length (two-level ROM synthesis cost).
 pub const MAX_ROM_DEPTH: usize = 512;
 
@@ -125,6 +127,9 @@ pub struct RomAgNetlist {
     pub addr: Vec<NetId>,
     /// The program this netlist implements.
     pub spec: RomAgSpec,
+    /// Index counter and ROM alone, with `addr` as outputs: the
+    /// address loop [`Self::serial_delay_ps`] times.
+    core: Netlist,
 }
 
 impl RomAgNetlist {
@@ -142,6 +147,7 @@ impl RomAgNetlist {
         let next = n.add_input("next");
         let idx = build_mod_counter(&mut n, spec.addresses.len() as u64, next, "idx")?;
         let addr = build_rom(&mut n, &idx.q, &spec.addresses, spec.width)?;
+        let core = address_core(&n, &addr)?;
         let col_bits = spec.shape.col_bits() as usize;
         let col_dec = build_decoder(&mut n, &addr[..col_bits])?;
         let row_dec = build_decoder(&mut n, &addr[col_bits..])?;
@@ -167,34 +173,28 @@ impl RomAgNetlist {
             col_lines,
             addr,
             spec: spec.clone(),
+            core,
         })
     }
 
     /// Paper-style serial delay: index-counter-plus-ROM critical path
-    /// plus the worst standalone decoder, in picoseconds.
+    /// plus the worst standalone decoder, in picoseconds. The core is
+    /// the one [`Self::elaborate`] built, so its ROM is not minimized
+    /// again.
     ///
     /// # Errors
     ///
-    /// Propagates construction/timing failures.
+    /// Propagates timing failures.
     pub fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
         let spec = &self.spec;
-        let mut n = Netlist::new("rom_core");
-        let next = n.add_input("next");
-        let idx = build_mod_counter(&mut n, spec.addresses.len() as u64, next, "idx")?;
-        let addr = build_rom(&mut n, &idx.q, &spec.addresses, spec.width)?;
-        for &a in &addr {
-            n.add_output(a);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        let core = TimingAnalysis::run(&n, library)?.critical_path_ps();
+        let core = TimingAnalysis::run(&self.core, library)?.critical_path_ps();
         let col_bits = spec.shape.col_bits() as usize;
-        let row = crate::netlist::decoder_delay_ps(
-            spec.width as usize - col_bits,
-            spec.shape.height() as usize,
+        let decoders = decoders_delay_ps(
+            (spec.width as usize - col_bits, spec.shape.height() as usize),
+            (col_bits, spec.shape.width() as usize),
             library,
         )?;
-        let col = crate::netlist::decoder_delay_ps(col_bits, spec.shape.width() as usize, library)?;
-        Ok(core + row.max(col))
+        Ok(core + decoders)
     }
 
     /// Decodes the presented linear address via the binary address

@@ -2,7 +2,7 @@
 
 use adgen_affine::{fit_sequence, price_affine, AffineError};
 use adgen_bank::{price_decomposed, Decomposition};
-use adgen_cntag::netlist::decoder_delay_ps;
+use adgen_cntag::netlist::decoders_delay_ps;
 use adgen_cntag::{
     component_delays, ArithAgNetlist, ArithAgSpec, CntAgNetlist, CntAgSpec, RomAgNetlist, RomAgSpec,
 };
@@ -337,9 +337,8 @@ pub(crate) fn require_power_of_two(shape: ArrayShape) -> Result<(), FamilyError>
 ///
 /// Decoder construction or timing failures.
 pub(crate) fn binary_decoder_ps(shape: ArrayShape, library: &Library) -> Result<f64, SynthError> {
-    let decoder =
-        |lines: u32| decoder_delay_ps(lines.trailing_zeros() as usize, lines as usize, library);
-    Ok(decoder(shape.height())?.max(decoder(shape.width())?))
+    let decoder = |lines: u32| (lines.trailing_zeros() as usize, lines as usize);
+    decoders_delay_ps(decoder(shape.height()), decoder(shape.width()), library)
 }
 
 /// `price` with `decoders_ps` on its critical path: a binary address

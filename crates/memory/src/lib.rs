@@ -24,6 +24,6 @@ pub mod cosim;
 pub mod error;
 pub mod ram;
 
-pub use addm::{Addm, SelectAlarm};
+pub use addm::Addm;
 pub use error::MemError;
 pub use ram::Ram;

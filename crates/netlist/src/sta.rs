@@ -45,14 +45,25 @@ pub enum Endpoint {
     },
 }
 
+/// The capture point of the critical path, by id: names are looked up
+/// only when a report asks for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Capture {
+    /// No capture point has a positive arrival.
+    None,
+    /// The data or control pin of `inst`, fed by `net`.
+    Register { inst: InstId, net: NetId },
+    /// A primary output net.
+    Output(NetId),
+}
+
 /// Result of timing a netlist. See the [module docs](self) for the
 /// delay model.
 #[derive(Debug, Clone)]
 pub struct TimingAnalysis {
     arrival_ps: Vec<f64>,
     critical_ps: f64,
-    endpoint: Endpoint,
-    path: Vec<PathStep>,
+    capture: Capture,
 }
 
 impl TimingAnalysis {
@@ -108,15 +119,60 @@ impl TimingAnalysis {
         }
     }
 
-    /// The capture point of the critical path.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+    /// The capture point of the critical path, named from `netlist`,
+    /// the netlist this analysis timed.
+    pub fn endpoint(&self, netlist: &Netlist) -> Endpoint {
+        match self.capture {
+            Capture::None => Endpoint::Output {
+                net: String::from("<none>"),
+            },
+            Capture::Register { inst, .. } => Endpoint::Register {
+                instance: netlist.instance(inst).name().to_string(),
+            },
+            Capture::Output(net) => Endpoint::Output {
+                net: netlist.net(net).name().to_string(),
+            },
+        }
     }
 
-    /// The critical path, launch to capture.
-    pub fn path(&self) -> &[PathStep] {
-        &self.path
+    /// The critical path, launch to capture, named from `netlist`, the
+    /// netlist this analysis timed. Each step back follows the latest
+    /// input of the gate driving the net, as the timing sweep did.
+    pub fn path(&self, netlist: &Netlist) -> Vec<PathStep> {
+        let mut cur = match self.capture {
+            Capture::None => None,
+            Capture::Register { net, .. } | Capture::Output(net) => Some(net),
+        };
+        let mut path = Vec::new();
+        while let Some(net) = cur {
+            let driver = match netlist.net(net).driver() {
+                Some(Driver::Inst { inst, .. }) => Some(netlist.instance(inst)),
+                _ => None,
+            };
+            path.push(PathStep {
+                instance: driver.map(|d| d.name().to_string()),
+                net: netlist.net(net).name().to_string(),
+                arrival_ps: self.arrival_ps[net.index()],
+            });
+            // Launch points (inputs, flip-flop outputs, tie cells) end
+            // the walk.
+            cur = driver
+                .filter(|d| !d.kind().is_sequential() && !d.inputs().is_empty())
+                .map(|d| worst_input(d.inputs(), &self.arrival_ps).0);
+        }
+        path.reverse();
+        path
     }
+}
+
+/// The latest-arriving of `inputs` and its arrival (the last one on a
+/// tie).
+fn worst_input(inputs: &[NetId], arrival: &[f64]) -> (NetId, f64) {
+    inputs
+        .iter()
+        .map(|&i| (i, arrival[i.index()]))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("combinational gate has at least one input")
 }
 
 /// Reusable timing state for repeated analyses of one netlist.
@@ -242,9 +298,6 @@ impl<'a> TimingContext<'a> {
         };
 
         let mut arrival = vec![f64::NEG_INFINITY; num_nets];
-        // For path reconstruction: the input net that determined each
-        // net's arrival (None for launch points).
-        let mut pred: Vec<Option<NetId>> = vec![None; num_nets];
 
         for &pi in netlist.inputs() {
             arrival[pi.index()] = 0.0;
@@ -268,37 +321,24 @@ impl<'a> TimingContext<'a> {
             if inst.inputs().is_empty() {
                 continue;
             }
-            let (worst_in, worst_arr) = inst
-                .inputs()
-                .iter()
-                .map(|&i| (i, arrival[i.index()]))
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("combinational gate has at least one input");
+            let (_, worst_arr) = worst_input(inst.inputs(), &arrival);
             for &o in inst.outputs() {
                 let t = worst_arr + self.intrinsic_ps[idx] + self.drive_res_kohm[idx] * load_ff(o);
                 arrival[o.index()] = t;
-                pred[o.index()] = Some(worst_in);
             }
         }
 
         // Capture points.
         let mut critical = 0.0f64;
-        let mut endpoint = Endpoint::Output {
-            net: String::from("<none>"),
-        };
-        let mut end_net: Option<NetId> = None;
-        for &id in &self.seq {
-            let idx = id.index();
-            let inst = &netlist.instances()[idx];
+        let mut capture = Capture::None;
+        for &inst in &self.seq {
+            let idx = inst.index();
             let setup = self.setup_ps[idx];
-            for &d in inst.inputs() {
-                let t = arrival[d.index()] + setup;
+            for &net in netlist.instances()[idx].inputs() {
+                let t = arrival[net.index()] + setup;
                 if t > critical {
                     critical = t;
-                    endpoint = Endpoint::Register {
-                        instance: inst.name().to_string(),
-                    };
-                    end_net = Some(d);
+                    capture = Capture::Register { inst, net };
                 }
             }
         }
@@ -306,34 +346,14 @@ impl<'a> TimingContext<'a> {
             let t = arrival[o.index()];
             if t > critical {
                 critical = t;
-                endpoint = Endpoint::Output {
-                    net: netlist.net(o).name().to_string(),
-                };
-                end_net = Some(o);
+                capture = Capture::Output(o);
             }
         }
-        // Reconstruct the critical path by walking predecessors.
-        let mut path = Vec::new();
-        let mut cur = end_net;
-        while let Some(net) = cur {
-            let instance = match netlist.net(net).driver() {
-                Some(Driver::Inst { inst, .. }) => Some(netlist.instance(inst).name().to_string()),
-                _ => None,
-            };
-            path.push(PathStep {
-                instance,
-                net: netlist.net(net).name().to_string(),
-                arrival_ps: arrival[net.index()],
-            });
-            cur = pred[net.index()];
-        }
-        path.reverse();
 
         TimingAnalysis {
             arrival_ps: arrival,
             critical_ps: critical,
-            endpoint,
-            path,
+            capture,
         }
     }
 }
@@ -410,7 +430,7 @@ mod tests {
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
         // Endpoint is either the FF D pin (0 + setup = 90) or the Q
         // output (clk-to-q ≈ 186). Q is later.
-        assert!(matches!(t.endpoint(), Endpoint::Output { .. }));
+        assert!(matches!(t.endpoint(&n), Endpoint::Output { .. }));
         assert!(t.critical_path_ps() > 150.0);
     }
 
@@ -429,7 +449,7 @@ mod tests {
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
         // q1 output: clkq + small load; reg-to-reg: clkq + inv + setup.
         // The reg-to-reg path must dominate.
-        match t.endpoint() {
+        match t.endpoint(&n) {
             Endpoint::Register { instance } => assert_eq!(instance, "ff1"),
             other => panic!("unexpected endpoint {other:?}"),
         }
@@ -440,7 +460,7 @@ mod tests {
     fn path_reconstruction_is_monotone() {
         let n = inv_chain(6);
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
-        let path = t.path();
+        let path = t.path(&n);
         assert!(path.len() >= 6);
         for w in path.windows(2) {
             assert!(w[1].arrival_ps >= w[0].arrival_ps);
@@ -484,8 +504,8 @@ mod tests {
             let fresh = TimingAnalysis::run_with_output_load(&n, &library, load).unwrap();
             let reused = ctx.run_with_output_load(load);
             assert_eq!(reused.critical_path_ps(), fresh.critical_path_ps());
-            assert_eq!(reused.endpoint(), fresh.endpoint());
-            assert_eq!(reused.path(), fresh.path());
+            assert_eq!(reused.endpoint(&n), fresh.endpoint(&n));
+            assert_eq!(reused.path(&n), fresh.path(&n));
         }
     }
 }

@@ -193,7 +193,7 @@ pub fn minimize_with_off_budgeted(
 
 /// The EXPAND / IRREDUNDANT / REDUCE loop behind
 /// [`minimize_with_off_budgeted`].
-fn minimize_loop(on: Cover, dc: Cover, mut off: Cover, budget: EffortBudget) -> MinimizeOutcome {
+fn minimize_loop(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> MinimizeOutcome {
     assert_eq!(on.num_inputs(), dc.num_inputs(), "arity mismatch");
     assert_eq!(on.num_inputs(), off.num_inputs(), "arity mismatch");
     if on.is_empty() {
@@ -203,30 +203,47 @@ fn minimize_loop(on: Cover, dc: Cover, mut off: Cover, budget: EffortBudget) -> 
             steps: 0,
         };
     }
-    let mut meter = Meter::new(budget);
-    // EXPAND cost scales with the number of off-cubes, and callers
-    // typically enumerate the off-set minterm by minterm. Pick the
-    // cheaper compact form: condense the supplied off-set when it is
-    // the smaller description, otherwise complement on ∪ dc (fast
-    // precisely when that side is small — e.g. a one-minterm select
-    // line, whose enumerated off-set is the whole rest of the space).
+    let (current, off) = starting_covers(on, &dc, off);
+    iterate(current, &dc, &off, budget)
+}
+
+/// The condensed starting cover and the compact off-set the loop runs
+/// on.
+///
+/// EXPAND cost scales with the number of off-cubes, and callers
+/// typically enumerate the off-set minterm by minterm. Pick the
+/// cheaper compact form: condense the supplied off-set when it is the
+/// smaller description, otherwise complement on ∪ dc (fast precisely
+/// when that side is small — e.g. a one-minterm select line, whose
+/// enumerated off-set is the whole rest of the space).
+///
+/// Condensing the starting cover (minterm-enumerated in every caller)
+/// both shrinks the first EXPAND and deepens it: merged cubes already
+/// carry the easy free variables.
+fn starting_covers(mut on: Cover, dc: &Cover, mut off: Cover) -> (Cover, Cover) {
     if off.num_cubes() > on.num_inputs() {
         if off.num_cubes() < on.num_cubes() + dc.num_cubes() {
             off.merge_siblings();
+        } else if dc.is_empty() {
+            // on ∪ ∅ is the on-set's own cube list: condense it once,
+            // for the complement and as the starting cover.
+            on.merge_siblings();
+            let off = on.complement();
+            return (on, off);
         } else {
-            let mut care = on.union(&dc);
+            let mut care = on.union(dc);
             care.merge_siblings();
             off = care.complement();
         }
     }
-    // Condensing the starting cover (minterm-enumerated in every
-    // caller) both shrinks the first EXPAND and deepens it: merged
-    // cubes already carry the easy free variables.
-    let mut current = {
-        let mut c = on;
-        c.merge_siblings();
-        c
-    };
+    on.merge_siblings();
+    (on, off)
+}
+
+/// EXPAND / IRREDUNDANT / REDUCE from `current` until the cost stops
+/// improving or the budget runs out.
+fn iterate(mut current: Cover, dc: &Cover, off: &Cover, budget: EffortBudget) -> MinimizeOutcome {
+    let mut meter = Meter::new(budget);
     let n = current.num_inputs() as u64;
     let mut best_cost = (usize::MAX, usize::MAX);
     let truncated = |cover: Cover, meter: &Meter| MinimizeOutcome {
@@ -244,7 +261,7 @@ fn minimize_loop(on: Cover, dc: Cover, mut off: Cover, budget: EffortBudget) -> 
         let expanded = {
             let _s = obs::span("espresso.expand");
             obs::add(obs::Ctr::CubeWordOps, expand_cost.saturating_mul(words));
-            expand(&current, &off)
+            expand(&current, off)
         };
         // IRREDUNDANT cofactors each cube against the rest + dc.
         let rest = expanded.num_cubes() as u64 + dc.num_cubes() as u64 + 1;
@@ -255,7 +272,7 @@ fn minimize_loop(on: Cover, dc: Cover, mut off: Cover, budget: EffortBudget) -> 
         let irr = {
             let _s = obs::span("espresso.irredundant");
             obs::add(obs::Ctr::CubeWordOps, irr_cost.saturating_mul(words));
-            irredundant(&expanded, &dc)
+            irredundant(&expanded, dc)
         };
         let cost = (irr.num_cubes(), irr.num_literals());
         if cost >= best_cost {
@@ -275,7 +292,7 @@ fn minimize_loop(on: Cover, dc: Cover, mut off: Cover, budget: EffortBudget) -> 
         current = {
             let _s = obs::span("espresso.reduce");
             obs::add(obs::Ctr::CubeWordOps, reduce_cost.saturating_mul(words));
-            reduce(&irr, &dc)
+            reduce(&irr, dc)
         };
     }
 }
@@ -565,6 +582,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The starting covers as computed before the empty-dc shortcut:
+    /// `on ∪ dc` is condensed for the complement, and `on` is
+    /// condensed again as the starting cover.
+    fn two_condense_starting_covers(on: Cover, dc: &Cover, mut off: Cover) -> (Cover, Cover) {
+        if off.num_cubes() > on.num_inputs() {
+            if off.num_cubes() < on.num_cubes() + dc.num_cubes() {
+                off.merge_siblings();
+            } else {
+                let mut care = on.union(dc);
+                care.merge_siblings();
+                off = care.complement();
+            }
+        }
+        let mut current = on;
+        current.merge_siblings();
+        (current, off)
+    }
+
+    #[test]
+    fn empty_dc_single_condense_matches_two_condense_path() {
+        let mut rng = Prng::new(0xE5C0DE);
+        let mut complement_route = 0;
+        for trial in 0..300 {
+            let n = 3 + (trial % 6); // 3..=8 vars
+            let space = 1u64 << n;
+            // Densities from sparse to about half, so most trials take
+            // the complement route (off-set at least as large as on).
+            let density = 1 + rng.next_range(8);
+            let (on_minterms, off_minterms): (Vec<u64>, Vec<u64>) =
+                (0..space).partition(|_| rng.next_range(16) < density);
+            if on_minterms.is_empty() {
+                continue;
+            }
+            let on = Cover::from_minterms(n, &on_minterms);
+            let dc = Cover::empty(n);
+            let off = Cover::from_minterms(n, &off_minterms);
+            if off.num_cubes() > n && off.num_cubes() >= on.num_cubes() {
+                complement_route += 1;
+            }
+            let got = minimize_with_off_budgeted(
+                on.clone(),
+                dc.clone(),
+                off.clone(),
+                EffortBudget::UNLIMITED,
+            );
+            let (current, off) = two_condense_starting_covers(on.clone(), &dc, off);
+            let want = iterate(current, &dc, &off, EffortBudget::UNLIMITED);
+            assert_eq!(got.cover, want.cover, "trial {trial}");
+            assert_eq!(got.steps, want.steps, "trial {trial}");
+            assert_eq!(got.truncated, want.truncated, "trial {trial}");
+            assert!(is_correct(&got.cover, &on, &dc), "trial {trial}");
+        }
+        assert!(complement_route >= 200, "{complement_route} of 300");
     }
 
     #[test]
