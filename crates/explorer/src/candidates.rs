@@ -337,8 +337,12 @@ pub(crate) fn require_power_of_two(shape: ArrayShape) -> Result<(), FamilyError>
 ///
 /// Decoder construction or timing failures.
 pub(crate) fn binary_decoder_ps(shape: ArrayShape, library: &Library) -> Result<f64, SynthError> {
-    let decoder = |lines: u32| (lines.trailing_zeros() as usize, lines as usize);
-    decoders_delay_ps(decoder(shape.height()), decoder(shape.width()), library)
+    let bits_and_lines = |lines: u32| (lines.trailing_zeros() as usize, lines as usize);
+    decoders_delay_ps(
+        bits_and_lines(shape.height()),
+        bits_and_lines(shape.width()),
+        library,
+    )
 }
 
 /// `price` with `decoders_ps` on its critical path: a binary address
