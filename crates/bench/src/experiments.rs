@@ -22,7 +22,7 @@ use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
 use adgen_cntag::CntAgSpec;
 use adgen_core::composite::Srag2d;
 use adgen_core::{SragNetlist, SragSpec};
-use adgen_explorer::{compare_srag_cntag, compare_with_components, ComparisonRow};
+use adgen_explorer::{compare_srag_cntag, compare_srag_cntag_load_sweep, ComparisonRow};
 use adgen_netlist::{AreaReport, Library, Price};
 use adgen_seq::{workloads, AddressSequence, ArrayShape, Layout};
 use adgen_synth::{price_cyclic, EffortBudget, Encoding, Fsm, OutputStyle};
@@ -197,8 +197,10 @@ pub fn fig8_9_10(sizes: &[u32], jobs: usize) -> Vec<Fig8910Row> {
         } else {
             (workloads::motion_est_write(shape), CntAgSpec::raster(shape))
         };
-        compare_with_components(&seq, shape, &program, &library, SELECT_LINE_LOAD_FF)
+        let loads = [SELECT_LINE_LOAD_FF];
+        compare_srag_cntag_load_sweep(&seq, shape, &program, &library, &loads, 1)
             .expect("motion-estimation generators")
+            .swap_remove(0)
     });
     sizes
         .iter()
@@ -564,14 +566,12 @@ pub fn interconnect(loads_ff: &[f64], jobs: usize) -> Vec<InterconnectRow> {
     let mb = macroblock_for(64);
     let seq = workloads::motion_est_read(shape, mb, mb, 0);
     let program = CntAgSpec::motion_est(shape, mb, mb, 0);
-    let rows = adgen_explorer::compare_srag_cntag_load_sweep(
-        &seq, shape, &program, &library, loads_ff, jobs,
-    )
-    .expect("comparable");
+    let points = compare_srag_cntag_load_sweep(&seq, shape, &program, &library, loads_ff, jobs)
+        .expect("comparable");
     loads_ff
         .iter()
-        .zip(rows)
-        .map(|(&load_ff, cmp)| InterconnectRow {
+        .zip(points)
+        .map(|(&load_ff, (cmp, _))| InterconnectRow {
             load_ff,
             srag_delay_ns: cmp.srag_delay_ps / 1000.0,
             cntag_delay_ns: cmp.cntag_delay_ps / 1000.0,

@@ -163,7 +163,7 @@ impl ComponentDelays {
 /// Times the CntAG's components in isolation, as the paper's Fig. 9
 /// does: the counter cascade as a standalone sequential block and
 /// each decoder as a standalone combinational block driven from
-/// registered address bits.
+/// registered address bits, under [`SELECT_LINE_LOAD_FF`].
 ///
 /// # Errors
 ///
@@ -172,23 +172,8 @@ pub fn component_delays(
     spec: &CntAgSpec,
     library: &Library,
 ) -> Result<ComponentDelays, SynthError> {
-    component_delays_with_load(spec, library, SELECT_LINE_LOAD_FF)
-}
-
-/// [`component_delays`] with an explicit select-line load, for
-/// interconnect-sensitivity studies.
-///
-/// # Errors
-///
-/// Propagates construction/timing failures.
-pub fn component_delays_with_load(
-    spec: &CntAgSpec,
-    library: &Library,
-    select_line_load_ff: f64,
-) -> Result<ComponentDelays, SynthError> {
     let components = ComponentNetlists::elaborate(spec)?;
-    let timer = components.timer(library)?;
-    Ok(timer.delays_at(select_line_load_ff))
+    Ok(components.timer(library)?.delays_at(SELECT_LINE_LOAD_FF))
 }
 
 /// The CntAG's isolated component netlists (counter cascade, row and
@@ -198,12 +183,13 @@ pub fn component_delays_with_load(
 #[derive(Debug, Clone)]
 pub struct ComponentNetlists {
     counter: Netlist,
-    row_decoder: Netlist,
-    col_decoder: Netlist,
+    decoders: Vec<Netlist>,
 }
 
 impl ComponentNetlists {
-    /// Elaborates the three component netlists of `spec`.
+    /// Elaborates the component netlists of `spec`: the counter
+    /// cascade and its row and column decoders, one decoder when the
+    /// two have the same address bits and lines.
     ///
     /// # Errors
     ///
@@ -228,15 +214,17 @@ impl ComponentNetlists {
         };
         Ok(ComponentNetlists {
             counter,
-            row_decoder: standalone_decoder(spec.row_bits.len(), spec.shape.height() as usize)?,
-            col_decoder: standalone_decoder(spec.col_bits.len(), spec.shape.width() as usize)?,
+            decoders: standalone_decoders(
+                (spec.row_bits.len(), spec.shape.height() as usize),
+                (spec.col_bits.len(), spec.shape.width() as usize),
+            )?,
         })
     }
 
     /// Builds timing contexts over the component netlists. The
     /// counter's delay is load-independent and computed here once;
     /// each [`ComponentTimer::delays_at`] call then only re-times the
-    /// two decoders.
+    /// decoders.
     ///
     /// # Errors
     ///
@@ -246,8 +234,11 @@ impl ComponentNetlists {
             counter_ps: TimingContext::new(&self.counter, library)?
                 .run()
                 .critical_path_ps(),
-            row: TimingContext::new(&self.row_decoder, library)?,
-            col: TimingContext::new(&self.col_decoder, library)?,
+            decoders: self
+                .decoders
+                .iter()
+                .map(|n| TimingContext::new(n, library))
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -256,8 +247,9 @@ impl ComponentNetlists {
 #[derive(Debug, Clone)]
 pub struct ComponentTimer<'a> {
     counter_ps: f64,
-    row: TimingContext<'a>,
-    col: TimingContext<'a>,
+    /// One context per block of `standalone_decoders`: the row
+    /// decoder first, the column decoder last.
+    decoders: Vec<TimingContext<'a>>,
 }
 
 impl ComponentTimer<'_> {
@@ -266,57 +258,59 @@ impl ComponentTimer<'_> {
     pub fn delays_at(&self, select_line_load_ff: f64) -> ComponentDelays {
         let _span = obs::span("cntag.components.delays_at");
         obs::add(obs::Ctr::CntagComponentRuns, 1);
+        let decoder_ps: Vec<f64> = self
+            .decoders
+            .iter()
+            .map(|ctx| {
+                ctx.run_with_output_load(select_line_load_ff)
+                    .critical_path_ps()
+            })
+            .collect();
         ComponentDelays {
             counter_ps: self.counter_ps,
-            row_decoder_ps: self
-                .row
-                .run_with_output_load(select_line_load_ff)
-                .critical_path_ps(),
-            col_decoder_ps: self
-                .col
-                .run_with_output_load(select_line_load_ff)
-                .critical_path_ps(),
+            row_decoder_ps: decoder_ps[0],
+            col_decoder_ps: decoder_ps[decoder_ps.len() - 1],
         }
     }
 }
 
-/// A standalone `address_bits → lines_kept` decoder block with
-/// registered-address inputs, shared by the one-shot and memoized
-/// delay paths.
-fn standalone_decoder(address_bits: usize, lines_kept: usize) -> Result<Netlist, SynthError> {
-    let mut n = Netlist::new("component_decoder");
-    let addr: Vec<NetId> = (0..address_bits)
-        .map(|b| n.add_input(format!("a{b}")))
-        .collect();
-    let outs = build_decoder(&mut n, &addr)?;
-    for &o in outs.iter().take(lines_kept) {
-        n.add_output(o);
-    }
-    insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-    Ok(n)
-}
-
-/// Input-to-output delay of a standalone `address_bits → lines_kept`
-/// decoder under the standard select-line load — the decode term of
-/// the paper's serial accounting, shared by every decoder-based
-/// generator style.
-///
-/// # Errors
-///
-/// Propagates construction/timing failures.
-pub fn decoder_delay_ps(
-    address_bits: usize,
-    lines_kept: usize,
-    library: &Library,
-) -> Result<f64, SynthError> {
-    let n = standalone_decoder(address_bits, lines_kept)?;
-    Ok(TimingAnalysis::run_with_output_load(&n, library, SELECT_LINE_LOAD_FF)?.critical_path_ps())
+/// The standalone row and column decoders of a binary address, each
+/// given as `(address_bits, lines_kept)` and built as a combinational
+/// block with registered-address inputs: the row decoder, then the
+/// column decoder unless the two pairs match (every square shape),
+/// when one block serves both.
+fn standalone_decoders(
+    row: (usize, usize),
+    col: (usize, usize),
+) -> Result<Vec<Netlist>, SynthError> {
+    let distinct = if col == row {
+        vec![row]
+    } else {
+        vec![row, col]
+    };
+    distinct
+        .into_iter()
+        .map(|(address_bits, lines_kept)| {
+            let mut n = Netlist::new("component_decoder");
+            let addr: Vec<NetId> = (0..address_bits)
+                .map(|b| n.add_input(format!("a{b}")))
+                .collect();
+            let outs = build_decoder(&mut n, &addr)?;
+            for &o in outs.iter().take(lines_kept) {
+                n.add_output(o);
+            }
+            insert_fanout_buffers(&mut n, MAX_FANOUT)?;
+            Ok(n)
+        })
+        .collect()
 }
 
 /// The slower of a binary address's standalone row and column
-/// decoders, each given as `(address_bits, lines_kept)` to
-/// [`decoder_delay_ps`]. When the two pairs match (every square
-/// shape) the decoder is built and timed once.
+/// decoders, each given as `(address_bits, lines_kept)`, under
+/// [`SELECT_LINE_LOAD_FF`] — the decode term of the paper's serial
+/// accounting, shared by every decoder-based generator style. When
+/// the two pairs match (every square shape) one decoder is built and
+/// timed.
 ///
 /// # Errors
 ///
@@ -326,13 +320,12 @@ pub fn decoders_delay_ps(
     col: (usize, usize),
     library: &Library,
 ) -> Result<f64, SynthError> {
-    let row_ps = decoder_delay_ps(row.0, row.1, library)?;
-    let col_ps = if col == row {
-        row_ps
-    } else {
-        decoder_delay_ps(col.0, col.1, library)?
-    };
-    Ok(row_ps.max(col_ps))
+    let mut worst_ps = 0.0_f64;
+    for decoder in standalone_decoders(row, col)? {
+        let timing = TimingAnalysis::run_with_output_load(&decoder, library, SELECT_LINE_LOAD_FF)?;
+        worst_ps = worst_ps.max(timing.critical_path_ps());
+    }
+    Ok(worst_ps)
 }
 
 /// A copy of the partly built `netlist`, with `addr` as its outputs

@@ -4,13 +4,30 @@
 //! here rebuild the loop from scratch and time both decoders, as the
 //! accounting did before, and every delay must agree bit for bit.
 
-use adgen_cntag::netlist::decoder_delay_ps;
+use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
 use adgen_cntag::{ArithAgNetlist, ArithAgSpec, RomAgNetlist, RomAgSpec};
 use adgen_netlist::{CellKind, Library, NetId, Netlist, TimingAnalysis};
 use adgen_seq::{workloads, AddressSequence, ArrayShape};
 use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::mapgen::{build_adder, build_mod_counter, build_rom};
+use adgen_synth::mapgen::{build_adder, build_decoder, build_mod_counter, build_rom};
 use adgen_synth::techmap::insert_fanout_buffers;
+
+/// A standalone `address_bits → lines` decoder with registered-address
+/// inputs, built and timed under the select-line load.
+fn decoder_delay_ps(address_bits: usize, lines: u32, library: &Library) -> f64 {
+    let mut n = Netlist::new("decoder");
+    let addr: Vec<NetId> = (0..address_bits)
+        .map(|b| n.add_input(format!("a{b}")))
+        .collect();
+    let outs = build_decoder(&mut n, &addr).unwrap();
+    for &o in outs.iter().take(lines as usize) {
+        n.add_output(o);
+    }
+    insert_fanout_buffers(&mut n, MAX_FANOUT).unwrap();
+    TimingAnalysis::run_with_output_load(&n, library, SELECT_LINE_LOAD_FF)
+        .unwrap()
+        .critical_path_ps()
+}
 
 /// `core` with `addr` as outputs and fanout buffers, timed, plus the
 /// slower of a row and a column decoder, each built and timed.
@@ -29,9 +46,9 @@ fn oracle_delay(
         .unwrap()
         .critical_path_ps();
     let col_bits = shape.col_bits() as usize;
-    let row = decoder_delay_ps(width as usize - col_bits, shape.height() as usize, library);
-    let col = decoder_delay_ps(col_bits, shape.width() as usize, library);
-    core_ps + row.unwrap().max(col.unwrap())
+    let row = decoder_delay_ps(width as usize - col_bits, shape.height(), library);
+    let col = decoder_delay_ps(col_bits, shape.width(), library);
+    core_ps + row.max(col)
 }
 
 fn rom_oracle(spec: &RomAgSpec, library: &Library) -> f64 {

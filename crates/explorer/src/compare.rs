@@ -5,7 +5,7 @@ use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
 use adgen_cntag::{CntAgNetlist, CntAgSpec, ComponentDelays, ComponentNetlists};
 use adgen_core::composite::Srag2d;
 use adgen_core::SragError;
-use adgen_netlist::{AreaReport, Library, TimingAnalysis, TimingContext};
+use adgen_netlist::{AreaReport, Library, TimingContext};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
 
@@ -43,7 +43,8 @@ impl ComparisonRow {
 }
 
 /// Maps `sequence` onto a two-hot SRAG, elaborates both it and the
-/// given counter-based program, and measures delay and area of each.
+/// given counter-based program, and measures delay and area of each
+/// under the standard select-line load [`SELECT_LINE_LOAD_FF`].
 ///
 /// # Errors
 ///
@@ -55,79 +56,26 @@ pub fn compare_srag_cntag(
     cntag_program: &CntAgSpec,
     library: &Library,
 ) -> Result<ComparisonRow, SragError> {
-    compare_srag_cntag_with_load(sequence, shape, cntag_program, library, SELECT_LINE_LOAD_FF)
+    let loads = [SELECT_LINE_LOAD_FF];
+    let mut points =
+        compare_srag_cntag_load_sweep(sequence, shape, cntag_program, library, &loads, 1)?;
+    Ok(points.swap_remove(0).0)
 }
 
-/// [`compare_srag_cntag`] with an explicit select-line load on both
+/// [`compare_srag_cntag`] at each of `loads_ff` femtofarads on both
 /// architectures' select lines — the §7 interconnect-sensitivity
 /// study's knob (select lines grow with the array and drive its
 /// cells, so their capacitance is the interconnect term both designs
-/// must pay).
+/// must pay). Each point also carries the CntAG component delays
+/// behind its row's `cntag_delay_ps` (paper Fig. 9).
 ///
-/// # Errors
-///
-/// As for [`compare_srag_cntag`].
-pub fn compare_srag_cntag_with_load(
-    sequence: &AddressSequence,
-    shape: ArrayShape,
-    cntag_program: &CntAgSpec,
-    library: &Library,
-    select_line_load_ff: f64,
-) -> Result<ComparisonRow, SragError> {
-    compare_with_components(sequence, shape, cntag_program, library, select_line_load_ff)
-        .map(|(row, _)| row)
-}
-
-/// [`compare_srag_cntag_with_load`] that also returns the CntAG
-/// component delays behind the row's `cntag_delay_ps` (paper Fig. 9),
-/// so a caller that needs both does not time the components twice.
-///
-/// # Errors
-///
-/// As for [`compare_srag_cntag`].
-pub fn compare_with_components(
-    sequence: &AddressSequence,
-    shape: ArrayShape,
-    cntag_program: &CntAgSpec,
-    library: &Library,
-    select_line_load_ff: f64,
-) -> Result<(ComparisonRow, ComponentDelays), SragError> {
-    let _span = obs::span_arg(
-        "explorer.compare",
-        u64::from(shape.width()) * u64::from(shape.height()),
-    );
-    let srag = Srag2d::map(sequence, shape, Layout::RowMajor)?.elaborate()?;
-    let srag_timing =
-        TimingAnalysis::run_with_output_load(&srag.netlist, library, select_line_load_ff)?;
-    let srag_area = AreaReport::of(&srag.netlist, library);
-
-    let cntag = CntAgNetlist::elaborate(cntag_program)?;
-    let cntag_components = adgen_cntag::netlist::component_delays_with_load(
-        cntag_program,
-        library,
-        select_line_load_ff,
-    )?;
-    let cntag_area = AreaReport::of(&cntag.netlist, library);
-
-    let row = ComparisonRow {
-        srag_delay_ps: srag_timing.critical_path_ps(),
-        cntag_delay_ps: cntag_components.total_ps(),
-        srag_area: srag_area.total(),
-        cntag_area: cntag_area.total(),
-        srag_flip_flops: srag.netlist.num_flip_flops(),
-        cntag_flip_flops: cntag.netlist.num_flip_flops(),
-    };
-    Ok((row, cntag_components))
-}
-
-/// [`compare_srag_cntag_with_load`] swept over many select-line
-/// loads, memoizing the elaborated netlists: the SRAG pair and the
-/// CntAG component blocks are mapped and elaborated **once**, their
-/// timing state is cached in a [`TimingContext`] /
-/// [`adgen_cntag::ComponentTimer`], and only the load-dependent
-/// timing sweep runs per point (fanned across `jobs` worker threads;
-/// `0` means all available cores). Rows come back in `loads_ff`
-/// order regardless of `jobs`.
+/// The SRAG pair and the CntAG component blocks are mapped and
+/// elaborated **once**, their timing state is cached in a
+/// [`TimingContext`] / [`adgen_cntag::ComponentTimer`], and only the
+/// load-dependent timing runs per point, fanned across `jobs` worker
+/// threads (`0` means all available cores; a single load is timed on
+/// the caller's thread). Points come back in `loads_ff` order
+/// regardless of `jobs`.
 ///
 /// # Errors
 ///
@@ -139,7 +87,11 @@ pub fn compare_srag_cntag_load_sweep(
     library: &Library,
     loads_ff: &[f64],
     jobs: usize,
-) -> Result<Vec<ComparisonRow>, SragError> {
+) -> Result<Vec<(ComparisonRow, ComponentDelays)>, SragError> {
+    let _span = obs::span_arg(
+        "explorer.compare",
+        u64::from(shape.width()) * u64::from(shape.height()),
+    );
     let srag = Srag2d::map(sequence, shape, Layout::RowMajor)?.elaborate()?;
     let srag_ctx = TimingContext::new(&srag.netlist, library)?;
     let srag_area = AreaReport::of(&srag.netlist, library).total();
@@ -151,16 +103,24 @@ pub fn compare_srag_cntag_load_sweep(
     let cntag_area = AreaReport::of(&cntag.netlist, library).total();
     let cntag_flip_flops = cntag.netlist.num_flip_flops();
 
-    Ok(adgen_exec::par_map(loads_ff, jobs, |_, &load_ff| {
-        ComparisonRow {
+    let point = |load_ff: f64| {
+        let cntag_components = timer.delays_at(load_ff);
+        let row = ComparisonRow {
             srag_delay_ps: srag_ctx.run_with_output_load(load_ff).critical_path_ps(),
-            cntag_delay_ps: timer.delays_at(load_ff).total_ps(),
+            cntag_delay_ps: cntag_components.total_ps(),
             srag_area,
             cntag_area,
             srag_flip_flops,
             cntag_flip_flops,
-        }
-    }))
+        };
+        (row, cntag_components)
+    };
+    // One point is no fan-out: callers that compare one point per
+    // item of their own `par_map` (Fig. 8-10, Table 3) add no items.
+    Ok(match *loads_ff {
+        [load_ff] => vec![point(load_ff)],
+        _ => adgen_exec::par_map(loads_ff, jobs, |_, &load_ff| point(load_ff)),
+    })
 }
 
 /// Power measurements for both architectures on the same stream —
@@ -211,16 +171,14 @@ pub fn compare_power(
     frequency_mhz: f64,
     cycles: u64,
 ) -> Result<PowerComparisonRow, SragError> {
-    use adgen_netlist::power::{measure_power_by_clock, ClockModel};
-    use adgen_netlist::Logic;
+    use adgen_netlist::{measure_power, ClockModel, Logic};
     let srag = Srag2d::map(sequence, shape, Layout::RowMajor)?.elaborate()?;
     let cntag = CntAgNetlist::elaborate(cntag_program)?;
     let streaming = |_cycle: u64| vec![Logic::Zero, Logic::One];
     // One simulation per design yields both clock models' reports.
     let run = |n: &adgen_netlist::Netlist| {
         let models = [ClockModel::FreeRunning, ClockModel::Gated];
-        measure_power_by_clock(n, library, frequency_mhz, cycles, models, streaming)
-            .map_err(SragError::from)
+        measure_power(n, library, frequency_mhz, cycles, models, streaming).map_err(SragError::from)
     };
     let [srag, srag_gated] = run(&srag.netlist)?;
     let [cntag, cntag_gated] = run(&cntag.netlist)?;
@@ -321,8 +279,7 @@ mod tests {
 
     #[test]
     fn one_power_simulation_serves_both_clock_models() {
-        use adgen_netlist::power::{measure_power_by_clock, measure_power_with_clock, ClockModel};
-        use adgen_netlist::Logic;
+        use adgen_netlist::{measure_power, ClockModel, Logic};
         let lib = Library::vcl018();
         let shape = ArrayShape::new(16, 16);
         let seq = workloads::motion_est_read(shape, 2, 2, 0);
@@ -336,13 +293,15 @@ mod tests {
         let models = [ClockModel::FreeRunning, ClockModel::Gated];
         let streaming = |_cycle: u64| vec![Logic::Zero, Logic::One];
 
-        let shared = designs
-            .map(|n| measure_power_by_clock(n, &lib, 100.0, 128, models, streaming).unwrap());
-        // One simulation per (design, model): what `compare_power`
-        // used to run.
+        let shared =
+            designs.map(|n| measure_power(n, &lib, 100.0, 128, models, streaming).unwrap());
+        // One simulation per (design, model).
         obs::start();
         let separate = designs.map(|n| {
-            models.map(|m| measure_power_with_clock(n, &lib, 100.0, 128, m, streaming).unwrap())
+            models.map(|m| {
+                let [report] = measure_power(n, &lib, 100.0, 128, [m], streaming).unwrap();
+                report
+            })
         });
         let per_model_evaluations = obs::take().counter(obs::Ctr::SimEvaluations);
         assert_eq!(shared, separate);
@@ -361,22 +320,92 @@ mod tests {
         assert_eq!(2 * evaluations, per_model_evaluations);
     }
 
-    #[test]
-    fn load_sweep_matches_per_point_comparisons() {
-        let lib = Library::vcl018();
-        let shape = ArrayShape::new(16, 16);
-        let seq = workloads::motion_est_read(shape, 2, 2, 0);
-        let program = CntAgSpec::motion_est(shape, 2, 2, 0);
-        let loads = [0.0, 30.0, 90.0, 240.0];
-        for jobs in [1, 4] {
-            let swept =
-                compare_srag_cntag_load_sweep(&seq, shape, &program, &lib, &loads, jobs).unwrap();
-            assert_eq!(swept.len(), loads.len());
-            for (row, &load) in swept.iter().zip(&loads) {
-                let fresh =
-                    compare_srag_cntag_with_load(&seq, shape, &program, &lib, load).unwrap();
-                assert_eq!(row, &fresh, "load {load} jobs {jobs}");
+    /// The comparison point at `load_ff`, measured from scratch: the
+    /// SRAG pair timed in one shot, and the CntAG counter cascade and
+    /// its row and column decoders each built and timed on their own.
+    fn reference_point(
+        seq: &AddressSequence,
+        shape: ArrayShape,
+        program: &CntAgSpec,
+        lib: &Library,
+        load_ff: f64,
+    ) -> (ComparisonRow, ComponentDelays) {
+        use adgen_netlist::{NetId, Netlist, TimingAnalysis};
+        use adgen_synth::fsm::MAX_FANOUT;
+        use adgen_synth::mapgen::{build_decoder, build_mod_counter};
+        use adgen_synth::techmap::insert_fanout_buffers;
+
+        let srag = Srag2d::map(seq, shape, Layout::RowMajor)
+            .unwrap()
+            .elaborate()
+            .unwrap();
+        let cntag = CntAgNetlist::elaborate(program).unwrap();
+        let time = |n: &Netlist, load_ff: f64| {
+            TimingAnalysis::run_with_output_load(n, lib, load_ff)
+                .unwrap()
+                .critical_path_ps()
+        };
+
+        let mut counter = Netlist::new("counter");
+        let mut enable = counter.add_input("next");
+        for (i, stage) in program.stages.iter().enumerate() {
+            let c =
+                build_mod_counter(&mut counter, stage.modulus, enable, &format!("st{i}")).unwrap();
+            for &q in &c.q {
+                counter.add_output(q);
             }
+            enable = c.wrap;
+        }
+        insert_fanout_buffers(&mut counter, MAX_FANOUT).unwrap();
+        let decoder = |address_bits: usize, lines: u32| {
+            let mut n = Netlist::new("decoder");
+            let addr: Vec<NetId> = (0..address_bits)
+                .map(|b| n.add_input(format!("a{b}")))
+                .collect();
+            let outs = build_decoder(&mut n, &addr).unwrap();
+            for &o in outs.iter().take(lines as usize) {
+                n.add_output(o);
+            }
+            insert_fanout_buffers(&mut n, MAX_FANOUT).unwrap();
+            time(&n, load_ff)
+        };
+        let components = ComponentDelays {
+            counter_ps: time(&counter, 0.0),
+            row_decoder_ps: decoder(program.row_bits.len(), shape.height()),
+            col_decoder_ps: decoder(program.col_bits.len(), shape.width()),
+        };
+        let row = ComparisonRow {
+            srag_delay_ps: time(&srag.netlist, load_ff),
+            cntag_delay_ps: components.counter_ps
+                + components.row_decoder_ps.max(components.col_decoder_ps),
+            srag_area: AreaReport::of(&srag.netlist, lib).total(),
+            cntag_area: AreaReport::of(&cntag.netlist, lib).total(),
+            srag_flip_flops: srag.netlist.num_flip_flops(),
+            cntag_flip_flops: cntag.netlist.num_flip_flops(),
+        };
+        (row, components)
+    }
+
+    #[test]
+    fn load_sweep_matches_a_reference_built_from_scratch() {
+        let lib = Library::vcl018();
+        let loads = [0.0, 30.0, 90.0, 240.0];
+        for (w, h) in [(16, 16), (16, 8), (8, 32)] {
+            let shape = ArrayShape::new(w, h);
+            let seq = workloads::motion_est_read(shape, 2, 2, 0);
+            let program = CntAgSpec::motion_est(shape, 2, 2, 0);
+            let want: Vec<_> = loads
+                .iter()
+                .map(|&load| reference_point(&seq, shape, &program, &lib, load))
+                .collect();
+            for jobs in [1, 4] {
+                let swept =
+                    compare_srag_cntag_load_sweep(&seq, shape, &program, &lib, &loads, jobs)
+                        .unwrap();
+                assert_eq!(swept, want, "{w}x{h} jobs {jobs}");
+            }
+            let paper = compare_srag_cntag(&seq, shape, &program, &lib).unwrap();
+            assert_eq!(paper, want[1].0, "{w}x{h} at the select-line load");
         }
     }
 

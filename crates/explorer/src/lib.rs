@@ -27,8 +27,8 @@ pub use candidates::{
     evaluate, evaluate_jobs, Architecture, Candidate, EvaluateOptions, Evaluation, FamilyError,
 };
 pub use compare::{
-    compare_power, compare_srag_cntag, compare_srag_cntag_load_sweep, compare_srag_cntag_with_load,
-    compare_with_components, ComparisonRow, PowerComparisonRow,
+    compare_power, compare_srag_cntag, compare_srag_cntag_load_sweep, ComparisonRow,
+    PowerComparisonRow,
 };
 pub use four_way::{
     agu_fault_universe, compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow,

@@ -64,7 +64,7 @@ pub use cell::{CellKind, CellSpec, Library};
 pub use equiv::{check_equivalence_exhaustive, check_equivalence_random, CounterExample};
 pub use error::NetlistError;
 pub use graph::{Driver, InstId, Instance, Net, NetId, Netlist};
-pub use power::{measure_power, PowerReport};
+pub use power::{measure_power, ClockModel, PowerReport};
 pub use sim::{Logic, SimControl};
 pub use sim_event::EventSimulator;
 pub use sim_sliced::{LaneMask, Simulator};

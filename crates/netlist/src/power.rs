@@ -69,74 +69,23 @@ pub enum ClockModel {
 /// Simulates `netlist` for `cycles` cycles, driving the primary
 /// inputs from `stimulus` (called with the cycle index; element 0 of
 /// the returned vector is the global reset), and evaluates the
-/// switching-power model at `frequency_mhz` with free-running clocks.
+/// switching-power model at `frequency_mhz` under every model in
+/// `clock_models`.
 ///
 /// One reset cycle (`reset = 1`, all other inputs 0) followed by one
 /// idle settling cycle is applied first; both are excluded from the
 /// counts.
 ///
+/// All models share **one** simulation: the signal trajectory does
+/// not depend on how the clock pins are driven, so the toggle counts
+/// are shared and only the clocked flip-flop cycles are counted per
+/// model. Returns one report per model, in `clock_models` order.
+///
 /// # Errors
 ///
 /// Propagates simulator construction/step errors (invalid netlist or
 /// wrong stimulus width).
-pub fn measure_power<F>(
-    netlist: &Netlist,
-    library: &Library,
-    frequency_mhz: f64,
-    cycles: u64,
-    stimulus: F,
-) -> Result<PowerReport, NetlistError>
-where
-    F: FnMut(u64) -> Vec<Logic>,
-{
-    measure_power_with_clock(
-        netlist,
-        library,
-        frequency_mhz,
-        cycles,
-        ClockModel::FreeRunning,
-        stimulus,
-    )
-}
-
-/// [`measure_power`] with an explicit [`ClockModel`].
-///
-/// # Errors
-///
-/// As for [`measure_power`].
-pub fn measure_power_with_clock<F>(
-    netlist: &Netlist,
-    library: &Library,
-    frequency_mhz: f64,
-    cycles: u64,
-    clock_model: ClockModel,
-    stimulus: F,
-) -> Result<PowerReport, NetlistError>
-where
-    F: FnMut(u64) -> Vec<Logic>,
-{
-    let [report] = measure_power_by_clock(
-        netlist,
-        library,
-        frequency_mhz,
-        cycles,
-        [clock_model],
-        stimulus,
-    )?;
-    Ok(report)
-}
-
-/// [`measure_power`] under every model in `clock_models` from **one**
-/// simulation: the signal trajectory does not depend on how the clock
-/// pins are driven, so the toggle counts are shared and only the
-/// clocked flip-flop cycles are counted per model. Returns one
-/// report per model, in `clock_models` order, each equal to the
-/// [`measure_power_with_clock`] report for that model.
-///
-/// # Errors
-///
-/// As for [`measure_power`].
-pub fn measure_power_by_clock<F, const N: usize>(
+pub fn measure_power<F, const N: usize>(
     netlist: &Netlist,
     library: &Library,
     frequency_mhz: f64,
@@ -247,6 +196,9 @@ mod tests {
     use super::*;
     use crate::cell::CellKind;
 
+    const FREE: [ClockModel; 1] = [ClockModel::FreeRunning];
+    const BOTH: [ClockModel; 2] = [ClockModel::FreeRunning, ClockModel::Gated];
+
     fn toggle_ff() -> Netlist {
         let mut n = Netlist::new("tff");
         let q = n.add_net("q");
@@ -263,7 +215,7 @@ mod tests {
     fn toggle_ff_switches_every_cycle() {
         let lib = Library::vcl018();
         let n = toggle_ff();
-        let report = measure_power(&n, &lib, 100.0, 64, |_| vec![Logic::Zero]).unwrap();
+        let [report] = measure_power(&n, &lib, 100.0, 64, FREE, |_| vec![Logic::Zero]).unwrap();
         // q and qn each toggle every cycle → about 2 toggles/cycle.
         assert!(
             (report.toggles_per_cycle - 2.0).abs() < 0.1,
@@ -286,8 +238,10 @@ mod tests {
             .unwrap();
         n.add_output(q);
         // d held at 0 forever → no signal activity after reset.
-        let report =
-            measure_power(&n, &lib, 100.0, 32, |_| vec![Logic::Zero, Logic::Zero]).unwrap();
+        let [report] = measure_power(&n, &lib, 100.0, 32, FREE, |_| {
+            vec![Logic::Zero, Logic::Zero]
+        })
+        .unwrap();
         assert_eq!(report.toggles_per_cycle, 0.0);
         assert_eq!(report.dynamic_uw, 0.0);
         assert!(report.clock_uw > 0.0);
@@ -297,8 +251,8 @@ mod tests {
     fn power_scales_with_frequency() {
         let lib = Library::vcl018();
         let n = toggle_ff();
-        let at_100 = measure_power(&n, &lib, 100.0, 32, |_| vec![Logic::Zero]).unwrap();
-        let at_200 = measure_power(&n, &lib, 200.0, 32, |_| vec![Logic::Zero]).unwrap();
+        let [at_100] = measure_power(&n, &lib, 100.0, 32, FREE, |_| vec![Logic::Zero]).unwrap();
+        let [at_200] = measure_power(&n, &lib, 200.0, 32, FREE, |_| vec![Logic::Zero]).unwrap();
         let ratio = at_200.total_uw() / at_100.total_uw();
         assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
     }
@@ -313,7 +267,8 @@ mod tests {
         n.add_output(q);
         // The plain DFF starts at X; the first defined value is not a
         // toggle.
-        let report = measure_power(&n, &lib, 100.0, 4, |_| vec![Logic::Zero, Logic::Zero]).unwrap();
+        let [report] =
+            measure_power(&n, &lib, 100.0, 4, FREE, |_| vec![Logic::Zero, Logic::Zero]).unwrap();
         assert_eq!(report.toggles_per_cycle, 0.0);
     }
 
@@ -329,9 +284,7 @@ mod tests {
             .unwrap();
         n.add_output(q);
         let idle = |_| vec![Logic::Zero, Logic::Zero, Logic::Zero];
-        let free =
-            measure_power_with_clock(&n, &lib, 100.0, 16, ClockModel::FreeRunning, idle).unwrap();
-        let gated = measure_power_with_clock(&n, &lib, 100.0, 16, ClockModel::Gated, idle).unwrap();
+        let [free, gated] = measure_power(&n, &lib, 100.0, 16, BOTH, idle).unwrap();
         assert!(free.clock_uw > 0.0);
         assert_eq!(gated.clock_uw, 0.0, "never-enabled FF draws no clock");
     }
@@ -340,14 +293,8 @@ mod tests {
     fn gating_does_not_affect_ungateable_ffs() {
         let lib = Library::vcl018();
         let n = toggle_ff(); // uses a Dffr — no enable pin
-        let free = measure_power_with_clock(&n, &lib, 100.0, 16, ClockModel::FreeRunning, |_| {
-            vec![Logic::Zero]
-        })
-        .unwrap();
-        let gated = measure_power_with_clock(&n, &lib, 100.0, 16, ClockModel::Gated, |_| {
-            vec![Logic::Zero]
-        })
-        .unwrap();
+        let [free, gated] =
+            measure_power(&n, &lib, 100.0, 16, BOTH, |_| vec![Logic::Zero]).unwrap();
         assert_eq!(free.clock_uw, gated.clock_uw);
     }
 
@@ -355,7 +302,7 @@ mod tests {
     fn stimulus_width_checked() {
         let lib = Library::vcl018();
         let n = toggle_ff();
-        let err = measure_power(&n, &lib, 100.0, 4, |_| vec![]).unwrap_err();
+        let err = measure_power(&n, &lib, 100.0, 4, FREE, |_| vec![]).unwrap_err();
         assert!(matches!(err, NetlistError::InputWidthMismatch { .. }));
     }
 }

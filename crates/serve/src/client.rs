@@ -60,17 +60,6 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// splitmix64 — the workspace's standard seed scrambler; here it
-/// derives the per-attempt jitter deterministically from the policy
-/// seed and the attempt counter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Bounded exponential-backoff retry policy with deterministic
 /// jitter. The delay before attempt `k` (1-based, after the first
 /// failure) is `min(base << (k-1), cap)` scaled by a jitter factor in
@@ -112,8 +101,11 @@ impl RetryPolicy {
                     .unwrap_or(u32::MAX),
             )
             .min(self.cap_delay);
-        // Jitter scales the delay by (half + half * uniform[0,1)).
-        let r = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0xa076_1d64_78bd_642f));
+        // Jitter scales the delay by (half + half * uniform[0,1)),
+        // derived from the policy seed and the attempt counter.
+        let r = adgen_exec::splitmix64(
+            self.seed ^ u64::from(attempt).wrapping_mul(0xa076_1d64_78bd_642f),
+        );
         let frac = (r >> 11) as f64 / (1u64 << 53) as f64;
         exp.mul_f64(0.5 + 0.5 * frac)
     }

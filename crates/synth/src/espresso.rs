@@ -146,7 +146,8 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
     }
     let mut care = on.union(&dc);
     care.merge_siblings();
-    minimize_with_off_budgeted(on, dc, care.complement(), budget)
+    let off = care.complement();
+    minimize_observed(on, dc, off, true, budget)
 }
 
 /// Minimizes `on` under don't-care set `dc`, with the off-set supplied
@@ -174,6 +175,21 @@ pub fn minimize_with_off_budgeted(
     off: Cover,
     budget: EffortBudget,
 ) -> MinimizeOutcome {
+    minimize_observed(on, dc, off, false, budget)
+}
+
+/// The EXPAND / IRREDUNDANT / REDUCE loop behind [`minimize_budgeted`]
+/// and [`minimize_with_off_budgeted`], counted and spanned. With
+/// `complemented`, `off` is already the complement of the condensed
+/// on ∪ dc, so [`starting_covers`] never complements the care set a
+/// second time.
+fn minimize_observed(
+    on: Cover,
+    dc: Cover,
+    off: Cover,
+    complemented: bool,
+    budget: EffortBudget,
+) -> MinimizeOutcome {
     let observing = obs::enabled();
     let _span = if observing {
         obs::add(obs::Ctr::EspressoCalls, 1);
@@ -181,7 +197,18 @@ pub fn minimize_with_off_budgeted(
     } else {
         None
     };
-    let outcome = minimize_loop(on, dc, off, budget);
+    assert_eq!(on.num_inputs(), dc.num_inputs(), "arity mismatch");
+    assert_eq!(on.num_inputs(), off.num_inputs(), "arity mismatch");
+    let outcome = if on.is_empty() {
+        MinimizeOutcome {
+            cover: on,
+            truncated: false,
+            steps: 0,
+        }
+    } else {
+        let (current, off) = starting_covers(on, &dc, off, complemented);
+        iterate(current, &dc, &off, budget)
+    };
     if observing {
         obs::add(obs::Ctr::EspressoSteps, outcome.steps);
         if outcome.truncated {
@@ -189,22 +216,6 @@ pub fn minimize_with_off_budgeted(
         }
     }
     outcome
-}
-
-/// The EXPAND / IRREDUNDANT / REDUCE loop behind
-/// [`minimize_with_off_budgeted`].
-fn minimize_loop(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> MinimizeOutcome {
-    assert_eq!(on.num_inputs(), dc.num_inputs(), "arity mismatch");
-    assert_eq!(on.num_inputs(), off.num_inputs(), "arity mismatch");
-    if on.is_empty() {
-        return MinimizeOutcome {
-            cover: on,
-            truncated: false,
-            steps: 0,
-        };
-    }
-    let (current, off) = starting_covers(on, &dc, off);
-    iterate(current, &dc, &off, budget)
 }
 
 /// The condensed starting cover and the compact off-set the loop runs
@@ -217,20 +228,30 @@ fn minimize_loop(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> Mini
 /// when that side is small — e.g. a one-minterm select line, whose
 /// enumerated off-set is the whole rest of the space).
 ///
+/// A `complemented` off-set already is the complement of the
+/// condensed on ∪ dc: it is still condensed when it is the smaller
+/// description, but never complemented again.
+///
 /// Condensing the starting cover (minterm-enumerated in every caller)
 /// both shrinks the first EXPAND and deepens it: merged cubes already
 /// carry the easy free variables.
-fn starting_covers(mut on: Cover, dc: &Cover, mut off: Cover) -> (Cover, Cover) {
+fn starting_covers(
+    mut on: Cover,
+    dc: &Cover,
+    mut off: Cover,
+    complemented: bool,
+) -> (Cover, Cover) {
     if off.num_cubes() > on.num_inputs() {
         if off.num_cubes() < on.num_cubes() + dc.num_cubes() {
             off.merge_siblings();
-        } else if dc.is_empty() {
-            // on ∪ ∅ is the on-set's own cube list: condense it once,
-            // for the complement and as the starting cover.
-            on.merge_siblings();
-            let off = on.complement();
-            return (on, off);
-        } else {
+        } else if !complemented {
+            if dc.is_empty() {
+                // on ∪ ∅ is the on-set's own cube list: condense it
+                // once, for the complement and as the starting cover.
+                on.merge_siblings();
+                let off = on.complement();
+                return (on, off);
+            }
             let mut care = on.union(dc);
             care.merge_siblings();
             off = care.complement();
@@ -637,6 +658,52 @@ mod tests {
             assert!(is_correct(&got.cover, &on, &dc), "trial {trial}");
         }
         assert!(complement_route >= 200, "{complement_route} of 300");
+    }
+
+    #[test]
+    fn plain_route_complements_once_and_matches_two_complement_path() {
+        // The oracle is the route `minimize_budgeted` took when the
+        // loop could complement the care set a second time: the same
+        // complement handed over as a supplied off-set.
+        let two_complement = |on: &Cover, dc: &Cover, budget| {
+            let mut care = on.union(dc);
+            care.merge_siblings();
+            minimize_with_off_budgeted(on.clone(), dc.clone(), care.complement(), budget)
+        };
+        let mut rng = Prng::new(0xC0_0FF);
+        let mut second_complement = 0;
+        for trial in 0..360 {
+            let n = 3 + (trial % 6); // 3..=8 vars
+            let space = 1u64 << n;
+            // Sparse to dense on-sets; every other trial has no dc.
+            let on_density = 1 + rng.next_range(10);
+            let dc_density = if trial % 2 == 0 { 0 } else { rng.next_range(6) };
+            let (mut on_minterms, mut dc_minterms) = (Vec::new(), Vec::new());
+            for m in 0..space {
+                let draw = rng.next_range(16);
+                if draw < on_density {
+                    on_minterms.push(m);
+                } else if draw < on_density + dc_density {
+                    dc_minterms.push(m);
+                }
+            }
+            let on = Cover::from_minterms(n, &on_minterms);
+            let dc = Cover::from_minterms(n, &dc_minterms);
+            let mut care = on.union(&dc);
+            care.merge_siblings();
+            let off_cubes = care.complement().num_cubes();
+            if !on.is_empty() && off_cubes > n && off_cubes >= on.num_cubes() + dc.num_cubes() {
+                second_complement += 1;
+            }
+            for budget in [EffortBudget::UNLIMITED, EffortBudget::steps(64)] {
+                let got = minimize_budgeted(on.clone(), dc.clone(), budget);
+                let want = two_complement(&on, &dc, budget);
+                assert_eq!(got.cover, want.cover, "trial {trial}");
+                assert_eq!(got.steps, want.steps, "trial {trial}");
+                assert_eq!(got.truncated, want.truncated, "trial {trial}");
+            }
+        }
+        assert!(second_complement >= 100, "{second_complement} of 360");
     }
 
     #[test]

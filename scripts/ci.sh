@@ -54,7 +54,9 @@
 #                         FSM/SRAG/CntAG/affine comparison whose
 #                         bit-exactness gate must pass on every
 #                         workload; then a schema check of its record
-#                         under target/bench-smoke/)
+#                         under target/bench-smoke/; then the
+#                         full-size explore4 run, which rewrites
+#                         BENCH_explore.json byte for byte)
 #  14. bank stage        (adgen-bank unit tests, a bank-vs-reference
 #                         differential fuzz smoke, and bankcamp
 #                         --smoke: the QPP interleaver must schedule
@@ -62,7 +64,9 @@
 #                         decompose-picked generators strictly
 #                         cheaper than monolithic per-bank FSMs; then
 #                         a schema check of its record under
-#                         target/bench-smoke/)
+#                         target/bench-smoke/; then the full-size
+#                         8-bank campaign, which rewrites
+#                         BENCH_bank.json byte for byte)
 #  15. benchmark stage   (the benchmark package's unit tests and its
 #                         end-to-end smoke run: every workload at
 #                         smoke size, timed and traced, which
@@ -80,15 +84,14 @@
 #  18. BENCH guard       (every committed BENCH_*.json is hashed
 #                         before stage 1 and must be unchanged here:
 #                         smoke and subset runs write under
-#                         target/bench-smoke/, and the only full-size
-#                         run, stage 7, reproduces its record byte for
-#                         byte)
+#                         target/bench-smoke/, and the full-size runs
+#                         of stages 7, 13 and 14 reproduce their
+#                         records byte for byte)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
 # simbench run with its 8x speedup contract, a 1000-connection
-# overload run against the reactor, and the full-size 8-bank
-# interleaver campaign.
+# overload run against the reactor, and the full chaos campaign.
 #
 # The workspace has zero external dependencies, so every step works
 # without network access. Run from anywhere inside the repo.
@@ -219,6 +222,9 @@ target/release/explore4 --smoke --seed 2026
 check_schema target/bench-smoke/BENCH_explore.json affine_fit bit_exact_three_engines program_flip_flops \
   fault_coverage_pct
 
+echo "==> affine: full-size four-way comparison (rewrites BENCH_explore.json byte for byte)"
+target/release/explore4 --seed 2026
+
 echo "==> bank: multi-bank ADDM + decompose unit tests"
 cargo test --release -q -p adgen-bank
 
@@ -232,6 +238,9 @@ echo "==> bank: banked interleaver campaign smoke (conflict-free + decompose-win
 target/release/bankcamp --smoke --seed 2026
 check_schema target/bench-smoke/BENCH_bank.json banks window conflict_free conflict_rate stall_cycles \
   decomposed_area monolithic_area decompose_win_pct choice
+
+echo "==> bank: full-size banked interleaver campaign (rewrites BENCH_bank.json byte for byte)"
+target/release/bankcamp --seed 2026
 
 echo "==> benchmark: unit tests + smoke run (output digests, figure CSVs, self-compare)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
@@ -258,8 +267,6 @@ if [[ "${CI_SLOW:-0}" == "1" ]]; then
   target/release/loadgen --conns 1000 --overload
   echo "==> slow tier: full chaos campaign (every kill site, every mutation)"
   target/release/chaoscamp
-  echo "==> slow tier: full-size banked interleaver campaign (256 addresses, 8 banks)"
-  target/release/bankcamp --seed 2026
 fi
 
 echo "==> CI OK"

@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use adgen_memory::{Addm, MemError, Ram};
     pub use adgen_netlist::{
-        measure_power, to_verilog, AreaReport, CellKind, Library, Logic, Netlist, NetlistError,
-        PowerReport, Simulator, TimingAnalysis,
+        measure_power, to_verilog, AreaReport, CellKind, ClockModel, Library, Logic, Netlist,
+        NetlistError, PowerReport, Simulator, TimingAnalysis,
     };
     pub use adgen_seq::{
         workloads, AddressGenerator, AddressSequence, ArrayShape, Layout, ReplayGenerator,

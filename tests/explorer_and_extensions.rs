@@ -5,7 +5,6 @@
 
 use adgen::cntag::{ArithAgNetlist, ArithAgSpec};
 use adgen::core::arch::ControlStyle;
-use adgen::netlist::power::{measure_power_with_clock, ClockModel};
 use adgen::netlist::verilog;
 use adgen::prelude::*;
 
@@ -83,11 +82,12 @@ fn power_measurement_runs_on_every_architecture() {
     let arith =
         ArithAgNetlist::elaborate(&ArithAgSpec::from_sequence(&seq, shape).unwrap()).unwrap();
     for netlist in [&srag.netlist, &cnt.netlist, &arith.netlist] {
-        for model in [ClockModel::FreeRunning, ClockModel::Gated] {
-            let report = measure_power_with_clock(netlist, &lib, 100.0, 64, model, |_| {
-                vec![Logic::Zero, Logic::One]
-            })
-            .unwrap();
+        let models = [ClockModel::FreeRunning, ClockModel::Gated];
+        let reports = measure_power(netlist, &lib, 100.0, 64, models, |_| {
+            vec![Logic::Zero, Logic::One]
+        })
+        .unwrap();
+        for report in reports {
             assert!(report.total_uw() > 0.0);
             assert!(report.toggles_per_cycle > 0.0);
         }
