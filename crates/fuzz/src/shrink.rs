@@ -577,6 +577,68 @@ mod tests {
         assert_eq!(shrink(&start, never), start);
     }
 
+    /// `describe()` plus the fields it leaves out, so the rendering
+    /// names every field of the case.
+    fn render(case: &FuzzCase) -> String {
+        let extra = match case {
+            FuzzCase::Cube { minterms, .. } | FuzzCase::WideCover { minterms, .. } => {
+                format!(" minterms={minterms:?}")
+            }
+            FuzzCase::FrameFuzz { garbage, .. } => format!(" garbage={garbage:?}"),
+            FuzzCase::FaultAlarm { cycle, .. } => format!(" cycle={cycle}"),
+            _ => String::new(),
+        };
+        format!("{}{extra}", case.describe())
+    }
+
+    /// FNV-1a over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the case stream and every shrink candidate list: for the
+    /// first 200 cases of the three CI seeds, the family, a rendering
+    /// naming every field, and a digest of the rendered candidates
+    /// (deduplicated, first occurrence kept, so skipping a repeated
+    /// candidate does not move it). Regenerate with
+    /// `BLESS_GOLDEN=1 cargo test -p adgen-fuzz case_stream`.
+    #[test]
+    fn case_stream_matches_golden() {
+        let mut actual = String::new();
+        for seed in [1, 11, 17] {
+            for index in 0..200 {
+                let case = crate::generate_case(crate::case_seed(seed, index));
+                let mut seen: Vec<String> = Vec::new();
+                for c in candidates(&case) {
+                    let r = render(&c);
+                    if !seen.contains(&r) {
+                        seen.push(r);
+                    }
+                }
+                let digest = fnv1a(seen.join("\n").as_bytes());
+                actual += &format!(
+                    "{seed} {index} {} | {} | {} candidates {digest:016x}\n",
+                    case.kind(),
+                    render(&case),
+                    seen.len()
+                );
+            }
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/case_stream.txt");
+        if std::env::var_os("BLESS_GOLDEN").is_some() {
+            std::fs::write(path, &actual).expect("write golden");
+            return;
+        }
+        let expected = std::fs::read_to_string(path).expect("read golden");
+        assert!(
+            expected == actual,
+            "case stream diverged from {path}; if intentional, regenerate with \
+             BLESS_GOLDEN=1 cargo test -p adgen-fuzz case_stream"
+        );
+    }
+
     #[test]
     fn shape_halving_respects_macroblock_divisibility() {
         let case = FuzzCase::GateLevel {

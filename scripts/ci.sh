@@ -12,7 +12,11 @@
 #                         tests hold computations with fault-plan
 #                         stalls, so they must not depend on how
 #                         fast compute is)
-#   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases)
+#   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases,
+#                         plus the two --dev-break demos, which must
+#                         exit 1; every fuzz run's stdout, here and in
+#                         stages 13 and 14, is byte-compared with its
+#                         copy under crates/fuzz/tests/golden/)
 #   6. fault smoke       (fixed-seed fault campaign, 4x4 array,
 #                         full select-line stuck-at list; writes its
 #                         record under target/bench-smoke/)
@@ -113,6 +117,26 @@ check_schema() {
   done
 }
 
+# fuzz_golden NAME STATUS ARGS... — run the release fuzzer with ARGS,
+# require exit status STATUS, and byte-compare its stdout with
+# crates/fuzz/tests/golden/NAME.txt.
+fuzz_golden() {
+  local name="$1" want="$2"
+  shift 2
+  local out status=0
+  out="$(mktemp)"
+  target/release/fuzz "$@" > "$out" || status=$?
+  if [[ "$status" != "$want" ]]; then
+    echo "FAIL: fuzz $* exited $status, want $want" >&2
+    exit 1
+  fi
+  diff -u "crates/fuzz/tests/golden/$name.txt" "$out" || {
+    echo "FAIL: fuzz $* stdout differs from crates/fuzz/tests/golden/$name.txt" >&2
+    exit 1
+  }
+  rm -f "$out"
+}
+
 # The committed records, as they were before any stage ran.
 bench_sums="$(sha256sum BENCH_*.json)"
 
@@ -134,8 +158,10 @@ cargo test --workspace -q
 echo "==> serve e2e (release profile)"
 cargo test --release -q -p adgen-serve --test e2e
 
-echo "==> fuzz smoke (fixed seed, deterministic)"
-cargo run --release -p adgen-fuzz -- --iters 200 --seed 1
+echo "==> fuzz smoke (fixed seed, deterministic, stdout byte-compared)"
+fuzz_golden fuzz_seed1 0 --iters 200 --seed 1
+fuzz_golden fuzz_dev_break_mapper 1 --iters 60 --seed 1 --dev-break mapper
+fuzz_golden fuzz_dev_break_cube 1 --iters 200 --dev-break cube
 
 echo "==> fault-campaign smoke (fixed seed, 4x4, full select-line fault list)"
 cargo run --release -p adgen-bench --bin faultcamp -- --smoke --seed 2026
@@ -215,7 +241,7 @@ cargo test --release -q -p adgen-affine
 echo "==> affine: affine-vs-reference differential fuzz smoke"
 # Seed 11 draws ~20 affine-vs-reference cases in 400; the family's
 # deterministic anchors also run as part of the adgen-fuzz unit tests.
-cargo run --release -p adgen-fuzz -- --iters 400 --seed 11
+fuzz_golden fuzz_seed11 0 --iters 400 --seed 11
 
 echo "==> affine: four-way comparison smoke (bit-exactness gate)"
 target/release/explore4 --smoke --seed 2026
@@ -232,7 +258,7 @@ echo "==> bank: bank-vs-reference differential fuzz smoke"
 # Seed 17 draws 12 bank-vs-reference cases in 400 (plus the rest of
 # the matrix); the family's deterministic anchors also run in the
 # adgen-bank unit tests.
-cargo run --release -p adgen-fuzz -- --iters 400 --seed 17
+fuzz_golden fuzz_seed17 0 --iters 400 --seed 17
 
 echo "==> bank: banked interleaver campaign smoke (conflict-free + decompose-win gates)"
 target/release/bankcamp --smoke --seed 2026
