@@ -41,6 +41,13 @@ impl ObsArgs {
     }
 }
 
+/// `value` of `flag` as an integer.
+fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects an integer"))
+}
+
 fn parse_args(args: &[String]) -> Result<(FuzzConfig, ObsArgs), String> {
     let mut config = FuzzConfig::default();
     let mut obs_args = ObsArgs::default();
@@ -52,28 +59,10 @@ fn parse_args(args: &[String]) -> Result<(FuzzConfig, ObsArgs), String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg.as_str() {
-            "--iters" => {
-                config.iters = value_for("--iters")?
-                    .parse()
-                    .map_err(|_| "--iters expects an integer".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value_for("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--jobs" => {
-                config.jobs = value_for("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs expects an integer".to_string())?;
-            }
-            "--case" => {
-                config.only_case = Some(
-                    value_for("--case")?
-                        .parse()
-                        .map_err(|_| "--case expects an integer".to_string())?,
-                );
-            }
+            "--iters" => config.iters = integer(arg, value_for(arg)?)?,
+            "--seed" => config.seed = integer(arg, value_for(arg)?)?,
+            "--jobs" => config.jobs = integer(arg, value_for(arg)?)?,
+            "--case" => config.only_case = Some(integer(arg, value_for(arg)?)?),
             "--dev-break" => {
                 let v = value_for("--dev-break")?;
                 config.break_mode = BreakMode::parse(&v)

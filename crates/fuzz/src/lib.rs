@@ -33,16 +33,13 @@
 //! cargo run -p adgen-fuzz -- --iters 500 --seed 1 --jobs 4
 //! ```
 
-pub mod case;
-pub mod check;
-pub mod gen;
-pub mod oracle;
-pub mod runner;
-pub mod shrink;
+mod draw;
+mod families;
+mod oracle;
+mod runner;
+mod shrink;
+mod workload;
 
-pub use case::{FuzzCase, WorkloadKind};
-pub use check::{check_case, CheckResult};
-pub use gen::generate_case;
-pub use oracle::{naive_verdict, BreakMode, NaiveVerdict, OracleCube};
+pub use families::{generate_case, FuzzCase};
+pub use oracle::BreakMode;
 pub use runner::{case_seed, run_fuzz, CaseOutcome, FailureInfo, FuzzConfig, FuzzReport};
-pub use shrink::shrink;

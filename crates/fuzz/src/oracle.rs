@@ -8,9 +8,14 @@
 //! checker follows paper §5 step by step; the cube oracle is the
 //! unpacked representation the bit-packed kernel replaced.
 
+use std::fmt;
+
 use adgen_synth::Tri;
 
-use crate::case::LitCode;
+/// A literal code for shrinkable cube storage: 0 = Zero, 1 = One,
+/// 2 = DontCare. Kept as `u8` so cube cases stay `Eq + Clone` plain
+/// data.
+pub type LitCode = u8;
 
 /// Dev-only switches that deliberately corrupt one oracle, used to
 /// demonstrate end-to-end failure reporting and shrinking. Never
@@ -196,11 +201,14 @@ pub fn decode_lits(codes: &[LitCode]) -> Vec<Tri> {
 }
 
 impl OracleCube {
+    /// Builds the oracle cube from its literals.
+    pub fn new(lits: Vec<Tri>) -> Self {
+        OracleCube { lits }
+    }
+
     /// Builds the oracle cube from literal codes.
     pub fn from_codes(codes: &[LitCode]) -> Self {
-        OracleCube {
-            lits: decode_lits(codes),
-        }
+        OracleCube::new(decode_lits(codes))
     }
 
     /// The literal vector.
@@ -294,12 +302,18 @@ impl OracleCube {
     }
 }
 
-/// Evaluates a cover given as literal-code cubes on one minterm — the
-/// naive disjunction of [`OracleCube::contains_minterm`].
-pub fn oracle_cover_eval(cubes: &[Vec<LitCode>], minterm: u64) -> bool {
-    cubes
-        .iter()
-        .any(|c| OracleCube::from_codes(c).contains_minterm(minterm))
+/// PLA-style rendering: most significant variable first, matching
+/// `Cube`'s `Display`.
+impl fmt::Display for OracleCube {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.lits.iter().rev().try_for_each(|l| {
+            f.write_str(match l {
+                Tri::Zero => "0",
+                Tri::One => "1",
+                Tri::DontCare => "-",
+            })
+        })
+    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! cores with [`adgen_exec::par_map`] while outcomes stay
 //! byte-identical at any `--jobs` value.
 
+use std::collections::BTreeMap;
+
 use adgen_exec::{par_map, splitmix64};
 use adgen_obs as obs;
 
-use crate::check::check_case;
-use crate::gen::generate_case;
+use crate::families::generate_case;
 use crate::oracle::BreakMode;
 use crate::shrink::shrink;
 
@@ -103,18 +104,13 @@ impl FuzzReport {
 
     /// `(kind, executed, failed)` per case family, sorted by kind.
     pub fn kind_summary(&self) -> Vec<(&'static str, usize, usize)> {
-        let mut rows: Vec<(&'static str, usize, usize)> = Vec::new();
+        let mut rows: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
         for o in &self.outcomes {
-            match rows.iter_mut().find(|(k, _, _)| *k == o.kind) {
-                Some(row) => {
-                    row.1 += 1;
-                    row.2 += usize::from(!o.passed());
-                }
-                None => rows.push((o.kind, 1, usize::from(!o.passed()))),
-            }
+            let row = rows.entry(o.kind).or_default();
+            row.0 += 1;
+            row.1 += usize::from(!o.passed());
         }
-        rows.sort_by_key(|&(k, _, _)| k);
-        rows
+        rows.into_iter().map(|(k, (n, f))| (k, n, f)).collect()
     }
 
     /// The one-line reproduction command for a failing outcome.
@@ -138,7 +134,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         obs::add(obs::Ctr::FuzzCases, 1);
         let cs = case_seed(config.seed, index);
         let case = generate_case(cs);
-        let failure = match check_case(&case, break_mode) {
+        let failure = match case.check(break_mode) {
             Ok(()) => None,
             Err(detail) => {
                 obs::add(obs::Ctr::FuzzFailures, 1);
@@ -146,10 +142,11 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
                     let _shrink = obs::span_arg("fuzz.shrink", index);
                     shrink(&case, |candidate| {
                         obs::add(obs::Ctr::FuzzShrinkSteps, 1);
-                        check_case(candidate, break_mode).is_err()
+                        candidate.check(break_mode).is_err()
                     })
                 };
-                let minimal_detail = check_case(&minimal, break_mode)
+                let minimal_detail = minimal
+                    .check(break_mode)
                     .expect_err("shrinker only keeps failing candidates");
                 Some(FailureInfo {
                     detail,
