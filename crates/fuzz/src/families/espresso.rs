@@ -99,13 +99,44 @@ impl Family for Case {
                 v.dedup();
                 v
             };
-            out.push(Case {
-                n: n - 1,
-                on: masked(on),
-                dc: masked(dc),
-            });
+            // Masking can fold an on-set minterm onto a don't-care;
+            // the on-set keeps it, so the cut stays in contract.
+            let on = masked(on);
+            let dc = masked(dc).into_iter().filter(|m| !on.contains(m)).collect();
+            out.push(Case { n: n - 1, on, dc });
         }
         out.extend(drop_each(on, 24).into_iter().map(with_on));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every candidate keeps the family's contract, on ∩ dc = ∅: a
+    /// shrink that left it would end on a spurious counterexample.
+    #[test]
+    fn candidates_keep_on_and_dc_disjoint() {
+        let folded = Case {
+            n: 2,
+            on: vec![2],
+            dc: vec![0],
+        };
+        let drawn = (0..500).map(|seed| Case::generate(&mut Prng::new(seed)));
+        for case in drawn.chain([folded.clone()]) {
+            for c in case.candidates() {
+                assert!(
+                    c.on.iter().all(|m| !c.dc.contains(m)),
+                    "{} shrinks to {}",
+                    case.describe(),
+                    c.describe()
+                );
+            }
+        }
+        // The folded cut is an honest function, so it passes its check.
+        for c in folded.candidates() {
+            assert_eq!(c.check(BreakMode::None), Ok(()), "{}", c.describe());
+        }
     }
 }
