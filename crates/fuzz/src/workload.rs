@@ -18,7 +18,7 @@ use crate::families::Context;
 /// baseline can realize are eligible, so every architecture in the
 /// oracle matrix produces the same stream by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadKind {
+pub(crate) enum WorkloadKind {
     /// Raster / FIFO scan.
     Fifo,
     /// Block-matching motion estimation (`mb`×`mb` macroblocks,
@@ -32,7 +32,7 @@ pub enum WorkloadKind {
 
 impl WorkloadKind {
     /// Short stable label used in failure reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             WorkloadKind::Fifo => "fifo",
             WorkloadKind::MotionEst => "motion_est",
@@ -44,7 +44,7 @@ impl WorkloadKind {
 
 /// A workload kernel on a power-of-two array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Workload {
+pub(crate) struct Workload {
     /// Workload kernel.
     pub(crate) kind: WorkloadKind,
     /// Array width (power of two).
