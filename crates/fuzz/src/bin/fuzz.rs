@@ -143,8 +143,10 @@ fn main() -> ExitCode {
         "fuzz: {} cases, seed {}, jobs {}",
         report.iters, report.seed, config.jobs
     );
-    for (kind, total, failed) in report.kind_summary() {
-        println!("  {kind:<14} {total:>5} run  {failed:>3} failed");
+    let summary = report.kind_summary();
+    let width = summary.iter().fold(0, |w, row| w.max(row.0.len()));
+    for (kind, total, failed) in summary {
+        println!("  {kind:<width$} {total:>5} run  {failed:>3} failed");
     }
 
     let failures: Vec<_> = report.failures().collect();
