@@ -37,10 +37,18 @@ pub enum BreakMode {
 impl BreakMode {
     /// Parses the `--dev-break` CLI value.
     pub fn parse(s: &str) -> Option<BreakMode> {
-        match s {
-            "mapper" => Some(BreakMode::Mapper),
-            "cube" => Some(BreakMode::Cube),
-            _ => None,
+        [BreakMode::Mapper, BreakMode::Cube]
+            .into_iter()
+            .find(|m| m.cli_value() == Some(s))
+    }
+
+    /// The `--dev-break` value selecting this mode; `None` for honest
+    /// oracles.
+    pub fn cli_value(self) -> Option<&'static str> {
+        match self {
+            BreakMode::None => None,
+            BreakMode::Mapper => Some("mapper"),
+            BreakMode::Cube => Some("cube"),
         }
     }
 }

@@ -92,6 +92,8 @@ pub struct FuzzReport {
     pub seed: u64,
     /// Number of cases executed.
     pub iters: u64,
+    /// The oracle corruption the run used.
+    pub break_mode: BreakMode,
     /// Per-case outcomes, in case-index order.
     pub outcomes: Vec<CaseOutcome>,
 }
@@ -113,12 +115,18 @@ impl FuzzReport {
         rows.into_iter().map(|(k, (n, f))| (k, n, f)).collect()
     }
 
-    /// The one-line reproduction command for a failing outcome.
+    /// The one-line reproduction command for a failing outcome,
+    /// including the oracle corruption that produced it.
     pub fn repro_line(&self, outcome: &CaseOutcome) -> String {
-        format!(
+        let mut line = format!(
             "SEED={} CASE={} reproduce: cargo run -p adgen-fuzz -- --seed {} --iters {} --case {}",
             self.seed, outcome.index, self.seed, self.iters, outcome.index
-        )
+        );
+        if let Some(mode) = self.break_mode.cli_value() {
+            line.push_str(" --dev-break ");
+            line.push_str(mode);
+        }
+        line
     }
 }
 
@@ -166,6 +174,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     FuzzReport {
         seed: config.seed,
         iters: config.iters,
+        break_mode,
         outcomes,
     }
 }
@@ -219,6 +228,49 @@ mod tests {
         let repro = report.repro_line(failure);
         assert!(repro.contains("SEED=1"));
         assert!(repro.contains(&format!("--case {}", failure.index)));
+    }
+
+    /// The configuration a printed reproduction line asks for.
+    fn config_of(repro: &str) -> FuzzConfig {
+        let args = repro
+            .split_once("cargo run -p adgen-fuzz -- ")
+            .expect("a cargo command")
+            .1;
+        let mut config = FuzzConfig {
+            jobs: 1,
+            ..FuzzConfig::default()
+        };
+        let mut words = args.split_whitespace();
+        while let (Some(flag), Some(value)) = (words.next(), words.next()) {
+            match flag {
+                "--seed" => config.seed = value.parse().unwrap(),
+                "--iters" => config.iters = value.parse().unwrap(),
+                "--case" => config.only_case = Some(value.parse().unwrap()),
+                "--dev-break" => config.break_mode = BreakMode::parse(value).unwrap(),
+                other => panic!("unexpected flag {other} in {repro}"),
+            }
+        }
+        config
+    }
+
+    #[test]
+    fn a_printed_reproduction_line_reproduces_its_failure() {
+        for (mode, iters) in [(BreakMode::Mapper, 60), (BreakMode::Cube, 200)] {
+            let report = run_fuzz(&FuzzConfig {
+                iters,
+                seed: 1,
+                jobs: 1,
+                break_mode: mode,
+                ..FuzzConfig::default()
+            });
+            let failure = report.failures().next().expect("a broken oracle fails");
+            let repro = report.repro_line(failure);
+            let config = config_of(&repro);
+            assert_eq!(config.break_mode, mode, "{repro}");
+            let again = run_fuzz(&config);
+            assert_eq!(again.outcomes, vec![failure.clone()], "{repro}");
+            assert_eq!(again.repro_line(&again.outcomes[0]), repro);
+        }
     }
 
     #[test]

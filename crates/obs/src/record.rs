@@ -43,14 +43,25 @@ use std::time::Instant;
 /// order, so they are identical at any `--jobs` value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Ctr {
-    /// Calls into the espresso EXPAND/IRREDUNDANT/REDUCE loop.
+    /// Runs of the espresso EXPAND/IRREDUNDANT/REDUCE loop: the
+    /// minimizations actually computed, not the calls answered. A
+    /// call a minimization memo answers counts in
+    /// [`Ctr::EspressoMemoHits`] instead.
     EspressoCalls,
-    /// Cube-interaction steps consumed, the same unit
+    /// Cube-interaction steps the loop actually spent, the same unit
     /// `adgen_synth::espresso::EffortBudget` meters — equals the sum
-    /// of `MinimizeOutcome::steps` over all calls.
+    /// of `MinimizeOutcome::steps` over the minimizations computed.
     EspressoSteps,
     /// Minimizations that ran out of budget and returned truncated.
     EspressoTruncated,
+    /// Minimizations an `adgen_synth::memo::MinimizeMemo` answered
+    /// without running the loop, waits on another thread's run of the
+    /// same input included.
+    EspressoMemoHits,
+    /// Outcomes a minimization memo dropped because it was full.
+    /// Calls and steps equal the distinct inputs' only while this is
+    /// zero.
+    EspressoMemoEvictions,
     /// Bit-packed cube-kernel word operations (u64 words touched by
     /// cofactor/conflict sweeps), counted at cover granularity.
     CubeWordOps,
@@ -149,7 +160,7 @@ pub enum Ctr {
 }
 
 /// Number of counter variants (the arena array length).
-pub const NUM_CTRS: usize = 41;
+pub const NUM_CTRS: usize = 43;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -157,6 +168,8 @@ impl Ctr {
         Ctr::EspressoCalls,
         Ctr::EspressoSteps,
         Ctr::EspressoTruncated,
+        Ctr::EspressoMemoHits,
+        Ctr::EspressoMemoEvictions,
         Ctr::CubeWordOps,
         Ctr::StaCtxBuilds,
         Ctr::StaRuns,
@@ -203,6 +216,8 @@ impl Ctr {
             Ctr::EspressoCalls => "espresso.calls",
             Ctr::EspressoSteps => "espresso.steps",
             Ctr::EspressoTruncated => "espresso.truncated",
+            Ctr::EspressoMemoHits => "espresso.memo.hits",
+            Ctr::EspressoMemoEvictions => "espresso.memo.evictions",
             Ctr::CubeWordOps => "cube.word_ops",
             Ctr::StaCtxBuilds => "sta.ctx.builds",
             Ctr::StaRuns => "sta.runs",

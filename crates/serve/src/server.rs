@@ -36,6 +36,15 @@
 //! leader and its waiters receive a typed [`ServeError::Internal`],
 //! nothing is cached, and the worker carries on.
 //!
+//! ## Minimization memo
+//!
+//! The pool owns one [`MinimizeMemo`], and every computation runs
+//! inside its scope. Misses are new requests, but their two-level
+//! functions mostly are not: a hit returns the stored minimization,
+//! byte for byte what the minimizer would return, and a function two
+//! workers need at once is minimized by one of them. The memo lives
+//! and dies with the pool; nothing outside a server shares it.
+//!
 //! ## Deadlines
 //!
 //! Each admitted job carries a deadline (from the request envelope,
@@ -77,7 +86,7 @@ use adgen_explorer::{evaluate, pareto_frontier, EvaluateOptions};
 use adgen_netlist::{Library, Price};
 use adgen_obs as obs;
 use adgen_seq::{AddressSequence, ArrayShape};
-use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError};
+use adgen_synth::{price_cyclic, EffortBudget, Encoding, MinimizeMemo, OutputStyle, PriceError};
 
 use crate::cache::{CacheKey, LruCache, ResultCache, Tier};
 use crate::error::ServeError;
@@ -500,6 +509,8 @@ struct Pool<'a> {
     cache: Mutex<ResultCache>,
     /// Keys being computed, each with the jobs waiting on it.
     in_flight: Mutex<HashMap<CacheKey, Vec<Job>>>,
+    /// Minimizations shared by every computation this pool runs.
+    memo: MinimizeMemo,
     /// Each taken job's recording with its admission instant, when
     /// observing.
     recordings: Mutex<Vec<(Instant, obs::Recording)>>,
@@ -518,6 +529,7 @@ fn run_pool(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
         library: Library::vcl018(),
         cache: Mutex::new(cache),
         in_flight: Mutex::new(HashMap::new()),
+        memo: MinimizeMemo::new(),
         recordings: Mutex::new(Vec::new()),
     };
     std::thread::scope(|scope| {
@@ -533,12 +545,18 @@ fn run_pool(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
         }
         pool.work();
     });
+    // The memo's pages go back to the OS with the pool, not whenever
+    // some later computation happens to trim the malloc arenas.
+    let Pool {
+        memo, recordings, ..
+    } = pool;
+    drop(memo);
+    release_freed_memory();
 
     if !shared.config.observe {
         return None;
     }
-    let mut recordings = pool
-        .recordings
+    let mut recordings = recordings
         .into_inner()
         .expect("no worker panics while holding the recordings lock");
     recordings.sort_by_key(|(admitted, _)| *admitted);
@@ -658,7 +676,9 @@ impl Pool<'_> {
             // Only `stall` and `panic` mean anything at this site, and
             // both act inside `fire`.
             let _ = faults::fire(&self.shared.config.faults, "serve.compute");
-            execute(&job.request, &self.library).encode()
+            self.memo
+                .scope(|| execute(&job.request, &self.library))
+                .encode()
         }));
         let payload = match computed {
             Ok(payload) => {
@@ -1176,6 +1196,215 @@ mod tests {
             Err(ServeError::WorkerPanicked(which)) => assert!(which.contains("io")),
             Err(other) => panic!("expected WorkerPanicked, got {other}"),
             Ok(_) => panic!("expected WorkerPanicked, got Ok"),
+        }
+    }
+
+    /// The first `per_conn` misses of each of the `serve-mixed`
+    /// benchmark's two connections, drawn as it draws them: 80 % of
+    /// draws pick a hot request (skipped here), the rest are FSMs over
+    /// permutations of 16 to 96 states, affine nests, explores of
+    /// rotated 8×8 and 16×16 paper workloads, and ring mappings, each
+    /// connection drawing sizes from its own residue class.
+    fn mixed_misses(seed: u64, per_conn: usize) -> Vec<Request> {
+        use adgen_exec::Prng;
+        use adgen_seq::workloads;
+        let lane = |prng: &mut Prng, conn: u64, lo: u64, hi: u64| {
+            let first = lo + (conn + 2 - lo % 2) % 2;
+            (first + 2 * prng.next_range((hi - first) / 2 + 1)) as u32
+        };
+        let encoding = |prng: &mut Prng, one_hot_ok: bool| match prng.next_range(if one_hot_ok {
+            3
+        } else {
+            2
+        }) {
+            0 => Encoding::Binary,
+            1 => Encoding::Gray,
+            _ => Encoding::OneHot,
+        };
+        let permutation = |prng: &mut Prng, n: u32| {
+            let mut v: Vec<u32> = (0..n).collect();
+            prng.shuffle(&mut v);
+            v
+        };
+        let miss = |prng: &mut Prng, conn: u64| match prng.next_range(10) {
+            0..=2 => {
+                let n = lane(prng, conn, 16, 96);
+                Request::Synthesize {
+                    sequence: permutation(prng, n),
+                    encoding: encoding(prng, n <= 64),
+                    num_lines: n,
+                    effort_steps: 0,
+                    generator: protocol::Generator::Fsm,
+                }
+            }
+            3 | 4 => {
+                let start = lane(prng, conn, 0, 1023);
+                let (inner, a) = (prng.next_in(2, 33) as u32, prng.next_in(1, 9) as u32);
+                let (outer, b) = (prng.next_in(2, 33) as u32, prng.next_in(1, 65) as u32);
+                let sequence: Vec<u32> = (0..outer)
+                    .flat_map(|j| (0..inner).map(move |i| start + i * a + j * b))
+                    .collect();
+                let num_lines = sequence.iter().max().copied().unwrap_or(0) + 1;
+                Request::Synthesize {
+                    sequence,
+                    encoding: encoding(prng, true),
+                    num_lines,
+                    effort_steps: 0,
+                    generator: protocol::Generator::Affine,
+                }
+            }
+            draw @ 5..=7 => {
+                let side = if draw == 7 { 16 } else { 8 };
+                let shape = ArrayShape::new(side, side);
+                let base = match prng.next_range(6) {
+                    0 => workloads::raster(shape),
+                    1 => workloads::motion_est_read(shape, 2, 2, 0),
+                    2 => workloads::transpose_scan(shape),
+                    3 => workloads::serpentine(shape),
+                    4 => workloads::rotate90(shape),
+                    _ => workloads::block_scan(shape, 4, 2),
+                };
+                let mut sequence = base.as_slice().to_vec();
+                let start = prng.next_range(sequence.len() as u64) as usize;
+                sequence.rotate_left(start);
+                Request::Explore {
+                    sequence,
+                    width: side,
+                    height: side,
+                    fsm_state_limit: lane(prng, conn, 1, 64),
+                }
+            }
+            _ => {
+                let n = lane(prng, conn, 16, 256);
+                let ring = permutation(prng, n);
+                let hold = 1 + prng.next_range(4) as usize;
+                let mut sequence: Vec<u32> = ring
+                    .iter()
+                    .chain(&ring)
+                    .flat_map(|&a| std::iter::repeat_n(a, hold))
+                    .collect();
+                if prng.one_in(5) {
+                    let at = prng.next_range(u64::from(n)) as usize * hold;
+                    sequence.insert(at, sequence[at]);
+                }
+                Request::MapSequence { sequence }
+            }
+        };
+        let mut out = Vec::new();
+        let mut streams: Vec<Prng> = (0..2).map(|c| Prng::for_stream(seed, 1 + c)).collect();
+        let mut issued = vec![std::collections::HashSet::new(); 2];
+        for _ in 0..per_conn {
+            for (conn, prng) in streams.iter_mut().enumerate() {
+                while prng.next_range(100) < 80 {
+                    prng.next_range(512);
+                }
+                // A repeated miss is drawn again, with no hot draw
+                // between.
+                loop {
+                    let request = miss(prng, conn as u64);
+                    let key = CacheKey::for_request(&request.encode(), request.effort_steps());
+                    if issued[conn].insert(key) {
+                        out.push(request);
+                        break;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// FSM, affine and explore requests whose sequences revisit
+    /// addresses, so that select lines are multi-state functions and
+    /// the explorer's ROMs hold repeated words.
+    fn repeating_addresses(seed: u64, count: usize) -> Vec<Request> {
+        let mut prng = adgen_exec::Prng::new(seed);
+        (0..count)
+            .map(|_| {
+                // A short pool of addresses, revisited along the way.
+                let lines = prng.next_in(2, 17) as u32;
+                let len = prng.next_in(u64::from(lines), 3 * u64::from(lines) + 1) as usize;
+                let sequence: Vec<u32> = (0..len)
+                    .map(|_| prng.next_range(u64::from(lines)) as u32)
+                    .collect();
+                match prng.next_range(3) {
+                    0 => Request::Synthesize {
+                        sequence,
+                        encoding: [Encoding::Binary, Encoding::Gray][prng.next_range(2) as usize],
+                        num_lines: lines,
+                        effort_steps: [0, 200][prng.next_range(2) as usize],
+                        generator: protocol::Generator::Fsm,
+                    },
+                    1 => Request::Synthesize {
+                        sequence,
+                        encoding: Encoding::Gray,
+                        num_lines: lines,
+                        effort_steps: 0,
+                        generator: protocol::Generator::Affine,
+                    },
+                    _ => Request::Explore {
+                        sequence,
+                        width: 4,
+                        height: 4,
+                        fsm_state_limit: 0,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `requests` through `execute` without a memo, then again on
+    /// two threads that share one memo and take alternate requests, as
+    /// two workers would. Requires byte-identical responses, and that
+    /// the memoized pass computed each distinct input once and answered
+    /// every other call from the memo.
+    fn memo_differential(requests: &[Request]) -> adgen_synth::MemoStats {
+        let library = Library::vcl018();
+        obs::start();
+        let plain: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| execute(r, &library).encode())
+            .collect();
+        let calls = obs::take().counter(obs::Ctr::EspressoCalls);
+        let memo = MinimizeMemo::new();
+        let (mut computed, mut hits) = (0, 0);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (memo, library) = (&memo, &library);
+                    s.spawn(move || {
+                        obs::start();
+                        let answers: Vec<(usize, Vec<u8>)> = (w..requests.len())
+                            .step_by(2)
+                            .map(|i| (i, memo.scope(|| execute(&requests[i], library)).encode()))
+                            .collect();
+                        (answers, obs::take())
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let (answers, rec) = worker.join().expect("worker finished");
+                for (i, bytes) in answers {
+                    assert_eq!(bytes, plain[i], "response {i} to {:?}", requests[i]);
+                }
+                computed += rec.counter(obs::Ctr::EspressoCalls);
+                hits += rec.counter(obs::Ctr::EspressoMemoHits);
+            }
+        });
+        let stats = memo.stats();
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(computed, stats.entries as u64, "one computation per input");
+        assert_eq!((hits, computed + hits), (stats.hits, calls));
+        stats
+    }
+
+    #[test]
+    fn the_minimization_memo_changes_no_response_byte() {
+        for (stream, requests) in [
+            ("serve-mixed misses", mixed_misses(2026, 150)),
+            ("repeated addresses", repeating_addresses(2026, 300)),
+        ] {
+            let stats = memo_differential(&requests);
+            assert!(stats.hits > 0, "{stream}: the memo answered nothing");
         }
     }
 }

@@ -150,6 +150,22 @@ impl Cube {
         c
     }
 
+    /// The cube of `n ≤ 32` variables whose one packed word is `word`.
+    pub(crate) fn from_word(n: usize, word: u64) -> Self {
+        debug_assert!(n <= VARS_PER_WORD, "one word holds at most 32 variables");
+        Cube {
+            n: n as u32,
+            w0: word,
+            rest: None,
+        }
+    }
+
+    /// The packed word of a cube of at most 32 variables, `None` for a
+    /// wider cube.
+    pub(crate) fn only_word(&self) -> Option<u64> {
+        self.rest.is_none().then_some(self.w0)
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.n as usize

@@ -27,6 +27,7 @@ use adgen_obs as obs;
 
 use crate::cover::{tautology, Cover};
 use crate::cube::{Cube, Tri};
+use crate::memo;
 
 /// Packed words per cube at arity `n` (the cube kernel stores 32
 /// two-bit variables per `u64`), for the word-op counter.
@@ -179,11 +180,29 @@ pub fn minimize_with_off_budgeted(
 }
 
 /// The EXPAND / IRREDUNDANT / REDUCE loop behind [`minimize_budgeted`]
-/// and [`minimize_with_off_budgeted`], counted and spanned. With
-/// `complemented`, `off` is already the complement of the condensed
-/// on ∪ dc, so [`starting_covers`] never complements the care set a
-/// second time.
+/// and [`minimize_with_off_budgeted`], answered by the thread's
+/// [`MinimizeMemo`](crate::memo::MinimizeMemo) when one is installed.
+/// With `complemented`, `off` is already the complement of the
+/// condensed on ∪ dc, so [`starting_covers`] never complements the
+/// care set a second time.
 fn minimize_observed(
+    on: Cover,
+    dc: Cover,
+    off: Cover,
+    complemented: bool,
+    budget: EffortBudget,
+) -> MinimizeOutcome {
+    let n = on.num_inputs();
+    match memo::installed(&on, &dc, &off, complemented, budget.max_steps) {
+        Some((memo, key)) => memo.get_or_compute(key, n, || {
+            minimize_counted(on, dc, off, complemented, budget)
+        }),
+        None => minimize_counted(on, dc, off, complemented, budget),
+    }
+}
+
+/// One run of the loop, counted and spanned.
+fn minimize_counted(
     on: Cover,
     dc: Cover,
     off: Cover,

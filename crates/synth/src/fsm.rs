@@ -293,7 +293,6 @@ impl Fsm {
                     let outcome = espresso::minimize_with_off_budgeted(on, dc.clone(), off, budget);
                     *truncated |= outcome.truncated;
                     let y = map_sop(netlist, &outcome.cover, &q, &qn)?;
-                    let y = ensure_driven_output(netlist, y)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }
@@ -304,7 +303,6 @@ impl Fsm {
                     let outcome = espresso::minimize_with_off_budgeted(on, dc.clone(), off, budget);
                     *truncated |= outcome.truncated;
                     let y = map_sop(netlist, &outcome.cover, &q, &qn)?;
-                    let y = ensure_driven_output(netlist, y)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }
@@ -352,7 +350,6 @@ impl Fsm {
                         .map(|s| q[s])
                         .collect();
                     let y = or_tree(netlist, &members)?;
-                    let y = ensure_driven_output(netlist, y)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }
@@ -364,7 +361,6 @@ impl Fsm {
                         .map(|s| q[s])
                         .collect();
                     let y = or_tree(netlist, &members)?;
-                    let y = ensure_driven_output(netlist, y)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }
@@ -372,14 +368,6 @@ impl Fsm {
         }
         Ok(outs)
     }
-}
-
-/// If `net` is a primary input passed straight through (possible for
-/// degenerate single-cube functions equal to a state bit), it is
-/// already driven; nothing to do. This hook exists for future
-/// isolation buffering and currently returns the net unchanged.
-fn ensure_driven_output(_netlist: &mut Netlist, net: NetId) -> Result<NetId, SynthError> {
-    Ok(net)
 }
 
 /// How the FSM presents its result.

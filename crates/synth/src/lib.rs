@@ -44,6 +44,7 @@ pub mod error;
 pub mod espresso;
 pub mod fsm;
 pub mod mapgen;
+pub mod memo;
 pub mod techmap;
 
 pub use cover::Cover;
@@ -52,3 +53,4 @@ pub use encoding::Encoding;
 pub use error::{PriceError, SynthError};
 pub use espresso::{EffortBudget, MinimizeOutcome};
 pub use fsm::{price_cyclic, Fsm, OutputStyle, PricedFsm, SynthesizedFsm};
+pub use memo::{MemoStats, MinimizeMemo};

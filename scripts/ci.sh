@@ -11,7 +11,10 @@
 #                         again under the release profile: its
 #                         tests hold computations with fault-plan
 #                         stalls, so they must not depend on how
-#                         fast compute is)
+#                         fast compute is; and the minimization-memo
+#                         differential test under the release profile,
+#                         because which worker leads and which waits
+#                         on a shared input changes with compute speed)
 #   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases,
 #                         plus the two --dev-break demos, which must
 #                         exit 1; every fuzz run's stdout, here and in
@@ -155,8 +158,9 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> serve e2e (release profile)"
+echo "==> serve e2e + memo differential (release profile)"
 cargo test --release -q -p adgen-serve --test e2e
+cargo test --release -q -p adgen-serve --lib the_minimization_memo_changes_no_response_byte
 
 echo "==> fuzz smoke (fixed seed, deterministic, stdout byte-compared)"
 fuzz_golden fuzz_seed1 0 --iters 200 --seed 1
