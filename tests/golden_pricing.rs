@@ -1,7 +1,8 @@
 //! Golden test for every delay/area/flip-flop price the toolkit
 //! reports: explorer candidates and rejections, the four-way
-//! shoot-out rows, the per-bank decompose-vs-monolithic plan, and the
-//! server's `Synthesize`/`Explore` answers over a live loopback
+//! shoot-out rows, the CntAG component delays and the ArithAG/RomAG
+//! serial delays (with a digest of each pinned CntAG netlist), the
+//! per-bank decompose-vs-monolithic plan, and the server's `Synthesize`/`Explore` answers over a live loopback
 //! connection.
 //!
 //! Every `f64` is written as the hex of its `to_bits`, so the
@@ -19,9 +20,11 @@ use std::path::PathBuf;
 
 use adgen::affine::fit_sequence;
 use adgen::bank::{BankMap, Interleaver};
-use adgen::cntag::CntAgSpec;
-use adgen::explorer::{compare_banked, compare_four_way, evaluate, EvaluateOptions};
-use adgen::netlist::Library;
+use adgen::cntag::{ArithAgNetlist, ArithAgSpec, CntAgNetlist, CntAgSpec, RomAgNetlist, RomAgSpec};
+use adgen::explorer::{
+    compare_banked, compare_four_way, compare_srag_cntag_load_sweep, evaluate, EvaluateOptions,
+};
+use adgen::netlist::{to_verilog, AreaReport, Library};
 use adgen::seq::{workloads, AddressSequence, ArrayShape};
 use adgen::serve::{serve, Client, Generator, Request, Response, ServeConfig};
 use adgen::synth::Encoding;
@@ -213,6 +216,97 @@ fn four_way_section(out: &mut String, library: &Library) {
     writeln!(out, "four_way raster 6x6\n  error: {err}").unwrap();
 }
 
+/// FNV-1a-64 of `text`, enough to pin a netlist's exact Verilog.
+fn digest(text: &str) -> String {
+    let h = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+/// The CntAG's Fig. 9 component delays across three select-line
+/// loads, with a digest of its netlist's Verilog, on square and
+/// non-square programs; then the serial delay and area of the
+/// arithmetic and table-lookup generators.
+fn decoder_backed_section(out: &mut String, library: &Library) {
+    let motion_est16 = ArrayShape::new(16, 16);
+    let cases = [
+        (
+            "raster",
+            workloads::raster(ArrayShape::new(16, 16)),
+            CntAgSpec::raster(ArrayShape::new(16, 16)),
+        ),
+        (
+            "zoom_by_two",
+            workloads::zoom_by_two(ArrayShape::new(8, 8)),
+            CntAgSpec::zoom_by_two(ArrayShape::new(8, 8)),
+        ),
+        (
+            "motion_est",
+            workloads::motion_est_read(motion_est16, 4, 4, 0),
+            CntAgSpec::motion_est(motion_est16, 4, 4, 0),
+        ),
+        (
+            "transpose",
+            workloads::transpose_scan(ArrayShape::new(8, 4)),
+            CntAgSpec::transpose(ArrayShape::new(8, 4)),
+        ),
+    ];
+    for (name, seq, program) in cases {
+        let shape = program.shape;
+        writeln!(out, "cntag {name} {}x{}", shape.width(), shape.height()).unwrap();
+        let loads = [0.0, 30.0, 100.0];
+        let points = compare_srag_cntag_load_sweep(&seq, shape, &program, library, &loads, 1)
+            .expect("load sweep");
+        for (load, (_, c)) in loads.iter().zip(&points) {
+            writeln!(
+                out,
+                "  load_ff={load} counter_ps={} row_decoder_ps={} col_decoder_ps={} total_ps={}",
+                bits(c.counter_ps),
+                bits(c.row_decoder_ps),
+                bits(c.col_decoder_ps),
+                bits(c.total_ps())
+            )
+            .unwrap();
+        }
+        let design = CntAgNetlist::elaborate(&program).expect("cntag elaborates");
+        writeln!(
+            out,
+            "  verilog_fnv1a64={}",
+            digest(&to_verilog(&design.netlist, false))
+        )
+        .unwrap();
+    }
+    let serpentine = ArrayShape::new(8, 4);
+    for (name, seq, shape) in [
+        ("serpentine", workloads::serpentine(serpentine), serpentine),
+        (
+            "motion_est",
+            workloads::motion_est_read(motion_est16, 4, 4, 0),
+            motion_est16,
+        ),
+    ] {
+        let arith = ArithAgNetlist::elaborate(&ArithAgSpec::from_sequence(&seq, shape).unwrap())
+            .expect("arithag elaborates");
+        let rom = RomAgNetlist::elaborate(&RomAgSpec::from_sequence(&seq, shape).unwrap())
+            .expect("romag elaborates");
+        for (family, netlist, delay) in [
+            ("arithag", &arith.netlist, arith.serial_delay_ps(library)),
+            ("romag", &rom.netlist, rom.serial_delay_ps(library)),
+        ] {
+            writeln!(
+                out,
+                "{family} {name} {}x{} serial_delay_ps={} area={}",
+                shape.width(),
+                shape.height(),
+                bits(delay.expect("serial delay")),
+                bits(AreaReport::of(netlist, library).total())
+            )
+            .unwrap();
+        }
+    }
+}
+
 fn bank_section(out: &mut String, library: &Library) {
     let (n, banks) = (64, 4);
     let window = n / banks;
@@ -353,6 +447,7 @@ fn every_reported_price_matches_golden() {
     let mut out = String::new();
     explorer_section(&mut out, &library);
     four_way_section(&mut out, &library);
+    decoder_backed_section(&mut out, &library);
     bank_section(&mut out, &library);
     serve_section(&mut out);
     assert_matches_golden("pricing.txt", &out);
