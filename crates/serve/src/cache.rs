@@ -768,6 +768,10 @@ impl ResultCache {
 mod tests {
     use super::*;
 
+    fn hex_of(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     fn key(n: u8) -> CacheKey {
         CacheKey([n; 16])
     }
@@ -802,6 +806,19 @@ mod tests {
         assert_eq!(lru.keys_by_recency(), vec![key(2), key(1)]);
         assert_eq!(lru.put(key(3), vec![3]), Some(key(2)));
         assert_eq!(lru.get(key(1)), Some(vec![10]));
+    }
+
+    #[test]
+    fn key_and_entry_digest_bytes_are_pinned() {
+        // Disk entries outlive the process: a key or digest that
+        // changed would orphan every cached file.
+        let key = CacheKey::for_request(b"adgen explore 4x4", 50_000_000);
+        assert_eq!(key.hex(), "d10cf8e838696902968a7ac22ab74e55");
+        let frame = frame_entry(key, b"payload");
+        assert_eq!(
+            hex_of(&frame[16..ENTRY_HEADER_LEN]),
+            "06f28a94ffcae007352a8fd79e497bd0"
+        );
     }
 
     #[test]
