@@ -78,37 +78,32 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub [u8; 16]);
 
-/// FNV-1a over `bytes`, then over the 8-byte effort budget, from a
-/// caller-chosen basis so two independent streams can be derived.
-fn fnv1a64(basis: u64, bytes: &[u8], effort_steps: u64) -> u64 {
+/// FNV-1a-128: two FNV-1a-64 streams over `bytes`, one from the
+/// standard offset basis and one from that basis perturbed with the
+/// golden-ratio constant so the halves decorrelate. The low stream's
+/// little-endian bytes come first.
+fn fnv1a128<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> [u8; 16] {
     const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = basis;
-    for &b in bytes.iter().chain(effort_steps.to_le_bytes().iter()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hi: u64 = lo ^ 0x9e37_79b9_7f4a_7c15;
+    for &b in bytes {
+        lo = (lo ^ u64::from(b)).wrapping_mul(PRIME);
+        hi = (hi ^ u64::from(b)).wrapping_mul(PRIME);
     }
-    h
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&lo.to_le_bytes());
+    out[8..].copy_from_slice(&hi.to_le_bytes());
+    out
 }
 
 impl CacheKey {
     /// Digests a canonical request encoding plus the effort budget it
-    /// pins. Two FNV-1a-64 streams with distinct bases make the
-    /// 128-bit key; collisions would need both 64-bit halves to
-    /// collide simultaneously.
+    /// pins, with `fnv1a128`: collisions would need both 64-bit
+    /// halves to collide simultaneously.
     pub fn for_request(canonical: &[u8], effort_steps: u64) -> CacheKey {
-        // The standard FNV offset basis, and a second basis derived
-        // by perturbing it with the golden-ratio constant so the two
-        // halves decorrelate.
-        let lo = fnv1a64(0xcbf2_9ce4_8422_2325, canonical, effort_steps);
-        let hi = fnv1a64(
-            0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-            canonical,
-            effort_steps,
-        );
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&lo.to_le_bytes());
-        key[8..].copy_from_slice(&hi.to_le_bytes());
-        CacheKey(key)
+        CacheKey(fnv1a128(
+            canonical.iter().chain(&effort_steps.to_le_bytes()),
+        ))
     }
 
     /// Lowercase hex form — the on-disk file name.
@@ -134,22 +129,11 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a-128 (two 64-bit streams with decorrelated bases, same
-/// construction as [`CacheKey::for_request`]) over the payload bytes
-/// followed by the key bytes. Including the key ties the digest to
-/// the file name: a payload filed under the wrong digest fails.
+/// [`fnv1a128`] over the payload bytes followed by the key bytes.
+/// Including the key ties the digest to the file name: a payload filed
+/// under the wrong digest fails.
 fn entry_digest(key: CacheKey, payload: &[u8]) -> [u8; 16] {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hi: u64 = lo ^ 0x9e37_79b9_7f4a_7c15;
-    for &b in payload.iter().chain(key.0.iter()) {
-        lo = (lo ^ u64::from(b)).wrapping_mul(PRIME);
-        hi = (hi ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hi.to_le_bytes());
-    out
+    fnv1a128(payload.iter().chain(&key.0))
 }
 
 /// Frames `payload` for storage under `key`: header + payload, ready
