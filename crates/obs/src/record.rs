@@ -71,7 +71,9 @@ pub enum Ctr {
     /// Timing runs over an existing context; runs minus builds is the
     /// memo *hit* count.
     StaRuns,
-    /// `ComponentNetlists` elaborations — the CntAG memo misses.
+    /// Fig. 9 component sets built from an elaborated CntAG
+    /// (`CntAgNetlist::components`: its kept counter cascade plus
+    /// standalone row and column decoders).
     CntagComponentBuilds,
     /// `ComponentTimer::delays_at` queries; queries minus builds is
     /// the CntAG memo hit count.
@@ -259,11 +261,10 @@ impl Ctr {
         }
     }
 
+    /// The arena slot: the declaration-order discriminant, which is
+    /// also the variant's position in [`Ctr::ALL`].
     fn index(self) -> usize {
-        Ctr::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("every variant is in ALL")
+        self as usize
     }
 }
 
@@ -630,6 +631,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), NUM_CTRS);
+        for (i, &c) in Ctr::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{} is out of declaration order", c.name());
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

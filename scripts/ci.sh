@@ -6,7 +6,10 @@
 #   2. lints             (clippy, warnings are errors; then rustdoc
 #                         with warnings as errors, so no intra-doc
 #                         link may dangle or point at a private item)
-#   3. tier-1 build      (release, all targets)
+#   3. tier-1 build      (release, all targets; then a release
+#                         `cargo check` of the benchmark package, so
+#                         a removed public item it imports fails in
+#                         seconds rather than at stage 15)
 #   4. tier-1 tests      (full workspace, then the serve e2e suite
 #                         again under the release profile: its
 #                         tests hold computations with fault-plan
@@ -154,6 +157,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
+
+echo "==> cargo check benchmark (fail fast on a removed item it imports)"
+cargo check --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test"
 cargo test --workspace -q
