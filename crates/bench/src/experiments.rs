@@ -626,9 +626,12 @@ mod tests {
         for r in fig8_9_10(&[16, 32], 2) {
             let shape = ArrayShape::new(r.n, r.n);
             let mb = macroblock_for(r.n);
-            let comps =
-                adgen_cntag::component_delays(&CntAgSpec::motion_est(shape, mb, mb, 0), &library)
-                    .unwrap();
+            let design = CntAgNetlist::elaborate(&CntAgSpec::motion_est(shape, mb, mb, 0)).unwrap();
+            let components = design.components().unwrap();
+            let comps = components
+                .timer(&library)
+                .unwrap()
+                .delays_at(SELECT_LINE_LOAD_FF);
             assert_eq!(r.counter_delay_ns, comps.counter_ps / 1000.0, "n={}", r.n);
             assert_eq!(
                 r.row_decoder_delay_ns,

@@ -15,14 +15,12 @@
 //! sequence whose delta stream is periodic with a short period maps —
 //! at the cost of an adder in the address loop.
 
-use adgen_netlist::{CellKind, Library, NetId, Netlist, Simulator, TimingAnalysis};
+use adgen_netlist::{CellKind, Library, NetId, Netlist, Simulator};
 use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
-use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::mapgen::{build_adder, build_decoder, build_mod_counter, build_rom};
-use adgen_synth::techmap::insert_fanout_buffers;
+use adgen_synth::mapgen::{build_adder, build_mod_counter, build_rom};
 use adgen_synth::SynthError;
 
-use crate::netlist::{address_core, decoders_delay_ps};
+use crate::netlist::{binary_address, decode, require_power_of_two, AddressLoop};
 
 /// Largest supported delta-ROM period (two-level ROM synthesis cost
 /// grows steeply beyond this).
@@ -52,22 +50,16 @@ impl ArithAgSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::EmptyStateSpace`] for an empty sequence
-    /// and [`SynthError::WidthTooLarge`] when the minimal delta
-    /// period exceeds [`MAX_DELTA_PERIOD`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is not power-of-two in both dimensions
-    /// (required for the address split feeding the decoders).
+    /// Returns [`SynthError::ShapeNotPowerOfTwo`] unless both
+    /// dimensions are powers of two (the address split feeding the
+    /// decoders needs it), [`SynthError::EmptyStateSpace`] for an
+    /// empty sequence and [`SynthError::WidthTooLarge`] when the
+    /// minimal delta period exceeds [`MAX_DELTA_PERIOD`].
     pub fn from_sequence(
         sequence: &AddressSequence,
         shape: ArrayShape,
     ) -> Result<Self, SynthError> {
-        assert!(
-            shape.width().is_power_of_two() && shape.height().is_power_of_two(),
-            "arithmetic generator requires power-of-two dimensions"
-        );
+        require_power_of_two(shape)?;
         if sequence.is_empty() {
             return Err(SynthError::EmptyStateSpace);
         }
@@ -164,7 +156,8 @@ impl AddressGenerator for ArithAgSimulator {
 #[derive(Debug, Clone)]
 pub struct ArithAgNetlist {
     /// The implementation. Inputs: `reset`, `next`. Outputs: row
-    /// select lines, column select lines, then the accumulator bits.
+    /// select lines, column select lines, then the accumulator's row
+    /// bits and its column bits.
     pub netlist: Netlist,
     /// Row select nets.
     pub row_lines: Vec<NetId>,
@@ -177,7 +170,7 @@ pub struct ArithAgNetlist {
     /// Index counter, delta ROM, adder and accumulator alone, with
     /// `addr` as outputs: the address loop [`Self::serial_delay_ps`]
     /// times.
-    core: Netlist,
+    address_loop: AddressLoop,
 }
 
 impl ArithAgNetlist {
@@ -213,35 +206,17 @@ impl ArithAgNetlist {
             };
             n.add_instance(format!("acc_ff{i}"), kind, &[sum[i], next, rst], &[addr[i]])?;
         }
-        let core = address_core(&n, &addr)?;
 
         // Decode, as the conventional RAM would.
         let col_bits = spec.shape.col_bits() as usize;
-        let col_dec = build_decoder(&mut n, &addr[..col_bits])?;
-        let row_dec = build_decoder(&mut n, &addr[col_bits..])?;
-        let row_lines: Vec<NetId> = row_dec
-            .into_iter()
-            .take(spec.shape.height() as usize)
-            .collect();
-        let col_lines: Vec<NetId> = col_dec
-            .into_iter()
-            .take(spec.shape.width() as usize)
-            .collect();
-        for &l in row_lines.iter().chain(&col_lines) {
-            n.add_output(l);
-        }
-        for &a in &addr {
-            n.add_output(a);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate()?;
+        let decoded = decode(n, &addr, &addr[col_bits..], &addr[..col_bits], spec.shape)?;
         Ok(ArithAgNetlist {
-            netlist: n,
-            row_lines,
-            col_lines,
+            netlist: decoded.netlist,
+            row_lines: decoded.row_lines,
+            col_lines: decoded.col_lines,
             addr,
             spec: spec.clone(),
-            core,
+            address_loop: decoded.address_loop,
         })
     }
 
@@ -249,35 +224,22 @@ impl ArithAgNetlist {
     /// critical path (index counter → ROM → adder → accumulator)
     /// plus the worst standalone decoder, in picoseconds — the same
     /// methodology as
-    /// [`component_delays`](crate::netlist::component_delays) for the
-    /// counter-based design. The loop is the one [`Self::elaborate`]
-    /// built, so its delta ROM is not minimized again.
+    /// [`CntAgNetlist::serial_delay_ps`](crate::CntAgNetlist::serial_delay_ps)
+    /// for the counter-based design. The loop is the one
+    /// [`Self::elaborate`] built, so its delta ROM is not minimized
+    /// again.
     ///
     /// # Errors
     ///
     /// Propagates timing failures.
     pub fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
-        let spec = &self.spec;
-        let core = TimingAnalysis::run(&self.core, library)?.critical_path_ps();
-        let col_bits = spec.shape.col_bits() as usize;
-        let decoders = decoders_delay_ps(
-            (spec.width as usize - col_bits, spec.shape.height() as usize),
-            (col_bits, spec.shape.width() as usize),
-            library,
-        )?;
-        Ok(core + decoders)
+        self.address_loop.serial_delay_ps(library)
     }
 
     /// Decodes the presented linear address from a running simulator
     /// via the accumulator bits. `None` if any bit is X.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        let mut v = 0u32;
-        for (i, &b) in self.addr.iter().enumerate() {
-            if sim.value(b).to_bool()? {
-                v |= 1 << i;
-            }
-        }
-        Some(v)
+        binary_address(sim, &self.addr)
     }
 }
 
@@ -373,6 +335,18 @@ mod tests {
     }
 
     #[test]
+    fn non_power_of_two_shape_is_a_typed_error() {
+        let shape = ArrayShape::new(6, 4);
+        assert_eq!(
+            ArithAgSpec::from_sequence(&workloads::raster(shape), shape),
+            Err(SynthError::ShapeNotPowerOfTwo {
+                width: 6,
+                height: 4
+            })
+        );
+    }
+
+    #[test]
     fn empty_sequence_rejected() {
         let shape = ArrayShape::new(4, 4);
         assert!(matches!(
@@ -386,7 +360,7 @@ mod tests {
         // The paper's stated reason for choosing CntAG as baseline
         // ([7]): on regular patterns the counter style is faster than
         // the arithmetic style (the adder sits in the address loop).
-        use crate::netlist::component_delays;
+        use crate::netlist::CntAgNetlist;
         use crate::spec::CntAgSpec;
         use adgen_netlist::{Library, TimingAnalysis};
         let lib = Library::vcl018();
@@ -397,8 +371,13 @@ mod tests {
         let arith_delay = TimingAnalysis::run(&arith.netlist, &lib)
             .unwrap()
             .critical_path_ps();
-        let cnt_delay = component_delays(&CntAgSpec::raster(shape), &lib)
+        let counter = CntAgNetlist::elaborate(&CntAgSpec::raster(shape)).unwrap();
+        let cnt_delay = counter
+            .components()
             .unwrap()
+            .timer(&lib)
+            .unwrap()
+            .delays_at(0.0)
             .counter_ps;
         assert!(
             arith_delay > cnt_delay,

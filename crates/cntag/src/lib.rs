@@ -21,9 +21,10 @@
 //!   and column decoders (the circuitry the paper's area/delay
 //!   figures attribute to the conventional design), and
 //! * [`ComponentDelays`] — the per-component timing breakdown of
-//!   paper Fig. 9 (counter, row decoder, column decoder) together
-//!   with the paper's serial delay accounting (counter + worst
-//!   decoder), and
+//!   paper Fig. 9 (counter, row decoder, column decoder), timed on
+//!   the blocks [`CntAgNetlist::components`] takes from the
+//!   elaborated design, together with the paper's serial delay
+//!   accounting (counter + worst decoder), and
 //! * [`arith`] — the *arithmetic-based* generator style the paper
 //!   cites as the weaker conventional alternative (accumulator +
 //!   delta ROM), provided both as a fallback for SRAG-unmappable
@@ -37,8 +38,6 @@ pub mod spec;
 
 pub use arith::{ArithAgNetlist, ArithAgSimulator, ArithAgSpec};
 pub use compile::compile_loop_nest;
-pub use netlist::{
-    component_delays, CntAgNetlist, ComponentDelays, ComponentNetlists, ComponentTimer,
-};
+pub use netlist::{CntAgNetlist, ComponentDelays, ComponentNetlists, ComponentTimer};
 pub use rom::{RomAgNetlist, RomAgSimulator, RomAgSpec};
 pub use spec::{BitSource, CntAgSimulator, CntAgSpec, CounterStage};

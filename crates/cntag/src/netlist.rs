@@ -1,9 +1,11 @@
 //! Gate-level elaboration of the counter-based address generator,
-//! including the row/column address decoders, plus the
-//! per-component delay breakdown of paper Fig. 9.
+//! the decode step every decoder-backed generator (CntAG, ArithAG,
+//! RomAG) shares, and the per-component delay breakdown of paper
+//! Fig. 9.
 
 use adgen_netlist::{Library, NetId, Netlist, Simulator, TimingAnalysis, TimingContext};
 use adgen_obs as obs;
+use adgen_seq::ArrayShape;
 use adgen_synth::fsm::MAX_FANOUT;
 use adgen_synth::mapgen::{build_decoder, build_mod_counter};
 use adgen_synth::techmap::insert_fanout_buffers;
@@ -14,8 +16,8 @@ use crate::spec::CntAgSpec;
 /// External capacitance assumed on every select line, modelling the
 /// output-load constraint a synthesis run applies at the boundary to
 /// the memory cell array (the array's internal delay itself is
-/// excluded, as in the paper). Used by [`component_delays`] for the
-/// decoder outputs and by the comparison harness for the SRAG's
+/// excluded, as in the paper). The serial delay accounting times the
+/// decoder outputs under it, and the comparison harness the SRAG's
 /// select lines, so both architectures drive identical loads.
 pub const SELECT_LINE_LOAD_FF: f64 = 30.0;
 
@@ -37,6 +39,9 @@ pub struct CntAgNetlist {
     pub col_addr: Vec<NetId>,
     /// The program this netlist implements.
     pub spec: CntAgSpec,
+    /// The counter cascade alone, every stage bit an output: the
+    /// address loop of the serial delay and Fig. 9's counter block.
+    address_loop: AddressLoop,
 }
 
 impl CntAgNetlist {
@@ -64,7 +69,7 @@ impl CntAgNetlist {
         let mut stage_q: Vec<Vec<NetId>> = Vec::with_capacity(spec.stages.len());
         for (i, stage) in spec.stages.iter().enumerate() {
             let c = build_mod_counter(&mut n, stage.modulus, enable, &format!("st{i}"))?;
-            stage_q.push(c.q.clone());
+            stage_q.push(c.q);
             enable = c.wrap;
         }
 
@@ -79,32 +84,15 @@ impl CntAgNetlist {
         let col_addr = pick(&spec.col_bits);
 
         // Decoders (the RAM's built-in decoding, paper Fig. 1).
-        let row_dec = build_decoder(&mut n, &row_addr)?;
-        let col_dec = build_decoder(&mut n, &col_addr)?;
-        let row_lines: Vec<NetId> = row_dec
-            .into_iter()
-            .take(spec.shape.height() as usize)
-            .collect();
-        let col_lines: Vec<NetId> = col_dec
-            .into_iter()
-            .take(spec.shape.width() as usize)
-            .collect();
-
-        for &l in row_lines.iter().chain(&col_lines) {
-            n.add_output(l);
-        }
-        for &a in row_addr.iter().chain(&col_addr) {
-            n.add_output(a);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate()?;
+        let decoded = decode(n, &stage_q.concat(), &row_addr, &col_addr, spec.shape)?;
         Ok(CntAgNetlist {
-            netlist: n,
-            row_lines,
-            col_lines,
+            netlist: decoded.netlist,
+            row_lines: decoded.row_lines,
+            col_lines: decoded.col_lines,
             row_addr,
             col_addr,
             spec: spec.clone(),
+            address_loop: decoded.address_loop,
         })
     }
 
@@ -131,14 +119,33 @@ impl CntAgNetlist {
     /// The paper's serial delay accounting for the conventional
     /// design (Fig. 9 text: "the total delay is the sum of the
     /// counter delay and the worst of the row or the column decoder
-    /// delay"), in picoseconds.
+    /// delay"), in picoseconds. The counter cascade is the one
+    /// [`Self::elaborate`] built.
     ///
     /// # Errors
     ///
     /// Propagates timing-analysis failures.
     pub fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
-        let c = component_delays(&self.spec, library)?;
-        Ok(c.total_ps())
+        self.address_loop.serial_delay_ps(library)
+    }
+
+    /// The isolated blocks paper Fig. 9 times: the counter cascade
+    /// [`Self::elaborate`] built, and a standalone row and column
+    /// decoder driven from registered address bits (one decoder when
+    /// the two have the same address bits and lines). Pair with
+    /// [`ComponentNetlists::timer`] to time them at several loads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decoder-construction failures.
+    pub fn components(&self) -> Result<ComponentNetlists<'_>, SynthError> {
+        let _span = obs::span("cntag.components.elaborate");
+        obs::add(obs::Ctr::CntagComponentBuilds, 1);
+        let AddressLoop { netlist, row, col } = &self.address_loop;
+        Ok(ComponentNetlists {
+            counter: netlist,
+            decoders: standalone_decoders(*row, *col)?,
+        })
     }
 }
 
@@ -160,67 +167,17 @@ impl ComponentDelays {
     }
 }
 
-/// Times the CntAG's components in isolation, as the paper's Fig. 9
-/// does: the counter cascade as a standalone sequential block and
-/// each decoder as a standalone combinational block driven from
-/// registered address bits, under [`SELECT_LINE_LOAD_FF`].
-///
-/// # Errors
-///
-/// Propagates construction/timing failures.
-pub fn component_delays(
-    spec: &CntAgSpec,
-    library: &Library,
-) -> Result<ComponentDelays, SynthError> {
-    let components = ComponentNetlists::elaborate(spec)?;
-    Ok(components.timer(library)?.delays_at(SELECT_LINE_LOAD_FF))
-}
-
-/// The CntAG's isolated component netlists (counter cascade, row and
-/// column decoders), elaborated once so a load or frequency sweep
-/// does not rebuild them per point. Pair with [`Self::timer`] to get
-/// a reusable [`ComponentTimer`].
+/// A CntAG's isolated component netlists (counter cascade, row and
+/// column decoders), from [`CntAgNetlist::components`], so a load or
+/// frequency sweep does not rebuild them per point. Pair with
+/// [`Self::timer`] to get a reusable [`ComponentTimer`].
 #[derive(Debug, Clone)]
-pub struct ComponentNetlists {
-    counter: Netlist,
+pub struct ComponentNetlists<'a> {
+    counter: &'a Netlist,
     decoders: Vec<Netlist>,
 }
 
-impl ComponentNetlists {
-    /// Elaborates the component netlists of `spec`: the counter
-    /// cascade and its row and column decoders, one decoder when the
-    /// two have the same address bits and lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates structural-generation failures.
-    pub fn elaborate(spec: &CntAgSpec) -> Result<Self, SynthError> {
-        let _span = obs::span("cntag.components.elaborate");
-        obs::add(obs::Ctr::CntagComponentBuilds, 1);
-        spec.validate();
-        let counter = {
-            let mut n = Netlist::new("cntag_counter");
-            let next = n.add_input("next");
-            let mut enable = next;
-            for (i, stage) in spec.stages.iter().enumerate() {
-                let c = build_mod_counter(&mut n, stage.modulus, enable, &format!("st{i}"))?;
-                for &q in &c.q {
-                    n.add_output(q);
-                }
-                enable = c.wrap;
-            }
-            insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-            n
-        };
-        Ok(ComponentNetlists {
-            counter,
-            decoders: standalone_decoders(
-                (spec.row_bits.len(), spec.shape.height() as usize),
-                (spec.col_bits.len(), spec.shape.width() as usize),
-            )?,
-        })
-    }
-
+impl ComponentNetlists<'_> {
     /// Builds timing contexts over the component netlists. The
     /// counter's delay is load-independent and computed here once;
     /// each [`ComponentTimer::delays_at`] call then only re-times the
@@ -229,9 +186,9 @@ impl ComponentNetlists {
     /// # Errors
     ///
     /// Propagates validation/timing failures.
-    pub fn timer<'a>(&'a self, library: &'a Library) -> Result<ComponentTimer<'a>, SynthError> {
+    pub fn timer<'b>(&'b self, library: &'b Library) -> Result<ComponentTimer<'b>, SynthError> {
         Ok(ComponentTimer {
-            counter_ps: TimingContext::new(&self.counter, library)?
+            counter_ps: TimingContext::new(self.counter, library)?
                 .run()
                 .critical_path_ps(),
             decoders: self
@@ -272,6 +229,118 @@ impl ComponentTimer<'_> {
             col_decoder_ps: decoder_ps[decoder_ps.len() - 1],
         }
     }
+}
+
+/// The address loop of a decoder-backed generator — every gate in
+/// front of its decoders, taken before [`decode`] appends them — and
+/// the `(address_bits, lines_kept)` of its row and column decoders:
+/// what the paper's serial delay accounting times.
+#[derive(Debug, Clone)]
+pub(crate) struct AddressLoop {
+    netlist: Netlist,
+    row: (usize, usize),
+    col: (usize, usize),
+}
+
+impl AddressLoop {
+    /// The paper's serial delay: the loop's critical path plus the
+    /// worst standalone decoder under [`SELECT_LINE_LOAD_FF`], in
+    /// picoseconds.
+    pub(crate) fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
+        let loop_ps = TimingAnalysis::run(&self.netlist, library)?.critical_path_ps();
+        Ok(loop_ps + decoders_delay_ps(self.row, self.col, library)?)
+    }
+}
+
+/// A decoder-backed generator after [`decode`].
+pub(crate) struct Decoded {
+    /// The whole design, fanout-buffered and validated.
+    pub(crate) netlist: Netlist,
+    /// The first `height` row decoder outputs.
+    pub(crate) row_lines: Vec<NetId>,
+    /// The first `width` column decoder outputs.
+    pub(crate) col_lines: Vec<NetId>,
+    /// The loop as it stood before the decoders.
+    pub(crate) address_loop: AddressLoop,
+}
+
+/// The decode step of every decoder-backed generator, run once its
+/// address loop is built in `n`:
+///
+/// 1. snapshot the loop, with `loop_outputs` as outputs and fanout
+///    buffers inserted;
+/// 2. build the row decoder over `row_addr`, then the column decoder
+///    over `col_addr` (the RAM's built-in decoding, paper Fig. 1);
+/// 3. keep the first `shape.height()` row and `shape.width()` column
+///    lines;
+/// 4. mark as outputs the row lines, the column lines, `row_addr`,
+///    then `col_addr`;
+/// 5. insert fanout buffers and validate.
+pub(crate) fn decode(
+    mut n: Netlist,
+    loop_outputs: &[NetId],
+    row_addr: &[NetId],
+    col_addr: &[NetId],
+    shape: ArrayShape,
+) -> Result<Decoded, SynthError> {
+    let mut address_loop = n.clone();
+    for &net in loop_outputs {
+        address_loop.add_output(net);
+    }
+    insert_fanout_buffers(&mut address_loop, MAX_FANOUT)?;
+
+    let (height, width) = (shape.height() as usize, shape.width() as usize);
+    let row_lines: Vec<NetId> = build_decoder(&mut n, row_addr)?
+        .into_iter()
+        .take(height)
+        .collect();
+    let col_lines: Vec<NetId> = build_decoder(&mut n, col_addr)?
+        .into_iter()
+        .take(width)
+        .collect();
+    for &net in row_lines
+        .iter()
+        .chain(&col_lines)
+        .chain(row_addr)
+        .chain(col_addr)
+    {
+        n.add_output(net);
+    }
+    insert_fanout_buffers(&mut n, MAX_FANOUT)?;
+    n.validate()?;
+    Ok(Decoded {
+        netlist: n,
+        row_lines,
+        col_lines,
+        address_loop: AddressLoop {
+            netlist: address_loop,
+            row: (row_addr.len(), height),
+            col: (col_addr.len(), width),
+        },
+    })
+}
+
+/// A binary address splits between row and column decoders only on a
+/// shape whose sides are both powers of two.
+pub(crate) fn require_power_of_two(shape: ArrayShape) -> Result<(), SynthError> {
+    let (width, height) = (shape.width(), shape.height());
+    if width.is_power_of_two() && height.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(SynthError::ShapeNotPowerOfTwo { width, height })
+    }
+}
+
+/// The linear address a binary-address generator presents on `bits`
+/// (LSB first) in a running simulator. `None` if any bit is X.
+pub(crate) fn binary_address(sim: &Simulator<'_>, bits: &[NetId]) -> Option<u32> {
+    let mut v = 0u32;
+    for (i, &b) in bits.iter().enumerate() {
+        if sim.value(b).to_bool()? {
+            v |= 1 << i;
+        }
+    }
+    Some(v)
 }
 
 /// The standalone row and column decoders of a binary address, each
@@ -328,24 +397,21 @@ pub fn decoders_delay_ps(
     Ok(worst_ps)
 }
 
-/// A copy of the partly built `netlist`, with `addr` as its outputs
-/// and fanout buffers inserted: the address loop of a decoder-based
-/// generator, taken before its decoders are appended, so the serial
-/// delay accounting times exactly the gates the full design holds.
-pub(crate) fn address_core(netlist: &Netlist, addr: &[NetId]) -> Result<Netlist, SynthError> {
-    let mut core = netlist.clone();
-    for &a in addr {
-        core.add_output(a);
-    }
-    insert_fanout_buffers(&mut core, MAX_FANOUT)?;
-    Ok(core)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::CntAgSimulator;
-    use adgen_seq::{AddressGenerator, ArrayShape};
+    use adgen_seq::AddressGenerator;
+
+    /// Fig. 9's component delays of `spec` under the select-line load.
+    fn component_delays(spec: &CntAgSpec, library: &Library) -> ComponentDelays {
+        let design = CntAgNetlist::elaborate(spec).unwrap();
+        let components = design.components().unwrap();
+        components
+            .timer(library)
+            .unwrap()
+            .delays_at(SELECT_LINE_LOAD_FF)
+    }
 
     fn verify_against_behaviour(spec: CntAgSpec, steps: usize) {
         let design = CntAgNetlist::elaborate(&spec).unwrap();
@@ -399,8 +465,8 @@ mod tests {
     #[test]
     fn component_delays_are_positive_and_grow() {
         let lib = Library::vcl018();
-        let small = component_delays(&CntAgSpec::raster(ArrayShape::new(16, 16)), &lib).unwrap();
-        let large = component_delays(&CntAgSpec::raster(ArrayShape::new(256, 256)), &lib).unwrap();
+        let small = component_delays(&CntAgSpec::raster(ArrayShape::new(16, 16)), &lib);
+        let large = component_delays(&CntAgSpec::raster(ArrayShape::new(256, 256)), &lib);
         assert!(small.counter_ps > 0.0);
         assert!(large.row_decoder_ps > small.row_decoder_ps);
         assert!(large.total_ps() > small.total_ps());
@@ -408,6 +474,24 @@ mod tests {
             large.total_ps(),
             large.counter_ps + large.row_decoder_ps.max(large.col_decoder_ps)
         );
+    }
+
+    #[test]
+    fn serial_delay_is_the_fig9_total_at_the_select_line_load() {
+        let lib = Library::vcl018();
+        for spec in [
+            CntAgSpec::raster(ArrayShape::new(16, 16)),
+            CntAgSpec::transpose(ArrayShape::new(8, 4)),
+            CntAgSpec::zoom_by_two(ArrayShape::new(8, 8)),
+            CntAgSpec::motion_est(ArrayShape::new(32, 16), 4, 4, 1),
+        ] {
+            let serial = CntAgNetlist::elaborate(&spec)
+                .unwrap()
+                .serial_delay_ps(&lib)
+                .unwrap();
+            let fig9 = component_delays(&spec, &lib).total_ps();
+            assert_eq!(serial.to_bits(), fig9.to_bits(), "{:?}", spec.shape);
+        }
     }
 
     #[test]
@@ -420,8 +504,8 @@ mod tests {
         // figure; the absolute crossover point depends on the cell
         // library and is documented in EXPERIMENTS.md.
         let lib = Library::vcl018();
-        let small = component_delays(&CntAgSpec::raster(ArrayShape::new(16, 16)), &lib).unwrap();
-        let large = component_delays(&CntAgSpec::raster(ArrayShape::new(256, 256)), &lib).unwrap();
+        let small = component_delays(&CntAgSpec::raster(ArrayShape::new(16, 16)), &lib);
+        let large = component_delays(&CntAgSpec::raster(ArrayShape::new(256, 256)), &lib);
         let decoder_growth = large.row_decoder_ps / small.row_decoder_ps;
         let counter_growth = large.counter_ps / small.counter_ps;
         assert!(

@@ -12,14 +12,12 @@
 //! | arithmetic ([`ArithAgSpec`](crate::ArithAgSpec)) | accumulator + small index | adder + delta ROM | short-period delta streams |
 //! | table lookup (this module) | index counter | full address ROM | anything |
 
-use adgen_netlist::{Library, NetId, Netlist, Simulator, TimingAnalysis};
+use adgen_netlist::{Library, NetId, Netlist, Simulator};
 use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
-use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::mapgen::{build_decoder, build_mod_counter, build_rom};
-use adgen_synth::techmap::insert_fanout_buffers;
+use adgen_synth::mapgen::{build_mod_counter, build_rom};
 use adgen_synth::SynthError;
 
-use crate::netlist::{address_core, decoders_delay_ps};
+use crate::netlist::{binary_address, decode, require_power_of_two, AddressLoop};
 
 /// Largest supported sequence length (two-level ROM synthesis cost).
 pub const MAX_ROM_DEPTH: usize = 512;
@@ -42,21 +40,15 @@ impl RomAgSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::EmptyStateSpace`] for an empty sequence
-    /// and [`SynthError::WidthTooLarge`] when the minimal period
-    /// exceeds [`MAX_ROM_DEPTH`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is not power-of-two in both dimensions.
+    /// Returns [`SynthError::ShapeNotPowerOfTwo`] unless both
+    /// dimensions are powers of two, [`SynthError::EmptyStateSpace`]
+    /// for an empty sequence and [`SynthError::WidthTooLarge`] when
+    /// the minimal period exceeds [`MAX_ROM_DEPTH`].
     pub fn from_sequence(
         sequence: &AddressSequence,
         shape: ArrayShape,
     ) -> Result<Self, SynthError> {
-        assert!(
-            shape.width().is_power_of_two() && shape.height().is_power_of_two(),
-            "table-lookup generator requires power-of-two dimensions"
-        );
+        require_power_of_two(shape)?;
         if sequence.is_empty() {
             return Err(SynthError::EmptyStateSpace);
         }
@@ -117,7 +109,8 @@ impl AddressGenerator for RomAgSimulator {
 #[derive(Debug, Clone)]
 pub struct RomAgNetlist {
     /// The implementation. Inputs: `reset`, `next`. Outputs: row
-    /// lines, column lines, then the ROM output (binary address).
+    /// lines, column lines, then the ROM output's row bits and its
+    /// column bits.
     pub netlist: Netlist,
     /// Row select nets.
     pub row_lines: Vec<NetId>,
@@ -129,7 +122,7 @@ pub struct RomAgNetlist {
     pub spec: RomAgSpec,
     /// Index counter and ROM alone, with `addr` as outputs: the
     /// address loop [`Self::serial_delay_ps`] times.
-    core: Netlist,
+    address_loop: AddressLoop,
 }
 
 impl RomAgNetlist {
@@ -147,38 +140,20 @@ impl RomAgNetlist {
         let next = n.add_input("next");
         let idx = build_mod_counter(&mut n, spec.addresses.len() as u64, next, "idx")?;
         let addr = build_rom(&mut n, &idx.q, &spec.addresses, spec.width)?;
-        let core = address_core(&n, &addr)?;
         let col_bits = spec.shape.col_bits() as usize;
-        let col_dec = build_decoder(&mut n, &addr[..col_bits])?;
-        let row_dec = build_decoder(&mut n, &addr[col_bits..])?;
-        let row_lines: Vec<NetId> = row_dec
-            .into_iter()
-            .take(spec.shape.height() as usize)
-            .collect();
-        let col_lines: Vec<NetId> = col_dec
-            .into_iter()
-            .take(spec.shape.width() as usize)
-            .collect();
-        for &l in row_lines.iter().chain(&col_lines) {
-            n.add_output(l);
-        }
-        for &a in &addr {
-            n.add_output(a);
-        }
-        insert_fanout_buffers(&mut n, MAX_FANOUT)?;
-        n.validate()?;
+        let decoded = decode(n, &addr, &addr[col_bits..], &addr[..col_bits], spec.shape)?;
         Ok(RomAgNetlist {
-            netlist: n,
-            row_lines,
-            col_lines,
+            netlist: decoded.netlist,
+            row_lines: decoded.row_lines,
+            col_lines: decoded.col_lines,
             addr,
             spec: spec.clone(),
-            core,
+            address_loop: decoded.address_loop,
         })
     }
 
     /// Paper-style serial delay: index-counter-plus-ROM critical path
-    /// plus the worst standalone decoder, in picoseconds. The core is
+    /// plus the worst standalone decoder, in picoseconds. The loop is
     /// the one [`Self::elaborate`] built, so its ROM is not minimized
     /// again.
     ///
@@ -186,27 +161,13 @@ impl RomAgNetlist {
     ///
     /// Propagates timing failures.
     pub fn serial_delay_ps(&self, library: &Library) -> Result<f64, SynthError> {
-        let spec = &self.spec;
-        let core = TimingAnalysis::run(&self.core, library)?.critical_path_ps();
-        let col_bits = spec.shape.col_bits() as usize;
-        let decoders = decoders_delay_ps(
-            (spec.width as usize - col_bits, spec.shape.height() as usize),
-            (col_bits, spec.shape.width() as usize),
-            library,
-        )?;
-        Ok(core + decoders)
+        self.address_loop.serial_delay_ps(library)
     }
 
     /// Decodes the presented linear address via the binary address
     /// bits. `None` if any bit is X.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        let mut v = 0u32;
-        for (i, &b) in self.addr.iter().enumerate() {
-            if sim.value(b).to_bool()? {
-                v |= 1 << i;
-            }
-        }
-        Some(v)
+        binary_address(sim, &self.addr)
     }
 }
 
@@ -274,6 +235,18 @@ mod tests {
             RomAgSpec::from_sequence(&seq, shape),
             Err(SynthError::WidthTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn non_power_of_two_shape_is_a_typed_error() {
+        let shape = ArrayShape::new(6, 4);
+        assert_eq!(
+            RomAgSpec::from_sequence(&workloads::raster(shape), shape),
+            Err(SynthError::ShapeNotPowerOfTwo {
+                width: 6,
+                height: 4
+            })
+        );
     }
 
     #[test]

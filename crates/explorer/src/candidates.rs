@@ -3,9 +3,7 @@
 use adgen_affine::{fit_sequence, price_affine, AffineError};
 use adgen_bank::{price_decomposed, Decomposition};
 use adgen_cntag::netlist::decoders_delay_ps;
-use adgen_cntag::{
-    component_delays, ArithAgNetlist, ArithAgSpec, CntAgNetlist, CntAgSpec, RomAgNetlist, RomAgSpec,
-};
+use adgen_cntag::{ArithAgNetlist, ArithAgSpec, CntAgNetlist, CntAgSpec, RomAgNetlist, RomAgSpec};
 use adgen_core::composite::Srag2d;
 use adgen_core::multi_counter::{map_sequence_relaxed, MultiCounterSragNetlist};
 use adgen_core::SragError;
@@ -231,7 +229,7 @@ fn price_family(
                 .as_ref()
                 .ok_or("no counter-cascade program known for this sequence")?;
             let design = CntAgNetlist::elaborate(program)?;
-            let delay = component_delays(program, library)?.total_ps();
+            let delay = design.serial_delay_ps(library)?;
             Ok(serial_price(delay, &design.netlist, library))
         }
 

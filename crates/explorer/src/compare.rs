@@ -2,7 +2,7 @@
 //! behind paper Figures 8, 10 and Table 3.
 
 use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
-use adgen_cntag::{CntAgNetlist, CntAgSpec, ComponentDelays, ComponentNetlists};
+use adgen_cntag::{CntAgNetlist, CntAgSpec, ComponentDelays};
 use adgen_core::composite::Srag2d;
 use adgen_core::SragError;
 use adgen_netlist::{AreaReport, Library, TimingContext};
@@ -69,8 +69,9 @@ pub fn compare_srag_cntag(
 /// must pay). Each point also carries the CntAG component delays
 /// behind its row's `cntag_delay_ps` (paper Fig. 9).
 ///
-/// The SRAG pair and the CntAG component blocks are mapped and
-/// elaborated **once**, their timing state is cached in a
+/// The SRAG pair and the CntAG are mapped and elaborated **once**,
+/// the CntAG's Fig. 9 blocks are taken from that one elaboration
+/// ([`CntAgNetlist::components`]), their timing state is cached in a
 /// [`TimingContext`] / [`adgen_cntag::ComponentTimer`], and only the
 /// load-dependent timing runs per point, fanned across `jobs` worker
 /// threads (`0` means all available cores; a single load is timed on
@@ -98,7 +99,7 @@ pub fn compare_srag_cntag_load_sweep(
     let srag_flip_flops = srag.netlist.num_flip_flops();
 
     let cntag = CntAgNetlist::elaborate(cntag_program)?;
-    let components = ComponentNetlists::elaborate(cntag_program)?;
+    let components = cntag.components()?;
     let timer = components.timer(library)?;
     let cntag_area = AreaReport::of(&cntag.netlist, library).total();
     let cntag_flip_flops = cntag.netlist.num_flip_flops();

@@ -12,7 +12,7 @@
 //! gate level on both simulation engines, residual appended.
 
 use adgen_affine::{fit_sequence, price_affine, AffineAgNetlist, AffineFit, AffinePriceError};
-use adgen_cntag::{component_delays, CntAgNetlist, CntAgSpec};
+use adgen_cntag::{CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
 use adgen_fault::{flip_flop_ids, run_campaign, sample_seus, CampaignSpec, Fault};
 use adgen_netlist::{EventSimulator, Library, Netlist, Price, SimControl, Simulator};
@@ -202,9 +202,9 @@ pub fn compare_four_way(
     // accounting.
     let cntag =
         CntAgNetlist::elaborate(cntag_program).map_err(|e| FamilyError::Synth("CntAG: ", e))?;
-    let cntag_delay = component_delays(cntag_program, library)
-        .map_err(|e| FamilyError::Synth("", e))?
-        .total_ps();
+    let cntag_delay = cntag
+        .serial_delay_ps(library)
+        .map_err(|e| FamilyError::Synth("", e))?;
     let cntag_price = serial_price(cntag_delay, &cntag.netlist, library);
     row(Architecture::CntAg, &cntag.netlist, cntag_price, 0);
 

@@ -35,6 +35,15 @@ pub enum SynthError {
         /// Supported maximum.
         max: u32,
     },
+    /// A generator that splits a binary address between row and
+    /// column decoders needs both array dimensions to be powers of
+    /// two.
+    ShapeNotPowerOfTwo {
+        /// Array width (columns).
+        width: u32,
+        /// Array height (rows).
+        height: u32,
+    },
 }
 
 impl fmt::Display for SynthError {
@@ -56,6 +65,12 @@ impl fmt::Display for SynthError {
             }
             SynthError::WidthTooLarge { width, max } => {
                 write!(f, "bit width {width} exceeds supported maximum {max}")
+            }
+            SynthError::ShapeNotPowerOfTwo { width, height } => {
+                write!(
+                    f,
+                    "array shape {width}x{height} is not a power of two in both dimensions"
+                )
             }
         }
     }

@@ -51,6 +51,10 @@ fn error_display_is_lowercase_without_trailing_punctuation() {
         Box::new(MemError::NoSelect),
         Box::new(adgen::seq::SeqError::EmptyGeometry { what: "w" }),
         Box::new(adgen::synth::SynthError::EmptyStateSpace),
+        Box::new(adgen::synth::SynthError::ShapeNotPowerOfTwo {
+            width: 6,
+            height: 4,
+        }),
         Box::new(adgen::explorer::FamilyError::ShapeNotPowerOfTwo),
         Box::new(adgen::explorer::FamilyError::Synth(
             "",

@@ -29,13 +29,20 @@ fn srag_64x64_maps_elaborates_and_times() {
     }
 }
 
+/// Fig. 9's component delays of `spec` under the select-line load.
+fn cntag_components(spec: &CntAgSpec, lib: &Library) -> adgen::cntag::ComponentDelays {
+    let design = CntAgNetlist::elaborate(spec).unwrap();
+    let components = design.components().unwrap();
+    let timer = components.timer(lib).unwrap();
+    timer.delays_at(adgen::cntag::netlist::SELECT_LINE_LOAD_FF)
+}
+
 #[test]
 fn cntag_64x64_components() {
     // Bounded twin of `cntag_512x512_components`.
-    use adgen::cntag::component_delays;
     let shape = ArrayShape::new(64, 64);
     let lib = Library::vcl018();
-    let c = component_delays(&CntAgSpec::raster(shape), &lib).unwrap();
+    let c = cntag_components(&CntAgSpec::raster(shape), &lib);
     assert!(c.row_decoder_ps > 0.0);
     assert!(c.total_ps() > c.counter_ps);
 }
@@ -127,10 +134,9 @@ fn srag_512x512_maps_elaborates_and_times() {
 #[test]
 #[ignore = "large configuration; run with --ignored"]
 fn cntag_512x512_components() {
-    use adgen::cntag::component_delays;
     let shape = ArrayShape::new(512, 512);
     let lib = Library::vcl018();
-    let c = component_delays(&CntAgSpec::raster(shape), &lib).unwrap();
+    let c = cntag_components(&CntAgSpec::raster(shape), &lib);
     assert!(c.row_decoder_ps > 0.0);
     assert!(c.total_ps() > c.counter_ps);
 }
