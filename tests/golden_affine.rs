@@ -10,42 +10,13 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_affine
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
+use common::assert_matches_golden;
 
 use adgen::affine::netlist::{program_inputs, reset_inputs, tick_inputs};
 use adgen::netlist::{to_verilog, Simulator, VcdTrace};
 use adgen::prelude::*;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Byte-compares `actual` against `tests/golden/<name>`, or rewrites
-/// the golden when `BLESS_GOLDEN` is set.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\nregenerate with BLESS_GOLDEN=1 cargo test --test golden_affine",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected,
-        actual,
-        "affine artifact diverged from {} — if intentional, regenerate with \
-         BLESS_GOLDEN=1 cargo test --test golden_affine",
-        path.display()
-    );
-}
 
 /// The reviewable running example: the fitted program of a 4×4 raster
 /// scan — a 16-address ramp on a 4-bit datapath, small enough to read
@@ -66,7 +37,7 @@ fn affine_verilog_matches_golden() {
         text.matches("module ").count(),
         text.matches("endmodule").count()
     );
-    assert_matches_golden("affine_raster4x4.v", &text);
+    assert_matches_golden("affine_raster4x4.v", &text, "affine artifact");
 }
 
 #[test]
@@ -99,5 +70,5 @@ fn affine_programming_vcd_matches_golden() {
     let text = trace.finish();
     assert!(text.starts_with("$timescale"));
     assert!(text.contains("$enddefinitions $end"));
-    assert_matches_golden("affine_program4x4.vcd", &text);
+    assert_matches_golden("affine_program4x4.vcd", &text, "affine artifact");
 }

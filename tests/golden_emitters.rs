@@ -11,43 +11,14 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_emitters
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
+use common::assert_matches_golden;
 
 use adgen::core::composite::Srag2dNetlist;
 use adgen::core::multi_counter::MultiCounterSragNetlist;
 use adgen::netlist::{to_verilog, Netlist, Simulator, VcdTrace};
 use adgen::prelude::*;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Byte-compares `actual` against `tests/golden/<name>`, or rewrites
-/// the golden when `BLESS_GOLDEN` is set.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\nregenerate with BLESS_GOLDEN=1 cargo test --test golden_emitters",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected,
-        actual,
-        "emitter output diverged from {} — if intentional, regenerate with \
-         BLESS_GOLDEN=1 cargo test --test golden_emitters",
-        path.display()
-    );
-}
 
 /// The paper's running example (Table 2): a 4×4 FIFO pair — small
 /// enough to review by eye, large enough to exercise counters, token
@@ -62,7 +33,11 @@ fn paper_design() -> Srag2dNetlist {
 #[test]
 fn verilog_structural_matches_golden() {
     let design = paper_design();
-    assert_matches_golden("fifo4x4.v", &to_verilog(&design.netlist, false));
+    assert_matches_golden(
+        "fifo4x4.v",
+        &to_verilog(&design.netlist, false),
+        "emitter output",
+    );
 }
 
 #[test]
@@ -76,7 +51,7 @@ fn verilog_with_primitives_matches_golden() {
         text.matches("endmodule").count()
     );
     assert!(text.contains("module vcl018_"));
-    assert_matches_golden("fifo4x4_with_primitives.v", &text);
+    assert_matches_golden("fifo4x4_with_primitives.v", &text, "emitter output");
 }
 
 #[test]
@@ -97,7 +72,7 @@ fn vcd_trace_matches_golden() {
     // line uses a defined identifier code.
     assert!(text.starts_with("$timescale"));
     assert!(text.contains("$enddefinitions $end"));
-    assert_matches_golden("fifo4x4.vcd", &text);
+    assert_matches_golden("fifo4x4.vcd", &text, "emitter output");
 }
 
 /// Every SRAG elaboration variant in `adgen-core`, one structural
@@ -177,5 +152,5 @@ fn srag_variants_verilog_matches_golden() {
 
     let text: String = netlists.iter().map(|n| to_verilog(n, false)).collect();
     assert_eq!(text.matches("endmodule").count(), netlists.len());
-    assert_matches_golden("srag_variants4x4.v", &text);
+    assert_matches_golden("srag_variants4x4.v", &text, "emitter output");
 }

@@ -20,6 +20,8 @@
 
 mod common;
 
+use common::assert_matches_golden;
+
 use std::fmt::Write as _;
 
 use adgen::affine::price_affine;
@@ -28,8 +30,6 @@ use adgen::fault::{flip_flop_ids, sample_seus};
 use adgen::netlist::{NetId, Netlist};
 use adgen::prelude::*;
 use adgen::synth::{price_cyclic, EffortBudget};
-
-use common::assert_matches_golden;
 
 const SEED: u64 = 2026;
 /// SEU samples of the smoke `faultcamp` and `simbench` campaigns.

@@ -13,8 +13,9 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_obs
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
+use common::assert_matches_golden;
 
 use adgen::exec::par_map;
 use adgen::netlist::{Library, TimingAnalysis};
@@ -23,36 +24,6 @@ use adgen::obs::json::validate_chrome_trace;
 use adgen::prelude::*;
 use adgen::synth::espresso::minimize_budgeted;
 use adgen::synth::{Cover, EffortBudget};
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Byte-compares `actual` against `tests/golden/<name>`, or rewrites
-/// the golden when `BLESS_GOLDEN` is set.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\nregenerate with BLESS_GOLDEN=1 cargo test --test golden_obs",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected,
-        actual,
-        "exporter output diverged from {} — if intentional, regenerate with \
-         BLESS_GOLDEN=1 cargo test --test golden_obs",
-        path.display()
-    );
-}
 
 /// One espresso minimization of a fixed 4-input cover: exercises the
 /// `espresso.minimize` → expand/irredundant/reduce span hierarchy and
@@ -87,13 +58,17 @@ fn minimize_trace_matches_golden() {
     let rec = minimize_recording();
     let text = obs::chrome_trace(&rec, true);
     validate_chrome_trace(&text).expect("golden trace passes the schema check");
-    assert_matches_golden("trace_minimize.json", &text);
+    assert_matches_golden("trace_minimize.json", &text, "exporter output");
 }
 
 #[test]
 fn minimize_profile_matches_golden() {
     let rec = minimize_recording();
-    assert_matches_golden("profile_minimize.txt", &obs::profile_report(&rec, true));
+    assert_matches_golden(
+        "profile_minimize.txt",
+        &obs::profile_report(&rec, true),
+        "exporter output",
+    );
 }
 
 #[test]
@@ -101,11 +76,15 @@ fn sweep_trace_matches_golden() {
     let rec = sweep_recording();
     let text = obs::chrome_trace(&rec, true);
     validate_chrome_trace(&text).expect("golden trace passes the schema check");
-    assert_matches_golden("trace_sweep.json", &text);
+    assert_matches_golden("trace_sweep.json", &text, "exporter output");
 }
 
 #[test]
 fn sweep_profile_matches_golden() {
     let rec = sweep_recording();
-    assert_matches_golden("profile_sweep.txt", &obs::profile_report(&rec, true));
+    assert_matches_golden(
+        "profile_sweep.txt",
+        &obs::profile_report(&rec, true),
+        "exporter output",
+    );
 }

@@ -14,9 +14,11 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_pricing
 //! ```
 
+mod common;
+
+use common::assert_matches_golden;
+
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
 use adgen::affine::fit_sequence;
 use adgen::bank::{BankMap, Interleaver};
@@ -28,34 +30,6 @@ use adgen::netlist::{to_verilog, AreaReport, Library};
 use adgen::seq::{workloads, AddressSequence, ArrayShape};
 use adgen::serve::{serve, Client, Generator, Request, Response, ServeConfig};
 use adgen::synth::Encoding;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\nregenerate with BLESS_GOLDEN=1 cargo test --test golden_pricing",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected,
-        actual,
-        "a reported price diverged from {}; if the accounting change is intentional, \
-         regenerate with BLESS_GOLDEN=1 cargo test --test golden_pricing",
-        path.display()
-    );
-}
 
 /// The exact bit pattern of `x`.
 fn bits(x: f64) -> String {
@@ -450,5 +424,5 @@ fn every_reported_price_matches_golden() {
     decoder_backed_section(&mut out, &library);
     bank_section(&mut out, &library);
     serve_section(&mut out);
-    assert_matches_golden("pricing.txt", &out);
+    assert_matches_golden("pricing.txt", &out, "a reported price");
 }

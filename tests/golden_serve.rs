@@ -16,8 +16,9 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_serve
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
+use common::assert_matches_golden;
 
 use adgen::serve::protocol::{
     encode_request_frame, write_hello, write_hello_reply, CandidateRow, HANDSHAKE_REJECT_VERSION,
@@ -27,35 +28,6 @@ use adgen::serve::{
     PROTOCOL_VERSION,
 };
 use adgen::synth::Encoding;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\nregenerate with BLESS_GOLDEN=1 cargo test --test golden_serve",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected,
-        actual,
-        "wire encoding diverged from {} — this breaks deployed clients and the \
-         on-disk cache; if intentional, bump PROTOCOL_VERSION and regenerate \
-         with BLESS_GOLDEN=1 cargo test --test golden_serve",
-        path.display()
-    );
-}
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -252,7 +224,7 @@ fn wire_dump() -> String {
 
 #[test]
 fn wire_encodings_match_golden() {
-    assert_matches_golden("serve_wire.txt", &wire_dump());
+    assert_matches_golden("serve_wire.txt", &wire_dump(), "wire encoding (a change breaks deployed clients and the on-disk cache, so also bump PROTOCOL_VERSION)");
 }
 
 #[test]
