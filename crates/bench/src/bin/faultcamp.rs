@@ -1,19 +1,22 @@
 //! `faultcamp` — gate-level fault-injection campaign on the paper's
 //! Fig. 7 motion-estimation workload.
 //!
-//! Three variants of the same address stream are put under the same
-//! select-ring fault universe (stuck-at-0/1 on every select line plus
-//! seed-reproducible SEUs on the state flip-flops):
+//! Four variants of the same address stream are struck by the one
+//! campaign recipe, `adgen_fault::fault_universe`: stuck-at-0/1 on a
+//! list of nets plus seed-reproducible SEUs over a list of
+//! flip-flops.
 //!
 //! * `srag-plain`    — the paper's SRAG pair: select lines straight
-//!   from flip-flops, no protection;
+//!   from flip-flops, no protection; stuck-ats on every select line,
+//!   SEUs on the ring flip-flops;
 //! * `srag-hardened` — the self-checking variant: one-hot checker,
-//!   `alarm` output, watchdog resync;
+//!   `alarm` output, watchdog resync; the same select-ring universe;
 //! * `cntag`         — the counter-plus-decoder baseline, whose
 //!   decoder structurally remaps every fault to *some* legal select;
+//!   stuck-ats on every select line, SEUs over every flip-flop;
 //! * `affine`        — the programmable affine AGU fitted to the same
-//!   stream, under stuck-ats on its primary outputs plus SEUs over
-//!   every flip-flop (datapath *and* configuration chain).
+//!   stream, under stuck-ats on all of its primary outputs plus SEUs
+//!   over all of its flip-flops (datapath *and* configuration chain).
 //!
 //! ```text
 //! cargo run --release -p adgen-bench --bin faultcamp              # 8x8 array
@@ -51,12 +54,12 @@ use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
 use adgen_cntag::CntAgNetlist;
 use adgen_core::composite::Srag2d;
 use adgen_exec::Prng;
-use adgen_explorer::{agu_fault_universe, compare_resilience};
+use adgen_explorer::compare_resilience;
 use adgen_fault::{
-    classify, flip_flop_ids, replay, repro_line, run_campaign, sample_seus, CampaignReport,
+    classify, fault_universe, flip_flop_ids, replay, repro_line, run_campaign, CampaignReport,
     CampaignSpec, Classification, Fault,
 };
-use adgen_netlist::{AreaReport, Library, NetId, Netlist, Simulator, TimingAnalysis};
+use adgen_netlist::{AreaReport, Library, NetId, Simulator, TimingAnalysis};
 use adgen_seq::{ArrayShape, Layout};
 
 /// One row of the JSON report.
@@ -188,7 +191,19 @@ fn main() -> ExitCode {
         .chain(&cntag.col_lines)
         .copied()
         .collect();
-    let cnt_report = cntag_campaign(&cntag.netlist, &cnt_lines, cycles, seu_samples, seed, jobs);
+    let cnt_faults = fault_universe(
+        &cnt_lines,
+        &flip_flop_ids(&cntag.netlist),
+        cycles,
+        seu_samples,
+        seed,
+    );
+    let cnt_spec = CampaignSpec {
+        netlist: &cntag.netlist,
+        cycles,
+        alarm_output: None,
+    };
+    let cnt_report = run_campaign(&cnt_spec, &cnt_faults, jobs);
     let cnt_timing =
         TimingAnalysis::run_with_output_load(&cntag.netlist, &lib, SELECT_LINE_LOAD_FF)
             .expect("CntAG times");
@@ -208,7 +223,13 @@ fn main() -> ExitCode {
         "motion-est stream must fit without residual"
     );
     let affine = AffineAgNetlist::elaborate(&fit.spec).expect("fitted spec elaborates");
-    let aff_faults = agu_fault_universe(&affine.netlist, cycles, seu_samples, seed);
+    let aff_faults = fault_universe(
+        affine.netlist.outputs(),
+        &flip_flop_ids(&affine.netlist),
+        cycles,
+        seu_samples,
+        seed,
+    );
     let aff_spec = CampaignSpec {
         netlist: &affine.netlist,
         cycles,
@@ -362,42 +383,6 @@ fn banked_containment(smoke: bool, trials: usize, seed: u64) -> BankedContainmen
         contained,
         breached,
     }
-}
-
-/// The CntAG side of the comparison, under the analogous universe:
-/// stuck-ats on every select line plus SEUs sampled over the counter
-/// flip-flops. No alarm output exists — detection means a corrupted
-/// primary output.
-fn cntag_campaign(
-    netlist: &Netlist,
-    select_lines: &[NetId],
-    cycles: u32,
-    seu_samples: usize,
-    seed: u64,
-    jobs: usize,
-) -> CampaignReport {
-    let mut faults: Vec<Fault> = select_lines
-        .iter()
-        .flat_map(|&net| {
-            [
-                Fault::StuckAt { net, value: false },
-                Fault::StuckAt { net, value: true },
-            ]
-        })
-        .collect();
-    let ffs = flip_flop_ids(netlist);
-    faults.extend(sample_seus(
-        &ffs,
-        cycles.saturating_sub(1).max(1),
-        seu_samples,
-        seed,
-    ));
-    let spec = CampaignSpec {
-        netlist,
-        cycles,
-        alarm_output: None,
-    };
-    run_campaign(&spec, &faults, jobs)
 }
 
 /// `--fault TOKEN`: replays one fault against the hardened pair and

@@ -38,12 +38,11 @@ use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink}
 use adgen_bench::Fig7Recipe;
 
 use adgen_core::composite::Srag2d;
-use adgen_explorer::ring_fault_universe;
+use adgen_explorer::ring_campaigns;
 use adgen_fault::{
     classify, replay, run_campaign, run_campaign_scalar, CampaignReport, CampaignSpec, Fault,
     FaultOutcome, SLICED_FAULT_LANES,
 };
-use adgen_netlist::NetId;
 use adgen_seq::{ArrayShape, Layout};
 
 /// Measured comparison for one design variant.
@@ -138,58 +137,9 @@ fn main() -> ExitCode {
         .elaborate_hardened()
         .expect("paper workload elaborates hardened");
 
-    // Exactly the universes `compare_resilience` runs: stuck-ats on
-    // every select line, SEUs on the ring flip-flops.
-    let plain_ring: Vec<NetId> = plain
-        .row_lines
-        .iter()
-        .chain(&plain.col_lines)
-        .copied()
-        .collect();
-    let plain_faults = ring_fault_universe(
-        &plain.netlist,
-        &plain_ring,
-        &plain_ring,
-        cycles,
-        seu_samples,
-        seed,
-    );
-    let plain_spec = CampaignSpec {
-        netlist: &plain.netlist,
-        cycles,
-        alarm_output: None,
-    };
-    let hard_lines: Vec<NetId> = hardened
-        .row_lines
-        .iter()
-        .chain(&hardened.col_lines)
-        .copied()
-        .collect();
-    let hard_ring: Vec<NetId> = hardened
-        .row_ring_ffs
-        .iter()
-        .chain(&hardened.col_ring_ffs)
-        .copied()
-        .collect();
-    let hard_faults = ring_fault_universe(
-        &hardened.netlist,
-        &hard_lines,
-        &hard_ring,
-        cycles,
-        seu_samples,
-        seed,
-    );
-    let hard_spec = CampaignSpec {
-        netlist: &hardened.netlist,
-        cycles,
-        alarm_output: Some(hardened.alarm_output_index()),
-    };
-
-    let runs = [
-        ("srag-plain", &plain_spec, &plain_faults),
-        ("srag-hardened", &hard_spec, &hard_faults),
-    ];
-    for (name, spec, faults) in runs {
+    // Exactly the campaigns `compare_resilience` runs.
+    let campaigns = ring_campaigns(&plain, &hardened, cycles, seu_samples, seed);
+    for (name, (spec, faults)) in ["srag-plain", "srag-hardened"].into_iter().zip(&campaigns) {
         let v = measure_variant(name, spec, faults, iters);
         println!(
             "  {:<14} {:>4} faults in {:>2} packed passes ({:.1}% lane utilization)",

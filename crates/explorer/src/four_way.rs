@@ -14,7 +14,7 @@
 use adgen_affine::{fit_sequence, price_affine, AffineAgNetlist, AffineFit, AffinePriceError};
 use adgen_cntag::{CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
-use adgen_fault::{flip_flop_ids, run_campaign, sample_seus, CampaignSpec, Fault};
+use adgen_fault::{fault_universe, flip_flop_ids, run_campaign, CampaignSpec};
 use adgen_netlist::{EventSimulator, Library, Netlist, Price, SimControl, Simulator};
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
 use adgen_synth::{price_cyclic, EffortBudget, Encoding, OutputStyle, PriceError};
@@ -68,39 +68,12 @@ impl FourWayComparison {
     }
 }
 
-/// The uniform fault universe every row is measured against:
-/// stuck-at-0/1 on each primary output plus `seu_samples`
-/// seed-reproducible SEUs over *all* of the design's flip-flops. The
-/// same logical recipe on every architecture keeps coverage figures
-/// comparable even though the concrete fault lists differ with the
-/// structure (a bigger design exposes more strike targets — that is
-/// part of the comparison, not a bias).
-pub fn agu_fault_universe(
-    netlist: &Netlist,
-    cycles: u32,
-    seu_samples: usize,
-    seed: u64,
-) -> Vec<Fault> {
-    let mut faults: Vec<Fault> = netlist
-        .outputs()
-        .iter()
-        .flat_map(|&net| {
-            [
-                Fault::StuckAt { net, value: false },
-                Fault::StuckAt { net, value: true },
-            ]
-        })
-        .collect();
-    let ffs = flip_flop_ids(netlist);
-    faults.extend(sample_seus(
-        &ffs,
-        cycles.saturating_sub(1).max(1),
-        seu_samples,
-        seed,
-    ));
-    faults
-}
-
+/// One row's campaign: [`fault_universe`] over the netlist's primary
+/// outputs and *all* of its flip-flops. The same logical recipe on
+/// every architecture keeps coverage figures comparable even though
+/// the concrete fault lists differ with the structure (a bigger design
+/// exposes more strike targets — that is part of the comparison, not
+/// a bias). Returns coverage, silent faults and universe size.
 fn campaign_figures(
     netlist: &Netlist,
     cycles: u32,
@@ -108,7 +81,8 @@ fn campaign_figures(
     seed: u64,
     jobs: usize,
 ) -> (f64, usize, usize) {
-    let faults = agu_fault_universe(netlist, cycles, seu_samples, seed);
+    let ffs = flip_flop_ids(netlist);
+    let faults = fault_universe(netlist.outputs(), &ffs, cycles, seu_samples, seed);
     let spec = CampaignSpec {
         netlist,
         cycles,

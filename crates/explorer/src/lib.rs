@@ -30,9 +30,7 @@ pub use compare::{
     compare_power, compare_srag_cntag, compare_srag_cntag_load_sweep, ComparisonRow,
     PowerComparisonRow,
 };
-pub use four_way::{
-    agu_fault_universe, compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow,
-};
+pub use four_way::{compare_four_way, verify_affine_bit_exact, FourWayComparison, FourWayRow};
 pub use pareto::{pareto_frontier, select, Constraint};
 pub use report::render_evaluation;
-pub use resilience::{compare_resilience, ring_fault_universe, ResilienceRow};
+pub use resilience::{compare_resilience, ring_campaigns, ring_fault_universe, ResilienceRow};

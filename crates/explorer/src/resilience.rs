@@ -13,10 +13,10 @@
 //! the area/delay premium the checker and watchdog cost.
 
 use adgen_cntag::netlist::SELECT_LINE_LOAD_FF;
-use adgen_core::composite::Srag2d;
-use adgen_core::SragError;
+use adgen_core::composite::{Srag2d, Srag2dNetlist};
+use adgen_core::{HardenedSrag2dNetlist, SragError};
 use adgen_fault::{
-    driving_flip_flops, run_campaign, sample_seus, CampaignReport, CampaignSpec, Fault,
+    driving_flip_flops, fault_universe, run_campaign, CampaignReport, CampaignSpec, Fault,
 };
 use adgen_netlist::{AreaReport, Library, NetId, Netlist, TimingAnalysis};
 use adgen_seq::{AddressSequence, ArrayShape, Layout};
@@ -64,14 +64,11 @@ impl ResilienceRow {
     }
 }
 
-/// The select-ring fault universe both variants are measured
-/// against: stuck-at-0/1 on every select line, plus `seu_samples`
-/// seed-reproducible SEUs on the flip-flops driving `ring_nets`
-/// (`cycles.saturating_sub(1).max(1)` strike cycles). Using the same
-/// *logical* faults on both designs (the select lines and rings
-/// correspond one-to-one) keeps the two coverage figures comparable.
-/// Public so benchmark drivers (`simbench`) can replay exactly the
-/// universe [`compare_resilience`] uses.
+/// The select-ring recipe over explicit net lists:
+/// [`fault_universe`] on `select_lines`, with its SEUs on the
+/// flip-flops driving `ring_nets`. Outside this module, `benchmark/`
+/// is its last caller; workspace code takes the pair's universes from
+/// [`ring_campaigns`].
 pub fn ring_fault_universe(
     netlist: &Netlist,
     select_lines: &[NetId],
@@ -80,23 +77,46 @@ pub fn ring_fault_universe(
     seu_samples: usize,
     seed: u64,
 ) -> Vec<Fault> {
-    let mut faults: Vec<Fault> = select_lines
-        .iter()
-        .flat_map(|&net| {
-            [
-                Fault::StuckAt { net, value: false },
-                Fault::StuckAt { net, value: true },
-            ]
-        })
-        .collect();
     let ffs = driving_flip_flops(netlist, ring_nets);
-    faults.extend(sample_seus(
-        &ffs,
-        cycles.saturating_sub(1).max(1),
-        seu_samples,
-        seed,
-    ));
-    faults
+    fault_universe(select_lines, &ffs, cycles, seu_samples, seed)
+}
+
+/// The select-ring campaigns of a two-hot SRAG pair, plain then
+/// hardened: each design under test (`cycles` observation window, the
+/// hardened pair's alarm) with its [`fault_universe`] of stuck-ats on
+/// every select line and `seu_samples` SEUs from `seed` on the
+/// flip-flops driving the rings — the plain pair's select lines are
+/// its ring. The same *logical* faults on both designs (select lines
+/// and rings correspond one-to-one) keep the two coverage figures
+/// comparable. [`compare_resilience`] and `simbench` replay exactly
+/// these lists.
+pub fn ring_campaigns<'a>(
+    plain: &'a Srag2dNetlist,
+    hardened: &'a HardenedSrag2dNetlist,
+    cycles: u32,
+    seu_samples: usize,
+    seed: u64,
+) -> [(CampaignSpec<'a>, Vec<Fault>); 2] {
+    let lines = |a: &[NetId], b: &[NetId]| -> Vec<NetId> { a.iter().chain(b).copied().collect() };
+    let campaign = |netlist: &'a Netlist, alarm_output, select_lines: &[NetId], ring: &[NetId]| {
+        let spec = CampaignSpec {
+            netlist,
+            cycles,
+            alarm_output,
+        };
+        let faults = ring_fault_universe(netlist, select_lines, ring, cycles, seu_samples, seed);
+        (spec, faults)
+    };
+    let plain_lines = lines(&plain.row_lines, &plain.col_lines);
+    [
+        campaign(&plain.netlist, None, &plain_lines, &plain_lines),
+        campaign(
+            &hardened.netlist,
+            Some(hardened.alarm_output_index()),
+            &lines(&hardened.row_lines, &hardened.col_lines),
+            &lines(&hardened.row_ring_ffs, &hardened.col_ring_ffs),
+        ),
+    ]
 }
 
 /// Maps `sequence` onto a two-hot SRAG pair, elaborates the plain
@@ -125,52 +145,9 @@ pub fn compare_resilience(
     let plain = pair.elaborate()?;
     let hardened = pair.elaborate_hardened()?;
 
-    let plain_ring: Vec<NetId> = plain
-        .row_lines
-        .iter()
-        .chain(&plain.col_lines)
-        .copied()
-        .collect();
-    let plain_faults = ring_fault_universe(
-        &plain.netlist,
-        &plain_ring,
-        &plain_ring,
-        cycles,
-        seu_samples,
-        seed,
-    );
-    let plain_spec = CampaignSpec {
-        netlist: &plain.netlist,
-        cycles,
-        alarm_output: None,
-    };
+    let [(plain_spec, plain_faults), (hard_spec, hard_faults)] =
+        ring_campaigns(&plain, &hardened, cycles, seu_samples, seed);
     let plain_report = run_campaign(&plain_spec, &plain_faults, jobs);
-
-    let hard_lines: Vec<NetId> = hardened
-        .row_lines
-        .iter()
-        .chain(&hardened.col_lines)
-        .copied()
-        .collect();
-    let hard_ring: Vec<NetId> = hardened
-        .row_ring_ffs
-        .iter()
-        .chain(&hardened.col_ring_ffs)
-        .copied()
-        .collect();
-    let hard_faults = ring_fault_universe(
-        &hardened.netlist,
-        &hard_lines,
-        &hard_ring,
-        cycles,
-        seu_samples,
-        seed,
-    );
-    let hard_spec = CampaignSpec {
-        netlist: &hardened.netlist,
-        cycles,
-        alarm_output: Some(hardened.alarm_output_index()),
-    };
     let hard_report = run_campaign(&hard_spec, &hard_faults, jobs);
 
     let plain_timing =

@@ -12,7 +12,8 @@
 //!
 //! * [`model`] — stuck-at-0/1 on any net and single-event upsets on
 //!   any flip-flop, as plain replayable data with stable `FAULT=`
-//!   tokens,
+//!   tokens, and [`fault_universe`], the one recipe every campaign's
+//!   fault list comes from,
 //! * [`campaign`] — the deterministic campaign engine: golden run,
 //!   bit-sliced fault replay (63 faults + 1 golden lane per packed
 //!   pass, each pass of upsets started from the golden checkpoint
@@ -45,4 +46,6 @@ pub use campaign::{
     classify, replay, replay_event, repro_line, run_campaign, run_campaign_scalar, CampaignReport,
     CampaignSpec, Classification, FaultOutcome, Trace, SLICED_FAULT_LANES,
 };
-pub use model::{driving_flip_flops, enumerate_stuck_at, flip_flop_ids, sample_seus, Fault};
+pub use model::{
+    driving_flip_flops, enumerate_stuck_at, fault_universe, flip_flop_ids, sample_seus, Fault,
+};

@@ -102,19 +102,46 @@ impl Fault {
     }
 }
 
+/// Stuck-at-0 then stuck-at-1 on each of `nets`, in their order.
+fn stuck_at(nets: impl IntoIterator<Item = NetId>) -> impl Iterator<Item = Fault> {
+    nets.into_iter()
+        .flat_map(|net| [false, true].map(|value| Fault::StuckAt { net, value }))
+}
+
 /// The exhaustive single-stuck-at fault list: every net, both
 /// polarities, in net order (so the list — and therefore campaign
 /// output — is deterministic).
 pub fn enumerate_stuck_at(netlist: &Netlist) -> Vec<Fault> {
-    (0..netlist.nets().len())
-        .flat_map(|i| {
-            let net = netlist.net_id_from_index(i);
-            [
-                Fault::StuckAt { net, value: false },
-                Fault::StuckAt { net, value: true },
-            ]
-        })
-        .collect()
+    stuck_at((0..netlist.nets().len()).map(|i| netlist.net_id_from_index(i))).collect()
+}
+
+/// The one campaign fault-universe recipe, so every architecture on
+/// the resilience axis is struck alike: stuck-at-0 then stuck-at-1 on
+/// each of `stuck_nets` in the given order, then `seu_samples` SEUs
+/// that [`sample_seus`] draws from `seed` over `seu_targets` and the
+/// strike window `1..=cycles - 1` (just cycle 1 when `cycles` < 2), so
+/// an upset never lands on the last observed cycle of a longer
+/// window.
+///
+/// # Panics
+///
+/// Panics if `seu_targets` is empty.
+pub fn fault_universe(
+    stuck_nets: &[NetId],
+    seu_targets: &[InstId],
+    cycles: u32,
+    seu_samples: usize,
+    seed: u64,
+) -> Vec<Fault> {
+    let mut faults = Vec::with_capacity(2 * stuck_nets.len() + seu_samples);
+    faults.extend(stuck_at(stuck_nets.iter().copied()));
+    faults.extend(sample_seus(
+        seu_targets,
+        cycles.saturating_sub(1).max(1),
+        seu_samples,
+        seed,
+    ));
+    faults
 }
 
 /// All flip-flop instances, in instance order.
@@ -203,6 +230,40 @@ mod tests {
                 Fault::Seu { cycle, .. } => assert!((1..=24).contains(&cycle)),
                 Fault::StuckAt { .. } => panic!("sampled a stuck-at"),
             }
+        }
+    }
+
+    #[test]
+    fn fault_universe_pairs_stuck_ats_in_net_order_then_samples_seus() {
+        let design = SragNetlist::elaborate(&SragSpec::ring(4)).unwrap();
+        let n = &design.netlist;
+        let ffs = flip_flop_ids(n);
+        let (a, b) = (n.net_id_from_index(3), n.net_id_from_index(1));
+        let faults = fault_universe(&[a, b], &ffs, 16, 5, 9);
+        let sa = |net, value| Fault::StuckAt { net, value };
+        assert_eq!(
+            faults[..4],
+            [sa(a, false), sa(a, true), sa(b, false), sa(b, true)]
+        );
+        assert_eq!(faults[4..], sample_seus(&ffs, 15, 5, 9)[..]);
+    }
+
+    #[test]
+    fn fault_universe_strikes_before_the_last_observed_cycle() {
+        let design = SragNetlist::elaborate(&SragSpec::ring(4)).unwrap();
+        let ffs = flip_flop_ids(&design.netlist);
+        for (cycles, window) in [(0, 1), (1, 1), (2, 1), (24, 23)] {
+            let faults = fault_universe(&[], &ffs, cycles, 64, 3);
+            assert_eq!(faults, sample_seus(&ffs, window, 64, 3), "cycles {cycles}");
+            let strikes: Vec<u32> = faults
+                .iter()
+                .map(|f| match *f {
+                    Fault::Seu { cycle, .. } => cycle,
+                    Fault::StuckAt { .. } => panic!("no stuck-at nets were given"),
+                })
+                .collect();
+            assert_eq!(strikes.iter().min(), Some(&1), "cycles {cycles}");
+            assert_eq!(strikes.iter().max(), Some(&window), "cycles {cycles}");
         }
     }
 

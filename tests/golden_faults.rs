@@ -25,8 +25,8 @@ use common::assert_matches_golden;
 use std::fmt::Write as _;
 
 use adgen::affine::price_affine;
-use adgen::explorer::{agu_fault_universe, compare_four_way, ring_fault_universe};
-use adgen::fault::{flip_flop_ids, sample_seus};
+use adgen::explorer::{compare_four_way, ring_campaigns, ring_fault_universe};
+use adgen::fault::{fault_universe, flip_flop_ids};
 use adgen::netlist::{NetId, Netlist};
 use adgen::prelude::*;
 use adgen::synth::{price_cyclic, EffortBudget};
@@ -54,7 +54,13 @@ fn lines(a: &[NetId], b: &[NetId]) -> Vec<NetId> {
 /// The recipe over the design's primary outputs and all of its
 /// flip-flops (the four-way rows and `faultcamp`'s affine variant).
 fn outputs_universe(netlist: &Netlist, cycles: u32, seu_samples: usize) -> Vec<Fault> {
-    agu_fault_universe(netlist, cycles, seu_samples, SEED)
+    fault_universe(
+        netlist.outputs(),
+        &flip_flop_ids(netlist),
+        cycles,
+        seu_samples,
+        SEED,
+    )
 }
 
 #[test]
@@ -70,22 +76,27 @@ fn every_campaign_fault_universe_matches_the_golden() {
     let pair = Srag2d::map(&seq, shape, Layout::RowMajor).expect("fig. 7 maps");
     let plain = pair.elaborate().expect("plain pair elaborates");
     let hardened = pair.elaborate_hardened().expect("hardened pair elaborates");
+    let [(_, plain_faults), (_, hard_faults)] =
+        ring_campaigns(&plain, &hardened, cycles, CAMPAIGN_SEUS, SEED);
+    // `benchmark/` still builds the pair's universes through
+    // `ring_fault_universe`.
     let plain_ring = lines(&plain.row_lines, &plain.col_lines);
-    let plain_faults = ring_fault_universe(
-        &plain.netlist,
-        &plain_ring,
-        &plain_ring,
-        cycles,
-        CAMPAIGN_SEUS,
-        SEED,
-    );
-    let hard_faults = ring_fault_universe(
-        &hardened.netlist,
-        &lines(&hardened.row_lines, &hardened.col_lines),
-        &lines(&hardened.row_ring_ffs, &hardened.col_ring_ffs),
-        cycles,
-        CAMPAIGN_SEUS,
-        SEED,
+    let hard_lines = lines(&hardened.row_lines, &hardened.col_lines);
+    let hard_ring = lines(&hardened.row_ring_ffs, &hardened.col_ring_ffs);
+    let ring = |netlist, select_lines, ring_nets| {
+        ring_fault_universe(
+            netlist,
+            select_lines,
+            ring_nets,
+            cycles,
+            CAMPAIGN_SEUS,
+            SEED,
+        )
+    };
+    assert_eq!(ring(&plain.netlist, &plain_ring, &plain_ring), plain_faults);
+    assert_eq!(
+        ring(&hardened.netlist, &hard_lines, &hard_ring),
+        hard_faults
     );
     let (row, plain_report, hard_report) =
         compare_resilience(&seq, shape, &lib, cycles, CAMPAIGN_SEUS, SEED, 1).unwrap();
@@ -127,16 +138,13 @@ fn every_campaign_fault_universe_matches_the_golden() {
     // `faultcamp`'s CntAG variant: stuck-ats on the select lines, SEUs
     // over every counter flip-flop.
     let cnt_lines = lines(&cntag.row_lines, &cntag.col_lines);
-    let mut cnt_faults: Vec<Fault> = cnt_lines
-        .iter()
-        .flat_map(|&net| [false, true].map(|value| Fault::StuckAt { net, value }))
-        .collect();
-    cnt_faults.extend(sample_seus(
+    let cnt_faults = fault_universe(
+        &cnt_lines,
         &flip_flop_ids(&cntag.netlist),
-        cycles - 1,
+        cycles,
         CAMPAIGN_SEUS,
         SEED,
-    ));
+    );
     section(&mut out, "faultcamp cntag", &cnt_faults);
 
     // `faultcamp`'s affine variant: the fitted AGU's outputs and every
