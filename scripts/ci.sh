@@ -25,7 +25,8 @@
 #                         copy under crates/fuzz/tests/golden/)
 #   6. fault smoke       (fixed-seed fault campaign, 4x4 array,
 #                         full select-line stuck-at list; writes its
-#                         record under target/bench-smoke/)
+#                         record under target/bench-smoke/, then a
+#                         schema check of it)
 #   7. fault sweep       (exhaustive 8x8 fault campaign — affordable
 #                         by default now that replays are bit-sliced;
 #                         rewrites BENCH_fault.json byte for byte)
@@ -35,7 +36,8 @@
 #                         classifies any fault differently from the
 #                         event-driven oracle; writes its record
 #                         under target/bench-smoke/, leaving the
-#                         committed full-size BENCH_sim.json alone)
+#                         committed full-size BENCH_sim.json alone,
+#                         then a schema check of it)
 #   9. obs stage         (exporter goldens + jobs-invariance tests,
 #                         then an overhead guard: the instrumented
 #                         fuzz smoke must stay within 5% + 1s of the
@@ -175,12 +177,14 @@ fuzz_golden fuzz_dev_break_cube 1 --iters 200 --dev-break cube
 
 echo "==> fault-campaign smoke (fixed seed, 4x4, full select-line fault list)"
 cargo run --release -p adgen-bench --bin faultcamp -- --smoke --seed 2026
+check_schema target/bench-smoke/BENCH_fault.json variants banked hardening_overhead
 
 echo "==> exhaustive 8x8 fault campaign (bit-sliced replay)"
 cargo run --release -p adgen-bench --bin faultcamp -- --seed 2026
 
 echo "==> simbench smoke (classifications vs the event-driven oracle; timed vs one-machine compiled replay)"
 cargo run --release -p adgen-bench --bin simbench -- --smoke --seed 2026
+check_schema target/bench-smoke/BENCH_sim.json variants fault_lanes_per_pass identical
 
 echo "==> obs: exporter goldens + jobs-invariance + trace schema"
 cargo test --release -q -p adgen-obs
