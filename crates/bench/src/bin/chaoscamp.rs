@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_serve::cache::{ENTRY_HEADER_LEN, QUARANTINE_DIR};
-use adgen_serve::{Client, Generator, Request, Response, StatsSnapshot};
+use adgen_serve::{Client, Generator, Request, Response};
 use adgen_synth::Encoding;
 
 /// Disk-cache byte bound every spawned server runs under.
@@ -348,7 +348,7 @@ fn run_scenario(
     let mut first_hit = false;
     let outcome = (|| -> Result<(), String> {
         let mut client = connect(&server.addr)?;
-        let s0 = stats(&mut client)?;
+        let s0 = client.stats().map_err(|e| format!("stats probe: {e}"))?;
 
         // Round 1: every payload must match the pristine baseline —
         // a quarantined or lost entry is recomputed, never served
@@ -368,12 +368,12 @@ fn run_scenario(
                 // written when a kill scenario struck — its fate
                 // (durable hit vs recomputed miss) is what the
                 // scenario classification keys on.
-                let s = stats(&mut client)?;
+                let s = client.stats().map_err(|e| format!("stats probe: {e}"))?;
                 first_hit =
                     s.cache_hit_mem + s.cache_hit_disk > s0.cache_hit_mem + s0.cache_hit_disk;
             }
         }
-        let s1 = stats(&mut client)?;
+        let s1 = client.stats().map_err(|e| format!("stats probe: {e}"))?;
 
         // Round 2: the warm path must have recovered completely.
         for (i, req) in mix.iter().enumerate() {
@@ -387,7 +387,7 @@ fn run_scenario(
                 ));
             }
         }
-        let s2 = stats(&mut client)?;
+        let s2 = client.stats().map_err(|e| format!("stats probe: {e}"))?;
 
         row.corrupt_quarantined = s2.cache_corrupt;
         row.disk_write_errors = s2.disk_write_errors;
@@ -474,14 +474,6 @@ fn connect(addr: &str) -> Result<Client, String> {
         .set_read_timeout(Some(CALL_TIMEOUT))
         .map_err(|e| format!("read timeout: {e}"))?;
     Ok(client)
-}
-
-fn stats(client: &mut Client) -> Result<StatsSnapshot, String> {
-    match client.call(&Request::Stats, 0) {
-        Ok(Response::Stats(s)) => Ok(s),
-        Ok(other) => Err(format!("stats probe answered {other:?}")),
-        Err(e) => Err(format!("stats probe: {e}")),
-    }
 }
 
 /// Damages one warm cache entry file in `dir` (deterministically the

@@ -49,8 +49,7 @@ use std::time::{Duration, Instant};
 use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
 use adgen_exec::Prng;
 use adgen_serve::{
-    serve, Client, Generator, Request, Response, RetryPolicy, ServeConfig, ServeError,
-    ServerHandle, StatsSnapshot,
+    serve, Client, Generator, Request, Response, RetryPolicy, ServeConfig, ServeError, ServerHandle,
 };
 use adgen_synth::Encoding;
 
@@ -217,14 +216,8 @@ fn main() {
     let mut expected: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
 
     for pass in 0..opt.passes {
-        let mut meter = match Client::connect(&addr) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: pass {pass}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let before = stats_of(&mut meter);
+        let mut meter = or_exit(&format!("pass {pass}"), Client::connect(&addr));
+        let before = or_exit("stats request failed", meter.stats());
 
         // Same requests each pass, pass-dependent order: warm passes
         // prove the cache is order-insensitive.
@@ -234,7 +227,7 @@ fn main() {
         let started = Instant::now();
         let (mut latencies_ns, results) = drive_pass(&addr, &mix, &order, opt.conns);
         let wall_s = started.elapsed().as_secs_f64();
-        let after = stats_of(&mut meter);
+        let after = or_exit("stats request failed", meter.stats());
 
         for (i, payload) in results {
             let req = &mix[i];
@@ -307,13 +300,10 @@ fn main() {
     }
 
     if opt.overload {
-        let mut meter = Client::connect(&addr).unwrap_or_else(|e| {
-            eprintln!("error: overload meter: {e}");
-            std::process::exit(1);
-        });
-        let before = stats_of(&mut meter);
+        let mut meter = or_exit("overload meter", Client::connect(&addr));
+        let before = or_exit("stats request failed", meter.stats());
         let row = overload_phase(&addr, opt.conns, opt.seed);
-        let after = stats_of(&mut meter);
+        let after = or_exit("stats request failed", meter.stats());
         println!(
             "overload: {} requests over {} conns: {} ok, {} shed, {} failure(s); \
              p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms (server shed {} total)",
@@ -605,18 +595,12 @@ fn request_mix(total: usize, seed: u64, smoke: bool) -> Vec<Request> {
     mix
 }
 
-fn stats_of(client: &mut Client) -> StatsSnapshot {
-    match client.call(&Request::Stats, 0) {
-        Ok(Response::Stats(s)) => s,
-        Ok(other) => {
-            eprintln!("error: unexpected stats response {other:?}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: stats request failed: {e}");
-            std::process::exit(1);
-        }
-    }
+/// The `Ok` value, or exits 1 with `error: {what}: {e}`.
+fn or_exit<T>(what: &str, result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
 }
 
 fn shutdown(addr: &str, handle: ServerHandle, recording: bool) {

@@ -34,233 +34,162 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// The typed counters of the workspace, one variant per metric.
-///
-/// A fixed enum (rather than string keys) keeps the enabled-path cost
-/// of [`add`] at an array index and makes the set of metrics a
-/// reviewable, exhaustive list. Counter *totals* are deterministic:
-/// they sum per-item contributions that [`splice`] merges in input
-/// order, so they are identical at any `--jobs` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ctr {
+/// Declares the typed counters: each row is one variant's doc, the
+/// variant and its exported metric name. The row order is the
+/// declaration order, so it fixes each counter's discriminant, its
+/// arena slot and its place in [`Ctr::ALL`]; append new rows at the
+/// end.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal,)+) => {
+        /// The typed counters of the workspace, one variant per metric.
+        ///
+        /// A fixed enum (rather than string keys) keeps the enabled-path cost
+        /// of [`add`] at an array index and makes the set of metrics a
+        /// reviewable, exhaustive list. Counter *totals* are deterministic:
+        /// they sum per-item contributions that [`splice`] merges in input
+        /// order, so they are identical at any `--jobs` value.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum Ctr {
+            $($(#[$doc])* $variant,)+
+        }
+
+        /// Number of counter variants (the arena array length).
+        pub const NUM_CTRS: usize = [$($name),+].len();
+
+        impl Ctr {
+            /// Every counter, in declaration order.
+            pub const ALL: [Ctr; NUM_CTRS] = [$(Ctr::$variant),+];
+
+            /// The exported metric name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Ctr::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Runs of the espresso EXPAND/IRREDUNDANT/REDUCE loop: the
     /// minimizations actually computed, not the calls answered. A
     /// call a minimization memo answers counts in
     /// [`Ctr::EspressoMemoHits`] instead.
-    EspressoCalls,
+    EspressoCalls = "espresso.calls",
     /// Cube-interaction steps the loop actually spent, the same unit
     /// `adgen_synth::espresso::EffortBudget` meters — equals the sum
     /// of `MinimizeOutcome::steps` over the minimizations computed.
-    EspressoSteps,
+    EspressoSteps = "espresso.steps",
     /// Minimizations that ran out of budget and returned truncated.
-    EspressoTruncated,
+    EspressoTruncated = "espresso.truncated",
     /// Minimizations an `adgen_synth::memo::MinimizeMemo` answered
     /// without running the loop, waits on another thread's run of the
     /// same input included.
-    EspressoMemoHits,
+    EspressoMemoHits = "espresso.memo.hits",
     /// Outcomes a minimization memo dropped because it was full.
     /// Calls and steps equal the distinct inputs' only while this is
     /// zero.
-    EspressoMemoEvictions,
+    EspressoMemoEvictions = "espresso.memo.evictions",
     /// Bit-packed cube-kernel word operations (u64 words touched by
     /// cofactor/conflict sweeps), counted at cover granularity.
-    CubeWordOps,
+    CubeWordOps = "cube.word_ops",
     /// `TimingContext` constructions — the memo *misses* of the STA
     /// layer.
-    StaCtxBuilds,
+    StaCtxBuilds = "sta.ctx.builds",
     /// Timing runs over an existing context; runs minus builds is the
     /// memo *hit* count.
-    StaRuns,
+    StaRuns = "sta.runs",
     /// Fig. 9 component sets built from an elaborated CntAG
     /// (`CntAgNetlist::components`: its kept counter cascade plus
     /// standalone row and column decoders).
-    CntagComponentBuilds,
+    CntagComponentBuilds = "cntag.components.builds",
     /// `ComponentTimer::delays_at` queries; queries minus builds is
     /// the CntAG memo hit count.
-    CntagComponentRuns,
+    CntagComponentRuns = "cntag.components.runs",
     /// `par_map` invocations.
-    ParMapCalls,
+    ParMapCalls = "par_map.calls",
     /// Work items fanned out across all `par_map` invocations.
-    ParMapItems,
+    ParMapItems = "par_map.items",
     /// Fuzz cases executed.
-    FuzzCases,
+    FuzzCases = "fuzz.cases",
     /// Fuzz cases whose oracles diverged.
-    FuzzFailures,
+    FuzzFailures = "fuzz.failures",
     /// Shrink candidate evaluations spent minimizing counterexamples.
-    FuzzShrinkSteps,
+    FuzzShrinkSteps = "fuzz.shrink_steps",
     /// Fault replays (golden and faulty runs both count).
-    FaultReplays,
+    FaultReplays = "fault.replays",
     /// Faults classified as detected (output divergence or alarm).
-    FaultDetected,
+    FaultDetected = "fault.detected",
     /// Detected faults whose first detection was the alarm output.
-    FaultAlarmed,
+    FaultAlarmed = "fault.alarmed",
     /// Faults classified as silent state corruption.
-    FaultSilent,
+    FaultSilent = "fault.silent",
     /// Faults classified as benign.
-    FaultBenign,
+    FaultBenign = "fault.benign",
     /// Architecture candidates enumerated by the explorer (one per
     /// family actually evaluated, implementable or rejected).
-    ExplorerCandidates,
+    ExplorerCandidates = "explorer.candidates",
     /// `MapSequence` requests admitted by the serve subsystem.
-    ServeReqMap,
+    ServeReqMap = "serve.req.map",
     /// `Synthesize` requests admitted by the serve subsystem.
-    ServeReqSynthesize,
+    ServeReqSynthesize = "serve.req.synthesize",
     /// `Explore` requests admitted by the serve subsystem.
-    ServeReqExplore,
+    ServeReqExplore = "serve.req.explore",
     /// Control-plane requests (`Ping`/`Stats`/`Shutdown`) handled
     /// inline by a connection thread.
-    ServeReqControl,
+    ServeReqControl = "serve.req.control",
     /// Result-cache lookups answered by the in-memory LRU tier.
-    ServeCacheHitMem,
+    ServeCacheHitMem = "serve.cache.hit.mem",
     /// Result-cache lookups answered by the on-disk store.
-    ServeCacheHitDisk,
+    ServeCacheHitDisk = "serve.cache.hit.disk",
     /// Result-cache lookups that fell through to computation.
-    ServeCacheMiss,
+    ServeCacheMiss = "serve.cache.miss",
     /// Admission-queue depth high-water mark. Recorded as cumulative
     /// increments of the maximum, so the *total* equals the high
     /// water, jobs-invariantly.
-    ServeQueueHighWater,
+    ServeQueueHighWater = "serve.queue.high_water",
     /// Requests answered with `ServeError::Deadline`.
-    ServeDeadline,
+    ServeDeadline = "serve.deadline.expired",
     /// Requests rejected at admission because the queue was full
     /// (`ServeError::QueueFull`).
-    ServeShed,
+    ServeShed = "serve.shed",
     /// Single-flight miss groups that absorbed at least one duplicate
     /// (the member whose request was actually computed).
-    ServeCoalesceLeaders,
+    ServeCoalesceLeaders = "serve.coalesce.leaders",
     /// Requests answered by another member's computation instead of
     /// their own (single-flight duplicates).
-    ServeCoalesceWaiters,
+    ServeCoalesceWaiters = "serve.coalesce.waiters",
     /// Disk-tier cache entries evicted by the size bound.
-    ServeDiskEvictions,
+    ServeDiskEvictions = "serve.disk.evictions",
     /// Reactor event-thread wakeups triggered by compute completions.
-    ServeReactorWakeups,
+    ServeReactorWakeups = "serve.reactor.wakeups",
     /// Disk-cache entries that failed verification and were
     /// quarantined (never served).
-    ServeCacheCorrupt,
+    ServeCacheCorrupt = "serve.cache.corrupt",
     /// Disk-cache writes that failed; the entry degraded to
     /// memory-only caching.
-    ServeDiskWriteErrors,
+    ServeDiskWriteErrors = "serve.disk.write_errors",
     /// Connections closed after sending a malformed frame.
-    ServeConnMalformed,
+    ServeConnMalformed = "serve.conn.malformed",
     /// Connections reaped by the per-connection I/O deadline.
-    ServeConnTimedOut,
+    ServeConnTimedOut = "serve.conn.timed_out",
     /// Combinational gate evaluations across all simulation engines.
     /// The unit is engine-specific (gates × cycles levelized, actual
     /// re-evaluations event-driven, gate-*words* sliced); see
     /// DESIGN.md §11.
-    SimEvaluations,
+    SimEvaluations = "sim.evaluations",
     /// Bit-sliced kernel word operations: gate evaluations plus
     /// flip-flop captures, one per 64-lane word — the sliced
     /// analogue of `cube.word_ops`.
-    SimSlicedWordOps,
+    SimSlicedWordOps = "sim.sliced.word_ops",
     /// Lanes carried by sliced-simulator constructions; divide by
     /// 64 × `sim.sliced.passes` for mean lane utilization.
-    SimSlicedLanes,
+    SimSlicedLanes = "sim.sliced.lanes",
     /// Sliced-simulator constructions (one per packed pass).
-    SimSlicedPasses,
+    SimSlicedPasses = "sim.sliced.passes",
 }
 
-/// Number of counter variants (the arena array length).
-pub const NUM_CTRS: usize = 43;
-
 impl Ctr {
-    /// Every counter, in declaration order.
-    pub const ALL: [Ctr; NUM_CTRS] = [
-        Ctr::EspressoCalls,
-        Ctr::EspressoSteps,
-        Ctr::EspressoTruncated,
-        Ctr::EspressoMemoHits,
-        Ctr::EspressoMemoEvictions,
-        Ctr::CubeWordOps,
-        Ctr::StaCtxBuilds,
-        Ctr::StaRuns,
-        Ctr::CntagComponentBuilds,
-        Ctr::CntagComponentRuns,
-        Ctr::ParMapCalls,
-        Ctr::ParMapItems,
-        Ctr::FuzzCases,
-        Ctr::FuzzFailures,
-        Ctr::FuzzShrinkSteps,
-        Ctr::FaultReplays,
-        Ctr::FaultDetected,
-        Ctr::FaultAlarmed,
-        Ctr::FaultSilent,
-        Ctr::FaultBenign,
-        Ctr::ExplorerCandidates,
-        Ctr::ServeReqMap,
-        Ctr::ServeReqSynthesize,
-        Ctr::ServeReqExplore,
-        Ctr::ServeReqControl,
-        Ctr::ServeCacheHitMem,
-        Ctr::ServeCacheHitDisk,
-        Ctr::ServeCacheMiss,
-        Ctr::ServeQueueHighWater,
-        Ctr::ServeDeadline,
-        Ctr::ServeShed,
-        Ctr::ServeCoalesceLeaders,
-        Ctr::ServeCoalesceWaiters,
-        Ctr::ServeDiskEvictions,
-        Ctr::ServeReactorWakeups,
-        Ctr::ServeCacheCorrupt,
-        Ctr::ServeDiskWriteErrors,
-        Ctr::ServeConnMalformed,
-        Ctr::ServeConnTimedOut,
-        Ctr::SimEvaluations,
-        Ctr::SimSlicedWordOps,
-        Ctr::SimSlicedLanes,
-        Ctr::SimSlicedPasses,
-    ];
-
-    /// The exported metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ctr::EspressoCalls => "espresso.calls",
-            Ctr::EspressoSteps => "espresso.steps",
-            Ctr::EspressoTruncated => "espresso.truncated",
-            Ctr::EspressoMemoHits => "espresso.memo.hits",
-            Ctr::EspressoMemoEvictions => "espresso.memo.evictions",
-            Ctr::CubeWordOps => "cube.word_ops",
-            Ctr::StaCtxBuilds => "sta.ctx.builds",
-            Ctr::StaRuns => "sta.runs",
-            Ctr::CntagComponentBuilds => "cntag.components.builds",
-            Ctr::CntagComponentRuns => "cntag.components.runs",
-            Ctr::ParMapCalls => "par_map.calls",
-            Ctr::ParMapItems => "par_map.items",
-            Ctr::FuzzCases => "fuzz.cases",
-            Ctr::FuzzFailures => "fuzz.failures",
-            Ctr::FuzzShrinkSteps => "fuzz.shrink_steps",
-            Ctr::FaultReplays => "fault.replays",
-            Ctr::FaultDetected => "fault.detected",
-            Ctr::FaultAlarmed => "fault.alarmed",
-            Ctr::FaultSilent => "fault.silent",
-            Ctr::FaultBenign => "fault.benign",
-            Ctr::ExplorerCandidates => "explorer.candidates",
-            Ctr::ServeReqMap => "serve.req.map",
-            Ctr::ServeReqSynthesize => "serve.req.synthesize",
-            Ctr::ServeReqExplore => "serve.req.explore",
-            Ctr::ServeReqControl => "serve.req.control",
-            Ctr::ServeCacheHitMem => "serve.cache.hit.mem",
-            Ctr::ServeCacheHitDisk => "serve.cache.hit.disk",
-            Ctr::ServeCacheMiss => "serve.cache.miss",
-            Ctr::ServeQueueHighWater => "serve.queue.high_water",
-            Ctr::ServeDeadline => "serve.deadline.expired",
-            Ctr::ServeShed => "serve.shed",
-            Ctr::ServeCoalesceLeaders => "serve.coalesce.leaders",
-            Ctr::ServeCoalesceWaiters => "serve.coalesce.waiters",
-            Ctr::ServeDiskEvictions => "serve.disk.evictions",
-            Ctr::ServeReactorWakeups => "serve.reactor.wakeups",
-            Ctr::ServeCacheCorrupt => "serve.cache.corrupt",
-            Ctr::ServeDiskWriteErrors => "serve.disk.write_errors",
-            Ctr::ServeConnMalformed => "serve.conn.malformed",
-            Ctr::ServeConnTimedOut => "serve.conn.timed_out",
-            Ctr::SimEvaluations => "sim.evaluations",
-            Ctr::SimSlicedWordOps => "sim.sliced.word_ops",
-            Ctr::SimSlicedLanes => "sim.sliced.lanes",
-            Ctr::SimSlicedPasses => "sim.sliced.passes",
-        }
-    }
-
     /// The arena slot: the declaration-order discriminant, which is
     /// also the variant's position in [`Ctr::ALL`].
     fn index(self) -> usize {

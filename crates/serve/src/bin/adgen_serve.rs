@@ -114,30 +114,12 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
-        "adgen-serve shut down: {} map, {} synthesize, {} explore, {} control; \
-         cache {} mem / {} disk hits, {} misses, {} evictions; \
-         {} deadline expirations; {} shed; coalesced {}+{}; \
-         queue high water {}; {} corrupt quarantined; \
-         {} disk write errors; {} malformed; {} conns timed out",
-        stats.req_map,
-        stats.req_synthesize,
-        stats.req_explore,
-        stats.req_control,
-        stats.cache_hit_mem,
-        stats.cache_hit_disk,
-        stats.cache_miss,
-        stats.disk_evictions,
-        stats.deadline_expired,
-        stats.shed,
-        stats.coalesce_leaders,
-        stats.coalesce_waiters,
-        stats.queue_high_water,
-        stats.cache_corrupt,
-        stats.disk_write_errors,
-        stats.conn_malformed,
-        stats.conn_timed_out,
-    );
+    let counts: Vec<String> = stats
+        .rows()
+        .iter()
+        .map(|(name, _, v)| format!("{name} {v}"))
+        .collect();
+    println!("adgen-serve shut down: {}", counts.join(", "));
 
     if let Some(rec) = recording {
         let redact = obs::redact_from_env();

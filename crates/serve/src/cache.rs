@@ -46,8 +46,8 @@
 //! fails verification even when its payload is intact. On any
 //! mismatch — bad magic, unknown version, wrong length, wrong digest,
 //! zero-byte or truncated file — the entry is *quarantined* (moved to
-//! `dir/quarantine/`, preserved for forensics), counted in
-//! [`DiskStore::corrupt`], and reported as a miss so a worker
+//! `dir/quarantine/`, preserved for forensics), counted in the
+//! server's `cache_corrupt` statistic, and reported as a miss so a worker
 //! recomputes. Unverified bytes are never served. Pre-frame legacy
 //! entries fail the magic check and take the same path: quarantine
 //! plus recompute *is* the migration, because cache entries are
@@ -61,9 +61,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crate::faults::{self, FaultKind, FaultPlan};
+use crate::stats::ServeStats;
+use crate::unpoisoned;
 
 /// Magic bytes opening every framed disk-cache entry.
 pub const ENTRY_MAGIC: [u8; 4] = *b"ADGC";
@@ -294,7 +297,9 @@ struct DiskEntry {
 /// `dir/ab/cd/<hex>` (digest-prefix shards), written atomically
 /// (temp file + rename in the same shard directory) so a concurrent
 /// reader never sees a torn entry. Bounded by payload bytes with
-/// oldest-generation-first eviction; see the module docs.
+/// oldest-generation-first eviction; see the module docs. Evictions,
+/// quarantines and failed writes are counted where they happen, in
+/// the [`ServeStats`] the store is opened with.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -306,20 +311,18 @@ pub struct DiskStore {
     generations: VecDeque<DiskEntry>,
     next_generation: u64,
     total_bytes: u64,
-    evictions: u64,
-    /// Entries quarantined after failing verification (read or scan).
-    corrupt: u64,
-    /// Failed writes (the entry degraded to memory-only caching).
-    write_errors: u64,
     /// Optional fault-injection plan; `None` in production.
     faults: Option<Arc<FaultPlan>>,
+    /// Where evictions, quarantines and failed writes are counted.
+    stats: Arc<ServeStats>,
 }
 
 impl DiskStore {
     /// Opens (creating if needed) the store rooted at `dir` with a
     /// byte bound (`0` = unbounded) and an optional fault plan
     /// installed at the instrumented sites (see [`crate::faults`];
-    /// `None` in production). The generation index is rebuilt from
+    /// `None` in production), counting into `stats`. The generation
+    /// index is rebuilt from
     /// the files already on disk (ordered by mtime, ties broken by
     /// name, so the eviction order survives a restart).
     ///
@@ -330,6 +333,7 @@ impl DiskStore {
         dir: &Path,
         cap_bytes: u64,
         faults: Option<Arc<FaultPlan>>,
+        stats: Arc<ServeStats>,
     ) -> std::io::Result<DiskStore> {
         std::fs::create_dir_all(dir)?;
         let mut store = DiskStore {
@@ -339,10 +343,8 @@ impl DiskStore {
             generations: VecDeque::new(),
             next_generation: 0,
             total_bytes: 0,
-            evictions: 0,
-            corrupt: 0,
-            write_errors: 0,
             faults,
+            stats,
         };
         store.rescan()?;
         store.enforce_bound(None);
@@ -424,7 +426,7 @@ impl DiskStore {
     /// a corrupt artifact is evidence) and counts it. The index entry,
     /// if any, is dropped so the bytes stop counting toward the bound.
     fn quarantine(&mut self, key: CacheKey, path: &Path, reason: &str) {
-        self.corrupt += 1;
+        self.stats.cache_corrupt.fetch_add(1, Ordering::Relaxed);
         if let Some((bytes, _)) = self.sizes.remove(&key) {
             self.total_bytes -= bytes;
         }
@@ -474,7 +476,7 @@ impl DiskStore {
             }
             self.sizes.remove(&entry.key);
             self.total_bytes -= entry.bytes;
-            self.evictions += 1;
+            self.stats.disk_evictions.fetch_add(1, Ordering::Relaxed);
             let _ = std::fs::remove_file(self.path_for(entry.key));
         }
     }
@@ -507,14 +509,14 @@ impl DiskStore {
     /// # Errors
     ///
     /// Propagates I/O failures; a failed write removes its temp file,
-    /// counts toward [`write_errors`](DiskStore::write_errors), and
-    /// leaves no committed partial entry behind.
+    /// counts in the `disk_write_errors` statistic, and leaves no
+    /// committed partial entry behind.
     pub fn put(&mut self, key: CacheKey, value: &[u8]) -> std::io::Result<()> {
         let path = self.path_for(key);
         let shard = path.parent().expect("sharded path has a parent");
         let tmp = shard.join(format!("{}.tmp", key.hex()));
         if let Err(e) = self.write_entry(shard, &tmp, &path, key, value) {
-            self.write_errors += 1;
+            self.stats.disk_write_errors.fetch_add(1, Ordering::Relaxed);
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
@@ -595,21 +597,6 @@ impl DiskStore {
         self.total_bytes
     }
 
-    /// Entries evicted by the byte bound since open.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Entries quarantined after failing verification since open.
-    pub fn corrupt(&self) -> u64 {
-        self.corrupt
-    }
-
-    /// Failed entry writes since open.
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
-
     /// Keys oldest generation first.
     #[cfg(test)]
     fn keys_by_generation(&self) -> Vec<CacheKey> {
@@ -632,16 +619,14 @@ impl DiskStore {
 pub struct ResultCache {
     lru: Arc<Mutex<LruCache>>,
     disk: Option<DiskStore>,
-    reported_evictions: u64,
-    reported_corrupt: u64,
-    reported_write_errors: u64,
     logged_write_error: bool,
 }
 
 impl ResultCache {
     /// A cache with `lru_entries` in-memory slots and, when `dir` is
     /// given, a disk tier rooted there bounded to `disk_cap_bytes`
-    /// payload bytes (`0` = unbounded).
+    /// payload bytes (`0` = unbounded). The disk tier counts into
+    /// statistics of its own that nothing reads.
     ///
     /// # Errors
     ///
@@ -651,11 +636,11 @@ impl ResultCache {
         dir: Option<&Path>,
         disk_cap_bytes: u64,
     ) -> std::io::Result<ResultCache> {
-        ResultCache::new_with(lru_entries, dir, disk_cap_bytes, None)
+        ResultCache::new_with(lru_entries, dir, disk_cap_bytes, None, Arc::default())
     }
 
     /// [`new`](ResultCache::new) with a fault plan threaded into the
-    /// disk tier.
+    /// disk tier, which counts into `stats`.
     ///
     /// # Errors
     ///
@@ -665,15 +650,13 @@ impl ResultCache {
         dir: Option<&Path>,
         disk_cap_bytes: u64,
         faults: Option<Arc<FaultPlan>>,
+        stats: Arc<ServeStats>,
     ) -> std::io::Result<ResultCache> {
         Ok(ResultCache {
             lru: Arc::new(Mutex::new(LruCache::new(lru_entries))),
             disk: dir
-                .map(|d| DiskStore::open(d, disk_cap_bytes, faults))
+                .map(|d| DiskStore::open(d, disk_cap_bytes, faults, stats))
                 .transpose()?,
-            reported_evictions: 0,
-            reported_corrupt: 0,
-            reported_write_errors: 0,
             logged_write_error: false,
         })
     }
@@ -692,10 +675,10 @@ impl ResultCache {
     }
 
     /// Stores `value` in both tiers. A disk write failure degrades
-    /// that entry to memory-only caching — logged once, counted in
-    /// [`take_disk_write_errors`](ResultCache::take_disk_write_errors)
-    /// — because the cache is an accelerator, not a ledger; the
-    /// in-memory tier always takes the entry.
+    /// that entry to memory-only caching — logged once, counted by
+    /// the disk tier in the `disk_write_errors` statistic — because
+    /// the cache is an accelerator, not a ledger; the in-memory tier
+    /// always takes the entry.
     pub fn put(&mut self, key: CacheKey, value: Vec<u8>) {
         if let Some(disk) = &mut self.disk {
             if let Err(e) = disk.put(key, &value) {
@@ -718,33 +701,7 @@ impl ResultCache {
     }
 
     fn memory(&self) -> std::sync::MutexGuard<'_, LruCache> {
-        self.lru
-            .lock()
-            .expect("no thread panics while holding the LRU lock")
-    }
-
-    /// Disk-tier evictions since the last call (for stats mirroring).
-    pub fn take_disk_evictions(&mut self) -> u64 {
-        let total = self.disk.as_ref().map_or(0, DiskStore::evictions);
-        let delta = total - self.reported_evictions;
-        self.reported_evictions = total;
-        delta
-    }
-
-    /// Quarantined entries since the last call (for stats mirroring).
-    pub fn take_disk_corrupt(&mut self) -> u64 {
-        let total = self.disk.as_ref().map_or(0, DiskStore::corrupt);
-        let delta = total - self.reported_corrupt;
-        self.reported_corrupt = total;
-        delta
-    }
-
-    /// Failed disk writes since the last call (for stats mirroring).
-    pub fn take_disk_write_errors(&mut self) -> u64 {
-        let total = self.disk.as_ref().map_or(0, DiskStore::write_errors);
-        let delta = total - self.reported_write_errors;
-        self.reported_write_errors = total;
-        delta
+        unpoisoned(self.lru.lock())
     }
 }
 
@@ -758,6 +715,10 @@ mod tests {
 
     fn key(n: u8) -> CacheKey {
         CacheKey([n; 16])
+    }
+
+    fn count(ctr: &std::sync::atomic::AtomicU64) -> u64 {
+        ctr.load(Ordering::Relaxed)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -845,7 +806,7 @@ mod tests {
     #[test]
     fn disk_store_round_trips_in_sharded_layout() {
         let dir = temp_dir("cache-test");
-        let mut store = DiskStore::open(&dir, 0, None).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
         assert!(store.is_empty());
         let k = CacheKey::for_request(b"payload", 0);
         assert_eq!(store.get(k), None);
@@ -871,13 +832,14 @@ mod tests {
         let dir = temp_dir("cache-bound");
         // Three 4-byte entries fit a 12-byte bound; the fourth evicts
         // the oldest.
-        let mut store = DiskStore::open(&dir, 12, None).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let mut store = DiskStore::open(&dir, 12, None, Arc::clone(&stats)).unwrap();
         for n in 1..=3u8 {
             store.put(key(n), &[n; 4]).unwrap();
         }
-        assert_eq!(store.evictions(), 0);
+        assert_eq!(count(&stats.disk_evictions), 0);
         store.put(key(4), &[4; 4]).unwrap();
-        assert_eq!(store.evictions(), 1);
+        assert_eq!(count(&stats.disk_evictions), 1);
         assert_eq!(store.get(key(1)), None, "oldest generation evicted");
         assert_eq!(store.keys_by_generation(), vec![key(2), key(3), key(4)]);
         assert_eq!(store.total_bytes(), 12);
@@ -900,12 +862,12 @@ mod tests {
     fn disk_index_survives_reopen() {
         let dir = temp_dir("cache-reopen");
         {
-            let mut store = DiskStore::open(&dir, 0, None).unwrap();
+            let mut store = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
             for n in 1..=3u8 {
                 store.put(key(n), &[n; 4]).unwrap();
             }
         }
-        let mut reopened = DiskStore::open(&dir, 12, None).unwrap();
+        let mut reopened = DiskStore::open(&dir, 12, None, Arc::default()).unwrap();
         assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.total_bytes(), 12);
         for n in 1..=3u8 {
@@ -914,7 +876,7 @@ mod tests {
 
         // Reopening under a tighter bound evicts down to it, oldest
         // generation (== oldest mtime) first.
-        let shrunk = DiskStore::open(&dir, 8, None).unwrap();
+        let shrunk = DiskStore::open(&dir, 8, None, Arc::default()).unwrap();
         assert!(shrunk.total_bytes() <= 8);
         assert_eq!(shrunk.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -937,15 +899,20 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_reports_eviction_deltas() {
-        let dir = temp_dir("evict-delta");
-        let mut cache = ResultCache::new(2, Some(&dir), 8).unwrap();
-        assert_eq!(cache.take_disk_evictions(), 0);
+    fn result_cache_counts_disk_evictions_once() {
+        let dir = temp_dir("evict-count");
+        let stats = Arc::new(ServeStats::default());
+        let mut cache = ResultCache::new_with(2, Some(&dir), 8, None, Arc::clone(&stats)).unwrap();
+        assert_eq!(count(&stats.disk_evictions), 0);
         for n in 1..=4u8 {
             cache.put(key(n), vec![n; 4]);
         }
-        assert_eq!(cache.take_disk_evictions(), 2);
-        assert_eq!(cache.take_disk_evictions(), 0, "delta, not total");
+        assert_eq!(count(&stats.disk_evictions), 2);
+        // Accesses that evict nothing leave the count alone: each
+        // eviction is counted once, when it happens.
+        assert!(cache.get(key(4)).is_some());
+        cache.put(key(4), vec![4; 4]);
+        assert_eq!(count(&stats.disk_evictions), 2, "counted once");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -967,7 +934,7 @@ mod tests {
     #[test]
     fn entries_are_framed_on_disk() {
         let dir = temp_dir("frame");
-        let mut store = DiskStore::open(&dir, 0, None).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
         let k = key(7);
         store.put(k, b"payload").unwrap();
         let raw = std::fs::read(entry_path(&dir, k)).unwrap();
@@ -983,7 +950,8 @@ mod tests {
     #[test]
     fn corrupt_entry_is_quarantined_not_served() {
         let dir = temp_dir("corrupt");
-        let mut store = DiskStore::open(&dir, 0, None).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let mut store = DiskStore::open(&dir, 0, None, Arc::clone(&stats)).unwrap();
         let k = key(3);
         store.put(k, b"precious bytes").unwrap();
 
@@ -994,7 +962,7 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
 
         assert_eq!(store.get(k), None, "corrupt bytes must never be served");
-        assert_eq!(store.corrupt(), 1);
+        assert_eq!(count(&stats.cache_corrupt), 1);
         assert!(!path.exists(), "entry removed from the shard tree");
         assert!(
             dir.join(QUARANTINE_DIR).join(k.hex()).is_file(),
@@ -1012,7 +980,7 @@ mod tests {
     #[test]
     fn entry_filed_under_wrong_key_fails_verification() {
         let dir = temp_dir("wrong-key");
-        let mut store = DiskStore::open(&dir, 0, None).unwrap();
+        let mut store = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
         store.put(key(1), b"aaaa").unwrap();
         // Replay a valid entry under a different name, as a confused
         // operator (or an attacker with filesystem access) might.
@@ -1021,7 +989,7 @@ mod tests {
         std::fs::create_dir_all(target.parent().unwrap()).unwrap();
         std::fs::write(&target, &stolen).unwrap();
 
-        let mut reopened = DiskStore::open(&dir, 0, None).unwrap();
+        let mut reopened = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
         assert_eq!(
             reopened.get(key(2)),
             None,
@@ -1035,7 +1003,7 @@ mod tests {
     fn rescan_quarantines_invalid_and_removes_tmp_files() {
         let dir = temp_dir("rescan-junk");
         {
-            let mut store = DiskStore::open(&dir, 0, None).unwrap();
+            let mut store = DiskStore::open(&dir, 0, None, Arc::default()).unwrap();
             store.put(key(1), b"good").unwrap();
         }
         // A zero-byte final file (torn crash), a legacy unframed
@@ -1059,14 +1027,19 @@ mod tests {
         std::fs::create_dir_all(foreign.parent().unwrap()).unwrap();
         std::fs::write(&foreign, b"not ours").unwrap();
 
-        let mut reopened = DiskStore::open(&dir, 4, None).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let mut reopened = DiskStore::open(&dir, 4, None, Arc::clone(&stats)).unwrap();
         assert_eq!(reopened.len(), 1, "only the good entry is indexed");
         assert_eq!(
             reopened.total_bytes(),
             4,
             "junk never counts toward the bound"
         );
-        assert_eq!(reopened.corrupt(), 3, "zero-byte + legacy + truncated");
+        assert_eq!(
+            count(&stats.cache_corrupt),
+            3,
+            "zero-byte + legacy + truncated"
+        );
         assert_eq!(reopened.get(key(1)), Some(b"good".to_vec()));
         assert!(!tmp.exists(), "orphaned tmp removed");
         assert!(foreign.exists(), "foreign files left alone");
@@ -1078,21 +1051,23 @@ mod tests {
         }
         // And the quarantine directory itself is not rescanned as a
         // shard: a further reopen sees a clean store.
-        let again = DiskStore::open(&dir, 0, None).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let again = DiskStore::open(&dir, 0, None, Arc::clone(&stats)).unwrap();
         assert_eq!(again.len(), 1);
-        assert_eq!(again.corrupt(), 0);
+        assert_eq!(count(&stats.cache_corrupt), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn enospc_injection_counts_and_leaves_no_debris() {
         let dir = temp_dir("enospc");
+        let stats = Arc::new(ServeStats::default());
         let plan = Arc::new(FaultPlan::parse("enospc@disk.put.write#2").unwrap());
-        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan), Arc::clone(&stats)).unwrap();
         store.put(key(1), b"fits").unwrap();
         let err = store.put(key(2), b"no room").unwrap_err();
         assert!(err.to_string().contains("no space left"));
-        assert_eq!(store.write_errors(), 1);
+        assert_eq!(count(&stats.disk_write_errors), 1);
         assert_eq!(store.len(), 1, "failed entry is not indexed");
         assert!(!entry_path(&dir, key(2)).exists());
         assert!(!entry_path(&dir, key(2)).with_extension("tmp").exists());
@@ -1105,10 +1080,11 @@ mod tests {
     #[test]
     fn short_write_injection_cleans_its_torn_tmp() {
         let dir = temp_dir("short");
+        let stats = Arc::new(ServeStats::default());
         let plan = Arc::new(FaultPlan::parse("short@disk.put.write").unwrap());
-        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan), Arc::clone(&stats)).unwrap();
         assert!(store.put(key(1), b"will tear").is_err());
-        assert_eq!(store.write_errors(), 1);
+        assert_eq!(count(&stats.disk_write_errors), 1);
         assert!(!entry_path(&dir, key(1)).with_extension("tmp").exists());
         assert_eq!(store.get(key(1)), None);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1117,11 +1093,16 @@ mod tests {
     #[test]
     fn read_error_injection_is_a_plain_miss() {
         let dir = temp_dir("readerr");
+        let stats = Arc::new(ServeStats::default());
         let plan = Arc::new(FaultPlan::parse("readerr@disk.get.read").unwrap());
-        let mut store = DiskStore::open(&dir, 0, Some(plan)).unwrap();
+        let mut store = DiskStore::open(&dir, 0, Some(plan), Arc::clone(&stats)).unwrap();
         store.put(key(1), b"present").unwrap();
         assert_eq!(store.get(key(1)), None, "injected read error is a miss");
-        assert_eq!(store.corrupt(), 0, "a transient error is not corruption");
+        assert_eq!(
+            count(&stats.cache_corrupt),
+            0,
+            "a transient error is not corruption"
+        );
         assert_eq!(store.get(key(1)), Some(b"present".to_vec()), "one-shot");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1130,7 +1111,9 @@ mod tests {
     fn result_cache_degrades_to_memory_on_write_failure() {
         let dir = temp_dir("degrade");
         let plan = Arc::new(FaultPlan::parse("enospc@disk.put.write").unwrap());
-        let mut cache = ResultCache::new_with(4, Some(&dir), 0, Some(plan)).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let mut cache =
+            ResultCache::new_with(4, Some(&dir), 0, Some(plan), Arc::clone(&stats)).unwrap();
         let k = CacheKey::for_request(b"req", 0);
         cache.put(k, b"resp".to_vec());
         assert_eq!(
@@ -1138,14 +1121,15 @@ mod tests {
             Some((b"resp".to_vec(), Tier::Memory)),
             "entry still served from memory after the disk write failed"
         );
-        assert_eq!(cache.take_disk_write_errors(), 1);
-        assert_eq!(cache.take_disk_write_errors(), 0, "delta, not total");
+        assert_eq!(count(&stats.disk_write_errors), 1);
+        assert!(cache.get(k).is_some());
+        assert_eq!(count(&stats.disk_write_errors), 1, "counted once");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn result_cache_reports_corruption_deltas() {
-        let dir = temp_dir("corrupt-delta");
+    fn result_cache_counts_quarantines_once() {
+        let dir = temp_dir("corrupt-count");
         let k = CacheKey::for_request(b"req", 0);
         {
             let mut seed = ResultCache::new(4, Some(&dir), 0).unwrap();
@@ -1157,10 +1141,14 @@ mod tests {
         raw[last] ^= 1;
         std::fs::write(&path, &raw).unwrap();
 
-        let mut cache = ResultCache::new(4, Some(&dir), 0).unwrap();
+        let stats = Arc::new(ServeStats::default());
+        let mut cache = ResultCache::new_with(4, Some(&dir), 0, None, Arc::clone(&stats)).unwrap();
         assert_eq!(cache.get(k), None, "corrupt disk entry is a miss");
-        assert_eq!(cache.take_disk_corrupt(), 1);
-        assert_eq!(cache.take_disk_corrupt(), 0, "delta, not total");
+        assert_eq!(count(&stats.cache_corrupt), 1);
+        // The quarantined entry is gone: a second lookup is a plain
+        // miss and counts nothing.
+        assert_eq!(cache.get(k), None);
+        assert_eq!(count(&stats.cache_corrupt), 1, "counted once");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,8 +13,8 @@ use std::net::TcpStream;
 
 use crate::error::ServeError;
 use crate::protocol::{
-    self, encode_request_frame, read_frame, write_frame, Request, Response, WireError,
-    HANDSHAKE_OK, PROTOCOL_VERSION,
+    self, encode_request_frame, read_frame, write_frame, Request, Response, StatsSnapshot,
+    WireError, HANDSHAKE_OK, PROTOCOL_VERSION,
 };
 
 /// Why a client call failed before a typed server response arrived.
@@ -214,6 +214,21 @@ impl Client {
     pub fn call(&mut self, request: &Request, deadline_ms: u32) -> Result<Response, ClientError> {
         let payload = self.call_raw(request, deadline_ms)?;
         Ok(Response::decode(&payload)?)
+    }
+
+    /// Asks the server for its statistics.
+    ///
+    /// # Errors
+    ///
+    /// As for [`call`](Client::call); any answer but
+    /// [`Response::Stats`] is a [`ClientError::Wire`].
+    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+        match self.call(&Request::Stats, 0)? {
+            Response::Stats(s) => Ok(s),
+            other => Err(ClientError::Wire(WireError(format!(
+                "expected a stats response, got {other:?}"
+            )))),
+        }
     }
 
     /// [`call_raw`](Client::call_raw) with resilience: a typed

@@ -43,6 +43,7 @@ pub mod faults;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
+pub mod stats;
 
 pub use cache::{CacheKey, DiskStore, LruCache, ResultCache, Tier};
 pub use client::{Client, ClientError, RetryPolicy};
@@ -52,3 +53,20 @@ pub use protocol::{
     Generator, MapOutcome, Request, Response, StatsSnapshot, SynthReport, MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{serve, ServeConfig, ServeStats, ServerHandle, MAX_SEQUENCE_LEN};
+
+/// Unwraps the result of taking one of this crate's locks: a
+/// `Mutex::lock`, a `Condvar::wait` or a `Mutex::into_inner` on the
+/// admission queue, the memory tier, the result cache, the in-flight
+/// table, the pool's recordings or the completion queue.
+///
+/// Invariant: no thread panics while holding a serve lock, so no
+/// serve lock is ever poisoned. Each critical section is bookkeeping
+/// on plain collections, or disk I/O that reports failure as an
+/// error. The one code that is expected to panic, a computation,
+/// runs under `catch_unwind` with no lock held. (A fault-plan `panic`
+/// armed at a disk site is the exception by design: it stands for a
+/// bug, and it takes its thread down like one.) This is the crate's
+/// only poisoned-lock panic site.
+pub(crate) fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.expect("no thread panics while holding a serve lock")
+}

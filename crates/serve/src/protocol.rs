@@ -38,6 +38,7 @@ use std::io::{Read, Write};
 use adgen_synth::Encoding;
 
 use crate::error::ServeError;
+pub use crate::stats::StatsSnapshot;
 
 /// Connection magic, first bytes of both hellos.
 pub const MAGIC: [u8; 4] = *b"ADGS";
@@ -653,55 +654,6 @@ pub struct CandidateRow {
     pub flip_flops: u32,
 }
 
-/// Server-side totals since start, via [`Request::Stats`]. All
-/// monotonic; clients diff two snapshots to meter an interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// `MapSequence` requests admitted.
-    pub req_map: u64,
-    /// `Synthesize` requests admitted.
-    pub req_synthesize: u64,
-    /// `Explore` requests admitted.
-    pub req_explore: u64,
-    /// Control-plane requests (ping/stats/shutdown) handled.
-    pub req_control: u64,
-    /// Cache lookups answered by the in-memory LRU.
-    pub cache_hit_mem: u64,
-    /// Cache lookups answered by the on-disk store.
-    pub cache_hit_disk: u64,
-    /// Cache lookups that fell through to computation.
-    pub cache_miss: u64,
-    /// Requests answered with a deadline expiration.
-    pub deadline_expired: u64,
-    /// Admission-queue depth high-water mark.
-    pub queue_high_water: u64,
-    /// Jobs the workers took from the admission queue.
-    pub batches: u64,
-    /// Requests rejected at admission because the queue was full.
-    pub shed: u64,
-    /// Miss groups that coalesced at least one duplicate (the member
-    /// whose request was computed).
-    pub coalesce_leaders: u64,
-    /// Requests answered by another member's computation instead of
-    /// their own (single-flight duplicates).
-    pub coalesce_waiters: u64,
-    /// Disk-tier entries evicted by the size bound.
-    pub disk_evictions: u64,
-    /// Times the reactor event thread was woken by a completion's
-    /// wake datagram.
-    pub reactor_wakeups: u64,
-    /// Disk-cache entries that failed verification and were
-    /// quarantined (corrupt bytes detected, never served).
-    pub cache_corrupt: u64,
-    /// Disk-cache writes that failed; the entry degraded to
-    /// memory-only caching.
-    pub disk_write_errors: u64,
-    /// Connections closed after sending a malformed frame.
-    pub conn_malformed: u64,
-    /// Connections reaped by the per-connection I/O deadline.
-    pub conn_timed_out: u64,
-}
-
 /// A server response, one per request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -778,27 +730,7 @@ impl Response {
             }
             Response::Stats(s) => {
                 e.u8(4);
-                for v in [
-                    s.req_map,
-                    s.req_synthesize,
-                    s.req_explore,
-                    s.req_control,
-                    s.cache_hit_mem,
-                    s.cache_hit_disk,
-                    s.cache_miss,
-                    s.deadline_expired,
-                    s.queue_high_water,
-                    s.batches,
-                    s.shed,
-                    s.coalesce_leaders,
-                    s.coalesce_waiters,
-                    s.disk_evictions,
-                    s.reactor_wakeups,
-                    s.cache_corrupt,
-                    s.disk_write_errors,
-                    s.conn_malformed,
-                    s.conn_timed_out,
-                ] {
+                for (_, _, v) in s.rows() {
                     e.u64(v);
                 }
             }
@@ -897,27 +829,7 @@ impl Response {
                     rejected: d.u32()?,
                 }
             }
-            4 => Response::Stats(StatsSnapshot {
-                req_map: d.u64()?,
-                req_synthesize: d.u64()?,
-                req_explore: d.u64()?,
-                req_control: d.u64()?,
-                cache_hit_mem: d.u64()?,
-                cache_hit_disk: d.u64()?,
-                cache_miss: d.u64()?,
-                deadline_expired: d.u64()?,
-                queue_high_water: d.u64()?,
-                batches: d.u64()?,
-                shed: d.u64()?,
-                coalesce_leaders: d.u64()?,
-                coalesce_waiters: d.u64()?,
-                disk_evictions: d.u64()?,
-                reactor_wakeups: d.u64()?,
-                cache_corrupt: d.u64()?,
-                disk_write_errors: d.u64()?,
-                conn_malformed: d.u64()?,
-                conn_timed_out: d.u64()?,
-            }),
+            4 => Response::Stats(StatsSnapshot::read(|| d.u64())?),
             5 => Response::ShuttingDown,
             6 => {
                 let err = match d.u8()? {

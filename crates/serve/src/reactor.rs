@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use crate::error::ServeError;
 use crate::protocol::{self, Request, Response, HANDSHAKE_OK, HANDSHAKE_REJECT_VERSION};
 use crate::server::Shared;
+use crate::unpoisoned;
 
 /// Bytes read per `read` call on a ready socket.
 const READ_CHUNK: usize = 16 * 1024;
@@ -91,17 +92,14 @@ impl CompletionQueue {
     }
 
     fn push(&self, completion: Completion) {
-        self.pending
-            .lock()
-            .expect("completion lock")
-            .push(completion);
+        unpoisoned(self.pending.lock()).push(completion);
         // A failed wake datagram is recovered by the loop's tick
         // timeout; losing it costs latency, never correctness.
         let _ = self.wake_tx.send(&[1]);
     }
 
     pub(crate) fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.pending.lock().expect("completion lock"))
+        std::mem::take(&mut *unpoisoned(self.pending.lock()))
     }
 }
 

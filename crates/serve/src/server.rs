@@ -60,14 +60,18 @@
 //! ## Observability
 //!
 //! Statistics are always-on process atomics ([`ServeStats`]), served
-//! to clients via `Stats`. When [`ServeConfig::observe`] is set, each
-//! job a worker takes runs under [`obs::capture`] inside a
-//! `serve.batch` span; the pool owner splices the recordings in
-//! admission order and returns the [`Recording`] from
-//! [`ServerHandle::join`]. The serve counters are mirrored from the
-//! atomics in one `add` each when the pool exits, so their totals are
-//! invariant under `--jobs` — including the queue high-water counter,
-//! whose *total* equals the high-water mark.
+//! to clients via `Stats`. The one counter table in [`crate::stats`]
+//! declares them all; each is bumped where its event happens, the
+//! disk tier's evictions, quarantines and write failures included
+//! (the `DiskStore` counts into the same `ServeStats`). When
+//! [`ServeConfig::observe`] is set, each job a worker takes runs
+//! under [`obs::capture`] inside a `serve.batch` span; the pool owner
+//! splices the recordings in admission order and returns the
+//! [`Recording`] from [`ServerHandle::join`]. Every table row with an
+//! obs counter is mirrored from the atomics in one `add` when the
+//! pool exits, so the totals are invariant under `--jobs` —
+//! including the queue high-water counter, whose *total* equals the
+//! high-water mark.
 //!
 //! [`Recording`]: obs::Recording
 
@@ -75,7 +79,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,6 +97,8 @@ use crate::error::ServeError;
 use crate::faults;
 use crate::protocol::{self, MapOutcome, Request, Response, StatsSnapshot, SynthReport};
 use crate::reactor::{EpollIo, Reply};
+pub use crate::stats::ServeStats;
+use crate::unpoisoned;
 
 /// Longest admissible address sequence. Bounds both memory and the
 /// worst-case synthesis time of a single request.
@@ -155,61 +161,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Always-on server statistics, shared across every thread.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    pub(crate) req_map: AtomicU64,
-    pub(crate) req_synthesize: AtomicU64,
-    pub(crate) req_explore: AtomicU64,
-    pub(crate) req_control: AtomicU64,
-    pub(crate) cache_hit_mem: AtomicU64,
-    pub(crate) cache_hit_disk: AtomicU64,
-    pub(crate) cache_miss: AtomicU64,
-    pub(crate) deadline_expired: AtomicU64,
-    pub(crate) queue_high_water: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) shed: AtomicU64,
-    pub(crate) coalesce_leaders: AtomicU64,
-    pub(crate) coalesce_waiters: AtomicU64,
-    pub(crate) disk_evictions: AtomicU64,
-    pub(crate) reactor_wakeups: AtomicU64,
-    pub(crate) cache_corrupt: AtomicU64,
-    pub(crate) disk_write_errors: AtomicU64,
-    pub(crate) conn_malformed: AtomicU64,
-    pub(crate) conn_timed_out: AtomicU64,
-}
-
-impl ServeStats {
-    fn observe_queue_depth(&self, depth: u64) {
-        self.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            req_map: self.req_map.load(Ordering::Relaxed),
-            req_synthesize: self.req_synthesize.load(Ordering::Relaxed),
-            req_explore: self.req_explore.load(Ordering::Relaxed),
-            req_control: self.req_control.load(Ordering::Relaxed),
-            cache_hit_mem: self.cache_hit_mem.load(Ordering::Relaxed),
-            cache_hit_disk: self.cache_hit_disk.load(Ordering::Relaxed),
-            cache_miss: self.cache_miss.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            coalesce_leaders: self.coalesce_leaders.load(Ordering::Relaxed),
-            coalesce_waiters: self.coalesce_waiters.load(Ordering::Relaxed),
-            disk_evictions: self.disk_evictions.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            cache_corrupt: self.cache_corrupt.load(Ordering::Relaxed),
-            disk_write_errors: self.disk_write_errors.load(Ordering::Relaxed),
-            conn_malformed: self.conn_malformed.load(Ordering::Relaxed),
-            conn_timed_out: self.conn_timed_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// One admitted compute job.
 struct Job {
     request: Request,
@@ -262,7 +213,7 @@ impl AdmissionQueue {
     /// Returns the post-push depth on success (for high-water
     /// tracking).
     fn push(&self, job: Job) -> Result<usize, ServeError> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoisoned(self.state.lock());
         if state.closed {
             return Err(ServeError::Internal("server is shutting down".to_string()));
         }
@@ -280,7 +231,7 @@ impl AdmissionQueue {
     /// Takes the oldest job, blocking while the queue is empty.
     /// `None` once the queue is closed *and* drained.
     fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoisoned(self.state.lock());
         loop {
             if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
@@ -288,14 +239,14 @@ impl AdmissionQueue {
             if state.closed {
                 return None;
             }
-            state = self.nonempty.wait(state).expect("queue wait");
+            state = unpoisoned(self.nonempty.wait(state));
         }
     }
 
     /// Closes the queue: future pushes fail, the workers drain what
     /// remains and exit.
     fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        unpoisoned(self.state.lock()).closed = true;
         self.nonempty.notify_all();
     }
 }
@@ -386,11 +337,7 @@ impl Shared {
             _ => unreachable!("is_compute"),
         };
         let key = CacheKey::for_request(&request.encode(), request.effort_steps());
-        let hit = self
-            .memory
-            .lock()
-            .expect("no thread panics while holding the LRU lock")
-            .get(key);
+        let hit = unpoisoned(self.memory.lock()).get(key);
         if let Some(payload) = hit {
             req_ctr.fetch_add(1, Ordering::Relaxed);
             self.stats.cache_hit_mem.fetch_add(1, Ordering::Relaxed);
@@ -439,16 +386,18 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     // Open the cache eagerly so a bad directory fails at startup, not
-    // on the first request.
+    // on the first request. Entries its rescan quarantines count in
+    // `stats` before any job runs.
+    let stats = Arc::new(ServeStats::default());
     let cache = ResultCache::new_with(
         config.cache_entries,
         config.cache_dir.as_deref(),
         config.disk_cap_bytes,
         config.faults.clone(),
+        Arc::clone(&stats),
     )?;
     let io = EpollIo::new(listener)?;
 
-    let stats = Arc::new(ServeStats::default());
     let shared = Arc::new(Shared {
         queue: AdmissionQueue::new(config.queue_cap),
         stats: Arc::clone(&stats),
@@ -480,25 +429,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Mirrors the cache's take-delta counters into the shared atomics.
-/// Called at pool start (entries quarantined by the open-time rescan
-/// must be visible to a `Stats` probe before any job runs) and after
-/// every cache access.
-fn mirror_cache_deltas(shared: &Shared, cache: &mut ResultCache) {
-    for (delta, ctr) in [
-        (cache.take_disk_evictions(), &shared.stats.disk_evictions),
-        (cache.take_disk_corrupt(), &shared.stats.cache_corrupt),
-        (
-            cache.take_disk_write_errors(),
-            &shared.stats.disk_write_errors,
-        ),
-    ] {
-        if delta > 0 {
-            ctr.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-}
-
 /// What the workers share.
 struct Pool<'a> {
     shared: &'a Shared,
@@ -519,11 +449,10 @@ struct Pool<'a> {
 /// Runs `jobs` workers until the queue is closed and drained: this
 /// thread and `jobs - 1` more. Returns the spliced recording when
 /// observing.
-fn run_pool(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
+fn run_pool(shared: &Shared, cache: ResultCache) -> Option<obs::Recording> {
     if shared.config.observe {
         obs::start();
     }
-    mirror_cache_deltas(shared, &mut cache);
     let pool = Pool {
         shared,
         library: Library::vcl018(),
@@ -556,38 +485,16 @@ fn run_pool(shared: &Shared, mut cache: ResultCache) -> Option<obs::Recording> {
     if !shared.config.observe {
         return None;
     }
-    let mut recordings = recordings
-        .into_inner()
-        .expect("no worker panics while holding the recordings lock");
+    let mut recordings = unpoisoned(recordings.into_inner());
     recordings.sort_by_key(|(admitted, _)| *admitted);
     for (_, rec) in recordings {
         obs::splice(rec);
     }
     // Mirror the atomics into the typed obs counters — one `add` per
-    // counter, at exit, so totals are jobs-invariant. The high-water
-    // counter's total IS the high-water mark.
-    let s = shared.stats.snapshot();
-    for (ctr, v) in [
-        (obs::Ctr::ServeReqMap, s.req_map),
-        (obs::Ctr::ServeReqSynthesize, s.req_synthesize),
-        (obs::Ctr::ServeReqExplore, s.req_explore),
-        (obs::Ctr::ServeReqControl, s.req_control),
-        (obs::Ctr::ServeCacheHitMem, s.cache_hit_mem),
-        (obs::Ctr::ServeCacheHitDisk, s.cache_hit_disk),
-        (obs::Ctr::ServeCacheMiss, s.cache_miss),
-        (obs::Ctr::ServeQueueHighWater, s.queue_high_water),
-        (obs::Ctr::ServeDeadline, s.deadline_expired),
-        (obs::Ctr::ServeShed, s.shed),
-        (obs::Ctr::ServeCoalesceLeaders, s.coalesce_leaders),
-        (obs::Ctr::ServeCoalesceWaiters, s.coalesce_waiters),
-        (obs::Ctr::ServeDiskEvictions, s.disk_evictions),
-        (obs::Ctr::ServeReactorWakeups, s.reactor_wakeups),
-        (obs::Ctr::ServeCacheCorrupt, s.cache_corrupt),
-        (obs::Ctr::ServeDiskWriteErrors, s.disk_write_errors),
-        (obs::Ctr::ServeConnMalformed, s.conn_malformed),
-        (obs::Ctr::ServeConnTimedOut, s.conn_timed_out),
-    ] {
-        if v > 0 {
+    // counter table row, at exit, so totals are jobs-invariant. The
+    // high-water counter's total IS the high-water mark.
+    for (_, ctr, v) in shared.stats.snapshot().rows() {
+        if let Some(ctr) = ctr {
             obs::add(ctr, v);
         }
     }
@@ -605,10 +512,7 @@ impl Pool<'_> {
                 self.take(job);
             });
             if self.shared.config.observe {
-                self.recordings
-                    .lock()
-                    .expect("no worker panics while holding the recordings lock")
-                    .push((admitted, rec));
+                unpoisoned(self.recordings.lock()).push((admitted, rec));
             }
         }
     }
@@ -634,10 +538,9 @@ impl Pool<'_> {
             in_flight.insert(key, Vec::new());
         }
         let (payload, computed) = self.lead(&job);
-        let waiters = self
-            .in_flight()
-            .remove(&key)
-            .expect("only the leader takes its key out of the table");
+        // Only the leader takes its key out of the table, so the entry
+        // is there; an absent one would have no waiters to answer.
+        let waiters = self.in_flight().remove(&key).unwrap_or_default();
         if !waiters.is_empty() {
             stats.coalesce_leaders.fetch_add(1, Ordering::Relaxed);
         }
@@ -663,7 +566,8 @@ impl Pool<'_> {
     /// cached.
     fn lead(&self, job: &Job) -> (Vec<u8>, bool) {
         let stats = &self.shared.stats;
-        if let Some((payload, tier)) = self.with_cache(|cache| cache.get(job.key)) {
+        let hit = self.cache().get(job.key);
+        if let Some((payload, tier)) = hit {
             let ctr = match tier {
                 Tier::Memory => &stats.cache_hit_mem,
                 Tier::Disk => &stats.cache_hit_disk,
@@ -682,7 +586,7 @@ impl Pool<'_> {
         }));
         let payload = match computed {
             Ok(payload) => {
-                self.with_cache(|cache| cache.put(job.key, payload.clone()));
+                self.cache().put(job.key, payload.clone());
                 payload
             }
             Err(_) => {
@@ -692,21 +596,12 @@ impl Pool<'_> {
         (payload, true)
     }
 
-    /// Runs `f` on the cache, then mirrors its disk-tier counters.
-    fn with_cache<R>(&self, f: impl FnOnce(&mut ResultCache) -> R) -> R {
-        let mut cache = self
-            .cache
-            .lock()
-            .expect("no worker panics while holding the cache lock");
-        let r = f(&mut cache);
-        mirror_cache_deltas(self.shared, &mut cache);
-        r
+    fn cache(&self) -> std::sync::MutexGuard<'_, ResultCache> {
+        unpoisoned(self.cache.lock())
     }
 
     fn in_flight(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Vec<Job>>> {
-        self.in_flight
-            .lock()
-            .expect("no worker panics while holding the in-flight lock")
+        unpoisoned(self.in_flight.lock())
     }
 }
 
@@ -1064,15 +959,17 @@ mod tests {
 
     /// Server state over a fresh cache, with no reactor attached.
     fn unbound(config: ServeConfig) -> (Shared, ResultCache) {
+        let stats = Arc::new(ServeStats::default());
         let cache = ResultCache::new_with(
             config.cache_entries,
             config.cache_dir.as_deref(),
             0,
             config.faults.clone(),
+            Arc::clone(&stats),
         )
         .unwrap();
         let shared = Shared {
-            stats: Arc::new(ServeStats::default()),
+            stats,
             memory: cache.memory_tier(),
             queue: AdmissionQueue::new(16),
             shutdown: AtomicBool::new(false),

@@ -9,8 +9,9 @@
 //! single-flight coalescing of concurrent identical misses, a
 //! contained panic in a computation, typed shedding under overload,
 //! idle-connection reaping by the staleness tick,
-//! quarantine-and-recompute on a corrupted disk entry, and a clean
-//! client-initiated shutdown with accurate final statistics.
+//! quarantine-and-recompute on a corrupted disk entry, an observing
+//! server's obs counters agreeing with its final statistics, and a
+//! clean client-initiated shutdown with accurate final statistics.
 //!
 //! Tests that need a computation to stay in flight hold it with the
 //! fault plan's `stall@serve.compute` directive, so they do not
@@ -24,6 +25,7 @@ use std::time::Duration;
 
 use adgen_serve::protocol::{
     encode_request_frame, read_frame, read_hello_reply, write_frame, write_hello, HANDSHAKE_OK,
+    MAX_FRAME_LEN,
 };
 use adgen_serve::{
     serve, Client, ClientError, FaultPlan, Generator, MapOutcome, Request, Response, ServeConfig,
@@ -64,18 +66,11 @@ fn shut_down(addr: &str, handle: adgen_serve::ServerHandle) -> StatsSnapshot {
     stats
 }
 
-fn stats_of(client: &mut Client) -> StatsSnapshot {
-    match client.call(&Request::Stats, 0).unwrap() {
-        Response::Stats(s) => s,
-        other => panic!("expected stats, got {other:?}"),
-    }
-}
-
 /// Polls the server's statistics until `done` holds for them.
 fn wait_for_stats(addr: &str, done: impl Fn(&StatsSnapshot) -> bool) {
     let mut probe = Client::connect(addr).expect("connect probe");
     for _ in 0..10_000 {
-        if done(&stats_of(&mut probe)) {
+        if done(&probe.stats().unwrap()) {
             return;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -114,7 +109,7 @@ fn ping_stats_and_clean_shutdown() {
     let (addr, handle) = start(test_config());
     let mut client = Client::connect(&addr).expect("connect");
     assert_eq!(client.call(&Request::Ping, 0).unwrap(), Response::Pong);
-    let s = stats_of(&mut client);
+    let s = client.stats().unwrap();
     assert_eq!(s.req_map + s.req_synthesize + s.req_explore, 0);
     assert!(s.req_control >= 1, "the ping itself is counted");
     drop(client);
@@ -315,7 +310,7 @@ fn a_hit_pipelined_behind_a_miss_is_answered_after_it() {
         "the miss is answered first"
     );
     assert_eq!(second, hot_payload, "the hit is answered second");
-    let stats = stats_of(&mut client);
+    let stats = client.stats().unwrap();
     assert_eq!(stats.cache_miss, 2, "warm-up and the pipelined miss");
     assert_eq!(stats.cache_hit_mem, 2, "the pipelined hit and the repeat");
     drop(client);
@@ -355,10 +350,10 @@ fn repeats_hit_the_cache_and_effort_budgets_never_alias() {
         other => panic!("expected a synthesis report, got {other:?}"),
     }
 
-    let stats_before = stats_of(&mut client);
+    let stats_before = client.stats().unwrap();
     let warm_full = client.call_raw(&full, 0).unwrap();
     let warm_truncated = client.call_raw(&truncated, 0).unwrap();
-    let stats_after = stats_of(&mut client);
+    let stats_after = client.stats().unwrap();
 
     assert_eq!(warm_full, cold_full, "warm hit is byte-identical");
     assert_eq!(warm_truncated, cold_truncated);
@@ -408,10 +403,10 @@ fn affine_synthesis_over_the_wire_never_aliases_the_fsm_pipeline() {
     // programmable AGU pays its configuration chain in state.
     assert!(affine_report.flip_flops > fsm_report.flip_flops);
 
-    let before = stats_of(&mut client);
+    let before = client.stats().unwrap();
     let warm_fsm = client.call_raw(&make(Generator::Fsm), 0).unwrap();
     let warm_affine = client.call_raw(&make(Generator::Affine), 0).unwrap();
-    let after = stats_of(&mut client);
+    let after = client.stats().unwrap();
     assert_eq!(warm_fsm, cold_fsm);
     assert_eq!(warm_affine, cold_affine);
     assert_eq!(
@@ -454,6 +449,60 @@ fn disk_tier_survives_a_server_restart() {
     let stats = shut_down(&addr, handle);
     assert_eq!(stats.cache_hit_disk, 1, "answered by the disk tier");
     assert_eq!(stats.cache_miss, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_observing_server_mirrors_every_counter_into_its_recording() {
+    let dir = std::env::temp_dir().join(format!("adgen-serve-e2e-mirror-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // An LRU of two entries, so a second round over four requests
+    // reaches the disk tier before its repeat hits memory.
+    let (addr, handle) = start(ServeConfig {
+        jobs: 2,
+        cache_entries: 2,
+        cache_dir: Some(PathBuf::from(&dir)),
+        observe: true,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let requests = mixed_requests();
+    for req in &requests {
+        client.call_raw(req, 0).unwrap();
+    }
+    for req in &requests {
+        client.call_raw(req, 0).unwrap();
+        client.call_raw(req, 0).unwrap();
+    }
+
+    // A frame longer than the cap is answered with a typed error and
+    // closes its connection.
+    let mut raw = TcpStream::connect(&addr).expect("connect raw");
+    write_hello(&mut raw, PROTOCOL_VERSION).unwrap();
+    assert_eq!(read_hello_reply(&mut raw).unwrap().0, HANDSHAKE_OK);
+    raw.write_all(&(MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
+    let reply = read_frame(&mut raw).unwrap().expect("an error frame");
+    assert!(matches!(
+        Response::decode(&reply).unwrap(),
+        Response::Error(ServeError::MalformedFrame(_))
+    ));
+    drop(raw);
+
+    assert_eq!(
+        client.call(&Request::Shutdown, 0).unwrap(),
+        Response::ShuttingDown
+    );
+    drop(client);
+    let (stats, rec) = handle.join().expect("no worker panicked");
+    let rec = rec.expect("an observing server returns its recording");
+    for (name, ctr, value) in stats.rows() {
+        if let Some(ctr) = ctr {
+            assert_eq!(rec.counter(ctr), value, "{name}");
+        }
+    }
+    assert!(stats.req_map > 0 && stats.req_synthesize > 0 && stats.req_control > 0);
+    assert!(stats.cache_miss > 0 && stats.cache_hit_mem > 0 && stats.cache_hit_disk > 0);
+    assert_eq!(stats.conn_malformed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -617,7 +666,7 @@ fn an_idle_connection_is_reaped_by_the_staleness_tick() {
     // gone, and the counter moved. The probe itself is fresh and
     // fast, so it is never at risk.
     let mut probe = Client::connect(&addr).expect("connect probe");
-    let stats = stats_of(&mut probe);
+    let stats = probe.stats().unwrap();
     assert!(
         stats.conn_timed_out >= 1,
         "the staleness tick counted the reap"
@@ -759,7 +808,7 @@ fn overload_is_shed_with_typed_rejections_not_hangs() {
     assert!(shed >= 1, "a one-slot queue under an 8-way burst sheds");
 
     let mut probe = Client::connect(&addr).expect("connect probe");
-    let stats = stats_of(&mut probe);
+    let stats = probe.stats().unwrap();
     drop(probe);
     assert_eq!(stats.shed, shed, "the shed counter saw every rejection");
     shut_down(&addr, handle);

@@ -210,7 +210,9 @@ fi
 echo "==> serve smoke (ephemeral loopback server + loadgen --smoke)"
 serve_cache="$(mktemp -d)"
 serve_log="$(mktemp)"
-target/release/adgen-serve --cache-dir "$serve_cache" > "$serve_log" &
+# --metrics: the server mirrors its counters into an obs session and
+# prints the metrics JSON block at shutdown, checked below.
+target/release/adgen-serve --cache-dir "$serve_cache" --metrics > "$serve_log" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
@@ -232,6 +234,8 @@ grep -q "adgen-serve shut down:" "$serve_log" || {
   echo "FAIL: server exited without its shutdown summary" >&2
   exit 1
 }
+check_schema "$serve_log" serve.req.map serve.req.synthesize serve.cache.hit.mem \
+  serve.cache.miss
 rm -rf "$serve_cache" "$serve_log"
 
 echo "==> overload smoke (typed shedding under a 2-slot admission queue)"
