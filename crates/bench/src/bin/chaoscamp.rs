@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
 use std::time::Duration;
 
-use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, Field, ObsJsonSink};
 use adgen_serve::cache::{ENTRY_HEADER_LEN, QUARANTINE_DIR};
 use adgen_serve::{Client, Generator, Request, Response};
 use adgen_synth::Encoding;
@@ -118,7 +118,7 @@ struct ChaosState {
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut serve_bin: Option<PathBuf> = None;
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {

@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{array, flag_value, object, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, object, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_explorer::{compare_four_way, verify_affine_bit_exact, FourWayComparison};
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     let mut jobs = 0usize;
     let mut seed = 2026u64;
     let mut smoke = false;
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {

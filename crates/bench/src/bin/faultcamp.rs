@@ -44,7 +44,7 @@
 
 use std::process::ExitCode;
 
-use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_affine::{fit_sequence, AffineAgNetlist};
@@ -101,7 +101,7 @@ fn main() -> ExitCode {
     let mut seed = 2026u64;
     let mut smoke = false;
     let mut fault_token: Option<String> = None;
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {

@@ -46,7 +46,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, Field, ObsJsonSink};
 use adgen_exec::Prng;
 use adgen_serve::{
     serve, Client, Generator, Request, Response, RetryPolicy, ServeConfig, ServeError, ServerHandle,
@@ -114,7 +114,7 @@ struct Options {
 }
 
 fn main() {
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut opt = Options {
         addr: None,
         requests: 48,

@@ -27,7 +27,7 @@ use adgen_bench::experiments::{
     ablation, fig3_4, fig8_9_10, interconnect, power_study, sharing, synth_time, table3,
     SynthTimeRow, PAPER_ARRAY_SIZES, PAPER_SEQUENCE_LENGTHS,
 };
-use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, Field, ObsJsonSink};
 use adgen_bench::report;
 use adgen_core::mapper::map_sequence;
 use adgen_seq::{workloads, ArrayShape, Layout};
@@ -61,7 +61,7 @@ struct ReproState {
 fn main() {
     let mut jobs = 0usize; // 0 = all available cores
     let mut what: Vec<String> = Vec::new();
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         if a == "--jobs" || a == "-j" {

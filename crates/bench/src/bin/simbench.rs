@@ -34,7 +34,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use adgen_bench::obs_cli::{array, flag_value, take_obs_args, Field, ObsJsonSink};
+use adgen_bench::obs_cli::{array, flag_value, Field, ObsJsonSink};
 use adgen_bench::Fig7Recipe;
 
 use adgen_core::composite::Srag2d;
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
     let mut seed = 2026u64;
     let mut smoke = false;
     let mut iters = 0u32; // 0 = mode default
-    let (raw, obs_args) = take_obs_args(std::env::args().skip(1).collect());
+    let (raw, obs_args) = adgen_obs::take_obs_args(std::env::args().skip(1).collect());
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {

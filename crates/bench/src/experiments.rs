@@ -4,7 +4,8 @@
 //! follow the paper (16×16 … 256×256 for Figs. 8–10, sequence lengths
 //! 8 … 256 for Figs. 3–4); the macroblock for motion estimation
 //! scales as `max(2, N/8)` so the block structure stays proportional
-//! to the frame as in block-based codecs.
+//! to the frame as in block-based codecs. Every kernel takes its
+//! streams and counter-AG programs from [`PaperWorkload`].
 //!
 //! Every sweep takes a `jobs` argument and fans its independent
 //! (workload × array-size) points across that many worker threads via
@@ -34,8 +35,65 @@ pub const PAPER_ARRAY_SIZES: [u32; 5] = [16, 32, 64, 128, 256];
 pub const PAPER_SEQUENCE_LENGTHS: [u32; 6] = [8, 16, 32, 64, 128, 256];
 
 /// Macroblock edge used for an `n × n` frame.
-pub fn macroblock_for(n: u32) -> u32 {
+fn macroblock_for(n: u32) -> u32 {
     (n / 8).max(2)
+}
+
+/// The paper's workloads, each an address stream paired with the
+/// counter-AG program that generates it. Every kernel and the Fig. 7
+/// recipe build their inputs here, so a stream cannot drift apart
+/// from its program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperWorkload {
+    /// The incremental (raster) stream: a FIFO, and the write side of
+    /// motion estimation.
+    Fifo,
+    /// The block-matching read stream of Fig. 7, with a
+    /// `max(2, N/8)` macroblock and no search window.
+    MotionEst,
+    /// The transpose scan: the column pass of a separable DCT.
+    Dct,
+    /// The read stream of a 2× pixel-doubling zoom.
+    ZoomByTwo,
+}
+
+impl PaperWorkload {
+    /// The row label the reports print.
+    pub fn name(self) -> &'static str {
+        match self {
+            PaperWorkload::Fifo => "fifo",
+            PaperWorkload::MotionEst => "motion_est",
+            PaperWorkload::Dct => "dct",
+            PaperWorkload::ZoomByTwo => "zoombytwo",
+        }
+    }
+
+    /// The address stream on `shape`.
+    pub fn sequence(self, shape: ArrayShape) -> AddressSequence {
+        match self {
+            PaperWorkload::Fifo => workloads::fifo(shape),
+            PaperWorkload::MotionEst => {
+                let mb = macroblock_for(shape.width());
+                workloads::motion_est_read(shape, mb, mb, 0)
+            }
+            PaperWorkload::Dct => workloads::transpose_scan(shape),
+            PaperWorkload::ZoomByTwo => workloads::zoom_by_two(shape),
+        }
+    }
+
+    /// The counter-AG program generating [`sequence`](Self::sequence)
+    /// on `shape`.
+    pub fn cntag_program(self, shape: ArrayShape) -> CntAgSpec {
+        match self {
+            PaperWorkload::Fifo => CntAgSpec::raster(shape),
+            PaperWorkload::MotionEst => {
+                let mb = macroblock_for(shape.width());
+                CntAgSpec::motion_est(shape, mb, mb, 0)
+            }
+            PaperWorkload::Dct => CntAgSpec::transpose(shape),
+            PaperWorkload::ZoomByTwo => CntAgSpec::zoom_by_two(shape),
+        }
+    }
 }
 
 /// One point of Figs. 3 and 4: shift register vs symbolic FSM on the
@@ -182,21 +240,14 @@ pub struct Fig8910Row {
 pub fn fig8_9_10(sizes: &[u32], jobs: usize) -> Vec<Fig8910Row> {
     let _span = obs::span("bench.fig8_9_10");
     let library = Library::vcl018();
-    let items: Vec<(u32, bool)> = sizes
+    let items: Vec<(u32, PaperWorkload)> = sizes
         .iter()
-        .flat_map(|&n| [(n, false), (n, true)])
+        .flat_map(|&n| [(n, PaperWorkload::Fifo), (n, PaperWorkload::MotionEst)])
         .collect();
-    let comparisons = par_map(&items, jobs, |_, &(n, read)| {
+    let comparisons = par_map(&items, jobs, |_, &(n, workload)| {
         let shape = ArrayShape::new(n, n);
-        let mb = macroblock_for(n);
-        let (seq, program) = if read {
-            (
-                workloads::motion_est_read(shape, mb, mb, 0),
-                CntAgSpec::motion_est(shape, mb, mb, 0),
-            )
-        } else {
-            (workloads::motion_est_write(shape), CntAgSpec::raster(shape))
-        };
+        let seq = workload.sequence(shape);
+        let program = workload.cntag_program(shape);
         let loads = [SELECT_LINE_LOAD_FF];
         compare_srag_cntag_load_sweep(&seq, shape, &program, &library, &loads, 1)
             .expect("motion-estimation generators")
@@ -248,62 +299,35 @@ pub struct Table3Row {
 ///
 /// Panics if mapping or elaboration fails for a workload that must
 /// map.
-/// A named workload builder for the Table 3 sweep (`Sync` so the
-/// parallel point sweep can share it across workers).
-type WorkloadBuilder = Box<dyn Fn(ArrayShape) -> (AddressSequence, CntAgSpec) + Send + Sync>;
-
 pub fn table3(sizes: &[u32], jobs: usize) -> Vec<Table3Row> {
     let _span = obs::span("bench.table3");
     let library = Library::vcl018();
-    let cases: Vec<(&'static str, WorkloadBuilder)> = vec![
-        (
-            "dct",
-            Box::new(|shape| {
-                (
-                    workloads::transpose_scan(shape),
-                    CntAgSpec::transpose(shape),
-                )
-            }),
-        ),
-        (
-            "zoombytwo",
-            Box::new(|shape| (workloads::zoom_by_two(shape), CntAgSpec::zoom_by_two(shape))),
-        ),
-        (
-            "motion_est",
-            Box::new(|shape| {
-                let mb = macroblock_for(shape.width());
-                (
-                    workloads::motion_est_read(shape, mb, mb, 0),
-                    CntAgSpec::motion_est(shape, mb, mb, 0),
-                )
-            }),
-        ),
-        (
-            "fifo",
-            Box::new(|shape| (workloads::fifo(shape), CntAgSpec::raster(shape))),
-        ),
+    let cases = [
+        PaperWorkload::Dct,
+        PaperWorkload::ZoomByTwo,
+        PaperWorkload::MotionEst,
+        PaperWorkload::Fifo,
     ];
     // Every (workload, size) point is independent: flatten the cross
     // product, fan it out, then regroup per workload in case order.
-    let points: Vec<(usize, u32)> = (0..cases.len())
-        .flat_map(|c| sizes.iter().map(move |&n| (c, n)))
+    let points: Vec<(PaperWorkload, u32)> = cases
+        .iter()
+        .flat_map(|&w| sizes.iter().map(move |&n| (w, n)))
         .collect();
-    let comparisons = par_map(&points, jobs, |_, &(c, n)| {
-        let (example, build) = &cases[c];
+    let comparisons = par_map(&points, jobs, |_, &(workload, n)| {
         let shape = ArrayShape::new(n, n);
-        let (seq, program) = build(shape);
+        let seq = workload.sequence(shape);
+        let program = workload.cntag_program(shape);
         compare_srag_cntag(&seq, shape, &program, &library)
-            .unwrap_or_else(|e| panic!("{example}@{n}: {e}"))
+            .unwrap_or_else(|e| panic!("{}@{n}: {e}", workload.name()))
     });
     cases
         .iter()
-        .enumerate()
-        .map(|(c, (example, _))| {
+        .map(|&workload| {
             let rows: Vec<(u32, ComparisonRow)> = points
                 .iter()
                 .zip(&comparisons)
-                .filter(|((pc, _), _)| *pc == c)
+                .filter(|((pw, _), _)| *pw == workload)
                 .map(|(&(_, n), cmp)| (n, cmp.clone()))
                 .collect();
             let avg_delay_reduction = rows
@@ -317,7 +341,7 @@ pub fn table3(sizes: &[u32], jobs: usize) -> Vec<Table3Row> {
                 .sum::<f64>()
                 / rows.len() as f64;
             Table3Row {
-                example,
+                example: workload.name(),
                 avg_delay_reduction,
                 avg_area_increase,
                 rows,
@@ -346,23 +370,18 @@ pub struct PowerRow {
 pub fn power_study(sizes: &[u32], jobs: usize) -> Vec<PowerRow> {
     let _span = obs::span("bench.power_study");
     let library = Library::vcl018();
-    let names: [&'static str; 3] = ["fifo", "motion_est", "zoombytwo"];
-    let points: Vec<(u32, usize)> = sizes
-        .iter()
-        .flat_map(|&n| (0..names.len()).map(move |c| (n, c)))
-        .collect();
-    par_map(&points, jobs, |_, &(n, c)| {
+    let cases = [
+        PaperWorkload::Fifo,
+        PaperWorkload::MotionEst,
+        PaperWorkload::ZoomByTwo,
+    ];
+    let points: Vec<(u32, PaperWorkload)> =
+        sizes.iter().flat_map(|&n| cases.map(|w| (n, w))).collect();
+    par_map(&points, jobs, |_, &(n, workload)| {
         let shape = ArrayShape::new(n, n);
-        let mb = macroblock_for(n);
-        let example = names[c];
-        let (seq, program) = match example {
-            "fifo" => (workloads::fifo(shape), CntAgSpec::raster(shape)),
-            "motion_est" => (
-                workloads::motion_est_read(shape, mb, mb, 0),
-                CntAgSpec::motion_est(shape, mb, mb, 0),
-            ),
-            _ => (workloads::zoom_by_two(shape), CntAgSpec::zoom_by_two(shape)),
-        };
+        let example = workload.name();
+        let seq = workload.sequence(shape);
+        let program = workload.cntag_program(shape);
         let comparison = adgen_explorer::compare_power(&seq, shape, &program, &library, 100.0, 512)
             .unwrap_or_else(|e| panic!("{example}@{n}: {e}"));
         PowerRow {
@@ -407,19 +426,14 @@ pub fn ablation(sizes: &[u32], jobs: usize) -> Vec<AblationRow> {
     let _span = obs::span("bench.ablation");
     use adgen_core::arch::ControlStyle;
     let library = Library::vcl018();
-    let names: [&'static str; 2] = ["fifo", "motion_est"];
-    let points: Vec<(u32, usize)> = sizes
+    let points: Vec<(u32, PaperWorkload)> = sizes
         .iter()
-        .flat_map(|&n| (0..names.len()).map(move |c| (n, c)))
+        .flat_map(|&n| [(n, PaperWorkload::Fifo), (n, PaperWorkload::MotionEst)])
         .collect();
-    par_map(&points, jobs, |_, &(n, c)| {
+    par_map(&points, jobs, |_, &(n, workload)| {
         let shape = ArrayShape::new(n, n);
-        let mb = macroblock_for(n);
-        let example = names[c];
-        let seq = match example {
-            "fifo" => workloads::fifo(shape),
-            _ => workloads::motion_est_read(shape, mb, mb, 0),
-        };
+        let example = workload.name();
+        let seq = workload.sequence(shape);
         let pair = Srag2d::map(&seq, shape, Layout::RowMajor)
             .unwrap_or_else(|e| panic!("{example}@{n}: {e}"));
         let measure = |netlist: &adgen_netlist::Netlist| {
@@ -494,20 +508,21 @@ pub fn sharing(sizes: &[u32], jobs: usize) -> Vec<SharingRow> {
     let library = Library::vcl018();
     // Per size, in summation order: write rows, write cols, read rows,
     // read cols.
-    let streams: Vec<(u32, bool, bool)> = sizes
+    let streams: Vec<(u32, PaperWorkload, bool)> = sizes
         .iter()
         .flat_map(|&n| {
-            [(false, false), (false, true), (true, false), (true, true)]
-                .map(|(read, cols)| (n, read, cols))
+            [
+                (PaperWorkload::Fifo, false),
+                (PaperWorkload::Fifo, true),
+                (PaperWorkload::Dct, false),
+                (PaperWorkload::Dct, true),
+            ]
+            .map(|(workload, cols)| (n, workload, cols))
         })
         .collect();
-    let separate = par_map(&streams, jobs, |_, &(n, read, cols)| {
+    let separate = par_map(&streams, jobs, |_, &(n, workload, cols)| {
         let shape = ArrayShape::new(n, n);
-        let seq = if read {
-            workloads::transpose_scan(shape)
-        } else {
-            workloads::fifo(shape)
-        };
+        let seq = workload.sequence(shape);
         let (rows, columns) = seq.decompose(shape, Layout::RowMajor).expect("in range");
         let spec = map_sequence(if cols { &columns } else { &rows })
             .expect("1-D stream maps")
@@ -563,9 +578,8 @@ pub fn interconnect(loads_ff: &[f64], jobs: usize) -> Vec<InterconnectRow> {
     let _span = obs::span("bench.interconnect");
     let library = Library::vcl018();
     let shape = ArrayShape::new(64, 64);
-    let mb = macroblock_for(64);
-    let seq = workloads::motion_est_read(shape, mb, mb, 0);
-    let program = CntAgSpec::motion_est(shape, mb, mb, 0);
+    let seq = PaperWorkload::MotionEst.sequence(shape);
+    let program = PaperWorkload::MotionEst.cntag_program(shape);
     let points = compare_srag_cntag_load_sweep(&seq, shape, &program, &library, loads_ff, jobs)
         .expect("comparable");
     loads_ff
@@ -582,7 +596,41 @@ pub fn interconnect(loads_ff: &[f64], jobs: usize) -> Vec<InterconnectRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adgen_cntag::CntAgNetlist;
+    use adgen_cntag::{CntAgNetlist, CntAgSimulator};
+    use adgen_seq::AddressGenerator;
+
+    const ALL_WORKLOADS: [PaperWorkload; 4] = [
+        PaperWorkload::Fifo,
+        PaperWorkload::MotionEst,
+        PaperWorkload::Dct,
+        PaperWorkload::ZoomByTwo,
+    ];
+
+    #[test]
+    fn each_workload_program_generates_its_stream() {
+        for n in [4, 16, 32] {
+            let shape = ArrayShape::new(n, n);
+            for w in ALL_WORKLOADS {
+                let seq = w.sequence(shape);
+                let mut sim = CntAgSimulator::new(w.cntag_program(shape));
+                assert_eq!(sim.collect_sequence(seq.len()), seq, "{}@{n}", w.name());
+            }
+        }
+    }
+
+    #[test]
+    fn motion_est_macroblock_scales_with_the_frame() {
+        for (n, mb) in [(4, 2), (8, 2), (16, 2), (32, 4), (256, 32)] {
+            let shape = ArrayShape::new(n, n);
+            assert_eq!(
+                PaperWorkload::MotionEst.cntag_program(shape),
+                CntAgSpec::motion_est(shape, mb, mb, 0),
+                "n={n}"
+            );
+        }
+        let names = ALL_WORKLOADS.map(PaperWorkload::name);
+        assert_eq!(names, ["fifo", "motion_est", "dct", "zoombytwo"]);
+    }
 
     #[test]
     fn fig3_4_shift_register_is_faster() {
@@ -625,8 +673,8 @@ mod tests {
         let library = Library::vcl018();
         for r in fig8_9_10(&[16, 32], 2) {
             let shape = ArrayShape::new(r.n, r.n);
-            let mb = macroblock_for(r.n);
-            let design = CntAgNetlist::elaborate(&CntAgSpec::motion_est(shape, mb, mb, 0)).unwrap();
+            let design =
+                CntAgNetlist::elaborate(&PaperWorkload::MotionEst.cntag_program(shape)).unwrap();
             let components = design.components().unwrap();
             let comps = components
                 .timer(&library)

@@ -17,7 +17,7 @@
 //!   `"metrics"` block under `--metrics`.
 //!
 //! The sink also owns the observability session behind the two
-//! flags:
+//! flags, which `adgen_obs::take_obs_args` parses:
 //!
 //! * `--trace FILE` — record spans/counters and export a Chrome
 //!   trace-event JSON (loadable in Perfetto / `chrome://tracing`).
@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use adgen_obs as obs;
+use adgen_obs::ObsArgs;
 
 /// One `"key": value` field of a bench record; the value is already
 /// rendered JSON.
@@ -87,23 +88,6 @@ pub fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &st
         eprintln!("error: invalid {flag} value `{v}`");
         std::process::exit(2);
     })
-}
-
-/// The parsed observability flags of a bench binary.
-#[derive(Debug, Default, Clone)]
-pub struct ObsArgs {
-    /// `--trace FILE`: where to write the Chrome trace-event JSON.
-    pub trace: Option<PathBuf>,
-    /// `--metrics`: print the profile report and append the metrics
-    /// block to the bench JSON.
-    pub metrics: bool,
-}
-
-impl ObsArgs {
-    /// Whether either flag asked for a recording session.
-    pub fn recording(&self) -> bool {
-        self.trace.is_some() || self.metrics
-    }
 }
 
 /// Drop guard owning a bench run's obs session and JSON record.
@@ -203,60 +187,9 @@ fn flush<S>(inner: SinkInner<S>, truncated: bool) {
     }
 }
 
-/// Strips the obs flags out of a raw argument list, returning the
-/// remaining arguments. Shared by the binaries' hand-rolled parsers.
-///
-/// Recognized forms: `--trace FILE`, `--trace=FILE`, `--metrics`.
-pub fn take_obs_args(raw: Vec<String>) -> (Vec<String>, ObsArgs) {
-    let mut rest = Vec::with_capacity(raw.len());
-    let mut args = ObsArgs::default();
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            match it.next() {
-                Some(v) => args.trace = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("error: --trace needs a file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            args.trace = Some(PathBuf::from(v));
-        } else if a == "--metrics" {
-            args.metrics = true;
-        } else {
-            rest.push(a);
-        }
-    }
-    (rest, args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn obs_flags_are_stripped() {
-        let raw = vec![
-            "--jobs".to_string(),
-            "2".to_string(),
-            "--trace".to_string(),
-            "t.json".to_string(),
-            "--metrics".to_string(),
-            "fig3".to_string(),
-        ];
-        let (rest, args) = take_obs_args(raw);
-        assert_eq!(rest, vec!["--jobs", "2", "fig3"]);
-        assert_eq!(args.trace.as_deref(), Some(std::path::Path::new("t.json")));
-        assert!(args.metrics && args.recording());
-    }
-
-    #[test]
-    fn no_flags_means_no_recording() {
-        let (rest, args) = take_obs_args(vec!["--smoke".to_string()]);
-        assert_eq!(rest, vec!["--smoke"]);
-        assert!(!args.recording());
-    }
 
     /// Test renderer: one non-empty and one empty array.
     #[allow(clippy::ptr_arg)] // the render signature is `fn(&S)`

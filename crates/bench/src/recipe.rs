@@ -8,7 +8,9 @@
 //! source of truth so the published numbers cannot drift apart.
 
 use adgen_cntag::CntAgSpec;
-use adgen_seq::{workloads, AddressSequence, ArrayShape};
+use adgen_seq::{AddressSequence, ArrayShape};
+
+use crate::experiments::PaperWorkload;
 
 /// The paper-Fig. 7 campaign recipe at smoke or full size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +41,7 @@ impl Fig7Recipe {
     /// The motion-estimation read sequence (paper Fig. 7, mb = 2,
     /// m = 0) at this recipe's shape.
     pub fn sequence(&self) -> AddressSequence {
-        workloads::motion_est_read(self.shape, 2, 2, 0)
+        PaperWorkload::MotionEst.sequence(self.shape)
     }
 
     /// Replay length of [`Fig7Recipe::sequence`] in cycles.
@@ -49,7 +51,7 @@ impl Fig7Recipe {
 
     /// The counter-AG program equivalent to the read sequence.
     pub fn cntag_program(&self) -> CntAgSpec {
-        CntAgSpec::motion_est(self.shape, 2, 2, 0)
+        PaperWorkload::MotionEst.cntag_program(self.shape)
     }
 
     /// SEU samples for `explore4`'s four-way comparison, which runs a
@@ -75,19 +77,14 @@ impl Fig7Recipe {
     /// kernel plus the raster and transpose scan patterns, each paired
     /// with its counter-AG program.
     pub fn explore_cases(&self) -> Vec<(&'static str, AddressSequence, CntAgSpec)> {
-        vec![
-            ("motion_est", self.sequence(), self.cntag_program()),
-            (
-                "raster",
-                workloads::raster(self.shape),
-                CntAgSpec::raster(self.shape),
-            ),
-            (
-                "transpose",
-                workloads::transpose_scan(self.shape),
-                CntAgSpec::transpose(self.shape),
-            ),
+        [
+            ("motion_est", PaperWorkload::MotionEst),
+            ("raster", PaperWorkload::Fifo),
+            ("transpose", PaperWorkload::Dct),
         ]
+        .into_iter()
+        .map(|(label, w)| (label, w.sequence(self.shape), w.cntag_program(self.shape)))
+        .collect()
     }
 }
 
@@ -116,6 +113,10 @@ mod tests {
             let r = Fig7Recipe::new(smoke);
             assert_eq!(r.cycles() as usize, r.sequence().len());
             assert!(!r.sequence().is_empty());
+            // Fig. 7's 2x2 macroblock at both sizes.
+            let mb2 = adgen_seq::workloads::motion_est_read(r.shape, 2, 2, 0);
+            assert_eq!(r.sequence(), mb2);
+            assert_eq!(r.cntag_program(), CntAgSpec::motion_est(r.shape, 2, 2, 0));
         }
     }
 

@@ -9,7 +9,6 @@
 //! Exit status is 0 when every oracle agreed, 1 on any mismatch, 2 on
 //! bad usage.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use adgen_fuzz::{run_fuzz, BreakMode, FuzzConfig};
@@ -28,19 +27,6 @@ const USAGE: &str =
   --trace FILE        write a Chrome trace-event JSON of the run
   --metrics           print the deterministic self/total profile";
 
-/// The observability flags, parsed alongside [`FuzzConfig`].
-#[derive(Default)]
-struct ObsArgs {
-    trace: Option<PathBuf>,
-    metrics: bool,
-}
-
-impl ObsArgs {
-    fn recording(&self) -> bool {
-        self.trace.is_some() || self.metrics
-    }
-}
-
 /// `value` of `flag` as an integer.
 fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
     value
@@ -48,9 +34,10 @@ fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
         .map_err(|_| format!("{flag} expects an integer"))
 }
 
-fn parse_args(args: &[String]) -> Result<(FuzzConfig, ObsArgs), String> {
+/// Parses everything but the obs flags, which `obs::take_obs_args`
+/// takes out first.
+fn parse_args(args: &[String]) -> Result<FuzzConfig, String> {
     let mut config = FuzzConfig::default();
-    let mut obs_args = ObsArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value_for = |flag: &str| -> Result<String, String> {
@@ -68,20 +55,16 @@ fn parse_args(args: &[String]) -> Result<(FuzzConfig, ObsArgs), String> {
                 config.break_mode = BreakMode::parse(&v)
                     .ok_or_else(|| format!("unknown --dev-break mode '{v}'"))?;
             }
-            "--trace" => {
-                obs_args.trace = Some(PathBuf::from(value_for("--trace")?));
-            }
-            "--metrics" => obs_args.metrics = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    Ok((config, obs_args))
+    Ok(config)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, obs_args) = match parse_args(&args) {
+    let (args, obs_args) = obs::take_obs_args(std::env::args().skip(1).collect());
+    let config = match parse_args(&args) {
         Ok(c) => c,
         Err(msg) => {
             if msg.is_empty() {
@@ -105,17 +88,12 @@ fn main() -> ExitCode {
     }
     let report = run_fuzz(&config);
     if obs_args.recording() {
-        let rec = obs::take();
-        let redact = obs::redact_from_env();
-        if let Some(path) = &obs_args.trace {
-            match std::fs::write(path, obs::chrome_trace(&rec, redact)) {
-                Ok(()) => println!("(trace written to {})", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
-        }
-        if obs_args.metrics {
-            print!("{}", obs::profile_report(&rec, redact));
-        }
+        obs::export_session(
+            &obs::take(),
+            obs_args.trace.as_deref(),
+            obs_args.metrics,
+            obs::redact_from_env(),
+        );
     }
 
     if let Some(index) = config.only_case {

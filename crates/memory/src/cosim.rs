@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn srag_pair_drives_addm_end_to_end() {
         let shape = ArrayShape::new(4, 4);
-        let write_seq = workloads::motion_est_write(shape);
+        let write_seq = workloads::fifo(shape);
         let read_seq = workloads::motion_est_read(shape, 2, 2, 0);
         let mut writer = Srag2d::map(&write_seq, shape, Layout::RowMajor)
             .unwrap()

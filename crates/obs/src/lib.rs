@@ -24,6 +24,9 @@
 //!   ([`profile_report`]). Both elide the nondeterministic fields
 //!   under redaction (the `OBS_REDACT=1` convention), so their output
 //!   byte-compares in golden and jobs-invariance tests.
+//! * **One set of flags** — [`take_obs_args`] strips `--trace FILE`
+//!   and `--metrics` from a binary's arguments into [`ObsArgs`], and
+//!   [`export_session`] writes what they asked for.
 //!
 //! ## Usage
 //!
@@ -46,11 +49,13 @@
 //! unless a session is active, so the instrumented hot paths cost
 //! nothing in ordinary runs.
 
+pub mod cli;
 pub mod json;
 pub mod record;
 pub mod report;
 pub mod trace;
 
+pub use cli::{take_obs_args, ObsArgs};
 pub use record::{
     add, capture, enabled, redact_from_env, span, span_arg, splice, start, take, timing, Ctr,
     Recording, SpanGuard, SpanRecord, NUM_CTRS,

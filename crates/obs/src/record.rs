@@ -257,6 +257,13 @@ impl Recording {
         rows
     }
 
+    /// Adds `delta` to one typed counter of a finished recording — for
+    /// totals known only after the session that recorded it ended.
+    pub fn add(&mut self, ctr: Ctr, delta: u64) {
+        let total = &mut self.counters[ctr.index()];
+        *total = total.saturating_add(delta);
+    }
+
     /// True when nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty() && self.counters.iter().all(|&v| v == 0) && self.timings.is_empty()

@@ -81,12 +81,6 @@ pub fn motion_est_read(
     out
 }
 
-/// The write (production) order for `new_img` assumed by the paper:
-/// incremental over the array.
-pub fn motion_est_write(shape: ArrayShape) -> AddressSequence {
-    fifo(shape)
-}
-
 /// Transpose (column-major) scan of an arbitrary array — on a square
 /// block, the access sequence of the second (column) pass of a
 /// separable DCT over row-major data.

@@ -49,10 +49,9 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 fn main() {
     let mut config = ServeConfig::default();
-    let mut metrics = false;
-    let mut trace: Option<PathBuf> = None;
+    let (args, obs_args) = obs::take_obs_args(std::env::args().skip(1).collect());
 
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => config.addr = parse("--addr", it.next()),
@@ -75,8 +74,6 @@ fn main() {
                     }
                 }
             }
-            "--metrics" => metrics = true,
-            "--trace" => trace = Some(PathBuf::from(parse::<String>("--trace", it.next()))),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown argument `{other}`");
@@ -93,7 +90,7 @@ fn main() {
             }
         }
     }
-    config.observe = metrics || trace.is_some();
+    config.observe = obs_args.recording();
 
     let handle = match serve(config) {
         Ok(h) => h,
@@ -123,8 +120,8 @@ fn main() {
 
     if let Some(rec) = recording {
         let redact = obs::redact_from_env();
-        obs::export_session(&rec, trace.as_deref(), metrics, redact);
-        if metrics {
+        obs::export_session(&rec, obs_args.trace.as_deref(), obs_args.metrics, redact);
+        if obs_args.metrics {
             println!("{}", obs::metrics_json_block(&rec, "", redact));
         }
     }

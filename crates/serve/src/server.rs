@@ -68,10 +68,11 @@
 //! under [`obs::capture`] inside a `serve.batch` span; the pool owner
 //! splices the recordings in admission order and returns the
 //! [`Recording`] from [`ServerHandle::join`]. Every table row with an
-//! obs counter is mirrored from the atomics in one `add` when the
-//! pool exits, so the totals are invariant under `--jobs` —
-//! including the queue high-water counter, whose *total* equals the
-//! high-water mark.
+//! obs counter is mirrored from the atomics in one `add` once both
+//! the pool and the reactor have exited — after the drain, so what
+//! the reactor counts while connections close is mirrored too — and
+//! the totals are invariant under `--jobs`, including the queue
+//! high-water counter, whose *total* equals the high-water mark.
 //!
 //! [`Recording`]: obs::Recording
 
@@ -295,7 +296,20 @@ impl ServerHandle {
         if !panicked.is_empty() {
             return Err(ServeError::WorkerPanicked(panicked.join(", ")));
         }
-        Ok((self.stats.snapshot(), rec))
+        // Both threads have exited, so nothing counts any more: mirror
+        // the atomics into the typed obs counters, one `add` per table
+        // row, so the totals are jobs-invariant. The high-water
+        // counter's total IS the high-water mark.
+        let stats = self.stats.snapshot();
+        let rec = rec.map(|mut rec| {
+            for (_, ctr, v) in stats.rows() {
+                if let Some(ctr) = ctr {
+                    rec.add(ctr, v);
+                }
+            }
+            rec
+        });
+        Ok((stats, rec))
     }
 }
 
@@ -489,14 +503,6 @@ fn run_pool(shared: &Shared, cache: ResultCache) -> Option<obs::Recording> {
     recordings.sort_by_key(|(admitted, _)| *admitted);
     for (_, rec) in recordings {
         obs::splice(rec);
-    }
-    // Mirror the atomics into the typed obs counters — one `add` per
-    // counter table row, at exit, so totals are jobs-invariant. The
-    // high-water counter's total IS the high-water mark.
-    for (_, ctr, v) in shared.stats.snapshot().rows() {
-        if let Some(ctr) = ctr {
-            obs::add(ctr, v);
-        }
     }
     Some(obs::take())
 }

@@ -5,7 +5,7 @@
 //! observes (`None` for `batches`, which has no obs counter). The
 //! table generates the live atomics ([`ServeStats`]), the snapshot
 //! clients receive ([`StatsSnapshot`]), the snapshot's wire order and
-//! the list the pool mirrors into obs at exit and the `adgen-serve`
+//! the list `ServerHandle::join` mirrors into obs and the `adgen-serve`
 //! binary prints at shutdown. A new counter is one row here plus its
 //! increment sites. The row order is the wire order of
 //! `Response::Stats`, so new rows go at the end, under a protocol

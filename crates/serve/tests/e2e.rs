@@ -488,12 +488,23 @@ fn an_observing_server_mirrors_every_counter_into_its_recording() {
     ));
     drop(raw);
 
+    // Shut down from a second client while the first stays open, then
+    // ping on the first: the reactor answers during the drain, and
+    // that count must reach the recording too. The assertions hold in
+    // any interleaving; the pause lets the worker pool exit first, the
+    // order in which a mirror taken at pool exit would miss the ping.
+    let mut closer = Client::connect(&addr).expect("connect closer");
     assert_eq!(
-        client.call(&Request::Shutdown, 0).unwrap(),
+        closer.call(&Request::Shutdown, 0).unwrap(),
         Response::ShuttingDown
     );
+    drop(closer);
+    std::thread::sleep(Duration::from_millis(200));
+    let control_before_ping = handle.stats().snapshot().req_control;
+    assert_eq!(client.call(&Request::Ping, 0).unwrap(), Response::Pong);
     drop(client);
     let (stats, rec) = handle.join().expect("no worker panicked");
+    assert_eq!(stats.req_control, control_before_ping + 1);
     let rec = rec.expect("an observing server returns its recording");
     for (name, ctr, value) in stats.rows() {
         if let Some(ctr) = ctr {

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Address streams: raster production, block-matching consumption.
-    let write_seq = workloads::motion_est_write(shape);
+    let write_seq = workloads::fifo(shape);
     let read_seq = workloads::motion_est_read(shape, mb, mb, 0);
 
     // Map both onto two-hot SRAG pairs.

@@ -89,16 +89,20 @@
 #  16. line counts      (scripts/loc.sh: non-test lines per crate and
 #                         for the workspace; informational, never
 #                         fails the run)
-#  17. repro subset      (repro table1 from the repo root: a subset
-#                         run writes target/bench-smoke/BENCH_repro.json,
-#                         so the guard below proves it left the
-#                         committed record alone)
-#  18. BENCH guard       (every committed BENCH_*.json is hashed
-#                         before stage 1 and must be unchanged here:
-#                         smoke and subset runs write under
-#                         target/bench-smoke/, and the full-size runs
-#                         of stages 7, 13 and 14 reproduce their
-#                         records byte for byte)
+#  17. repro by name     (every paper artefact named on the command
+#                         line at --jobs 2, from the repo root: still
+#                         a subset run, so it writes
+#                         target/bench-smoke/BENCH_repro.json, and
+#                         it rewrites results/fig3_4.csv and
+#                         results/fig8_10.csv)
+#  18. BENCH guard       (every committed BENCH_*.json and the two
+#                         figure CSVs are hashed before stage 1 and
+#                         must be unchanged here: smoke and subset
+#                         runs write their records under
+#                         target/bench-smoke/, the full-size runs of
+#                         stages 7, 13 and 14 reproduce their records
+#                         byte for byte, and stage 17 reproduces the
+#                         CSVs)
 #
 # Set CI_SLOW=1 to additionally run the #[ignore]d large
 # configurations (512x512 / 256x256 scale tests), the full-size
@@ -145,8 +149,9 @@ fuzz_golden() {
   rm -f "$out"
 }
 
-# The committed records, as they were before any stage ran.
-bench_sums="$(sha256sum BENCH_*.json)"
+# The committed records and figure CSVs, as they were before any
+# stage ran.
+bench_sums="$(sha256sum BENCH_*.json results/fig3_4.csv results/fig8_10.csv)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -292,13 +297,14 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> line counts (informational)"
 scripts/loc.sh || echo "    (loc.sh failed; informational only)"
 
-echo "==> repro subset (writes under target/bench-smoke/)"
-target/release/repro table1 > /dev/null
+echo "==> repro: every artefact by name (writes under target/bench-smoke/ and results/)"
+target/release/repro --jobs 2 table1 table2 fig3 fig4 synthtime fig8 fig9 fig10 \
+  table3 power ablation sharing interconnect > /dev/null
 
 # Before the slow tier: it writes full-size records on purpose.
-echo "==> committed BENCH_*.json records unchanged"
+echo "==> committed BENCH_*.json records and figure CSVs unchanged"
 sha256sum --check --quiet <<< "$bench_sums" || {
-  echo "FAIL: a stage rewrote a committed BENCH_*.json record" >&2
+  echo "FAIL: a stage rewrote a committed BENCH_*.json record or figure CSV" >&2
   exit 1
 }
 

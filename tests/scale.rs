@@ -38,6 +38,16 @@ fn cntag_components(spec: &CntAgSpec, lib: &Library) -> adgen::cntag::ComponentD
 }
 
 #[test]
+fn mapper_maps_a_65536_address_all_distinct_stream() {
+    // One line per address: the largest reduced sequence the mapper
+    // meets, which a single 65 536-line ring implements.
+    let distinct: AddressSequence = (0..65_536).collect();
+    let spec = map_sequence(&distinct).unwrap().spec;
+    assert_eq!(spec.num_lines, 65_536);
+    assert_eq!(spec.num_flip_flops(), 65_536);
+}
+
+#[test]
 fn cntag_64x64_components() {
     // Bounded twin of `cntag_512x512_components`.
     let shape = ArrayShape::new(64, 64);
