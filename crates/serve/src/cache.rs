@@ -1152,6 +1152,157 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The naive eviction-order reference: entries in a plain `Vec`,
+    /// oldest stamp first, found by linear search.
+    type Naive = Vec<(CacheKey, Vec<u8>)>;
+
+    fn naive_keys(model: &Naive) -> Vec<CacheKey> {
+        model.iter().map(|e| e.0).collect()
+    }
+
+    /// Removes `k` from `model` and appends it with `v` (the newest
+    /// stamp).
+    fn naive_restamp(model: &mut Naive, k: CacheKey, v: Vec<u8>) {
+        model.retain(|e| e.0 != k);
+        model.push((k, v));
+    }
+
+    fn naive_bytes(model: &Naive) -> u64 {
+        model.iter().map(|e| e.1.len() as u64).sum()
+    }
+
+    /// The disk bound on the model: drop the oldest entry while the
+    /// bytes exceed `cap` (`0` = unbounded), never `keep`. Returns how
+    /// many entries went.
+    fn naive_bound(model: &mut Naive, cap: u64, keep: Option<CacheKey>) -> u64 {
+        let mut evicted = 0;
+        while cap > 0
+            && naive_bytes(model) > cap
+            && model.first().is_some_and(|e| Some(e.0) != keep)
+        {
+            model.remove(0);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    #[test]
+    fn lru_matches_a_naive_recency_model() {
+        for capacity in 1..=8usize {
+            let mut rng = adgen_exec::Prng::new(2026 + capacity as u64);
+            let mut lru = LruCache::new(capacity);
+            let mut model = Naive::new();
+            for step in 0..400u32 {
+                let op = rng.next_range(3);
+                let k = if op == 2 && !model.is_empty() {
+                    model[rng.next_range(model.len() as u64) as usize].0 // re-put
+                } else {
+                    key(rng.next_range(12) as u8)
+                };
+                if op == 0 {
+                    let want = model.iter().find(|e| e.0 == k).map(|e| e.1.clone());
+                    if let Some(v) = &want {
+                        naive_restamp(&mut model, k, v.clone());
+                    }
+                    assert_eq!(lru.get(k), want, "get, capacity {capacity} step {step}");
+                } else {
+                    let v = step.to_le_bytes().to_vec();
+                    naive_restamp(&mut model, k, v.clone());
+                    let victim = (model.len() > capacity).then(|| model.remove(0).0);
+                    assert_eq!(
+                        lru.put(k, v),
+                        victim,
+                        "put, capacity {capacity} step {step}"
+                    );
+                }
+                assert_eq!(lru.len(), model.len());
+                assert_eq!(lru.keys_by_recency(), naive_keys(&model));
+            }
+        }
+    }
+
+    #[test]
+    fn disk_store_matches_a_naive_generation_model() {
+        for (cap, reopen_cap) in [(0u64, 6u64), (8, 4), (12, 6)] {
+            let dir = temp_dir(&format!("naive-{cap}"));
+            let stats = Arc::new(ServeStats::default());
+            let mut store = DiskStore::open(&dir, cap, None, Arc::clone(&stats)).unwrap();
+            let mut rng = adgen_exec::Prng::new(cap + 1);
+            let mut model = Naive::new();
+            let mut evictions = 0;
+            let mut corrupt = 0;
+            let oversized_at = rng.next_range(60);
+            for step in 0..60u64 {
+                let op = rng.next_range(6);
+                let k = if (op == 2 || op == 5) && !model.is_empty() {
+                    model[rng.next_range(model.len() as u64) as usize].0 // overwrite
+                } else {
+                    key(rng.next_in(1, 7) as u8)
+                };
+                if op == 0 {
+                    // A disk get verifies but does not reorder.
+                    let want = model.iter().find(|e| e.0 == k).map(|e| e.1.clone());
+                    assert_eq!(store.get(k), want, "get, cap {cap} step {step}");
+                } else if op == 5 && !model.is_empty() {
+                    // A flipped payload bit: quarantined on the next get.
+                    let path = entry_path(&dir, k);
+                    let mut raw = std::fs::read(&path).unwrap();
+                    raw[ENTRY_HEADER_LEN] ^= 1;
+                    std::fs::write(&path, &raw).unwrap();
+                    assert_eq!(store.get(k), None, "quarantine, cap {cap} step {step}");
+                    model.retain(|e| e.0 != k);
+                    corrupt += 1;
+                } else {
+                    let len = if step == oversized_at {
+                        20
+                    } else {
+                        rng.next_in(1, 6) as usize
+                    };
+                    let v = vec![step as u8; len];
+                    store.put(k, &v).unwrap();
+                    naive_restamp(&mut model, k, v);
+                    evictions += naive_bound(&mut model, cap, Some(k));
+                }
+                assert_eq!(
+                    store.keys_by_generation(),
+                    naive_keys(&model),
+                    "cap {cap} step {step}"
+                );
+                assert_eq!(store.len(), model.len());
+                assert_eq!(store.total_bytes(), naive_bytes(&model));
+                assert_eq!(count(&stats.disk_evictions), evictions);
+                assert_eq!(count(&stats.cache_corrupt), corrupt);
+            }
+            drop(store);
+
+            // Reopen under a tighter bound: rescan stamps files in
+            // (mtime, name) order, then evicts oldest first.
+            let mtime = |k: CacheKey| {
+                std::fs::metadata(entry_path(&dir, k))
+                    .and_then(|m| m.modified())
+                    .unwrap()
+            };
+            model.sort_by_key(|e| (mtime(e.0), e.0.hex()));
+            let indexed: Vec<CacheKey> = model.iter().map(|e| e.0).collect();
+            let evictions = naive_bound(&mut model, reopen_cap, None);
+            let stats = Arc::new(ServeStats::default());
+            let mut reopened = DiskStore::open(&dir, reopen_cap, None, Arc::clone(&stats)).unwrap();
+            assert_eq!(
+                reopened.keys_by_generation(),
+                naive_keys(&model),
+                "reopen, cap {cap}"
+            );
+            assert_eq!(reopened.len(), model.len());
+            assert_eq!(reopened.total_bytes(), naive_bytes(&model));
+            assert_eq!(count(&stats.disk_evictions), evictions);
+            for k in indexed {
+                let want = model.iter().find(|e| e.0 == k).map(|e| e.1.clone());
+                assert_eq!(reopened.get(k), want, "reopened get, cap {cap}");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn hex_names_are_stable_and_filename_safe() {
         let k = CacheKey::for_request(b"abc", 42);
