@@ -18,13 +18,15 @@
 //! `dir/ab/cd/<32-hex-digest>` where `ab`/`cd` are the first two key
 //! bytes in hex — keeping directories small at millions of entries.
 //!
-//! The tier is bounded by *payload bytes*. Each entry belongs to a
-//! generation (its insertion order); when a put would exceed the
-//! bound, oldest generations are deleted first until the new entry
-//! fits. The generation order is rebuilt at open by scanning the
-//! shard directories in file-mtime order, so the bound (and the
-//! eviction order) survives a restart. An evicted entry is simply a
-//! future cache miss — it recomputes, it never errors.
+//! The tier is bounded by *payload bytes*. Both tiers keep their
+//! eviction order in one stamp-ordered index: every write stamps its
+//! entry newest (the memory tier restamps on a hit as well, the disk
+//! tier does not), and when a put would exceed the bound the oldest
+//! stamps are deleted first until the new entry fits. The disk order
+//! is rebuilt at open by stamping the shard directories' files in
+//! mtime order, so the bound (and the eviction order) survives a
+//! restart. An evicted entry is simply a future cache miss — it
+//! recomputes, it never errors.
 //!
 //! ## Entry frame and self-verification
 //!
@@ -58,7 +60,7 @@
 //! crash-orphaned `*.tmp` files, and skips foreign files — so invalid
 //! entries never count toward the byte bound.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -210,18 +212,77 @@ pub enum Tier {
     Disk,
 }
 
+/// The one eviction order both tiers keep: each entry carries a
+/// stamp from a counter that only grows, and the smallest stamp goes
+/// first. Restamping a key moves it to the newest end in O(log n).
+#[derive(Debug)]
+struct Recency<V> {
+    entries: HashMap<CacheKey, (u64, V)>,
+    order: BTreeMap<u64, CacheKey>,
+    next_stamp: u64,
+}
+
+impl<V> Recency<V> {
+    fn new() -> Recency<V> {
+        Recency {
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            next_stamp: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Inserts `key` with the newest stamp, returning the value it
+    /// replaces.
+    fn insert(&mut self, key: CacheKey, value: V) -> Option<V> {
+        let old = self.remove(key);
+        self.entries.insert(key, (self.next_stamp, value));
+        self.order.insert(self.next_stamp, key);
+        self.next_stamp += 1;
+        old
+    }
+
+    /// Gives a held `key` the newest stamp and returns its value.
+    fn restamp(&mut self, key: CacheKey) -> Option<&V> {
+        let (stamp, value) = self.entries.get_mut(&key)?;
+        self.order.remove(stamp);
+        *stamp = self.next_stamp;
+        self.order.insert(self.next_stamp, key);
+        self.next_stamp += 1;
+        Some(value)
+    }
+
+    fn remove(&mut self, key: CacheKey) -> Option<V> {
+        let (stamp, value) = self.entries.remove(&key)?;
+        self.order.remove(&stamp);
+        Some(value)
+    }
+
+    /// The key with the smallest stamp.
+    fn oldest(&self) -> Option<CacheKey> {
+        self.order.values().next().copied()
+    }
+
+    /// Keys oldest stamp first.
+    #[cfg(test)]
+    fn keys(&self) -> Vec<CacheKey> {
+        self.order.values().copied().collect()
+    }
+}
+
 /// A bounded in-memory LRU of encoded response payloads.
 ///
-/// Recency is a [`VecDeque`] of keys, most recent at the back;
-/// a touched key is moved to the back, and inserts over capacity
-/// evict from the front. Entry count (not byte size) is the bound —
-/// payloads here are small and uniform enough that counting entries
-/// keeps the arithmetic exact and deterministic.
+/// A hit restamps its key; an insert over capacity evicts the oldest
+/// stamp. Entry count (not byte size) is the bound — payloads here
+/// are small and uniform enough that counting entries keeps the
+/// arithmetic exact and deterministic.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<CacheKey, Vec<u8>>,
-    order: VecDeque<CacheKey>,
+    entries: Recency<Vec<u8>>,
 }
 
 impl LruCache {
@@ -229,87 +290,52 @@ impl LruCache {
     pub fn new(capacity: usize) -> LruCache {
         LruCache {
             capacity: capacity.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
+            entries: Recency::new(),
         }
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn touch(&mut self, key: CacheKey) {
-        if let Some(pos) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key);
+        self.len() == 0
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: CacheKey) -> Option<Vec<u8>> {
-        if self.map.contains_key(&key) {
-            self.touch(key);
-        }
-        self.map.get(&key).cloned()
+        self.entries.restamp(key).cloned()
     }
 
     /// Inserts (or refreshes) `key`, evicting the least recently used
     /// entry if over capacity. Returns the evicted key, if any.
     pub fn put(&mut self, key: CacheKey, value: Vec<u8>) -> Option<CacheKey> {
-        self.map.insert(key, value);
-        self.touch(key);
-        if self.map.len() > self.capacity {
-            let victim = self
-                .order
-                .pop_front()
-                .expect("over-capacity cache is nonempty");
-            self.map.remove(&victim);
-            return Some(victim);
+        self.entries.insert(key, value);
+        if self.len() <= self.capacity {
+            return None;
         }
-        None
+        let victim = self.entries.oldest()?;
+        self.entries.remove(victim);
+        Some(victim)
     }
-
-    /// Keys from least to most recently used.
-    #[cfg(test)]
-    fn keys_by_recency(&self) -> Vec<CacheKey> {
-        self.order.iter().copied().collect()
-    }
-}
-
-/// One entry in the disk index, in generation order. `gen` is a
-/// monotonically increasing sequence number; an overwrite mints a new
-/// generation, leaving the old record stale (detected by comparing
-/// `gen` against the live one in `sizes`).
-#[derive(Debug, Clone, Copy)]
-struct DiskEntry {
-    key: CacheKey,
-    bytes: u64,
-    generation: u64,
 }
 
 /// The content-addressed on-disk tier: one file per key at
 /// `dir/ab/cd/<hex>` (digest-prefix shards), written atomically
 /// (temp file + rename in the same shard directory) so a concurrent
 /// reader never sees a torn entry. Bounded by payload bytes with
-/// oldest-generation-first eviction; see the module docs. Evictions,
+/// oldest-first eviction; see the module docs. Evictions,
 /// quarantines and failed writes are counted where they happen, in
 /// the [`ServeStats`] the store is opened with.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
     cap_bytes: u64,
-    /// Live entries: payload bytes and current generation number.
-    sizes: HashMap<CacheKey, (u64, u64)>,
-    /// Generation order, oldest first. Records whose generation no
-    /// longer matches the live one in `sizes` are stale and skipped.
-    generations: VecDeque<DiskEntry>,
-    next_generation: u64,
+    /// Committed entries and their payload bytes, stamped in write
+    /// order. A `get` does not restamp.
+    index: Recency<u64>,
     total_bytes: u64,
     /// Optional fault-injection plan; `None` in production.
     faults: Option<Arc<FaultPlan>>,
@@ -321,10 +347,10 @@ impl DiskStore {
     /// Opens (creating if needed) the store rooted at `dir` with a
     /// byte bound (`0` = unbounded) and an optional fault plan
     /// installed at the instrumented sites (see [`crate::faults`];
-    /// `None` in production), counting into `stats`. The generation
-    /// index is rebuilt from
-    /// the files already on disk (ordered by mtime, ties broken by
-    /// name, so the eviction order survives a restart).
+    /// `None` in production), counting into `stats`. The index is
+    /// rebuilt from the files already on disk, stamped in mtime order
+    /// with ties broken by name, so the eviction order survives a
+    /// restart.
     ///
     /// # Errors
     ///
@@ -339,9 +365,7 @@ impl DiskStore {
         let mut store = DiskStore {
             dir: dir.to_path_buf(),
             cap_bytes,
-            sizes: HashMap::new(),
-            generations: VecDeque::new(),
-            next_generation: 0,
+            index: Recency::new(),
             total_bytes: 0,
             faults,
             stats,
@@ -409,14 +433,7 @@ impl DiskStore {
         }
         found.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         for (_, _, key, bytes) in found {
-            let generation = self.next_generation;
-            self.next_generation += 1;
-            self.sizes.insert(key, (bytes, generation));
-            self.generations.push_back(DiskEntry {
-                key,
-                bytes,
-                generation,
-            });
+            self.index.insert(key, bytes);
             self.total_bytes += bytes;
         }
         Ok(())
@@ -427,7 +444,7 @@ impl DiskStore {
     /// if any, is dropped so the bytes stop counting toward the bound.
     fn quarantine(&mut self, key: CacheKey, path: &Path, reason: &str) {
         self.stats.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-        if let Some((bytes, _)) = self.sizes.remove(&key) {
+        if let Some(bytes) = self.index.remove(key) {
             self.total_bytes -= bytes;
         }
         let qdir = self.dir.join(QUARANTINE_DIR);
@@ -449,35 +466,20 @@ impl DiskStore {
         self.dir.join(&hex[0..2]).join(&hex[2..4]).join(hex)
     }
 
-    /// Deletes oldest generations until the byte total fits the
-    /// bound. `keep` (the entry just written) is never evicted, so a
-    /// single oversized payload still caches.
+    /// Deletes the oldest entries until the byte total fits the
+    /// bound. `keep` (the entry just written, so the newest) is never
+    /// evicted, so a single oversized payload still caches.
     fn enforce_bound(&mut self, keep: Option<CacheKey>) {
         if self.cap_bytes == 0 {
             return;
         }
         while self.total_bytes > self.cap_bytes {
-            let Some(entry) = self.generations.pop_front() else {
+            let Some(victim) = self.index.oldest().filter(|&k| Some(k) != keep) else {
                 break;
             };
-            // Stale generation records (overwritten or already
-            // evicted keys) carry no bytes; skip them.
-            if self.sizes.get(&entry.key) != Some(&(entry.bytes, entry.generation)) {
-                continue;
-            }
-            if keep == Some(entry.key) {
-                if self.generations.is_empty() {
-                    self.generations.push_front(entry);
-                    break;
-                }
-                // Re-queue at the back; everything older goes first.
-                self.generations.push_back(entry);
-                continue;
-            }
-            self.sizes.remove(&entry.key);
-            self.total_bytes -= entry.bytes;
+            self.total_bytes -= self.index.remove(victim).unwrap_or(0);
             self.stats.disk_evictions.fetch_add(1, Ordering::Relaxed);
-            let _ = std::fs::remove_file(self.path_for(entry.key));
+            let _ = std::fs::remove_file(self.path_for(victim));
         }
     }
 
@@ -503,7 +505,7 @@ impl DiskStore {
     }
 
     /// Stores `value` under `key` atomically (framed — see the module
-    /// docs), then evicts oldest generations as needed to honour the
+    /// docs), then evicts the oldest entries as needed to honour the
     /// byte bound.
     ///
     /// # Errors
@@ -522,18 +524,8 @@ impl DiskStore {
         }
 
         let bytes = value.len() as u64;
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        if let Some((old, _)) = self.sizes.insert(key, (bytes, generation)) {
-            // Overwrite: the old generation record is now stale.
-            self.total_bytes -= old;
-        }
         self.total_bytes += bytes;
-        self.generations.push_back(DiskEntry {
-            key,
-            bytes,
-            generation,
-        });
+        self.total_bytes -= self.index.insert(key, bytes).unwrap_or(0);
         self.enforce_bound(Some(key));
         Ok(())
     }
@@ -583,28 +575,18 @@ impl DiskStore {
 
     /// Number of committed entries on disk.
     pub fn len(&self) -> usize {
-        self.sizes.len()
+        self.index.len()
     }
 
     /// Whether the store holds no committed entries.
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
+        self.len() == 0
     }
 
     /// Payload bytes currently held.
     #[cfg(test)]
     fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Keys oldest generation first.
-    #[cfg(test)]
-    fn keys_by_generation(&self) -> Vec<CacheKey> {
-        self.generations
-            .iter()
-            .filter(|e| self.sizes.get(&e.key) == Some(&(e.bytes, e.generation)))
-            .map(|e| e.key)
-            .collect()
     }
 }
 
@@ -748,7 +730,7 @@ mod tests {
         lru.put(key(2), vec![2]);
         lru.put(key(1), vec![10]); // refresh, not insert
         assert_eq!(lru.len(), 2);
-        assert_eq!(lru.keys_by_recency(), vec![key(2), key(1)]);
+        assert_eq!(lru.entries.keys(), vec![key(2), key(1)]);
         assert_eq!(lru.put(key(3), vec![3]), Some(key(2)));
         assert_eq!(lru.get(key(1)), Some(vec![10]));
     }
@@ -841,7 +823,7 @@ mod tests {
         store.put(key(4), &[4; 4]).unwrap();
         assert_eq!(count(&stats.disk_evictions), 1);
         assert_eq!(store.get(key(1)), None, "oldest generation evicted");
-        assert_eq!(store.keys_by_generation(), vec![key(2), key(3), key(4)]);
+        assert_eq!(store.index.keys(), vec![key(2), key(3), key(4)]);
         assert_eq!(store.total_bytes(), 12);
 
         // An overwrite refreshes the generation: key 2 moves to the
@@ -854,7 +836,7 @@ mod tests {
         // A single payload larger than the bound still caches.
         store.put(key(9), &[9; 64]).unwrap();
         assert_eq!(store.get(key(9)), Some(vec![9; 64]));
-        assert_eq!(store.keys_by_generation(), vec![key(9)]);
+        assert_eq!(store.index.keys(), vec![key(9)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1216,7 +1198,7 @@ mod tests {
                     );
                 }
                 assert_eq!(lru.len(), model.len());
-                assert_eq!(lru.keys_by_recency(), naive_keys(&model));
+                assert_eq!(lru.entries.keys(), naive_keys(&model));
             }
         }
     }
@@ -1264,7 +1246,7 @@ mod tests {
                     evictions += naive_bound(&mut model, cap, Some(k));
                 }
                 assert_eq!(
-                    store.keys_by_generation(),
+                    store.index.keys(),
                     naive_keys(&model),
                     "cap {cap} step {step}"
                 );
@@ -1288,7 +1270,7 @@ mod tests {
             let stats = Arc::new(ServeStats::default());
             let mut reopened = DiskStore::open(&dir, reopen_cap, None, Arc::clone(&stats)).unwrap();
             assert_eq!(
-                reopened.keys_by_generation(),
+                reopened.index.keys(),
                 naive_keys(&model),
                 "reopen, cap {cap}"
             );
