@@ -750,79 +750,48 @@ fn synthesized(price: Price, truncated: bool) -> Response {
 /// Validates a compute request before admission.
 fn validate(request: &Request) -> Result<(), ServeError> {
     let bad = |msg: String| Err(ServeError::BadRequest(msg));
-    match request {
-        Request::MapSequence { sequence } => {
-            if sequence.is_empty() {
-                return bad("sequence is empty".to_string());
-            }
-            if sequence.len() > MAX_SEQUENCE_LEN {
-                return bad(format!(
-                    "sequence length {} exceeds the admissible maximum {MAX_SEQUENCE_LEN}",
-                    sequence.len()
-                ));
-            }
-            // The reply's `num_lines` is the largest address plus one,
-            // a `u32` on the wire.
-            if sequence.contains(&u32::MAX) {
-                return bad(format!(
-                    "address {} leaves no room for num_lines (largest address + 1) in a u32",
-                    u32::MAX
-                ));
-            }
-        }
-        Request::Synthesize {
-            sequence,
-            encoding,
-            num_lines,
-            generator,
-            ..
-        } => {
-            if sequence.is_empty() {
-                return bad("sequence is empty".to_string());
-            }
-            if sequence.len() > MAX_SEQUENCE_LEN {
-                return bad(format!(
-                    "sequence length {} exceeds the admissible maximum {MAX_SEQUENCE_LEN}",
-                    sequence.len()
-                ));
-            }
-            // The one-hot code space only bounds the dedicated FSM;
-            // the affine pipeline's residual machine is always binary.
-            if *generator == protocol::Generator::Fsm
-                && *encoding == Encoding::OneHot
-                && sequence.len() > MAX_ONE_HOT_STATES
-            {
-                return bad(format!(
-                    "one-hot encoding is limited to {MAX_ONE_HOT_STATES} states, got {}",
-                    sequence.len()
-                ));
-            }
-            if *num_lines == 0 || *num_lines > 4096 {
-                return bad(format!("num_lines {num_lines} out of range 1..=4096"));
-            }
-        }
-        Request::Explore {
-            sequence,
-            width,
-            height,
-            ..
-        } => {
-            if sequence.is_empty() {
-                return bad("sequence is empty".to_string());
-            }
-            if sequence.len() > MAX_SEQUENCE_LEN {
-                return bad(format!(
-                    "sequence length {} exceeds the admissible maximum {MAX_SEQUENCE_LEN}",
-                    sequence.len()
-                ));
-            }
-            if *width == 0 || *height == 0 || *width > 1024 || *height > 1024 {
-                return bad(format!("array shape {width}x{height} out of range"));
-            }
-        }
-        _ => {}
+    let (Request::MapSequence { sequence }
+    | Request::Synthesize { sequence, .. }
+    | Request::Explore { sequence, .. }) = request
+    else {
+        return Ok(());
+    };
+    if sequence.is_empty() {
+        return bad("sequence is empty".to_string());
     }
-    Ok(())
+    if sequence.len() > MAX_SEQUENCE_LEN {
+        return bad(format!(
+            "sequence length {} exceeds the admissible maximum {MAX_SEQUENCE_LEN}",
+            sequence.len()
+        ));
+    }
+    match request {
+        // The reply's `num_lines` is the largest address plus one, a
+        // `u32` on the wire.
+        Request::MapSequence { .. } if sequence.contains(&u32::MAX) => bad(format!(
+            "address {} leaves no room for num_lines (largest address + 1) in a u32",
+            u32::MAX
+        )),
+        // The one-hot code space only bounds the dedicated FSM; the
+        // affine pipeline's residual machine is always binary.
+        Request::Synthesize {
+            encoding: Encoding::OneHot,
+            generator: protocol::Generator::Fsm,
+            ..
+        } if sequence.len() > MAX_ONE_HOT_STATES => bad(format!(
+            "one-hot encoding is limited to {MAX_ONE_HOT_STATES} states, got {}",
+            sequence.len()
+        )),
+        Request::Synthesize { num_lines, .. } if *num_lines == 0 || *num_lines > 4096 => {
+            bad(format!("num_lines {num_lines} out of range 1..=4096"))
+        }
+        Request::Explore { width, height, .. }
+            if *width == 0 || *height == 0 || *width > 1024 || *height > 1024 =>
+        {
+            bad(format!("array shape {width}x{height} out of range"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Flips the shutdown flag and closes the admission queue. Safe to
