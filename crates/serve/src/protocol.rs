@@ -99,37 +99,25 @@ pub fn write_hello(w: &mut impl Write, version: u16) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads the client hello, returning the offered version.
+/// Parses the 8-byte client hello, returning the offered version.
 ///
 /// # Errors
 ///
-/// [`WireError`] on bad magic, `std::io::Error` text on short reads.
-pub fn read_hello(r: &mut impl Read) -> Result<u16, WireError> {
-    let mut hello = [0u8; 8];
-    r.read_exact(&mut hello)
-        .map_err(|e| wire_err(format!("hello: {e}")))?;
+/// [`WireError`] on bad magic.
+pub fn parse_hello(hello: &[u8; 8]) -> Result<u16, WireError> {
     if hello[..4] != MAGIC {
         return Err(wire_err("hello: bad magic"));
     }
     Ok(u16::from_le_bytes([hello[4], hello[5]]))
 }
 
-/// Writes the 8-byte server hello reply.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_hello_reply(
-    w: &mut impl Write,
-    status: u8,
-    server_version: u16,
-) -> std::io::Result<()> {
+/// The 8-byte server hello reply.
+pub fn hello_reply(status: u8, server_version: u16) -> [u8; 8] {
     let mut reply = [0u8; 8];
     reply[..4].copy_from_slice(&MAGIC);
     reply[4..6].copy_from_slice(&server_version.to_le_bytes());
     reply[6] = status;
-    w.write_all(&reply)?;
-    w.flush()
+    reply
 }
 
 /// Reads the server hello reply, returning `(status, server_version)`.
@@ -172,6 +160,21 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Decodes a frame's length prefix.
+///
+/// # Errors
+///
+/// [`WireError`] when the length exceeds [`MAX_FRAME_LEN`].
+pub fn frame_len(prefix: &[u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME_LEN {
+        return Err(wire_err(format!(
+            "frame length {len} exceeds cap {MAX_FRAME_LEN}"
+        )));
+    }
+    Ok(len as usize)
+}
+
 /// Reads one length-prefixed frame. `Ok(None)` is a clean EOF at a
 /// frame boundary (the peer closed between frames).
 ///
@@ -190,13 +193,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
             Err(e) => return Err(wire_err(format!("frame length: {e}"))),
         }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(wire_err(format!(
-            "frame length {len} exceeds cap {MAX_FRAME_LEN}"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; frame_len(&len_buf)?];
     r.read_exact(&mut payload)
         .map_err(|e| wire_err(format!("frame body: {e}")))?;
     Ok(Some(payload))
@@ -324,7 +321,9 @@ impl<'a> Dec<'a> {
     /// [`WireError`] when the payload is exhausted.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("eight bytes")))
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -1038,18 +1037,22 @@ mod tests {
         let oversize = (MAX_FRAME_LEN + 1).to_le_bytes();
         let mut r = std::io::Cursor::new(oversize.to_vec());
         assert!(read_frame(&mut r).is_err());
+        assert_eq!(
+            frame_len(&oversize).unwrap_err().0,
+            "frame length 16777217 exceeds cap 16777216"
+        );
+        assert_eq!(frame_len(&MAX_FRAME_LEN.to_le_bytes()), Ok(1 << 24));
     }
 
     #[test]
     fn handshake_round_trips() {
         let mut buf = Vec::new();
         write_hello(&mut buf, PROTOCOL_VERSION).unwrap();
-        let mut r = std::io::Cursor::new(buf);
-        assert_eq!(read_hello(&mut r).unwrap(), PROTOCOL_VERSION);
+        let hello: [u8; 8] = buf.try_into().unwrap();
+        assert_eq!(parse_hello(&hello).unwrap(), PROTOCOL_VERSION);
 
-        let mut buf = Vec::new();
-        write_hello_reply(&mut buf, HANDSHAKE_REJECT_VERSION, 7).unwrap();
-        let mut r = std::io::Cursor::new(buf);
+        let reply = hello_reply(HANDSHAKE_REJECT_VERSION, 7);
+        let mut r = std::io::Cursor::new(reply.to_vec());
         assert_eq!(
             read_hello_reply(&mut r).unwrap(),
             (HANDSHAKE_REJECT_VERSION, 7)
@@ -1058,8 +1061,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut r = std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec());
-        assert!(read_hello(&mut r).is_err());
+        assert!(parse_hello(b"NOPE\x01\x00\x00\x00").is_err());
         let mut r = std::io::Cursor::new(b"NOPE\x01\x00\x00\x00".to_vec());
         assert!(read_hello_reply(&mut r).is_err());
     }

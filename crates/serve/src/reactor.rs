@@ -45,7 +45,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
-use crate::protocol::{self, Request, Response, HANDSHAKE_OK, HANDSHAKE_REJECT_VERSION};
+use crate::protocol::{
+    self, Request, Response, HANDSHAKE_OK, HANDSHAKE_REJECT_VERSION, PROTOCOL_VERSION,
+};
 use crate::server::Shared;
 use crate::unpoisoned;
 
@@ -283,32 +285,21 @@ impl Conn {
     /// `inbuf`.
     fn parse_input(&mut self, shared: &Shared) {
         if !self.hello_done {
-            if self.inbuf.len() - self.inpos < 8 {
+            let Some(hello) = self.inbuf[self.inpos..].first_chunk() else {
                 return;
-            }
-            let hello = &self.inbuf[self.inpos..self.inpos + 8];
-            match protocol::read_hello(&mut std::io::Cursor::new(hello)) {
-                Ok(version) if version == protocol::PROTOCOL_VERSION => {
-                    let mut reply = Vec::with_capacity(8);
-                    protocol::write_hello_reply(
-                        &mut reply,
-                        HANDSHAKE_OK,
-                        protocol::PROTOCOL_VERSION,
-                    )
-                    .expect("vec write");
-                    self.outbuf.extend_from_slice(&reply);
+            };
+            match protocol::parse_hello(hello) {
+                Ok(version) if version == PROTOCOL_VERSION => {
+                    self.outbuf
+                        .extend_from_slice(&protocol::hello_reply(HANDSHAKE_OK, PROTOCOL_VERSION));
                     self.hello_done = true;
                     self.last_progress = Instant::now();
                 }
                 Ok(_) => {
-                    let mut reply = Vec::with_capacity(8);
-                    protocol::write_hello_reply(
-                        &mut reply,
+                    self.outbuf.extend_from_slice(&protocol::hello_reply(
                         HANDSHAKE_REJECT_VERSION,
-                        protocol::PROTOCOL_VERSION,
-                    )
-                    .expect("vec write");
-                    self.outbuf.extend_from_slice(&reply);
+                        PROTOCOL_VERSION,
+                    ));
                     self.closing = true;
                 }
                 Err(_) => {
@@ -323,30 +314,25 @@ impl Conn {
             self.inpos += 8;
         }
         while self.hello_done && !self.closing && self.slots.len() < MAX_PIPELINED {
-            let avail = self.inbuf.len() - self.inpos;
-            if avail < 4 {
+            let Some(prefix) = self.inbuf[self.inpos..].first_chunk() else {
                 break;
-            }
-            let len_bytes: [u8; 4] = self.inbuf[self.inpos..self.inpos + 4]
-                .try_into()
-                .expect("four bytes");
-            let len = u32::from_le_bytes(len_bytes);
-            if len > protocol::MAX_FRAME_LEN {
-                shared.stats.conn_malformed.fetch_add(1, Ordering::Relaxed);
-                let err = Response::Error(ServeError::MalformedFrame(format!(
-                    "frame length {len} exceeds cap {}",
-                    protocol::MAX_FRAME_LEN
-                )));
-                self.slots.push_back(Slot::Ready(err.encode()));
-                self.closing = true;
-                break;
-            }
-            if avail - 4 < len as usize {
-                break;
-            }
+            };
+            let len = match protocol::frame_len(prefix) {
+                Ok(len) => len,
+                Err(e) => {
+                    shared.stats.conn_malformed.fetch_add(1, Ordering::Relaxed);
+                    let err = Response::Error(ServeError::MalformedFrame(e.0));
+                    self.slots.push_back(Slot::Ready(err.encode()));
+                    self.closing = true;
+                    break;
+                }
+            };
             let start = self.inpos + 4;
-            let payload: Vec<u8> = self.inbuf[start..start + len as usize].to_vec();
-            self.inpos = start + len as usize;
+            let Some(payload) = self.inbuf.get(start..start + len) else {
+                break;
+            };
+            let payload = payload.to_vec();
+            self.inpos = start + len;
             self.last_progress = Instant::now();
             self.handle_frame(shared, &payload);
         }

@@ -21,7 +21,7 @@ mod common;
 use common::assert_matches_golden;
 
 use adgen::serve::protocol::{
-    encode_request_frame, write_hello, write_hello_reply, CandidateRow, HANDSHAKE_REJECT_VERSION,
+    encode_request_frame, hello_reply, write_hello, CandidateRow, HANDSHAKE_REJECT_VERSION,
 };
 use adgen::serve::{
     Generator, MapOutcome, Request, Response, ServeError, StatsSnapshot, SynthReport,
@@ -204,8 +204,7 @@ fn wire_dump() -> String {
     let mut hello = Vec::new();
     write_hello(&mut hello, PROTOCOL_VERSION).expect("vec write");
     out.push_str(&format!("handshake.hello: {}\n", hex(&hello)));
-    let mut reply = Vec::new();
-    write_hello_reply(&mut reply, HANDSHAKE_REJECT_VERSION, PROTOCOL_VERSION).expect("vec write");
+    let reply = hello_reply(HANDSHAKE_REJECT_VERSION, PROTOCOL_VERSION);
     out.push_str(&format!("handshake.reject: {}\n", hex(&reply)));
 
     for (name, req) in request_fixtures() {
