@@ -37,7 +37,7 @@
 
 use adgen_netlist::{CellKind, Logic, NetId, Netlist, SimControl};
 use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::mapgen::{build_adder, build_mux_word};
+use adgen_synth::mapgen::{build_adder, build_incrementer, build_mux_word};
 use adgen_synth::techmap::{and_tree, insert_fanout_buffers};
 
 use crate::error::AffineError;
@@ -418,21 +418,7 @@ fn mod_counter(
     let q: Vec<NetId> = (0..width)
         .map(|i| n.add_net(format!("{prefix}_q{i}")))
         .collect();
-    // Incrementer: inc = q + 1 with a ripple carry.
-    let mut inc = Vec::with_capacity(width);
-    let mut carry: Option<NetId> = None;
-    for &bit in &q {
-        match carry {
-            None => {
-                inc.push(n.gate(CellKind::Inv, &[bit])?);
-                carry = Some(bit);
-            }
-            Some(c) => {
-                inc.push(n.gate(CellKind::Xor2, &[bit, c])?);
-                carry = Some(n.gate(CellKind::And2, &[bit, c])?);
-            }
-        }
-    }
+    let inc = build_incrementer(n, &q)?;
     let last = equality(n, &inc, limit)?;
     let not_last = n.gate(CellKind::Inv, &[last])?;
     for (i, (&qb, &ib)) in q.iter().zip(&inc).enumerate() {

@@ -13,7 +13,8 @@
 
 use adgen_netlist::{CellKind, Logic, NetId, Netlist, SimControl};
 use adgen_synth::fsm::MAX_FANOUT;
-use adgen_synth::techmap::{and_tree, insert_fanout_buffers};
+use adgen_synth::mapgen::{build_equality_const, build_incrementer};
+use adgen_synth::techmap::insert_fanout_buffers;
 
 use crate::decompose::{BitPlan, Decomposition};
 use crate::error::BankError;
@@ -66,37 +67,13 @@ impl FoldAgNetlist {
 
         // --- mod-len cycle counter ---------------------------------
         let q: Vec<NetId> = (0..width).map(|i| n.add_net(format!("cnt_q{i}"))).collect();
-        let mut inc = Vec::with_capacity(width);
-        let mut carry: Option<NetId> = None;
-        for &bit in &q {
-            match carry {
-                None => {
-                    inc.push(n.gate(CellKind::Inv, &[bit])?);
-                    carry = Some(bit);
-                }
-                Some(c) => {
-                    inc.push(n.gate(CellKind::Xor2, &[bit, c])?);
-                    carry = Some(n.gate(CellKind::And2, &[bit, c])?);
-                }
-            }
-        }
+        let inc = build_incrementer(&mut n, &q)?;
         // Wrap when inc == len; a full-period counter wraps for free.
         let natural = d.len == 1usize << d.cnt_bits;
         let d_bits: Vec<NetId> = if natural {
             inc.clone()
         } else {
-            let lits: Vec<NetId> = inc
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| {
-                    if (d.len >> i) & 1 == 1 {
-                        Ok(b)
-                    } else {
-                        n.gate(CellKind::Inv, &[b])
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            let last = and_tree(&mut n, &lits)?;
+            let last = build_equality_const(&mut n, &inc, d.len as u64)?;
             let not_last = n.gate(CellKind::Inv, &[last])?;
             inc.iter()
                 .map(|&b| n.gate(CellKind::And2, &[b, not_last]))

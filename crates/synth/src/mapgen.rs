@@ -253,6 +253,32 @@ pub fn build_ring_counter(
     })
 }
 
+/// Builds `q + 1` (LSB first, carry out dropped) with a ripple carry:
+/// bit 0 is `!q[0]`, bit `i` is `q[i] ^ (q[0] & … & q[i-1])`. The
+/// cheap, linear-depth counterpart of the prefix network
+/// [`build_counter`] uses.
+///
+/// # Errors
+///
+/// Propagates netlist errors.
+pub fn build_incrementer(n: &mut Netlist, q: &[NetId]) -> Result<Vec<NetId>, SynthError> {
+    let mut inc = Vec::with_capacity(q.len());
+    let mut carry: Option<NetId> = None;
+    for &bit in q {
+        match carry {
+            None => {
+                inc.push(n.gate(CellKind::Inv, &[bit])?);
+                carry = Some(bit);
+            }
+            Some(c) => {
+                inc.push(n.gate(CellKind::Xor2, &[bit, c])?);
+                carry = Some(n.gate(CellKind::And2, &[bit, c])?);
+            }
+        }
+    }
+    Ok(inc)
+}
+
 /// Builds a comparator asserting when the word `q` (LSB first) equals
 /// the constant `value`.
 ///
@@ -263,7 +289,7 @@ pub fn build_ring_counter(
 /// # Panics
 ///
 /// Panics if `value` does not fit in `q.len()` bits.
-fn build_equality_const(n: &mut Netlist, q: &[NetId], value: u64) -> Result<NetId, SynthError> {
+pub fn build_equality_const(n: &mut Netlist, q: &[NetId], value: u64) -> Result<NetId, SynthError> {
     assert!(
         q.len() >= 64 || value < (1u64 << q.len()),
         "constant does not fit the word"
