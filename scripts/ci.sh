@@ -42,7 +42,8 @@
 #                         then an overhead guard: the instrumented
 #                         fuzz smoke must stay within 5% + 1s of the
 #                         uninstrumented baseline)
-#  10. serve smoke       (adgen-serve on an ephemeral loopback port,
+#  10. serve smoke       (adgen-serve with a 4-entry LRU over a disk
+#                         tier on an ephemeral loopback port,
 #                         loadgen --smoke against it: warm-cache hit
 #                         rate >= 90%, byte-identical warm responses,
 #                         clean client-initiated shutdown)
@@ -216,8 +217,11 @@ echo "==> serve smoke (ephemeral loopback server + loadgen --smoke)"
 serve_cache="$(mktemp -d)"
 serve_log="$(mktemp)"
 # --metrics: the server mirrors its counters into an obs session and
-# prints the metrics JSON block at shutdown, checked below.
-target/release/adgen-serve --cache-dir "$serve_cache" --metrics > "$serve_log" &
+# prints the metrics JSON block at shutdown, checked below. Four LRU
+# slots are fewer than the smoke's 12 distinct requests, so the warm
+# passes run through memory-tier evictions and disk-tier promotions;
+# the third pass's order also brings memory-tier hits.
+target/release/adgen-serve --cache-dir "$serve_cache" --cache-entries 4 --metrics > "$serve_log" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
@@ -233,14 +237,14 @@ fi
 # loadgen exits nonzero unless every warm pass hits >= 90% and warm
 # responses byte-match the cold ones; --shutdown then asks the server
 # to exit, which `wait` turns into a clean-shutdown assertion.
-target/release/loadgen --smoke --addr "$addr" --shutdown
+target/release/loadgen --smoke --passes 3 --addr "$addr" --shutdown
 wait "$serve_pid"
 grep -q "adgen-serve shut down:" "$serve_log" || {
   echo "FAIL: server exited without its shutdown summary" >&2
   exit 1
 }
 check_schema "$serve_log" serve.req.map serve.req.synthesize serve.cache.hit.mem \
-  serve.cache.miss
+  serve.cache.hit.disk serve.cache.miss
 rm -rf "$serve_cache" "$serve_log"
 
 echo "==> overload smoke (typed shedding under a 2-slot admission queue)"
