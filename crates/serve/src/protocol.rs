@@ -1025,6 +1025,66 @@ mod tests {
     }
 
     #[test]
+    fn decode_errors_keep_their_exact_text() {
+        // Request-side texts reach clients inside `MalformedFrame`, so
+        // they are wire bytes too.
+        let req = |bytes: &[u8]| Request::decode(bytes).unwrap_err().0;
+        let resp = |bytes: &[u8]| Response::decode(bytes).unwrap_err().0;
+        // Synthesize [0, 1] with the given encoding and generator tags.
+        let synth = |encoding: u8, generator: u8| {
+            let mut b = vec![2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, encoding];
+            b.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, generator]);
+            b
+        };
+        assert_eq!(synth(0, 0), {
+            let ok = Request::Synthesize {
+                sequence: vec![0, 1],
+                encoding: Encoding::Binary,
+                num_lines: 2,
+                effort_steps: 0,
+                generator: Generator::Fsm,
+            };
+            ok.encode()
+        });
+        let cases: [(String, &str); 15] = [
+            (req(&[]), "payload truncated"),
+            (resp(&[]), "payload truncated"),
+            (req(&[99]), "unknown request tag 99"),
+            (resp(&[99]), "unknown response tag 99"),
+            (resp(&[1, 7]), "unknown map outcome tag 7"),
+            (resp(&[6, 9]), "unknown error tag 9"),
+            (req(&synth(3, 0)), "unknown encoding tag 3"),
+            (req(&synth(0, 2)), "unknown generator tag 2"),
+            (
+                req(&[1, 2, 0, 0, 0, 7, 0, 0]),
+                "vector length exceeds payload",
+            ),
+            (
+                req(&[1, 0xff, 0xff, 0xff, 0xff]),
+                "vector length exceeds payload",
+            ),
+            // Two registers announced, one present.
+            (
+                resp(&[1, 0, 2, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0]),
+                "payload truncated",
+            ),
+            (resp(&[1, 1, 2, 0, 0, 0, b'o', 0xff]), "string is not utf-8"),
+            (req(&[0, 0]), "1 trailing byte(s) after payload"),
+            (
+                decode_request_frame(&[0, 0, 0]).unwrap_err().0,
+                "payload truncated",
+            ),
+            (
+                decode_request_frame(&[0, 0, 0, 0, 4, 4]).unwrap_err().0,
+                "1 trailing byte(s) after payload",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
     fn frames_round_trip_and_enforce_the_cap() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
