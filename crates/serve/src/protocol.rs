@@ -28,10 +28,33 @@
 //! the frame envelope and **not** in the request encoding: two
 //! requests differing only in patience must share a cache entry.
 //!
-//! All integers are little-endian; `f64` travels as its IEEE-754 bit
-//! pattern in a `u64`. Every encoder has a decoder that rejects
+//! ## Payload layouts
+//!
+//! Each payload type states its layout once, as one row of the
+//! `wire!` table at the end of this module's items. A struct row lists
+//! its fields in wire order. An enum row lists `tag => Variant { .. }`
+//! entries: a variant travels as its `u8` tag, then its fields in the
+//! order listed. The table implements the private `Wire` trait, whose
+//! `put` encodes and `get` decodes, so the two directions cannot
+//! disagree. A new message kind is one entry there, and a new field is
+//! one name in its entry, under a [`PROTOCOL_VERSION`] bump.
+//!
+//! The leaves are primitives. Integers are little-endian, and `f64`
+//! travels as its IEEE-754 bit pattern in a `u64`. A `bool` is one
+//! byte. A string is a `u32` byte length and UTF-8 bytes, and a vector
+//! is a `u32` element count and its elements. Every decoder rejects
 //! trailing bytes, so round-tripping is exact and golden tests can
 //! byte-compare encodings.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::io::{Read, Write};
 
@@ -200,180 +223,213 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 }
 
 // ---------------------------------------------------------------
-// Primitive encoding
+// Payload codec
 // ---------------------------------------------------------------
 
-/// Little-endian byte-string builder for payload encoding.
-#[derive(Debug, Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
+/// A type with a wire layout: `put` appends its encoding, `get` reads
+/// it back. Primitives are implemented by hand below; every message
+/// type gets its impl from its row in the `wire!` table.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
 
-impl Enc {
-    /// A fresh, empty encoder.
-    pub fn new() -> Self {
-        Enc::default()
-    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError>;
 
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16`, little-endian.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a `u32`-length-prefixed `u32` slice.
-    pub fn u32s(&mut self, vs: &[u32]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u32(v);
+    /// Reads the `len` elements of a `Vec<Self>`. Composite elements
+    /// preallocate at most 4096 slots and fail on the first short one.
+    fn get_vec(d: &mut Dec<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut v = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            v.push(Self::get(d)?);
         }
+        Ok(v)
     }
 }
 
-/// Cursor over an encoded payload; every getter advances and checks
-/// bounds.
+/// Cursor over an encoded payload: the bytes not yet read. Every read
+/// advances it and checks bounds.
 #[derive(Debug)]
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+struct Dec<'a>(&'a [u8]);
 
 impl<'a> Dec<'a> {
-    /// A decoder over `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
             .ok_or_else(|| wire_err("payload truncated"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        self.0 = rest;
+        Ok(head)
     }
 
-    /// Reads a `u8`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| wire_err("payload truncated"))?;
+        self.0 = rest;
+        Ok(*head)
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on exhaustion or invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| wire_err("string is not utf-8"))
-    }
-
-    /// Reads a length-prefixed `u32` vector.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when the payload is exhausted.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
-        let len = self.u32()? as usize;
-        if len > self.bytes.len().saturating_sub(self.pos) / 4 {
-            return Err(wire_err("vector length exceeds payload"));
-        }
-        (0..len).map(|_| self.u32()).collect()
-    }
-
-    /// Asserts the payload is fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] when trailing bytes remain.
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(wire_err(format!(
-                "{} trailing byte(s) after payload",
-                self.bytes.len() - self.pos
-            )))
+    /// Fails when trailing bytes remain.
+    fn finish(self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(wire_err(format!("{n} trailing byte(s) after payload"))),
         }
     }
+}
+
+/// Little-endian integers. A vector of them is checked against the
+/// bytes left before it allocates.
+macro_rules! le_ints {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(d.array()?))
+            }
+
+            fn get_vec(d: &mut Dec<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                if len > d.0.len() / size_of::<$t>() {
+                    return Err(wire_err("vector length exceeds payload"));
+                }
+                (0..len).map(|_| Self::get(d)).collect()
+            }
+        }
+    )+};
+}
+
+le_ints!(u8, u16, u32, u64);
+
+/// The IEEE-754 bit pattern, as a `u64`.
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        u64::get(d).map(f64::from_bits)
+    }
+}
+
+/// One byte; any nonzero byte reads as `true`.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(u8::get(d)? != 0)
+    }
+}
+
+/// A `u32` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let len = u32::get(d)? as usize;
+        String::from_utf8(d.take(len)?.to_vec()).map_err(|_| wire_err("string is not utf-8"))
+    }
+}
+
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let len = u32::get(d)? as usize;
+        T::get_vec(d, len)
+    }
+}
+
+/// Every counter as a `u64`, in the `counters!` table's row order.
+impl Wire for StatsSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        for (_, _, v) in self.rows() {
+            v.put(out);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        StatsSnapshot::read(|| u64::get(d))
+    }
+}
+
+/// The encoding of `value`.
+fn encode(value: &impl Wire) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
+}
+
+/// Decodes one `T` that fills `bytes` exactly.
+fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut d = Dec(bytes);
+    let value = T::get(&mut d)?;
+    d.finish()?;
+    Ok(value)
+}
+
+/// Implements [`Wire`] for each listed type from its layout, given
+/// once: a struct's fields in wire order, or an enum's variants as
+/// `tag => Variant` rows, each with its fields in wire order. A
+/// variant is its `u8` tag followed by its fields; an unknown tag
+/// decodes to "unknown {what} tag {tag}". Every field must be named,
+/// so a field added to a type without a row fails to compile.
+macro_rules! wire {
+    () => {};
+    (struct $ty:ident { $($field:ident),* } $($rest:tt)*) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($field.put(out);)*
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                $(let $field = Wire::get(d)?;)*
+                Ok($ty { $($field),* })
+            }
+        }
+        wire!($($rest)*);
+    };
+    (enum $ty:ident as $what:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(($($pos:ident),*))?,)*
+    } $($rest:tt)*) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($($pos),*))? => {
+                        out.push($tag);
+                        $($($field.put(out);)*)?
+                        $($($pos.put(out);)*)?
+                    })*
+                }
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                match u8::get(d)? {
+                    $($tag => {
+                        $($(let $field = Wire::get(d)?;)*)?
+                        $($(let $pos = Wire::get(d)?;)*)?
+                        Ok($ty::$variant $({ $($field),* })? $(($($pos),*))?)
+                    })*
+                    other => Err(wire_err(format!(concat!("unknown ", $what, " tag {}"), other))),
+                }
+            }
+        }
+        wire!($($rest)*);
+    };
 }
 
 // ---------------------------------------------------------------
@@ -390,38 +446,6 @@ pub enum Generator {
     /// The runtime-programmable affine AGU: sequence fitted to affine
     /// parameters, any residual synthesized as a side FSM.
     Affine,
-}
-
-fn generator_tag(g: Generator) -> u8 {
-    match g {
-        Generator::Fsm => 0,
-        Generator::Affine => 1,
-    }
-}
-
-fn generator_from_tag(tag: u8) -> Result<Generator, WireError> {
-    match tag {
-        0 => Ok(Generator::Fsm),
-        1 => Ok(Generator::Affine),
-        other => Err(wire_err(format!("unknown generator tag {other}"))),
-    }
-}
-
-fn encoding_tag(e: Encoding) -> u8 {
-    match e {
-        Encoding::Binary => 0,
-        Encoding::Gray => 1,
-        Encoding::OneHot => 2,
-    }
-}
-
-fn encoding_from_tag(tag: u8) -> Result<Encoding, WireError> {
-    match tag {
-        0 => Ok(Encoding::Binary),
-        1 => Ok(Encoding::Gray),
-        2 => Ok(Encoding::OneHot),
-        other => Err(wire_err(format!("unknown encoding tag {other}"))),
-    }
 }
 
 /// A client request. The compute kinds (`MapSequence`, `Synthesize`,
@@ -482,43 +506,7 @@ pub enum Request {
 impl Request {
     /// The canonical encoding — the cache's content-address input.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            Request::Ping => e.u8(0),
-            Request::MapSequence { sequence } => {
-                e.u8(1);
-                e.u32s(sequence);
-            }
-            Request::Synthesize {
-                sequence,
-                encoding,
-                num_lines,
-                effort_steps,
-                generator,
-            } => {
-                e.u8(2);
-                e.u32s(sequence);
-                e.u8(encoding_tag(*encoding));
-                e.u32(*num_lines);
-                e.u64(*effort_steps);
-                e.u8(generator_tag(*generator));
-            }
-            Request::Explore {
-                sequence,
-                width,
-                height,
-                fsm_state_limit,
-            } => {
-                e.u8(3);
-                e.u32s(sequence);
-                e.u32(*width);
-                e.u32(*height);
-                e.u32(*fsm_state_limit);
-            }
-            Request::Stats => e.u8(4),
-            Request::Shutdown => e.u8(5),
-        }
-        e.into_bytes()
+        encode(self)
     }
 
     /// Decodes a canonical request encoding.
@@ -527,35 +515,7 @@ impl Request {
     ///
     /// [`WireError`] on unknown tags, truncation or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Request, WireError> {
-        let mut d = Dec::new(bytes);
-        let req = Request::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(req)
-    }
-
-    fn decode_from(d: &mut Dec<'_>) -> Result<Request, WireError> {
-        match d.u8()? {
-            0 => Ok(Request::Ping),
-            1 => Ok(Request::MapSequence {
-                sequence: d.u32s()?,
-            }),
-            2 => Ok(Request::Synthesize {
-                sequence: d.u32s()?,
-                encoding: encoding_from_tag(d.u8()?)?,
-                num_lines: d.u32()?,
-                effort_steps: d.u64()?,
-                generator: generator_from_tag(d.u8()?)?,
-            }),
-            3 => Ok(Request::Explore {
-                sequence: d.u32s()?,
-                width: d.u32()?,
-                height: d.u32()?,
-                fsm_state_limit: d.u32()?,
-            }),
-            4 => Ok(Request::Stats),
-            5 => Ok(Request::Shutdown),
-            other => Err(wire_err(format!("unknown request tag {other}"))),
-        }
+        decode(bytes)
     }
 
     /// The espresso effort budget this request pins, for cache
@@ -580,11 +540,9 @@ impl Request {
 /// Encodes a request frame payload: deadline envelope + canonical
 /// request bytes.
 pub fn encode_request_frame(req: &Request, deadline_ms: u32) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(deadline_ms);
-    let mut bytes = e.into_bytes();
-    bytes.extend_from_slice(&req.encode());
-    bytes
+    let mut out = encode(&deadline_ms);
+    req.put(&mut out);
+    out
 }
 
 /// Decodes a request frame payload into `(request, deadline_ms)`.
@@ -593,9 +551,9 @@ pub fn encode_request_frame(req: &Request, deadline_ms: u32) -> Vec<u8> {
 ///
 /// [`WireError`] as for [`Request::decode`].
 pub fn decode_request_frame(payload: &[u8]) -> Result<(Request, u32), WireError> {
-    let mut d = Dec::new(payload);
-    let deadline_ms = d.u32()?;
-    let req = Request::decode_from(&mut d)?;
+    let mut d = Dec(payload);
+    let deadline_ms = u32::get(&mut d)?;
+    let req = Request::get(&mut d)?;
     d.finish()?;
     Ok((req, deadline_ms))
 }
@@ -682,102 +640,7 @@ pub enum Response {
 impl Response {
     /// Encodes the response payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            Response::Pong => e.u8(0),
-            Response::Mapped(outcome) => {
-                e.u8(1);
-                match outcome {
-                    MapOutcome::Mapped {
-                        registers,
-                        div_count,
-                        pass_count,
-                        num_lines,
-                    } => {
-                        e.u8(0);
-                        e.u32(registers.len() as u32);
-                        for r in registers {
-                            e.u32s(r);
-                        }
-                        e.u32(*div_count);
-                        e.u32(*pass_count);
-                        e.u32(*num_lines);
-                    }
-                    MapOutcome::Violation { reason } => {
-                        e.u8(1);
-                        e.str(reason);
-                    }
-                }
-            }
-            Response::Synthesized(r) => {
-                e.u8(2);
-                e.f64(r.area);
-                e.f64(r.delay_ps);
-                e.u32(r.flip_flops);
-                e.u8(u8::from(r.truncated));
-            }
-            Response::Explored { pareto, rejected } => {
-                e.u8(3);
-                e.u32(pareto.len() as u32);
-                for c in pareto {
-                    e.str(&c.architecture);
-                    e.f64(c.delay_ps);
-                    e.f64(c.area);
-                    e.u32(c.flip_flops);
-                }
-                e.u32(*rejected);
-            }
-            Response::Stats(s) => {
-                e.u8(4);
-                for (_, _, v) in s.rows() {
-                    e.u64(v);
-                }
-            }
-            Response::ShuttingDown => e.u8(5),
-            Response::Error(err) => {
-                e.u8(6);
-                match err {
-                    ServeError::Deadline { waited_ms } => {
-                        e.u8(0);
-                        e.u64(*waited_ms);
-                    }
-                    ServeError::QueueFull { capacity } => {
-                        e.u8(1);
-                        e.u32(*capacity);
-                    }
-                    ServeError::VersionMismatch { client, server } => {
-                        e.u8(2);
-                        e.u16(*client);
-                        e.u16(*server);
-                    }
-                    ServeError::Protocol(msg) => {
-                        e.u8(3);
-                        e.str(msg);
-                    }
-                    ServeError::BadRequest(msg) => {
-                        e.u8(4);
-                        e.str(msg);
-                    }
-                    ServeError::Internal(msg) => {
-                        e.u8(5);
-                        e.str(msg);
-                    }
-                    ServeError::WorkerPanicked(which) => {
-                        e.u8(6);
-                        e.str(which);
-                    }
-                    ServeError::MalformedFrame(msg) => {
-                        e.u8(7);
-                        e.str(msg);
-                    }
-                    ServeError::IoTimeout { idle_ms } => {
-                        e.u8(8);
-                        e.u64(*idle_ms);
-                    }
-                }
-            }
-        }
-        e.into_bytes()
+        encode(self)
     }
 
     /// Decodes a response payload.
@@ -786,74 +649,57 @@ impl Response {
     ///
     /// [`WireError`] on unknown tags, truncation or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Response, WireError> {
-        let mut d = Dec::new(bytes);
-        let resp = match d.u8()? {
-            0 => Response::Pong,
-            1 => match d.u8()? {
-                0 => {
-                    let n = d.u32()? as usize;
-                    let mut registers = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        registers.push(d.u32s()?);
-                    }
-                    Response::Mapped(MapOutcome::Mapped {
-                        registers,
-                        div_count: d.u32()?,
-                        pass_count: d.u32()?,
-                        num_lines: d.u32()?,
-                    })
-                }
-                1 => Response::Mapped(MapOutcome::Violation { reason: d.str()? }),
-                other => return Err(wire_err(format!("unknown map outcome tag {other}"))),
-            },
-            2 => Response::Synthesized(SynthReport {
-                area: d.f64()?,
-                delay_ps: d.f64()?,
-                flip_flops: d.u32()?,
-                truncated: d.u8()? != 0,
-            }),
-            3 => {
-                let n = d.u32()? as usize;
-                let mut pareto = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    pareto.push(CandidateRow {
-                        architecture: d.str()?,
-                        delay_ps: d.f64()?,
-                        area: d.f64()?,
-                        flip_flops: d.u32()?,
-                    });
-                }
-                Response::Explored {
-                    pareto,
-                    rejected: d.u32()?,
-                }
-            }
-            4 => Response::Stats(StatsSnapshot::read(|| d.u64())?),
-            5 => Response::ShuttingDown,
-            6 => {
-                let err = match d.u8()? {
-                    0 => ServeError::Deadline {
-                        waited_ms: d.u64()?,
-                    },
-                    1 => ServeError::QueueFull { capacity: d.u32()? },
-                    2 => ServeError::VersionMismatch {
-                        client: d.u16()?,
-                        server: d.u16()?,
-                    },
-                    3 => ServeError::Protocol(d.str()?),
-                    4 => ServeError::BadRequest(d.str()?),
-                    5 => ServeError::Internal(d.str()?),
-                    6 => ServeError::WorkerPanicked(d.str()?),
-                    7 => ServeError::MalformedFrame(d.str()?),
-                    8 => ServeError::IoTimeout { idle_ms: d.u64()? },
-                    other => return Err(wire_err(format!("unknown error tag {other}"))),
-                };
-                Response::Error(err)
-            }
-            other => return Err(wire_err(format!("unknown response tag {other}"))),
-        };
-        d.finish()?;
-        Ok(resp)
+        decode(bytes)
+    }
+}
+
+// ---------------------------------------------------------------
+// Wire layouts
+// ---------------------------------------------------------------
+
+wire! {
+    enum Generator as "generator" {
+        0 => Fsm,
+        1 => Affine,
+    }
+    enum Encoding as "encoding" {
+        0 => Binary,
+        1 => Gray,
+        2 => OneHot,
+    }
+    enum Request as "request" {
+        0 => Ping,
+        1 => MapSequence { sequence },
+        2 => Synthesize { sequence, encoding, num_lines, effort_steps, generator },
+        3 => Explore { sequence, width, height, fsm_state_limit },
+        4 => Stats,
+        5 => Shutdown,
+    }
+    enum MapOutcome as "map outcome" {
+        0 => Mapped { registers, div_count, pass_count, num_lines },
+        1 => Violation { reason },
+    }
+    struct SynthReport { area, delay_ps, flip_flops, truncated }
+    struct CandidateRow { architecture, delay_ps, area, flip_flops }
+    enum Response as "response" {
+        0 => Pong,
+        1 => Mapped(outcome),
+        2 => Synthesized(report),
+        3 => Explored { pareto, rejected },
+        4 => Stats(stats),
+        5 => ShuttingDown,
+        6 => Error(error),
+    }
+    enum ServeError as "error" {
+        0 => Deadline { waited_ms },
+        1 => QueueFull { capacity },
+        2 => VersionMismatch { client, server },
+        3 => Protocol(msg),
+        4 => BadRequest(msg),
+        5 => Internal(msg),
+        6 => WorkerPanicked(which),
+        7 => MalformedFrame(msg),
+        8 => IoTimeout { idle_ms },
     }
 }
 
