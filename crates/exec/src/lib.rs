@@ -10,10 +10,12 @@
 //!   fan out through it.
 //! * [`prng`] — a small splitmix64/xorshift PRNG used by the
 //!   randomized test suites (replacing the former `rand`/`proptest`
-//!   dev-dependencies, which are unreachable offline).
+//!   dev-dependencies, which are unreachable offline), and the
+//!   streaming FNV-1a-128 digest behind the serve cache's and the
+//!   minimization memo's keys.
 
 pub mod pool;
 pub mod prng;
 
 pub use pool::{available_jobs, par_map, resolve_jobs};
-pub use prng::{splitmix64, Prng};
+pub use prng::{splitmix64, Fnv1a128, Prng};

@@ -1,6 +1,7 @@
 //! A small, seedable, copyable PRNG (splitmix64 seeding into
 //! xorshift64*), good enough for randomized property tests and
-//! synthetic workload generation. Not cryptographic.
+//! synthetic workload generation, and the FNV-1a-128 digest the
+//! caches key on. Not cryptographic.
 
 /// One round of splitmix64: a bijective scramble of `x` with good
 /// avalanche behaviour. The workhorse for deriving independent
@@ -11,6 +12,49 @@ pub fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// FNV-1a-128, streaming: two FNV-1a-64 streams over the same bytes,
+/// one from the standard offset basis and one from that basis
+/// perturbed with the golden-ratio constant so the halves decorrelate.
+/// A collision needs both 64-bit halves to collide at once. The serve
+/// result cache's keys and entry checksums and the minimization memo's
+/// keys are built with it. Not cryptographic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a128 {
+    lo: u64,
+    hi: u64,
+}
+
+impl Default for Fnv1a128 {
+    fn default() -> Self {
+        let lo = 0xcbf2_9ce4_8422_2325;
+        Fnv1a128 {
+            lo,
+            hi: lo ^ 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+}
+
+impl Fnv1a128 {
+    /// Feeds `bytes` into both streams.
+    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
+        const PRIME: u64 = 0x100_0000_01b3;
+        for &b in bytes {
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(PRIME);
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        self
+    }
+
+    /// The digest: the low stream's little-endian bytes, then the high
+    /// stream's.
+    pub fn finish(&self) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&self.lo.to_le_bytes());
+        out[8..].copy_from_slice(&self.hi.to_le_bytes());
+        out
+    }
 }
 
 /// Deterministic pseudo-random number generator.
@@ -101,6 +145,17 @@ impl Prng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a128_streams_and_keeps_the_fnv1a64_low_half() {
+        let whole = Fnv1a128::default().write(b"address").finish();
+        let parts = Fnv1a128::default().write(b"addr").write(b"ess").finish();
+        assert_eq!(whole, parts);
+        // The low half is plain FNV-1a-64 ("a" is a published vector).
+        let a = Fnv1a128::default().write(b"a").finish();
+        assert_eq!(a[..8], 0xaf63_dc4c_8601_ec8c_u64.to_le_bytes());
+        assert_ne!(a[..8], a[8..]);
+    }
 
     #[test]
     fn deterministic_and_seed_sensitive() {

@@ -66,6 +66,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
+use adgen_exec::Fnv1a128;
+
 use crate::faults::{self, FaultKind, FaultPlan};
 use crate::stats::ServeStats;
 use crate::unpoisoned;
@@ -83,32 +85,16 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub [u8; 16]);
 
-/// FNV-1a-128: two FNV-1a-64 streams over `bytes`, one from the
-/// standard offset basis and one from that basis perturbed with the
-/// golden-ratio constant so the halves decorrelate. The low stream's
-/// little-endian bytes come first.
-fn fnv1a128<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> [u8; 16] {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hi: u64 = lo ^ 0x9e37_79b9_7f4a_7c15;
-    for &b in bytes {
-        lo = (lo ^ u64::from(b)).wrapping_mul(PRIME);
-        hi = (hi ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hi.to_le_bytes());
-    out
-}
-
 impl CacheKey {
     /// Digests a canonical request encoding plus the effort budget it
-    /// pins, with `fnv1a128`: collisions would need both 64-bit
-    /// halves to collide simultaneously.
+    /// pins, with [`Fnv1a128`].
     pub fn for_request(canonical: &[u8], effort_steps: u64) -> CacheKey {
-        CacheKey(fnv1a128(
-            canonical.iter().chain(&effort_steps.to_le_bytes()),
-        ))
+        CacheKey(
+            Fnv1a128::default()
+                .write(canonical)
+                .write(&effort_steps.to_le_bytes())
+                .finish(),
+        )
     }
 
     /// Lowercase hex form — the on-disk file name.
@@ -134,11 +120,11 @@ impl CacheKey {
     }
 }
 
-/// [`fnv1a128`] over the payload bytes followed by the key bytes.
+/// [`Fnv1a128`] over the payload bytes followed by the key bytes.
 /// Including the key ties the digest to the file name: a payload filed
 /// under the wrong digest fails.
 fn entry_digest(key: CacheKey, payload: &[u8]) -> [u8; 16] {
-    fnv1a128(payload.iter().chain(&key.0))
+    Fnv1a128::default().write(payload).write(&key.0).finish()
 }
 
 /// Frames `payload` for storage under `key`: header + payload, ready

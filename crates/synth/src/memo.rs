@@ -9,8 +9,8 @@
 //! installs a memo on the calling thread for the duration of a
 //! closure. Inside it, every minimization of at most
 //! [`MAX_MEMO_ARITY`] inputs is looked up by a 128-bit digest of its
-//! whole input — arity, route, effort budget, and the on, dc and off
-//! covers — and the stored [`MinimizeOutcome`] (cover, steps,
+//! whole input — arity, effort budget, and the on, dc and off covers
+//! — and the stored [`MinimizeOutcome`] (cover, steps,
 //! truncation) is returned exactly as the loop would have returned it.
 //!
 //! Outside any scope nothing is memoized, so batch callers (the paper
@@ -44,6 +44,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use adgen_exec::Fnv1a128;
 use adgen_obs as obs;
 
 use crate::cover::Cover;
@@ -360,28 +361,13 @@ impl Drop for Lead<'_> {
     }
 }
 
-/// FNV-1a over little-endian words in two streams with decorrelated
-/// bases, the construction of the serve cache's request keys.
-struct Digest {
-    lo: u64,
-    hi: u64,
-}
+/// The memo's digest: [`Fnv1a128`] over little-endian words, the
+/// construction of the serve cache's request keys.
+struct Digest(Fnv1a128);
 
 impl Digest {
-    fn new() -> Digest {
-        let lo = 0xcbf2_9ce4_8422_2325;
-        Digest {
-            lo,
-            hi: lo ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
     fn word(&mut self, w: u64) {
-        const PRIME: u64 = 0x100_0000_01b3;
-        for b in w.to_le_bytes() {
-            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(PRIME);
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(PRIME);
-        }
+        self.0.write(&w.to_le_bytes());
     }
 
     /// The cube count, then each cube's word. `None` for a cube wider
@@ -395,12 +381,10 @@ impl Digest {
     }
 
     fn key(self) -> Key {
-        [
-            self.lo as u32,
-            (self.lo >> 32) as u32,
-            self.hi as u32,
-            (self.hi >> 32) as u32,
-        ]
+        let b = self.0.finish();
+        std::array::from_fn(|i| {
+            u32::from_le_bytes([b[4 * i], b[4 * i + 1], b[4 * i + 2], b[4 * i + 3]])
+        })
     }
 }
 
@@ -410,7 +394,6 @@ pub(crate) fn installed(
     on: &Cover,
     dc: &Cover,
     off: &Cover,
-    complemented: bool,
     budget_steps: u64,
 ) -> Option<(MinimizeMemo, Key)> {
     let memo = ACTIVE.with(|a| a.borrow().clone())?;
@@ -418,9 +401,8 @@ pub(crate) fn installed(
     if n > MAX_MEMO_ARITY || dc.num_inputs() != n || off.num_inputs() != n {
         return None;
     }
-    let mut d = Digest::new();
+    let mut d = Digest(Fnv1a128::default());
     d.word(n as u64);
-    d.word(u64::from(complemented));
     d.word(budget_steps);
     for cover in [on, dc, off] {
         d.cover(cover)?;
