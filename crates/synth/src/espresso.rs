@@ -148,7 +148,7 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
     let mut care = on.union(&dc);
     care.merge_siblings();
     let off = care.complement();
-    minimize_observed(on, dc, off, true, budget)
+    minimize_with_off_budgeted(on, dc, off, budget)
 }
 
 /// Minimizes `on` under don't-care set `dc`, with the off-set supplied
@@ -170,45 +170,25 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 /// # Panics
 ///
 /// Panics on arity mismatch between the three covers.
+///
+/// Answered by the thread's [`MinimizeMemo`](crate::memo::MinimizeMemo)
+/// when one is installed.
 pub fn minimize_with_off_budgeted(
     on: Cover,
     dc: Cover,
     off: Cover,
     budget: EffortBudget,
 ) -> MinimizeOutcome {
-    minimize_observed(on, dc, off, false, budget)
-}
-
-/// The EXPAND / IRREDUNDANT / REDUCE loop behind [`minimize_budgeted`]
-/// and [`minimize_with_off_budgeted`], answered by the thread's
-/// [`MinimizeMemo`](crate::memo::MinimizeMemo) when one is installed.
-/// With `complemented`, `off` is already the complement of the
-/// condensed on ∪ dc, so [`starting_covers`] never complements the
-/// care set a second time.
-fn minimize_observed(
-    on: Cover,
-    dc: Cover,
-    off: Cover,
-    complemented: bool,
-    budget: EffortBudget,
-) -> MinimizeOutcome {
     let n = on.num_inputs();
-    match memo::installed(&on, &dc, &off, complemented, budget.max_steps) {
-        Some((memo, key)) => memo.get_or_compute(key, n, || {
-            minimize_counted(on, dc, off, complemented, budget)
-        }),
-        None => minimize_counted(on, dc, off, complemented, budget),
+    match memo::installed(&on, &dc, &off, budget.max_steps) {
+        Some((memo, key)) => memo.get_or_compute(key, n, || minimize_counted(on, dc, off, budget)),
+        None => minimize_counted(on, dc, off, budget),
     }
 }
 
-/// One run of the loop, counted and spanned.
-fn minimize_counted(
-    on: Cover,
-    dc: Cover,
-    off: Cover,
-    complemented: bool,
-    budget: EffortBudget,
-) -> MinimizeOutcome {
+/// One run of the EXPAND / IRREDUNDANT / REDUCE loop, counted and
+/// spanned.
+fn minimize_counted(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> MinimizeOutcome {
     let observing = obs::enabled();
     let _span = if observing {
         obs::add(obs::Ctr::EspressoCalls, 1);
@@ -225,7 +205,7 @@ fn minimize_counted(
             steps: 0,
         }
     } else {
-        let (current, off) = starting_covers(on, &dc, off, complemented);
+        let (current, off) = starting_covers(on, &dc, off);
         iterate(current, &dc, &off, budget)
     };
     if observing {
@@ -247,30 +227,20 @@ fn minimize_counted(
 /// when that side is small — e.g. a one-minterm select line, whose
 /// enumerated off-set is the whole rest of the space).
 ///
-/// A `complemented` off-set already is the complement of the
-/// condensed on ∪ dc: it is still condensed when it is the smaller
-/// description, but never complemented again.
-///
 /// Condensing the starting cover (minterm-enumerated in every caller)
 /// both shrinks the first EXPAND and deepens it: merged cubes already
 /// carry the easy free variables.
-fn starting_covers(
-    mut on: Cover,
-    dc: &Cover,
-    mut off: Cover,
-    complemented: bool,
-) -> (Cover, Cover) {
+fn starting_covers(mut on: Cover, dc: &Cover, mut off: Cover) -> (Cover, Cover) {
     if off.num_cubes() > on.num_inputs() {
         if off.num_cubes() < on.num_cubes() + dc.num_cubes() {
             off.merge_siblings();
-        } else if !complemented {
-            if dc.is_empty() {
-                // on ∪ ∅ is the on-set's own cube list: condense it
-                // once, for the complement and as the starting cover.
-                on.merge_siblings();
-                let off = on.complement();
-                return (on, off);
-            }
+        } else if dc.is_empty() {
+            // on ∪ ∅ is the on-set's own cube list: condense it once,
+            // for the complement and as the starting cover.
+            on.merge_siblings();
+            let off = on.complement();
+            return (on, off);
+        } else {
             let mut care = on.union(dc);
             care.merge_siblings();
             off = care.complement();
