@@ -19,72 +19,6 @@ use crate::techmap::and_tree;
 /// Maximum supported counter width in bits.
 pub const MAX_COUNTER_WIDTH: u32 = 32;
 
-/// Interface of a generated binary up-counter.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    /// Count bits, LSB first (registered outputs).
-    pub q: Vec<NetId>,
-    /// Carry out: high when all bits are 1 and the counter is enabled
-    /// (i.e. the counter wraps on this clock edge).
-    pub carry: NetId,
-}
-
-/// Builds a `width`-bit binary up-counter with synchronous enable,
-/// reset to 0 via the netlist's global reset.
-///
-/// The increment carry chain is a prefix-AND network of depth
-/// `⌈log₂ width⌉`, so the counter's critical path grows
-/// logarithmically with width, like a synthesized fast counter.
-///
-/// # Errors
-///
-/// Returns [`SynthError::WidthTooLarge`] above
-/// [`MAX_COUNTER_WIDTH`] and propagates netlist errors.
-///
-/// # Panics
-///
-/// Panics if `width` is zero.
-pub fn build_counter(
-    n: &mut Netlist,
-    width: u32,
-    enable: NetId,
-    prefix: &str,
-) -> Result<Counter, SynthError> {
-    let _span = obs::span_arg("mapgen.build_counter", u64::from(width));
-    assert!(width > 0, "counter width must be nonzero");
-    if width > MAX_COUNTER_WIDTH {
-        return Err(SynthError::WidthTooLarge {
-            width,
-            max: MAX_COUNTER_WIDTH,
-        });
-    }
-    let w = width as usize;
-    let rst = n.reset();
-    // Flip-flop outputs first, so the combinational logic can refer to
-    // them; D inputs are wired below.
-    let q: Vec<NetId> = (0..w)
-        .map(|i| n.add_net(format!("{prefix}_q{i}")))
-        .collect();
-    let p = prefix_and(n, &q)?;
-    // Toggle conditions: c[0] = enable, c[i] = enable & p[i-1].
-    let mut c = Vec::with_capacity(w);
-    c.push(enable);
-    for i in 1..w {
-        c.push(n.gate(CellKind::And2, &[enable, p[i - 1]])?);
-    }
-    for i in 0..w {
-        let d = n.gate(CellKind::Xor2, &[q[i], c[i]])?;
-        n.add_instance(
-            format!("{prefix}_ff{i}"),
-            CellKind::Dffr,
-            &[d, rst],
-            &[q[i]],
-        )?;
-    }
-    let carry = n.gate(CellKind::And2, &[enable, p[w - 1]])?;
-    Ok(Counter { q, carry })
-}
-
 /// Prefix-AND network with shared fan-in-4 group terms: returns
 /// `p[i] = q[0] & … & q[i]`. Groups of four bits are conjoined once
 /// (`And4`) and reused by every prefix that spans them, keeping both
@@ -119,13 +53,19 @@ pub struct ModCounter {
 }
 
 /// Builds a counter that counts `0 … modulus-1` and wraps, with
-/// synchronous enable. A modulus of 1 produces no state at all —
-/// `wrap` simply follows `enable` (the degenerate divider the paper's
-/// SRAG uses when `dC = 1`).
+/// synchronous enable, reset to 0 via the netlist's global reset. A
+/// modulus of 1 produces no state at all — `wrap` simply follows
+/// `enable` (the degenerate divider the paper's SRAG uses when
+/// `dC = 1`); a modulus of `2^w` is a plain `w`-bit binary up-counter.
+///
+/// The increment carry chain is a prefix-AND network of depth
+/// `⌈log₂ width⌉`, so the counter's critical path grows
+/// logarithmically with width, like a synthesized fast counter.
 ///
 /// # Errors
 ///
-/// Same as [`build_counter`].
+/// Returns [`SynthError::WidthTooLarge`] when `modulus - 1` needs more
+/// than [`MAX_COUNTER_WIDTH`] bits, and propagates netlist errors.
 ///
 /// # Panics
 ///
@@ -156,43 +96,36 @@ pub fn build_mod_counter(
     let q: Vec<NetId> = (0..w)
         .map(|i| n.add_net(format!("{prefix}_q{i}")))
         .collect();
-    // Shared prefix-AND carry network.
+    // Shared prefix-AND carry network. Toggle conditions:
+    // c[0] = enable, c[i] = enable & p[i-1].
     let p = prefix_and(n, &q)?;
     let mut c = Vec::with_capacity(w);
     c.push(enable);
     for i in 1..w {
         c.push(n.gate(CellKind::And2, &[enable, p[i - 1]])?);
     }
-    let wrap;
-    if modulus.is_power_of_two() {
+    let (wrap, not_wrap) = if modulus.is_power_of_two() {
         // Natural wrap: the terminal count is all-ones, so the wrap
         // comparator *is* the carry out of the prefix network — no
-        // separate equality tree.
-        wrap = n.gate(CellKind::And2, &[enable, p[w - 1]])?;
-        for i in 0..w {
-            let d = n.gate(CellKind::Xor2, &[q[i], c[i]])?;
-            n.add_instance(
-                format!("{prefix}_ff{i}"),
-                CellKind::Dffr,
-                &[d, rst],
-                &[q[i]],
-            )?;
-        }
+        // separate equality tree, and no clear.
+        (n.gate(CellKind::And2, &[enable, p[w - 1]])?, None)
     } else {
         // Increment with synchronous clear at the terminal count.
         let eq = build_equality_const(n, &q, modulus - 1)?;
-        wrap = n.gate(CellKind::And2, &[enable, eq])?;
-        let not_wrap = n.gate(CellKind::Inv, &[wrap])?;
-        for i in 0..w {
-            let inc = n.gate(CellKind::Xor2, &[q[i], c[i]])?;
-            let d = n.gate(CellKind::And2, &[not_wrap, inc])?;
-            n.add_instance(
-                format!("{prefix}_ff{i}"),
-                CellKind::Dffr,
-                &[d, rst],
-                &[q[i]],
-            )?;
+        let wrap = n.gate(CellKind::And2, &[enable, eq])?;
+        (wrap, Some(n.gate(CellKind::Inv, &[wrap])?))
+    };
+    for i in 0..w {
+        let mut d = n.gate(CellKind::Xor2, &[q[i], c[i]])?;
+        if let Some(not_wrap) = not_wrap {
+            d = n.gate(CellKind::And2, &[not_wrap, d])?;
         }
+        n.add_instance(
+            format!("{prefix}_ff{i}"),
+            CellKind::Dffr,
+            &[d, rst],
+            &[q[i]],
+        )?;
     }
     Ok(ModCounter { q, wrap, modulus })
 }
@@ -256,7 +189,7 @@ pub fn build_ring_counter(
 /// Builds `q + 1` (LSB first, carry out dropped) with a ripple carry:
 /// bit 0 is `!q[0]`, bit `i` is `q[i] ^ (q[0] & … & q[i-1])`. The
 /// cheap, linear-depth counterpart of the prefix network
-/// [`build_counter`] uses.
+/// [`build_mod_counter`] uses.
 ///
 /// # Errors
 ///
@@ -525,19 +458,19 @@ mod tests {
     fn counter_counts_and_wraps() {
         let mut n = Netlist::new("cnt");
         let en = n.add_input("en");
-        let cnt = build_counter(&mut n, 3, en, "c").unwrap();
+        let cnt = build_mod_counter(&mut n, 1 << 3, en, "c").unwrap();
         for &q in &cnt.q {
             n.add_output(q);
         }
-        n.add_output(cnt.carry);
+        n.add_output(cnt.wrap);
         n.validate().unwrap();
         let mut sim = Simulator::new(&n).unwrap();
         sim.step_bools(&[true, false]).unwrap(); // reset
         for expect in 0..20u64 {
             sim.step_bools(&[false, true]).unwrap();
             assert_eq!(read_word(&sim, &cnt.q), expect % 8, "cycle {expect}");
-            let carry = sim.value(cnt.carry).to_bool().unwrap();
-            assert_eq!(carry, expect % 8 == 7, "carry at {expect}");
+            let wrap = sim.value(cnt.wrap).to_bool().unwrap();
+            assert_eq!(wrap, expect % 8 == 7, "wrap at {expect}");
         }
     }
 
@@ -545,7 +478,7 @@ mod tests {
     fn counter_holds_when_disabled() {
         let mut n = Netlist::new("cnt");
         let en = n.add_input("en");
-        let cnt = build_counter(&mut n, 4, en, "c").unwrap();
+        let cnt = build_mod_counter(&mut n, 1 << 4, en, "c").unwrap();
         for &q in &cnt.q {
             n.add_output(q);
         }
@@ -817,7 +750,7 @@ mod tests {
         let mut n = Netlist::new("w");
         let en = n.add_input("en");
         assert!(matches!(
-            build_counter(&mut n, 33, en, "c"),
+            build_mod_counter(&mut n, 1 << 33, en, "c"),
             Err(SynthError::WidthTooLarge { .. })
         ));
         let addr: Vec<NetId> = (0..17).map(|i| n.add_input(format!("a{i}"))).collect();
@@ -834,7 +767,7 @@ mod tests {
         let delay = |w: u32| {
             let mut n = Netlist::new("cnt");
             let en = n.add_input("en");
-            let cnt = build_counter(&mut n, w, en, "c").unwrap();
+            let cnt = build_mod_counter(&mut n, 1 << w, en, "c").unwrap();
             for &q in &cnt.q {
                 n.add_output(q);
             }

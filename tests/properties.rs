@@ -124,14 +124,14 @@ fn decoder_matches_arithmetic() {
 
 #[test]
 fn counter_is_a_counter() {
-    use adgen::synth::mapgen::build_counter;
+    use adgen::synth::mapgen::build_mod_counter;
     let mut rng = Prng::new(6);
     for _ in 0..32 {
         let width = rng.next_in(1, 7) as u32;
         let steps = rng.next_in(1, 40) as usize;
         let mut n = Netlist::new("cnt");
         let en = n.add_input("en");
-        let c = build_counter(&mut n, width, en, "c").unwrap();
+        let c = build_mod_counter(&mut n, 1 << width, en, "c").unwrap();
         for &q in &c.q {
             n.add_output(q);
         }
