@@ -20,7 +20,7 @@ use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
 use adgen_synth::mapgen::{build_adder, build_mod_counter, build_rom};
 use adgen_synth::SynthError;
 
-use crate::netlist::{binary_address, decode, require_power_of_two, AddressLoop};
+use crate::netlist::{decode, require_power_of_two, AddressLoop};
 
 /// Largest supported delta-ROM period (two-level ROM synthesis cost
 /// grows steeply beyond this).
@@ -239,7 +239,7 @@ impl ArithAgNetlist {
     /// Decodes the presented linear address from a running simulator
     /// via the accumulator bits. `None` if any bit is X.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        binary_address(sim, &self.addr)
+        sim.word(&self.addr).and_then(|a| u32::try_from(a).ok())
     }
 }
 

@@ -100,19 +100,8 @@ impl CntAgNetlist {
     /// via the select lines. `None` unless both line groups are
     /// defined and exactly one-hot.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        let one_hot = |lines: &[NetId]| -> Option<u32> {
-            let mut hot = None;
-            for (i, &l) in lines.iter().enumerate() {
-                match sim.value(l).to_bool()? {
-                    true if hot.is_none() => hot = Some(i as u32),
-                    true => return None,
-                    false => {}
-                }
-            }
-            hot
-        };
-        let r = one_hot(&self.row_lines)?;
-        let c = one_hot(&self.col_lines)?;
+        let r = sim.one_hot(&self.row_lines)?;
+        let c = sim.one_hot(&self.col_lines)?;
         self.spec.shape.to_linear(r, c, self.spec.layout).ok()
     }
 
@@ -329,18 +318,6 @@ pub(crate) fn require_power_of_two(shape: ArrayShape) -> Result<(), SynthError> 
     } else {
         Err(SynthError::ShapeNotPowerOfTwo { width, height })
     }
-}
-
-/// The linear address a binary-address generator presents on `bits`
-/// (LSB first) in a running simulator. `None` if any bit is X.
-pub(crate) fn binary_address(sim: &Simulator<'_>, bits: &[NetId]) -> Option<u32> {
-    let mut v = 0u32;
-    for (i, &b) in bits.iter().enumerate() {
-        if sim.value(b).to_bool()? {
-            v |= 1 << i;
-        }
-    }
-    Some(v)
 }
 
 /// The standalone row and column decoders of a binary address, each

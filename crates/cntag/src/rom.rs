@@ -17,7 +17,7 @@ use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
 use adgen_synth::mapgen::{build_mod_counter, build_rom};
 use adgen_synth::SynthError;
 
-use crate::netlist::{binary_address, decode, require_power_of_two, AddressLoop};
+use crate::netlist::{decode, require_power_of_two, AddressLoop};
 
 /// Largest supported sequence length (two-level ROM synthesis cost).
 pub const MAX_ROM_DEPTH: usize = 512;
@@ -167,7 +167,7 @@ impl RomAgNetlist {
     /// Decodes the presented linear address via the binary address
     /// bits. `None` if any bit is X.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        binary_address(sim, &self.addr)
+        sim.word(&self.addr).and_then(|a| u32::try_from(a).ok())
     }
 }
 

@@ -19,7 +19,7 @@ use adgen_seq::{AddressGenerator, AddressSequence, ArrayShape, Layout};
 use crate::arch::ControlStyle;
 use crate::error::SragError;
 use crate::mapper::{map_sequence, Mapping};
-use crate::netlist::{build_into, elaborate, observed_one_hot, BuildOptions, Elaborated};
+use crate::netlist::{build_into, elaborate, BuildOptions, Elaborated};
 use crate::sim::SragSimulator;
 
 /// A mapped row-and-column SRAG pair for one linear address sequence
@@ -243,8 +243,8 @@ impl Srag2dNetlist {
     /// simulator, or `None` if either dimension is not exactly
     /// one-hot.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        let r = observed_one_hot(sim, &self.row_lines)?;
-        let c = observed_one_hot(sim, &self.col_lines)?;
+        let r = sim.one_hot(&self.row_lines)?;
+        let c = sim.one_hot(&self.col_lines)?;
         self.shape.to_linear(r, c, self.layout).ok()
     }
 }

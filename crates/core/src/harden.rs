@@ -40,7 +40,7 @@ use adgen_seq::{ArrayShape, Layout};
 use crate::arch::{ControlStyle, SragSpec};
 use crate::composite::Srag2d;
 use crate::error::SragError;
-use crate::netlist::{elaborate_one, observed_one_hot, BuildOptions};
+use crate::netlist::{elaborate_one, BuildOptions};
 
 /// Options of every hardened build: binary counters, own `DivCnt`.
 const HARDENED: BuildOptions = BuildOptions {
@@ -102,7 +102,7 @@ impl HardenedSragNetlist {
 
     /// Decodes the presented address; `None` unless exactly one-hot.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        observed_one_hot(sim, &self.select_lines)
+        sim.one_hot(&self.select_lines)
     }
 
     /// Whether the checker flags the current cycle.
@@ -146,8 +146,8 @@ impl HardenedSrag2dNetlist {
     /// Decodes the currently presented linear address, or `None` if
     /// either dimension is not exactly one-hot.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        let r = observed_one_hot(sim, &self.row_lines)?;
-        let c = observed_one_hot(sim, &self.col_lines)?;
+        let r = sim.one_hot(&self.row_lines)?;
+        let c = sim.one_hot(&self.col_lines)?;
         self.shape.to_linear(r, c, self.layout).ok()
     }
 

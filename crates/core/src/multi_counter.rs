@@ -24,7 +24,7 @@ use adgen_synth::techmap::{and_tree, or_tree};
 use crate::arch::ShiftRegisterSpec;
 use crate::error::SragError;
 use crate::mapper::{group_runs, Grouping};
-use crate::netlist::{finish, observed_one_hot, Ring};
+use crate::netlist::{finish, Ring};
 
 /// Architecture of a multi-counter SRAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,7 +380,7 @@ impl MultiCounterSragNetlist {
 
     /// Decodes the presented address from a running simulator.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        observed_one_hot(sim, &self.select_lines)
+        sim.one_hot(&self.select_lines)
     }
 }
 

@@ -87,23 +87,8 @@ impl SragNetlist {
     /// the presented address. Returns `None` unless exactly one line
     /// is hot and all lines are defined.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        observed_one_hot(sim, &self.select_lines)
+        sim.one_hot(&self.select_lines)
     }
-}
-
-/// Decodes a one-hot line vector from a running simulator: the index
-/// of the single hot line, or `None` if any line is X or the vector
-/// is not exactly one-hot.
-pub fn observed_one_hot(sim: &Simulator<'_>, lines: &[NetId]) -> Option<u32> {
-    let mut hot = None;
-    for (i, &l) in lines.iter().enumerate() {
-        match sim.value(l).to_bool()? {
-            true if hot.is_none() => hot = Some(i as u32),
-            true => return None,
-            false => {}
-        }
-    }
-    hot
 }
 
 /// Interface nets of one SRAG built into a shared netlist.
@@ -667,7 +652,7 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..24 {
             sim.step_bools(&[false, true]).unwrap();
-            got.push(observed_one_hot(&sim, &parts.select_lines).unwrap());
+            got.push(sim.one_hot(&parts.select_lines).unwrap());
         }
         let expected: Vec<u32> = (0..24).map(|i| (i / 4) % 3).collect();
         assert_eq!(got, expected);

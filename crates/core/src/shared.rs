@@ -24,7 +24,7 @@ use adgen_synth::mapgen::build_mod_counter;
 
 use crate::arch::SragSpec;
 use crate::error::SragError;
-use crate::netlist::{finish, mux_head, observed_one_hot, Ring};
+use crate::netlist::{finish, mux_head, Ring};
 
 /// Whether two specifications can share their shift registers: same
 /// register partition (same lines in the same token order) and the
@@ -103,7 +103,7 @@ impl TimeSharedSragNetlist {
 
     /// Decodes the presented address from a running simulator.
     pub fn observed_address(&self, sim: &Simulator<'_>) -> Option<u32> {
-        observed_one_hot(sim, &self.select_lines)
+        sim.one_hot(&self.select_lines)
     }
 }
 

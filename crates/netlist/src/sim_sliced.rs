@@ -446,6 +446,29 @@ impl<'a> Simulator<'a> {
         self.vals[net.index() * self.words].lane(0)
     }
 
+    /// The index of the one hot net of `lines` on lane 0 — the address
+    /// a generator presents on its select lines. `None` if any line is
+    /// X or the lines are not exactly one-hot.
+    pub fn one_hot(&self, lines: &[NetId]) -> Option<u32> {
+        let mut hot = None;
+        for (i, &l) in lines.iter().enumerate() {
+            match self.value(l).to_bool()? {
+                true if hot.is_none() => hot = Some(i as u32),
+                true => return None,
+                false => {}
+            }
+        }
+        hot
+    }
+
+    /// The word on `bits` (LSB first) on lane 0 — the address a
+    /// generator presents in binary. `None` if any bit is X.
+    pub fn word(&self, bits: &[NetId]) -> Option<u64> {
+        bits.iter().enumerate().try_fold(0, |word, (i, &b)| {
+            Some(word | u64::from(self.value(b).to_bool()?) << i)
+        })
+    }
+
     /// Values of the primary outputs on lane 0, in declaration order.
     pub fn output_values(&self) -> Vec<Logic> {
         self.netlist
@@ -869,6 +892,24 @@ mod tests {
 
     fn assert_canonical(pk: Pk) {
         assert_eq!(pk.ones & pk.xs, 0, "ones/xs overlap: {pk:?}");
+    }
+
+    #[test]
+    fn one_hot_and_word_read_lane_zero() {
+        let mut n = Netlist::new("lines");
+        let lines: Vec<NetId> = (0..3).map(|i| n.add_input(format!("l{i}"))).collect();
+        let mut sim = Simulator::new(&n).unwrap();
+        let (o, z, x) = (Logic::One, Logic::Zero, Logic::X);
+        for (bits, one_hot, word) in [
+            ([z, o, z], Some(1), Some(2)),
+            ([o, z, o], None, Some(5)),
+            ([z, z, z], None, Some(0)),
+            ([z, o, x], None, None),
+        ] {
+            sim.step(&[&[z][..], &bits].concat()).unwrap();
+            assert_eq!(sim.one_hot(&lines), one_hot, "{bits:?}");
+            assert_eq!(sim.word(&lines), word, "{bits:?}");
+        }
     }
 
     /// Every packed binary operator must agree with the scalar truth

@@ -431,26 +431,8 @@ impl SynthesizedFsm {
     /// exactly one-hot.
     pub fn observed_address(&self, sim: &adgen_netlist::Simulator<'_>) -> Option<u64> {
         match self.style {
-            OutputStyle::SelectLines { .. } => {
-                let mut hot = None;
-                for (i, &o) in self.outputs.iter().enumerate() {
-                    match sim.value(o).to_bool()? {
-                        true if hot.is_none() => hot = Some(i as u64),
-                        true => return None,
-                        false => {}
-                    }
-                }
-                hot
-            }
-            OutputStyle::BinaryAddress { .. } => {
-                let mut v = 0u64;
-                for (i, &o) in self.outputs.iter().enumerate() {
-                    if sim.value(o).to_bool()? {
-                        v |= 1 << i;
-                    }
-                }
-                Some(v)
-            }
+            OutputStyle::SelectLines { .. } => sim.one_hot(&self.outputs).map(u64::from),
+            OutputStyle::BinaryAddress { .. } => sim.word(&self.outputs),
         }
     }
 }

@@ -446,14 +446,6 @@ mod tests {
     use super::*;
     use adgen_netlist::{Logic, Simulator};
 
-    /// Reads a word of nets as an integer (panics on X).
-    fn read_word(sim: &Simulator<'_>, word: &[NetId]) -> u64 {
-        word.iter()
-            .enumerate()
-            .map(|(i, &b)| (sim.value(b).to_bool().expect("defined value") as u64) << i)
-            .sum()
-    }
-
     #[test]
     fn counter_counts_and_wraps() {
         let mut n = Netlist::new("cnt");
@@ -468,7 +460,7 @@ mod tests {
         sim.step_bools(&[true, false]).unwrap(); // reset
         for expect in 0..20u64 {
             sim.step_bools(&[false, true]).unwrap();
-            assert_eq!(read_word(&sim, &cnt.q), expect % 8, "cycle {expect}");
+            assert_eq!(sim.word(&cnt.q).unwrap(), expect % 8, "cycle {expect}");
             let wrap = sim.value(cnt.wrap).to_bool().unwrap();
             assert_eq!(wrap, expect % 8 == 7, "wrap at {expect}");
         }
@@ -487,10 +479,10 @@ mod tests {
         sim.step_bools(&[false, true]).unwrap();
         sim.step_bools(&[false, true]).unwrap();
         sim.step_bools(&[false, true]).unwrap();
-        assert_eq!(read_word(&sim, &cnt.q), 2);
+        assert_eq!(sim.word(&cnt.q).unwrap(), 2);
         for _ in 0..5 {
             sim.step_bools(&[false, false]).unwrap();
-            assert_eq!(read_word(&sim, &cnt.q), 3);
+            assert_eq!(sim.word(&cnt.q).unwrap(), 3);
         }
     }
 
@@ -511,7 +503,7 @@ mod tests {
                 sim.step_bools(&[false, true]).unwrap();
                 let expect = step % modulus;
                 assert_eq!(
-                    read_word(&sim, &mc.q),
+                    sim.word(&mc.q).unwrap(),
                     expect,
                     "modulus {modulus} step {step}"
                 );
@@ -664,7 +656,7 @@ mod tests {
                     }
                     sim.step(&ins).unwrap();
                     assert_eq!(
-                        read_word(&sim, &s),
+                        sim.word(&s).unwrap(),
                         (x + y) % modulus,
                         "width {width}: {x}+{y}"
                     );
@@ -690,7 +682,7 @@ mod tests {
                 ins.push(Logic::from_bool((i >> b) & 1 == 1));
             }
             sim.step(&ins).unwrap();
-            assert_eq!(read_word(&sim, &out), w, "entry {i}");
+            assert_eq!(sim.word(&out).unwrap(), w, "entry {i}");
         }
     }
 
@@ -703,7 +695,7 @@ mod tests {
         }
         let mut sim = Simulator::new(&n).unwrap();
         sim.step_bools(&[false]).unwrap();
-        assert_eq!(read_word(&sim, &out), 6);
+        assert_eq!(sim.word(&out).unwrap(), 6);
     }
 
     #[test]
@@ -738,11 +730,11 @@ mod tests {
         let mut ins = base.to_vec();
         ins.push(Logic::Zero);
         sim.step(&ins).unwrap();
-        assert_eq!(read_word(&sim, &y), 0b101);
+        assert_eq!(sim.word(&y).unwrap(), 0b101);
         let mut ins = base.to_vec();
         ins.push(Logic::One);
         sim.step(&ins).unwrap();
-        assert_eq!(read_word(&sim, &y), 0b010);
+        assert_eq!(sim.word(&y).unwrap(), 0b010);
     }
 
     #[test]

@@ -140,12 +140,7 @@ fn counter_is_a_counter() {
         let modulus = 1u64 << width;
         for step in 0..steps {
             sim.step_bools(&[false, true]).unwrap();
-            let value: u64 =
-                c.q.iter()
-                    .enumerate()
-                    .map(|(i, &b)| u64::from(sim.value(b).to_bool().unwrap()) << i)
-                    .sum();
-            assert_eq!(value, step as u64 % modulus);
+            assert_eq!(sim.word(&c.q).unwrap(), step as u64 % modulus);
         }
     }
 }
