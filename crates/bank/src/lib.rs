@@ -24,6 +24,15 @@
 //!   [`plan_banks`] prices decomposed vs monolithic-FSM generators
 //!   per bank through the cell library, picking the cheaper.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod decompose;

@@ -14,6 +14,16 @@
 //! ([`compare`]) that the benchmark suite uses to regenerate the
 //! paper's Figures 8–10 and Table 3.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod banked;
 pub mod candidates;
 pub mod compare;

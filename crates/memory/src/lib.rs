@@ -19,6 +19,16 @@
 //!   [`AddressGenerator`](adgen_seq::AddressGenerator), read it back
 //!   through another, and check every transferred word, end to end.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod addm;
 pub mod cosim;
 pub mod error;
