@@ -27,6 +27,7 @@ pub struct Fnv1a128 {
 }
 
 impl Default for Fnv1a128 {
+    #[inline]
     fn default() -> Self {
         let lo = 0xcbf2_9ce4_8422_2325;
         Fnv1a128 {
@@ -38,6 +39,7 @@ impl Default for Fnv1a128 {
 
 impl Fnv1a128 {
     /// Feeds `bytes` into both streams.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
         const PRIME: u64 = 0x100_0000_01b3;
         for &b in bytes {
@@ -49,6 +51,7 @@ impl Fnv1a128 {
 
     /// The digest: the low stream's little-endian bytes, then the high
     /// stream's.
+    #[inline]
     pub fn finish(&self) -> [u8; 16] {
         let mut out = [0u8; 16];
         out[..8].copy_from_slice(&self.lo.to_le_bytes());
