@@ -167,12 +167,12 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 /// therefore correct) cover with `truncated` set — once the budget is
 /// spent.
 ///
+/// Answered by the thread's [`MinimizeMemo`](crate::memo::MinimizeMemo)
+/// when one is installed.
+///
 /// # Panics
 ///
 /// Panics on arity mismatch between the three covers.
-///
-/// Answered by the thread's [`MinimizeMemo`](crate::memo::MinimizeMemo)
-/// when one is installed.
 pub fn minimize_with_off_budgeted(
     on: Cover,
     dc: Cover,

@@ -10,8 +10,8 @@
 //! closure. Inside it, every minimization of at most
 //! [`MAX_MEMO_ARITY`] inputs is looked up by a 128-bit digest of its
 //! whole input — arity, effort budget, and the on, dc and off covers
-//! — and the stored [`MinimizeOutcome`] (cover, steps,
-//! truncation) is returned exactly as the loop would have returned it.
+//! — and the stored [`MinimizeOutcome`] (cover, steps, truncation) is
+//! returned exactly as the loop would have returned it.
 //!
 //! Outside any scope nothing is memoized, so batch callers (the paper
 //! sweep, the fault campaigns, the reproduction binary) keep running,
