@@ -18,15 +18,23 @@
 //! Replays run on the compiled simulator with many lanes, packed
 //! [`SLICED_FAULT_LANES`] faults plus one shared golden lane per
 //! pass: lane 0 re-runs the fault-free machine (cross-checked against
-//! the one-lane golden trace every cycle it runs) while lanes `1..`
+//! the one-lane golden run every cycle it runs) while lanes `1..`
 //! each carry one injected fault, so one netlist walk classifies a
-//! whole batch. The golden run also keeps the flip-flop states after
-//! every cycle. Passes take the faults stuck-ats first, then upsets
+//! whole batch. Passes take the faults stuck-ats first, then upsets
 //! by strike cycle; an upset cannot diverge before it strikes, so a
 //! pass of upsets loads the golden checkpoint just before its
-//! earliest strike instead of replaying from reset. Chunks fan out
-//! over [`adgen_exec::par_map`], whose output order is its input
-//! order regardless of the job count, and are scattered back to
+//! earliest strike instead of replaying from reset.
+//!
+//! [`run_campaigns`] runs any number of campaigns as one fan-out over
+//! [`adgen_exec::par_map`]: every campaign's golden run first, then
+//! every pass. A golden run publishes each cycle's output row, and
+//! the checkpoint rows its passes load, as it steps; the passes trail
+//! it on the other workers and wait only when they catch up. Items
+//! are claimed in input order and a golden run never waits, so the
+//! fan-out cannot deadlock, and a golden run that stops early fails
+//! its waiting passes instead of hanging them. [`run_campaign`] is
+//! the one-campaign case. `par_map`'s output order is its input order
+//! regardless of the job count, and the passes are scattered back to
 //! fault-list order, so a campaign report is byte-identical across
 //! `--jobs` settings. Each fault is pure data ([`Fault::id`]), so any
 //! single outcome can be reproduced from the `FAULT=` token in its
@@ -37,6 +45,8 @@
 //! the golden trace and every fault, one at a time, on the
 //! event-driven engine ([`replay_event`]), which never goes through
 //! the gate compiler the compiled engine steps.
+
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use adgen_exec::par_map;
 use adgen_netlist::{EventSimulator, LaneMask, Logic, Netlist, SimControl, Simulator};
@@ -109,28 +119,18 @@ fn stimulus(netlist: &Netlist) -> (Vec<bool>, Vec<bool>) {
 }
 
 /// The shared replay body: injects `fault` into any engine through
-/// the [`SimControl`] surface and records the observable trace. With
-/// `checkpoints`, it also appends the flip-flop states after every
-/// step, the reset step first.
+/// the [`SimControl`] surface and records the observable trace.
 ///
 /// # Panics
 ///
 /// Panics on a stepping failure — campaign inputs are validated
 /// netlists, so this indicates a bug.
-fn replay_on<S: SimControl>(
-    sim: &mut S,
-    spec: &CampaignSpec<'_>,
-    fault: Option<Fault>,
-    mut checkpoints: Option<&mut Vec<Logic>>,
-) -> Trace {
+fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     if let Some(Fault::StuckAt { net, value }) = fault {
         sim.force_net(net, if value { Logic::One } else { Logic::Zero });
     }
     let (reset, run) = stimulus(spec.netlist);
     sim.step_bools(&reset).expect("reset step");
-    if let Some(states) = checkpoints.as_deref_mut() {
-        states.extend(sim.flip_flop_states());
-    }
     let mut outputs = Vec::with_capacity(spec.cycles as usize);
     for cycle in 1..=spec.cycles {
         if let Some(Fault::Seu { ff, cycle: c }) = fault {
@@ -140,28 +140,11 @@ fn replay_on<S: SimControl>(
         }
         sim.step_bools(&run).expect("step");
         outputs.push(sim.output_values());
-        if let Some(states) = checkpoints.as_deref_mut() {
-            states.extend(sim.flip_flop_states());
-        }
     }
     Trace {
         outputs,
         final_states: sim.flip_flop_states(),
     }
-}
-
-/// [`replay`], also handing back the compiled simulator it ran on and
-/// appending the per-step states to `checkpoints` if asked.
-fn replay_compiled<'a>(
-    spec: &CampaignSpec<'a>,
-    fault: Option<Fault>,
-    checkpoints: Option<&mut Vec<Logic>>,
-) -> (Simulator<'a>, Trace) {
-    let _span = obs::span_arg("fault.replay", u64::from(spec.cycles));
-    obs::add(obs::Ctr::FaultReplays, 1);
-    let mut sim = Simulator::new(spec.netlist).expect("campaign netlist must be simulable");
-    let trace = replay_on(&mut sim, spec, fault, checkpoints);
-    (sim, trace)
 }
 
 /// Runs the campaign stimulus on the compiled one-lane simulator with
@@ -172,7 +155,10 @@ fn replay_compiled<'a>(
 /// Panics if the netlist fails simulator construction or stepping —
 /// campaign inputs are validated netlists, so this indicates a bug.
 pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
-    replay_compiled(spec, fault, None).1
+    let _span = obs::span_arg("fault.replay", u64::from(spec.cycles));
+    obs::add(obs::Ctr::FaultReplays, 1);
+    let mut sim = Simulator::new(spec.netlist).expect("campaign netlist must be simulable");
+    replay_on(&mut sim, spec, fault)
 }
 
 /// [`replay`] on the event-driven simulator — the same trace, from an
@@ -185,7 +171,7 @@ pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
 /// As [`replay`].
 pub fn replay_event(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     let mut sim = EventSimulator::new(spec.netlist).expect("campaign netlist must be simulable");
-    replay_on(&mut sim, spec, fault, None)
+    replay_on(&mut sim, spec, fault)
 }
 
 /// Compares a faulty trace against the golden one.
@@ -319,24 +305,169 @@ fn count_classification(class: Classification) {
     }
 }
 
-/// The fault-free run every pass is classified against.
+/// Golden rows published between two wake-ups of the passes waiting
+/// for them; the run also wakes them once at its end. A pass that
+/// catches up with its golden run sleeps through at most this many
+/// golden steps, and the run takes the lock once per batch of rows
+/// rather than once per row.
+const WAKE_EVERY: u32 = 32;
+
+/// The fault-free run every pass of one campaign is classified
+/// against. One `par_map` item steps it ([`Golden::run`]) and
+/// publishes each cycle's row as it goes; passes on other workers
+/// read the rows already published and wait for the rest.
 struct Golden<'a> {
-    /// The one-lane trace the golden lane is cross-checked against.
-    trace: Trace,
-    /// Flip-flop states after every step, one row of
-    /// `trace.final_states.len()` values per step: row 0 after reset,
-    /// row `c` after cycle `c`.
-    checkpoints: Vec<Logic>,
-    /// The one-lane machine that ran it; every pass builds its lanes
-    /// from this machine's compiled program.
-    sim: Simulator<'a>,
+    spec: CampaignSpec<'a>,
+    /// The compiled one-lane machine, powered up: every pass builds
+    /// its lanes from this machine's program.
+    machine: OnceLock<Simulator<'a>>,
+    /// Row `c - 1`: the primary outputs after cycle `c`, followed by
+    /// the flip-flop states after it where `checkpoint[c]` is set.
+    rows: Vec<OnceLock<Box<[Logic]>>>,
+    /// By cycle: whether some pass of upsets starts right after it,
+    /// so its row carries the flip-flop states that pass loads.
+    checkpoint: Vec<bool>,
+    /// The flip-flop states after the last step.
+    final_states: OnceLock<Vec<Logic>>,
+    /// Set when the run stopped before publishing its final states.
+    failed: Mutex<bool>,
+    /// Wakes the passes waiting for something not yet published.
+    published: Condvar,
 }
 
-impl Golden<'_> {
-    /// The golden flip-flop states after cycle `cycle`.
-    fn checkpoint(&self, cycle: u32) -> &[Logic] {
-        let width = self.trace.final_states.len();
-        &self.checkpoints[cycle as usize * width..][..width]
+/// Marks its golden run failed if the run stops before the end (a
+/// panic unwinding through [`Golden::run`]), and wakes every waiting
+/// pass either way, so no pass waits for a row that never comes.
+struct Finish<'g, 'a>(&'g Golden<'a>);
+
+impl Drop for Finish<'_, '_> {
+    fn drop(&mut self) {
+        let golden = self.0;
+        let mut failed = golden.failed.lock().unwrap_or_else(PoisonError::into_inner);
+        *failed = golden.final_states.get().is_none();
+        golden.published.notify_all();
+    }
+}
+
+impl<'a> Golden<'a> {
+    /// An unstarted golden run for `spec`, keeping the checkpoints
+    /// the passes over `sorted` (sorted by [`strike`]) will load.
+    fn new(spec: CampaignSpec<'a>, sorted: &[Fault]) -> Self {
+        let mut checkpoint = vec![false; spec.cycles as usize + 1];
+        for chunk in sorted.chunks(SLICED_FAULT_LANES) {
+            let start = start_cycle(spec.cycles, chunk);
+            if start > 1 {
+                checkpoint[start as usize - 1] = true;
+            }
+        }
+        Golden {
+            spec,
+            machine: OnceLock::new(),
+            rows: (0..spec.cycles).map(|_| OnceLock::new()).collect(),
+            checkpoint,
+            final_states: OnceLock::new(),
+            failed: Mutex::new(false),
+            published: Condvar::new(),
+        }
+    }
+
+    /// Steps the golden machine over the window, publishing the
+    /// compiled machine, every row and the final states. Never waits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist fails simulator construction or stepping
+    /// — campaign inputs are validated netlists, so this indicates a
+    /// bug — or if the run is started twice.
+    fn run(&self) {
+        let _span = obs::span_arg("fault.replay", u64::from(self.spec.cycles));
+        obs::add(obs::Ctr::FaultReplays, 1);
+        let _finish = Finish(self);
+        let mut sim =
+            Simulator::new(self.spec.netlist).expect("campaign netlist must be simulable");
+        self.machine
+            .set(sim.clone())
+            .expect("a golden run starts once");
+        self.wake();
+        let (reset, run) = stimulus(self.spec.netlist);
+        sim.step_bools(&reset).expect("reset step");
+        for (cycle, row) in (1..).zip(&self.rows) {
+            sim.step_bools(&run).expect("step");
+            let mut values = sim.output_values();
+            if self.checkpoint[cycle as usize] {
+                values.extend(sim.flip_flop_states());
+            }
+            row.set(values.into_boxed_slice())
+                .expect("a golden row is published once");
+            if cycle % WAKE_EVERY == 0 {
+                self.wake();
+            }
+        }
+        self.final_states
+            .set(sim.flip_flop_states())
+            .expect("the final states are published once");
+    }
+
+    /// Wakes every pass waiting for something published since.
+    fn wake(&self) {
+        let _failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
+        self.published.notify_all();
+    }
+
+    /// What `cell` holds once the run has published it; `None` if the
+    /// run failed first.
+    fn wait<'s, T>(&self, cell: &'s OnceLock<T>) -> Option<&'s T> {
+        if let Some(value) = cell.get() {
+            return Some(value);
+        }
+        let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            // The run publishes before it takes the lock to wake, so
+            // a value it published before this check is seen here,
+            // and one published after it comes with a wake-up.
+            if let Some(value) = cell.get() {
+                return Some(value);
+            }
+            if *failed {
+                return None;
+            }
+            failed = self
+                .published
+                .wait(failed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The compiled one-lane machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run failed before compiling it.
+    fn machine(&self) -> &Simulator<'a> {
+        self.wait(&self.machine)
+            .expect("the golden run failed before compiling its machine")
+    }
+
+    /// The golden row after cycle `cycle` (1-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run failed before publishing it.
+    fn row(&self, cycle: u32) -> &[Logic] {
+        self.wait(&self.rows[cycle as usize - 1])
+            .unwrap_or_else(|| {
+                panic!("the golden run failed before publishing its cycle {cycle} row")
+            })
+    }
+
+    /// The golden flip-flop states after the last cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run failed before reaching them.
+    fn final_states(&self) -> &[Logic] {
+        self.wait(&self.final_states)
+            .expect("the golden run failed before publishing its final states")
     }
 }
 
@@ -350,34 +481,43 @@ fn strike(fault: &Fault) -> Option<u32> {
     }
 }
 
+/// The first cycle a pass over `chunk` (sorted by [`strike`]) steps.
+/// A pass with a stuck-at runs from reset (cycle 1). A pass of upsets
+/// starts at its earliest strike, since no lane can leave the golden
+/// machine before it, clamped to `1..=cycles + 1`: a pass whose every
+/// strike falls past the window steps nothing.
+fn start_cycle(cycles: u32, chunk: &[Fault]) -> u32 {
+    match chunk.first().and_then(strike) {
+        Some(s) => s.clamp(1, cycles.saturating_add(1)),
+        None => 1,
+    }
+}
+
 /// Replays and classifies up to [`SLICED_FAULT_LANES`] faults in one
 /// bit-sliced pass: lane 0 is the shared golden lane, lane `k + 1`
 /// carries `chunk[k]`. The golden lane is cross-checked against the
-/// one-lane golden trace every cycle the pass runs, so a word-seam or
+/// one-lane golden rows every cycle the pass runs, so a word-seam or
 /// lane-mask defect cannot silently misclassify a batch.
 ///
-/// `chunk` is sorted by [`strike`]. A pass of upsets only starts at
-/// its earliest strike `s`: no lane can leave the golden machine
-/// before it, so for `s > 1` every lane loads the golden checkpoint
-/// after cycle `s - 1` and the pass steps from cycle `s` (a strike
-/// past the window loads the final states and steps nothing). A pass
-/// with a stuck-at runs from reset.
+/// `chunk` is sorted by [`strike`]. The pass steps from its
+/// [`start_cycle`] `s`: for `s > 1` every lane loads the golden
+/// checkpoint after cycle `s - 1`, otherwise the pass steps the reset
+/// cycle first. It trails the golden run, waiting only for rows not
+/// yet published.
 ///
 /// # Panics
 ///
-/// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`], or on any
-/// golden-lane divergence from the one-lane trace.
-fn classify_chunk(
-    spec: &CampaignSpec<'_>,
-    golden: &Golden<'_>,
-    chunk: &[Fault],
-) -> Vec<Classification> {
+/// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`], on any golden-lane
+/// divergence from the one-lane rows, or if the golden run failed
+/// before publishing a row the pass needs.
+fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
     assert!(chunk.len() <= SLICED_FAULT_LANES, "chunk exceeds one word");
+    let spec = &golden.spec;
     let _span = obs::span_arg("fault.replay.sliced", chunk.len() as u64);
     obs::add(obs::Ctr::FaultReplays, chunk.len() as u64);
     let lanes = chunk.len() + 1;
     let mut sim = golden
-        .sim
+        .machine()
         .fresh_with_lanes(lanes)
         .expect("a pass has at least the golden lane");
     for (k, fault) in chunk.iter().enumerate() {
@@ -391,28 +531,30 @@ fn classify_chunk(
     let mut pending = active & !1;
     let mut classes = vec![Classification::Benign; chunk.len()];
     let outs = spec.netlist.outputs();
-    let num_states = golden.trace.final_states.len();
     let (reset, run) = stimulus(spec.netlist);
-    let start = match chunk.first().and_then(strike) {
-        Some(s) => s.clamp(1, spec.cycles.saturating_add(1)),
-        None => 1,
-    };
+    let start = start_cycle(spec.cycles, chunk);
     if start > 1 {
-        sim.load_flip_flop_states(golden.checkpoint(start - 1))
+        sim.load_flip_flop_states(&golden.row(start - 1)[outs.len()..])
             .expect("checkpoint rows are one state per flip-flop");
     } else {
         sim.step_bools(&reset).expect("reset step");
     }
+    // The first upset not yet struck: the chunk's upsets follow its
+    // stuck-ats in strike order.
+    let mut next_upset = chunk.partition_point(|f| strike(f).is_none());
     for cycle in start..=spec.cycles {
-        for (k, fault) in chunk.iter().enumerate() {
-            if let Fault::Seu { ff, cycle: c } = *fault {
-                if c == cycle {
-                    sim.upset_flip_flop_lanes(ff, &LaneMask::single(k + 1, lanes));
-                }
+        while let Some(&Fault::Seu { ff, cycle: c }) = chunk.get(next_upset) {
+            if c > cycle {
+                break;
             }
+            // An upset before the window's first cycle never strikes.
+            if c == cycle {
+                sim.upset_flip_flop_lanes(ff, &LaneMask::single(next_upset + 1, lanes));
+            }
+            next_upset += 1;
         }
         sim.step_bools(&run).expect("step");
-        let grow = &golden.trace.outputs[cycle as usize - 1];
+        let grow = golden.row(cycle);
         // The alarm firing takes precedence over plain divergence,
         // exactly as in the per-trace `classify`.
         if let Some(a) = spec.alarm_output {
@@ -442,26 +584,27 @@ fn classify_chunk(
             break;
         }
     }
-    for (k, class) in classes.iter_mut().enumerate() {
-        let lane = k + 1;
-        if pending >> lane & 1 == 0 {
-            continue;
-        }
-        let states = sim.flip_flop_states_lane(lane);
-        assert_eq!(states.len(), num_states, "state vector width");
-        *class = if states == golden.trace.final_states {
-            Classification::Benign
-        } else {
-            Classification::Silent
-        };
-    }
-    // The golden lane's latent state must match the one-lane trace too
+    // The golden lane's latent state must match the one-lane run too
     // (only checked when the loop ran the full window — an early
     // break means every lane was classified by then).
     if pending != 0 || spec.cycles == 0 {
+        let final_states = golden.final_states();
+        for (k, class) in classes.iter_mut().enumerate() {
+            let lane = k + 1;
+            if pending >> lane & 1 == 0 {
+                continue;
+            }
+            let states = sim.flip_flop_states_lane(lane);
+            assert_eq!(states.len(), final_states.len(), "state vector width");
+            *class = if states == final_states {
+                Classification::Benign
+            } else {
+                Classification::Silent
+            };
+        }
         assert_eq!(
             sim.flip_flop_states_lane(0),
-            golden.trace.final_states,
+            final_states,
             "golden lane final state diverged"
         );
     }
@@ -486,51 +629,113 @@ fn mark_detected(
     *pending &= !hits;
 }
 
-/// Replays and classifies every fault in `faults` on the compiled
-/// engine, [`SLICED_FAULT_LANES`] faults plus one golden lane per
-/// pass, fanning the passes out over `jobs` worker threads. The
-/// golden trace and its per-cycle checkpoints come from one one-lane
-/// run, whose compiled program every pass reuses. Passes take the
-/// faults stuck-ats first, then upsets by strike cycle, so each pass
-/// of upsets starts at its earliest strike; the results are scattered
-/// back, so output order equals `faults` order — and classifications
-/// are identical to [`run_campaign_scalar`] — for any job count.
-pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> CampaignReport {
-    let _span = obs::span_arg("fault.campaign", faults.len() as u64);
-    let steps = spec.cycles as usize + 1;
-    let mut checkpoints = Vec::with_capacity(steps * spec.netlist.num_flip_flops());
-    let (sim, trace) = replay_compiled(spec, None, Some(&mut checkpoints));
-    let golden = Golden {
-        trace,
-        checkpoints,
-        sim,
-    };
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| strike(&faults[i]));
-    let sorted: Vec<Fault> = order.iter().map(|&i| faults[i]).collect();
-    let chunks: Vec<&[Fault]> = sorted.chunks(SLICED_FAULT_LANES).collect();
-    let per_chunk = par_map(&chunks, jobs, |_, &chunk| {
-        let classes = classify_chunk(spec, &golden, chunk);
-        if obs::enabled() {
-            for &class in &classes {
-                count_classification(class);
-            }
-        }
-        classes
-    });
-    let mut classes = vec![Classification::Benign; faults.len()];
-    for (&i, class) in order.iter().zip(per_chunk.into_iter().flatten()) {
-        classes[i] = class;
-    }
-    let outcomes = faults
+/// One `par_map` item of [`run_campaigns`].
+enum Item<'g, 'a> {
+    /// A campaign's golden run.
+    Golden(&'g Golden<'a>),
+    /// One pass of a campaign's faults, trailing its golden run.
+    Pass(&'g Golden<'a>, &'g [Fault]),
+}
+
+/// Replays and classifies every fault of every campaign on the
+/// compiled engine, [`SLICED_FAULT_LANES`] faults plus one golden lane
+/// per pass, in one fan-out over `jobs` worker threads.
+///
+/// The fan-out's items are every campaign's golden run, then every
+/// campaign's passes. Each golden run is one one-lane run whose
+/// compiled program that campaign's passes reuse; it publishes each
+/// cycle's output row, and the checkpoints its passes load, as it
+/// steps. A pass trails its golden run on another worker and waits
+/// only when it catches up. Items are claimed in input order, so
+/// every golden run is running before any pass waits on it, and a
+/// golden run never waits: the fan-out cannot deadlock, and at one
+/// job the items simply run in order.
+///
+/// Passes take each campaign's faults stuck-ats first, then upsets by
+/// strike cycle, so each pass of upsets starts at its earliest strike;
+/// the results are scattered back, so each report's outcome order
+/// equals its fault list's order — and classifications are identical
+/// to [`run_campaign_scalar`] — for any job count. One report per
+/// campaign, in input order.
+///
+/// # Panics
+///
+/// Panics if a golden run or a pass panics (a golden run that stops
+/// early fails every pass still waiting on it instead of hanging
+/// them), or on any golden-lane divergence.
+pub fn run_campaigns(
+    campaigns: &[(CampaignSpec<'_>, &[Fault])],
+    jobs: usize,
+) -> Vec<CampaignReport> {
+    let total: usize = campaigns.iter().map(|(_, faults)| faults.len()).sum();
+    let _span = obs::span_arg("fault.campaign", total as u64);
+    // Each campaign's fault-list positions in pass order, and its
+    // faults in that order.
+    let plans: Vec<(Vec<usize>, Vec<Fault>)> = campaigns
         .iter()
-        .zip(classes)
-        .map(|(&fault, class)| FaultOutcome { fault, class })
+        .map(|(_, faults)| {
+            let mut order: Vec<usize> = (0..faults.len()).collect();
+            order.sort_by_key(|&i| strike(&faults[i]));
+            let sorted = order.iter().map(|&i| faults[i]).collect();
+            (order, sorted)
+        })
         .collect();
-    CampaignReport {
-        cycles: spec.cycles,
-        outcomes,
-    }
+    let goldens: Vec<Golden<'_>> = campaigns
+        .iter()
+        .zip(&plans)
+        .map(|((spec, _), (_, sorted))| Golden::new(*spec, sorted))
+        .collect();
+    let passes = goldens
+        .iter()
+        .zip(&plans)
+        .flat_map(|(golden, (_, sorted))| {
+            sorted
+                .chunks(SLICED_FAULT_LANES)
+                .map(move |chunk| Item::Pass(golden, chunk))
+        });
+    let items: Vec<Item<'_, '_>> = goldens.iter().map(Item::Golden).chain(passes).collect();
+    let per_item = par_map(&items, jobs, |_, item| match *item {
+        Item::Golden(golden) => {
+            golden.run();
+            Vec::new()
+        }
+        Item::Pass(golden, chunk) => {
+            let classes = classify_chunk(golden, chunk);
+            if obs::enabled() {
+                for &class in &classes {
+                    count_classification(class);
+                }
+            }
+            classes
+        }
+    });
+    let mut per_pass = per_item.into_iter().skip(goldens.len());
+    campaigns
+        .iter()
+        .zip(plans)
+        .map(|((spec, faults), (order, _))| {
+            let passes = faults.len().div_ceil(SLICED_FAULT_LANES);
+            let mut classes = vec![Classification::Benign; faults.len()];
+            for (&i, class) in order.iter().zip(per_pass.by_ref().take(passes).flatten()) {
+                classes[i] = class;
+            }
+            let outcomes = faults
+                .iter()
+                .zip(classes)
+                .map(|(&fault, class)| FaultOutcome { fault, class })
+                .collect();
+            CampaignReport {
+                cycles: spec.cycles,
+                outcomes,
+            }
+        })
+        .collect()
+}
+
+/// [`run_campaigns`] over the one campaign `spec` with `faults`.
+pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> CampaignReport {
+    let mut reports = run_campaigns(&[(*spec, faults)], jobs);
+    reports.pop().expect("one report per campaign")
 }
 
 /// The campaign-level oracle: the golden trace and one replay per
@@ -565,4 +770,78 @@ pub fn repro_line(seed: u64, fault: &Fault) -> String {
         "SEED={seed} FAULT={id} reproduce: cargo run --release -p adgen-bench --bin faultcamp -- --seed {seed} --fault {id}",
         id = fault.id()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adgen_core::{SragNetlist, SragSpec};
+
+    #[test]
+    fn a_pass_waiting_on_a_failed_golden_run_panics() {
+        let design = SragNetlist::elaborate(&SragSpec::ring(4)).unwrap();
+        let spec = CampaignSpec {
+            netlist: &design.netlist,
+            cycles: 8,
+            alarm_output: None,
+        };
+        let faults = [Fault::StuckAt {
+            net: design.select_lines[0],
+            value: false,
+        }];
+        let golden = Golden::new(spec, &faults);
+        // The run compiled its machine, then stopped before publishing
+        // cycle 1's row, as a panicking run would.
+        golden
+            .machine
+            .set(Simulator::new(spec.netlist).unwrap())
+            .unwrap();
+        let outcome = std::thread::scope(|scope| {
+            let pass = scope.spawn(|| classify_chunk(&golden, &faults));
+            // Give the pass time to start waiting for the row.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(Finish(&golden));
+            pass.join()
+        });
+        let payload = outcome.expect_err("the pass must panic, not block or classify");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert_eq!(
+            message,
+            "the golden run failed before publishing its cycle 1 row"
+        );
+    }
+
+    #[test]
+    fn a_finished_golden_run_never_blocks_its_passes() {
+        let design = SragNetlist::elaborate(&SragSpec::ring(4)).unwrap();
+        let spec = CampaignSpec {
+            netlist: &design.netlist,
+            cycles: 2 * WAKE_EVERY + 3,
+            alarm_output: None,
+        };
+        let faults = [Fault::StuckAt {
+            net: design.select_lines[1],
+            value: true,
+        }];
+        let golden = Golden::new(spec, &faults);
+        golden.run();
+        assert!(!*golden.failed.lock().unwrap());
+        let trace = replay(&spec, None);
+        for (cycle, outputs) in (1..).zip(&trace.outputs) {
+            assert_eq!(golden.row(cycle), outputs.as_slice(), "cycle {cycle}");
+        }
+        assert_eq!(golden.final_states(), trace.final_states.as_slice());
+        assert_eq!(
+            classify_chunk(&golden, &faults),
+            [classify(
+                &trace,
+                &replay(&spec, Some(faults[0])),
+                spec.alarm_output
+            )]
+        );
+    }
 }

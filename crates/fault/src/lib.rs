@@ -19,8 +19,10 @@
 //!   pass, each pass of upsets started from the golden checkpoint
 //!   before its earliest strike, with the event-driven engine kept as
 //!   a from-reset differential oracle),
-//!   detected / silent / benign classification, jobs-invariant
-//!   parallel fan-out, and fuzz-style reproduction lines.
+//!   detected / silent / benign classification, one jobs-invariant
+//!   parallel fan-out per call ([`run_campaigns`]) in which the passes
+//!   trail the golden rows as they are published, and fuzz-style
+//!   reproduction lines.
 //!
 //! # Example
 //!
@@ -43,8 +45,8 @@ pub mod campaign;
 pub mod model;
 
 pub use campaign::{
-    classify, replay, replay_event, repro_line, run_campaign, run_campaign_scalar, CampaignReport,
-    CampaignSpec, Classification, FaultOutcome, Trace, SLICED_FAULT_LANES,
+    classify, replay, replay_event, repro_line, run_campaign, run_campaign_scalar, run_campaigns,
+    CampaignReport, CampaignSpec, Classification, FaultOutcome, Trace, SLICED_FAULT_LANES,
 };
 pub use model::{
     driving_flip_flops, enumerate_stuck_at, fault_universe, flip_flop_ids, sample_seus, Fault,

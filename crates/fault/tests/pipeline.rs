@@ -1,9 +1,10 @@
 //! The campaign engine's output, pinned: the plain, hardened and
 //! CntAG select-line campaigns on the 8x8 motion-estimation designs
-//! hash to one recorded digest at every job count, and the engine's
-//! edge windows (0 and 1 observed cycles, an empty fault list, a pass
-//! whose every strike falls past the window) classify exactly as the
-//! event-driven oracle does.
+//! hash to one recorded digest at every job count, run alone or all
+//! three in one `run_campaigns` fan-out, and the engine's edge windows
+//! (0 and 1 observed cycles, an empty fault list, a pass whose every
+//! strike falls past the window) classify exactly as the event-driven
+//! oracle does.
 //!
 //! The digest was recorded before the engine pipelined its passes
 //! behind the golden run; it is never re-blessed. A change to the
@@ -14,7 +15,7 @@ use adgen_core::composite::Srag2d;
 use adgen_exec::Fnv1a128;
 use adgen_fault::{
     driving_flip_flops, fault_universe, flip_flop_ids, run_campaign, run_campaign_scalar,
-    CampaignReport, CampaignSpec, Fault, SLICED_FAULT_LANES,
+    run_campaigns, CampaignReport, CampaignSpec, Fault, SLICED_FAULT_LANES,
 };
 use adgen_netlist::{InstId, NetId, Netlist};
 use adgen_seq::{workloads, ArrayShape, Layout};
@@ -109,6 +110,15 @@ fn alone(campaigns: &[(CampaignSpec<'_>, Vec<Fault>)], jobs: usize) -> Vec<Campa
         .collect()
 }
 
+/// All campaigns in one fan-out.
+fn together(campaigns: &[(CampaignSpec<'_>, Vec<Fault>)], jobs: usize) -> Vec<CampaignReport> {
+    let batch: Vec<(CampaignSpec<'_>, &[Fault])> = campaigns
+        .iter()
+        .map(|(spec, faults)| (*spec, faults.as_slice()))
+        .collect();
+    run_campaigns(&batch, jobs)
+}
+
 fn digest(reports: &[CampaignReport]) -> String {
     let mut h = Fnv1a128::default();
     for report in reports {
@@ -129,8 +139,9 @@ fn the_motion_estimation_reports_match_their_pinned_digest() {
     }
     let serial = alone(&campaigns, 1);
     assert_eq!(digest(&serial), PINNED_DIGEST);
-    for jobs in [2, 4] {
-        assert_eq!(alone(&campaigns, jobs), serial, "jobs {jobs}");
+    for jobs in [1, 2, 4] {
+        assert_eq!(alone(&campaigns, jobs), serial, "alone, jobs {jobs}");
+        assert_eq!(together(&campaigns, jobs), serial, "together, jobs {jobs}");
     }
 }
 

@@ -4,10 +4,14 @@
 //! this true by capturing each item's recording on its worker thread
 //! and splicing them back in input order; these tests pin the
 //! contract end-to-end through the two heaviest consumers, the fuzz
-//! case loop and a fault-injection campaign.
+//! case loop and the fault-injection campaigns, one alone and two in
+//! one pipelined fan-out.
 
-use adgen_core::{SragNetlist, SragSpec};
-use adgen_fault::{enumerate_stuck_at, run_campaign, CampaignSpec};
+use adgen_core::{HardenedSragNetlist, SragNetlist, SragSpec};
+use adgen_fault::{
+    driving_flip_flops, enumerate_stuck_at, run_campaign, run_campaigns, sample_seus, CampaignSpec,
+    SLICED_FAULT_LANES,
+};
 use adgen_fuzz::{run_fuzz, FuzzConfig};
 use adgen_obs as obs;
 
@@ -80,6 +84,56 @@ fn fault_campaign_is_jobs_invariant() {
         + serial.counter(obs::Ctr::FaultSilent)
         + serial.counter(obs::Ctr::FaultBenign);
     assert_eq!(classified, num_faults as u64);
+}
+
+fn campaigns_recording(jobs: usize) -> (obs::Recording, usize, usize) {
+    let plain = SragNetlist::elaborate(&SragSpec::ring(6)).expect("ring elaborates");
+    let hard = HardenedSragNetlist::elaborate(&SragSpec::ring(5)).expect("ring elaborates");
+    let mut plain_faults = enumerate_stuck_at(&plain.netlist);
+    let plain_ffs = driving_flip_flops(&plain.netlist, &plain.select_lines);
+    plain_faults.extend(sample_seus(&plain_ffs, 11, 90, 3));
+    let mut hard_faults = enumerate_stuck_at(&hard.netlist);
+    let hard_ffs = driving_flip_flops(&hard.netlist, &hard.ring_ffs);
+    hard_faults.extend(sample_seus(&hard_ffs, 11, 90, 4));
+    let plain_spec = CampaignSpec {
+        netlist: &plain.netlist,
+        cycles: 12,
+        alarm_output: None,
+    };
+    let hard_spec = CampaignSpec {
+        netlist: &hard.netlist,
+        cycles: 12,
+        alarm_output: Some(hard.alarm_output_index()),
+    };
+    obs::start();
+    let reports = run_campaigns(
+        &[(plain_spec, &plain_faults), (hard_spec, &hard_faults)],
+        jobs,
+    );
+    let rec = obs::take();
+    assert_eq!(reports.len(), 2);
+    let chunks = [&plain_faults, &hard_faults]
+        .iter()
+        .map(|faults| faults.len().div_ceil(SLICED_FAULT_LANES))
+        .sum();
+    (rec, plain_faults.len() + hard_faults.len(), chunks)
+}
+
+#[test]
+fn two_pipelined_campaigns_are_jobs_invariant() {
+    let (serial, num_faults, chunks) = campaigns_recording(1);
+    let (parallel, _, _) = campaigns_recording(4);
+    assert_jobs_invariant(&serial, &parallel);
+    assert!(chunks > 2, "each campaign spans several passes");
+
+    // One fan-out: every pass plus one golden run per campaign, and
+    // one replay per fault plus one golden replay per campaign.
+    assert_eq!(serial.counter(obs::Ctr::ParMapCalls), 1);
+    assert_eq!(serial.counter(obs::Ctr::ParMapItems), chunks as u64 + 2);
+    assert_eq!(
+        serial.counter(obs::Ctr::FaultReplays),
+        num_faults as u64 + 2
+    );
 }
 
 /// The nondeterministic surfaces really are confined to what

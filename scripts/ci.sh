@@ -17,7 +17,13 @@
 #                         fast compute is; and the minimization-memo
 #                         differential test under the release profile,
 #                         because which worker leads and which waits
-#                         on a shared input changes with compute speed)
+#                         on a shared input changes with compute speed;
+#                         and the fault crate's tests and the
+#                         jobs-invariance tests under the release
+#                         profile within `timeout 300`, because fault
+#                         passes wait on golden rows another worker
+#                         publishes, so a lost wake-up must fail the
+#                         run rather than hang it)
 #   5. fuzz smoke        (fixed-seed differential fuzz, 200 cases,
 #                         plus the two --dev-break demos, which must
 #                         exit 1; every fuzz run's stdout, here and in
@@ -175,6 +181,10 @@ cargo test --workspace -q
 echo "==> serve e2e + memo differential (release profile)"
 cargo test --release -q -p adgen-serve --test e2e
 cargo test --release -q -p adgen-serve --lib the_minimization_memo_changes_no_response_byte
+
+echo "==> fault pipeline + jobs-invariance (release profile, 300 s timeout)"
+timeout 300 cargo test --release -q -p adgen-fault
+timeout 300 cargo test --release -q -p adgen-obs --test jobs_invariance
 
 echo "==> fuzz smoke (fixed seed, deterministic, stdout byte-compared)"
 fuzz_golden fuzz_seed1 0 --iters 200 --seed 1
