@@ -46,6 +46,7 @@
 //! event-driven engine ([`replay_event`]), which never goes through
 //! the gate compiler the compiled engine steps.
 
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use adgen_exec::par_map;
@@ -305,47 +306,71 @@ fn count_classification(class: Classification) {
     }
 }
 
-/// Golden rows published between two wake-ups of the passes waiting
+/// Golden cycles published between two wake-ups of the passes waiting
 /// for them; the run also wakes them once at its end. A pass that
 /// catches up with its golden run sleeps through at most this many
-/// golden steps, and the run takes the lock once per batch of rows
-/// rather than once per row.
-const WAKE_EVERY: u32 = 32;
+/// golden steps, and the run takes the lock once per batch of cycles
+/// rather than once per cycle.
+const WAKE_EVERY: usize = 32;
+
+/// The byte a golden row stores `value` as.
+fn code(value: Logic) -> u8 {
+    match value {
+        Logic::Zero => 0,
+        Logic::One => 1,
+        Logic::X => 2,
+    }
+}
+
+/// The value a golden row's byte holds.
+fn logic(code: &AtomicU8) -> Logic {
+    match code.load(Ordering::Relaxed) {
+        0 => Logic::Zero,
+        1 => Logic::One,
+        _ => Logic::X,
+    }
+}
 
 /// The fault-free run every pass of one campaign is classified
 /// against. One `par_map` item steps it ([`Golden::run`]) and
-/// publishes each cycle's row as it goes; passes on other workers
-/// read the rows already published and wait for the rest.
+/// publishes each cycle's values as it goes; passes on other workers
+/// read the cycles already published and wait for the rest. All rows
+/// are allocated up front by the caller, so the run itself allocates
+/// nothing per cycle.
 struct Golden<'a> {
     spec: CampaignSpec<'a>,
     /// The compiled one-lane machine, powered up: every pass builds
-    /// its lanes from this machine's program.
+    /// its lanes from this machine's program. Set before cycle 0 is
+    /// published.
     machine: OnceLock<Simulator<'a>>,
-    /// Row `c - 1`: the primary outputs after cycle `c`, followed by
-    /// the flip-flop states after it where `checkpoint[c]` is set.
-    rows: Vec<OnceLock<Box<[Logic]>>>,
-    /// By cycle: whether some pass of upsets starts right after it,
-    /// so its row carries the flip-flop states that pass loads.
-    checkpoint: Vec<bool>,
-    /// The flip-flop states after the last step.
-    final_states: OnceLock<Vec<Logic>>,
-    /// Set when the run stopped before publishing its final states.
+    /// The primary outputs after each cycle, one row per cycle: row
+    /// `c - 1` holds those after cycle `c`.
+    outputs: Box<[AtomicU8]>,
+    /// The flip-flop states after the cycles some pass of upsets
+    /// starts right after, and after the last cycle, one row each.
+    states: Box<[AtomicU8]>,
+    /// By cycle (0 is the reset cycle): its row in `states`, if kept.
+    state_row: Vec<Option<usize>>,
+    /// Cycles published, the reset cycle included: cycle `c` is
+    /// readable once this exceeds `c`.
+    published: AtomicUsize,
+    /// Set when the run stopped before publishing its last cycle.
     failed: Mutex<bool>,
-    /// Wakes the passes waiting for something not yet published.
-    published: Condvar,
+    /// Wakes the passes waiting for a cycle not yet published.
+    wake: Condvar,
 }
 
 /// Marks its golden run failed if the run stops before the end (a
 /// panic unwinding through [`Golden::run`]), and wakes every waiting
-/// pass either way, so no pass waits for a row that never comes.
+/// pass either way, so no pass waits for a cycle that never comes.
 struct Finish<'g, 'a>(&'g Golden<'a>);
 
 impl Drop for Finish<'_, '_> {
     fn drop(&mut self) {
         let golden = self.0;
         let mut failed = golden.failed.lock().unwrap_or_else(PoisonError::into_inner);
-        *failed = golden.final_states.get().is_none();
-        golden.published.notify_all();
+        *failed = golden.published.load(Ordering::Acquire) <= golden.spec.cycles as usize;
+        golden.wake.notify_all();
     }
 }
 
@@ -353,26 +378,38 @@ impl<'a> Golden<'a> {
     /// An unstarted golden run for `spec`, keeping the checkpoints
     /// the passes over `sorted` (sorted by [`strike`]) will load.
     fn new(spec: CampaignSpec<'a>, sorted: &[Fault]) -> Self {
-        let mut checkpoint = vec![false; spec.cycles as usize + 1];
+        let cycles = spec.cycles as usize;
+        let mut kept = vec![false; cycles + 1];
+        kept[cycles] = true;
         for chunk in sorted.chunks(SLICED_FAULT_LANES) {
-            let start = start_cycle(spec.cycles, chunk);
+            let start = start_cycle(spec.cycles, chunk) as usize;
             if start > 1 {
-                checkpoint[start as usize - 1] = true;
+                kept[start - 1] = true;
             }
         }
+        let mut rows = 0;
+        let state_row = kept
+            .into_iter()
+            .map(|keep| {
+                rows += usize::from(keep);
+                keep.then_some(rows - 1)
+            })
+            .collect();
+        let bytes = |n: usize| (0..n).map(|_| AtomicU8::new(0)).collect();
         Golden {
             spec,
             machine: OnceLock::new(),
-            rows: (0..spec.cycles).map(|_| OnceLock::new()).collect(),
-            checkpoint,
-            final_states: OnceLock::new(),
+            outputs: bytes(cycles * spec.netlist.outputs().len()),
+            states: bytes(rows * spec.netlist.num_flip_flops()),
+            state_row,
+            published: AtomicUsize::new(0),
             failed: Mutex::new(false),
-            published: Condvar::new(),
+            wake: Condvar::new(),
         }
     }
 
     /// Steps the golden machine over the window, publishing the
-    /// compiled machine, every row and the final states. Never waits.
+    /// compiled machine and every cycle's values. Never waits.
     ///
     /// # Panics
     ///
@@ -388,86 +425,90 @@ impl<'a> Golden<'a> {
         self.machine
             .set(sim.clone())
             .expect("a golden run starts once");
-        self.wake();
         let (reset, run) = stimulus(self.spec.netlist);
         sim.step_bools(&reset).expect("reset step");
-        for (cycle, row) in (1..).zip(&self.rows) {
+        self.publish(0, &sim);
+        let outs = self.spec.netlist.outputs();
+        for cycle in 1..=self.spec.cycles as usize {
             sim.step_bools(&run).expect("step");
-            let mut values = sim.output_values();
-            if self.checkpoint[cycle as usize] {
-                values.extend(sim.flip_flop_states());
+            let row = &self.outputs[(cycle - 1) * outs.len()..][..outs.len()];
+            for (slot, &net) in row.iter().zip(outs) {
+                slot.store(code(sim.value(net)), Ordering::Relaxed);
             }
-            row.set(values.into_boxed_slice())
-                .expect("a golden row is published once");
-            if cycle % WAKE_EVERY == 0 {
-                self.wake();
+            self.publish(cycle, &sim);
+        }
+    }
+
+    /// Records `sim`'s flip-flop states after `cycle` if a pass needs
+    /// them, then publishes the cycle.
+    fn publish(&self, cycle: usize, sim: &Simulator<'_>) {
+        if let Some(row) = self.state_row[cycle] {
+            let width = self.spec.netlist.num_flip_flops();
+            for (slot, v) in self.states[row * width..][..width]
+                .iter()
+                .zip(sim.flip_flop_states())
+            {
+                slot.store(code(v), Ordering::Relaxed);
             }
         }
-        self.final_states
-            .set(sim.flip_flop_states())
-            .expect("the final states are published once");
+        self.published.store(cycle + 1, Ordering::Release);
+        if cycle.is_multiple_of(WAKE_EVERY) {
+            let _failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
+            self.wake.notify_all();
+        }
     }
 
-    /// Wakes every pass waiting for something published since.
-    fn wake(&self) {
-        let _failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
-        self.published.notify_all();
-    }
-
-    /// What `cell` holds once the run has published it; `None` if the
-    /// run failed first.
-    fn wait<'s, T>(&self, cell: &'s OnceLock<T>) -> Option<&'s T> {
-        if let Some(value) = cell.get() {
-            return Some(value);
+    /// Returns once `cycle` is published.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run failed before publishing it.
+    fn wait_for(&self, cycle: usize) {
+        let ready = || self.published.load(Ordering::Acquire) > cycle;
+        if ready() {
+            return;
         }
         let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            // The run publishes before it takes the lock to wake, so
-            // a value it published before this check is seen here,
-            // and one published after it comes with a wake-up.
-            if let Some(value) = cell.get() {
-                return Some(value);
-            }
+        // The run publishes before it takes the lock to wake, so a
+        // cycle it published before this check is seen here, and one
+        // published after it comes with a wake-up.
+        while !ready() {
             if *failed {
-                return None;
+                drop(failed);
+                panic!("the golden run failed before publishing cycle {cycle}");
             }
             failed = self
-                .published
+                .wake
                 .wait(failed)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// The compiled one-lane machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run failed before compiling it.
     fn machine(&self) -> &Simulator<'a> {
-        self.wait(&self.machine)
-            .expect("the golden run failed before compiling its machine")
+        self.wait_for(0);
+        self.machine
+            .get()
+            .expect("the machine is set before cycle 0 is published")
     }
 
-    /// The golden row after cycle `cycle` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run failed before publishing it.
-    fn row(&self, cycle: u32) -> &[Logic] {
-        self.wait(&self.rows[cycle as usize - 1])
-            .unwrap_or_else(|| {
-                panic!("the golden run failed before publishing its cycle {cycle} row")
-            })
+    /// The golden outputs after cycle `cycle` (1-based).
+    fn outputs(&self, cycle: u32) -> &[AtomicU8] {
+        self.wait_for(cycle as usize);
+        let width = self.spec.netlist.outputs().len();
+        &self.outputs[(cycle as usize - 1) * width..][..width]
     }
 
-    /// The golden flip-flop states after the last cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run failed before reaching them.
-    fn final_states(&self) -> &[Logic] {
-        self.wait(&self.final_states)
-            .expect("the golden run failed before publishing its final states")
+    /// The golden flip-flop states after `cycle`, which must be the
+    /// last cycle or one some pass starts right after.
+    fn states(&self, cycle: u32) -> Vec<Logic> {
+        self.wait_for(cycle as usize);
+        let width = self.spec.netlist.num_flip_flops();
+        let row = self.state_row[cycle as usize].expect("the states after this cycle are kept");
+        self.states[row * width..][..width]
+            .iter()
+            .map(logic)
+            .collect()
     }
 }
 
@@ -534,7 +575,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
     let (reset, run) = stimulus(spec.netlist);
     let start = start_cycle(spec.cycles, chunk);
     if start > 1 {
-        sim.load_flip_flop_states(&golden.row(start - 1)[outs.len()..])
+        sim.load_flip_flop_states(&golden.states(start - 1))
             .expect("checkpoint rows are one state per flip-flop");
     } else {
         sim.step_bools(&reset).expect("reset step");
@@ -554,7 +595,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
             next_upset += 1;
         }
         sim.step_bools(&run).expect("step");
-        let grow = golden.row(cycle);
+        let grow = golden.outputs(cycle);
         // The alarm firing takes precedence over plain divergence,
         // exactly as in the per-trace `classify`.
         if let Some(a) = spec.alarm_output {
@@ -566,7 +607,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
         for (j, &net) in outs.iter().enumerate() {
             let (ones, xs) = sim.packed_value(net, 0);
             // Lanes whose value differs from the golden row's value.
-            let diff = match grow[j] {
+            let diff = match logic(&grow[j]) {
                 Logic::One => active & !ones,
                 Logic::Zero => ones | xs,
                 Logic::X => active & !xs,
@@ -588,7 +629,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
     // (only checked when the loop ran the full window — an early
     // break means every lane was classified by then).
     if pending != 0 || spec.cycles == 0 {
-        let final_states = golden.final_states();
+        let final_states = golden.states(spec.cycles);
         for (k, class) in classes.iter_mut().enumerate() {
             let lane = k + 1;
             if pending >> lane & 1 == 0 {
@@ -790,15 +831,17 @@ mod tests {
             value: false,
         }];
         let golden = Golden::new(spec, &faults);
-        // The run compiled its machine, then stopped before publishing
-        // cycle 1's row, as a panicking run would.
+        // The run compiled its machine and published the reset cycle,
+        // then stopped before publishing cycle 1, as a panicking run
+        // would.
         golden
             .machine
             .set(Simulator::new(spec.netlist).unwrap())
             .unwrap();
+        golden.published.store(1, Ordering::Release);
         let outcome = std::thread::scope(|scope| {
             let pass = scope.spawn(|| classify_chunk(&golden, &faults));
-            // Give the pass time to start waiting for the row.
+            // Give the pass time to start waiting for cycle 1.
             std::thread::sleep(std::time::Duration::from_millis(20));
             drop(Finish(&golden));
             pass.join()
@@ -809,10 +852,7 @@ mod tests {
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
-        assert_eq!(
-            message,
-            "the golden run failed before publishing its cycle 1 row"
-        );
+        assert_eq!(message, "the golden run failed before publishing cycle 1");
     }
 
     #[test]
@@ -820,7 +860,7 @@ mod tests {
         let design = SragNetlist::elaborate(&SragSpec::ring(4)).unwrap();
         let spec = CampaignSpec {
             netlist: &design.netlist,
-            cycles: 2 * WAKE_EVERY + 3,
+            cycles: 2 * WAKE_EVERY as u32 + 3,
             alarm_output: None,
         };
         let faults = [Fault::StuckAt {
@@ -832,9 +872,10 @@ mod tests {
         assert!(!*golden.failed.lock().unwrap());
         let trace = replay(&spec, None);
         for (cycle, outputs) in (1..).zip(&trace.outputs) {
-            assert_eq!(golden.row(cycle), outputs.as_slice(), "cycle {cycle}");
+            let row: Vec<Logic> = golden.outputs(cycle).iter().map(logic).collect();
+            assert_eq!(&row, outputs, "cycle {cycle}");
         }
-        assert_eq!(golden.final_states(), trace.final_states.as_slice());
+        assert_eq!(golden.states(spec.cycles), trace.final_states);
         assert_eq!(
             classify_chunk(&golden, &faults),
             [classify(
