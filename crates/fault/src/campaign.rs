@@ -352,9 +352,14 @@ struct Golden<'a> {
     /// By cycle (0 is the reset cycle): its row in `states`, if kept.
     state_row: Vec<Option<usize>>,
     /// Cycles published, the reset cycle included: cycle `c` is
-    /// readable once this exceeds `c`.
+    /// readable once this exceeds `c`. The run stores a cycle's bytes
+    /// (relaxed), then raises this with a release store; a pass that
+    /// reads it with an acquire load sees every byte of each cycle it
+    /// covers.
     published: AtomicUsize,
-    /// Set when the run stopped before publishing its last cycle.
+    /// Set when the run stopped before publishing its last cycle. Each
+    /// update is one store of a whole `bool`, so a guard recovered
+    /// from a poisoned lock still holds a valid value.
     failed: Mutex<bool>,
     /// Wakes the passes waiting for a cycle not yet published.
     wake: Condvar,
@@ -391,8 +396,9 @@ impl<'a> Golden<'a> {
         let state_row = kept
             .into_iter()
             .map(|keep| {
+                let row = keep.then_some(rows);
                 rows += usize::from(keep);
-                keep.then_some(rows - 1)
+                row
             })
             .collect();
         let bytes = |n: usize| (0..n).map(|_| AtomicU8::new(0)).collect();
@@ -839,10 +845,10 @@ mod tests {
             .set(Simulator::new(spec.netlist).unwrap())
             .unwrap();
         golden.published.store(1, Ordering::Release);
+        // The pass may be waiting for cycle 1 when the run is marked
+        // failed, or may see the mark first; either way it must panic.
         let outcome = std::thread::scope(|scope| {
             let pass = scope.spawn(|| classify_chunk(&golden, &faults));
-            // Give the pass time to start waiting for cycle 1.
-            std::thread::sleep(std::time::Duration::from_millis(20));
             drop(Finish(&golden));
             pass.join()
         });
