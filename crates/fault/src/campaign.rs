@@ -434,20 +434,23 @@ impl<'a> Golden<'a> {
         let (reset, run) = stimulus(self.spec.netlist);
         sim.step_bools(&reset).expect("reset step");
         self.publish(0, &sim);
-        let outs = self.spec.netlist.outputs();
         for cycle in 1..=self.spec.cycles as usize {
             sim.step_bools(&run).expect("step");
-            let row = &self.outputs[(cycle - 1) * outs.len()..][..outs.len()];
-            for (slot, &net) in row.iter().zip(outs) {
-                slot.store(code(sim.value(net)), Ordering::Relaxed);
-            }
             self.publish(cycle, &sim);
         }
     }
 
-    /// Records `sim`'s flip-flop states after `cycle` if a pass needs
-    /// them, then publishes the cycle.
+    /// Records `sim`'s outputs after `cycle` (past the reset cycle) and
+    /// its flip-flop states if a pass needs them, then publishes the
+    /// cycle.
     fn publish(&self, cycle: usize, sim: &Simulator<'_>) {
+        let outs = self.spec.netlist.outputs();
+        if cycle > 0 {
+            let row = &self.outputs[(cycle - 1) * outs.len()..][..outs.len()];
+            for (slot, &net) in row.iter().zip(outs) {
+                slot.store(code(sim.value(net)), Ordering::Relaxed);
+            }
+        }
         if let Some(row) = self.state_row[cycle] {
             let width = self.spec.netlist.num_flip_flops();
             for (slot, v) in self.states[row * width..][..width]
