@@ -147,8 +147,8 @@ pub fn compare_resilience(
 
     let [(plain_spec, plain_faults), (hard_spec, hard_faults)] =
         ring_campaigns(&plain, &hardened, cycles, seu_samples, seed);
-    // One fan-out: the two golden runs overlap, and each pair's passes
-    // trail their own.
+    // One fan-out: the two golden runs overlap, and each campaign's
+    // passes trail its own golden run.
     let mut reports = run_campaigns(
         &[(plain_spec, &plain_faults), (hard_spec, &hard_faults)],
         jobs,
