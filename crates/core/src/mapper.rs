@@ -46,9 +46,12 @@ pub struct Mapping {
 /// architectural restriction the sequence violates.
 ///
 /// Expected O(len) time whatever the address values: one run-length
-/// pass, one hashed pass that ranks the addresses of `R` (see
-/// [`AddressSequence::rank_in_order`]) and the O(len) verification
-/// simulation.
+/// pass, one hashed pass that ranks the addresses of `R` and the O(len)
+/// verification simulation. The ranking hash
+/// ([`AddressSequence::rank_in_order`]) is one multiply and fold per
+/// element, keyed per call from the standard library's `RandomState`:
+/// the addresses may come from a client, who must not be able to pick
+/// a set that collides and makes the pass quadratic.
 ///
 /// # Errors
 ///

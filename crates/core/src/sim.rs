@@ -64,7 +64,7 @@ impl AddressGenerator for SragSimulator {
         self.div_count = 0;
         // Shift enable fires; PassCnt counts enables up to pass_count.
         let pass = self.pass_count + 1 == self.spec.pass_count;
-        self.pass_count = (self.pass_count + 1) % self.spec.pass_count;
+        self.pass_count = if pass { 0 } else { self.pass_count + 1 };
         // Token moves one flip-flop; at the end of a register it
         // recirculates, unless `pass` hops it to the next register.
         let reg_len = self.spec.registers[self.register].len();

@@ -1,8 +1,12 @@
 //! `espresso`: random on/dc minterm sets → espresso minimization
-//! checked exhaustively against truth-table semantics.
+//! checked exhaustively against truth-table semantics, and the lazy
+//! off-set entry checked against the explicit one on the function and
+//! on its complement.
 
 use adgen_exec::Prng;
-use adgen_synth::espresso::{is_correct, minimize};
+use adgen_synth::espresso::{
+    is_correct, minimize, minimize_with_lazy_off_budgeted, minimize_with_off_budgeted, EffortBudget,
+};
 use adgen_synth::Cover;
 
 use super::{BreakMode, CheckResult, Family};
@@ -74,6 +78,15 @@ impl Family for Case {
         if !is_correct(&result, &on_cover, &dc_cover) {
             return Err("espresso::is_correct rejects a truth-table-correct result".into());
         }
+        // The function and its complement (on and off swapped) usually
+        // fall on opposite sides of the rule that picks the loop's
+        // off-set, so the lazy entry runs both its routes.
+        let off: Vec<u64> = (0..1u64 << n)
+            .filter(|m| !on.contains(m) && !dc.contains(m))
+            .collect();
+        for (label, on, off) in [("function", on, &off), ("complement", &off, on)] {
+            lazy_matches_explicit(*n, on, dc, off).map_err(|e| format!("{label}: {e}"))?;
+        }
         Ok(())
     }
 
@@ -108,6 +121,26 @@ impl Family for Case {
         out.extend(drop_each(on, 24).into_iter().map(with_on));
         out
     }
+}
+
+/// The lazy off-set entry must return exactly what the explicit one
+/// returns for the same off-set — cover, steps and truncation — at an
+/// unlimited and at a truncating budget.
+fn lazy_matches_explicit(n: usize, on: &[u64], dc: &[u64], off: &[u64]) -> CheckResult {
+    let cover = |minterms: &[u64]| Cover::from_minterms(n, minterms);
+    for budget in [EffortBudget::UNLIMITED, EffortBudget::steps(64)] {
+        let want = minimize_with_off_budgeted(cover(on), cover(dc), cover(off), budget);
+        let got =
+            minimize_with_lazy_off_budgeted(cover(on), cover(dc), off.len(), || cover(off), budget);
+        if (&got.cover, got.steps, got.truncated) != (&want.cover, want.steps, want.truncated) {
+            return Err(format!(
+                "lazy off-set entry returned {:?} ({} steps, truncated {}) where the explicit \
+                 one returned {:?} ({} steps, truncated {}) under {budget:?}",
+                got.cover, got.steps, got.truncated, want.cover, want.steps, want.truncated
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! The [`AddressSequence`] type: an ordered stream of 1-D addresses.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::error::SeqError;
 use crate::shape::{ArrayShape, Layout};
@@ -96,7 +98,8 @@ impl AddressSequence {
     /// index of their first appearance (`Z`).
     ///
     /// One hashed pass over the sequence: expected O(len) time and
-    /// O(|U|) extra space, whatever the address values.
+    /// O(|U|) extra space, whatever the address values. See
+    /// [`rank_in_order`](Self::rank_in_order) for the hash.
     pub fn unique_in_order(&self) -> Vec<UniqueEntry> {
         self.rank_in_order().0
     }
@@ -104,10 +107,16 @@ impl AddressSequence {
     /// [`unique_in_order`](Self::unique_in_order) together with the
     /// first-appearance rank of every element: `ranks[i]` indexes the
     /// entry of `self[i]`'s address. Dense tables indexed by rank then
-    /// stand in for lookups by address. Same cost as
-    /// `unique_in_order`.
+    /// stand in for lookups by address.
+    ///
+    /// The pass hashes each address with one multiply and fold under a
+    /// key drawn per call from the standard library's
+    /// [`RandomState`], a fraction of SipHash's cost per element. The
+    /// key matters: addresses come from clients, and under a fixed
+    /// multiplicative hash a client could pick colliding addresses
+    /// (multiples of 2¹⁶, say) and make the pass quadratic.
     pub fn rank_in_order(&self) -> (Vec<UniqueEntry>, Vec<usize>) {
-        let mut rank_of: HashMap<u32, usize> = HashMap::new();
+        let mut rank_of = HashMap::with_hasher(AddressHashKey::new());
         let mut unique: Vec<UniqueEntry> = Vec::new();
         let mut ranks = Vec::with_capacity(self.values.len());
         for (pos, &v) in self.values.iter().enumerate() {
@@ -214,6 +223,61 @@ impl AddressSequence {
             v.extend_from_slice(&self.values);
         }
         AddressSequence::from_vec(v)
+    }
+}
+
+/// The per-call key of [`AddressSequence::rank_in_order`]'s hash: a
+/// start value and an odd multiplier, both drawn from [`RandomState`].
+#[derive(Debug, Clone, Copy)]
+struct AddressHashKey {
+    start: u64,
+    multiplier: u64,
+}
+
+impl AddressHashKey {
+    fn new() -> Self {
+        let random = RandomState::new();
+        AddressHashKey {
+            start: random.hash_one(0u8),
+            multiplier: random.hash_one(1u8) | 1,
+        }
+    }
+}
+
+impl BuildHasher for AddressHashKey {
+    type Hasher = AddressHasher;
+
+    fn build_hasher(&self) -> AddressHasher {
+        AddressHasher {
+            multiplier: self.multiplier,
+            hash: self.start,
+        }
+    }
+}
+
+/// Folds each `u32` written into the hash with one 64x64 → 128-bit
+/// multiply, whose high and low halves are XORed, so every input bit
+/// reaches both the low bits that pick a bucket and the high bits the
+/// table compares.
+struct AddressHasher {
+    multiplier: u64,
+    hash: u64,
+}
+
+impl Hasher for AddressHasher {
+    fn write_u32(&mut self, x: u32) {
+        let product = u128::from(self.hash ^ u64::from(x)) * u128::from(self.multiplier);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -364,6 +428,65 @@ mod tests {
             for (&v, &rank) in s.iter().zip(&ranks) {
                 assert_eq!(unique[rank].address, v);
             }
+        }
+    }
+
+    #[test]
+    fn rank_in_order_matches_a_btreemap_reference() {
+        // Ranks by first appearance through an ordered map, which no
+        // choice of addresses can slow down or confuse.
+        fn reference(values: &[u32]) -> (Vec<UniqueEntry>, Vec<usize>) {
+            let mut rank_of = std::collections::BTreeMap::new();
+            let mut unique: Vec<UniqueEntry> = Vec::new();
+            let mut ranks = Vec::new();
+            for (pos, &v) in values.iter().enumerate() {
+                let rank = *rank_of.entry(v).or_insert(unique.len());
+                if rank == unique.len() {
+                    unique.push(UniqueEntry {
+                        address: v,
+                        occurrences: 0,
+                        first_position: pos,
+                    });
+                }
+                unique[rank].occurrences += 1;
+                ranks.push(rank);
+            }
+            (unique, ranks)
+        }
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 32) % bound
+        };
+        // The keys a fixed multiplicative hash sends to one bucket:
+        // every multiple of 2^16, with the extremes of the range.
+        let mut aligned: Vec<u32> = (0..1u32 << 16).map(|i| i << 16).collect();
+        aligned.extend([0, u32::MAX, u32::MAX - 1]);
+        let check = |values: Vec<u32>| {
+            let s = AddressSequence::from_vec(values);
+            assert_eq!(
+                s.rank_in_order(),
+                reference(s.as_slice()),
+                "{} elements",
+                s.len()
+            );
+        };
+        check(aligned.clone());
+        check(aligned.iter().rev().chain(&aligned).copied().collect());
+        for _ in 0..200 {
+            let len = next(300) as usize;
+            let alphabet = 1 + next(64);
+            let values = (0..len)
+                .map(|_| match next(4) {
+                    0 => aligned[next(aligned.len() as u64) as usize],
+                    1 => next(alphabet) as u32,
+                    2 => u32::MAX - next(alphabet) as u32,
+                    _ => (next(alphabet) as u32) << 16,
+                })
+                .collect();
+            check(values);
         }
     }
 

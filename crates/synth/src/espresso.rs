@@ -19,9 +19,13 @@
 //! * IRREDUNDANT and REDUCE build their "rest of the cover" cofactor
 //!   lists directly with word-parallel [`Cube::cofactor_cube`] instead
 //!   of materializing intermediate covers.
-//! * Callers that already know the off-set (FSM and ROM synthesis
-//!   enumerate it for free) use [`minimize_with_off_budgeted`] and
-//!   skip the Shannon complement entirely.
+//! * Callers that enumerate their function row by row (FSM and ROM
+//!   synthesis) hand over the on-set, the don't-cares and the size of
+//!   the off-set through [`minimize_with_lazy_off_budgeted`]. The one
+//!   rule that picks the loop's off-set (`runs_on_supplied_off`)
+//!   decides from that size alone whether their off-set cover is worth
+//!   building; when it is not, the loop complements on ∪ dc, and a
+//!   memo lookup never waits on either.
 
 use adgen_obs as obs;
 
@@ -157,10 +161,11 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 ///
 /// `off` must cover exactly the minterms in neither `on` nor `dc`
 /// (a cover of the complement — it need not be minimal or disjoint).
-/// Callers that enumerate their function row by row (FSM next-state
-/// and output logic, ROM contents) know the off-set for free, and
-/// skipping the Shannon complement is the single largest saving in
-/// the synthesis hot path.
+/// The loop runs on it when it is the smaller description; otherwise
+/// it complements on ∪ dc and `off` is dropped unread. A caller that
+/// would have to build `off` first should use
+/// [`minimize_with_lazy_off_budgeted`], which builds it only when the
+/// loop runs on it.
 ///
 /// Each EXPAND, IRREDUNDANT and REDUCE phase is pre-charged with its
 /// cube-count cost and skipped — returning the last completed (and
@@ -168,7 +173,7 @@ pub fn minimize_budgeted(on: Cover, dc: Cover, budget: EffortBudget) -> Minimize
 /// spent.
 ///
 /// Answered by the thread's [`MinimizeMemo`](crate::memo::MinimizeMemo)
-/// when one is installed.
+/// when one is installed, keyed by all three covers.
 ///
 /// # Panics
 ///
@@ -179,8 +184,74 @@ pub fn minimize_with_off_budgeted(
     off: Cover,
     budget: EffortBudget,
 ) -> MinimizeOutcome {
+    assert_eq!(on.num_inputs(), off.num_inputs(), "arity mismatch");
+    let key = memo::installed(&on, &dc, memo::OffKey::Listed(&off), budget.max_steps);
+    let off = runs_on_supplied_off(&on, &dc, off.num_cubes()).then_some(off);
+    memoized(key, on, dc, off, budget)
+}
+
+/// Minimizes a function its caller enumerates row by row, under an
+/// [`EffortBudget`]: `on` and `dc` list its on-set and don't-care
+/// rows, the off-set is the other `off_minterms` rows, and `off`
+/// builds their cover — one cube per row, so `off_minterms` cubes.
+///
+/// Returns exactly what [`minimize_with_off_budgeted`] returns for
+/// `off()`, but runs `off` only when the loop runs on the off-set it
+/// builds. Otherwise the loop complements on ∪ dc, and the memo keys
+/// the call by on, dc and `off_minterms` alone, so the lookup costs no
+/// complement and no off-set, and two callers that enumerate the same
+/// function in different row orders share one entry. FSM next-state
+/// and output functions and ROM bits come through here: a select line
+/// of an `N`-state machine has one on-state and `N - 1` off-states,
+/// and its complement is the cheaper description by far.
+///
+/// # Panics
+///
+/// Panics on arity mismatch between the covers.
+pub fn minimize_with_lazy_off_budgeted(
+    on: Cover,
+    dc: Cover,
+    off_minterms: usize,
+    off: impl FnOnce() -> Cover,
+    budget: EffortBudget,
+) -> MinimizeOutcome {
+    if runs_on_supplied_off(&on, &dc, off_minterms) {
+        let off = off();
+        debug_assert_eq!(off.num_cubes(), off_minterms, "one off cube per row");
+        return minimize_with_off_budgeted(on, dc, off, budget);
+    }
+    let off = memo::OffKey::Complement {
+        minterms: off_minterms,
+    };
+    let key = memo::installed(&on, &dc, off, budget.max_steps);
+    memoized(key, on, dc, None, budget)
+}
+
+/// Whether the loop runs on a supplied off-set of `off_cubes` cubes
+/// rather than on the complement of on ∪ dc.
+///
+/// EXPAND cost scales with the number of off-cubes, and callers
+/// typically enumerate the off-set minterm by minterm. An off-set of at
+/// most one cube per variable is used as it is. A larger one is used
+/// when it is the smaller description; otherwise the complement of
+/// on ∪ dc is, which is fast precisely when that side is small — e.g.
+/// a one-minterm select line, whose enumerated off-set is the whole
+/// rest of the space.
+fn runs_on_supplied_off(on: &Cover, dc: &Cover, off_cubes: usize) -> bool {
+    off_cubes <= on.num_inputs() || off_cubes < on.num_cubes() + dc.num_cubes()
+}
+
+/// The loop on `off` (the complement of on ∪ dc when `None`),
+/// answered by the memo under `key` when one is installed.
+fn memoized(
+    key: Option<(memo::MinimizeMemo, memo::Key)>,
+    on: Cover,
+    dc: Cover,
+    off: Option<Cover>,
+    budget: EffortBudget,
+) -> MinimizeOutcome {
     let n = on.num_inputs();
-    match memo::installed(&on, &dc, &off, budget.max_steps) {
+    match key {
         Some((memo, key)) => memo.get_or_compute(key, n, || minimize_counted(on, dc, off, budget)),
         None => minimize_counted(on, dc, off, budget),
     }
@@ -188,7 +259,12 @@ pub fn minimize_with_off_budgeted(
 
 /// One run of the EXPAND / IRREDUNDANT / REDUCE loop, counted and
 /// spanned.
-fn minimize_counted(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> MinimizeOutcome {
+fn minimize_counted(
+    on: Cover,
+    dc: Cover,
+    off: Option<Cover>,
+    budget: EffortBudget,
+) -> MinimizeOutcome {
     let observing = obs::enabled();
     let _span = if observing {
         obs::add(obs::Ctr::EspressoCalls, 1);
@@ -197,7 +273,6 @@ fn minimize_counted(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> M
         None
     };
     assert_eq!(on.num_inputs(), dc.num_inputs(), "arity mismatch");
-    assert_eq!(on.num_inputs(), off.num_inputs(), "arity mismatch");
     let outcome = if on.is_empty() {
         MinimizeOutcome {
             cover: on,
@@ -218,34 +293,34 @@ fn minimize_counted(on: Cover, dc: Cover, off: Cover, budget: EffortBudget) -> M
 }
 
 /// The condensed starting cover and the compact off-set the loop runs
-/// on.
-///
-/// EXPAND cost scales with the number of off-cubes, and callers
-/// typically enumerate the off-set minterm by minterm. Pick the
-/// cheaper compact form: condense the supplied off-set when it is the
-/// smaller description, otherwise complement on ∪ dc (fast precisely
-/// when that side is small — e.g. a one-minterm select line, whose
-/// enumerated off-set is the whole rest of the space).
+/// on: `off` condensed when it has more cubes than variables, or, when
+/// `runs_on_supplied_off` turned it down (`None`), the complement of
+/// on ∪ dc.
 ///
 /// Condensing the starting cover (minterm-enumerated in every caller)
 /// both shrinks the first EXPAND and deepens it: merged cubes already
 /// carry the easy free variables.
-fn starting_covers(mut on: Cover, dc: &Cover, mut off: Cover) -> (Cover, Cover) {
-    if off.num_cubes() > on.num_inputs() {
-        if off.num_cubes() < on.num_cubes() + dc.num_cubes() {
-            off.merge_siblings();
-        } else if dc.is_empty() {
+fn starting_covers(mut on: Cover, dc: &Cover, off: Option<Cover>) -> (Cover, Cover) {
+    let off = match off {
+        Some(mut off) => {
+            if off.num_cubes() > on.num_inputs() {
+                off.merge_siblings();
+            }
+            off
+        }
+        None if dc.is_empty() => {
             // on ∪ ∅ is the on-set's own cube list: condense it once,
             // for the complement and as the starting cover.
             on.merge_siblings();
             let off = on.complement();
             return (on, off);
-        } else {
+        }
+        None => {
             let mut care = on.union(dc);
             care.merge_siblings();
-            off = care.complement();
+            care.complement()
         }
-    }
+    };
     on.merge_siblings();
     (on, off)
 }
@@ -473,7 +548,7 @@ pub fn is_correct(result: &Cover, on: &Cover, dc: &Cover) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adgen_exec::Prng;
 
@@ -592,6 +667,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A random row-enumerated function over 1..=8 variables: on, dc
+    /// and off minterm covers that partition the space, from sparse to
+    /// dense on-sets.
+    pub(crate) fn random_rows(rng: &mut Prng, trial: usize) -> (Cover, Cover, Cover) {
+        let n = 1 + trial % 8;
+        let on_density = 1 + rng.next_range(14);
+        let dc_density = if trial.is_multiple_of(3) {
+            0
+        } else {
+            rng.next_range(4)
+        };
+        let (mut on, mut dc, mut off) = (Vec::new(), Vec::new(), Vec::new());
+        for m in 0..1u64 << n {
+            let draw = rng.next_range(16);
+            if draw < on_density {
+                on.push(m);
+            } else if draw < on_density + dc_density {
+                dc.push(m);
+            } else {
+                off.push(m);
+            }
+        }
+        let cover = |minterms: &[u64]| Cover::from_minterms(n, minterms);
+        (cover(&on), cover(&dc), cover(&off))
+    }
+
+    #[test]
+    fn lazy_off_entry_matches_the_explicit_one_and_builds_off_only_when_used() {
+        let mut rng = Prng::new(0x1A2F);
+        let (mut supplied, mut complemented) = (0, 0);
+        for trial in 0..600 {
+            let (on, dc, off) = random_rows(&mut rng, trial);
+            let uses_off = runs_on_supplied_off(&on, &dc, off.num_cubes());
+            for budget in [EffortBudget::UNLIMITED, EffortBudget::steps(64)] {
+                let want = minimize_with_off_budgeted(on.clone(), dc.clone(), off.clone(), budget);
+                let built = std::cell::Cell::new(false);
+                let got = minimize_with_lazy_off_budgeted(
+                    on.clone(),
+                    dc.clone(),
+                    off.num_cubes(),
+                    || {
+                        built.set(true);
+                        off.clone()
+                    },
+                    budget,
+                );
+                assert_eq!(got.cover, want.cover, "trial {trial}");
+                assert_eq!(
+                    (got.steps, got.truncated),
+                    (want.steps, want.truncated),
+                    "trial {trial}"
+                );
+                assert_eq!(built.get(), uses_off, "trial {trial}");
+            }
+            if uses_off {
+                supplied += 1;
+            } else {
+                complemented += 1;
+            }
+        }
+        assert!(
+            supplied >= 150,
+            "{supplied} of 600 ran on the supplied off-set"
+        );
+        assert!(complemented >= 150, "{complemented} of 600 complemented");
     }
 
     /// The starting covers as computed before the empty-dc shortcut:

@@ -232,28 +232,34 @@ impl Fsm {
         let codes: Vec<u64> = (0..n).map(|s| encoding.code(s, n)).collect();
 
         // Don't-care set: unused code words.
-        let used: std::collections::HashSet<u64> = codes.iter().copied().collect();
-        let dc_minterms: Vec<u64> = (0..(1u64 << bits)).filter(|m| !used.contains(m)).collect();
+        let mut used = vec![false; 1 << bits];
+        for &code in &codes {
+            used[code as usize] = true;
+        }
+        let dc_minterms: Vec<u64> = (0..(1u64 << bits)).filter(|&m| !used[m as usize]).collect();
         let dc = Cover::from_minterms(bits, &dc_minterms);
 
-        // Every function below is defined row-by-row over the used
-        // codes, so its off-set is known explicitly (the used codes
-        // where the function is 0) and the minimizer can skip the
-        // Shannon complement — the dominant cost at large N.
-        let partition = |pred: &dyn Fn(usize) -> bool| -> (Cover, Cover) {
-            let mut on = Vec::new();
-            let mut off = Vec::new();
-            for (s, &code) in codes.iter().enumerate().take(n) {
-                if pred(s) {
-                    on.push(code);
-                } else {
-                    off.push(code);
-                }
-            }
-            (
-                Cover::from_minterms(bits, &on),
-                Cover::from_minterms(bits, &off),
-            )
+        // Every function below is defined row by row over the used
+        // codes: its on-set is the codes of the states where it is 1, in
+        // state order, and its off-set the other states' codes. The
+        // minimizer builds that off-set only when it runs on it, and
+        // otherwise complements on ∪ dc.
+        let codes_where = |pred: &dyn Fn(usize) -> bool| -> Vec<u64> {
+            (0..n).filter(|&s| pred(s)).map(|s| codes[s]).collect()
+        };
+        let mut minimize = |on: Vec<u64>, is_on: &dyn Fn(usize) -> bool| {
+            let off_minterms = n - on.len();
+            let off = || Cover::from_minterms(bits, &codes_where(&|s| !is_on(s)));
+            let on = Cover::from_minterms(bits, &on);
+            let outcome = espresso::minimize_with_lazy_off_budgeted(
+                on,
+                dc.clone(),
+                off_minterms,
+                off,
+                budget,
+            );
+            *truncated |= outcome.truncated;
+            outcome.cover
         };
 
         // State register.
@@ -266,10 +272,9 @@ impl Fsm {
         let code0 = codes[0];
         let rst = netlist.reset();
         for b in 0..bits {
-            let (on, off) = partition(&|s| (codes[self.next_state[s]] >> b) & 1 == 1);
-            let outcome = espresso::minimize_with_off_budgeted(on, dc.clone(), off, budget);
-            *truncated |= outcome.truncated;
-            let d = map_sop(netlist, &outcome.cover, &q, &qn)?;
+            let is_on = |s: usize| (codes[self.next_state[s]] >> b) & 1 == 1;
+            let cover = minimize(codes_where(&is_on), &is_on);
+            let d = map_sop(netlist, &cover, &q, &qn)?;
             // Reset loads the code of state 0.
             let kind = if (code0 >> b) & 1 == 1 {
                 CellKind::Dffse
@@ -288,21 +293,27 @@ impl Fsm {
         let mut outs = Vec::new();
         match style {
             OutputStyle::SelectLines { num_lines } => {
-                for line in 0..num_lines {
-                    let (on, off) = partition(&|s| self.output[s] == line as u64);
-                    let outcome = espresso::minimize_with_off_budgeted(on, dc.clone(), off, budget);
-                    *truncated |= outcome.truncated;
-                    let y = map_sop(netlist, &outcome.cover, &q, &qn)?;
+                // States in order of output value, each value's states
+                // in state order: each line's on-states are the next run.
+                let mut by_output: Vec<usize> = (0..n).collect();
+                by_output.sort_by_key(|&s| self.output[s]);
+                let mut rest = &by_output[..];
+                for line in 0..num_lines as u64 {
+                    let run = rest.partition_point(|&s| self.output[s] == line);
+                    let (members, tail) = rest.split_at(run);
+                    rest = tail;
+                    let on = members.iter().map(|&s| codes[s]).collect();
+                    let cover = minimize(on, &|s| self.output[s] == line);
+                    let y = map_sop(netlist, &cover, &q, &qn)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }
             }
             OutputStyle::BinaryAddress { bits: abits } => {
                 for b in 0..abits {
-                    let (on, off) = partition(&|s| (self.output[s] >> b) & 1 == 1);
-                    let outcome = espresso::minimize_with_off_budgeted(on, dc.clone(), off, budget);
-                    *truncated |= outcome.truncated;
-                    let y = map_sop(netlist, &outcome.cover, &q, &qn)?;
+                    let is_on = |s: usize| (self.output[s] >> b) & 1 == 1;
+                    let cover = minimize(codes_where(&is_on), &is_on);
+                    let y = map_sop(netlist, &cover, &q, &qn)?;
                     netlist.add_output(y);
                     outs.push(y);
                 }

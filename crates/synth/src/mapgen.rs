@@ -386,23 +386,22 @@ pub fn build_rom(
     let neg = literal_rails(n, index)?;
     let mut outputs = Vec::with_capacity(width as usize);
     for bit in 0..width {
-        // The off-set is known row by row (stored words with the bit
-        // clear), so skip the complement inside the minimizer.
-        let mut on_minterms = Vec::new();
-        let mut off_minterms = Vec::new();
-        for (i, &w) in words.iter().enumerate() {
-            if (w >> bit) & 1 == 1 {
-                on_minterms.push(i as u64);
-            } else {
-                off_minterms.push(i as u64);
-            }
-        }
-        let on = Cover::from_minterms(bits, &on_minterms);
-        let off = Cover::from_minterms(bits, &off_minterms);
-        let minimized = espresso::minimize_with_off_budgeted(
+        // Each bit is defined row by row: the stored words with the
+        // bit set are its on-set and the others its off-set, which the
+        // minimizer builds only when it runs on it.
+        let rows_where = |set: bool| -> Vec<u64> {
+            let rows = words.iter().enumerate();
+            rows.filter(|&(_, &w)| ((w >> bit) & 1 == 1) == set)
+                .map(|(i, _)| i as u64)
+                .collect()
+        };
+        let on = Cover::from_minterms(bits, &rows_where(true));
+        let off_minterms = words.len() - on.num_cubes();
+        let minimized = espresso::minimize_with_lazy_off_budgeted(
             on,
             dc.clone(),
-            off,
+            off_minterms,
+            || Cover::from_minterms(bits, &rows_where(false)),
             espresso::EffortBudget::synthesis_default(),
         )
         .cover;

@@ -9,9 +9,11 @@
 //! installs a memo on the calling thread for the duration of a
 //! closure. Inside it, every minimization of at most
 //! [`MAX_MEMO_ARITY`] inputs is looked up by a 128-bit digest of its
-//! whole input — arity, effort budget, and the on, dc and off covers
-//! — and the stored [`MinimizeOutcome`] (cover, steps, truncation) is
-//! returned exactly as the loop would have returned it.
+//! whole input — arity, effort budget, the on and dc covers, and the
+//! off cover or, for a row-enumerated function whose loop complements
+//! on ∪ dc, a sentinel and the off-set's row count — and the stored
+//! [`MinimizeOutcome`] (cover, steps, truncation) is returned exactly
+//! as the loop would have returned it.
 //!
 //! Outside any scope nothing is memoized, so batch callers (the paper
 //! sweep, the fault campaigns, the reproduction binary) keep running,
@@ -388,26 +390,58 @@ impl Digest {
     }
 }
 
+/// Written where a digest holds the off cover's cube count, to mark a
+/// key whose loop complements on ∪ dc: no cover has this many cubes.
+const COMPLEMENT: u64 = u64::MAX;
+
+/// What a key records of a minimization's off-set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OffKey<'a> {
+    /// A supplied cover, digested cube by cube.
+    Listed(&'a Cover),
+    /// The complement of on ∪ dc, which the loop computes itself, for a
+    /// function whose off-set has `minterms` rows. The key holds
+    /// `COMPLEMENT` and that count, so it differs from the key of
+    /// every listed off-set of the same on and dc.
+    Complement {
+        /// Rows of the off-set.
+        minterms: usize,
+    },
+}
+
 /// The memo installed on this thread and the digest of one input, or
 /// `None` when no memo is installed or the input is too wide to store.
 pub(crate) fn installed(
     on: &Cover,
     dc: &Cover,
-    off: &Cover,
+    off: OffKey<'_>,
     budget_steps: u64,
 ) -> Option<(MinimizeMemo, Key)> {
     let memo = ACTIVE.with(|a| a.borrow().clone())?;
+    digest(on, dc, off, budget_steps).map(|key| (memo, key))
+}
+
+/// The digest of one input — arity, budget, on, dc and the off-set —
+/// or `None` when it is too wide to store.
+fn digest(on: &Cover, dc: &Cover, off: OffKey<'_>, budget_steps: u64) -> Option<Key> {
     let n = on.num_inputs();
-    if n > MAX_MEMO_ARITY || dc.num_inputs() != n || off.num_inputs() != n {
+    if n > MAX_MEMO_ARITY || dc.num_inputs() != n {
         return None;
     }
     let mut d = Digest(Fnv1a128::default());
     d.word(n as u64);
     d.word(budget_steps);
-    for cover in [on, dc, off] {
-        d.cover(cover)?;
+    d.cover(on)?;
+    d.cover(dc)?;
+    match off {
+        OffKey::Listed(off) if off.num_inputs() == n => d.cover(off)?,
+        OffKey::Listed(_) => return None,
+        OffKey::Complement { minterms } => {
+            d.word(COMPLEMENT);
+            d.word(minterms as u64);
+        }
     }
-    Some((memo, d.key()))
+    Some(d.key())
 }
 
 #[cfg(test)]
@@ -530,6 +564,96 @@ mod tests {
         let (after, after_calls, after_hits) = run();
         assert_eq!(after, first);
         assert_eq!((calls + after_calls, after_hits), (2 * calls, 0));
+    }
+
+    /// Every outcome of the lazy off-set entry, on random functions on
+    /// both sides of the off-set rule: computed outside any memo, then
+    /// inside one (a miss), then again (a hit).
+    #[test]
+    fn the_lazy_entry_returns_the_same_outcome_with_and_without_a_memo() {
+        use crate::espresso::{minimize_with_lazy_off_budgeted, EffortBudget};
+        let mut rng = adgen_exec::Prng::new(0x3E40);
+        let functions: Vec<_> = (0..300)
+            .map(|trial| crate::espresso::tests::random_rows(&mut rng, trial))
+            .collect();
+        let run = |(on, dc, off): &(Cover, Cover, Cover), budget| {
+            let minterms = off.num_cubes();
+            let o = minimize_with_lazy_off_budgeted(
+                on.clone(),
+                dc.clone(),
+                minterms,
+                || off.clone(),
+                budget,
+            );
+            (o.cover, o.steps, o.truncated)
+        };
+        let memo = MinimizeMemo::new();
+        for budget in [EffortBudget::UNLIMITED, EffortBudget::steps(64)] {
+            for (i, f) in functions.iter().enumerate() {
+                let plain = run(f, budget);
+                let hits = memo.stats().hits;
+                assert_eq!(
+                    memo.scope(|| run(f, budget)),
+                    plain,
+                    "function {i} {budget:?}"
+                );
+                assert_eq!(
+                    memo.scope(|| run(f, budget)),
+                    plain,
+                    "function {i} {budget:?}"
+                );
+                assert!(
+                    memo.stats().hits > hits,
+                    "function {i} {budget:?} never hit"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_fsm_select_line_and_a_rom_bit_of_one_function_share_an_entry() {
+        // The Gray-coded 8-state machine lists its select lines' off
+        // states in state order, the ROM its rows in index order: the
+        // same one-minterm function, enumerated in two orders.
+        let outputs: Vec<u32> = (0..8).collect();
+        let fsm = Fsm::cyclic_sequence(&outputs).expect("nonempty");
+        let style = OutputStyle::SelectLines { num_lines: 8 };
+        let line = 5;
+        let mut words = vec![0; 8];
+        words[Encoding::Gray.code(line, 8) as usize] = 1;
+        let memo = MinimizeMemo::new();
+        memo.scope(|| fsm.synthesize(Encoding::Gray, style).expect("synthesizes"));
+        let before = memo.stats();
+        memo.scope(|| {
+            let mut n = adgen_netlist::Netlist::new("rom");
+            let index: Vec<_> = (0..3).map(|b| n.add_input(format!("a{b}"))).collect();
+            crate::mapgen::build_rom(&mut n, &index, &words, 1).expect("builds");
+        });
+        let after = memo.stats();
+        assert_eq!(after.hits, before.hits + 1, "the ROM bit was answered");
+        assert_eq!(after.entries, before.entries, "and stored nothing new");
+    }
+
+    #[test]
+    fn a_complement_key_never_equals_a_listed_key_of_the_same_on_and_dc() {
+        let mut rng = adgen_exec::Prng::new(0x5E17);
+        for trial in 0..300 {
+            let (on, dc, off) = crate::espresso::tests::random_rows(&mut rng, trial);
+            let listed = digest(&on, &dc, OffKey::Listed(&off), u64::MAX).expect("fits");
+            let empty = Cover::empty(on.num_inputs());
+            let listed_empty = digest(&on, &dc, OffKey::Listed(&empty), u64::MAX).expect("fits");
+            // Every off-set size a complement key may carry, including
+            // the listed off-set's own size and zero.
+            for minterms in 0..=(1 << on.num_inputs()) {
+                let complement = digest(&on, &dc, OffKey::Complement { minterms }, u64::MAX);
+                let complement = complement.expect("fits");
+                assert_ne!(complement, listed, "trial {trial}, {minterms} minterms");
+                assert_ne!(
+                    complement, listed_empty,
+                    "trial {trial}, {minterms} minterms"
+                );
+            }
+        }
     }
 
     /// One minimization of a fixed input through `memo`, counted in

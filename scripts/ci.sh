@@ -15,9 +15,11 @@
 #                         tests hold computations with fault-plan
 #                         stalls, so they must not depend on how
 #                         fast compute is; and the minimization-memo
-#                         differential test under the release profile,
-#                         because which worker leads and which waits
-#                         on a shared input changes with compute speed;
+#                         differential test and the memo's own tests
+#                         (the lazy off-set entry's keys among them)
+#                         under the release profile, because which
+#                         worker leads and which waits on a shared
+#                         input changes with compute speed;
 #                         and the fault crate's tests and the
 #                         jobs-invariance tests under the release
 #                         profile within `timeout 300`, because fault
@@ -181,6 +183,7 @@ cargo test --workspace -q
 echo "==> serve e2e + memo differential (release profile)"
 cargo test --release -q -p adgen-serve --test e2e
 cargo test --release -q -p adgen-serve --lib the_minimization_memo_changes_no_response_byte
+cargo test --release -q -p adgen-synth --lib memo::tests
 
 echo "==> fault pipeline + jobs-invariance (release profile, 300 s timeout)"
 timeout 300 cargo test --release -q -p adgen-fault
