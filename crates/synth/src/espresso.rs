@@ -25,7 +25,7 @@
 //!   rule that picks the loop's off-set (`runs_on_supplied_off`)
 //!   decides from that size alone whether their off-set cover is worth
 //!   building; when it is not, the loop complements on ∪ dc, and a
-//!   memo lookup never waits on either.
+//!   memo lookup needs neither the off-set nor the complement.
 
 use adgen_obs as obs;
 
