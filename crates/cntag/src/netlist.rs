@@ -167,6 +167,12 @@ pub struct ComponentNetlists<'a> {
 }
 
 impl ComponentNetlists<'_> {
+    /// The component netlists: the counter cascade, then each
+    /// standalone decoder (row first).
+    pub fn netlists(&self) -> impl Iterator<Item = &Netlist> {
+        std::iter::once(self.counter).chain(&self.decoders)
+    }
+
     /// Builds timing contexts over the component netlists. The
     /// counter's delay is load-independent and computed here once;
     /// each [`ComponentTimer::delays_at`] call then only re-times the
