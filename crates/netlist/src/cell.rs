@@ -333,6 +333,7 @@ mod tests {
         assert_eq!(CellKind::TieHi.num_inputs(), 0);
         for k in CellKind::ALL {
             assert_eq!(k.num_outputs(), 1);
+            assert!(k.num_inputs() <= crate::program::MAX_PINS);
         }
     }
 

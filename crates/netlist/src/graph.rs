@@ -6,6 +6,11 @@
 //! [`Netlist::add_instance`], and finally check structural invariants
 //! with [`Netlist::validate`].
 //!
+//! A successful validation keeps the combinational order it computed,
+//! so timing and simulation reuse it instead of validating and
+//! sorting again. Every `&mut self` method drops it: the next
+//! validation sees the edit.
+//!
 //! Clocking is implicit: every sequential cell is driven by a single
 //! global clock that is not represented as a net. A dedicated global
 //! `reset` primary input is created with every netlist and is available
@@ -14,9 +19,13 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
+
+use adgen_obs as obs;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
+use crate::program::MAX_PINS;
 
 /// Identifier of a net within one [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,6 +81,8 @@ pub struct Net {
     name: String,
     driver: Option<Driver>,
     loads: Vec<(InstId, usize)>,
+    /// Marked as a primary output.
+    output: bool,
 }
 
 impl Net {
@@ -91,13 +102,16 @@ impl Net {
     }
 }
 
-/// One placed standard cell.
+/// One placed standard cell. Every cell has one output and at most
+/// `MAX_PINS` inputs, so the pins are stored inline.
 #[derive(Debug, Clone)]
 pub struct Instance {
     name: String,
     kind: CellKind,
-    inputs: Vec<NetId>,
-    outputs: Vec<NetId>,
+    /// Input nets in pin order; slots past `num_inputs` hold net 0.
+    inputs: [NetId; MAX_PINS],
+    num_inputs: u8,
+    output: NetId,
 }
 
 impl Instance {
@@ -113,12 +127,12 @@ impl Instance {
 
     /// Nets connected to the input pins, in pin order.
     pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+        &self.inputs[..usize::from(self.num_inputs)]
     }
 
     /// Nets connected to the output pins, in pin order.
     pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
+        std::slice::from_ref(&self.output)
     }
 }
 
@@ -134,6 +148,9 @@ pub struct Netlist {
     outputs: Vec<NetId>,
     reset: NetId,
     fresh: u64,
+    /// The combinational order of the last successful validation;
+    /// emptied by every edit.
+    order: OnceLock<Vec<InstId>>,
 }
 
 impl Netlist {
@@ -148,6 +165,7 @@ impl Netlist {
             outputs: Vec::new(),
             reset: NetId(0),
             fresh: 0,
+            order: OnceLock::new(),
         };
         let reset = n.add_input("reset");
         n.reset = reset;
@@ -168,11 +186,13 @@ impl Netlist {
     /// [`add_instance`](Netlist::add_instance) call for
     /// [`validate`](Netlist::validate) to pass.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        self.order.take();
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
             name: name.into(),
             driver: None,
             loads: Vec::new(),
+            output: false,
         });
         id
     }
@@ -194,8 +214,15 @@ impl Netlist {
 
     /// Marks an existing net as a primary output. A net may be marked
     /// more than once; duplicates are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
     pub fn add_output(&mut self, net: NetId) {
-        if !self.outputs.contains(&net) {
+        self.order.take();
+        let mark = &mut self.nets[net.index()].output;
+        if !*mark {
+            *mark = true;
             self.outputs.push(net);
         }
     }
@@ -218,6 +245,7 @@ impl Netlist {
         inputs: &[NetId],
         outputs: &[NetId],
     ) -> Result<InstId, NetlistError> {
+        self.order.take();
         let name = name.into();
         if inputs.len() != kind.num_inputs() {
             return Err(NetlistError::PinCountMismatch {
@@ -251,14 +279,16 @@ impl Netlist {
         for (pin, &i) in inputs.iter().enumerate() {
             self.nets[i.index()].loads.push((id, pin));
         }
-        for (pin, &o) in outputs.iter().enumerate() {
-            self.nets[o.index()].driver = Some(Driver::Inst { inst: id, pin });
-        }
+        let output = outputs[0];
+        self.nets[output.index()].driver = Some(Driver::Inst { inst: id, pin: 0 });
+        let mut pins = [NetId(0); MAX_PINS];
+        pins[..inputs.len()].copy_from_slice(inputs);
         self.insts.push(Instance {
             name,
             kind,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
+            inputs: pins,
+            num_inputs: inputs.len() as u8,
+            output,
         });
         Ok(id)
     }
@@ -350,45 +380,40 @@ impl Netlist {
         self.insts.iter().filter(|i| i.kind.is_sequential()).count()
     }
 
-    /// Reconnects input pin `pin` of `inst` from its current net to
-    /// `new_net`. Used by netlist transformation passes such as
-    /// fanout-buffer insertion.
+    /// Caps the fanout of `net` at `max_fanout` with one level of
+    /// buffers: if it drives more than `max_fanout` pins, its loads
+    /// move, in load order, onto fresh [`CellKind::Buf`] gates of
+    /// `ceil(loads / max_fanout)` loads each. Afterwards `net` drives
+    /// exactly those buffers, in creation order. Returns the number of
+    /// buffers inserted (0 when the net is within the bound).
+    ///
+    /// A buffer may itself drive more than `max_fanout` pins; splitting
+    /// the buffers in turn builds a tree.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UnknownNet`] if `new_net` is out of
-    /// range and [`NetlistError::PinCountMismatch`] if `pin` is not a
-    /// valid input pin of `inst`.
+    /// Returns [`NetlistError::UnknownNet`] if `net` is out of range.
     ///
     /// # Panics
     ///
-    /// Panics if `inst` is out of range.
-    pub fn rewire_input(
-        &mut self,
-        inst: InstId,
-        pin: usize,
-        new_net: NetId,
-    ) -> Result<(), NetlistError> {
-        if new_net.index() >= self.nets.len() {
-            return Err(NetlistError::UnknownNet {
-                index: new_net.index(),
-            });
+    /// Panics if `max_fanout` is zero.
+    pub fn split_fanout(&mut self, net: NetId, max_fanout: usize) -> Result<usize, NetlistError> {
+        self.order.take();
+        let loads = match self.nets.get_mut(net.index()) {
+            None => return Err(NetlistError::UnknownNet { index: net.index() }),
+            Some(n) if n.loads.len() <= max_fanout => return Ok(0),
+            Some(n) => std::mem::take(&mut n.loads),
+        };
+        let mut inserted = 0;
+        for group in loads.chunks(loads.len().div_ceil(max_fanout)) {
+            let buf = self.gate(CellKind::Buf, &[net])?;
+            inserted += 1;
+            for &(inst, pin) in group {
+                self.insts[inst.index()].inputs[pin] = buf;
+            }
+            self.nets[buf.index()].loads = group.to_vec();
         }
-        let instance = &mut self.insts[inst.index()];
-        if pin >= instance.inputs.len() {
-            return Err(NetlistError::PinCountMismatch {
-                instance: instance.name.clone(),
-                expected: instance.inputs.len(),
-                found: pin + 1,
-                direction: "input",
-            });
-        }
-        let old = instance.inputs[pin];
-        instance.inputs[pin] = new_net;
-        let old_net = &mut self.nets[old.index()];
-        old_net.loads.retain(|&(i, p)| !(i == inst && p == pin));
-        self.nets[new_net.index()].loads.push((inst, pin));
-        Ok(())
+        Ok(inserted)
     }
 
     /// Checks structural invariants:
@@ -401,6 +426,18 @@ impl Netlist {
     ///
     /// Returns the first violated invariant as a [`NetlistError`].
     pub fn validate(&self) -> Result<(), NetlistError> {
+        self.validated_order().map(|_| ())
+    }
+
+    /// The combinational order of a valid netlist: the cached one, or
+    /// [`validate`](Self::validate)'s checks followed by
+    /// [`comb_topo_order`](Self::comb_topo_order), whose result is
+    /// cached until the next edit. Only the validation that fills the
+    /// cache counts in `netlist.validations`.
+    pub(crate) fn validated_order(&self) -> Result<&[InstId], NetlistError> {
+        if let Some(order) = self.order.get() {
+            return Ok(order);
+        }
         for net in &self.nets {
             if net.driver.is_none() {
                 return Err(NetlistError::UndrivenNet {
@@ -416,7 +453,13 @@ impl Netlist {
                 });
             }
         }
-        self.comb_topo_order().map(|_| ())
+        let order = self.comb_topo_order()?;
+        // Workers sharing one netlist may race to fill the cache; only
+        // the winner counts, so the total is the same at any job count.
+        if self.order.set(order).is_ok() {
+            obs::add(obs::Ctr::NetlistValidations, 1);
+        }
+        Ok(self.order.get().expect("the cache was just filled"))
     }
 
     /// Topological order of the *combinational* instances.
@@ -439,7 +482,7 @@ impl Netlist {
             if inst.kind.is_sequential() {
                 continue;
             }
-            for &i in &inst.inputs {
+            for &i in inst.inputs() {
                 if let Some(Driver::Inst { inst: d, .. }) = self.nets[i.index()].driver {
                     if !self.insts[d.index()].kind.is_sequential() {
                         indeg[idx] += 1;
@@ -453,16 +496,14 @@ impl Netlist {
         let mut order = Vec::with_capacity(n);
         while let Some(i) = queue.pop() {
             order.push(InstId(i as u32));
-            for &o in &self.insts[i].outputs {
-                for &(load, _) in &self.nets[o.index()].loads {
-                    let l = load.index();
-                    if self.insts[l].kind.is_sequential() {
-                        continue;
-                    }
-                    indeg[l] -= 1;
-                    if indeg[l] == 0 {
-                        queue.push(l);
-                    }
+            for &(load, _) in &self.nets[self.insts[i].output.index()].loads {
+                let l = load.index();
+                if self.insts[l].kind.is_sequential() {
+                    continue;
+                }
+                indeg[l] -= 1;
+                if indeg[l] == 0 {
+                    queue.push(l);
                 }
             }
         }
@@ -610,29 +651,211 @@ mod tests {
         assert_eq!(n.num_instances(), 1);
     }
 
-    #[test]
-    fn rewire_input_moves_load() {
-        let mut n = Netlist::new("t");
+    /// `src` driving `loads` inverters, each inverter an output.
+    fn fanout(loads: usize) -> (Netlist, NetId) {
+        let mut n = Netlist::new("fan");
         let a = n.add_input("a");
-        let b = n.add_input("b");
-        let y = n.add_net("y");
-        let g = n.add_instance("g", CellKind::Inv, &[a], &[y]).unwrap();
-        assert_eq!(n.net(a).loads().len(), 1);
-        n.rewire_input(g, 0, b).unwrap();
-        assert!(n.net(a).loads().is_empty());
-        assert_eq!(n.net(b).loads(), &[(g, 0)]);
-        assert_eq!(n.instance(g).inputs(), &[b]);
+        let src = n.gate(CellKind::Inv, &[a]).unwrap();
+        for _ in 0..loads {
+            let y = n.gate(CellKind::Inv, &[src]).unwrap();
+            n.add_output(y);
+        }
+        (n, src)
+    }
+
+    #[test]
+    fn split_fanout_groups_loads_in_order() {
+        let (mut n, src) = fanout(10);
+        let before = n.net(src).loads().to_vec();
+        assert_eq!(
+            n.split_fanout(src, 4).unwrap(),
+            4,
+            "groups of ceil(10/4) = 3"
+        );
+        let bufs: Vec<InstId> = n.net(src).loads().iter().map(|&(i, _)| i).collect();
+        assert_eq!(
+            n.net(src).loads(),
+            &[(bufs[0], 0), (bufs[1], 0), (bufs[2], 0), (bufs[3], 0)]
+        );
+        assert!(bufs.windows(2).all(|w| w[0] < w[1]), "creation order");
+        let moved: Vec<(InstId, usize)> = bufs
+            .iter()
+            .flat_map(|&b| {
+                assert_eq!(n.instance(b).kind(), CellKind::Buf);
+                assert_eq!(n.instance(b).inputs(), &[src]);
+                n.net(n.instance(b).outputs()[0]).loads().to_vec()
+            })
+            .collect();
+        assert_eq!(moved, before, "every load moved once, in load order");
+        for (k, &(load, pin)) in before.iter().enumerate() {
+            let buf_out = n.instance(bufs[k / 3]).outputs()[0];
+            assert_eq!(n.instance(load).inputs()[pin], buf_out);
+        }
         n.validate().unwrap();
     }
 
     #[test]
-    fn rewire_input_checks_pin() {
+    fn split_fanout_leaves_bounded_nets_alone() {
+        let (mut n, src) = fanout(4);
+        assert_eq!(n.split_fanout(src, 4).unwrap(), 0);
+        assert_eq!(n.net(src).loads().len(), 4);
+        assert_eq!(n.num_instances(), 5);
+        assert!(matches!(
+            n.split_fanout(NetId(99), 4),
+            Err(NetlistError::UnknownNet { index: 99 })
+        ));
+    }
+
+    #[test]
+    fn output_marks_ignore_duplicates_and_keep_first_mark_order() {
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
-        let y = n.add_net("y");
-        let g = n.add_instance("g", CellKind::Inv, &[a], &[y]).unwrap();
-        assert!(n.rewire_input(g, 5, a).is_err());
-        assert!(n.rewire_input(g, 0, NetId(99)).is_err());
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        for net in [b, a, b, c, a, b] {
+            n.add_output(net);
+        }
+        assert_eq!(n.outputs(), &[b, a, c]);
+    }
+
+    #[test]
+    fn inline_pins_keep_pin_order() {
+        let mut n = Netlist::new("t");
+        let ins: Vec<NetId> = (0..4).map(|i| n.add_input(format!("x{i}"))).collect();
+        let y = n.gate(CellKind::Nand4, &ins).unwrap();
+        let z = n.gate(CellKind::Inv, &[y]).unwrap();
+        let tie = n.gate(CellKind::TieHi, &[]).unwrap();
+        let [nand, inv, hi] = [0, 1, 2].map(|i| n.instance(InstId(i)));
+        assert_eq!((nand.inputs(), nand.outputs()), (&ins[..], &[y][..]));
+        assert_eq!((inv.inputs(), inv.outputs()), (&[y][..], &[z][..]));
+        assert_eq!((hi.inputs(), hi.outputs()), (&[][..], &[tie][..]));
+    }
+
+    /// What the three consumers of a validation report on `n`.
+    fn consumers(n: &Netlist) -> [Result<(), NetlistError>; 3] {
+        let lib = crate::cell::Library::vcl018();
+        [
+            n.validate(),
+            crate::sta::TimingContext::new(n, &lib).map(|_| ()),
+            crate::sim_sliced::Simulator::new(n).map(|_| ()),
+        ]
+    }
+
+    #[test]
+    fn every_edit_after_validation_is_seen() {
+        // An undriven net.
+        let mut n = inv_chain(3);
+        n.validate().unwrap();
+        n.add_net("floating");
+        for r in consumers(&n) {
+            assert!(matches!(r, Err(NetlistError::UndrivenNet { .. })), "{r:?}");
+        }
+
+        // An instance closing a combinational cycle.
+        let mut n = inv_chain(3);
+        n.validate().unwrap();
+        let back = n.add_net("back");
+        let y = n.gate(CellKind::Inv, &[back]).unwrap();
+        n.add_instance("close", CellKind::Inv, &[y], &[back])
+            .unwrap();
+        for r in consumers(&n) {
+            assert!(
+                matches!(r, Err(NetlistError::CombinationalCycle { .. })),
+                "{r:?}"
+            );
+        }
+
+        // A duplicate instance name.
+        let mut n = inv_chain(3);
+        n.validate().unwrap();
+        let w = n.add_net("w");
+        let a = n.inputs()[1];
+        n.add_instance("inv0", CellKind::Inv, &[a], &[w]).unwrap();
+        for r in consumers(&n) {
+            assert!(
+                matches!(r, Err(NetlistError::DuplicateInstanceName { .. })),
+                "{r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_split_after_validation_is_timed_and_simulated() {
+        let (mut n, src) = fanout(6);
+        n.validate().unwrap();
+        assert_eq!(n.validated_order().unwrap().len(), 7);
+        n.split_fanout(src, 2).unwrap();
+        assert_eq!(
+            n.validated_order().unwrap().len(),
+            9,
+            "two buffers sorted in"
+        );
+        let lib = crate::cell::Library::vcl018();
+        let timing = crate::sta::TimingContext::new(&n, &lib).unwrap().run();
+        let bufs: Vec<NetId> = n
+            .net(src)
+            .loads()
+            .iter()
+            .map(|&(b, _)| n.instance(b).outputs()[0])
+            .collect();
+        let mut sim = crate::sim_sliced::Simulator::new(&n).unwrap();
+        sim.step_bools(&[false, true]).unwrap();
+        for b in bufs {
+            assert!(timing.arrival_ps(b).is_some(), "buffer timed");
+            assert_eq!(sim.value(b), crate::sim::Logic::Zero, "buffer simulated");
+        }
+    }
+
+    #[test]
+    fn clones_keep_their_own_validation() {
+        let n = inv_chain(3);
+        n.validate().unwrap();
+        let mut edited = n.clone();
+        edited.add_net("floating");
+        assert!(edited.validate().is_err());
+        n.validate().unwrap();
+
+        let mut original = inv_chain(3);
+        original.validate().unwrap();
+        let copy = original.clone();
+        original.add_net("floating");
+        assert!(original.validate().is_err());
+        copy.validate().unwrap();
+    }
+
+    #[test]
+    fn errors_keep_their_precedence_and_are_not_cached() {
+        // Undriven net, duplicate name and cycle at once.
+        let mut n = Netlist::new("t");
+        let a = n.add_net("a");
+        let b = n.add_net("b");
+        let u = n.add_net("u");
+        n.add_instance("g", CellKind::Inv, &[a], &[b]).unwrap();
+        n.add_instance("g", CellKind::Inv, &[b], &[a]).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                n.validate(),
+                Err(NetlistError::UndrivenNet { net }) if net == "u"
+            ));
+        }
+        let rst = n.reset();
+        n.add_instance("h", CellKind::Inv, &[rst], &[u]).unwrap();
+        assert!(matches!(
+            n.validate(),
+            Err(NetlistError::DuplicateInstanceName { name }) if name == "g"
+        ));
+    }
+
+    #[test]
+    fn only_the_validation_that_fills_the_cache_counts() {
+        let n = inv_chain(4);
+        obs::start();
+        for r in consumers(&n) {
+            r.unwrap();
+        }
+        n.validate().unwrap();
+        let rec = obs::take();
+        assert_eq!(rec.counter(obs::Ctr::NetlistValidations), 1);
     }
 
     #[test]

@@ -132,25 +132,16 @@ where
         .collect();
     let always_clocked = netlist.num_flip_flops() - gate_enables.len();
 
-    let mut prev: Vec<Logic> = (0..netlist.nets().len())
-        .map(|i| sim.value(netlist.net_id_from_index(i)))
-        .collect();
+    // Starting from all-X words, the first tally only snapshots the
+    // settled values.
+    let mut prev = vec![(0, !0); netlist.nets().len()];
     let mut toggles = vec![0u64; netlist.nets().len()];
+    sim.tally_toggles(&mut prev, &mut toggles);
     let mut clocked_ff_cycles = [0u64; N];
     for cycle in 0..cycles {
         let inputs = stimulus(cycle);
         sim.step(&inputs)?;
-        for (i, t) in toggles.iter_mut().enumerate() {
-            let now = sim.value(netlist.net_id_from_index(i));
-            let flipped = matches!(
-                (prev[i], now),
-                (Logic::Zero, Logic::One) | (Logic::One, Logic::Zero)
-            );
-            if flipped {
-                *t += 1;
-            }
-            prev[i] = now;
-        }
+        sim.tally_toggles(&mut prev, &mut toggles);
         // X counts as clocked: the gate cannot be assumed closed on an
         // undefined enable.
         let enabled = gate_enables

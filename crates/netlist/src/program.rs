@@ -1,11 +1,10 @@
 //! The compiled gate program the [`Simulator`](crate::Simulator)
 //! steps from (crate internal).
 //!
-//! [`Netlist`] is built for construction and analysis: instances own
-//! heap-allocated pin lists and are reached through
-//! [`InstId`](crate::InstId)s. A
-//! simulator that walks it pays a pointer chase per gate and a slice
-//! per pin on every cycle. [`Program::compile`] flattens the netlist
+//! [`Netlist`] is built for construction and analysis: instances are
+//! reached through [`InstId`](crate::InstId)s and carry their names
+//! and cell kinds beside their pins. A simulator that walks it pays a
+//! pointer chase per gate and a slice per pin on every cycle. [`Program::compile`] flattens the netlist
 //! once — when a [`Simulator`](crate::Simulator) is constructed, on
 //! one lane or many — into two arrays of fixed-width records:
 //!
@@ -31,7 +30,8 @@ use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph::{NetId, Netlist};
 
-/// Widest input-pin list of any cell kind.
+/// Widest input-pin list of any cell kind; both the netlist's inline
+/// pins and the compiled records hold this many.
 pub(crate) const MAX_PINS: usize = 4;
 
 /// One combinational gate: evaluate `kind` on `ins`, drive `out`.
@@ -66,14 +66,14 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// Validates `netlist` and flattens it.
+    /// Validates `netlist` (or reuses its cached validation) and
+    /// flattens it.
     ///
     /// # Errors
     ///
     /// Fails if the netlist does not [`validate`](Netlist::validate).
     pub(crate) fn compile(netlist: &Netlist) -> Result<Program, NetlistError> {
-        netlist.validate()?;
-        let order = netlist.comb_topo_order()?;
+        let order = netlist.validated_order()?;
         let pins = |inputs: &[NetId]| {
             let mut ins = [0u32; MAX_PINS];
             for (slot, net) in ins.iter_mut().zip(inputs) {

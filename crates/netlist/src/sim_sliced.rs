@@ -446,6 +446,19 @@ impl<'a> Simulator<'a> {
         self.vals[net.index() * self.words].lane(0)
     }
 
+    /// Adds to `toggles[i]` the lane-0 `0↔1` flip of net `i` from
+    /// `prev[i]`, a net's `(ones, xs)` word, to now, read straight
+    /// from the bit planes; then stores the current word in `prev[i]`.
+    /// A change to or from X is no flip, so starting from all-X words
+    /// only takes a snapshot.
+    pub(crate) fn tally_toggles(&self, prev: &mut [(u64, u64)], toggles: &mut [u64]) {
+        let now = self.vals.iter().step_by(self.words);
+        for ((p, t), v) in prev.iter_mut().zip(toggles).zip(now) {
+            *t += (p.0 ^ v.ones) & !(p.1 | v.xs) & 1;
+            *p = (v.ones, v.xs);
+        }
+    }
+
     /// The index of the one hot net of `lines` on lane 0 — the address
     /// a generator presents on its select lines. `None` if any line is
     /// X or the lines are not exactly one-hot.

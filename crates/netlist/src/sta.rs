@@ -177,12 +177,12 @@ fn worst_input(inputs: &[NetId], arrival: &[f64]) -> (NetId, f64) {
 
 /// Reusable timing state for repeated analyses of one netlist.
 ///
-/// Construction validates the netlist, computes the combinational
-/// topological order, interns every instance's cell spec numbers
-/// (intrinsic delay, drive resistance, setup), records the sequential
-/// and tie-cell instance indices, and precomputes each net's base
-/// capacitive load from its fanout (a CSR-free flattening of the
-/// per-net load walk). Each
+/// Construction validates the netlist (reusing its cached validation
+/// and combinational order when it has one), interns every
+/// instance's cell spec numbers (intrinsic delay, drive resistance,
+/// setup), records the sequential and tie-cell instance indices, and
+/// precomputes each net's base capacitive load from its fanout (a
+/// CSR-free flattening of the per-net load walk). Each
 /// [`run_with_output_load`](Self::run_with_output_load) call is then a
 /// pure array sweep — no name lookups, no per-instance kind scans, no
 /// re-validation — which matters when a sweep times the same elaborated
@@ -191,8 +191,9 @@ fn worst_input(inputs: &[NetId], arrival: &[f64]) -> (NetId, f64) {
 #[derive(Debug, Clone)]
 pub struct TimingContext<'a> {
     netlist: &'a Netlist,
-    /// Combinational instances in topological order.
-    order: Vec<InstId>,
+    /// Combinational instances in topological order, borrowed from
+    /// the netlist's validation.
+    order: &'a [InstId],
     /// Per-net: true if the net is a primary output.
     is_output: Vec<bool>,
     /// Per-net: fanout load in fF, excluding any external output load
@@ -219,8 +220,7 @@ impl<'a> TimingContext<'a> {
     pub fn new(netlist: &'a Netlist, library: &'a Library) -> Result<Self, NetlistError> {
         let _span = obs::span_arg("sta.ctx.build", netlist.nets().len() as u64);
         obs::add(obs::Ctr::StaCtxBuilds, 1);
-        netlist.validate()?;
-        let order = netlist.comb_topo_order()?;
+        let order = netlist.validated_order()?;
         let num_nets = netlist.nets().len();
         let num_insts = netlist.instances().len();
 
@@ -315,7 +315,7 @@ impl<'a> TimingContext<'a> {
             }
         }
 
-        for &id in &self.order {
+        for &id in self.order {
             let idx = id.index();
             let inst = &netlist.instances()[idx];
             if inst.inputs().is_empty() {

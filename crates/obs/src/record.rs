@@ -187,6 +187,10 @@ counters! {
     SimSlicedLanes = "sim.sliced.lanes",
     /// Sliced-simulator constructions (one per packed pass).
     SimSlicedPasses = "sim.sliced.passes",
+    /// Netlist validations actually computed: a netlist validates once
+    /// and keeps the result until its next edit, so timing and
+    /// simulating it again do not count.
+    NetlistValidations = "netlist.validations",
 }
 
 impl Ctr {

@@ -128,6 +128,12 @@ pub fn literal_rails(n: &mut Netlist, pos: &[NetId]) -> Result<Vec<NetId>, Netli
 /// no net drives more than `max_fanout` pins. Returns the number of
 /// buffers inserted.
 ///
+/// One walk over the growing net list: each net is split once
+/// ([`Netlist::split_fanout`]), and the buffers a split creates are
+/// appended, so they are visited after every net created before them
+/// — the original nets first, then each generation of buffers in
+/// creation order. The work is linear in the nets and loads.
+///
 /// Primary-output markings stay on the original nets, so the pass is
 /// purely an electrical (delay) transformation: simulation behaviour
 /// is unchanged.
@@ -143,36 +149,12 @@ pub fn literal_rails(n: &mut Netlist, pos: &[NetId]) -> Result<Vec<NetId>, Netli
 pub fn insert_fanout_buffers(n: &mut Netlist, max_fanout: usize) -> Result<usize, NetlistError> {
     assert!(max_fanout >= 2, "max_fanout must be at least 2");
     let mut inserted = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // Iterate by index: new nets appended during the pass are
-        // revisited on the next sweep.
-        let num_nets = n.nets().len();
-        for net_idx in 0..num_nets {
-            let net_id = net_id_at(n, net_idx);
-            let loads: Vec<(adgen_netlist::InstId, usize)> = n.net(net_id).loads().to_vec();
-            if loads.len() <= max_fanout {
-                continue;
-            }
-            // Split loads into max_fanout groups served by buffers.
-            let group_size = loads.len().div_ceil(max_fanout);
-            for group in loads.chunks(group_size) {
-                let buf_out = n.gate(CellKind::Buf, &[net_id])?;
-                inserted += 1;
-                for &(inst, pin) in group {
-                    n.rewire_input(inst, pin, buf_out)?;
-                }
-            }
-            changed = true;
-        }
+    let mut idx = 0;
+    while idx < n.nets().len() {
+        inserted += n.split_fanout(n.net_id_from_index(idx), max_fanout)?;
+        idx += 1;
     }
     Ok(inserted)
-}
-
-fn net_id_at(n: &Netlist, idx: usize) -> NetId {
-    // NetIds are dense indices; reconstruct from position.
-    n.net_id_from_index(idx)
 }
 
 #[cfg(test)]
