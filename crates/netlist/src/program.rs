@@ -4,9 +4,10 @@
 //! [`Netlist`] is built for construction and analysis: instances are
 //! reached through [`InstId`](crate::InstId)s and carry their names
 //! and cell kinds beside their pins. A simulator that walks it pays a
-//! pointer chase per gate and a slice per pin on every cycle. [`Program::compile`] flattens the netlist
-//! once — when a [`Simulator`](crate::Simulator) is constructed, on
-//! one lane or many — into two arrays of fixed-width records:
+//! pointer chase per gate and a slice per pin on every cycle.
+//! [`Program::compile`] flattens the netlist once — when a
+//! [`Simulator`](crate::Simulator) is constructed, on one lane or
+//! many — into two arrays of fixed-width records:
 //!
 //! * [`Gate`]s: the combinational instances in topological order,
 //!   `{kind, out, ins}`;

@@ -12,16 +12,20 @@
 #
 # Prints, for the six end-to-end metrics, each side's median and
 # quartiles and "change better in k of n" pairs (by the metric's
-# direction in BENCHMARK.json), then keeps every run's JSON line in
-# target/ab/<workload>-<parent>-<change>.jsonl.
+# direction in BENCHMARK.json). With --traced N it then runs N traced
+# pairs, also alternating, and prints every per-layer metric either
+# side reported: counts as equal or not, timings as medians. Every
+# run's JSON line is kept in target/ab/<workload>-<parent>-<change>.jsonl.
 #
 # Usage:
-#   scripts/ab.sh [--workload W] [--pairs N] [--seconds S]
-#                 PARENT_REV [CHANGE_REV]
+#   scripts/ab.sh [--workload W] [--pairs N] [--seconds S] [--seed N]
+#                 [--traced N] PARENT_REV [CHANGE_REV]
 #
 #   --workload W   benchmark workload (default sweep-paper)
-#   --pairs N      alternating pairs (default 8)
-#   --seconds S    seconds per run (default 8)
+#   --pairs N      alternating untraced pairs (default 10)
+#   --seconds S    seconds per run (default 20, BENCHMARK.json's)
+#   --seed N       workload seed (default: the benchmark's)
+#   --traced N     traced pairs after the untraced ones (default 0)
 #   CHANGE_REV     defaults to HEAD; uncommitted edits are not built.
 #
 # Writes nothing outside target/ and does not touch benchmark/.
@@ -29,22 +33,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage="usage: scripts/ab.sh [--workload W] [--pairs N] [--seconds S] [--seed N] [--traced N] PARENT_REV [CHANGE_REV]"
 workload=sweep-paper
-pairs=8
-seconds=8
+pairs=10
+seconds=20
+seed=()
+traced=0
 revs=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
     --pairs) pairs="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
-    -h|--help) sed -n '2,27p' "$0"; exit 0 ;;
-    -*) echo "ab.sh: unknown flag $1" >&2; exit 2 ;;
+    --seed) seed=(--seed "$2"); shift 2 ;;
+    --traced) traced="$2"; shift 2 ;;
+    -h|--help) echo "$usage"; exit 0 ;;
+    -*) echo "ab.sh: unknown flag $1" >&2; echo "$usage" >&2; exit 2 ;;
     *) revs+=("$1"); shift ;;
   esac
 done
 if [ "${#revs[@]}" -lt 1 ] || [ "${#revs[@]}" -gt 2 ]; then
-  echo "usage: scripts/ab.sh [--workload W] [--pairs N] [--seconds S] PARENT_REV [CHANGE_REV]" >&2
+  echo "$usage" >&2
   exit 2
 fi
 parent=$(git rev-parse --short=12 "${revs[0]}^{commit}")
@@ -67,57 +76,87 @@ build "$change"
 
 log="target/ab/$workload-$parent-$change.jsonl"
 : > "$log"
-# run SIDE REV PAIR — one benchmark run; appends its tagged JSON line.
+# run SIDE REV PAIR TRACE — one benchmark run; appends its tagged JSON
+# line.
 run() {
   local line
   line=$(cd "target/ab/$2" && benchmark/target/release/benchmark \
-    --workload "$workload" --seconds "$seconds" | tail -n 1)
-  printf '{"side": "%s", "pair": %d, "run": %s}\n' "$1" "$3" "$line" >> "$log"
-  echo "ab.sh: pair $3 $1 done" >&2
+    --workload "$workload" --seconds "$seconds" "${seed[@]}" --trace "$4" | tail -n 1)
+  printf '{"side": "%s", "pair": %d, "trace": %d, "run": %s}\n' "$1" "$3" "$4" "$line" >> "$log"
+  echo "ab.sh: pair $3 $1 (trace $4) done" >&2
 }
-for i in $(seq 1 "$pairs"); do
-  if [ $((i % 2)) -eq 1 ]; then
-    run parent "$parent" "$i"
-    run change "$change" "$i"
-  else
-    run change "$change" "$i"
-    run parent "$parent" "$i"
-  fi
-done
+# pairs N TRACE — N pairs, the parent first on odd pairs.
+pairs() {
+  for i in $(seq 1 "$1"); do
+    if [ $((i % 2)) -eq 1 ]; then
+      run parent "$parent" "$i" "$2"
+      run change "$change" "$i" "$2"
+    else
+      run change "$change" "$i" "$2"
+      run parent "$parent" "$i" "$2"
+    fi
+  done
+}
+pairs "$pairs" 0
+pairs "$traced" 1
 
-python3 - "$log" "$workload" "$parent" "$change" <<'EOF'
+python3 - "$log" "$workload" "$parent" "$change" <<'PY'
 import json, statistics, sys
 
 log, workload, parent, change = sys.argv[1:]
 bench = json.load(open("BENCHMARK.json"))
-runs = {"parent": {}, "change": {}}
+runs = {(side, trace): {} for side in ("parent", "change") for trace in (0, 1)}
 for line in open(log):
     row = json.loads(line)
-    runs[row["side"]][row["pair"]] = row["run"]
-    if not row["run"]["correct"]:
-        print(f"warning: {row['side']} pair {row['pair']} reported wrong outputs")
+    runs[row["side"], row["trace"]][row["pair"]] = row["run"]["metrics"]
+    if not row["run"]["correct"] or row["run"]["failed"]:
+        print(f"warning: {row['side']} pair {row['pair']} reported wrong or failed outputs")
+
+def paired(name, trace):
+    """(parent, change) values of `name` over the pairs both sides ran."""
+    a, b = runs["parent", trace], runs["change", trace]
+    return [(a[p][name]["value"], b[p][name]["value"])
+            for p in sorted(set(a) & set(b)) if name in a[p] and name in b[p]]
 
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
-pairs = sorted(set(runs["parent"]) & set(runs["change"]))
-print(f"{workload}: parent {parent} vs change {change}, {len(pairs)} alternating pairs")
+def fmt(q):
+    return "/".join(f"{v:.4g}" for v in q)
+
+def delta(a, b):
+    return f"{(b - a) / a * 100:+.1f}%" if a else "-"
+
+n = len(set(runs["parent", 0]) & set(runs["change", 0]))
+print(f"{workload}: parent {parent} vs change {change}, {n} alternating pairs")
 print(f"{'metric':<18} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} {'med Δ':>8} better")
 for metric in bench["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
-    got = [(runs["parent"][p]["metrics"].get(name), runs["change"][p]["metrics"].get(name))
-           for p in pairs]
-    got = [(a["value"], b["value"]) for a, b in got if a and b]
+    got = paired(name, 0)
     if not got:
         continue
-    a = [x for x, _ in got]
-    b = [y for _, y in got]
+    qa = quartiles([x for x, _ in got])
+    qb = quartiles([y for _, y in got])
     better = sum((y > x) if higher else (y < x) for x, y in got)
-    qa, qb = quartiles(a), quartiles(b)
-    delta = (qb[1] - qa[1]) / qa[1] * 100 if qa[1] else float("nan")
-    fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
-    print(f"{name:<18} {fmt(qa):>28} {fmt(qb):>28} {delta:>+7.1f}% {better} of {len(got)}")
-EOF
+    print(f"{name:<18} {fmt(qa):>28} {fmt(qb):>28} {delta(qa[1], qb[1]):>8} {better} of {len(got)}")
+
+n = len(set(runs["parent", 1]) & set(runs["change", 1]))
+if n:
+    print(f"\nper layer, {n} traced runs per side (counts must be equal)")
+    print(f"{'layer':<32} {'parent median':>14} {'change median':>14} {'Δ':>8}")
+    for metric in bench["per_layer"]:
+        name = metric["name"]
+        got = paired(name, 1)
+        if not any(x or y for x, y in got):
+            continue
+        a = [x for x, _ in got]
+        b = [y for _, y in got]
+        ma, mb = statistics.median(a), statistics.median(b)
+        if metric["unit"] == "count":
+            verdict = "equal" if len(set(a + b)) == 1 else "DIFFERS"
+            print(f"{name:<32} {ma:>14.10g} {mb:>14.10g} {verdict:>8}")
+        else:
+            print(f"{name:<32} {ma:>14.4g} {mb:>14.4g} {delta(ma, mb):>8}")
+PY
