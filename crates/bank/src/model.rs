@@ -99,7 +99,7 @@ impl BankedAddm {
     ///
     /// Lane-count mismatch, out-of-range addresses, or a strict
     /// per-bank access failure.
-    pub fn write_cycle(&mut self, accesses: &[(u32, u64)]) -> Result<(), BankError> {
+    fn write_cycle(&mut self, accesses: &[(u32, u64)]) -> Result<(), BankError> {
         let split = self.account_cycle(accesses.iter().map(|&(a, _)| a))?;
         for ((bank, local), &(_, value)) in split.into_iter().zip(accesses) {
             let (rows, cols) = self.selects(local);
@@ -115,7 +115,7 @@ impl BankedAddm {
     ///
     /// As for [`write_cycle`](Self::write_cycle), plus uninitialized
     /// reads.
-    pub fn read_cycle(&mut self, addrs: &[u32]) -> Result<Vec<u64>, BankError> {
+    fn read_cycle(&mut self, addrs: &[u32]) -> Result<Vec<u64>, BankError> {
         let split = self.account_cycle(addrs.iter().copied())?;
         let mut values = Vec::with_capacity(addrs.len());
         for (bank, local) in split {

@@ -131,7 +131,7 @@ pub fn ring_campaigns<'a>(
 ///
 /// # Errors
 ///
-/// Propagates mapping and elaboration failures.
+/// Propagates mapping, elaboration and netlist validation failures.
 pub fn compare_resilience(
     sequence: &AddressSequence,
     shape: ArrayShape,
@@ -152,7 +152,7 @@ pub fn compare_resilience(
     let mut reports = run_campaigns(
         &[(plain_spec, &plain_faults), (hard_spec, &hard_faults)],
         jobs,
-    );
+    )?;
     let hard_report = reports.swap_remove(1);
     let plain_report = reports.swap_remove(0);
 

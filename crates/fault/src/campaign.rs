@@ -25,11 +25,15 @@
 //! pass of upsets loads the golden checkpoint just before its
 //! earliest strike instead of replaying from reset.
 //!
-//! [`run_campaigns`] runs any number of campaigns as one fan-out over
-//! [`adgen_exec::par_map`]: every campaign's golden run first, then
-//! every pass. A golden run publishes each cycle's output row, and
-//! the checkpoint rows its passes load, as it steps; the passes trail
-//! it on the other workers and wait only when they catch up. Items
+//! [`run_campaigns`] validates every campaign's netlist up front
+//! (a typed [`NetlistError`] replays nothing), then runs all the
+//! campaigns as one fan-out over [`adgen_exec::par_map`]: every
+//! campaign's golden run first, then every pass. Each machine, golden
+//! or pass, is built on its own worker and borrows the one gate
+//! program its netlist compiles. A golden run publishes each cycle's
+//! output row, and the checkpoint rows its passes load, as it steps;
+//! the passes trail it on the other workers and wait only when they
+//! catch up. Items
 //! are claimed in input order and a golden run never waits, so the
 //! fan-out cannot deadlock, and a golden run that stops early fails
 //! its waiting passes instead of hanging them. [`run_campaign`] is
@@ -47,10 +51,12 @@
 //! the gate compiler the compiled engine steps.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use adgen_exec::par_map;
-use adgen_netlist::{EventSimulator, LaneMask, Logic, Netlist, SimControl, Simulator};
+use adgen_netlist::{
+    EventSimulator, LaneMask, Logic, Netlist, NetlistError, SimControl, Simulator,
+};
 use adgen_obs as obs;
 
 use crate::model::Fault;
@@ -109,29 +115,26 @@ pub enum Classification {
 /// pass: the reset vector for cycle 0 (`reset` high) and the run
 /// vector for every later cycle (`next` high, if the design has it).
 fn stimulus(netlist: &Netlist) -> (Vec<bool>, Vec<bool>) {
-    let num_inputs = netlist.inputs().len();
-    let mut reset = vec![false; num_inputs];
-    reset[0] = true;
-    let mut run = vec![false; num_inputs];
-    if num_inputs > 1 {
-        run[1] = true;
-    }
-    (reset, run)
+    let high = |pin| (0..netlist.inputs().len()).map(|i| i == pin).collect();
+    (high(0), high(1))
+}
+
+/// Steps `sim` one cycle on `inputs`, a [`stimulus`] vector of the
+/// netlist `sim` runs. It never panics: the stimulus is built from
+/// the netlist's own inputs, and the input width is all a step checks.
+fn step<S: SimControl>(sim: &mut S, inputs: &[bool]) {
+    sim.step_bools(inputs)
+        .expect("the stimulus is built from the netlist's own inputs");
 }
 
 /// The shared replay body: injects `fault` into any engine through
 /// the [`SimControl`] surface and records the observable trace.
-///
-/// # Panics
-///
-/// Panics on a stepping failure — campaign inputs are validated
-/// netlists, so this indicates a bug.
 fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     if let Some(Fault::StuckAt { net, value }) = fault {
-        sim.force_net(net, if value { Logic::One } else { Logic::Zero });
+        sim.force_net(net, Logic::from_bool(value));
     }
     let (reset, run) = stimulus(spec.netlist);
-    sim.step_bools(&reset).expect("reset step");
+    step(sim, &reset);
     let mut outputs = Vec::with_capacity(spec.cycles as usize);
     for cycle in 1..=spec.cycles {
         if let Some(Fault::Seu { ff, cycle: c }) = fault {
@@ -139,7 +142,7 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
                 sim.upset_flip_flop(ff);
             }
         }
-        sim.step_bools(&run).expect("step");
+        step(sim, &run);
         outputs.push(sim.output_values());
     }
     Trace {
@@ -153,8 +156,7 @@ fn replay_on<S: SimControl>(sim: &mut S, spec: &CampaignSpec<'_>, fault: Option<
 ///
 /// # Panics
 ///
-/// Panics if the netlist fails simulator construction or stepping —
-/// campaign inputs are validated netlists, so this indicates a bug.
+/// Panics if the netlist does not [`validate`](Netlist::validate).
 pub fn replay(spec: &CampaignSpec<'_>, fault: Option<Fault>) -> Trace {
     let _span = obs::span_arg("fault.replay", u64::from(spec.cycles));
     obs::add(obs::Ctr::FaultReplays, 1);
@@ -222,59 +224,52 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Outcomes whose classification satisfies `pred`.
+    fn count(&self, pred: impl Fn(Classification) -> bool) -> usize {
+        self.outcomes.iter().filter(|o| pred(o.class)).count()
+    }
+
     /// Faults observably detected (output divergence or alarm).
     pub fn detected(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.class, Classification::Detected { .. }))
-            .count()
+        self.count(|c| matches!(c, Classification::Detected { .. }))
     }
 
     /// Detected faults whose first detection was the alarm output.
     pub fn alarmed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.class, Classification::Detected { alarm: true, .. }))
-            .count()
+        self.count(|c| matches!(c, Classification::Detected { alarm: true, .. }))
     }
 
     /// Faults that silently corrupted machine state.
     pub fn silent(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.class == Classification::Silent)
-            .count()
+        self.count(|c| c == Classification::Silent)
     }
 
     /// Faults with no effect at all.
     pub fn benign(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.class == Classification::Benign)
-            .count()
+        self.count(|c| c == Classification::Benign)
+    }
+
+    /// `count` per non-benign fault, in percent (100 with none).
+    fn pct_of_effective(&self, count: usize) -> f64 {
+        let effective = self.outcomes.len() - self.benign();
+        if effective == 0 {
+            100.0
+        } else {
+            100.0 * count as f64 / effective as f64
+        }
     }
 
     /// Detected / (total − benign), as a percentage; benign faults
     /// cannot be detected by any observer, so they are excluded from
     /// the denominator. 100 when every effective fault is benign.
     pub fn coverage_pct(&self) -> f64 {
-        let effective = self.outcomes.len() - self.benign();
-        if effective == 0 {
-            100.0
-        } else {
-            100.0 * self.detected() as f64 / effective as f64
-        }
+        self.pct_of_effective(self.detected())
     }
 
     /// Alarm-detected / (total − benign), as a percentage — the
     /// self-checking coverage. Zero for designs without an alarm.
     pub fn alarm_coverage_pct(&self) -> f64 {
-        let effective = self.outcomes.len() - self.benign();
-        if effective == 0 {
-            100.0
-        } else {
-            100.0 * self.alarmed() as f64 / effective as f64
-        }
+        self.pct_of_effective(self.alarmed())
     }
 
     /// One-line summary, stable across job counts.
@@ -313,16 +308,8 @@ fn count_classification(class: Classification) {
 /// rather than once per cycle.
 const WAKE_EVERY: usize = 32;
 
-/// The byte a golden row stores `value` as.
-fn code(value: Logic) -> u8 {
-    match value {
-        Logic::Zero => 0,
-        Logic::One => 1,
-        Logic::X => 2,
-    }
-}
-
-/// The value a golden row's byte holds.
+/// The value a golden row's byte holds; the run stores each value
+/// `as u8`.
 fn logic(code: &AtomicU8) -> Logic {
     match code.load(Ordering::Relaxed) {
         0 => Logic::Zero,
@@ -330,6 +317,10 @@ fn logic(code: &AtomicU8) -> Logic {
         _ => Logic::X,
     }
 }
+
+/// One pass: its faults, sorted by [`strike`], and the golden `states`
+/// row it starts from (`None`: from reset).
+type Pass<'f> = (&'f [Fault], Option<usize>);
 
 /// The fault-free run every pass of one campaign is classified
 /// against. One `par_map` item steps it ([`Golden::run`]) and
@@ -339,18 +330,15 @@ fn logic(code: &AtomicU8) -> Logic {
 /// nothing per cycle.
 struct Golden<'a> {
     spec: CampaignSpec<'a>,
-    /// The compiled one-lane machine, powered up: every pass builds
-    /// its lanes from this machine's program. Set before cycle 0 is
-    /// published.
-    machine: OnceLock<Simulator<'a>>,
     /// The primary outputs after each cycle, one row per cycle: row
     /// `c - 1` holds those after cycle `c`.
     outputs: Box<[AtomicU8]>,
-    /// The flip-flop states after the cycles some pass of upsets
-    /// starts right after, and after the last cycle, one row each.
+    /// The flip-flop states after each cycle in `kept`, one row each.
     states: Box<[AtomicU8]>,
-    /// By cycle (0 is the reset cycle): its row in `states`, if kept.
-    state_row: Vec<Option<usize>>,
+    /// The cycles some pass of upsets starts right after, and the last
+    /// cycle, ascending: row `r` of `states` holds those after cycle
+    /// `kept[r]`, so the last row holds the final states.
+    kept: Vec<usize>,
     /// Cycles published, the reset cycle included: cycle `c` is
     /// readable once this exceeds `c`. The run stores a cycle's bytes
     /// (relaxed), then raises this with a release store; a pass that
@@ -380,62 +368,56 @@ impl Drop for Finish<'_, '_> {
 }
 
 impl<'a> Golden<'a> {
-    /// An unstarted golden run for `spec`, keeping the checkpoints
-    /// the passes over `sorted` (sorted by [`strike`]) will load.
-    fn new(spec: CampaignSpec<'a>, sorted: &[Fault]) -> Self {
+    /// An unstarted golden run for `spec`, and the passes over
+    /// `sorted` (sorted by [`strike`]).
+    fn new<'f>(spec: CampaignSpec<'a>, sorted: &'f [Fault]) -> (Self, Vec<Pass<'f>>) {
         let cycles = spec.cycles as usize;
-        let mut kept = vec![false; cycles + 1];
-        kept[cycles] = true;
-        for chunk in sorted.chunks(SLICED_FAULT_LANES) {
-            let start = start_cycle(spec.cycles, chunk) as usize;
-            if start > 1 {
-                kept[start - 1] = true;
-            }
-        }
-        let mut rows = 0;
-        let state_row = kept
-            .into_iter()
-            .map(|keep| {
-                let row = keep.then_some(rows);
-                rows += usize::from(keep);
-                row
+        // The cycle a pass starts right after, unless it runs from reset.
+        let after = |chunk| Some(start_cycle(spec.cycles, chunk) as usize - 1).filter(|&c| c > 0);
+        // Ascending already: passes start in strike order.
+        let mut kept: Vec<usize> = sorted
+            .chunks(SLICED_FAULT_LANES)
+            .filter_map(after)
+            .chain([cycles])
+            .collect();
+        kept.dedup();
+        let passes = sorted
+            .chunks(SLICED_FAULT_LANES)
+            .map(|chunk| {
+                (
+                    chunk,
+                    after(chunk).map(|c| kept.partition_point(|&k| k < c)),
+                )
             })
             .collect();
         let bytes = |n: usize| (0..n).map(|_| AtomicU8::new(0)).collect();
-        Golden {
+        let golden = Golden {
             spec,
-            machine: OnceLock::new(),
             outputs: bytes(cycles * spec.netlist.outputs().len()),
-            states: bytes(rows * spec.netlist.num_flip_flops()),
-            state_row,
+            states: bytes(kept.len() * spec.netlist.num_flip_flops()),
+            kept,
             published: AtomicUsize::new(0),
             failed: Mutex::new(false),
             wake: Condvar::new(),
-        }
+        };
+        (golden, passes)
     }
 
-    /// Steps the golden machine over the window, publishing the
-    /// compiled machine and every cycle's values. Never waits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist fails simulator construction or stepping
-    /// — campaign inputs are validated netlists, so this indicates a
-    /// bug — or if the run is started twice.
+    /// Steps the golden machine over the window, publishing every
+    /// cycle's values. Never waits. On a netlist that does not
+    /// validate it publishes nothing, which fails its waiting passes.
     fn run(&self) {
         let _span = obs::span_arg("fault.replay", u64::from(self.spec.cycles));
         obs::add(obs::Ctr::FaultReplays, 1);
         let _finish = Finish(self);
-        let mut sim =
-            Simulator::new(self.spec.netlist).expect("campaign netlist must be simulable");
-        self.machine
-            .set(sim.clone())
-            .expect("a golden run starts once");
+        let Ok(mut sim) = Simulator::new(self.spec.netlist) else {
+            return;
+        };
         let (reset, run) = stimulus(self.spec.netlist);
-        sim.step_bools(&reset).expect("reset step");
+        step(&mut sim, &reset);
         self.publish(0, &sim);
         for cycle in 1..=self.spec.cycles as usize {
-            sim.step_bools(&run).expect("step");
+            step(&mut sim, &run);
             self.publish(cycle, &sim);
         }
     }
@@ -448,16 +430,16 @@ impl<'a> Golden<'a> {
         if cycle > 0 {
             let row = &self.outputs[(cycle - 1) * outs.len()..][..outs.len()];
             for (slot, &net) in row.iter().zip(outs) {
-                slot.store(code(sim.value(net)), Ordering::Relaxed);
+                slot.store(sim.value(net) as u8, Ordering::Relaxed);
             }
         }
-        if let Some(row) = self.state_row[cycle] {
+        if let Ok(row) = self.kept.binary_search(&cycle) {
             let width = self.spec.netlist.num_flip_flops();
             for (slot, v) in self.states[row * width..][..width]
                 .iter()
                 .zip(sim.flip_flop_states())
             {
-                slot.store(code(v), Ordering::Relaxed);
+                slot.store(v as u8, Ordering::Relaxed);
             }
         }
         self.published.store(cycle + 1, Ordering::Release);
@@ -493,14 +475,6 @@ impl<'a> Golden<'a> {
         }
     }
 
-    /// The compiled one-lane machine.
-    fn machine(&self) -> &Simulator<'a> {
-        self.wait_for(0);
-        self.machine
-            .get()
-            .expect("the machine is set before cycle 0 is published")
-    }
-
     /// The golden outputs after cycle `cycle` (1-based).
     fn outputs(&self, cycle: u32) -> &[AtomicU8] {
         self.wait_for(cycle as usize);
@@ -508,12 +482,10 @@ impl<'a> Golden<'a> {
         &self.outputs[(cycle as usize - 1) * width..][..width]
     }
 
-    /// The golden flip-flop states after `cycle`, which must be the
-    /// last cycle or one some pass starts right after.
-    fn states(&self, cycle: u32) -> Vec<Logic> {
-        self.wait_for(cycle as usize);
+    /// The golden flip-flop states of `states` row `row`.
+    fn states(&self, row: usize) -> Vec<Logic> {
+        self.wait_for(self.kept[row]);
         let width = self.spec.netlist.num_flip_flops();
-        let row = self.state_row[cycle as usize].expect("the states after this cycle are kept");
         self.states[row * width..][..width]
             .iter()
             .map(logic)
@@ -549,30 +521,34 @@ fn start_cycle(cycles: u32, chunk: &[Fault]) -> u32 {
 /// one-lane golden rows every cycle the pass runs, so a word-seam or
 /// lane-mask defect cannot silently misclassify a batch.
 ///
-/// `chunk` is sorted by [`strike`]. The pass steps from its
-/// [`start_cycle`] `s`: for `s > 1` every lane loads the golden
-/// checkpoint after cycle `s - 1`, otherwise the pass steps the reset
-/// cycle first. It trails the golden run, waiting only for rows not
-/// yet published.
+/// The pass builds its own machine on the netlist's compiled
+/// program. `chunk` is sorted by [`strike`]. With a checkpoint row
+/// `from`, every lane loads the golden states kept after cycle `c`
+/// and the pass steps from cycle `c + 1`; otherwise it steps the
+/// reset cycle first. It trails the golden run, waiting only for rows
+/// not yet published.
 ///
 /// # Panics
 ///
-/// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`], on any golden-lane
-/// divergence from the one-lane rows, or if the golden run failed
-/// before publishing a row the pass needs.
-fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
+/// Panics if `chunk` exceeds [`SLICED_FAULT_LANES`] or the netlist
+/// does not validate, on any golden-lane divergence from the one-lane
+/// rows, or if the golden run failed before publishing a row the pass
+/// needs.
+fn classify_chunk(
+    golden: &Golden<'_>,
+    chunk: &[Fault],
+    from: Option<usize>,
+) -> Vec<Classification> {
     assert!(chunk.len() <= SLICED_FAULT_LANES, "chunk exceeds one word");
     let spec = &golden.spec;
     let _span = obs::span_arg("fault.replay.sliced", chunk.len() as u64);
     obs::add(obs::Ctr::FaultReplays, chunk.len() as u64);
     let lanes = chunk.len() + 1;
-    let mut sim = golden
-        .machine()
-        .fresh_with_lanes(lanes)
-        .expect("a pass has at least the golden lane");
+    let mut sim = Simulator::with_lanes(spec.netlist, lanes)
+        .expect("run_campaigns validated the netlist, and a pass has the golden lane");
     for (k, fault) in chunk.iter().enumerate() {
         if let Fault::StuckAt { net, value } = *fault {
-            let v = if value { Logic::One } else { Logic::Zero };
+            let v = Logic::from_bool(value);
             sim.force_net_lanes(net, v, &LaneMask::single(k + 1, lanes));
         }
     }
@@ -582,13 +558,17 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
     let mut classes = vec![Classification::Benign; chunk.len()];
     let outs = spec.netlist.outputs();
     let (reset, run) = stimulus(spec.netlist);
-    let start = start_cycle(spec.cycles, chunk);
-    if start > 1 {
-        sim.load_flip_flop_states(&golden.states(start - 1))
-            .expect("checkpoint rows are one state per flip-flop");
-    } else {
-        sim.step_bools(&reset).expect("reset step");
-    }
+    let start = match from {
+        Some(row) => {
+            sim.load_flip_flop_states(&golden.states(row))
+                .expect("checkpoint rows are one state per flip-flop");
+            golden.kept[row] as u32 + 1
+        }
+        None => {
+            step(&mut sim, &reset);
+            1
+        }
+    };
     // The first upset not yet struck: the chunk's upsets follow its
     // stuck-ats in strike order.
     let mut next_upset = chunk.partition_point(|f| strike(f).is_none());
@@ -603,7 +583,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
             }
             next_upset += 1;
         }
-        sim.step_bools(&run).expect("step");
+        step(&mut sim, &run);
         let grow = golden.outputs(cycle);
         // The alarm firing takes precedence over plain divergence,
         // exactly as in the per-trace `classify`.
@@ -638,7 +618,7 @@ fn classify_chunk(golden: &Golden<'_>, chunk: &[Fault]) -> Vec<Classification> {
     // (only checked when the loop ran the full window — an early
     // break means every lane was classified by then).
     if pending != 0 || spec.cycles == 0 {
-        let final_states = golden.states(spec.cycles);
+        let final_states = golden.states(golden.kept.len() - 1);
         for (k, class) in classes.iter_mut().enumerate() {
             let lane = k + 1;
             if pending >> lane & 1 == 0 {
@@ -683,23 +663,26 @@ fn mark_detected(
 enum Item<'g, 'a> {
     /// A campaign's golden run.
     Golden(&'g Golden<'a>),
-    /// One pass of a campaign's faults, trailing its golden run.
-    Pass(&'g Golden<'a>, &'g [Fault]),
+    /// One pass of a campaign's faults, trailing its golden run, and
+    /// the golden `states` row it starts from.
+    Pass(&'g Golden<'a>, &'g [Fault], Option<usize>),
 }
 
 /// Replays and classifies every fault of every campaign on the
 /// compiled engine, [`SLICED_FAULT_LANES`] faults plus one golden lane
 /// per pass, in one fan-out over `jobs` worker threads.
 ///
-/// The fan-out's items are every campaign's golden run, then every
-/// campaign's passes. Each golden run is one one-lane run whose
-/// compiled program that campaign's passes reuse; it publishes each
-/// cycle's output row, and the checkpoints its passes load, as it
-/// steps. A pass trails its golden run on another worker and waits
-/// only when it catches up. Items are claimed in input order, so
-/// every golden run is running before any pass waits on it, and a
-/// golden run never waits: the fan-out cannot deadlock, and at one
-/// job the items simply run in order.
+/// Every campaign's netlist is validated first, before any item is
+/// built. The fan-out's items are every campaign's golden run, then
+/// every campaign's passes. Each golden run is one one-lane run; it
+/// publishes each cycle's output row, and the checkpoints its passes
+/// load, as it steps. Every machine of a campaign borrows the one gate
+/// program its netlist compiles, and each pass builds its own. A pass
+/// trails its golden run on another worker and waits only when it
+/// catches up. Items are claimed in input order, so every golden run
+/// is running before any pass waits on it, and a golden run never
+/// waits: the fan-out cannot deadlock, and at one job the items
+/// simply run in order.
 ///
 /// Passes take each campaign's faults stuck-ats first, then upsets by
 /// strike cycle, so each pass of upsets starts at its earliest strike;
@@ -707,6 +690,11 @@ enum Item<'g, 'a> {
 /// equals its fault list's order — and classifications are identical
 /// to [`run_campaign_scalar`] — for any job count. One report per
 /// campaign, in input order.
+///
+/// # Errors
+///
+/// Returns the first campaign netlist's [`NetlistError`] if one does
+/// not [`validate`](Netlist::validate); nothing is replayed then.
 ///
 /// # Panics
 ///
@@ -716,9 +704,12 @@ enum Item<'g, 'a> {
 pub fn run_campaigns(
     campaigns: &[(CampaignSpec<'_>, &[Fault])],
     jobs: usize,
-) -> Vec<CampaignReport> {
+) -> Result<Vec<CampaignReport>, NetlistError> {
     let total: usize = campaigns.iter().map(|(_, faults)| faults.len()).sum();
     let _span = obs::span_arg("fault.campaign", total as u64);
+    for (spec, _) in campaigns {
+        spec.netlist.validate()?;
+    }
     // Each campaign's fault-list positions in pass order, and its
     // faults in that order.
     let plans: Vec<(Vec<usize>, Vec<Fault>)> = campaigns
@@ -730,27 +721,24 @@ pub fn run_campaigns(
             (order, sorted)
         })
         .collect();
-    let goldens: Vec<Golden<'_>> = campaigns
+    let (goldens, passes): (Vec<Golden<'_>>, Vec<_>) = campaigns
         .iter()
         .zip(&plans)
         .map(|((spec, _), (_, sorted))| Golden::new(*spec, sorted))
-        .collect();
-    let passes = goldens
-        .iter()
-        .zip(&plans)
-        .flat_map(|(golden, (_, sorted))| {
-            sorted
-                .chunks(SLICED_FAULT_LANES)
-                .map(move |chunk| Item::Pass(golden, chunk))
-        });
+        .unzip();
+    let passes = goldens.iter().zip(passes).flat_map(|(golden, passes)| {
+        passes
+            .into_iter()
+            .map(move |(chunk, from)| Item::Pass(golden, chunk, from))
+    });
     let items: Vec<Item<'_, '_>> = goldens.iter().map(Item::Golden).chain(passes).collect();
     let per_item = par_map(&items, jobs, |_, item| match *item {
         Item::Golden(golden) => {
             golden.run();
             Vec::new()
         }
-        Item::Pass(golden, chunk) => {
-            let classes = classify_chunk(golden, chunk);
+        Item::Pass(golden, chunk, from) => {
+            let classes = classify_chunk(golden, chunk, from);
             if obs::enabled() {
                 for &class in &classes {
                     count_classification(class);
@@ -760,7 +748,7 @@ pub fn run_campaigns(
         }
     });
     let mut per_pass = per_item.into_iter().skip(goldens.len());
-    campaigns
+    Ok(campaigns
         .iter()
         .zip(plans)
         .map(|((spec, faults), (order, _))| {
@@ -779,13 +767,20 @@ pub fn run_campaigns(
                 outcomes,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// [`run_campaigns`] over the one campaign `spec` with `faults`.
+///
+/// # Panics
+///
+/// Panics if the netlist does not [`validate`](Netlist::validate), and
+/// as [`run_campaigns`].
 pub fn run_campaign(spec: &CampaignSpec<'_>, faults: &[Fault], jobs: usize) -> CampaignReport {
-    let mut reports = run_campaigns(&[(*spec, faults)], jobs);
-    reports.pop().expect("one report per campaign")
+    match run_campaigns(&[(*spec, faults)], jobs).map(|mut reports| reports.pop()) {
+        Ok(Some(report)) => report,
+        failed => panic!("campaign netlist must be simulable: {failed:?}"),
+    }
 }
 
 /// The campaign-level oracle: the golden trace and one replay per
@@ -839,19 +834,14 @@ mod tests {
             net: design.select_lines[0],
             value: false,
         }];
-        let golden = Golden::new(spec, &faults);
-        // The run compiled its machine and published the reset cycle,
-        // then stopped before publishing cycle 1, as a panicking run
-        // would.
-        golden
-            .machine
-            .set(Simulator::new(spec.netlist).unwrap())
-            .unwrap();
+        let (golden, passes) = Golden::new(spec, &faults);
+        // The run published the reset cycle, then stopped before
+        // publishing cycle 1, as a panicking run would.
         golden.published.store(1, Ordering::Release);
         // The pass may be waiting for cycle 1 when the run is marked
         // failed, or may see the mark first; either way it must panic.
         let outcome = std::thread::scope(|scope| {
-            let pass = scope.spawn(|| classify_chunk(&golden, &faults));
+            let pass = scope.spawn(|| classify_chunk(&golden, &faults, passes[0].1));
             drop(Finish(&golden));
             pass.join()
         });
@@ -876,7 +866,7 @@ mod tests {
             net: design.select_lines[1],
             value: true,
         }];
-        let golden = Golden::new(spec, &faults);
+        let (golden, passes) = Golden::new(spec, &faults);
         golden.run();
         assert!(!*golden.failed.lock().unwrap());
         let trace = replay(&spec, None);
@@ -884,9 +874,9 @@ mod tests {
             let row: Vec<Logic> = golden.outputs(cycle).iter().map(logic).collect();
             assert_eq!(&row, outputs, "cycle {cycle}");
         }
-        assert_eq!(golden.states(spec.cycles), trace.final_states);
+        assert_eq!(golden.states(golden.kept.len() - 1), trace.final_states);
         assert_eq!(
-            classify_chunk(&golden, &faults),
+            classify_chunk(&golden, &faults, passes[0].1),
             [classify(
                 &trace,
                 &replay(&spec, Some(faults[0])),

@@ -20,9 +20,11 @@
 //!   before its earliest strike, with the event-driven engine kept as
 //!   a from-reset differential oracle),
 //!   detected / silent / benign classification, one jobs-invariant
-//!   parallel fan-out per call ([`run_campaigns`]) in which the passes
-//!   trail the golden rows as they are published, and fuzz-style
-//!   reproduction lines.
+//!   parallel fan-out per call ([`run_campaigns`], which validates
+//!   every netlist first and returns a typed error) in which the
+//!   passes trail the golden rows as they are published, every
+//!   machine borrowing its netlist's one compiled gate program, and
+//!   fuzz-style reproduction lines.
 //!
 //! # Example
 //!

@@ -4,7 +4,8 @@
 //! three in one `run_campaigns` fan-out, and the engine's edge windows
 //! (0 and 1 observed cycles, an empty fault list, a pass whose every
 //! strike falls past the window) classify exactly as the event-driven
-//! oracle does.
+//! oracle does. A batch with an invalid netlist fails with its typed
+//! error before anything is replayed.
 //!
 //! The digest was recorded before the engine pipelined its passes
 //! behind the golden run; it is never re-blessed. A change to the
@@ -12,12 +13,14 @@
 
 use adgen_cntag::{CntAgNetlist, CntAgSpec};
 use adgen_core::composite::Srag2d;
+use adgen_core::{SragNetlist, SragSpec};
 use adgen_exec::Fnv1a128;
 use adgen_fault::{
-    driving_flip_flops, fault_universe, flip_flop_ids, run_campaign, run_campaign_scalar,
-    run_campaigns, CampaignReport, CampaignSpec, Fault, SLICED_FAULT_LANES,
+    driving_flip_flops, enumerate_stuck_at, fault_universe, flip_flop_ids, run_campaign,
+    run_campaign_scalar, run_campaigns, CampaignReport, CampaignSpec, Fault, SLICED_FAULT_LANES,
 };
-use adgen_netlist::{InstId, NetId, Netlist};
+use adgen_netlist::{InstId, NetId, Netlist, NetlistError};
+use adgen_obs as obs;
 use adgen_seq::{workloads, ArrayShape, Layout};
 
 /// FNV-1a-128 of the three reports below, recorded once.
@@ -116,7 +119,7 @@ fn together(campaigns: &[(CampaignSpec<'_>, Vec<Fault>)], jobs: usize) -> Vec<Ca
         .iter()
         .map(|(spec, faults)| (*spec, faults.as_slice()))
         .collect();
-    run_campaigns(&batch, jobs)
+    run_campaigns(&batch, jobs).expect("every campaign netlist validates")
 }
 
 fn digest(reports: &[CampaignReport]) -> String {
@@ -176,5 +179,34 @@ fn edge_windows_match_the_event_driven_oracle() {
                 "cycles {cycles}, jobs {jobs}"
             );
         }
+    }
+}
+
+#[test]
+fn an_undriven_net_in_the_second_campaign_fails_the_batch_before_any_replay() {
+    let design = SragNetlist::elaborate(&SragSpec::ring(4)).expect("the ring elaborates");
+    let mut undriven = design.netlist.clone();
+    undriven.add_net("floating");
+    let faults = enumerate_stuck_at(&design.netlist);
+    let spec = |netlist| CampaignSpec {
+        netlist,
+        cycles: 8,
+        alarm_output: None,
+    };
+    for jobs in [1, 2] {
+        obs::start();
+        let result = run_campaigns(
+            &[(spec(&design.netlist), &faults), (spec(&undriven), &faults)],
+            jobs,
+        );
+        let rec = obs::take();
+        assert_eq!(
+            result,
+            Err(NetlistError::UndrivenNet {
+                net: "floating".to_string()
+            }),
+            "jobs {jobs}"
+        );
+        assert_eq!(rec.counter(obs::Ctr::FaultReplays), 0, "jobs {jobs}");
     }
 }

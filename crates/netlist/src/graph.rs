@@ -8,8 +8,10 @@
 //!
 //! A successful validation keeps the combinational order it computed,
 //! so timing and simulation reuse it instead of validating and
-//! sorting again. Every `&mut self` method drops it: the next
-//! validation sees the edit.
+//! sorting again, and the first simulator built on the netlist
+//! compiles the gate program from it into the same cache, so every
+//! later simulator borrows that one program. Every `&mut self` method
+//! drops both: the next validation sees the edit.
 //!
 //! Clocking is implicit: every sequential cell is driven by a single
 //! global clock that is not represented as a net. A dedicated global
@@ -25,7 +27,7 @@ use adgen_obs as obs;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
-use crate::program::MAX_PINS;
+use crate::program::{Program, MAX_PINS};
 
 /// Identifier of a net within one [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,6 +138,27 @@ impl Instance {
     }
 }
 
+/// What a successful validation leaves behind until the next edit.
+#[derive(Debug)]
+struct Validated {
+    /// The combinational instances in topological order.
+    order: Vec<InstId>,
+    /// The gate program compiled from `order`, filled when the first
+    /// simulator of the netlist is built.
+    program: OnceLock<Program>,
+}
+
+/// A clone keeps the validated order and compiles its own program on
+/// first use: clones are edited independently, so they share nothing.
+impl Clone for Validated {
+    fn clone(&self) -> Self {
+        Validated {
+            order: self.order.clone(),
+            program: OnceLock::new(),
+        }
+    }
+}
+
 /// A flat gate-level netlist.
 ///
 /// See the [module documentation](self) for the construction model.
@@ -148,9 +171,9 @@ pub struct Netlist {
     outputs: Vec<NetId>,
     reset: NetId,
     fresh: u64,
-    /// The combinational order of the last successful validation;
-    /// emptied by every edit.
-    order: OnceLock<Vec<InstId>>,
+    /// The last successful validation and the program compiled from
+    /// it; emptied by every edit.
+    validated: OnceLock<Validated>,
 }
 
 impl Netlist {
@@ -165,7 +188,7 @@ impl Netlist {
             outputs: Vec::new(),
             reset: NetId(0),
             fresh: 0,
-            order: OnceLock::new(),
+            validated: OnceLock::new(),
         };
         let reset = n.add_input("reset");
         n.reset = reset;
@@ -186,7 +209,7 @@ impl Netlist {
     /// [`add_instance`](Netlist::add_instance) call for
     /// [`validate`](Netlist::validate) to pass.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        self.order.take();
+        self.validated.take();
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
             name: name.into(),
@@ -219,7 +242,7 @@ impl Netlist {
     ///
     /// Panics if `net` is out of range.
     pub fn add_output(&mut self, net: NetId) {
-        self.order.take();
+        self.validated.take();
         let mark = &mut self.nets[net.index()].output;
         if !*mark {
             *mark = true;
@@ -245,7 +268,7 @@ impl Netlist {
         inputs: &[NetId],
         outputs: &[NetId],
     ) -> Result<InstId, NetlistError> {
-        self.order.take();
+        self.validated.take();
         let name = name.into();
         if inputs.len() != kind.num_inputs() {
             return Err(NetlistError::PinCountMismatch {
@@ -398,7 +421,7 @@ impl Netlist {
     ///
     /// Panics if `max_fanout` is zero.
     pub fn split_fanout(&mut self, net: NetId, max_fanout: usize) -> Result<usize, NetlistError> {
-        self.order.take();
+        self.validated.take();
         let loads = match self.nets.get_mut(net.index()) {
             None => return Err(NetlistError::UnknownNet { index: net.index() }),
             Some(n) if n.loads.len() <= max_fanout => return Ok(0),
@@ -426,17 +449,32 @@ impl Netlist {
     ///
     /// Returns the first violated invariant as a [`NetlistError`].
     pub fn validate(&self) -> Result<(), NetlistError> {
-        self.validated_order().map(|_| ())
+        self.validation().map(|_| ())
     }
 
-    /// The combinational order of a valid netlist: the cached one, or
-    /// [`validate`](Self::validate)'s checks followed by
-    /// [`comb_topo_order`](Self::comb_topo_order), whose result is
-    /// cached until the next edit. Only the validation that fills the
-    /// cache counts in `netlist.validations`.
+    /// The combinational order of a valid netlist, cached until the
+    /// next edit.
     pub(crate) fn validated_order(&self) -> Result<&[InstId], NetlistError> {
-        if let Some(order) = self.order.get() {
-            return Ok(order);
+        Ok(&self.validation()?.order)
+    }
+
+    /// The gate program of a valid netlist: compiled by the first call
+    /// after a validation, then borrowed by every later one until the
+    /// next edit.
+    pub(crate) fn program(&self) -> Result<&Program, NetlistError> {
+        let validated = self.validation()?;
+        Ok(validated
+            .program
+            .get_or_init(|| Program::compile(self, &validated.order)))
+    }
+
+    /// The cached validation, or [`validate`](Self::validate)'s checks
+    /// followed by [`comb_topo_order`](Self::comb_topo_order), whose
+    /// result is cached until the next edit. Only the validation that
+    /// fills the cache counts in `netlist.validations`.
+    fn validation(&self) -> Result<&Validated, NetlistError> {
+        if let Some(validated) = self.validated.get() {
+            return Ok(validated);
         }
         for net in &self.nets {
             if net.driver.is_none() {
@@ -456,10 +494,18 @@ impl Netlist {
         let order = self.comb_topo_order()?;
         // Workers sharing one netlist may race to fill the cache; only
         // the winner counts, so the total is the same at any job count.
-        if self.order.set(order).is_ok() {
+        let mut filled = false;
+        let validated = self.validated.get_or_init(|| {
+            filled = true;
+            Validated {
+                order,
+                program: OnceLock::new(),
+            }
+        });
+        if filled {
             obs::add(obs::Ctr::NetlistValidations, 1);
         }
-        Ok(self.order.get().expect("the cache was just filled"))
+        Ok(validated)
     }
 
     /// Topological order of the *combinational* instances.
@@ -527,6 +573,8 @@ impl Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Logic;
+    use crate::sim_sliced::Simulator;
 
     fn inv_chain(len: usize) -> Netlist {
         let mut n = Netlist::new("chain");
@@ -737,7 +785,7 @@ mod tests {
         [
             n.validate(),
             crate::sta::TimingContext::new(n, &lib).map(|_| ()),
-            crate::sim_sliced::Simulator::new(n).map(|_| ()),
+            Simulator::new(n).map(|_| ()),
         ]
     }
 
@@ -781,29 +829,108 @@ mod tests {
 
     #[test]
     fn a_split_after_validation_is_timed_and_simulated() {
+        let lib = crate::cell::Library::vcl018();
+        let critical = |n: &Netlist| {
+            crate::sta::TimingContext::new(n, &lib)
+                .unwrap()
+                .run()
+                .critical_path_ps()
+        };
         let (mut n, src) = fanout(6);
         n.validate().unwrap();
         assert_eq!(n.validated_order().unwrap().len(), 7);
+        let unsplit = critical(&n);
         n.split_fanout(src, 2).unwrap();
         assert_eq!(
             n.validated_order().unwrap().len(),
             9,
             "two buffers sorted in"
         );
-        let lib = crate::cell::Library::vcl018();
-        let timing = crate::sta::TimingContext::new(&n, &lib).unwrap().run();
+        let (mut never_validated, src) = fanout(6);
+        never_validated.split_fanout(src, 2).unwrap();
+        assert_eq!(critical(&n), critical(&never_validated), "buffer timed");
+        assert_ne!(critical(&n), unsplit);
         let bufs: Vec<NetId> = n
             .net(src)
             .loads()
             .iter()
             .map(|&(b, _)| n.instance(b).outputs()[0])
             .collect();
-        let mut sim = crate::sim_sliced::Simulator::new(&n).unwrap();
+        let mut sim = Simulator::new(&n).unwrap();
         sim.step_bools(&[false, true]).unwrap();
         for b in bufs {
-            assert!(timing.arrival_ps(b).is_some(), "buffer timed");
-            assert_eq!(sim.value(b), crate::sim::Logic::Zero, "buffer simulated");
+            assert_eq!(sim.value(b), Logic::Zero, "buffer simulated");
         }
+    }
+
+    /// A one-machine simulator of `n` after one cycle of `inputs`.
+    fn simulate<'n>(n: &'n Netlist, inputs: &[bool]) -> Result<Simulator<'n>, NetlistError> {
+        let mut sim = Simulator::new(n)?;
+        sim.step_bools(inputs)?;
+        Ok(sim)
+    }
+
+    #[test]
+    fn every_edit_after_a_simulation_is_simulated() {
+        let (mut n, src) = fanout(4);
+        simulate(&n, &[false, true]).unwrap();
+
+        // `add_input` (and so `add_net`) changes the input width.
+        let b = n.add_input("b");
+        assert!(simulate(&n, &[false, true]).is_err());
+        simulate(&n, &[false, true, true]).unwrap();
+
+        // `gate` (and so `add_instance`) adds a gate to the program.
+        let y = n.gate(CellKind::Nand2, &[src, b]).unwrap();
+        let sim = simulate(&n, &[false, false, true]).unwrap();
+        assert_eq!(sim.value(y), Logic::Zero);
+        assert_eq!(sim.output_values().len(), 4);
+
+        // `add_output` adds an output.
+        n.add_output(y);
+        let sim = simulate(&n, &[false, false, true]).unwrap();
+        assert_eq!(sim.output_values().len(), 5);
+        assert_eq!(sim.output_values()[4], Logic::Zero);
+
+        // `split_fanout` puts buffers between `src` and its loads.
+        let gates = n.program().unwrap().gates.len();
+        assert_eq!(n.split_fanout(src, 2).unwrap(), 2);
+        let sim = simulate(&n, &[false, false, true]).unwrap();
+        assert_eq!(n.program().unwrap().gates.len(), gates + 2);
+        for &(buf, _) in n.net(src).loads() {
+            let out = n.instance(buf).outputs()[0];
+            assert_eq!(sim.value(out), Logic::One, "buffer simulated");
+        }
+
+        // `add_net` leaves an undriven net.
+        n.add_net("floating");
+        assert!(matches!(
+            simulate(&n, &[false, false, true]),
+            Err(NetlistError::UndrivenNet { .. })
+        ));
+    }
+
+    #[test]
+    fn a_clone_edited_on_its_own_does_not_share_the_program() {
+        let (n, src) = fanout(3);
+        simulate(&n, &[false, true]).unwrap();
+        let program: *const Program = n.program().unwrap();
+        let mut edited = n.clone();
+        assert!(!std::ptr::eq(program, edited.program().unwrap()));
+        let y = edited.gate(CellKind::Inv, &[src]).unwrap();
+        edited.add_output(y);
+        assert_eq!(
+            simulate(&edited, &[false, true])
+                .unwrap()
+                .output_values()
+                .len(),
+            4
+        );
+        assert_eq!(
+            simulate(&n, &[false, true]).unwrap().output_values().len(),
+            3
+        );
+        assert!(std::ptr::eq(program, n.program().unwrap()));
     }
 
     #[test]

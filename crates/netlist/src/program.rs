@@ -2,17 +2,22 @@
 //! steps from (crate internal).
 //!
 //! [`Netlist`] is built for construction and analysis: instances are
-//! reached through [`InstId`](crate::InstId)s and carry their names
-//! and cell kinds beside their pins. A simulator that walks it pays a
-//! pointer chase per gate and a slice per pin on every cycle.
-//! [`Program::compile`] flattens the netlist once — when a
-//! [`Simulator`](crate::Simulator) is constructed, on one lane or
-//! many — into two arrays of fixed-width records:
+//! reached through [`InstId`]s and carry their names and cell kinds
+//! beside their pins. A simulator that walks it pays a pointer chase
+//! per gate and a slice per pin on every cycle. [`Program::compile`]
+//! flattens a validated netlist into two arrays of fixed-width
+//! records:
 //!
 //! * [`Gate`]s: the combinational instances in topological order,
 //!   `{kind, out, ins}`;
 //! * [`FlipFlop`]s: the sequential instances in instance order,
 //!   `{kind, inst, q, ins}`.
+//!
+//! The netlist owns its program: it sits in the validation cache
+//! (`Netlist::program`), compiled when the first simulator of the
+//! netlist is built, on one lane or many, and borrowed by every later
+//! one. The edit that drops the cached validation drops the program
+//! with it, and a clone compiles its own.
 //!
 //! Every `vcl018` cell has exactly one output and at most
 //! [`MAX_PINS`] inputs ([`CellKind::num_outputs`],
@@ -28,8 +33,7 @@
 //! compiler.
 
 use crate::cell::CellKind;
-use crate::error::NetlistError;
-use crate::graph::{NetId, Netlist};
+use crate::graph::{InstId, NetId, Netlist};
 
 /// Widest input-pin list of any cell kind; both the netlist's inline
 /// pins and the compiled records hold this many.
@@ -58,7 +62,7 @@ pub(crate) struct FlipFlop {
 }
 
 /// A netlist compiled for cycle simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Program {
     /// Combinational gates in topological order.
     pub(crate) gates: Vec<Gate>,
@@ -67,14 +71,9 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// Validates `netlist` (or reuses its cached validation) and
-    /// flattens it.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the netlist does not [`validate`](Netlist::validate).
-    pub(crate) fn compile(netlist: &Netlist) -> Result<Program, NetlistError> {
-        let order = netlist.validated_order()?;
+    /// Flattens `netlist`, whose validated combinational order is
+    /// `order`.
+    pub(crate) fn compile(netlist: &Netlist, order: &[InstId]) -> Program {
         let pins = |inputs: &[NetId]| {
             let mut ins = [0u32; MAX_PINS];
             for (slot, net) in ins.iter_mut().zip(inputs) {
@@ -105,7 +104,7 @@ impl Program {
                 ins: pins(inst.inputs()),
             })
             .collect();
-        Ok(Program { gates, ffs })
+        Program { gates, ffs }
     }
 }
 
@@ -124,7 +123,7 @@ mod tests {
         n.add_instance("ff", CellKind::Dffr, &[y, rst], &[q])
             .unwrap();
         n.add_output(q);
-        let p = Program::compile(&n).unwrap();
+        let p = n.program().unwrap();
         assert_eq!((p.gates.len(), p.ffs.len()), (2, 1));
         let nand = p.gates[0];
         assert_eq!(nand.kind, CellKind::Nand2);
@@ -145,6 +144,6 @@ mod tests {
         let mut n = Netlist::new("bad");
         let dangling = n.add_net("dangling");
         n.add_output(dangling);
-        assert!(Program::compile(&n).is_err());
+        assert!(n.program().is_err());
     }
 }

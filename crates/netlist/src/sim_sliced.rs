@@ -2,6 +2,11 @@
 //! 64 independent machines per gate operation.
 //!
 //! [`Simulator`] steps the gate `Program` the netlist compiles to.
+//! The netlist owns that program: the first simulator built on a
+//! netlist compiles it into the netlist's validation cache, and every
+//! simulator, this one included, borrows it, so building a machine
+//! copies no gate table. An edit of the netlist drops the program,
+//! and the next simulator compiles the edited netlist.
 //! [`Simulator::new`] builds one machine, the engine behind every
 //! equivalence proof, power estimate and VCD trace in the workspace.
 //! [`Simulator::with_lanes`] builds `lanes` of them over one netlist:
@@ -42,9 +47,7 @@
 //! [`load_flip_flop_states`](Simulator::load_flip_flop_states)
 //! broadcasts one machine's flip-flop states to every lane, so a
 //! batch of upsets that all strike late starts from a golden
-//! checkpoint instead of from reset, and
-//! [`fresh_with_lanes`](Simulator::fresh_with_lanes) builds each
-//! batch's machine from one compiled program.
+//! checkpoint instead of from reset.
 //!
 //! ## The oracle
 //!
@@ -316,7 +319,9 @@ const NO_FORCE: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    program: Program,
+    /// The netlist's compiled program, borrowed from its validation
+    /// cache.
+    program: &'a Program,
     lanes: usize,
     words: usize,
     /// Net values, net-major: `net.index() * words + w`.
@@ -332,9 +337,8 @@ pub struct Simulator<'a> {
     cycle: u64,
     evaluations: u64,
     word_ops: u64,
-    /// Built by [`with_lanes`](Self::with_lanes) or
-    /// [`fresh_with_lanes`](Self::fresh_with_lanes): only such
-    /// machines count the `sim.sliced.*` observability counters.
+    /// Built by [`with_lanes`](Self::with_lanes): only such machines
+    /// count the `sim.sliced.*` observability counters.
     sliced: bool,
 }
 
@@ -345,12 +349,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Fails if the netlist does not [`validate`](Netlist::validate).
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        Ok(Self::from_program(
-            netlist,
-            Program::compile(netlist)?,
-            1,
-            false,
-        ))
+        Ok(Self::from_program(netlist, netlist.program()?, 1, false))
     }
 
     /// Prepares a simulator with `lanes` machines for `netlist`. Every
@@ -361,23 +360,7 @@ impl<'a> Simulator<'a> {
     /// Fails if the netlist does not [`validate`](Netlist::validate)
     /// or `lanes` is zero (reported as a width mismatch).
     pub fn with_lanes(netlist: &'a Netlist, lanes: usize) -> Result<Self, NetlistError> {
-        Self::sliced(netlist, Program::compile(netlist)?, lanes)
-    }
-
-    /// A powered-up (all-X) simulator with `lanes` machines over this
-    /// one's netlist, reusing its compiled program instead of
-    /// compiling the netlist again: a campaign compiles once and
-    /// builds one machine per batch. Otherwise exactly
-    /// [`with_lanes`](Self::with_lanes).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `lanes` is zero (reported as a width mismatch).
-    pub fn fresh_with_lanes(&self, lanes: usize) -> Result<Self, NetlistError> {
-        Self::sliced(self.netlist, self.program.clone(), lanes)
-    }
-
-    fn sliced(netlist: &'a Netlist, program: Program, lanes: usize) -> Result<Self, NetlistError> {
+        let program = netlist.program()?;
         if lanes == 0 {
             return Err(NetlistError::InputWidthMismatch {
                 expected: 1,
@@ -391,7 +374,12 @@ impl<'a> Simulator<'a> {
         Ok(Self::from_program(netlist, program, lanes, true))
     }
 
-    fn from_program(netlist: &'a Netlist, program: Program, lanes: usize, sliced: bool) -> Self {
+    fn from_program(
+        netlist: &'a Netlist,
+        program: &'a Program,
+        lanes: usize,
+        sliced: bool,
+    ) -> Self {
         let words = lanes.div_ceil(64);
         Simulator {
             netlist,
@@ -1083,8 +1071,25 @@ mod tests {
     fn zero_lanes_is_rejected() {
         let (n, _, _) = ring_netlist();
         assert!(Simulator::with_lanes(&n, 0).is_err());
+        Simulator::new(&n).unwrap();
+        assert!(
+            Simulator::with_lanes(&n, 0).is_err(),
+            "also once the program is compiled"
+        );
+    }
+
+    #[test]
+    fn every_machine_of_a_netlist_borrows_one_program() {
+        let (n, _, _) = ring_netlist();
+        obs::start();
         let one = Simulator::new(&n).unwrap();
-        assert!(one.fresh_with_lanes(0).is_err());
+        let wide = Simulator::with_lanes(&n, 65).unwrap();
+        let narrow = Simulator::with_lanes(&n, 3).unwrap();
+        let rec = obs::take();
+        assert!(std::ptr::eq(one.program, wide.program));
+        assert!(std::ptr::eq(one.program, narrow.program));
+        assert!(std::ptr::eq(one.program, n.program().unwrap()));
+        assert_eq!(rec.counter(obs::Ctr::NetlistValidations), 1);
     }
 
     /// Loads one machine's states after cycle `at` into 1, 64 and 65
@@ -1118,7 +1123,7 @@ mod tests {
             let states = src.flip_flop_states();
             x_after_reset |= at > 0 && states.contains(&Logic::X);
             for lanes in [1, 64, 65] {
-                let mut sim = src.fresh_with_lanes(lanes).unwrap();
+                let mut sim = Simulator::with_lanes(&n, lanes).unwrap();
                 sim.load_flip_flop_states(&states).unwrap();
                 let mut cont = src.clone();
                 let mut oracle = EventSimulator::new(&n).unwrap();

@@ -17,53 +17,13 @@ use adgen_obs as obs;
 
 use crate::cell::Library;
 use crate::error::NetlistError;
-use crate::graph::{Driver, InstId, NetId, Netlist};
-
-/// One step along the reported critical path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathStep {
-    /// Instance traversed (`None` for a primary-input launch).
-    pub instance: Option<String>,
-    /// Net at which the step's arrival time is observed.
-    pub net: String,
-    /// Arrival time at `net`, in picoseconds.
-    pub arrival_ps: f64,
-}
-
-/// Where the critical path terminates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A flip-flop data/control pin (setup time included in the path).
-    Register {
-        /// Capturing instance name.
-        instance: String,
-    },
-    /// A primary output net.
-    Output {
-        /// The output net's name.
-        net: String,
-    },
-}
-
-/// The capture point of the critical path, by id: names are looked up
-/// only when a report asks for them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Capture {
-    /// No capture point has a positive arrival.
-    None,
-    /// The data or control pin of `inst`, fed by `net`.
-    Register { inst: InstId, net: NetId },
-    /// A primary output net.
-    Output(NetId),
-}
+use crate::graph::{InstId, NetId, Netlist};
 
 /// Result of timing a netlist. See the [module docs](self) for the
 /// delay model.
 #[derive(Debug, Clone)]
 pub struct TimingAnalysis {
-    arrival_ps: Vec<f64>,
     critical_ps: f64,
-    capture: Capture,
 }
 
 impl TimingAnalysis {
@@ -107,72 +67,15 @@ impl TimingAnalysis {
     pub fn critical_path_ns(&self) -> f64 {
         self.critical_ps / 1000.0
     }
-
-    /// Arrival time at `net` in picoseconds, or `None` if the net is
-    /// unreachable from any launch point.
-    pub fn arrival_ps(&self, net: NetId) -> Option<f64> {
-        let t = *self.arrival_ps.get(net.index())?;
-        if t.is_finite() {
-            Some(t)
-        } else {
-            None
-        }
-    }
-
-    /// The capture point of the critical path, named from `netlist`,
-    /// the netlist this analysis timed.
-    pub fn endpoint(&self, netlist: &Netlist) -> Endpoint {
-        match self.capture {
-            Capture::None => Endpoint::Output {
-                net: String::from("<none>"),
-            },
-            Capture::Register { inst, .. } => Endpoint::Register {
-                instance: netlist.instance(inst).name().to_string(),
-            },
-            Capture::Output(net) => Endpoint::Output {
-                net: netlist.net(net).name().to_string(),
-            },
-        }
-    }
-
-    /// The critical path, launch to capture, named from `netlist`, the
-    /// netlist this analysis timed. Each step back follows the latest
-    /// input of the gate driving the net, as the timing sweep did.
-    pub fn path(&self, netlist: &Netlist) -> Vec<PathStep> {
-        let mut cur = match self.capture {
-            Capture::None => None,
-            Capture::Register { net, .. } | Capture::Output(net) => Some(net),
-        };
-        let mut path = Vec::new();
-        while let Some(net) = cur {
-            let driver = match netlist.net(net).driver() {
-                Some(Driver::Inst { inst, .. }) => Some(netlist.instance(inst)),
-                _ => None,
-            };
-            path.push(PathStep {
-                instance: driver.map(|d| d.name().to_string()),
-                net: netlist.net(net).name().to_string(),
-                arrival_ps: self.arrival_ps[net.index()],
-            });
-            // Launch points (inputs, flip-flop outputs, tie cells) end
-            // the walk.
-            cur = driver
-                .filter(|d| !d.kind().is_sequential() && !d.inputs().is_empty())
-                .map(|d| worst_input(d.inputs(), &self.arrival_ps).0);
-        }
-        path.reverse();
-        path
-    }
 }
 
-/// The latest-arriving of `inputs` and its arrival (the last one on a
-/// tie).
-fn worst_input(inputs: &[NetId], arrival: &[f64]) -> (NetId, f64) {
+/// The latest arrival among `inputs`.
+fn worst_input(inputs: &[NetId], arrival: &[f64]) -> f64 {
     inputs
         .iter()
-        .map(|&i| (i, arrival[i.index()]))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("combinational gate has at least one input")
+        .map(|&i| arrival[i.index()])
+        .max_by(f64::total_cmp)
+        .unwrap_or(f64::NEG_INFINITY)
 }
 
 /// Reusable timing state for repeated analyses of one netlist.
@@ -321,7 +224,7 @@ impl<'a> TimingContext<'a> {
             if inst.inputs().is_empty() {
                 continue;
             }
-            let (_, worst_arr) = worst_input(inst.inputs(), &arrival);
+            let worst_arr = worst_input(inst.inputs(), &arrival);
             for &o in inst.outputs() {
                 let t = worst_arr + self.intrinsic_ps[idx] + self.drive_res_kohm[idx] * load_ff(o);
                 arrival[o.index()] = t;
@@ -330,7 +233,6 @@ impl<'a> TimingContext<'a> {
 
         // Capture points.
         let mut critical = 0.0f64;
-        let mut capture = Capture::None;
         for &inst in &self.seq {
             let idx = inst.index();
             let setup = self.setup_ps[idx];
@@ -338,7 +240,6 @@ impl<'a> TimingContext<'a> {
                 let t = arrival[net.index()] + setup;
                 if t > critical {
                     critical = t;
-                    capture = Capture::Register { inst, net };
                 }
             }
         }
@@ -346,14 +247,11 @@ impl<'a> TimingContext<'a> {
             let t = arrival[o.index()];
             if t > critical {
                 critical = t;
-                capture = Capture::Output(o);
             }
         }
 
         TimingAnalysis {
-            arrival_ps: arrival,
             critical_ps: critical,
-            capture,
         }
     }
 }
@@ -429,8 +327,13 @@ mod tests {
         n.add_output(q);
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
         // Endpoint is either the FF D pin (0 + setup = 90) or the Q
-        // output (clk-to-q ≈ 186). Q is later.
-        assert!(matches!(t.endpoint(&n), Endpoint::Output { .. }));
+        // output (clk-to-q ≈ 186). Q is later: the critical path is
+        // exactly the Q output's arrival.
+        let library = lib();
+        let ff = library.spec(CellKind::Dff);
+        let q_arrival = ff.intrinsic_ps + ff.drive_res_kohm * library.wire_cap_per_fanout_ff;
+        assert!(q_arrival > ff.setup_ps);
+        assert_eq!(t.critical_path_ps(), q_arrival);
         assert!(t.critical_path_ps() > 150.0);
     }
 
@@ -448,35 +351,32 @@ mod tests {
         n.add_output(q1);
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
         // q1 output: clkq + small load; reg-to-reg: clkq + inv + setup.
-        // The reg-to-reg path must dominate.
-        match t.endpoint(&n) {
-            Endpoint::Register { instance } => assert_eq!(instance, "ff1"),
-            other => panic!("unexpected endpoint {other:?}"),
-        }
+        // The reg-to-reg path must dominate: the critical path ends
+        // exactly at ff1's D pin.
+        let library = lib();
+        let (ff, inv) = (library.spec(CellKind::Dff), library.spec(CellKind::Inv));
+        let wire = library.wire_cap_per_fanout_ff;
+        let q0_arrival = ff.intrinsic_ps + ff.drive_res_kohm * (inv.input_cap_ff + wire);
+        let w_arrival =
+            q0_arrival + inv.intrinsic_ps + inv.drive_res_kohm * (ff.input_cap_ff + wire);
+        assert_eq!(t.critical_path_ps(), w_arrival + ff.setup_ps);
         assert!(t.critical_path_ps() > 280.0);
     }
 
     #[test]
-    fn path_reconstruction_is_monotone() {
-        let n = inv_chain(6);
-        let t = TimingAnalysis::run(&n, &lib()).unwrap();
-        let path = t.path(&n);
-        assert!(path.len() >= 6);
-        for w in path.windows(2) {
-            assert!(w[1].arrival_ps >= w[0].arrival_ps);
-        }
-    }
-
-    #[test]
-    fn arrival_query() {
+    fn inputs_launch_at_zero() {
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
         let y = n.add_net("y");
         n.add_instance("g", CellKind::Inv, &[a], &[y]).unwrap();
         n.add_output(y);
         let t = TimingAnalysis::run(&n, &lib()).unwrap();
-        assert_eq!(t.arrival_ps(a), Some(0.0));
-        assert!(t.arrival_ps(y).unwrap() > 0.0);
+        // The output's arrival is the inverter's delay alone.
+        let library = lib();
+        let inv = library.spec(CellKind::Inv);
+        let delay = inv.intrinsic_ps + inv.drive_res_kohm * library.wire_cap_per_fanout_ff;
+        assert!(delay > 0.0);
+        assert_eq!(t.critical_path_ps(), 0.0 + delay);
     }
 
     #[test]
@@ -504,8 +404,6 @@ mod tests {
             let fresh = TimingAnalysis::run_with_output_load(&n, &library, load).unwrap();
             let reused = ctx.run_with_output_load(load);
             assert_eq!(reused.critical_path_ps(), fresh.critical_path_ps());
-            assert_eq!(reused.endpoint(&n), fresh.endpoint(&n));
-            assert_eq!(reused.path(&n), fresh.path(&n));
         }
     }
 }

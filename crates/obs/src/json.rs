@@ -259,7 +259,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let s = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| format!("invalid number at byte {start}"))?;
         s.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{s}' at byte {start}"))

@@ -49,6 +49,16 @@
 //! unless a session is active, so the instrumented hot paths cost
 //! nothing in ordinary runs.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod cli;
 pub mod json;
 pub mod record;

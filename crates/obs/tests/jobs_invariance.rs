@@ -109,7 +109,8 @@ fn campaigns_recording(jobs: usize) -> (obs::Recording, usize, usize) {
     let reports = run_campaigns(
         &[(plain_spec, &plain_faults), (hard_spec, &hard_faults)],
         jobs,
-    );
+    )
+    .expect("both campaign netlists validate");
     let rec = obs::take();
     assert_eq!(reports.len(), 2);
     let chunks = [&plain_faults, &hard_faults]

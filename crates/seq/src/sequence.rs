@@ -95,24 +95,16 @@ impl AddressSequence {
 
     /// Distinct addresses in order of first appearance (the paper's
     /// unique sequence `U`), with their occurrence counts (`O`) and the
-    /// index of their first appearance (`Z`).
-    ///
-    /// One hashed pass over the sequence: expected O(len) time and
-    /// O(|U|) extra space, whatever the address values. See
-    /// [`rank_in_order`](Self::rank_in_order) for the hash.
-    pub fn unique_in_order(&self) -> Vec<UniqueEntry> {
-        self.rank_in_order().0
-    }
-
-    /// [`unique_in_order`](Self::unique_in_order) together with the
+    /// index of their first appearance (`Z`), together with the
     /// first-appearance rank of every element: `ranks[i]` indexes the
     /// entry of `self[i]`'s address. Dense tables indexed by rank then
     /// stand in for lookups by address.
     ///
-    /// The pass hashes each address with one multiply and fold under a
-    /// key drawn per call from the standard library's
-    /// [`RandomState`], a fraction of SipHash's cost per element. The
-    /// key matters: addresses come from clients, and under a fixed
+    /// One hashed pass over the sequence: expected O(len) time and
+    /// O(|U|) extra space, whatever the address values. The pass
+    /// hashes each address with one multiply and fold under a key
+    /// drawn per call from the standard library's [`RandomState`], a
+    /// fraction of SipHash's cost per element. The key matters: addresses come from clients, and under a fixed
     /// multiplicative hash a client could pick colliding addresses
     /// (multiples of 2¹⁶, say) and make the pass quadratic.
     pub fn rank_in_order(&self) -> (Vec<UniqueEntry>, Vec<usize>) {
@@ -281,7 +273,7 @@ impl Hasher for AddressHasher {
     }
 }
 
-/// One entry of [`AddressSequence::unique_in_order`].
+/// One entry of [`AddressSequence::rank_in_order`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniqueEntry {
     /// The distinct address.
@@ -369,7 +361,7 @@ mod tests {
         // R for the paper's RowAS: 0,1,0,1,2,3,2,3 → U = 0,1,2,3;
         // O = 2,2,2,2; Z = 0,1,4,5.
         let r = AddressSequence::from_vec(vec![0, 1, 0, 1, 2, 3, 2, 3]);
-        let u = r.unique_in_order();
+        let u = r.rank_in_order().0;
         assert_eq!(
             u.iter().map(|e| e.address).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
@@ -420,7 +412,7 @@ mod tests {
                 .map(|_| alphabet[next(alphabet.len() as u32) as usize])
                 .collect();
             let s = AddressSequence::from_vec(values);
-            let unique = s.unique_in_order();
+            let unique = s.rank_in_order().0;
             assert_eq!(unique, reference(s.as_slice()), "sequence {s}");
             let (ranked, ranks) = s.rank_in_order();
             assert_eq!(ranked, unique);

@@ -479,48 +479,36 @@ pub fn price_cyclic(
     Ok(PricedFsm { fsm, price })
 }
 
-/// Convenience: synthesize the cyclic FSM for `addresses` and verify
-/// it against the behavioural model by gate-level simulation over two
-/// full periods. Returns the verified design.
-///
-/// # Errors
-///
-/// Any synthesis error, or [`SynthError::Netlist`] wrapping the first
-/// simulation mismatch as an undriven-net style diagnostic is *not*
-/// produced — mismatches panic, since they indicate an internal
-/// consistency bug rather than a user error.
-///
-/// # Panics
-///
-/// Panics if the gate-level behaviour diverges from the symbolic
-/// machine (an internal invariant).
-pub fn synthesize_verified(
-    addresses: &[u32],
-    encoding: Encoding,
-    style: OutputStyle,
-) -> Result<SynthesizedFsm, SynthError> {
-    let fsm = Fsm::cyclic_sequence(addresses)?;
-    let design = fsm.synthesize(encoding, style)?;
-    let mut sim = adgen_netlist::Simulator::new(&design.netlist)?;
-    // Reset (inputs: reset, next).
-    sim.step_bools(&[true, false])?;
-    let expected = fsm.simulate(2 * addresses.len());
-    for (i, &e) in expected.iter().enumerate() {
-        sim.step_bools(&[false, true])?;
-        let got = design.observed_address(&sim);
-        assert_eq!(
-            got,
-            Some(e),
-            "gate-level FSM diverged at step {i}: expected {e}, got {got:?}"
-        );
-    }
-    Ok(design)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adgen_netlist::Simulator;
+
+    /// Synthesizes the cyclic FSM for `addresses` and checks it against
+    /// the behavioural model by gate-level simulation over two full
+    /// periods.
+    fn synthesize_verified(
+        addresses: &[u32],
+        encoding: Encoding,
+        style: OutputStyle,
+    ) -> Result<SynthesizedFsm, SynthError> {
+        let fsm = Fsm::cyclic_sequence(addresses)?;
+        let design = fsm.synthesize(encoding, style)?;
+        let mut sim = Simulator::new(&design.netlist)?;
+        // Reset (inputs: reset, next).
+        sim.step_bools(&[true, false])?;
+        let expected = fsm.simulate(2 * addresses.len());
+        for (i, &e) in expected.iter().enumerate() {
+            sim.step_bools(&[false, true])?;
+            let got = design.observed_address(&sim);
+            assert_eq!(
+                got,
+                Some(e),
+                "gate-level FSM diverged at step {i}: expected {e}, got {got:?}"
+            );
+        }
+        Ok(design)
+    }
 
     #[test]
     fn fsm_construction_validation() {

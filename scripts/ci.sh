@@ -96,8 +96,9 @@
 #                         CSVs against results/, then a self-compare;
 #                         writes only under benchmark/target/)
 #  16. line counts      (scripts/loc.sh: non-test lines per crate and
-#                         for the workspace; informational, never
-#                         fails the run)
+#                         for the workspace, then scripts/panics.sh:
+#                         panic sites per library crate; informational,
+#                         never fails the run)
 #  17. repro by name     (every paper artefact named on the command
 #                         line at --jobs 2, from the repo root: still
 #                         a subset run, so it writes
@@ -313,6 +314,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> line counts (informational)"
 scripts/loc.sh || echo "    (loc.sh failed; informational only)"
+
+echo "==> panic sites (informational)"
+scripts/panics.sh || echo "    (panics.sh failed; informational only)"
 
 echo "==> repro: every artefact by name (writes under target/bench-smoke/ and results/)"
 target/release/repro --jobs 2 table1 table2 fig3 fig4 synthtime fig8 fig9 fig10 \

@@ -74,14 +74,22 @@ fn symbolic_fsm_generates_row_stream() {
     let shape = ArrayShape::new(8, 8);
     let seq = workloads::motion_est_read(shape, 2, 2, 0);
     let (rows, _) = seq.decompose(shape, Layout::RowMajor).unwrap();
-    let design = adgen::synth::fsm::synthesize_verified(
-        rows.as_slice(),
-        Encoding::Binary,
-        OutputStyle::SelectLines {
-            num_lines: shape.height() as usize,
-        },
-    )
-    .unwrap();
+    let fsm = Fsm::cyclic_sequence(rows.as_slice()).unwrap();
+    let design = fsm
+        .synthesize(
+            Encoding::Binary,
+            OutputStyle::SelectLines {
+                num_lines: shape.height() as usize,
+            },
+        )
+        .unwrap();
+    // Two full periods at gate level against the behavioural model.
+    let mut sim = Simulator::new(&design.netlist).unwrap();
+    sim.step_bools(&[true, false]).unwrap();
+    for (step, expected) in fsm.simulate(2 * rows.len()).into_iter().enumerate() {
+        sim.step_bools(&[false, true]).unwrap();
+        assert_eq!(design.observed_address(&sim), Some(expected), "step {step}");
+    }
     assert!(design.netlist.num_flip_flops() >= 6);
 }
 
