@@ -374,21 +374,17 @@ impl<'a> Golden<'a> {
         let cycles = spec.cycles as usize;
         // The cycle a pass starts right after, unless it runs from reset.
         let after = |chunk| Some(start_cycle(spec.cycles, chunk) as usize - 1).filter(|&c| c > 0);
-        // Ascending already: passes start in strike order.
         let mut kept: Vec<usize> = sorted
             .chunks(SLICED_FAULT_LANES)
             .filter_map(after)
             .chain([cycles])
             .collect();
+        kept.sort_unstable();
         kept.dedup();
+        let row = |cycle| kept.partition_point(|&k| k < cycle);
         let passes = sorted
             .chunks(SLICED_FAULT_LANES)
-            .map(|chunk| {
-                (
-                    chunk,
-                    after(chunk).map(|c| kept.partition_point(|&k| k < c)),
-                )
-            })
+            .map(|chunk| (chunk, after(chunk).map(row)))
             .collect();
         let bytes = |n: usize| (0..n).map(|_| AtomicU8::new(0)).collect();
         let golden = Golden {
